@@ -2,7 +2,7 @@
 //! frequency estimation, convolution (the ~90% of Figure 3's overhead),
 //! and CDF evaluation.
 
-use aqua_core::pmf::{ConvScratch, Pmf};
+use aqua_core::pmf::{ConvScratch, Pmf, UNBOUNDED};
 use aqua_core::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -56,12 +56,12 @@ fn bench_cdf(c: &mut Criterion) {
 /// O(1) point lookups — versus the per-query prefix sum of `Pmf::cdf`.
 fn bench_cached_cdf(c: &mut Criterion) {
     let pmf = Pmf::from_samples(samples(20, 300, 4), Duration::from_millis(1)).unwrap();
-    let table = pmf.cumulative();
+    let table = pmf.clone().into_cumulative(UNBOUNDED);
     c.bench_function("pmf_cached_cdf_lookup", |b| {
         b.iter(|| std::hint::black_box(table.value_at(Duration::from_millis(180))));
     });
     c.bench_function("pmf_cumulative_build", |b| {
-        b.iter(|| std::hint::black_box(pmf.cumulative()));
+        b.iter(|| std::hint::black_box(pmf.clone().into_cumulative(UNBOUNDED)));
     });
 }
 
@@ -96,12 +96,43 @@ fn bench_q_fold_convolution(c: &mut Criterion) {
     group.finish();
 }
 
+/// The publish path at `l` = 100: full windows leave few empty buckets, so
+/// the convolution kernel runs dense, and a view's tables are built only
+/// up to its deadline (150 ms here) instead of over the whole support.
+fn bench_publish_path(c: &mut Criterion) {
+    let bucket = Duration::from_millis(1);
+    let mut group = c.benchmark_group("pmf_l100");
+    let service = Pmf::from_samples(samples(100, 40, 6), bucket).unwrap();
+    let queuing = Pmf::from_samples(samples(100, 40, 7), bucket).unwrap();
+    group.bench_function(BenchmarkId::from_parameter("convolve_dense"), |bench| {
+        bench.iter(|| service.convolve(&queuing).expect("same bucket width"));
+    });
+    // The q-fold wait of a 30–70 ms service time, as `gateway_churn` draws.
+    let service = Pmf::from_samples(
+        samples(100, 40, 8)
+            .into_iter()
+            .map(|d| d.saturating_sub(Duration::from_millis(70))),
+        bucket,
+    )
+    .unwrap();
+    for q in [4u32, 16, 32] {
+        for (name, bound) in [("q_fold_unbounded", UNBOUNDED), ("q_fold_to_150ms", 150)] {
+            group.bench_with_input(BenchmarkId::new(name, q), &service, |bench, service| {
+                let mut scratch = ConvScratch::new();
+                bench.iter(|| service.self_convolve_within(q, 1e-12, &mut scratch, bound));
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_from_samples,
     bench_convolve,
     bench_cdf,
     bench_cached_cdf,
-    bench_q_fold_convolution
+    bench_q_fold_convolution,
+    bench_publish_path
 );
 criterion_main!(benches);

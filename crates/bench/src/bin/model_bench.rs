@@ -8,6 +8,10 @@
 //! * **warm** — the repository is untouched between plans, so every
 //!   distribution is answered from the memoized cumulative table.
 //!
+//! The grid runs the paper's `History` wait estimator; one more row at
+//! `l = 100, n = 8` runs `QueueScaled` with queues of 0–4, the q-fold
+//! convolution a `gateway_churn` publish pays per replica.
+//!
 //! Writes `BENCH_MODEL.json` (grid of median latencies plus the speedup
 //! ratio) and prints a human-readable table.
 //!
@@ -33,6 +37,7 @@ fn ms(v: u64) -> Duration {
 struct Cell {
     l: usize,
     n: usize,
+    queue: QueueEstimator,
     cold_ns: u64,
     warm_ns: u64,
 }
@@ -50,9 +55,13 @@ impl Cell {
 /// A handler with `n` replicas whose windows (size `l`) are completely
 /// full, so every plan runs the whole model rather than the cold-start
 /// multicast.
-fn warmed_handler(l: usize, n: usize) -> TimingFaultHandler {
+fn warmed_handler(l: usize, n: usize, queue: QueueEstimator) -> TimingFaultHandler {
     let qos = QosSpec::new(ms(150), 0.9).expect("valid spec");
-    let mut handler = TimingFaultHandler::new(qos, l, Box::new(ModelBased::default()));
+    let strategy = ModelBased::new(ModelConfig {
+        queue_estimator: queue,
+        ..ModelConfig::default()
+    });
+    let mut handler = TimingFaultHandler::new(qos, l, Box::new(strategy));
     for i in 0..n {
         let r = ReplicaId::new(i as u64);
         handler.repository_mut().insert_replica(r);
@@ -62,7 +71,7 @@ fn warmed_handler(l: usize, n: usize) -> TimingFaultHandler {
                 PerfReport::new(
                     ms(40 + ((i * 7 + k * 13) % 60) as u64),
                     ms((k % 9) as u64),
-                    0,
+                    queue_len(queue, i),
                 ),
                 Instant::EPOCH,
             );
@@ -72,6 +81,15 @@ fn warmed_handler(l: usize, n: usize) -> TimingFaultHandler {
             .record_gateway_delay(r, ms(1 + (i % 5) as u64), Instant::EPOCH);
     }
     handler
+}
+
+/// The queue each replica reports: empty for the paper's estimator (which
+/// ignores it), 0–4 by replica for the one that convolves with it.
+fn queue_len(queue: QueueEstimator, replica: usize) -> u32 {
+    match queue {
+        QueueEstimator::QueueScaled => (replica % 5) as u32,
+        _ => 0,
+    }
 }
 
 fn median(mut samples: Vec<u64>) -> u64 {
@@ -90,8 +108,8 @@ fn timed_plan(handler: &mut TimingFaultHandler, now: Instant) -> u64 {
     elapsed
 }
 
-fn measure(l: usize, n: usize, iters: u32) -> Cell {
-    let mut handler = warmed_handler(l, n);
+fn measure(l: usize, n: usize, queue: QueueEstimator, iters: u32) -> Cell {
+    let mut handler = warmed_handler(l, n, queue);
     let mut clock = 0u64;
 
     // Cold: move every replica's perf generation before each timed plan.
@@ -102,7 +120,7 @@ fn measure(l: usize, n: usize, iters: u32) -> Cell {
         for i in 0..n {
             handler.repository_mut().record_perf(
                 ReplicaId::new(i as u64),
-                PerfReport::new(ms(40 + (clock % 60)), ms(0), 0),
+                PerfReport::new(ms(40 + (clock % 60)), ms(0), queue_len(queue, i)),
                 now,
             );
         }
@@ -122,6 +140,7 @@ fn measure(l: usize, n: usize, iters: u32) -> Cell {
     Cell {
         l,
         n,
+        queue,
         cold_ns: median(cold),
         warm_ns: median(warm),
     }
@@ -142,22 +161,28 @@ fn main() {
 
     let mut cells = Vec::new();
     println!(
-        "{:>5} {:>4} {:>12} {:>12} {:>9}",
-        "l", "n", "cold (ns)", "warm (ns)", "speedup"
+        "{:>5} {:>4} {:>13} {:>12} {:>12} {:>9}",
+        "l", "n", "wait", "cold (ns)", "warm (ns)", "speedup"
     );
+    let mut points = Vec::new();
     for l in [5usize, 20, 100] {
         for n in [4usize, 8, 32] {
-            let cell = measure(l, n, iters);
-            println!(
-                "{:>5} {:>4} {:>12} {:>12} {:>8.1}x",
-                cell.l,
-                cell.n,
-                cell.cold_ns,
-                cell.warm_ns,
-                cell.speedup()
-            );
-            cells.push(cell);
+            points.push((l, n, QueueEstimator::History));
         }
+    }
+    points.push((CHECK_L, CHECK_N, QueueEstimator::QueueScaled));
+    for (l, n, queue) in points {
+        let cell = measure(l, n, queue, iters);
+        println!(
+            "{:>5} {:>4} {:>13} {:>12} {:>12} {:>8.1}x",
+            cell.l,
+            cell.n,
+            format!("{:?}", cell.queue),
+            cell.cold_ns,
+            cell.warm_ns,
+            cell.speedup()
+        );
+        cells.push(cell);
     }
 
     let grid: Vec<JsonValue> = cells
@@ -166,6 +191,7 @@ fn main() {
             JsonValue::object()
                 .field("window", c.l)
                 .field("replicas", c.n)
+                .field("queue_estimator", format!("{:?}", c.queue))
                 .field("cold_plan_ns_median", c.cold_ns)
                 .field("warm_plan_ns_median", c.warm_ns)
                 .field("warm_speedup", c.speedup())
@@ -187,7 +213,7 @@ fn main() {
     if check {
         let cell = cells
             .iter()
-            .find(|c| c.l == CHECK_L && c.n == CHECK_N)
+            .find(|c| c.l == CHECK_L && c.n == CHECK_N && c.queue == QueueEstimator::History)
             .expect("checked grid point is always measured");
         let speedup = cell.speedup();
         if speedup < CHECK_MIN_SPEEDUP {

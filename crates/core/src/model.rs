@@ -15,9 +15,9 @@
 use std::collections::HashMap;
 
 use crate::aqua;
-use crate::pmf::{CdfTable, ConvScratch, Pmf};
+use crate::pmf::{CdfTable, ConvScratch, Pmf, UNBOUNDED};
 use crate::qos::ReplicaId;
-use crate::repository::{MethodId, ReplicaStats};
+use crate::repository::{MethodHistory, MethodId, ReplicaStats};
 use crate::time::Duration;
 use crate::window::BucketedWindow;
 
@@ -171,6 +171,32 @@ impl ResponseTimeModel {
         }
     }
 
+    /// One term of Eq. 2 — the pmf of the window `window_of` picks from a
+    /// method history — for the method in scope, or the sample-count
+    /// weighted mixture over every method under [`MethodScope::Aggregate`].
+    fn term_pmf(
+        &self,
+        stats: &ReplicaStats,
+        method: Option<MethodId>,
+        window_of: fn(&MethodHistory) -> &BucketedWindow,
+    ) -> Option<Pmf> {
+        match self.config.method_scope {
+            MethodScope::PerMethod => {
+                self.window_pmf(window_of(stats.history(method.unwrap_or_default())?))
+            }
+            MethodScope::Aggregate => {
+                let parts: Vec<(f64, Pmf)> = stats
+                    .histories()
+                    .filter(|(_, history)| !history.is_empty())
+                    .filter_map(|(_, history)| {
+                        Some((history.len() as f64, self.window_pmf(window_of(history))?))
+                    })
+                    .collect();
+                Pmf::mixture(&parts.iter().map(|(w, p)| (*w, p)).collect::<Vec<_>>()).ok()
+            }
+        }
+    }
+
     /// The full model pipeline with caller-provided convolution scratch
     /// buffers — the allocation-lean variant behind both
     /// [`ResponseTimeModel::response_pmf_for`] and the cached path (which
@@ -181,62 +207,53 @@ impl ResponseTimeModel {
         method: Option<MethodId>,
         scratch: &mut ConvScratch,
     ) -> Option<Pmf> {
-        let (service, queuing) = match (self.config.method_scope, method) {
-            (MethodScope::PerMethod, m) => {
-                let history = stats.history(m.unwrap_or_default())?;
-                let service = self.window_pmf(history.service_window())?;
-                let queuing = self.window_pmf(history.queuing_window())?;
-                (service, queuing)
-            }
-            (MethodScope::Aggregate, _) => {
-                let mut service_parts = Vec::new();
-                let mut queue_parts = Vec::new();
-                for (_, history) in stats.histories() {
-                    if history.is_empty() {
-                        continue;
-                    }
-                    let weight = history.len() as f64;
-                    if let Some(pmf) = self.window_pmf(history.service_window()) {
-                        service_parts.push((weight, pmf));
-                    }
-                    if let Some(pmf) = self.window_pmf(history.queuing_window()) {
-                        queue_parts.push((weight, pmf));
-                    }
-                }
-                let service = Pmf::mixture(
-                    &service_parts
-                        .iter()
-                        .map(|(w, p)| (*w, p))
-                        .collect::<Vec<_>>(),
-                )
-                .ok()?;
-                let queuing =
-                    Pmf::mixture(&queue_parts.iter().map(|(w, p)| (*w, p)).collect::<Vec<_>>())
-                        .ok()?;
-                (service, queuing)
-            }
-        };
+        self.response_pmf_within(stats, method, scratch, UNBOUNDED)
+    }
 
+    /// The response distribution as a lookup table, exact for every
+    /// `t ≤ horizon` (everywhere for `None`). Building only up to the
+    /// deadline a plan will read at skips the arithmetic past it.
+    pub fn response_cdf(
+        &self,
+        stats: &ReplicaStats,
+        method: Option<MethodId>,
+        scratch: &mut ConvScratch,
+        horizon: Option<Duration>,
+    ) -> Option<CdfTable> {
+        let bound = horizon.map_or(UNBOUNDED, |h| h.as_nanos() / self.config.bucket.as_nanos());
+        let pmf = self.response_pmf_within(stats, method, scratch, bound)?;
+        Some(pmf.into_cumulative(bound))
+    }
+
+    /// The pipeline itself, every product keeping only the buckets up to
+    /// `bound` (see [`UNBOUNDED`]).
+    fn response_pmf_within(
+        &self,
+        stats: &ReplicaStats,
+        method: Option<MethodId>,
+        scratch: &mut ConvScratch,
+        bound: u64,
+    ) -> Option<Pmf> {
+        let service = self.term_pmf(stats, method, MethodHistory::service_window)?;
         let queuing = match self.config.queue_estimator {
-            QueueEstimator::History => queuing,
+            QueueEstimator::History => {
+                self.term_pmf(stats, method, MethodHistory::queuing_window)?
+            }
             QueueEstimator::QueueScaled => {
                 let depth = stats.outstanding().min(MAX_QUEUE_CONVOLUTIONS);
-                service.self_convolve(depth, self.config.prune_epsilon, scratch)
+                service.self_convolve_within(depth, self.config.prune_epsilon, scratch, bound)
             }
         };
 
-        // Both terms were quantized to `config.bucket` above, so a bucket
-        // mismatch is impossible; `.ok()` keeps that invariant panic-free.
-        let combined = service.convolve(&queuing).ok()?;
+        // Every term is quantized to `config.bucket`, so a bucket mismatch
+        // is impossible; `.ok()` keeps that invariant panic-free.
+        let combined = service.convolve_within(&queuing, bound).ok()?;
 
         match self.config.delay_estimator {
-            DelayEstimator::LastValue => {
-                let delay = stats.last_gateway_delay()?;
-                Some(combined.shift_by(delay))
-            }
+            DelayEstimator::LastValue => Some(combined.shift_by(stats.last_gateway_delay()?)),
             DelayEstimator::WindowPmf => {
                 let delays = self.window_pmf(stats.gateway_delay_window())?;
-                Some(combined.convolve(&delays).ok()?)
+                combined.convolve_within(&delays, bound).ok()
             }
         }
     }
@@ -310,10 +327,9 @@ impl ResponseTimeModel {
                 return Some(entry.cdf.value_at(deadline));
             }
         }
-        match self.response_pmf_with(stats, method, &mut cache.scratch) {
-            Some(pmf) => {
+        match self.response_cdf(stats, method, &mut cache.scratch, None) {
+            Some(cdf) => {
                 cache.stats.misses += 1;
-                let cdf = pmf.cumulative();
                 let value = cdf.value_at(deadline);
                 if cache
                     .entries

@@ -29,6 +29,7 @@
 
 use core::fmt;
 
+use crate::aqua;
 use crate::time::Duration;
 
 /// How far the total probability mass of a [`Pmf`] may drift from 1 due to
@@ -48,6 +49,15 @@ use crate::time::Duration;
 /// [`Pmf::quantile`] (as the acceptance slack so `quantile(cdf(t)) == t`
 /// despite rounding), and the mass-drift regression tests.
 pub const MASS_TOLERANCE: f64 = 1e-9;
+
+/// The bucket bound that truncates nothing.
+///
+/// The `*_within` operations take an inclusive bound on the bucket index
+/// and drop every output bucket past it. All supports are non-negative, so
+/// a sum reaches a bucket `≤ bound` only from terms at buckets `≤ bound`:
+/// truncating each intermediate product leaves every bucket up to the
+/// bound exactly as the untruncated chain computes it.
+pub const UNBOUNDED: u64 = u64::MAX;
 
 /// Errors from constructing or combining [`Pmf`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,7 +124,8 @@ pub struct Pmf {
     /// Index (in buckets) of the first entry of `probs`.
     offset: u64,
     /// `probs[i]` is the probability of bucket `offset + i`. Non-empty;
-    /// first and last entries are non-zero; sums to ~1.
+    /// first and last entries are non-zero and the sum is ~1, except for
+    /// the result of a `*_within` operation, which stops at its bound.
     probs: Vec<f64>,
 }
 
@@ -307,23 +318,26 @@ impl Pmf {
         sum.min(1.0)
     }
 
-    /// Precomputes the cumulative prefix sums for repeated CDF lookups.
+    /// Turns the pmf into its cumulative prefix sums for repeated CDF
+    /// lookups, summing in place.
     ///
     /// [`CdfTable::value_at`] returns exactly what [`Pmf::cdf`] would (the
     /// prefix sums are accumulated in the same left-to-right order, so the
     /// rounding is bit-identical), but each lookup is O(1) instead of O(n).
-    /// This is the view the model cache stores per replica.
-    pub fn cumulative(&self) -> CdfTable {
-        let mut cum = Vec::with_capacity(self.probs.len());
+    /// `horizon` is the bound the pmf was built within ([`UNBOUNDED`] for
+    /// an untruncated one): the last bucket at which the table is exact.
+    pub fn into_cumulative(self, horizon: u64) -> CdfTable {
+        let mut cum = self.probs;
         let mut acc = 0.0;
-        for &p in &self.probs {
-            acc += p;
-            cum.push(acc);
+        for p in &mut cum {
+            acc += *p;
+            *p = acc;
         }
         CdfTable {
             bucket: self.bucket,
             offset: self.offset,
             cum,
+            horizon,
         }
     }
 
@@ -402,24 +416,40 @@ impl Pmf {
     ///
     /// Returns [`PmfError::BucketMismatch`] if the bucket widths differ.
     pub fn convolve(&self, other: &Pmf) -> Result<Pmf, PmfError> {
+        self.convolve_within(other, UNBOUNDED)
+    }
+
+    /// [`Pmf::convolve`] keeping only the buckets up to `bound` (see
+    /// [`UNBOUNDED`]); at least the first bucket is always kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmfError::BucketMismatch`] if the bucket widths differ.
+    pub fn convolve_within(&self, other: &Pmf, bound: u64) -> Result<Pmf, PmfError> {
         if self.bucket != other.bucket {
             return Err(PmfError::BucketMismatch {
                 left: self.bucket,
                 right: other.bucket,
             });
         }
+        let offset = self.offset + other.offset;
         let mut probs = Vec::new();
-        convolve_into(&self.probs, &other.probs, &mut probs);
+        convolve_into(
+            &self.probs,
+            &other.probs,
+            &mut probs,
+            kept_len(offset, bound),
+        );
         // Convolution is a sum of all pairwise products, so the output mass
         // must equal the product of the input masses up to rounding — the
         // same invariant MASS_TOLERANCE bounds for the cdf clamp.
         debug_assert!(
-            (probs.iter().sum::<f64>() - self.mass() * other.mass()).abs() <= MASS_TOLERANCE,
+            mass_conserved(&probs, self.mass() * other.mass(), bound),
             "convolution drifted probability mass beyond MASS_TOLERANCE"
         );
         Ok(Pmf {
             bucket: self.bucket,
-            offset: self.offset + other.offset,
+            offset,
             probs,
         })
     }
@@ -439,6 +469,20 @@ impl Pmf {
     /// growth that makes deep convolutions quadratic. `n = 0` yields the
     /// point mass at zero.
     pub fn self_convolve(&self, n: u32, epsilon: f64, scratch: &mut ConvScratch) -> Pmf {
+        self.self_convolve_within(n, epsilon, scratch, UNBOUNDED)
+    }
+
+    /// [`Pmf::self_convolve`] keeping only the buckets up to `bound` (see
+    /// [`UNBOUNDED`]) of every intermediate product. A finite bound already
+    /// caps the support, and what pruning would cut from the truncated end
+    /// is not a tail, so a bounded chain ignores `epsilon`.
+    pub fn self_convolve_within(
+        &self,
+        n: u32,
+        epsilon: f64,
+        scratch: &mut ConvScratch,
+        bound: u64,
+    ) -> Pmf {
         if n == 0 {
             return Pmf {
                 bucket: self.bucket,
@@ -446,6 +490,7 @@ impl Pmf {
                 probs: vec![1.0],
             };
         }
+        let epsilon = if bound == UNBOUNDED { epsilon } else { 0.0 };
         let mut base = std::mem::take(&mut scratch.base);
         base.clear();
         base.extend_from_slice(&self.probs);
@@ -459,9 +504,9 @@ impl Pmf {
         loop {
             if k & 1 == 1 {
                 if have_acc {
-                    convolve_into(&acc, &base, &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
                     acc_offset += base_offset;
+                    convolve_into(&acc, &base, &mut tmp, kept_len(acc_offset, bound));
+                    std::mem::swap(&mut acc, &mut tmp);
                     prune_in_place(&mut acc, &mut acc_offset, epsilon);
                 } else {
                     acc.extend_from_slice(&base);
@@ -473,9 +518,9 @@ impl Pmf {
             if k == 0 {
                 break;
             }
-            convolve_into(&base, &base, &mut tmp);
-            std::mem::swap(&mut base, &mut tmp);
             base_offset *= 2;
+            convolve_into(&base, &base, &mut tmp, kept_len(base_offset, bound));
+            std::mem::swap(&mut base, &mut tmp);
             prune_in_place(&mut base, &mut base_offset, epsilon);
         }
         scratch.base = base;
@@ -483,7 +528,7 @@ impl Pmf {
         // Pruning renormalizes, so the n-fold sum must keep the n-th power
         // of the input mass up to the shared MASS_TOLERANCE bound.
         debug_assert!(
-            (acc.iter().sum::<f64>() - self.mass().powi(n as i32)).abs() <= MASS_TOLERANCE,
+            mass_conserved(&acc, self.mass().powi(n as i32), bound),
             "self-convolution drifted probability mass beyond MASS_TOLERANCE"
         );
         // `acc` moves into the result; the scratch slot refills next call.
@@ -513,10 +558,9 @@ impl Pmf {
     ///
     /// Equivalent to convolving with [`Pmf::point`] but O(1).
     #[must_use]
-    pub fn shift_by(&self, delay: Duration) -> Pmf {
-        let mut out = self.clone();
-        out.offset += delay.as_nanos() / self.bucket.as_nanos();
-        out
+    pub fn shift_by(mut self, delay: Duration) -> Pmf {
+        self.offset += delay.as_nanos() / self.bucket.as_nanos();
+        self
     }
 
     /// Re-quantizes the pmf to a different bucket width.
@@ -610,26 +654,44 @@ impl Pmf {
     }
 }
 
-/// Dense discrete convolution of two probability vectors into `out`.
+/// Dense discrete convolution of two probability vectors into `out`,
+/// keeping the first `max_len` output buckets.
 ///
-/// Identical accumulation order to the historical `Pmf::convolve` loop, so
-/// results are bit-for-bit stable across the refactor.
-fn convolve_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+/// One branch-free axpy per non-zero `a[i]`, over the sub-slice of `out`
+/// it lands on, so the inner loop vectorizes. Every slot accumulates its
+/// products in ascending `i`, and the products with a zero `b[j]` it no
+/// longer skips add `+0.0`: results are bit-for-bit those of the
+/// historical `Pmf::convolve` loop.
+#[aqua::hot_path]
+fn convolve_into(a: &[f64], b: &[f64], out: &mut Vec<f64>, max_len: usize) {
+    let len = (a.len() + b.len() - 1).min(max_len);
     out.clear();
-    out.resize(a.len() + b.len() - 1, 0.0);
+    out.resize(len, 0.0);
     for (i, &p) in a.iter().enumerate() {
         if p == 0.0 {
             continue;
         }
-        // `out[i + j] = out[i..i + b.len()][j]` is in range by the resize
-        // above; the skip-based view says so without indexed access.
-        for (slot, &q) in out.iter_mut().skip(i).zip(b.iter()) {
-            if q == 0.0 {
-                continue;
-            }
+        let Some(slots) = out.get_mut(i..) else {
+            break;
+        };
+        for (slot, &q) in slots.iter_mut().zip(b) {
             *slot += p * q;
         }
     }
+}
+
+/// Number of buckets from `offset` through `bound` inclusive, never less
+/// than one: a product whose support starts past the bound keeps its first
+/// bucket, which no lookup up to the bound can reach.
+fn kept_len(offset: u64, bound: u64) -> usize {
+    usize::try_from(bound.saturating_sub(offset).saturating_add(1)).unwrap_or(usize::MAX)
+}
+
+/// Whether `probs` sums to `expected` within [`MASS_TOLERANCE`] — or, for
+/// a product truncated at a finite bound, to no more than that.
+fn mass_conserved(probs: &[f64], expected: f64, bound: u64) -> bool {
+    let drift = probs.iter().sum::<f64>() - expected;
+    drift <= MASS_TOLERANCE && (bound != UNBOUNDED || drift >= -MASS_TOLERANCE)
 }
 
 /// Smallest and largest index produced by `indices`.
@@ -703,7 +765,7 @@ fn prune_in_place(probs: &mut Vec<f64>, offset: &mut u64, epsilon: f64) {
 }
 
 /// The cumulative prefix sums of a [`Pmf`]: an O(1)-per-query view of
-/// `F(t)`, built once by [`Pmf::cumulative`] and memoized by the model
+/// `F(t)`, built once by [`Pmf::into_cumulative`] and memoized by the model
 /// cache while a replica's windows are unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CdfTable {
@@ -712,18 +774,33 @@ pub struct CdfTable {
     /// `cum[i] = Σ probs[..=i]`, accumulated left-to-right exactly like
     /// [`Pmf::cdf`] does.
     cum: Vec<f64>,
+    /// The last bucket at which the table equals the full distribution's
+    /// `F`; [`UNBOUNDED`] unless the source pmf was built within a bound.
+    horizon: u64,
 }
 
 impl CdfTable {
     /// `F(t) = P(X ≤ t)` — identical to [`Pmf::cdf`] on the source pmf,
     /// including the rounding of the prefix sum, but without re-summing.
+    ///
+    /// Past the table's horizon (a caller bug, see [`CdfTable::covers`])
+    /// the answer is the last prefix sum: a lower bound on `F(t)`, so a
+    /// selection made from it can only be more redundant, never less.
     pub fn value_at(&self, t: Duration) -> f64 {
+        debug_assert!(self.covers(t), "cdf lookup at {t} is past the horizon");
         let t_idx = t.as_nanos() / self.bucket.as_nanos();
         if t_idx < self.offset {
             return 0.0;
         }
         let upto = (t_idx - self.offset).min(self.cum.len() as u64 - 1) as usize;
         self.cum.get(upto).copied().unwrap_or(1.0).min(1.0)
+    }
+
+    /// Whether `t` lies within the horizon the table was built to, i.e.
+    /// whether [`CdfTable::value_at`] is exact there.
+    #[inline]
+    pub fn covers(&self, t: Duration) -> bool {
+        t.as_nanos() / self.bucket.as_nanos() <= self.horizon
     }
 
     /// The bucket width of the source pmf.
@@ -884,7 +961,7 @@ mod tests {
     #[test]
     fn shift_matches_point_convolution() {
         let a = Pmf::from_samples([ms(2), ms(6), ms(6)], ms(1)).unwrap();
-        let shifted = a.shift_by(ms(10));
+        let shifted = a.clone().shift_by(ms(10));
         let convolved = a.convolve(&Pmf::point(ms(10), ms(1)).unwrap()).unwrap();
         for t in 0..30 {
             assert!((shifted.cdf(ms(t)) - convolved.cdf(ms(t))).abs() < 1e-12);
@@ -1025,7 +1102,7 @@ mod tests {
             ms(1),
         )
         .unwrap();
-        let table = pmf.cumulative();
+        let table = pmf.clone().into_cumulative(UNBOUNDED);
         for t in 90..150 {
             assert_eq!(
                 table.value_at(ms(t)),
@@ -1125,5 +1202,102 @@ mod tests {
         assert!(q <= acc.support_max());
         assert!(acc.cdf(q) >= 1.0 - MASS_TOLERANCE);
         assert_eq!(acc.cdf(acc.support_max()), 1.0, "clamped at full mass");
+    }
+
+    /// The loop `convolve_into` replaced, kept as the reference the new
+    /// kernel must reproduce bit for bit.
+    fn convolve_reference(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(a.len() + b.len() - 1, 0.0);
+        for (i, &p) in a.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            for (slot, &q) in out.iter_mut().skip(i).zip(b.iter()) {
+                if q == 0.0 {
+                    continue;
+                }
+                *slot += p * q;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_convolution_is_exact_up_to_the_bound() {
+        let a = Pmf::from_samples([ms(3), ms(5), ms(5), ms(9)], ms(1)).unwrap();
+        let b = Pmf::from_samples([ms(2), ms(2), ms(30)], ms(1)).unwrap();
+        let full = a.convolve(&b).unwrap();
+        for bound in 0..45u64 {
+            let cut = a.convolve_within(&b, bound).unwrap();
+            assert!(cut.mass() <= full.mass() + 1e-15);
+            for t in 0..=bound {
+                assert_eq!(cut.cdf(ms(t)), full.cdf(ms(t)), "bound {bound}, t {t}");
+            }
+        }
+        // Support starting past the bound: one bucket survives, out of reach.
+        let cut = a.convolve_within(&b, 4).unwrap();
+        assert_eq!(cut.len(), 1);
+        assert_eq!(cut.cdf(ms(4)), 0.0);
+    }
+
+    #[test]
+    fn bounded_self_convolution_skips_pruning_and_stays_exact() {
+        let pmf = Pmf::from_weighted([(ms(1), 1.0), (ms(2), 1e6), (ms(40), 1.0)], ms(1)).unwrap();
+        let mut scratch = ConvScratch::new();
+        for n in 0..=32u32 {
+            let exact = pmf.self_convolve(n, 0.0, &mut scratch);
+            let cut = pmf.self_convolve_within(n, 1e-3, &mut scratch, 60);
+            assert!(cut.support_max() <= ms(60) || cut.len() == 1, "n = {n}");
+            for t in 0..=60 {
+                assert_eq!(cut.cdf(ms(t)), exact.cdf(ms(t)), "n = {n}, t = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_reports_what_it_covers() {
+        let pmf = Pmf::from_samples([ms(10), ms(20)], ms(1)).unwrap();
+        let bounded = pmf.clone().into_cumulative(15);
+        assert!(bounded.covers(ms(15)) && !bounded.covers(ms(16)));
+        assert_eq!(bounded.value_at(ms(15)), 0.5);
+        assert!(pmf.into_cumulative(UNBOUNDED).covers(Duration::MAX));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the horizon")]
+    fn lookup_past_the_horizon_is_flagged_in_debug_builds() {
+        let table = Pmf::point(ms(3), ms(1)).unwrap().into_cumulative(5);
+        let _ = table.value_at(ms(6));
+    }
+
+    mod kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Probability-like vectors with exact zeros mixed in, down to a
+        /// single bucket.
+        fn weights() -> impl Strategy<Value = Vec<f64>> {
+            prop::collection::vec(prop_oneof![2 => 0.0f64..1.0, 1 => Just(0.0f64)], 1..120)
+        }
+
+        proptest! {
+            #[test]
+            fn dense_kernel_matches_the_old_loop_bit_for_bit(
+                a in weights(),
+                b in weights(),
+                max_len in 1usize..260,
+            ) {
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                let (mut old, mut new) = (Vec::new(), Vec::new());
+                convolve_reference(&a, &b, &mut old);
+                convolve_into(&a, &b, &mut new, usize::MAX);
+                prop_assert_eq!(bits(&old), bits(&new));
+                // A bounded call is a prefix of the full product.
+                convolve_into(&a, &b, &mut new, max_len);
+                old.truncate(max_len);
+                prop_assert_eq!(bits(&old), bits(&new));
+            }
+        }
     }
 }

@@ -55,6 +55,21 @@ pub struct ReplicaSnapshot {
 }
 
 impl ReplicaSnapshot {
+    /// A snapshot of `stats` with no tables: all a handler whose strategy
+    /// plans from the repository itself ever reads.
+    pub fn without_tables(id: ReplicaId, stats: &ReplicaStats) -> Self {
+        ReplicaSnapshot {
+            id,
+            warm: stats.is_warm(),
+            selectable: !stats.is_on_probation(),
+            epoch: stats.epoch(),
+            perf_generation: stats.perf_generation(),
+            delay_generation: stats.delay_generation(),
+            outstanding: stats.outstanding(),
+            cdfs: Vec::new(),
+        }
+    }
+
     /// Builds a snapshot of `stats` by running the full response-time
     /// pipeline (§5.3.1) for every method slot the replica has history
     /// for. This is the publisher-side cost, paid off the hot path.
@@ -64,32 +79,35 @@ impl ReplicaSnapshot {
         model: &ResponseTimeModel,
         scratch: &mut ConvScratch,
     ) -> Self {
-        let mut cdfs: Vec<(u64, Arc<CdfTable>)> = Vec::new();
+        Self::build_within(id, stats, model, scratch, None)
+    }
+
+    /// [`ReplicaSnapshot::build`] with tables exact only up to `horizon` —
+    /// the deadline of the QoS spec the view is published under, past
+    /// which no plan reads.
+    pub fn build_within(
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: &ResponseTimeModel,
+        scratch: &mut ConvScratch,
+        horizon: Option<Duration>,
+    ) -> Self {
+        let mut snapshot = Self::without_tables(id, stats);
+        let mut table_for = |slot: u64, method: Option<MethodId>| {
+            if let Some(cdf) = model.response_cdf(stats, method, scratch, horizon) {
+                snapshot.cdfs.push((slot, Arc::new(cdf)));
+            }
+        };
         match model.config().method_scope {
             MethodScope::PerMethod => {
                 for (method, _) in stats.histories() {
-                    if let Some(pmf) = model.response_pmf_with(stats, Some(method), scratch) {
-                        cdfs.push((u64::from(method.index()), Arc::new(pmf.cumulative())));
-                    }
+                    table_for(u64::from(method.index()), Some(method));
                 }
             }
-            MethodScope::Aggregate => {
-                if let Some(pmf) = model.response_pmf_with(stats, None, scratch) {
-                    cdfs.push((AGGREGATE_SLOT, Arc::new(pmf.cumulative())));
-                }
-            }
+            MethodScope::Aggregate => table_for(AGGREGATE_SLOT, None),
         }
-        cdfs.sort_unstable_by_key(|entry| entry.0);
-        ReplicaSnapshot {
-            id,
-            warm: stats.is_warm(),
-            selectable: !stats.is_on_probation(),
-            epoch: stats.epoch(),
-            perf_generation: stats.perf_generation(),
-            delay_generation: stats.delay_generation(),
-            outstanding: stats.outstanding(),
-            cdfs,
-        }
+        snapshot.cdfs.sort_unstable_by_key(|entry| entry.0);
+        snapshot
     }
 
     /// The replica this snapshot describes.
@@ -127,6 +145,12 @@ impl ReplicaSnapshot {
             && self.perf_generation == stats.perf_generation()
             && self.delay_generation == stats.delay_generation()
             && self.outstanding == stats.outstanding()
+    }
+
+    /// Whether every table is exact up to `deadline`: a snapshot built
+    /// within a shorter horizon must be rebuilt before a plan reads there.
+    pub fn covers(&self, deadline: Duration) -> bool {
+        self.cdfs.iter().all(|(_, cdf)| cdf.covers(deadline))
     }
 
     /// `F_Ri(deadline)` for the given method slot, read straight from the

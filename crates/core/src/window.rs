@@ -8,7 +8,6 @@
 //! end-to-end runs.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 use crate::aqua;
 use crate::time::Duration;
@@ -269,9 +268,11 @@ impl<T> ExactSizeIterator for Iter<'_, T> {}
 pub struct BucketedWindow {
     samples: SlidingWindow<Duration>,
     bucket: Duration,
-    /// `counts[i]` = number of retained samples in bucket `i` (lower edge
-    /// `i · bucket`). Invariant: values are ≥ 1 and sum to `samples.len()`.
-    counts: BTreeMap<u64, u32>,
+    /// `(i, n)`: `n` retained samples fall in bucket `i` (lower edge
+    /// `i · bucket`). Sorted by `i`, one entry per occupied bucket: counts
+    /// are ≥ 1 and sum to `samples.len()`. A flat vector, so cloning or
+    /// dropping a window touches one allocation, not a tree of nodes.
+    counts: Vec<(u64, u32)>,
     /// Bumped on every mutation; never reset (not even by `clear`).
     generation: u64,
 }
@@ -289,7 +290,7 @@ impl BucketedWindow {
         BucketedWindow {
             samples: SlidingWindow::new(capacity),
             bucket,
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             generation: 0,
         }
     }
@@ -310,7 +311,7 @@ impl BucketedWindow {
     /// bucket order — the exact input shape of
     /// [`crate::pmf::Pmf::from_bucket_counts`].
     pub fn bucket_counts(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.counts.iter().map(|(i, c)| (*i, *c))
+        self.counts.iter().copied()
     }
 
     /// The mutation generation: strictly increases on every `push`,
@@ -355,22 +356,25 @@ impl BucketedWindow {
         self.samples.total_pushed()
     }
 
-    /// Records a sample: O(log buckets) to adjust the two affected counts,
-    /// O(1) amortized in the window size.
+    /// Records a sample: a binary search and at most one shift of the
+    /// short counts vector for each of the two affected buckets, O(1)
+    /// amortized in the window size.
     #[aqua::hot_path]
     pub fn push(&mut self, sample: Duration) {
         self.generation += 1;
         let idx = sample.as_nanos() / self.bucket.as_nanos();
         if let Some(evicted) = self.samples.push_evicting(sample) {
             let old_idx = evicted.as_nanos() / self.bucket.as_nanos();
-            if let Some(count) = self.counts.get_mut(&old_idx) {
-                *count -= 1;
-                if *count == 0 {
-                    self.counts.remove(&old_idx);
+            if let Ok(at) = self.counts.binary_search_by_key(&old_idx, |entry| entry.0) {
+                if let Some(entry) = self.counts.get_mut(at) {
+                    entry.1 -= 1;
+                    if entry.1 == 0 {
+                        self.counts.remove(at);
+                    }
                 }
             }
         }
-        *self.counts.entry(idx).or_insert(0) += 1;
+        count_sample(&mut self.counts, idx);
     }
 
     /// Removes all samples, keeping capacity and bucket width.
@@ -392,11 +396,21 @@ impl BucketedWindow {
         self.counts.clear();
         let bucket_ns = self.bucket.as_nanos();
         for sample in self.samples.iter() {
-            *self
-                .counts
-                .entry(sample.as_nanos() / bucket_ns)
-                .or_insert(0) += 1;
+            count_sample(&mut self.counts, sample.as_nanos() / bucket_ns);
         }
+    }
+}
+
+/// Adds one sample to bucket `idx` of the sorted `counts`.
+#[aqua::hot_path]
+fn count_sample(counts: &mut Vec<(u64, u32)>, idx: u64) {
+    match counts.binary_search_by_key(&idx, |entry| entry.0) {
+        Ok(at) => {
+            if let Some(entry) = counts.get_mut(at) {
+                entry.1 += 1;
+            }
+        }
+        Err(at) => counts.insert(at, (idx, 1)),
     }
 }
 
@@ -508,6 +522,7 @@ mod tests {
 
     mod bucketed {
         use super::*;
+        use std::collections::BTreeMap;
 
         fn ms(v: u64) -> Duration {
             Duration::from_millis(v)
@@ -589,6 +604,77 @@ mod tests {
             let from_samples = Pmf::from_samples(w.samples().iter().copied(), ms(1)).unwrap();
             for t in 0..40 {
                 assert!((from_counts.cdf(ms(t)) - from_samples.cdf(ms(t))).abs() < 1e-12);
+            }
+        }
+
+        /// What the window did before its counts were a flat vector: the
+        /// same push/evict bookkeeping against a `BTreeMap`.
+        #[derive(Default)]
+        struct Shadow {
+            samples: std::collections::VecDeque<u64>,
+            counts: BTreeMap<u64, u32>,
+        }
+
+        impl Shadow {
+            fn evict_to(&mut self, capacity: usize) {
+                while self.samples.len() > capacity {
+                    let old = self.samples.pop_front().unwrap();
+                    let count = self.counts.get_mut(&old).unwrap();
+                    *count -= 1;
+                    if *count == 0 {
+                        self.counts.remove(&old);
+                    }
+                }
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Push(u64),
+            Clear,
+            SetCapacity(usize),
+        }
+
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn flat_counts_match_a_btreemap_shadow(
+                ops in prop::collection::vec(
+                    prop_oneof![
+                        12 => (0u64..40).prop_map(Op::Push),
+                        1 => Just(Op::Clear),
+                        1 => (1usize..12).prop_map(Op::SetCapacity),
+                    ],
+                    1..200,
+                ),
+            ) {
+                let mut capacity = 6;
+                let mut w = BucketedWindow::new(capacity, ms(2));
+                let mut shadow = Shadow::default();
+                for op in ops {
+                    match op {
+                        Op::Push(v) => {
+                            w.push(ms(v));
+                            shadow.samples.push_back(v / 2);
+                            *shadow.counts.entry(v / 2).or_insert(0) += 1;
+                        }
+                        Op::Clear => {
+                            w.clear();
+                            shadow = Shadow::default();
+                        }
+                        Op::SetCapacity(c) => {
+                            w.set_capacity(c);
+                            capacity = c;
+                        }
+                    }
+                    shadow.evict_to(capacity);
+                    // Same entries in the same (ascending) order.
+                    prop_assert_eq!(
+                        w.bucket_counts().collect::<Vec<_>>(),
+                        shadow.counts.iter().map(|(i, c)| (*i, *c)).collect::<Vec<_>>()
+                    );
+                }
             }
         }
     }

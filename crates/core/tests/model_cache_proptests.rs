@@ -2,8 +2,10 @@
 //! mutations and *any* estimator combination, a query answered through the
 //! generation-keyed [`ModelCache`] must equal the from-scratch pipeline
 //! within 1e-12 (they share one pipeline, so in practice they are
-//! bit-identical — the tolerance guards future refactors).
+//! bit-identical — the tolerance guards future refactors). Likewise a
+//! table built only up to a horizon must equal the full one below it.
 
+use aqua_core::pmf::{ConvScratch, UNBOUNDED};
 use aqua_core::prelude::*;
 use proptest::prelude::*;
 
@@ -41,8 +43,14 @@ const POOL: u64 = 4;
 const METHODS: u32 = 2;
 
 fn op() -> impl Strategy<Value = Op> {
+    op_with(400, 5)
+}
+
+/// Ops whose perf reports carry service times below `service_ms` and queue
+/// lengths up to `max_outstanding`.
+fn op_with(service_ms: u64, max_outstanding: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (0..POOL, 0..METHODS, 1u64..400, 0u64..100, 0u32..6).prop_map(
+        5 => (0..POOL, 0..METHODS, 1..service_ms, 0u64..100, 0..=max_outstanding).prop_map(
             |(replica, method, service_ms, queue_ms, outstanding)| Op::Perf {
                 replica,
                 method,
@@ -175,6 +183,65 @@ proptest! {
         let hits: u64 = caches.iter().map(|c| c.stats().hits).sum();
         if totals > 0 {
             prop_assert!(hits > 0 || totals < 10, "no hits across {totals} queries");
+        }
+    }
+
+    /// A table built within a horizon reads, at every bucket up to and
+    /// including the horizon's own, what the unbounded pipeline computes
+    /// there — for every estimator combination and queue depths up to the
+    /// 32-fold cap. Without pruning the two agree bit for bit; with it
+    /// they differ by the pruned mass the bounded chain keeps.
+    #[test]
+    fn table_within_a_horizon_matches_the_full_one_below_it(
+        ops in prop::collection::vec(op_with(60, 32), 1..30),
+    ) {
+        let mut repo = InfoRepository::new(5);
+        for i in 0..POOL {
+            repo.insert_replica(ReplicaId::new(i));
+        }
+        let models: Vec<ResponseTimeModel> = all_configs()
+            .into_iter()
+            .flat_map(|config| [config, ModelConfig { prune_epsilon: 0.0, ..config }])
+            .map(ResponseTimeModel::new)
+            .collect();
+        let mut scratch = ConvScratch::new();
+
+        for op in &ops {
+            apply(&mut repo, op);
+            let (Op::Perf { replica, .. } | Op::Delay { replica, .. }) = *op else {
+                continue;
+            };
+            let Some(stats) = repo.stats(ReplicaId::new(replica)) else { continue };
+            for model in &models {
+                let tolerance = if model.config().prune_epsilon == 0.0 { 0.0 } else { 1e-9 };
+                for method in [None, Some(MethodId::new(1))] {
+                    let full = model
+                        .response_pmf_with(stats, method, &mut scratch)
+                        .map(|pmf| (pmf.support_min(), pmf.into_cumulative(UNBOUNDED)));
+                    for horizon_ms in [0u64, 9, 70, 150, 640] {
+                        let bounded =
+                            model.response_cdf(stats, method, &mut scratch, Some(ms(horizon_ms)));
+                        prop_assert_eq!(bounded.is_some(), full.is_some());
+                        let (Some(bounded), Some((starts_at, full))) = (&bounded, &full) else {
+                            continue;
+                        };
+                        prop_assert!(bounded.covers(ms(horizon_ms)));
+                        prop_assert!(!bounded.covers(ms(horizon_ms + 1)));
+                        for t in 0..=horizon_ms {
+                            let (b, f) = (bounded.value_at(ms(t)), full.value_at(ms(t)));
+                            prop_assert!(
+                                (b - f).abs() <= tolerance,
+                                "bounded {b} vs full {f} at {t} ms of {horizon_ms} ms ({})",
+                                model_label(model),
+                            );
+                            // (Pruning may move the full table's start.)
+                            if tolerance == 0.0 && *starts_at > ms(horizon_ms) {
+                                prop_assert_eq!(b, 0.0, "support starts past the horizon");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

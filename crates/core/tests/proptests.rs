@@ -104,7 +104,7 @@ proptest! {
     #[test]
     fn shift_translates_cdf(samples in duration_samples(), shift in 0u64..500) {
         let pmf = Pmf::from_samples(samples, ms(1)).unwrap();
-        let shifted = pmf.shift_by(ms(shift));
+        let shifted = pmf.clone().shift_by(ms(shift));
         for t in (0..1_600).step_by(41) {
             let expect = if t >= shift { pmf.cdf(ms(t - shift)) } else { 0.0 };
             prop_assert!((shifted.cdf(ms(t)) - expect).abs() < 1e-9);

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use aqua_core::aqua;
 use aqua_core::failure::{TimingFailureDetector, TimingVerdict};
-use aqua_core::model::{ModelCacheStats, ModelConfig, ResponseTimeModel};
+use aqua_core::model::{ModelCacheStats, ResponseTimeModel};
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
@@ -43,6 +43,7 @@ use aqua_core::select::{select_replicas_tolerating, Candidate};
 use aqua_core::snapshot::{method_slot, PlanningView, ReplicaSnapshot, SnapshotCell};
 use aqua_core::time::{Duration, Instant};
 use aqua_obs::contention::LockContention;
+use aqua_obs::metrics::{Counter, Histogram};
 use aqua_strategies::{SelectionInput, SelectionStrategy, SnapshotPlanSpec};
 use parking_lot::Mutex;
 
@@ -128,13 +129,15 @@ struct Membership {
     seen: BTreeSet<ReplicaId>,
 }
 
-/// Publisher-only state, serialized by the publish mutex.
-struct PublishState {
-    scratch: ConvScratch,
-    /// Model used to build snapshot tables when the strategy itself is
-    /// not snapshot-plannable (the tables are then unused by planning but
-    /// keep the published repository view warm for facade reads).
-    fallback_model: ResponseTimeModel,
+/// What a publish reports when an [`aqua_obs::Obs`] is attached.
+struct PublishMetrics {
+    /// `aqua_view_publish_ns`: wall time of one rebuild and swap.
+    publish_ns: Arc<Histogram>,
+    /// `aqua_view_snapshots_rebuilt_total`: replica snapshots built anew.
+    rebuilt: Arc<Counter>,
+    /// `aqua_view_snapshots_reused_total`: snapshots carried over from the
+    /// previous view because nothing they were built from had moved.
+    reused: Arc<Counter>,
 }
 
 /// Observer state (the observer's hooks take `&mut self`).
@@ -153,7 +156,8 @@ pub struct ConcurrentHandler {
     strategy_name: &'static str,
     planner: PlannerMode,
     snapshot: SnapshotCell,
-    publish: Mutex<PublishState>,
+    /// Serializes publishers; holds their convolution scratch buffers.
+    publish: Mutex<ConvScratch>,
     /// Set by ingestion when shard state moved past the published view.
     dirty: AtomicBool,
     /// `Instant::as_nanos` of the last publish, for the debounce check.
@@ -168,6 +172,7 @@ pub struct ConcurrentHandler {
     detector: Mutex<TimingFailureDetector>,
     stats: AtomicStats,
     obs: Option<Mutex<ObsState>>,
+    publish_metrics: Option<PublishMetrics>,
     client_id: Option<u64>,
     pending_contention: LockContention,
     ingest_contention: LockContention,
@@ -204,17 +209,13 @@ impl ConcurrentHandler {
             },
             None => PlannerMode::Strategy(Mutex::new(strategy)),
         };
-        let fallback_model = ResponseTimeModel::new(ModelConfig::default());
         ConcurrentHandler {
             qos: Mutex::new(qos),
             window,
             strategy_name,
             planner,
             snapshot: SnapshotCell::new(PlanningView::empty(window, qos)),
-            publish: Mutex::new(PublishState {
-                scratch: ConvScratch::new(),
-                fallback_model,
-            }),
+            publish: Mutex::new(ConvScratch::new()),
             dirty: AtomicBool::new(false),
             last_publish_ns: AtomicU64::new(0),
             min_republish: DEFAULT_MIN_REPUBLISH,
@@ -230,6 +231,7 @@ impl ConcurrentHandler {
             detector: Mutex::new(TimingFailureDetector::new(qos)),
             stats: AtomicStats::default(),
             obs: None,
+            publish_metrics: None,
             client_id: None,
             pending_contention: LockContention::detached(),
             ingest_contention: LockContention::detached(),
@@ -246,12 +248,23 @@ impl ConcurrentHandler {
 
     /// Attaches an observability sink (must happen before the handler is
     /// shared). Also registers the lock-contention counters
-    /// `aqua_lock_wait_ns_total{lock=…}` for the shard and publish locks.
+    /// `aqua_lock_wait_ns_total{lock=…}` for the shard and publish locks
+    /// and the publish metrics `aqua_view_publish_ns` and
+    /// `aqua_view_snapshots_{rebuilt,reused}_total`.
     pub fn attach_obs(&mut self, obs: &aqua_obs::Obs, client: Option<u64>) {
         self.obs = Some(Mutex::new(ObsState {
             observer: HandlerObserver::new(obs, client),
             cache_seen: ModelCacheStats::default(),
         }));
+        self.publish_metrics = Some(PublishMetrics {
+            publish_ns: obs.registry().histogram("aqua_view_publish_ns", &[]),
+            rebuilt: obs
+                .registry()
+                .counter("aqua_view_snapshots_rebuilt_total", &[]),
+            reused: obs
+                .registry()
+                .counter("aqua_view_snapshots_reused_total", &[]),
+        });
         self.client_id = client;
         self.pending_contention = LockContention::new(obs.registry(), "pending-shard");
         self.ingest_contention = LockContention::new(obs.registry(), "ingest-shard");
@@ -470,7 +483,7 @@ impl ConcurrentHandler {
                 return;
             }
         }
-        let mut state = self.publish_contention.acquire(|| self.publish.lock());
+        let mut scratch = self.publish_contention.acquire(|| self.publish.lock());
         if !force && !self.dirty.load(Ordering::Acquire) {
             // A queued publisher already covered this batch of updates.
             return;
@@ -481,16 +494,15 @@ impl ConcurrentHandler {
         self.last_publish_ns
             .store(now.as_nanos().max(last), Ordering::Relaxed);
 
+        let timed = self
+            .publish_metrics
+            .as_ref()
+            .map(|metrics| (metrics, std::time::Instant::now()));
         let current = self.snapshot.load();
         let merged = self.merged_repository();
-        let PublishState {
-            scratch,
-            fallback_model,
-        } = &mut *state;
-        let model = match &self.planner {
-            PlannerMode::Snapshot { model, .. } => model,
-            PlannerMode::Strategy(_) => &*fallback_model,
-        };
+        // One read: the tables are built to the deadline they publish with.
+        let qos = self.qos();
+        let mut rebuilt = 0u64;
         let mut snaps: Vec<Arc<ReplicaSnapshot>> = Vec::with_capacity(merged.len());
         for (id, stats) in merged.iter() {
             let reused = current
@@ -498,16 +510,35 @@ impl ConcurrentHandler {
                 .binary_search_by_key(&id, |r| r.id())
                 .ok()
                 .map(|i| &current.replicas()[i])
-                .filter(|snap| snap.is_current(stats))
+                .filter(|snap| snap.is_current(stats) && snap.covers(qos.deadline()))
                 .map(Arc::clone);
-            snaps.push(match reused {
-                Some(snap) => snap,
-                None => Arc::new(ReplicaSnapshot::build(id, stats, model, scratch)),
-            });
+            snaps.push(reused.unwrap_or_else(|| {
+                rebuilt += 1;
+                Arc::new(match &self.planner {
+                    // Plans read `F(t)` at the view's own deadline less δ,
+                    // never past it.
+                    PlannerMode::Snapshot { model, .. } => ReplicaSnapshot::build_within(
+                        id,
+                        stats,
+                        model,
+                        &mut scratch,
+                        Some(qos.deadline()),
+                    ),
+                    // The strategy reads the repository, not tables.
+                    PlannerMode::Strategy(_) => ReplicaSnapshot::without_tables(id, stats),
+                })
+            }));
         }
-        let view =
-            PlanningView::assemble(current.version() + 1, snaps, Arc::new(merged), self.qos());
+        let reused = snaps.len() as u64 - rebuilt;
+        let view = PlanningView::assemble(current.version() + 1, snaps, Arc::new(merged), qos);
         self.snapshot.publish(Arc::new(view));
+        if let Some((metrics, started)) = timed {
+            metrics
+                .publish_ns
+                .record(started.elapsed().as_nanos() as u64);
+            metrics.rebuilt.add(rebuilt);
+            metrics.reused.add(reused);
+        }
     }
 
     /// Clones every present replica's stats out of its shard (one shard
@@ -1017,6 +1048,7 @@ impl ConcurrentHandler {
 mod tests {
     use super::*;
     use crate::timing::TimingFaultHandler;
+    use aqua_core::model::ModelConfig;
     use aqua_strategies::{FastestMean, ModelBased};
 
     fn ms(v: u64) -> Duration {
@@ -1286,6 +1318,194 @@ mod tests {
             &[ReplicaId::new(0)],
             "fastest-mean picks the fastest replica from the snapshot"
         );
+    }
+
+    #[test]
+    fn strategy_mode_publishes_snapshots_without_tables() {
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 5, Box::new(FastestMean { k: 1 }))
+            .with_min_republish(Duration::ZERO);
+        warm(&h, &[0, 1], 20);
+        let view = h.planning_view();
+        assert!(view.all_warm(), "flags and generations still publish");
+        for snap in view.replicas() {
+            assert_eq!(snap.slot_count(), 0, "the strategy reads the repository");
+            let stats = view.repository().stats(snap.id()).unwrap();
+            assert!(snap.is_current(stats));
+        }
+    }
+
+    #[test]
+    fn renegotiating_a_longer_deadline_rebuilds_the_tables_to_it() {
+        let h = handler(0.9);
+        warm(&h, &[0, 1, 2], 20);
+        let before = h.planning_view();
+        assert!(before.replicas().iter().all(|s| s.covers(ms(200))));
+        assert!(!before.replicas().iter().any(|s| s.covers(ms(201))));
+
+        // Shorter: the 200 ms tables already cover it and are reused.
+        let at = Instant::from_millis(50);
+        h.renegotiate(at, QosSpec::new(ms(120), 0.9).unwrap());
+        let shorter = h.planning_view();
+        assert_eq!(shorter.qos().deadline(), ms(120));
+        for (old, new) in before.replicas().iter().zip(shorter.replicas()) {
+            assert!(Arc::ptr_eq(old, new), "covered snapshots carry over");
+        }
+
+        // Longer: nothing moved in the repository, yet every table must
+        // be rebuilt out to the new deadline before a plan reads there.
+        h.renegotiate(at, QosSpec::new(ms(400), 0.9).unwrap());
+        let longer = h.planning_view();
+        let slot = method_slot(ModelConfig::default().method_scope, None);
+        for (old, new) in shorter.replicas().iter().zip(longer.replicas()) {
+            assert!(!Arc::ptr_eq(old, new));
+            assert!(new.covers(ms(400)));
+            let stats = longer.repository().stats(new.id()).unwrap();
+            let full = ReplicaSnapshot::build(
+                new.id(),
+                stats,
+                &ResponseTimeModel::default(),
+                &mut ConvScratch::new(),
+            );
+            assert_eq!(
+                new.probability_by(slot, ms(400)),
+                full.probability_by(slot, ms(400))
+            );
+        }
+        let plan = h.plan_request(Instant::from_millis(60));
+        assert!(!plan.replicas.is_empty());
+    }
+
+    mod bounded_tables {
+        use super::*;
+        use aqua_core::model::QueueEstimator;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Perf {
+                r: u64,
+                service_ms: u64,
+                queue_ms: u64,
+                queue_len: u32,
+            },
+            /// Plan, then a reply from every selected replica.
+            Call {
+                service_ms: u64,
+            },
+            Rejoin {
+                r: u64,
+            },
+            View {
+                mask: u8,
+            },
+            Renegotiate {
+                deadline_ms: u64,
+                pc: f64,
+            },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                8 => (0u64..5, 1u64..90, 0u64..60, 0u32..9).prop_map(
+                    |(r, service_ms, queue_ms, queue_len)| Op::Perf {
+                        r,
+                        service_ms,
+                        queue_ms,
+                        queue_len,
+                    }
+                ),
+                4 => (1u64..90).prop_map(|service_ms| Op::Call { service_ms }),
+                1 => (0u64..5).prop_map(|r| Op::Rejoin { r }),
+                1 => (1u8..32).prop_map(|mask| Op::View { mask }),
+                1 => (20u64..400, 0.5f64..0.99)
+                    .prop_map(|(deadline_ms, pc)| Op::Renegotiate { deadline_ms, pc }),
+            ]
+        }
+
+        /// `view` with every table rebuilt, unbounded, from the repository
+        /// it carries: what the handler published before tables stopped at
+        /// the deadline.
+        fn with_full_tables(view: &PlanningView, model: &ResponseTimeModel) -> PlanningView {
+            let mut scratch = ConvScratch::new();
+            let snaps = view
+                .repository()
+                .iter()
+                .map(|(id, stats)| Arc::new(ReplicaSnapshot::build(id, stats, model, &mut scratch)))
+                .collect();
+            PlanningView::assemble(view.version(), snaps, view.repository_arc(), view.qos())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn plans_match_algorithm_1_on_unbounded_tables(
+                ops in prop::collection::vec(op(), 1..80),
+                queue_scaled in any::<bool>(),
+            ) {
+                let config = ModelConfig {
+                    queue_estimator: if queue_scaled {
+                        QueueEstimator::QueueScaled
+                    } else {
+                        QueueEstimator::History
+                    },
+                    ..ModelConfig::default()
+                };
+                let qos = QosSpec::new(ms(150), 0.9).unwrap();
+                let h = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::new(config)))
+                    .with_min_republish(Duration::ZERO);
+                let PlannerMode::Snapshot { spec, model } = &h.planner else {
+                    unreachable!("model-based plans from snapshots");
+                };
+                let mut now = Instant::EPOCH;
+                for i in 0..5 {
+                    h.insert_replica(now, ReplicaId::new(i));
+                }
+                for op in ops {
+                    now += ms(1);
+                    match op {
+                        Op::Perf { r, service_ms, queue_ms, queue_len } => h.on_perf_update(
+                            now,
+                            ReplicaId::new(r),
+                            PerfReport::new(ms(service_ms), ms(queue_ms), queue_len),
+                        ),
+                        Op::Rejoin { r } => h.on_rejoin(now, ReplicaId::new(r)),
+                        Op::View { mask } => h.on_view(
+                            now,
+                            (0..5).filter(|i| mask & (1 << i) != 0).map(ReplicaId::new),
+                        ),
+                        Op::Renegotiate { deadline_ms, pc } => {
+                            h.renegotiate(now, QosSpec::new(ms(deadline_ms), pc).unwrap());
+                        }
+                        Op::Call { service_ms } => {
+                            // Both selections read the same δ: nothing
+                            // plans between them.
+                            let view = h.planning_view();
+                            let full = with_full_tables(&view, model);
+                            let (expected, _) = h.plan_from_snapshot(&full, spec, None, &[]);
+                            let (bounded, _) = h.plan_from_snapshot(&view, spec, None, &[]);
+                            prop_assert_eq!(&bounded, &expected);
+                            let plan = h.plan_request(now);
+                            prop_assert_eq!(
+                                plan.replicas.get(..expected.len()),
+                                Some(expected.as_slice()),
+                                "probation shadows only ever follow the selection"
+                            );
+                            for replica in plan.replicas.iter() {
+                                h.on_reply(
+                                    now + ms(service_ms),
+                                    plan.seq,
+                                    *replica,
+                                    PerfReport::new(ms(service_ms), ms(0), 0),
+                                );
+                            }
+
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //!   pipe, clears the flag, and *then* harvests outboxes. Clearing before
 //!   harvesting is load-bearing: [`reactor_lost_wakeup_model`] flips the
 //!   two and exhibits the lost wakeup (dirty outbox, empty pipe, reactor
-//!   parked forever) the shipped order prevents.
+//!   parked forever) the shipped order prevents. So is draining before
+//!   clearing: [`reactor_clear_before_drain_model`] flips those and the
+//!   drain eats a racing sender's byte, latching the flag.
 //! * [`mux_reply_model`] — the multiplexed client's reply routing: wire
 //!   sequence numbers carry the logical handle in the top 24 bits and a
 //!   handle-local seq in the low 40 (`mux.rs`), so the router can
@@ -1007,7 +1009,13 @@ pub struct WakeState {
     done: [bool; 3],
 }
 
-fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<WakeState> {
+/// One step of a reactor poll round.
+type WakeStep = (&'static str, fn(&mut WakeState, usize));
+
+fn wake_model_with(
+    order: fn([WakeStep; 4]) -> [WakeStep; 4],
+    name: &'static str,
+) -> Model<WakeState> {
     fn init() -> WakeState {
         WakeState {
             wake_pending: ShadowAtomicU64::new(0),
@@ -1022,13 +1030,25 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
         true
     }
     fn invariant(s: &WakeState) -> Result<(), String> {
+        if !(s.done[0] && s.done[1] && s.done[2]) {
+            return Ok(());
+        }
         // Once every thread has parked, unharvested work must have a wake
         // byte pending — otherwise the reactor sleeps on it forever.
-        if s.done[0] && s.done[1] && s.done[2] && s.dirty.load() > 0 && s.pipe.load() == 0 {
+        if s.dirty.load() > 0 && s.pipe.load() == 0 {
             return Err(format!(
                 "lost wakeup: {} dirty item(s) with an empty self-pipe; the parked reactor never flushes them",
                 s.dirty.load()
             ));
+        }
+        // And a set flag must have its byte in the pipe — otherwise no
+        // later sender ever writes one and every send waits out the poll
+        // timeout.
+        if s.wake_pending.load() == 1 && s.pipe.load() == 0 {
+            return Err(
+                "latched flag: wake_pending set with an empty self-pipe; every later poke is coalesced away"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -1059,6 +1079,8 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
     }
     fn poll(s: &mut WakeState, _: usize) {
         s.woke = s.pipe.load() > 0;
+    }
+    fn drain(s: &mut WakeState, _: usize) {
         if s.woke {
             s.pipe.store(0);
         }
@@ -1076,38 +1098,21 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
         }
     }
 
-    // Two poll rounds, then park. The shipped order clears the flag before
-    // harvesting; the buggy variant harvests first, opening the window
-    // where an enqueue slips in between harvest and clear and its poke is
-    // coalesced into a round that has already drained.
+    // Two poll rounds, then park. `order` permutes the shipped round
+    // (poll, drain, clear, harvest) into the variant under test.
+    let round = order([
+        ("loop.poll", poll),
+        ("loop.drain", drain),
+        ("loop.clear_flag", clear),
+        ("loop.harvest+flush", harvest),
+    ]);
     let mut reactor: Vec<Step<WakeState>> = Vec::new();
     for _ in 0..2 {
-        reactor.push(Step {
-            name: "loop.poll+drain",
-            enabled: always,
-            run: poll,
-        });
-        if clear_before_harvest {
+        for (name, run) in round {
             reactor.push(Step {
-                name: "loop.clear_flag",
+                name,
                 enabled: always,
-                run: clear,
-            });
-            reactor.push(Step {
-                name: "loop.harvest+flush",
-                enabled: always,
-                run: harvest,
-            });
-        } else {
-            reactor.push(Step {
-                name: "loop.harvest+flush",
-                enabled: always,
-                run: harvest,
-            });
-            reactor.push(Step {
-                name: "loop.clear_flag",
-                enabled: always,
-                run: clear,
+                run,
             });
         }
     }
@@ -1125,17 +1130,31 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
     }
 }
 
-/// Reactor wake-coalescing model as shipped: the loop clears
-/// `wake_pending` *before* harvesting outboxes. Must pass.
+/// Reactor wake-coalescing model as shipped: the loop drains the pipe,
+/// clears `wake_pending`, and only then harvests outboxes. Must pass.
 pub fn reactor_wake_model() -> Model<WakeState> {
-    wake_model_with(true, "reactor-wake-coalescing")
+    wake_model_with(|round| round, "reactor-wake-coalescing")
 }
 
 /// Deliberately broken loop order: harvest before clearing the flag, so a
 /// poke-less enqueue between the two is flushed by nobody. Exists to
 /// prove the checker catches the lost wakeup.
 pub fn reactor_lost_wakeup_model() -> Model<WakeState> {
-    wake_model_with(false, "reactor-lost-wakeup")
+    wake_model_with(
+        |[poll, drain, clear, harvest]| [poll, drain, harvest, clear],
+        "reactor-lost-wakeup",
+    )
+}
+
+/// The order the reactor shipped with before the fix: clear the flag,
+/// *then* drain the pipe. A sender between the two sets the flag and has
+/// its fresh byte eaten by the drain. Exists to prove the checker catches
+/// the latched flag.
+pub fn reactor_clear_before_drain_model() -> Model<WakeState> {
+    wake_model_with(
+        |[poll, drain, clear, harvest]| [poll, clear, drain, harvest],
+        "reactor-clear-before-drain",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1675,9 +1694,9 @@ mod tests {
     fn reactor_wake_model_passes_exhaustively() {
         let e = explore(&reactor_wake_model());
         assert!(e.passed(), "violations: {:?}", e.violations);
-        // 2 + 2 + 7 always-enabled steps: 11!/(2!·2!·7!) = 1980
+        // 2 + 2 + 9 always-enabled steps: 13!/(2!·2!·9!) = 4290
         // interleavings.
-        assert_eq!(e.schedules, 1980);
+        assert_eq!(e.schedules, 4290);
         assert!(e.schedules >= 1000);
     }
 
@@ -1693,6 +1712,18 @@ mod tests {
                 .iter()
                 .any(|(_, msg)| msg.contains("lost wakeup")),
             "violations: {:?}",
+            e.violations
+        );
+    }
+
+    #[test]
+    fn clear_before_drain_variant_is_caught() {
+        let e = explore(&reactor_clear_before_drain_model());
+        assert!(
+            e.violations
+                .iter()
+                .any(|(_, msg)| msg.contains("latched flag")),
+            "clearing the flag before draining the pipe must latch it: {:?}",
             e.violations
         );
     }

@@ -327,16 +327,20 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
             let token = ev.data;
             let bits = ev.events;
             if token == WAKE_TOKEN {
-                // Clear the coalescing flag *before* draining the dirty
-                // list below: a sender queueing after this point writes a
-                // fresh byte, so no wakeup is ever lost.
-                shared.wake_pending.store(false, Ordering::Release);
+                // Drain the pipe, *then* clear the coalescing flag: while
+                // the flag is set no sender writes, so the drain cannot
+                // eat the byte of a sender that saw it clear (which would
+                // leave the flag set over an empty pipe, every later poke
+                // coalesced away). The clear still comes *before* the
+                // dirty list is drained below: a sender queueing after it
+                // writes a fresh byte, so no wakeup is ever lost.
                 let mut rx = &wake_rx;
                 while let Ok(n) = rx.read(&mut wake_buf) {
                     if n == 0 {
                         break;
                     }
                 }
+                shared.wake_pending.store(false, Ordering::Release);
                 continue;
             }
             let Some(conn) = shared.conn(token) else {
