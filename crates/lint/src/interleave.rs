@@ -8,7 +8,7 @@
 //! after every step. All-threads-blocked with work remaining is reported
 //! as a deadlock.
 //!
-//! Seven models port real synchronization hot spots from the workspace:
+//! Eight models port real synchronization hot spots from the workspace:
 //!
 //! * [`registry_scrape_model`] — `aqua-obs` metric registration racing a
 //!   scrape: registration writes two parallel vectors under the registry
@@ -59,6 +59,15 @@
 //!   the window to `min(next) + L`, so an arrival at exactly `T + L`
 //!   lands inside a window the receiver already closed — the causality
 //!   violation the shipped `−1` prevents.
+//! * [`send_rule_model`] — the socket runtime's send rule over one
+//!   outbound ring: a sender that is the only call in flight flushes the
+//!   ring itself, a sender with company marks the connection dirty and
+//!   wakes the loop, the loop flushes on dirty entries and on `EPOLLOUT`.
+//!   Frames must leave in ring order, and a quiet system must never hold
+//!   a frame nobody will write. [`send_rule_write_past_ring_model`] lets
+//!   the lone sender write straight to a writable socket past frames
+//!   still queued behind `EPOLLOUT` — the reorder the shared ring and the
+//!   single `flush_ring` rule out.
 
 use shadow::{ShadowAtomicU64, ShadowLock};
 
@@ -1559,6 +1568,240 @@ pub fn shard_barrier_off_by_one_model() -> Model<ShardBarrierState> {
     shard_barrier_model_with(true, "sim-shard-lookahead-off-by-one")
 }
 
+// ---------------------------------------------------------------------------
+// Model 8: socket runtime reactor — who flushes the outbound ring.
+// ---------------------------------------------------------------------------
+
+/// Shadow of the reactor's send rule (`reactor.rs`) over one connection.
+/// A sender counts itself in flight, reads the count, pushes its frame on
+/// the ring and — if it read "alone" — runs `flush_ring` under the same
+/// hold of the connection's I/O lock; otherwise it marks the connection
+/// dirty and wakes the loop. The loop blocks in `epoll_wait` until the
+/// wake pipe or an armed `EPOLLOUT` reports, harvests the dirty list and
+/// runs the same `flush_ring`. The peer starts with a full socket buffer
+/// and drains it once, at any point.
+#[derive(Clone)]
+pub struct SendRuleState {
+    /// Calls in flight (`Shared::calls_in_flight`).
+    in_flight: ShadowAtomicU64,
+    /// What each sender read: was it the only call in flight?
+    alone: [bool; 2],
+    /// Whether each sender's frame still needs handing to the loop.
+    hand_over: [bool; 2],
+    /// Frames pushed on the ring so far; a frame's id is its push order.
+    pushed: u8,
+    /// The outbound ring, oldest first (`ConnIo::out`).
+    ring: Vec<u8>,
+    /// Frames written to the socket, in write order.
+    wire: Vec<u8>,
+    /// Frames the socket buffer still takes before `WouldBlock`.
+    room: u8,
+    /// `EPOLLOUT` armed (`ConnIo::want_write`).
+    armed: bool,
+    /// Entries on the dirty list.
+    dirty: ShadowAtomicU64,
+    /// The wake-coalescing flag.
+    wake_pending: ShadowAtomicU64,
+    /// Bytes in the wake pipe.
+    pipe: ShadowAtomicU64,
+    /// The loop's current round saw the connection writable.
+    writable: bool,
+    /// Completion flags: `[sender0, sender1, reactor, peer]`.
+    done: [bool; 4],
+}
+
+/// `flush_ring`: write from the head of the ring while the socket takes
+/// frames; arm `EPOLLOUT` on `WouldBlock`, disarm it on an empty ring.
+fn send_rule_flush(s: &mut SendRuleState) {
+    while let Some(&head) = s.ring.first() {
+        if s.room == 0 {
+            s.armed = true;
+            return;
+        }
+        s.room -= 1;
+        s.wire.push(head);
+        s.ring.remove(0);
+    }
+    s.armed = false;
+}
+
+fn send_rule_model_with(write_past_ring: bool, name: &'static str) -> Model<SendRuleState> {
+    fn init() -> SendRuleState {
+        SendRuleState {
+            in_flight: ShadowAtomicU64::new(0),
+            alone: [false; 2],
+            hand_over: [false; 2],
+            pushed: 0,
+            ring: Vec::new(),
+            wire: Vec::new(),
+            room: 0,
+            armed: false,
+            dirty: ShadowAtomicU64::new(0),
+            wake_pending: ShadowAtomicU64::new(0),
+            pipe: ShadowAtomicU64::new(0),
+            writable: false,
+            done: [false; 4],
+        }
+    }
+    fn always(_: &SendRuleState, _: usize) -> bool {
+        true
+    }
+    fn invariant(s: &SendRuleState) -> Result<(), String> {
+        // Frame ids are ring positions: the wire must count up from 0.
+        if let Some(at) = s
+            .wire
+            .iter()
+            .enumerate()
+            .position(|(i, &f)| usize::from(f) != i)
+        {
+            return Err(format!(
+                "reorder: frame {} left the socket in position {at} (wire {:?}, ring {:?})",
+                s.wire[at], s.wire, s.ring
+            ));
+        }
+        if !s.done.iter().all(|&d| d) {
+            return Ok(());
+        }
+        // Everyone has parked: a queued frame needs a future flush —
+        // `EPOLLOUT` armed, or a dirty entry with a wake byte behind it.
+        let flush_coming = s.armed || (s.dirty.load() > 0 && s.pipe.load() > 0);
+        if !s.ring.is_empty() && !flush_coming {
+            return Err(format!(
+                "stranded frame: ring {:?} with EPOLLOUT disarmed and no woken dirty entry",
+                s.ring
+            ));
+        }
+        Ok(())
+    }
+    fn push_and_flush(s: &mut SendRuleState, tid: usize) {
+        let id = s.pushed;
+        s.pushed += 1;
+        s.ring.push(id);
+        if s.alone[tid] {
+            send_rule_flush(s);
+        } else {
+            s.hand_over[tid] = true;
+        }
+    }
+    fn push_or_write_past(s: &mut SendRuleState, tid: usize) {
+        // The bug: alone and the socket writable, so skip the ring.
+        if s.alone[tid] && s.room > 0 {
+            let id = s.pushed;
+            s.pushed += 1;
+            s.room -= 1;
+            s.wire.push(id);
+        } else {
+            push_and_flush(s, tid);
+        }
+    }
+    fn sender(push: fn(&mut SendRuleState, usize)) -> Vec<Step<SendRuleState>> {
+        vec![
+            Step {
+                name: "send.enter_call",
+                enabled: always,
+                run: |s, _| {
+                    s.in_flight.fetch_add(1);
+                },
+            },
+            Step {
+                name: "send.read_in_flight",
+                enabled: always,
+                run: |s, tid| s.alone[tid] = s.in_flight.load() <= 1,
+            },
+            Step {
+                // One hold of the connection's I/O lock.
+                name: "send.push(+flush)",
+                enabled: always,
+                run: push,
+            },
+            Step {
+                name: "send.hand_over+exit_call",
+                enabled: always,
+                run: |s, tid| {
+                    if s.hand_over[tid] {
+                        s.dirty.fetch_add(1);
+                        if s.wake_pending.load() == 0 {
+                            s.wake_pending.store(1);
+                            s.pipe.fetch_add(1);
+                        }
+                    }
+                    let left = s.in_flight.load() - 1;
+                    s.in_flight.store(left);
+                    s.done[tid] = true;
+                },
+            },
+        ]
+    }
+    // `epoll_wait` returns for a wake byte or a writable armed socket —
+    // or, once nobody else will act, for its timeout.
+    fn event_or_quiet(s: &SendRuleState, _: usize) -> bool {
+        s.pipe.load() > 0 || (s.armed && s.room > 0) || (s.done[0] && s.done[1] && s.done[3])
+    }
+    let mut reactor: Vec<Step<SendRuleState>> = Vec::new();
+    for _ in 0..3 {
+        reactor.push(Step {
+            name: "loop.epoll_wait+drain+clear",
+            enabled: event_or_quiet,
+            run: |s, _| {
+                s.writable = s.armed && s.room > 0;
+                if s.pipe.load() > 0 {
+                    s.pipe.store(0);
+                    s.wake_pending.store(0);
+                }
+            },
+        });
+        reactor.push(Step {
+            name: "loop.harvest+flush",
+            enabled: always,
+            run: |s, _| {
+                let harvested = s.dirty.load();
+                s.dirty.store(0);
+                if harvested > 0 || s.writable {
+                    send_rule_flush(s);
+                }
+            },
+        });
+    }
+    reactor.push(Step {
+        name: "loop.park",
+        enabled: always,
+        run: |s, tid| s.done[tid] = true,
+    });
+    let peer = vec![Step {
+        name: "peer.drain",
+        enabled: always,
+        run: |s: &mut SendRuleState, tid| {
+            s.room += 2;
+            s.done[tid] = true;
+        },
+    }];
+    let push = if write_past_ring {
+        push_or_write_past
+    } else {
+        push_and_flush
+    };
+    Model {
+        name,
+        init,
+        threads: vec![sender(push), sender(push), reactor, peer],
+        invariant,
+    }
+}
+
+/// The send rule as shipped: every frame goes through the ring and every
+/// write comes from its head, whoever flushes. Must pass.
+pub fn send_rule_model() -> Model<SendRuleState> {
+    send_rule_model_with(false, "reactor-send-rule")
+}
+
+/// Deliberately broken inline send: a lone sender that finds the socket
+/// writable writes its frame directly, past frames an earlier sender left
+/// in the ring behind `EPOLLOUT`. Exists to prove the checker catches the
+/// reorder.
+pub fn send_rule_write_past_ring_model() -> Model<SendRuleState> {
+    send_rule_model_with(true, "reactor-send-write-past-ring")
+}
+
 /// Run the shipped models; returns `(name, exploration)` pairs.
 pub fn run_all() -> Vec<(&'static str, Exploration)> {
     vec![
@@ -1578,6 +1821,7 @@ pub fn run_all() -> Vec<(&'static str, Exploration)> {
         ("reactor-wake-coalescing", explore(&reactor_wake_model())),
         ("mux-reply-routing", explore(&mux_reply_model())),
         ("sim-shard-window-barrier", explore(&shard_barrier_model())),
+        ("reactor-send-rule", explore(&send_rule_model())),
     ]
 }
 
@@ -1776,9 +2020,28 @@ mod tests {
     }
 
     #[test]
+    fn send_rule_model_passes_exhaustively() {
+        let e = explore(&send_rule_model());
+        assert!(e.passed(), "violations: {:?}", e.violations);
+        // 4 + 4 + 7 + 1 steps, the loop's waits gated on an event (or on
+        // everyone else having parked): 4154 feasible interleavings.
+        assert_eq!(e.schedules, 4154);
+    }
+
+    #[test]
+    fn writing_past_the_ring_is_caught_as_a_reorder() {
+        let e = explore(&send_rule_write_past_ring_model());
+        assert!(
+            e.violations.iter().any(|(_, msg)| msg.contains("reorder")),
+            "an inline write that skips the ring must overtake a queued frame: {:?}",
+            e.violations
+        );
+    }
+
+    #[test]
     fn run_all_covers_the_shipped_models() {
         let results = run_all();
-        assert_eq!(results.len(), 7);
+        assert_eq!(results.len(), 8);
         for (name, e) in &results {
             assert!(e.passed(), "{name} failed: {:?}", e.violations);
         }

@@ -11,10 +11,12 @@
 //! lock-free on the caller's thread against the handler's published
 //! snapshot ([`ConcurrentHandler`]); all sockets belong to one
 //! [`Reactor`] event-loop thread that owns them in nonblocking mode —
-//! a multicast encodes its request frame once, queues the shared bytes on
-//! each selected replica's outbound ring, and the reactor coalesces every
-//! ring into vectored writes (one syscall per connection per readiness
-//! round). Inbound bytes reassemble per connection and decoded frames are
+//! a multicast encodes its request frame once and queues the shared bytes
+//! on each selected replica's outbound ring; a call that is alone on the
+//! client flushes those rings itself, concurrent calls leave them to the
+//! reactor, which coalesces every ring into vectored writes (one syscall
+//! per connection per readiness round). Inbound bytes reassemble per
+//! connection and decoded frames are
 //! applied straight into the handler's sharded write path — no reader
 //! threads, no dispatcher hop, no cross-request contention. In-flight
 //! calls wait on a sharded waiter table keyed by sequence number. The
@@ -321,29 +323,41 @@ impl Inner {
     }
 
     /// Opens (or re-opens) the connection to one replica: the socket is
-    /// handed to the reactor, which does all I/O from then on.
-    fn open_connection(&self, id: ReplicaId, addr: SocketAddr) -> io::Result<()> {
+    /// handed to the reactor, which does all I/O from then on, and `admit`
+    /// tells the handler about the replica.
+    ///
+    /// Registration, the `Hello` and publishing the connection id all
+    /// happen under the `conns` write lock, which `handle_disconnect`
+    /// takes first: a loss the reactor reports right after `register` —
+    /// a server that accepts and drops — waits for the id to be in the
+    /// map instead of being discarded as stale, and evicts the replica
+    /// `admit` has just announced.
+    fn open_connection(
+        &self,
+        id: ReplicaId,
+        addr: SocketAddr,
+        admit: impl FnOnce(&Inner),
+    ) -> io::Result<()> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
+        {
+            let mut addrs = self.addrs.lock();
+            addrs.insert(id, addr);
+        }
+        let mut conns = self.conns.write().unwrap_or_else(|p| p.into_inner());
         let conn = self.reactor.register(stream, id.index())?;
         // The subscription handshake goes into the outbound ring before
         // the connection id is published, so it precedes any request.
         let hello = Frame::Hello {
             client: self.client_id,
         };
-        if self.reactor.send(conn, &hello) {
+        if self.reactor.multicast(&[conn], &hello) == 1 {
             if let Some(wire) = &self.wire {
                 wire.on_sent(&hello);
             }
         }
-        {
-            let mut conns = self.conns.write().unwrap_or_else(|p| p.into_inner());
-            conns.insert(id, conn);
-        }
-        {
-            let mut addrs = self.addrs.lock();
-            addrs.insert(id, addr);
-        }
+        conns.insert(id, conn);
+        admit(self);
         Ok(())
     }
 
@@ -494,6 +508,8 @@ impl Inner {
     /// TCP teardown is our crash detector: the replica leaves the "view".
     /// `conn` guards against stale events — if a reconnect already
     /// replaced this connection, the old connection's teardown is ignored.
+    /// A connection still being opened is not stale: `open_connection`
+    /// holds the write lock taken here until its id is in the map.
     fn handle_disconnect(&self, id: ReplicaId, conn: u64) {
         let remaining: Option<Vec<ReplicaId>> = {
             let mut conns = self.conns.write().unwrap_or_else(|p| p.into_inner());
@@ -591,13 +607,13 @@ impl Inner {
                 return;
             }
             let Some(inner) = weak.upgrade() else { return };
-            if inner.open_connection(id, addr).is_err() {
+            let rejoin = |inner: &Inner| inner.handler.on_rejoin(inner.now(), id);
+            if inner.open_connection(id, addr, rejoin).is_err() {
                 continue;
             }
             if let Some(wire) = &inner.wire {
                 wire.reconnects.inc();
             }
-            inner.handler.on_rejoin(inner.now(), id);
             return;
         });
         let mut threads = self.reconnect_threads.lock();
@@ -694,8 +710,9 @@ impl AquaClient {
         let sink: Weak<dyn ReactorSink> = weak;
         inner.reactor.set_sink(sink);
         for (id, addr) in replicas {
-            inner.open_connection(*id, *addr)?;
-            inner.handler.insert_replica(inner.now(), *id);
+            inner.open_connection(*id, *addr, |inner| {
+                inner.handler.insert_replica(inner.now(), *id);
+            })?;
         }
         Ok(AquaClient {
             inner,
@@ -759,9 +776,9 @@ impl AquaClient {
     ///
     /// Propagates connection errors; the client is unchanged on failure.
     pub fn add_replica(&self, id: ReplicaId, addr: SocketAddr) -> io::Result<()> {
-        self.inner.open_connection(id, addr)?;
-        self.inner.handler.insert_replica(self.inner.now(), id);
-        Ok(())
+        self.inner.open_connection(id, addr, |inner| {
+            inner.handler.insert_replica(inner.now(), id);
+        })
     }
 
     /// Invokes the replicated service: selects replicas per the QoS spec,
@@ -774,6 +791,7 @@ impl AquaClient {
     /// give-up window, [`CallError::Io`] on transport failures during send.
     pub fn call(&self, method: MethodId, payload: &[u8]) -> Result<CallOutcome, CallError> {
         let inner = &self.inner;
+        let _in_flight = inner.reactor.enter_call();
         let t0 = inner.now();
         let started = StdInstant::now();
         let give_up = std::time::Duration::from(self.give_up_after);
@@ -913,6 +931,7 @@ impl AquaClient {
 mod tests {
     use super::*;
     use crate::server::{ReplicaServer, ReplicaServerConfig};
+    use crate::test_support::{eventually, RefusingListener};
     use aqua_strategies::ModelBased;
 
     fn ms(v: u64) -> Duration {
@@ -1146,5 +1165,33 @@ mod tests {
             assert_eq!(h.stats().delivered, 8);
             assert_eq!(h.pending_count(), 0);
         });
+    }
+    #[test]
+    fn a_connection_lost_while_it_opens_is_not_dropped_as_stale() {
+        // The peer closes every connection the moment it accepts it, so
+        // the reactor can report the loss before `open_connection` has
+        // published the connection id. Each loss must still be handled —
+        // replica evicted, reconnect scheduled — or the dead id stays in
+        // the map for good and the attempts stop.
+        let listener = RefusingListener::spawn();
+        let mut config = AquaClientConfig::new(QosSpec::new(ms(200), 0.0).unwrap());
+        config.give_up_after = ms(400);
+        config.reconnect = Some(ReconnectPolicy {
+            initial_backoff: ms(1),
+            max_backoff: ms(1),
+            max_attempts: u32::MAX,
+        });
+        let client = AquaClient::connect(
+            &[(ReplicaId::new(0), listener.addr)],
+            config,
+            Box::new(ModelBased::default()),
+        )
+        .expect("the listener accepts");
+        assert!(
+            eventually(|| listener.accepted() >= 40),
+            "reconnects stopped after {} connections: a loss went unhandled",
+            listener.accepted()
+        );
+        drop(client);
     }
 }

@@ -52,6 +52,8 @@ pub mod serialized;
 mod server;
 mod supervisor;
 mod sys;
+#[cfg(test)]
+mod test_support;
 #[cfg(feature = "threaded-baseline")]
 pub mod threaded;
 pub mod wire;

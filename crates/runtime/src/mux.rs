@@ -18,6 +18,19 @@
 //! perf updates — over a shared socket every handle sees every reply,
 //! which keeps all repositories warm without extra wire traffic.
 //!
+//! Handles come and go: dropping one removes its state from the pool (no
+//! reply is fanned to it any more) and returns its id to a free list, so
+//! only [`HANDLE_BITS`] worth of *live* handles exhaust the id space. A
+//! reused id keeps counting handle-local sequence numbers where its last
+//! owner stopped, so a reply still in flight to the old owner — the
+//! redundant copies of its last call usually are — can never match a
+//! request of the new one.
+//!
+//! Sending follows the reactor's rule (DESIGN.md §15): a call that is the
+//! only one in flight on the pool flushes its own frames, concurrent
+//! calls leave their frames for the loop to batch into one `writev` per
+//! socket.
+//!
 //! v1 scope: no retry stage and no reconnect — a lost socket evicts the
 //! replica from every handle. Benchmarks and steady-state serving paths
 //! need neither; the full [`crate::AquaClient`] remains the durable
@@ -95,9 +108,25 @@ struct Waiter {
 /// Per-handle state shared between its caller thread and the reactor.
 struct HandleState {
     handler: ConcurrentHandler,
-    /// Handle-local seq → waiter. One mutex per handle: the only
-    /// contention is the owning caller against the reactor thread.
+    /// Handler seq → waiter. One mutex per handle: the only contention
+    /// is the owning caller against the reactor thread.
     waiters: Mutex<HashMap<u64, Waiter>>,
+    /// Where this handle's wire-local sequence numbers start: one past
+    /// the last the id's previous owners used (0 for a fresh id). The
+    /// handler counts from 0; the wire carries `seq_base` + that.
+    seq_base: u64,
+    /// One past the highest handler seq this handle has put on the wire.
+    next_seq: AtomicU64,
+}
+
+/// Handle ids not in use.
+#[derive(Default)]
+struct HandleIds {
+    /// Ids never handed out start here.
+    next: u64,
+    /// Ids of dropped handles, each with the wire-local seq its next
+    /// owner starts at.
+    free: Vec<(u64, u64)>,
 }
 
 impl HandleState {
@@ -139,14 +168,15 @@ impl HandleState {
 }
 
 struct Inner {
-    /// Handle id → state. Read-mostly: writes only on `handle()`.
+    /// Handle id → state of every live handle. Read-mostly: writes only
+    /// when a handle is made or dropped.
     handles: RwLock<HashMap<u64, Arc<HandleState>>>,
     /// Replica → reactor connection token.
     conns: RwLock<HashMap<ReplicaId, u64>>,
     reactor: Reactor,
     wire: Option<WireMetrics>,
     epoch: StdInstant,
-    next_handle: AtomicU64,
+    ids: Mutex<HandleIds>,
 }
 
 impl Inner {
@@ -199,9 +229,14 @@ impl ReactorSink for Inner {
                 };
                 let replica = ReplicaId::new(replica);
                 let hid = seq >> HANDLE_SHIFT;
-                let local = seq & SEQ_MASK;
                 let now = self.now();
-                if let Some(state) = self.handle_state(hid) {
+                // A dropped handle's replies find no state; those to an
+                // earlier owner of a reused id fall below its base.
+                let owner = self.handle_state(hid).and_then(|state| {
+                    let local = (seq & SEQ_MASK).checked_sub(state.seq_base)?;
+                    Some((state, local))
+                });
+                if let Some((state, local)) = owner {
                     let outcome = state.handler.on_reply(now, local, replica, perf);
                     if let ReplyOutcome::Deliver {
                         response_time,
@@ -306,7 +341,7 @@ impl MuxPool {
             reactor,
             wire,
             epoch: StdInstant::now(),
-            next_handle: AtomicU64::new(0),
+            ids: Mutex::new(HandleIds::default()),
         });
         let weak = Arc::downgrade(&inner);
         let sink: Weak<dyn ReactorSink> = weak;
@@ -314,14 +349,18 @@ impl MuxPool {
         for (id, addr) in replicas {
             let stream = TcpStream::connect(*addr)?;
             stream.set_nodelay(true).ok();
+            // Register, greet and publish the id under the write lock
+            // `on_disconnect` takes first, so a loss reported right after
+            // `register` is not discarded as stale (client.rs has the
+            // same shape).
+            let mut conns = inner.conns.write().unwrap_or_else(|p| p.into_inner());
             let conn = inner.reactor.register(stream, id.index())?;
             let hello = Frame::Hello { client: config.id };
-            if inner.reactor.send(conn, &hello) {
+            if inner.reactor.multicast(&[conn], &hello) == 1 {
                 if let Some(wire) = &inner.wire {
                     wire.on_sent(&hello);
                 }
             }
-            let mut conns = inner.conns.write().unwrap_or_else(|p| p.into_inner());
             conns.insert(*id, conn);
         }
         Ok(MuxPool { inner, config })
@@ -332,11 +371,17 @@ impl MuxPool {
     ///
     /// # Panics
     ///
-    /// Panics once [`HANDLE_BITS`] worth of handles have been created
-    /// over the pool's lifetime.
+    /// Panics when [`HANDLE_BITS`] worth of handles are alive at once.
     pub fn handle(&self, strategy: Box<dyn SelectionStrategy>) -> MuxHandle {
-        let hid = self.inner.next_handle.fetch_add(1, Ordering::Relaxed);
-        assert!(hid < (1 << HANDLE_BITS), "handle id space exhausted");
+        let (hid, seq_base) = {
+            let mut ids = self.inner.ids.lock();
+            ids.free.pop().unwrap_or_else(|| {
+                let fresh = ids.next;
+                assert!(fresh < (1 << HANDLE_BITS), "handle id space exhausted");
+                ids.next += 1;
+                (fresh, 0)
+            })
+        };
         let handler = ConcurrentHandler::new(self.config.qos, self.config.window, strategy);
         let now = self.inner.now();
         let replicas: Vec<ReplicaId> = {
@@ -349,6 +394,8 @@ impl MuxPool {
         let state = Arc::new(HandleState {
             handler,
             waiters: Mutex::new(HashMap::new()),
+            seq_base,
+            next_seq: AtomicU64::new(0),
         });
         {
             let mut handles = self
@@ -376,8 +423,8 @@ impl MuxPool {
 /// One logical client multiplexed over a [`MuxPool`]'s sockets.
 ///
 /// Cheap to create and independent in its selection decisions; safe to
-/// move to a dedicated caller thread. Dropping a handle does not close
-/// any socket.
+/// move to a dedicated caller thread. Dropping a handle closes no socket:
+/// it takes the handle's state out of the pool and frees its id.
 pub struct MuxHandle {
     inner: Arc<Inner>,
     state: Arc<HandleState>,
@@ -388,6 +435,25 @@ pub struct MuxHandle {
 impl std::fmt::Debug for MuxHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxHandle").field("id", &self.hid).finish()
+    }
+}
+
+impl Drop for MuxHandle {
+    fn drop(&mut self) {
+        {
+            let mut handles = self
+                .inner
+                .handles
+                .write()
+                .unwrap_or_else(|p| p.into_inner());
+            handles.remove(&self.hid);
+        }
+        // Replies to this handle may still be in flight (the redundant
+        // copies of its last call usually are): the id's next owner
+        // starts past every seq they can carry.
+        let next_base = self.state.seq_base + self.state.next_seq.load(Ordering::Relaxed);
+        let mut ids = self.inner.ids.lock();
+        ids.free.push((self.hid, next_base));
     }
 }
 
@@ -409,6 +475,7 @@ impl MuxHandle {
     /// give-up window.
     pub fn call(&self, method: MethodId, payload: &[u8]) -> Result<CallOutcome, CallError> {
         let inner = &self.inner;
+        let _in_flight = inner.reactor.enter_call();
         let t0 = inner.now();
         let plan = self.state.handler.plan_request_for(t0, Some(method));
         if plan.replicas.is_empty() {
@@ -416,7 +483,12 @@ impl MuxHandle {
             return Err(CallError::NoReplicas);
         }
         let seq = plan.seq;
-        debug_assert!(seq <= SEQ_MASK, "handle-local seq overflowed its field");
+        let wire_seq = self.state.seq_base + seq;
+        debug_assert!(
+            wire_seq <= SEQ_MASK,
+            "handle-local seq overflowed its field"
+        );
+        self.state.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
         let redundancy = plan.replicas.len();
         let (tx, rx) = bounded(2);
         {
@@ -431,7 +503,7 @@ impl MuxHandle {
                 .collect()
         };
         let frame = Frame::Request {
-            seq: (self.hid << HANDLE_SHIFT) | (seq & SEQ_MASK),
+            seq: (self.hid << HANDLE_SHIFT) | (wire_seq & SEQ_MASK),
             method: method.index(),
             payload: Bytes::copy_from_slice(payload),
         };
@@ -478,9 +550,18 @@ impl MuxHandle {
 mod tests {
     use super::*;
     use crate::server::{ReplicaServer, ReplicaServerConfig};
+    use crate::test_support::{eventually, RefusingListener};
     use aqua_strategies::ModelBased;
 
     fn pool_against(n: u64, service_ms: u64) -> (Vec<ReplicaServer>, MuxPool) {
+        pool_observed(n, service_ms, None)
+    }
+
+    fn pool_observed(
+        n: u64,
+        service_ms: u64,
+        obs: Option<aqua_obs::Obs>,
+    ) -> (Vec<ReplicaServer>, MuxPool) {
         let servers: Vec<ReplicaServer> = (0..n)
             .map(|i| {
                 ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(i), service_ms))
@@ -489,8 +570,9 @@ mod tests {
             .collect();
         let replicas: Vec<(ReplicaId, SocketAddr)> =
             servers.iter().map(|s| (s.replica(), s.addr())).collect();
-        let qos = QosSpec::new(Duration::from_millis(500), 0.9).unwrap();
-        let pool = MuxPool::connect(&replicas, MuxPoolConfig::new(qos)).expect("connect");
+        let mut config = MuxPoolConfig::new(QosSpec::new(Duration::from_millis(500), 0.9).unwrap());
+        config.obs = obs;
+        let pool = MuxPool::connect(&replicas, config).expect("connect");
         (servers, pool)
     }
 
@@ -554,5 +636,118 @@ mod tests {
                 other => panic!("expected NoReplicas, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_socket_lost_while_the_pool_connects_is_not_dropped_as_stale() {
+        // Same race as `AquaClient`'s: the peer closes on accept, so the
+        // loss can be reported before the connection id is in the map.
+        for _ in 0..20 {
+            let listener = RefusingListener::spawn();
+            let qos = QosSpec::new(Duration::from_millis(500), 0.9).unwrap();
+            let pool = MuxPool::connect(
+                &[(ReplicaId::new(0), listener.addr)],
+                MuxPoolConfig::new(qos),
+            )
+            .expect("the listener accepts");
+            assert!(
+                eventually(|| pool.connection_count() == 0),
+                "the dead socket stayed listed"
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_handles_are_forgotten_and_their_ids_reused() {
+        let (_servers, pool) = pool_against(2, 0);
+        let live = || pool.inner.handles.read().unwrap().len();
+        let kept = pool.handle(Box::new(ModelBased::default()));
+        let mut ids = std::collections::HashSet::new();
+        for round in 0..1_000u64 {
+            let handle = pool.handle(Box::new(ModelBased::default()));
+            ids.insert(handle.hid);
+            assert_eq!(live(), 2, "the kept handle and this one");
+            if round % 50 == 0 {
+                let tag = format!("round-{round}");
+                let out = handle
+                    .call(MethodId::DEFAULT, tag.as_bytes())
+                    .expect("call");
+                assert_eq!(out.payload.as_slice(), tag.as_bytes());
+            }
+        }
+        assert_eq!(live(), 1, "only the kept handle is left");
+        assert_eq!(
+            ids.len(),
+            1,
+            "every short-lived handle got the same id back"
+        );
+        assert_eq!(pool.inner.ids.lock().next, 2, "two ids ever handed out");
+        kept.call(MethodId::DEFAULT, b"still here").expect("call");
+    }
+
+    #[test]
+    fn a_reused_id_ignores_replies_to_its_previous_owner() {
+        // One replica, 60 ms a request, FIFO. The first handle gives up
+        // after 10 ms and is dropped; the second gets its id. Its request
+        // queues behind the first one's, so the reply it sees first is
+        // the one addressed to its predecessor.
+        let (_servers, pool) = pool_against(1, 60);
+        let mut first = pool.handle(Box::new(ModelBased::default()));
+        first.give_up_after = Duration::from_millis(10);
+        let err = first.call(MethodId::DEFAULT, b"first").unwrap_err();
+        assert!(matches!(err, CallError::GaveUp { .. }), "{err}");
+        let hid = first.hid;
+        drop(first);
+        let second = pool.handle(Box::new(ModelBased::default()));
+        assert_eq!(second.hid, hid);
+        let out = second.call(MethodId::DEFAULT, b"second").expect("call");
+        assert_eq!(out.payload, Bytes::from_static(b"second"));
+    }
+
+    /// A pool with syscall counters attached, `callers` threads each
+    /// making `calls` calls on a handle of its own: wake-pipe writes and
+    /// the `writev` batch histogram afterwards.
+    fn syscalls_of(callers: usize, calls: usize) -> (u64, Arc<aqua_obs::metrics::Histogram>) {
+        let obs = aqua_obs::Obs::metrics_only();
+        let (_servers, pool) = pool_observed(2, 0, Some(obs.clone()));
+        std::thread::scope(|scope| {
+            for _ in 0..callers {
+                let handle = pool.handle(Box::new(ModelBased::default()));
+                scope.spawn(move || {
+                    for _ in 0..calls {
+                        handle.call(MethodId::DEFAULT, b"x").expect("call");
+                    }
+                });
+            }
+        });
+        let registry = obs.registry();
+        let wakes = registry
+            .counter("aqua_net_syscalls_total", &[("op", "wake")])
+            .get();
+        (
+            wakes,
+            registry.histogram("aqua_net_writev_batch_frames", &[]),
+        )
+    }
+
+    #[test]
+    fn a_lone_caller_flushes_its_own_frames() {
+        let (wakes, batch) = syscalls_of(1, 100);
+        assert_eq!(wakes, 0, "nobody to hand over to: no wake-pipe write");
+        assert_eq!(batch.max(), Some(1), "nobody to batch with");
+        // Two `Hello`s and two copies of every request, one write each.
+        assert_eq!(batch.count(), 2 + 2 * 100);
+    }
+
+    #[test]
+    fn crowded_callers_still_batch() {
+        let (wakes, batch) = syscalls_of(8, 200);
+        assert!(wakes > 0, "concurrent senders hand over to the loop");
+        assert!(
+            batch.mean().expect("writes were made") > 1.0,
+            "frames of concurrent calls share a writev: {:?} over {}",
+            batch.mean(),
+            batch.count()
+        );
     }
 }

@@ -3,25 +3,33 @@
 //!
 //! Replaces the thread-per-connection writer/reader pairs of the previous
 //! client. Outbound frames are queued on per-connection ring buffers and
-//! flushed with **vectored writes** — one Algorithm-1 multicast to `q`
-//! replicas plus anything else queued behind it coalesces into a single
-//! `writev`-style syscall per connection. Inbound bytes go through a
+//! flushed with **vectored writes**. Who flushes depends on the traffic
+//! (frame-level Nagle): a sender that is the only call in flight on this
+//! reactor ([`Reactor::enter_call`]) has nobody to batch with and flushes
+//! its own connections on the spot — no wake-pipe write, no hand-off to
+//! the loop; with two or more calls in flight senders mark the connection
+//! dirty and poke the loop, which coalesces one Algorithm-1 multicast to
+//! `q` replicas plus anything else queued behind it into a single
+//! `writev`-style syscall per connection. Both go through the same ring
+//! and the same [`flush_ring`] under the connection's mutex, so bytes
+//! leave in ring order whoever writes them. Inbound bytes go through a
 //! per-connection [`FrameAssembler`]: readiness-driven reads into a
-//! growable reassembly buffer, frames decoded in place and handed to the
-//! registered [`ReactorSink`] (the client's handler ingest shards) with no
-//! intermediate copy.
+//! growable reassembly buffer (one `read` per burst — a short read ends
+//! the round, level-triggered epoll re-reports anything later), frames
+//! decoded in place and handed to the registered [`ReactorSink`] (the
+//! client's handler ingest shards) with no intermediate copy.
 //!
 //! Locking discipline: each connection's I/O state sits behind its own
 //! mutex, acquired either by the reactor thread or by a sender queueing
-//! frames — never nested with the connection map or the dirty list, and
-//! never held across a sink callback.
+//! (and, when alone, flushing) frames — never nested with the connection
+//! map or the dirty list, and never held across a sink callback.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, Weak};
 use std::thread::JoinHandle;
 
@@ -30,7 +38,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::wire::{Frame, FrameAssembler};
+use crate::wire::{Frame, FrameAssembler, READ_CHUNK};
 
 /// Reserved epoll cookie for the wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -53,13 +61,16 @@ pub(crate) trait ReactorSink: Send + Sync {
 }
 
 /// Cached handles for the reactor's syscall instruments
-/// (`aqua_net_syscalls_total{op}`, `aqua_net_writev_batch_frames`, and the
-/// per-connection `aqua_net_outbound_queue_depth` gauges).
+/// (`aqua_net_syscalls_total{op}` — `read`, `writev`, `epoll_wait` and the
+/// wake-pipe writes as `wake` — `aqua_net_writev_batch_frames`, and the
+/// per-connection `aqua_net_outbound_queue_depth` gauges). Socket writes
+/// count the same whether a sender or the loop made them.
 pub(crate) struct NetMetrics {
     obs: aqua_obs::Obs,
     reads: Arc<aqua_obs::metrics::Counter>,
     writevs: Arc<aqua_obs::metrics::Counter>,
     waits: Arc<aqua_obs::metrics::Counter>,
+    wakes: Arc<aqua_obs::metrics::Counter>,
     batch_frames: Arc<aqua_obs::metrics::Histogram>,
 }
 
@@ -71,6 +82,7 @@ impl NetMetrics {
             reads: registry.counter("aqua_net_syscalls_total", &[("op", "read")]),
             writevs: registry.counter("aqua_net_syscalls_total", &[("op", "writev")]),
             waits: registry.counter("aqua_net_syscalls_total", &[("op", "epoll_wait")]),
+            wakes: registry.counter("aqua_net_syscalls_total", &[("op", "wake")]),
             batch_frames: registry.histogram("aqua_net_writev_batch_frames", &[]),
         }
     }
@@ -118,6 +130,9 @@ struct Shared {
     dirty: Mutex<Vec<u64>>,
     sink: RwLock<Option<Weak<dyn ReactorSink>>>,
     next_conn: AtomicU64,
+    /// Client calls currently in flight ([`Reactor::enter_call`]): the
+    /// send rule's only input.
+    calls_in_flight: AtomicUsize,
     shutdown: AtomicBool,
     metrics: Option<NetMetrics>,
 }
@@ -130,9 +145,29 @@ impl Shared {
 
     fn wake(&self) {
         if !self.wake_pending.swap(true, Ordering::AcqRel) {
-            let mut tx = &self.wake_tx;
-            let _ = tx.write(&[1u8]);
+            self.poke();
         }
+    }
+
+    /// Writes one byte to the wake pipe.
+    fn poke(&self) {
+        let mut tx = &self.wake_tx;
+        let _ = tx.write(&[1u8]);
+        if let Some(m) = &self.metrics {
+            m.wakes.inc();
+        }
+    }
+}
+
+/// One client call in flight on a reactor, from [`Reactor::enter_call`]
+/// until drop.
+pub(crate) struct CallGuard<'a> {
+    in_flight: &'a AtomicUsize,
+}
+
+impl Drop for CallGuard<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -160,6 +195,7 @@ impl Reactor {
             dirty: Mutex::new(Vec::new()),
             sink: RwLock::new(None),
             next_conn: AtomicU64::new(0),
+            calls_in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             metrics,
         });
@@ -221,17 +257,33 @@ impl Reactor {
         Ok(id)
     }
 
+    /// Counts the caller's call as in flight until the guard drops. Held
+    /// for the whole of `MuxHandle::call` / `AquaClient::call` — waiting
+    /// for the reply included — so the count says how many callers could
+    /// have a frame to batch with the next one sent.
+    pub(crate) fn enter_call(&self) -> CallGuard<'_> {
+        let in_flight = &self.shared.calls_in_flight;
+        in_flight.fetch_add(1, Ordering::Relaxed);
+        CallGuard { in_flight }
+    }
+
     /// Queues one frame on a single connection. Returns whether the
     /// connection accepted it.
+    #[cfg(test)]
     pub(crate) fn send(&self, conn: u64, frame: &Frame) -> bool {
         self.multicast(std::slice::from_ref(&conn), frame) == 1
     }
 
     /// Encodes `frame` **once** and queues the shared bytes on every
-    /// listed connection's outbound ring, then wakes the reactor with a
-    /// single poke. The per-connection flush later coalesces this segment
-    /// with whatever else has queued into one vectored write. Returns how
-    /// many connections accepted the frame.
+    /// listed connection's outbound ring. With at most the sender's own
+    /// call in flight (a `Hello` is sent outside any call) nothing else
+    /// can join the batch, so the sender flushes each ring itself; a
+    /// write error there is left for the loop, which retries the flush
+    /// and closes the connection. Otherwise the connections are marked
+    /// dirty and the loop is woken with a single poke; its per-connection
+    /// flush coalesces this segment with whatever else has queued into
+    /// one vectored write. Returns how many connections accepted the
+    /// frame.
     pub(crate) fn multicast(&self, targets: &[u64], frame: &Frame) -> usize {
         if targets.is_empty() {
             return 0;
@@ -239,30 +291,32 @@ impl Reactor {
         let mut buf = Vec::with_capacity(frame.encoded_len());
         frame.encode_into(&mut buf);
         let encoded = Bytes::from(buf);
+        let alone = self.shared.calls_in_flight.load(Ordering::Relaxed) <= 1;
         let mut queued = 0usize;
+        let mut handed_over = false;
         for &id in targets {
             let Some(conn) = self.shared.conn(id) else {
                 continue;
             };
-            let accepted = {
+            let flushed = {
                 let mut io = conn.io.lock();
                 if io.closed {
-                    false
-                } else {
-                    io.out.push_back(encoded.clone());
-                    true
+                    continue;
                 }
-            };
-            if accepted {
-                queued += 1;
+                io.out.push_back(encoded.clone());
                 if let Some(g) = &conn.depth {
                     g.add(1);
                 }
+                alone && flush_ring(&self.shared, &conn, &mut io).is_ok()
+            };
+            queued += 1;
+            if !flushed {
                 let mut dirty = self.shared.dirty.lock();
                 dirty.push(id);
+                handed_over = true;
             }
         }
-        if queued > 0 {
+        if handed_over {
             self.shared.wake();
         }
         queued
@@ -281,8 +335,7 @@ impl Reactor {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Poke unconditionally: `wake_pending` may be set with the byte
         // already drained, and a second byte merely causes one extra spin.
-        let mut tx = &self.shared.wake_tx;
-        let _ = tx.write(&[1u8]);
+        self.shared.poke();
         let handle = self.thread.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() == std::thread::current().id() {
@@ -334,9 +387,11 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
                 // coalesced away). The clear still comes *before* the
                 // dirty list is drained below: a sender queueing after it
                 // writes a fresh byte, so no wakeup is ever lost.
+                // A short read has emptied the pipe; a byte written
+                // after it is re-reported (level-triggered).
                 let mut rx = &wake_rx;
                 while let Ok(n) = rx.read(&mut wake_buf) {
-                    if n == 0 {
+                    if n < wake_buf.len() {
                         break;
                     }
                 }
@@ -368,8 +423,11 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
     }
 }
 
-/// Drains a readable connection: reads until `WouldBlock`, decoding every
-/// complete frame out of the reassembly buffer into the inbox. EOF and
+/// Drains a readable connection: reads until a short read (or
+/// `WouldBlock`), decoding every complete frame out of the reassembly
+/// buffer into the inbox. A read that returns less than it asked for has
+/// emptied the socket; epoll is level-triggered, so bytes — or the EOF —
+/// that land afterwards report the connection readable again. EOF and
 /// errors close the connection.
 #[aqua::hot_path]
 fn read_ready(
@@ -396,16 +454,21 @@ fn read_ready(
                     dead = true;
                     break;
                 }
-                Ok(_) => loop {
-                    match assembler.next_frame() {
-                        Ok(Some(frame)) => inbox.push((conn.tag, conn.id, frame)),
-                        Ok(None) => break,
-                        Err(_) => {
-                            dead = true;
-                            break 'reads;
+                Ok(n) => {
+                    loop {
+                        match assembler.next_frame() {
+                            Ok(Some(frame)) => inbox.push((conn.tag, conn.id, frame)),
+                            Ok(None) => break,
+                            Err(_) => {
+                                dead = true;
+                                break 'reads;
+                            }
                         }
                     }
-                },
+                    if n < READ_CHUNK {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -420,83 +483,93 @@ fn read_ready(
     }
 }
 
-/// Flushes a connection's outbound ring with vectored writes: up to
-/// [`MAX_IOVECS`] queued frame segments per syscall. On a partial write
-/// the cursor advances; on `WouldBlock`, `EPOLLOUT` is armed and the
-/// remainder waits for writability.
-#[aqua::hot_path]
+/// The loop's flush of one connection; a write error closes it.
 fn flush_conn(shared: &Shared, conn: &Conn, gone: &mut Vec<(u64, u64)>) {
     let mut io = conn.io.lock();
     if io.closed {
         return;
     }
-    let mut dead = false;
+    if flush_ring(shared, conn, &mut io).is_err() {
+        close_conn(shared, conn, &mut io, gone);
+    }
+}
+
+/// Flushes a connection's outbound ring with vectored writes: up to
+/// [`MAX_IOVECS`] queued frame segments per syscall. On a partial write
+/// the cursor advances; on `WouldBlock`, `EPOLLOUT` is armed and the
+/// remainder waits for writability. Runs under the connection's I/O lock
+/// on the loop and on a sender that is alone, so whoever holds the lock
+/// writes from the head of the ring.
+///
+/// # Errors
+///
+/// The write error that killed the connection; the ring is left as is.
+#[aqua::hot_path]
+fn flush_ring(shared: &Shared, conn: &Conn, io: &mut ConnIo) -> io::Result<()> {
+    let mut result = Ok(());
     let mut popped = 0u64;
-    {
-        let ConnIo {
-            stream,
-            out,
-            out_head,
-            want_write,
-            ..
-        } = &mut *io;
-        loop {
-            if out.is_empty() {
-                if *want_write {
-                    *want_write = false;
-                    let _ = shared.epoll.modify(conn.fd, EPOLLIN | EPOLLRDHUP, conn.id);
-                }
-                break;
+    let ConnIo {
+        stream,
+        out,
+        out_head,
+        want_write,
+        ..
+    } = io;
+    loop {
+        if out.is_empty() {
+            if *want_write {
+                *want_write = false;
+                let _ = shared.epoll.modify(conn.fd, EPOLLIN | EPOLLRDHUP, conn.id);
             }
-            let written = {
-                let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
-                let mut count = 0usize;
-                for (i, seg) in out.iter().enumerate() {
-                    if count == MAX_IOVECS {
-                        break;
-                    }
-                    let bytes = seg.as_slice();
-                    slices[count] = IoSlice::new(if i == 0 { &bytes[*out_head..] } else { bytes });
-                    count += 1;
+            break;
+        }
+        let written = {
+            let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
+            let mut count = 0usize;
+            for (i, seg) in out.iter().enumerate() {
+                if count == MAX_IOVECS {
+                    break;
                 }
-                match stream.write_vectored(&slices[..count]) {
-                    Ok(n) => {
-                        if let Some(m) = &shared.metrics {
-                            m.writevs.inc();
-                            m.batch_frames.record(count as u64);
-                        }
-                        n
+                let bytes = seg.as_slice();
+                slices[count] = IoSlice::new(if i == 0 { &bytes[*out_head..] } else { bytes });
+                count += 1;
+            }
+            match stream.write_vectored(&slices[..count]) {
+                Ok(n) => {
+                    if let Some(m) = &shared.metrics {
+                        m.writevs.inc();
+                        m.batch_frames.record(count as u64);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if !*want_write {
-                            *want_write = true;
-                            let _ = shared.epoll.modify(
-                                conn.fd,
-                                EPOLLIN | EPOLLRDHUP | EPOLLOUT,
-                                conn.id,
-                            );
-                        }
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+                    n
                 }
-            };
-            let mut left = written;
-            while left > 0 {
-                let seg_left = out[0].len() - *out_head;
-                if left >= seg_left {
-                    left -= seg_left;
-                    out.pop_front();
-                    *out_head = 0;
-                    popped += 1;
-                } else {
-                    *out_head += left;
-                    left = 0;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if !*want_write {
+                        *want_write = true;
+                        let _ =
+                            shared
+                                .epoll
+                                .modify(conn.fd, EPOLLIN | EPOLLRDHUP | EPOLLOUT, conn.id);
+                    }
+                    break;
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        };
+        let mut left = written;
+        while left > 0 {
+            let seg_left = out[0].len() - *out_head;
+            if left >= seg_left {
+                left -= seg_left;
+                out.pop_front();
+                *out_head = 0;
+                popped += 1;
+            } else {
+                *out_head += left;
+                left = 0;
             }
         }
     }
@@ -505,9 +578,7 @@ fn flush_conn(shared: &Shared, conn: &Conn, gone: &mut Vec<(u64, u64)>) {
             g.sub(popped as i64);
         }
     }
-    if dead {
-        close_conn(shared, conn, &mut io, gone);
-    }
+    result
 }
 
 /// Tears one connection down under its I/O lock: deregisters the fd,
@@ -560,13 +631,16 @@ fn dispatch(shared: &Shared, inbox: &mut Vec<(u64, u64, Frame)>, gone: &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, Sender};
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
+    /// `(tag, conn, frame)`; no frame means the connection was lost.
+    type SinkEvent = (u64, u64, Option<Frame>);
+
     /// Test sink forwarding events over a channel.
     struct ChanSink {
-        tx: Sender<(u64, u64, Option<Frame>)>,
+        tx: Sender<SinkEvent>,
     }
 
     impl ReactorSink for ChanSink {
@@ -586,14 +660,21 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn frames_flow_both_ways() {
-        let reactor = Reactor::spawn(None).unwrap();
+    /// Installs a [`ChanSink`] on `reactor`; the sink must outlive the
+    /// test (the reactor holds it weakly).
+    fn chan_sink(reactor: &Reactor) -> (Arc<ChanSink>, Receiver<SinkEvent>) {
         let (tx, rx) = unbounded();
         let sink = Arc::new(ChanSink { tx });
         let weak = Arc::downgrade(&sink);
         let weak: Weak<dyn ReactorSink> = weak;
         reactor.set_sink(weak);
+        (sink, rx)
+    }
+
+    #[test]
+    fn frames_flow_both_ways() {
+        let reactor = Reactor::spawn(None).unwrap();
+        let (_sink, rx) = chan_sink(&reactor);
 
         let (ours, mut theirs) = pair();
         let conn = reactor.register(ours, 7).unwrap();
@@ -684,5 +765,125 @@ mod tests {
                 other => panic!("unexpected frame {other:?}"),
             }
         }
+    }
+    /// Two threads send big frames on one connection while the peer reads
+    /// nothing, so the ring backs up behind `EPOLLOUT`; then the peer
+    /// drains. With `guarded`, each send sits inside its own call guard:
+    /// the in-flight count flips between 1 and 2, so sends that flush
+    /// inline and sends left to the loop interleave on the one ring.
+    fn two_senders_through_backpressure(guarded: bool) {
+        const PER_SENDER: u64 = 32;
+        let reactor = Arc::new(Reactor::spawn(None).unwrap());
+        let (ours, mut theirs) = pair();
+        let conn = reactor.register(ours, 0).unwrap();
+        let payload = Bytes::from(vec![0xABu8; 32 * 1024]);
+        let senders: Vec<_> = (0..2u64)
+            .map(|sender| {
+                let reactor = Arc::clone(&reactor);
+                let payload = payload.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_SENDER {
+                        let _call = guarded.then(|| reactor.enter_call());
+                        let frame = Frame::Request {
+                            seq: (sender << 32) | i,
+                            method: 0,
+                            payload: payload.clone(),
+                        };
+                        assert!(reactor.send(conn, &frame));
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        theirs
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut next = [0u64; 2];
+        for _ in 0..2 * PER_SENDER {
+            match Frame::read_from(&mut theirs).unwrap() {
+                Frame::Request {
+                    seq, payload: got, ..
+                } => {
+                    let sender = (seq >> 32) as usize;
+                    assert_eq!(
+                        seq & 0xFFFF_FFFF,
+                        next[sender],
+                        "sender {sender}'s frames left out of order or twice"
+                    );
+                    next[sender] += 1;
+                    assert_eq!(got, payload);
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(next, [PER_SENDER; 2], "every frame arrived");
+        // ... and nothing was written twice.
+        theirs
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert!(theirs.read(&mut byte).is_err(), "bytes past the last frame");
+    }
+
+    #[test]
+    fn concurrent_inline_flushes_keep_ring_order() {
+        // No call guards: both senders count as alone and flush inline.
+        two_senders_through_backpressure(false);
+    }
+
+    #[test]
+    fn inline_and_queued_sends_never_reorder() {
+        two_senders_through_backpressure(true);
+    }
+
+    #[test]
+    fn a_full_chunk_then_one_more_frame_are_all_decoded() {
+        // Exactly `READ_CHUNK` bytes of frames in one write: that read is
+        // not short, so the round reads again; the frame written later is
+        // picked up by a later round.
+        let reactor = Reactor::spawn(None).unwrap();
+        let (_sink, rx) = chan_sink(&reactor);
+        let (ours, mut theirs) = pair();
+        reactor.register(ours, 0).unwrap();
+        let frame = |seq: u64| Frame::Request {
+            seq,
+            method: 0,
+            payload: Bytes::from(vec![seq as u8; 1024 - 21]),
+        };
+        assert_eq!(frame(0).encoded_len(), 1024);
+        let frames = READ_CHUNK / 1024;
+        let mut burst = Vec::new();
+        for seq in 0..frames as u64 {
+            frame(seq).encode_into(&mut burst);
+        }
+        assert_eq!(burst.len(), READ_CHUNK);
+        theirs.write_all(&burst).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        frame(frames as u64).write_to(&mut theirs).unwrap();
+        for seq in 0..=frames as u64 {
+            let (_, _, got) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!(got, Some(frame(seq)));
+        }
+    }
+
+    #[test]
+    fn a_close_right_after_a_short_read_still_disconnects() {
+        // The read that takes the frame is short and ends the round
+        // without seeing the EOF behind it; level-triggered epoll reports
+        // the connection again.
+        let reactor = Reactor::spawn(None).unwrap();
+        let (_sink, rx) = chan_sink(&reactor);
+        let (ours, mut theirs) = pair();
+        let conn = reactor.register(ours, 4).unwrap();
+        let frame = Frame::Hello { client: 1 };
+        frame.write_to(&mut theirs).unwrap();
+        drop(theirs);
+        let (_, _, got) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(got, Some(frame));
+        let lost = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(lost, (4, conn, None));
+        assert_eq!(reactor.conn_count(), 0);
     }
 }

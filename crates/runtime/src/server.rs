@@ -1,12 +1,21 @@
 //! A replica server over real TCP sockets.
 //!
-//! One [`ReplicaServer`] is one AQuA server replica on localhost: an accept
-//! loop, per-connection reader threads feeding a single **FIFO service
-//! thread** (the request queue of §5.1 Stage 3), and performance
-//! publication to subscribers after every serviced request (§5.4.1).
-//! Service time is simulated by sleeping a sampled duration; the *measured*
-//! elapsed time is what gets reported, exactly like the instrumented
-//! gateway of the paper.
+//! One [`ReplicaServer`] is one AQuA server replica on localhost: a
+//! blocking accept loop, per-connection reader threads feeding a single
+//! **FIFO service thread** (the request queue of §5.1 Stage 3), and
+//! performance publication to subscribers after every serviced request
+//! (§5.4.1). Service time is simulated by sleeping a sampled duration; the
+//! *measured* elapsed time is what gets reported, exactly like the
+//! instrumented gateway of the paper.
+//!
+//! A connection is one shared `Arc<TcpStream>` from accept to teardown:
+//! its reader pulls whole bursts into a [`FrameAssembler`] (one `read`
+//! however many frames arrived, like the client's reactor), and every
+//! queued job, the subscriber list and the forced-shutdown list hold the
+//! same handle — no descriptor is duplicated per request. Nothing polls:
+//! `accept`, `read` and the service queue's `recv` all block, and a crash
+//! wakes each of them (a throwaway self-connect, a socket shutdown, a
+//! sentinel).
 
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,7 +34,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::wire::Frame;
+use crate::wire::{Frame, FrameAssembler};
 
 /// Configuration of one socket replica.
 #[derive(Debug, Clone)]
@@ -91,7 +100,8 @@ impl ServerMetrics {
 
 /// A queued request job.
 struct Job {
-    writer: TcpStream,
+    /// The requester's connection.
+    writer: Arc<TcpStream>,
     peer: SocketAddr,
     seq: u64,
     method: u32,
@@ -117,15 +127,30 @@ struct Shared {
     serviced: AtomicU64,
     /// The server's time origin; fault schedules run on this clock.
     epoch: StdInstant,
+    /// The listener's address: `crash` connects to it to wake `accept`.
+    addr: SocketAddr,
     /// Wakes the service thread out of its blocking `recv()` on crash.
     notify: Mutex<Option<Sender<ServiceMsg>>>,
-    /// Writer clones of subscriber connections (for perf pushes).
-    subscribers: Mutex<Vec<(SocketAddr, TcpStream)>>,
-    /// Every live connection, for forced shutdown.
-    connections: Mutex<Vec<TcpStream>>,
+    /// Subscriber connections (for perf pushes).
+    subscribers: Mutex<Vec<(SocketAddr, Arc<TcpStream>)>>,
+    /// Every connection with a live reader, for forced shutdown.
+    connections: Mutex<Vec<Arc<TcpStream>>>,
 }
 
 impl Shared {
+    fn new(addr: SocketAddr) -> Shared {
+        Shared {
+            shutdown: AtomicBool::new(false),
+            refusing: AtomicBool::new(false),
+            serviced: AtomicU64::new(0),
+            epoch: StdInstant::now(),
+            addr,
+            notify: Mutex::new(None),
+            subscribers: Mutex::new(Vec::new()),
+            connections: Mutex::new(Vec::new()),
+        }
+    }
+
     fn now(&self) -> Instant {
         Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
@@ -151,17 +176,8 @@ impl ReplicaServer {
     /// Propagates socket binding errors.
     pub fn spawn(config: ReplicaServerConfig) -> io::Result<ReplicaServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            refusing: AtomicBool::new(false),
-            serviced: AtomicU64::new(0),
-            epoch: StdInstant::now(),
-            notify: Mutex::new(None),
-            subscribers: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(addr));
         let (job_tx, job_rx) = unbounded::<ServiceMsg>();
         *shared.notify.lock() = Some(job_tx.clone());
 
@@ -267,6 +283,9 @@ fn crash(shared: &Shared) {
         let _ = conn.shutdown(std::net::Shutdown::Both);
     }
     shared.subscribers.lock().clear();
+    // The accept loop blocks in `accept`; a throwaway connection gets it
+    // to look at the flag. Refused at once when the listener is gone.
+    let _ = TcpStream::connect_timeout(&shared.addr, StdDuration::from_millis(250));
 }
 
 /// Tears down live connections without shutting the replica down: the
@@ -283,35 +302,28 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, job_tx: Sender<Servic
     // exits; by then shutdown/crash has torn every connection down, so
     // each reader's blocking read has already failed.
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
+    // `accept` blocks: it returns for a client, or for the connection
+    // `crash` makes once the shutdown flag is up.
+    while let Ok((stream, peer)) = listener.accept() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.refusing.load(Ordering::SeqCst) {
-                    // Down window: explicit refusal. Dropping the accepted
-                    // stream resets the peer immediately, so reconnect
-                    // probes fail fast instead of hanging.
-                    drop(stream);
-                    continue;
-                }
-                stream.set_nodelay(true).ok();
-                if let Ok(clone) = stream.try_clone() {
-                    shared.connections.lock().push(clone);
-                }
-                let shared = Arc::clone(&shared);
-                let job_tx = job_tx.clone();
-                readers.retain(|t| !t.is_finished());
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, peer, shared, job_tx)
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(StdDuration::from_millis(2));
-            }
-            Err(_) => break,
+        if shared.refusing.load(Ordering::SeqCst) {
+            // Down window: explicit refusal. Dropping the accepted
+            // stream resets the peer immediately, so reconnect
+            // probes fail fast instead of hanging.
+            drop(stream);
+            continue;
         }
+        stream.set_nodelay(true).ok();
+        let stream = Arc::new(stream);
+        shared.connections.lock().push(Arc::clone(&stream));
+        let shared = Arc::clone(&shared);
+        let job_tx = job_tx.clone();
+        readers.retain(|t| !t.is_finished());
+        readers.push(std::thread::spawn(move || {
+            reader_loop(stream, peer, shared, job_tx)
+        }));
     }
     for t in readers {
         let _ = t.join();
@@ -360,50 +372,78 @@ fn fault_driver(
 }
 
 fn reader_loop(
-    mut stream: TcpStream,
+    stream: Arc<TcpStream>,
     peer: SocketAddr,
     shared: Arc<Shared>,
     job_tx: Sender<ServiceMsg>,
 ) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match Frame::read_from(&mut stream) {
-            Ok(Frame::Hello { .. }) => {
-                if let Ok(writer) = stream.try_clone() {
-                    shared.subscribers.lock().push((peer, writer));
+    let mut assembler = FrameAssembler::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        // One read takes in whatever has arrived: a pipelined burst of
+        // requests costs one syscall, not two per frame.
+        match assembler.read_from(&mut &*stream) {
+            Ok(0) => break, // EOF: replies to queued jobs may still go out
+            Ok(_) => {
+                if enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).is_err() {
+                    // Framing is lost (or the service thread is gone):
+                    // nothing more can be read from this peer.
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    break;
                 }
             }
-            Ok(Frame::Request {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    // Deregister this peer's subscription and let go of the socket; it
+    // closes once the last queued job for it is done.
+    shared.subscribers.lock().retain(|(p, _)| *p != peer);
+    shared
+        .connections
+        .lock()
+        .retain(|c| !Arc::ptr_eq(c, &stream));
+}
+
+/// Acts on every complete frame buffered in `assembler`, in arrival
+/// order: a `Hello` subscribes the peer, a `Request` is stamped (t2) and
+/// queued for the service thread.
+///
+/// # Errors
+///
+/// A malformed frame, or a service thread that no longer takes jobs.
+fn enqueue_frames(
+    assembler: &mut FrameAssembler,
+    stream: &Arc<TcpStream>,
+    peer: SocketAddr,
+    shared: &Shared,
+    job_tx: &Sender<ServiceMsg>,
+) -> io::Result<()> {
+    while let Some(frame) = assembler.next_frame()? {
+        match frame {
+            Frame::Hello { .. } => {
+                shared.subscribers.lock().push((peer, Arc::clone(stream)));
+            }
+            Frame::Request {
                 seq,
                 method,
                 payload,
-            }) => {
-                let Ok(writer) = stream.try_clone() else {
-                    return;
-                };
-                // t2: enqueue time.
+            } => {
                 let job = Job {
-                    writer,
+                    writer: Arc::clone(stream),
                     peer,
                     seq,
                     method,
                     payload,
                     enqueued: StdInstant::now(),
                 };
-                if job_tx.send(ServiceMsg::Job(job)).is_err() {
-                    return;
-                }
+                job_tx
+                    .send(ServiceMsg::Job(job))
+                    .map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))?;
             }
-            Ok(_) => {} // clients do not send replies/updates
-            Err(_) => {
-                // EOF or reset: deregister this peer's subscription.
-                shared.subscribers.lock().retain(|(p, _)| *p != peer);
-                return;
-            }
+            _ => {} // clients do not send replies/updates
         }
     }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -480,7 +520,7 @@ fn service_loop(
             // Network delay spike on the reply path.
             std::thread::sleep(spike.into());
         }
-        let mut writer = job.writer;
+        let mut writer = &*job.writer;
         frame_buf.clear();
         reply.encode_into(&mut frame_buf);
         if faults.should_drop(Some(replica), None, reply_at) {
@@ -507,7 +547,7 @@ fn service_loop(
                 // One encoding serves every subscriber.
                 frame_buf.clear();
                 update.encode_into(&mut frame_buf);
-                subs.retain_mut(|(p, w)| *p == job.peer || w.write_all(&frame_buf).is_ok());
+                subs.retain(|(p, w)| *p == job.peer || (&**w).write_all(&frame_buf).is_ok());
             }
         }
 
@@ -522,6 +562,7 @@ fn service_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::eventually;
 
     fn connect(addr: SocketAddr) -> TcpStream {
         let s = TcpStream::connect(addr).expect("connect");
@@ -629,5 +670,142 @@ mod tests {
         std::thread::sleep(StdDuration::from_millis(100));
         assert!(server.is_crashed());
         assert_eq!(server.serviced(), 2);
+    }
+    fn request(seq: u64) -> Frame {
+        Frame::Request {
+            seq,
+            method: 0,
+            payload: Bytes::from(seq.to_be_bytes().to_vec()),
+        }
+    }
+
+    #[test]
+    fn a_burst_is_queued_in_order_behind_its_hello() {
+        // What one `read` of a pipelined segment hands the reader: a
+        // `Hello`, eight requests and the first half of a ninth.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = Arc::new(connect(listener.local_addr().unwrap()));
+        let peer = stream.local_addr().unwrap();
+        let shared = Shared::new(listener.local_addr().unwrap());
+        let (job_tx, job_rx) = unbounded();
+        let mut bytes = Vec::new();
+        Frame::Hello { client: 7 }.encode_into(&mut bytes);
+        for seq in 0..9 {
+            request(seq).encode_into(&mut bytes);
+        }
+        let whole = bytes.len() - request(8).encoded_len() / 2;
+        let mut assembler = FrameAssembler::new();
+        assembler.extend(&bytes[..whole]);
+        enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).unwrap();
+
+        // Subscribed with every job still in the queue: the `Hello` took
+        // effect before any request of its segment is serviced.
+        assert_eq!(shared.subscribers.lock().len(), 1);
+        let queued = || {
+            let mut jobs = Vec::new();
+            while let Ok(ServiceMsg::Job(job)) = job_rx.try_recv() {
+                jobs.push(job);
+            }
+            jobs
+        };
+        let jobs = queued();
+        let seqs: Vec<u64> = jobs.iter().map(|job| job.seq).collect();
+        assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
+        assert!(
+            jobs.windows(2).all(|w| w[0].enqueued <= w[1].enqueued),
+            "enqueue stamps follow arrival order"
+        );
+
+        // The rest of the ninth arrives: it is queued, nothing is redone.
+        assembler.extend(&bytes[whole..]);
+        enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).unwrap();
+        assert!(matches!(queued()[..], [Job { seq: 8, .. }]));
+        assert_eq!(shared.subscribers.lock().len(), 1);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(5), 0)).unwrap();
+        let mut conn = connect(server.addr());
+        let mut burst = Vec::new();
+        for seq in 0..32 {
+            request(seq).encode_into(&mut burst);
+        }
+        conn.write_all(&burst).unwrap();
+        conn.set_read_timeout(Some(StdDuration::from_secs(2))).ok();
+        for expected in 0..32 {
+            match Frame::read_from(&mut conn).unwrap() {
+                Frame::Reply { seq, payload, .. } => {
+                    assert_eq!(seq, expected);
+                    assert_eq!(payload.as_slice(), expected.to_be_bytes());
+                }
+                other => panic!("expected reply, got {other:?}"),
+            }
+        }
+        assert_eq!(server.serviced(), 32);
+    }
+
+    #[test]
+    fn hello_and_request_in_one_segment_subscribe_the_peer() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(6), 0)).unwrap();
+        let mut sub = connect(server.addr());
+        let mut segment = Vec::new();
+        Frame::Hello { client: 7 }.encode_into(&mut segment);
+        request(1).encode_into(&mut segment);
+        sub.write_all(&segment).unwrap();
+        sub.set_read_timeout(Some(StdDuration::from_secs(2))).ok();
+        assert!(matches!(
+            Frame::read_from(&mut sub).unwrap(),
+            Frame::Reply { seq: 1, .. }
+        ));
+        // Someone else's request now reaches `sub` as a perf update.
+        let mut other = connect(server.addr());
+        request(2).write_to(&mut other).unwrap();
+        let _ = Frame::read_from(&mut other).unwrap();
+        match Frame::read_from(&mut sub).unwrap() {
+            Frame::PerfUpdate { replica, .. } => assert_eq!(replica, 6),
+            other => panic!("expected perf update, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn half_a_frame_then_eof_unsubscribes() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(7), 0)).unwrap();
+        let mut conn = connect(server.addr());
+        let mut segment = Vec::new();
+        Frame::Hello { client: 7 }.encode_into(&mut segment);
+        let hello = segment.len();
+        request(1).encode_into(&mut segment);
+        conn.write_all(&segment[..hello + 6]).unwrap();
+        assert!(eventually(|| server.shared.subscribers.lock().len() == 1));
+        drop(conn);
+        assert!(
+            eventually(|| server.shared.subscribers.lock().is_empty()),
+            "the reader saw EOF behind the half frame"
+        );
+        assert!(
+            eventually(|| server.shared.connections.lock().is_empty()),
+            "and let go of the socket"
+        );
+        assert_eq!(server.serviced(), 0);
+    }
+    #[test]
+    fn a_malformed_frame_gets_the_connection_closed() {
+        // Framing is lost for good, so the reader stops — and says so to
+        // the peer instead of leaving it to wait on a socket nobody reads.
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(8), 0)).unwrap();
+        let mut conn = connect(server.addr());
+        conn.write_all(&(crate::wire::MAX_FRAME + 1).to_be_bytes())
+            .unwrap();
+        conn.set_read_timeout(Some(StdDuration::from_secs(2))).ok();
+        let mut byte = [0u8; 1];
+        let closed = matches!(io::Read::read(&mut conn, &mut byte), Ok(0))
+            || conn.write_all(&[0u8; 64]).is_err();
+        assert!(closed, "the server hung up");
+        assert!(eventually(|| server.shared.connections.lock().is_empty()));
     }
 }

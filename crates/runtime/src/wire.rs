@@ -390,8 +390,9 @@ impl Frame {
     }
 }
 
-/// How many bytes one nonblocking read attempts to pull in.
-const READ_CHUNK: usize = 16 * 1024;
+/// How many bytes one read attempts to pull in, at least. A read that
+/// returns fewer has emptied the socket.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Incremental frame reassembly for nonblocking streams.
 ///
