@@ -7,11 +7,12 @@
 //! real queuing, real scheduling jitter, real connection teardown as the
 //! crash detector.
 //!
-//! Since the reactor rework, all client sockets are owned by a single
-//! epoll-driven event-loop thread ([`mod@wire`] frames, vectored batched
-//! writes); [`MuxPool`] multiplexes many logical client handles over that
-//! one socket set, and the old thread-per-connection transport survives
-//! behind the `threaded-baseline` feature as an A/B baseline.
+//! There is one socket client. A [`MuxPool`] owns one socket per replica
+//! on a single epoll-driven event-loop thread ([`mod@wire`] frames,
+//! vectored batched writes), reconnects lost replicas and keeps every
+//! handle's membership current; a [`MuxHandle`] is one logical client
+//! over those sockets — selection, retry, waiters. [`AquaClient`] is a
+//! pool with its one handle.
 //!
 //! ```no_run
 //! use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
@@ -47,22 +48,14 @@
 mod client;
 pub mod mux;
 mod reactor;
-#[cfg(feature = "serialized-baseline")]
-pub mod serialized;
 mod server;
 mod supervisor;
 mod sys;
 #[cfg(test)]
 mod test_support;
-#[cfg(feature = "threaded-baseline")]
-pub mod threaded;
 pub mod wire;
 
-pub use client::{AquaClient, AquaClientConfig, CallError, CallOutcome, ReconnectPolicy};
-pub use mux::{MuxHandle, MuxPool, MuxPoolConfig};
-#[cfg(feature = "serialized-baseline")]
-pub use serialized::SerializedClient;
+pub use client::{AquaClient, AquaClientConfig};
+pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig, ReconnectPolicy};
 pub use server::{ReplicaServer, ReplicaServerConfig};
 pub use supervisor::SupervisorDriver;
-#[cfg(feature = "threaded-baseline")]
-pub use threaded::ThreadedClient;

@@ -391,8 +391,8 @@ fn process_window<M: Payload>(
 /// `workers` shards by region (`shard = region mod workers`), and shards
 /// advance in lookahead-bounded time windows (see the module docs).
 /// For the same seed and wiring, every worker count produces bit-identical
-/// merged histories; `workers = 1` is the sequential baseline the speedup
-/// grid in `sim_scale_bench` compares against.
+/// merged histories; `workers = 1` is the sequential baseline a speedup
+/// is measured against.
 pub struct ShardedSimulation<M: Payload + Send> {
     topology: GeoTopology,
     hooks: Vec<Box<dyn LinkFaultHook>>,
