@@ -101,6 +101,7 @@ impl Tracer {
 
     /// Dense counter slot for `node`, growing the vector on first touch of
     /// a new high-water node index (amortized; steady state is index-only).
+    #[inline]
     fn slot(&mut self, node: NodeId) -> &mut NodeCounters {
         let idx = node.index() as usize;
         if idx >= self.counters.len() {
@@ -110,6 +111,7 @@ impl Tracer {
     }
 
     #[aqua::hot_path]
+    #[inline]
     pub fn record(&mut self, at: Instant, event: TraceEvent) {
         match &event {
             TraceEvent::MessageSent { from, .. } => self.slot(*from).sent += 1,

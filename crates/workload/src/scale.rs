@@ -65,6 +65,8 @@ pub struct ScaleClient {
     /// Stop issuing new requests at this instant (replies still counted).
     pub issue_until: Instant,
     next_seq: u64,
+    /// Unanswered requests as `(seq, sent at)`, in `seq` order: pushed at
+    /// the back in issue order and only ever removed from.
     inflight: VecDeque<(u64, Instant)>,
     /// Requests issued.
     pub sent: u64,
@@ -100,6 +102,12 @@ impl ScaleClient {
         self.total_latency_ns
             .checked_div(self.received)
             .map(Duration::from_nanos)
+    }
+
+    /// Requests still waiting for their first reply (lost ones wait for
+    /// the rest of the run).
+    pub fn in_flight(&self) -> usize {
+        self.inflight.len()
     }
 
     fn arm_next(&self, ctx: &mut Context<'_, ScaleMsg>) {
@@ -143,8 +151,8 @@ impl Node<ScaleMsg> for ScaleClient {
             }
             Event::Message { payload, .. } => {
                 if let ScaleMsg::Reply { seq, .. } = payload {
-                    if let Some(pos) = self.inflight.iter().position(|(s, _)| *s == seq) {
-                        let (_, sent_at) = self.inflight.remove(pos).expect("position valid");
+                    if let Ok(pos) = self.inflight.binary_search_by_key(&seq, |(s, _)| *s) {
+                        let (_, sent_at) = self.inflight.remove(pos).expect("position found");
                         let latency = ctx.now().saturating_duration_since(sent_at).as_nanos();
                         self.received += 1;
                         self.total_latency_ns += latency;
@@ -249,6 +257,102 @@ mod tests {
         );
         let r = sim.node::<ScaleReplica>(replica).unwrap();
         assert_eq!(r.served, c.sent);
+    }
+
+    /// A client wrapped in the books it used to keep: a list scanned from
+    /// the front for every reply. The wrapped client makes every RNG draw
+    /// and every send, so both sets of books see one history.
+    struct LinearScanBooks {
+        client: ScaleClient,
+        inflight: Vec<(u64, Instant)>,
+        received: u64,
+        total_latency_ns: u64,
+        max_latency_ns: u64,
+        newest_answered: u64,
+        overtaken: u64,
+    }
+
+    impl Node<ScaleMsg> for LinearScanBooks {
+        fn on_event(&mut self, event: Event<ScaleMsg>, ctx: &mut Context<'_, ScaleMsg>) {
+            let now = ctx.now();
+            let reply = match &event {
+                Event::Message {
+                    payload: ScaleMsg::Reply { seq, .. },
+                    ..
+                } => Some(*seq),
+                _ => None,
+            };
+            let issued = self.client.sent;
+            self.client.on_event(event, ctx);
+            if self.client.sent > issued {
+                // Request numbers count issued requests.
+                self.inflight.push((issued, now));
+            }
+            let Some(seq) = reply else { return };
+            if let Some(pos) = self.inflight.iter().position(|(s, _)| *s == seq) {
+                let (_, sent_at) = self.inflight.remove(pos);
+                let latency = now.saturating_duration_since(sent_at).as_nanos();
+                self.received += 1;
+                self.total_latency_ns += latency;
+                self.max_latency_ns = self.max_latency_ns.max(latency);
+                self.overtaken += u64::from(seq < self.newest_answered);
+                self.newest_answered = self.newest_answered.max(seq);
+            }
+        }
+    }
+
+    #[test]
+    fn lost_requests_and_overtaking_replies_keep_the_books_straight() {
+        let mut topology = topo();
+        topology.loss = 0.3;
+        let horizon = Instant::from_millis(400);
+        let mut sim = ShardedSimulation::<ScaleMsg>::new(17, 2, topology);
+        let replicas: Vec<NodeId> = (0..2)
+            .map(|r| sim.add_node_in_region(r, ScaleReplica::new(Duration::from_micros(100))))
+            .collect();
+        let clients: Vec<NodeId> = (0..4)
+            .map(|i| {
+                // A near and a far replica, picked at random, and gaps much
+                // shorter than the 10 ms RTT: near replies overtake far ones.
+                let mut client = ScaleClient::new(Duration::from_millis(1), 1, horizon);
+                client.targets = replicas.clone();
+                sim.add_node_in_region(
+                    i % 2,
+                    LinearScanBooks {
+                        client,
+                        inflight: Vec::new(),
+                        received: 0,
+                        total_latency_ns: 0,
+                        max_latency_ns: 0,
+                        newest_answered: 0,
+                        overtaken: 0,
+                    },
+                )
+            })
+            .collect();
+        sim.run_until(Instant::from_millis(1_000));
+        for id in clients {
+            let books = sim.node::<LinearScanBooks>(id).unwrap();
+            let client = &books.client;
+            assert!(client.sent > 100, "open loop kept issuing: {}", client.sent);
+            assert!(
+                books.overtaken > 10,
+                "replies overtook: {}",
+                books.overtaken
+            );
+            assert!(client.in_flight() > 10, "requests or replies were lost");
+            assert_eq!(client.received + client.in_flight() as u64, client.sent);
+            assert_eq!(client.in_flight(), books.inflight.len());
+            assert_eq!(
+                (
+                    client.received,
+                    client.total_latency_ns,
+                    client.max_latency_ns
+                ),
+                (books.received, books.total_latency_ns, books.max_latency_ns),
+                "binary search and linear scan disagree"
+            );
+        }
     }
 
     #[test]
