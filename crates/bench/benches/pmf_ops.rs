@@ -1,9 +1,12 @@
 //! Criterion bench for the pmf algebra underlying the model: relative-
 //! frequency estimation, convolution (the ~90% of Figure 3's overhead),
-//! and CDF evaluation.
+//! CDF evaluation, and the point-query table a publish builds.
 
-use aqua_core::pmf::{ConvScratch, Pmf, UNBOUNDED};
-use aqua_core::time::Duration;
+use aqua_core::model::{ModelConfig, QueueEstimator, ResponseTimeModel};
+use aqua_core::pmf::{ConvScratch, Pmf};
+use aqua_core::qos::ReplicaId;
+use aqua_core::repository::{InfoRepository, PerfReport};
+use aqua_core::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,19 +55,6 @@ fn bench_cdf(c: &mut Criterion) {
     });
 }
 
-/// The cache's steady-state lookup: a prefix-sum table built once, then
-/// O(1) point lookups — versus the per-query prefix sum of `Pmf::cdf`.
-fn bench_cached_cdf(c: &mut Criterion) {
-    let pmf = Pmf::from_samples(samples(20, 300, 4), Duration::from_millis(1)).unwrap();
-    let table = pmf.clone().into_cumulative(UNBOUNDED);
-    c.bench_function("pmf_cached_cdf_lookup", |b| {
-        b.iter(|| std::hint::black_box(table.value_at(Duration::from_millis(180))));
-    });
-    c.bench_function("pmf_cumulative_build", |b| {
-        b.iter(|| std::hint::black_box(pmf.clone().into_cumulative(UNBOUNDED)));
-    });
-}
-
 /// The q-fold QueueScaled convolution: exponentiation-by-squaring with
 /// reused scratch versus the sequential fold it replaced.
 fn bench_q_fold_convolution(c: &mut Criterion) {
@@ -97,8 +87,7 @@ fn bench_q_fold_convolution(c: &mut Criterion) {
 }
 
 /// The publish path at `l` = 100: full windows leave few empty buckets, so
-/// the convolution kernel runs dense, and a view's tables are built only
-/// up to its deadline (150 ms here) instead of over the whole support.
+/// the convolution kernel runs dense.
 fn bench_publish_path(c: &mut Criterion) {
     let bucket = Duration::from_millis(1);
     let mut group = c.benchmark_group("pmf_l100");
@@ -107,21 +96,51 @@ fn bench_publish_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("convolve_dense"), |bench| {
         bench.iter(|| service.convolve(&queuing).expect("same bucket width"));
     });
-    // The q-fold wait of a 30–70 ms service time, as `gateway_churn` draws.
-    let service = Pmf::from_samples(
-        samples(100, 40, 8)
-            .into_iter()
-            .map(|d| d.saturating_sub(Duration::from_millis(70))),
-        bucket,
-    )
-    .unwrap();
-    for q in [4u32, 16, 32] {
-        for (name, bound) in [("q_fold_unbounded", UNBOUNDED), ("q_fold_to_150ms", 150)] {
-            group.bench_with_input(BenchmarkId::new(name, q), &service, |bench, service| {
-                let mut scratch = ConvScratch::new();
-                bench.iter(|| service.self_convolve_within(q, 1e-12, &mut scratch, bound));
-            });
+    group.finish();
+}
+
+/// A publish's unit of work as `gateway_churn` runs it: one replica's
+/// point-query table, `QueueScaled` over a full `l` = 100 window of
+/// 30–70 ms service times behind a queue of `q`, built up to a 150 ms
+/// deadline — and one read of it at the bucket its memo holds (a warm
+/// plan's read) and at one it does not (the first read, or a replay's).
+fn bench_table_build(c: &mut Criterion) {
+    let deadline = Duration::from_millis(150);
+    let model = ResponseTimeModel::new(ModelConfig {
+        queue_estimator: QueueEstimator::QueueScaled,
+        ..ModelConfig::default()
+    });
+    let mut group = c.benchmark_group("table_l100");
+    for q in 0..=4u32 {
+        let id = ReplicaId::new(0);
+        let mut repo = InfoRepository::new(100);
+        repo.insert_replica(id);
+        for service in samples(100, 40, 8) {
+            let service = service.saturating_sub(Duration::from_millis(70));
+            repo.record_perf(
+                id,
+                PerfReport::new(service, Duration::ZERO, q),
+                Instant::EPOCH,
+            );
         }
+        repo.record_gateway_delay(id, Duration::from_millis(2), Instant::EPOCH);
+        let stats = repo.stats(id).expect("inserted");
+        let mut scratch = ConvScratch::new();
+        group.bench_with_input(BenchmarkId::new("build_to_150ms", q), &q, |bench, _| {
+            bench.iter(|| model.response_cdf(stats, None, &mut scratch, Some(deadline)));
+        });
+        let table = model
+            .response_cdf(stats, None, &mut scratch, Some(deadline))
+            .expect("warm replica");
+        // Plans read `t − δ`: the memo holds that bucket, not `t`'s.
+        let planned = deadline.saturating_sub(Duration::from_micros(5));
+        table.value_at(planned);
+        group.bench_with_input(BenchmarkId::new("value_at_memo_hit", q), &q, |bench, _| {
+            bench.iter(|| std::hint::black_box(table.value_at(planned)));
+        });
+        group.bench_with_input(BenchmarkId::new("value_at_memo_miss", q), &q, |bench, _| {
+            bench.iter(|| std::hint::black_box(table.value_at(deadline)));
+        });
     }
     group.finish();
 }
@@ -131,8 +150,8 @@ criterion_group!(
     bench_from_samples,
     bench_convolve,
     bench_cdf,
-    bench_cached_cdf,
     bench_q_fold_convolution,
-    bench_publish_path
+    bench_publish_path,
+    bench_table_build
 );
 criterion_main!(benches);

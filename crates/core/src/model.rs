@@ -11,11 +11,19 @@
 //! (`S_i`) and queuing delays (`W_i`) and shifting by the gateway-to-gateway
 //! delay (`T_i`). The resulting distribution function `F_Ri(t)` is the
 //! per-replica input to the selection algorithm.
+//!
+//! Algorithm 1 reads `F_Ri` at a single point, `t − δ`, so the planners'
+//! pipeline ([`ResponseTimeModel::response_cdf`]) never builds `R_i`'s
+//! distribution: it keeps the windows' sample counts and sums, at the
+//! point read, the exact rational `Σ_a s[a] · Wcum[x − T − a] / (|S|·|W|)`.
+//! [`ResponseTimeModel::response_pmf`] still builds the whole pmf for
+//! callers that need one.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::aqua;
-use crate::pmf::{CdfTable, ConvScratch, Pmf, UNBOUNDED};
+use crate::pmf::{CdfTable, ConvScratch, Delay, Pmf, Wait};
 use crate::qos::ReplicaId;
 use crate::repository::{MethodHistory, MethodId, ReplicaStats};
 use crate::time::Duration;
@@ -82,9 +90,12 @@ pub struct ModelConfig {
     /// How per-method histories combine.
     pub method_scope: MethodScope,
     /// Tail mass pruned (then renormalized) from intermediate convolution
-    /// products, bounding support growth in the q-fold `QueueScaled`
-    /// convolution. `0.0` disables pruning. See [`Pmf::prune_tails`] for
-    /// why values ≤ 1e-12 cannot affect replica ranking.
+    /// products of the whole-distribution pipeline
+    /// ([`ResponseTimeModel::response_pmf_with`]), bounding support growth
+    /// in the q-fold `QueueScaled` convolution. `0.0` disables pruning. See
+    /// [`Pmf::prune_tails`] for why values ≤ 1e-12 cannot affect replica
+    /// ranking. The planners' exact tables
+    /// ([`ResponseTimeModel::response_cdf`]) never prune.
     pub prune_epsilon: f64,
 }
 
@@ -159,60 +170,88 @@ impl ResponseTimeModel {
         self.response_pmf_with(stats, method, &mut scratch)
     }
 
-    /// Builds a window's relative-frequency pmf: straight from the
-    /// incremental bucket counts when the window is counted at the model's
-    /// bucket width, falling back to rescanning the raw samples otherwise
-    /// (e.g. a bucket-width ablation running against a 1 ms repository).
-    fn window_pmf(&self, window: &BucketedWindow) -> Option<Pmf> {
+    /// A window's `(bucket, count)` pairs at the model's bucket width: the
+    /// window's own incremental counts when it is counted at that width,
+    /// recounted from the raw samples otherwise (e.g. a bucket-width
+    /// ablation running against a 1 ms repository).
+    fn window_counts<'w>(&self, window: &'w BucketedWindow) -> Cow<'w, [(u64, u32)]> {
         if window.bucket_width() == self.config.bucket {
-            Pmf::from_bucket_counts(window.bucket_counts(), self.config.bucket).ok()
+            Cow::Borrowed(window.counts())
         } else {
-            Pmf::from_samples(window.samples().iter().copied(), self.config.bucket).ok()
+            let bucket_ns = self.config.bucket.as_nanos();
+            let samples = window.samples().iter();
+            Cow::Owned(merged(
+                samples.map(|d| (d.as_nanos() / bucket_ns, 1)).collect(),
+            ))
         }
     }
 
-    /// One term of Eq. 2 — the pmf of the window `window_of` picks from a
-    /// method history — for the method in scope, or the sample-count
-    /// weighted mixture over every method under [`MethodScope::Aggregate`].
-    fn term_pmf(
+    /// One term of Eq. 2 as `(bucket, count)` pairs: the window `window_of`
+    /// picks from the method in scope, or every method's window pooled
+    /// under [`MethodScope::Aggregate`] — the sample-count weighted mixture
+    /// of the per-method distributions, kept as counts.
+    fn term_counts<'s>(
         &self,
-        stats: &ReplicaStats,
+        stats: &'s ReplicaStats,
         method: Option<MethodId>,
         window_of: fn(&MethodHistory) -> &BucketedWindow,
-    ) -> Option<Pmf> {
+    ) -> Option<Cow<'s, [(u64, u32)]>> {
         match self.config.method_scope {
             MethodScope::PerMethod => {
-                self.window_pmf(window_of(stats.history(method.unwrap_or_default())?))
+                Some(self.window_counts(window_of(stats.history(method.unwrap_or_default())?)))
             }
             MethodScope::Aggregate => {
-                let parts: Vec<(f64, Pmf)> = stats
-                    .histories()
-                    .filter(|(_, history)| !history.is_empty())
-                    .filter_map(|(_, history)| {
-                        Some((history.len() as f64, self.window_pmf(window_of(history))?))
-                    })
-                    .collect();
-                Pmf::mixture(&parts.iter().map(|(w, p)| (*w, p)).collect::<Vec<_>>()).ok()
+                let mut pooled = Vec::new();
+                for (_, history) in stats.histories() {
+                    pooled.extend_from_slice(&self.window_counts(window_of(history)));
+                }
+                Some(Cow::Owned(merged(pooled)))
             }
         }
     }
 
-    /// The full model pipeline with caller-provided convolution scratch
-    /// buffers — the allocation-lean variant behind both
-    /// [`ResponseTimeModel::response_pmf_for`] and the cached path (which
-    /// must agree bit-for-bit, so there is exactly one pipeline).
+    /// The whole response distribution of Eq. 2, with caller-provided
+    /// convolution scratch buffers — for callers that need more than
+    /// `F_Ri` at a point. Planners read [`ResponseTimeModel::response_cdf`].
     pub fn response_pmf_with(
         &self,
         stats: &ReplicaStats,
         method: Option<MethodId>,
         scratch: &mut ConvScratch,
     ) -> Option<Pmf> {
-        self.response_pmf_within(stats, method, scratch, UNBOUNDED)
+        let bucket = self.config.bucket;
+        let pmf_of =
+            |counts: &[(u64, u32)]| Pmf::from_bucket_counts(counts.iter().copied(), bucket).ok();
+        let service = pmf_of(&self.term_counts(stats, method, MethodHistory::service_window)?)?;
+        let queuing = match self.config.queue_estimator {
+            QueueEstimator::History => {
+                pmf_of(&self.term_counts(stats, method, MethodHistory::queuing_window)?)?
+            }
+            QueueEstimator::QueueScaled => {
+                let depth = stats.outstanding().min(MAX_QUEUE_CONVOLUTIONS);
+                service.self_convolve(depth, self.config.prune_epsilon, scratch)
+            }
+        };
+
+        // Every term is quantized to `config.bucket`, so a bucket mismatch
+        // is impossible; `.ok()` keeps that invariant panic-free.
+        let combined = service.convolve(&queuing).ok()?;
+
+        match self.config.delay_estimator {
+            DelayEstimator::LastValue => Some(combined.shift_by(stats.last_gateway_delay()?)),
+            DelayEstimator::WindowPmf => {
+                let delays = pmf_of(&self.window_counts(stats.gateway_delay_window()))?;
+                combined.convolve(&delays).ok()
+            }
+        }
     }
 
-    /// The response distribution as a lookup table, exact for every
-    /// `t ≤ horizon` (everywhere for `None`). Building only up to the
-    /// deadline a plan will read at skips the arithmetic past it.
+    /// `F_Ri` as a point-query table ([`CdfTable`]) over the exact integer
+    /// counts of Eq. 2's terms: the one function every `F_Ri` a planner
+    /// reads comes from. The table is exact for every `t ≤ horizon`
+    /// (everywhere for `None`); building only up to the deadline a plan
+    /// will read at skips the arithmetic past it, and below the horizon a
+    /// bounded table reads what an unbounded one does, bit for bit.
     pub fn response_cdf(
         &self,
         stats: &ReplicaStats,
@@ -220,42 +259,30 @@ impl ResponseTimeModel {
         scratch: &mut ConvScratch,
         horizon: Option<Duration>,
     ) -> Option<CdfTable> {
-        let bound = horizon.map_or(UNBOUNDED, |h| h.as_nanos() / self.config.bucket.as_nanos());
-        let pmf = self.response_pmf_within(stats, method, scratch, bound)?;
-        Some(pmf.into_cumulative(bound))
-    }
-
-    /// The pipeline itself, every product keeping only the buckets up to
-    /// `bound` (see [`UNBOUNDED`]).
-    fn response_pmf_within(
-        &self,
-        stats: &ReplicaStats,
-        method: Option<MethodId>,
-        scratch: &mut ConvScratch,
-        bound: u64,
-    ) -> Option<Pmf> {
-        let service = self.term_pmf(stats, method, MethodHistory::service_window)?;
-        let queuing = match self.config.queue_estimator {
+        let bucket = self.config.bucket;
+        let service = self.term_counts(stats, method, MethodHistory::service_window)?;
+        let queuing;
+        let wait = match self.config.queue_estimator {
             QueueEstimator::History => {
-                self.term_pmf(stats, method, MethodHistory::queuing_window)?
+                queuing = self.term_counts(stats, method, MethodHistory::queuing_window)?;
+                Wait::Counts(&queuing)
             }
             QueueEstimator::QueueScaled => {
-                let depth = stats.outstanding().min(MAX_QUEUE_CONVOLUTIONS);
-                service.self_convolve_within(depth, self.config.prune_epsilon, scratch, bound)
+                Wait::ServiceFold(stats.outstanding().min(MAX_QUEUE_CONVOLUTIONS))
             }
         };
-
-        // Every term is quantized to `config.bucket`, so a bucket mismatch
-        // is impossible; `.ok()` keeps that invariant panic-free.
-        let combined = service.convolve_within(&queuing, bound).ok()?;
-
-        match self.config.delay_estimator {
-            DelayEstimator::LastValue => Some(combined.shift_by(stats.last_gateway_delay()?)),
-            DelayEstimator::WindowPmf => {
-                let delays = self.window_pmf(stats.gateway_delay_window())?;
-                combined.convolve_within(&delays, bound).ok()
+        let delays;
+        let delay = match self.config.delay_estimator {
+            DelayEstimator::LastValue => {
+                Delay::Shift(stats.last_gateway_delay()?.as_nanos() / bucket.as_nanos())
             }
-        }
+            DelayEstimator::WindowPmf => {
+                delays = self.window_counts(stats.gateway_delay_window());
+                Delay::Counts(&delays)
+            }
+        };
+        let horizon = horizon.map(|h| h.as_nanos() / bucket.as_nanos());
+        CdfTable::of_counts(bucket, service.into_owned(), wait, delay, horizon, scratch)
     }
 
     /// Predicts `F_Ri(deadline)`: the probability that a response from this
@@ -264,21 +291,23 @@ impl ResponseTimeModel {
         self.probability_by_for(stats, deadline, None)
     }
 
-    /// Per-method variant of [`ResponseTimeModel::probability_by`].
+    /// Per-method variant of [`ResponseTimeModel::probability_by`]: one
+    /// point query on a table built up to `deadline`.
     pub fn probability_by_for(
         &self,
         stats: &ReplicaStats,
         deadline: Duration,
         method: Option<MethodId>,
     ) -> Option<f64> {
-        self.response_pmf_for(stats, method)
-            .map(|pmf| pmf.cdf(deadline))
+        self.response_cdf(stats, method, &mut ConvScratch::new(), Some(deadline))
+            .map(|table| table.value_at(deadline))
     }
 
     /// Cached variant of [`ResponseTimeModel::probability_by_for`]: memoizes
-    /// the fully-convolved response distribution (as a cumulative table) per
-    /// `(replica, method)` and answers repeat queries with a single CDF
-    /// lookup — no window rescans, no convolutions, no allocations.
+    /// the response table per `(replica, method)` and answers repeat
+    /// queries from it — no window rescans, no convolutions, no
+    /// allocations, and one multiply-add per service bucket unless the
+    /// table's memo already holds the bucket asked for.
     ///
     /// Freshness is decided purely by generation counters ([`GenKey`]): the
     /// cached entry is reused if and only if the replica epoch, the relevant
@@ -286,9 +315,9 @@ impl ResponseTimeModel {
     /// count all match the values captured when the entry was built. Any
     /// `record_perf`, `record_gateway_delay`, probation transition, or
     /// remove/re-insert moves one of those counters and falls through to a
-    /// full recompute via [`ResponseTimeModel::response_pmf_with`] — the
-    /// *same* pipeline as the uncached path, so cached and from-scratch
-    /// answers are bit-identical.
+    /// rebuild via [`ResponseTimeModel::response_cdf`] — the *same* exact
+    /// table the uncached path reads, so cached and from-scratch answers
+    /// are bit-identical.
     #[aqua::hot_path]
     pub fn probability_by_cached(
         &self,
@@ -350,12 +379,25 @@ impl ResponseTimeModel {
     }
 }
 
+/// Sorts `(bucket, count)` pairs by bucket and merges those of one bucket.
+fn merged(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+    pairs.sort_unstable_by_key(|&(at, _)| at);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs
+}
+
 /// Counters describing how a [`ModelCache`] has behaved so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelCacheStats {
-    /// Queries answered from a memoized cumulative table.
+    /// Queries answered from a memoized table.
     pub hits: u64,
-    /// Queries that had to run the full convolution pipeline.
+    /// Queries that had to build a table.
     pub misses: u64,
     /// Entries displaced because their generation key went stale (or their
     /// replica disappeared / stopped having enough data).

@@ -17,6 +17,11 @@
 //! ([`Pmf::convolve`]), constant shifts ([`Pmf::shift_by`]), and the
 //! distribution function `F(t) = P(X ≤ t)` ([`Pmf::cdf`]).
 //!
+//! A planner never needs the whole distribution, only `F` at `t − δ`.
+//! [`CdfTable`] answers that point query without a final convolution: it
+//! keeps the service term's sparse counts and one cumulative count vector
+//! for the rest, in exact integer arithmetic.
+//!
 //! # Bucketing convention
 //!
 //! A sample `d` falls into bucket `⌊d / w⌋` for bucket width `w`, and every
@@ -28,6 +33,7 @@
 //! by the selection algorithm untouched.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use crate::aqua;
 use crate::time::Duration;
@@ -49,15 +55,6 @@ use crate::time::Duration;
 /// [`Pmf::quantile`] (as the acceptance slack so `quantile(cdf(t)) == t`
 /// despite rounding), and the mass-drift regression tests.
 pub const MASS_TOLERANCE: f64 = 1e-9;
-
-/// The bucket bound that truncates nothing.
-///
-/// The `*_within` operations take an inclusive bound on the bucket index
-/// and drop every output bucket past it. All supports are non-negative, so
-/// a sum reaches a bucket `≤ bound` only from terms at buckets `≤ bound`:
-/// truncating each intermediate product leaves every bucket up to the
-/// bound exactly as the untruncated chain computes it.
-pub const UNBOUNDED: u64 = u64::MAX;
 
 /// Errors from constructing or combining [`Pmf`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,8 +121,7 @@ pub struct Pmf {
     /// Index (in buckets) of the first entry of `probs`.
     offset: u64,
     /// `probs[i]` is the probability of bucket `offset + i`. Non-empty;
-    /// first and last entries are non-zero and the sum is ~1, except for
-    /// the result of a `*_within` operation, which stops at its bound.
+    /// first and last entries are non-zero and the sum is ~1.
     probs: Vec<f64>,
 }
 
@@ -318,29 +314,6 @@ impl Pmf {
         sum.min(1.0)
     }
 
-    /// Turns the pmf into its cumulative prefix sums for repeated CDF
-    /// lookups, summing in place.
-    ///
-    /// [`CdfTable::value_at`] returns exactly what [`Pmf::cdf`] would (the
-    /// prefix sums are accumulated in the same left-to-right order, so the
-    /// rounding is bit-identical), but each lookup is O(1) instead of O(n).
-    /// `horizon` is the bound the pmf was built within ([`UNBOUNDED`] for
-    /// an untruncated one): the last bucket at which the table is exact.
-    pub fn into_cumulative(self, horizon: u64) -> CdfTable {
-        let mut cum = self.probs;
-        let mut acc = 0.0;
-        for p in &mut cum {
-            acc += *p;
-            *p = acc;
-        }
-        CdfTable {
-            bucket: self.bucket,
-            offset: self.offset,
-            cum,
-            horizon,
-        }
-    }
-
     /// The survival function `P(X > t) = 1 − F(t)`.
     pub fn prob_gt(&self, t: Duration) -> f64 {
         (1.0 - self.cdf(t)).max(0.0)
@@ -416,40 +389,24 @@ impl Pmf {
     ///
     /// Returns [`PmfError::BucketMismatch`] if the bucket widths differ.
     pub fn convolve(&self, other: &Pmf) -> Result<Pmf, PmfError> {
-        self.convolve_within(other, UNBOUNDED)
-    }
-
-    /// [`Pmf::convolve`] keeping only the buckets up to `bound` (see
-    /// [`UNBOUNDED`]); at least the first bucket is always kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmfError::BucketMismatch`] if the bucket widths differ.
-    pub fn convolve_within(&self, other: &Pmf, bound: u64) -> Result<Pmf, PmfError> {
         if self.bucket != other.bucket {
             return Err(PmfError::BucketMismatch {
                 left: self.bucket,
                 right: other.bucket,
             });
         }
-        let offset = self.offset + other.offset;
         let mut probs = Vec::new();
-        convolve_into(
-            &self.probs,
-            &other.probs,
-            &mut probs,
-            kept_len(offset, bound),
-        );
+        convolve_into(&self.probs, &other.probs, &mut probs, usize::MAX);
         // Convolution is a sum of all pairwise products, so the output mass
         // must equal the product of the input masses up to rounding — the
         // same invariant MASS_TOLERANCE bounds for the cdf clamp.
         debug_assert!(
-            mass_conserved(&probs, self.mass() * other.mass(), bound),
+            mass_conserved(&probs, self.mass() * other.mass()),
             "convolution drifted probability mass beyond MASS_TOLERANCE"
         );
         Ok(Pmf {
             bucket: self.bucket,
-            offset,
+            offset: self.offset + other.offset,
             probs,
         })
     }
@@ -469,73 +426,23 @@ impl Pmf {
     /// growth that makes deep convolutions quadratic. `n = 0` yields the
     /// point mass at zero.
     pub fn self_convolve(&self, n: u32, epsilon: f64, scratch: &mut ConvScratch) -> Pmf {
-        self.self_convolve_within(n, epsilon, scratch, UNBOUNDED)
-    }
-
-    /// [`Pmf::self_convolve`] keeping only the buckets up to `bound` (see
-    /// [`UNBOUNDED`]) of every intermediate product. A finite bound already
-    /// caps the support, and what pruning would cut from the truncated end
-    /// is not a tail, so a bounded chain ignores `epsilon`.
-    pub fn self_convolve_within(
-        &self,
-        n: u32,
-        epsilon: f64,
-        scratch: &mut ConvScratch,
-        bound: u64,
-    ) -> Pmf {
-        if n == 0 {
-            return Pmf {
-                bucket: self.bucket,
-                offset: 0,
-                probs: vec![1.0],
-            };
-        }
-        let epsilon = if bound == UNBOUNDED { epsilon } else { 0.0 };
-        let mut base = std::mem::take(&mut scratch.base);
-        base.clear();
-        base.extend_from_slice(&self.probs);
-        let mut base_offset = self.offset;
-        let mut acc = std::mem::take(&mut scratch.acc);
-        acc.clear();
-        let mut acc_offset = 0u64;
-        let mut have_acc = false;
-        let mut tmp = std::mem::take(&mut scratch.tmp);
-        let mut k = n;
-        loop {
-            if k & 1 == 1 {
-                if have_acc {
-                    acc_offset += base_offset;
-                    convolve_into(&acc, &base, &mut tmp, kept_len(acc_offset, bound));
-                    std::mem::swap(&mut acc, &mut tmp);
-                    prune_in_place(&mut acc, &mut acc_offset, epsilon);
-                } else {
-                    acc.extend_from_slice(&base);
-                    acc_offset = base_offset;
-                    have_acc = true;
-                }
-            }
-            k >>= 1;
-            if k == 0 {
-                break;
-            }
-            base_offset *= 2;
-            convolve_into(&base, &base, &mut tmp, kept_len(base_offset, bound));
-            std::mem::swap(&mut base, &mut tmp);
-            prune_in_place(&mut base, &mut base_offset, epsilon);
-        }
-        scratch.base = base;
-        scratch.tmp = tmp;
+        scratch.base.clear();
+        scratch.base.extend_from_slice(&self.probs);
+        // The full product, not the symmetric square: fractional weights
+        // round differently in another order, and this chain keeps its sums.
+        let (offset, probs) = scratch.power(self.offset, n, None, epsilon, |a, out, max_len| {
+            convolve_into(a, a, out, max_len)
+        });
         // Pruning renormalizes, so the n-fold sum must keep the n-th power
         // of the input mass up to the shared MASS_TOLERANCE bound.
         debug_assert!(
-            mass_conserved(&acc, self.mass().powi(n as i32), bound),
+            mass_conserved(&probs, self.mass().powi(n as i32)),
             "self-convolution drifted probability mass beyond MASS_TOLERANCE"
         );
-        // `acc` moves into the result; the scratch slot refills next call.
         Pmf {
             bucket: self.bucket,
-            offset: acc_offset,
-            probs: acc,
+            offset,
+            probs,
         }
     }
 
@@ -600,58 +507,6 @@ impl Pmf {
             probs,
         })
     }
-
-    /// A mixture of pmfs with the given non-negative weights (normalized).
-    ///
-    /// Used by the multi-method extension (§8 ext. 1): a request whose method
-    /// is unknown ahead of time mixes the per-method distributions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmfError::EmptySamples`] when `parts` is empty or all
-    /// weights are non-positive, and [`PmfError::BucketMismatch`] when the
-    /// components disagree on bucket width.
-    pub fn mixture(parts: &[(f64, &Pmf)]) -> Result<Pmf, PmfError> {
-        let active: Vec<&(f64, &Pmf)> = parts
-            .iter()
-            .filter(|(w, _)| *w > 0.0 && w.is_finite())
-            .collect();
-        if active.is_empty() {
-            return Err(PmfError::EmptySamples);
-        }
-        let bucket = active
-            .first()
-            .map(|(_, p)| p.bucket)
-            .ok_or(PmfError::EmptySamples)?;
-        for (_, pmf) in &active {
-            if pmf.bucket != bucket {
-                return Err(PmfError::BucketMismatch {
-                    left: bucket,
-                    right: pmf.bucket,
-                });
-            }
-        }
-        let total_w: f64 = active.iter().map(|(w, _)| *w).sum();
-        let lo = index_bounds(active.iter().map(|(_, p)| p.offset)).0;
-        let hi = index_bounds(
-            active
-                .iter()
-                .map(|(_, p)| p.offset + p.probs.len() as u64 - 1),
-        )
-        .1;
-        let mut probs = vec![0.0; span(lo, hi)];
-        for (w, pmf) in &active {
-            let scale = w / total_w;
-            for (i, &p) in pmf.probs.iter().enumerate() {
-                accumulate(&mut probs, (pmf.offset - lo) as usize + i, p * scale);
-            }
-        }
-        Ok(Pmf {
-            bucket,
-            offset: lo,
-            probs,
-        })
-    }
 }
 
 /// Dense discrete convolution of two probability vectors into `out`,
@@ -680,18 +535,77 @@ fn convolve_into(a: &[f64], b: &[f64], out: &mut Vec<f64>, max_len: usize) {
     }
 }
 
-/// Number of buckets from `offset` through `bound` inclusive, never less
-/// than one: a product whose support starts past the bound keeps its first
-/// bucket, which no lookup up to the bound can reach.
-fn kept_len(offset: u64, bound: u64) -> usize {
-    usize::try_from(bound.saturating_sub(offset).saturating_add(1)).unwrap_or(usize::MAX)
+/// `a ⊛ a` into `out`, keeping the first `max_len` buckets, with half the
+/// multiplications of [`convolve_into`]: the square is symmetric, so each
+/// cross product `a[i]·a[j]`, `i < j`, is taken once and doubled. Every
+/// slot accumulates in ascending `i`, so a kept slot does not depend on
+/// `max_len`, and on integer-valued weights whose sums stay below 2^53 the
+/// result equals `convolve_into(a, a, ..)` exactly.
+#[aqua::hot_path]
+fn square_into(a: &[f64], out: &mut Vec<f64>, max_len: usize) {
+    let len = (2 * a.len()).saturating_sub(1).min(max_len);
+    out.clear();
+    out.resize(len, 0.0);
+    for (i, &p) in a.iter().enumerate() {
+        if p == 0.0 {
+            continue;
+        }
+        let Some((diagonal, cross)) = out.get_mut(2 * i..).and_then(<[f64]>::split_first_mut)
+        else {
+            break;
+        };
+        *diagonal += p * p;
+        let twice = p + p;
+        for (slot, &q) in cross.iter_mut().zip(a.get(i + 1..).unwrap_or_default()) {
+            *slot += twice * q;
+        }
+    }
 }
 
-/// Whether `probs` sums to `expected` within [`MASS_TOLERANCE`] — or, for
-/// a product truncated at a finite bound, to no more than that.
-fn mass_conserved(probs: &[f64], expected: f64, bound: u64) -> bool {
-    let drift = probs.iter().sum::<f64>() - expected;
-    drift <= MASS_TOLERANCE && (bound != UNBOUNDED || drift >= -MASS_TOLERANCE)
+/// Number of buckets from `offset` through `bound` inclusive (all of them
+/// without a bound), never less than one: a product whose support starts
+/// past the bound keeps its first bucket, which no lookup up to the bound
+/// can reach.
+fn len_within(offset: u64, bound: Option<u64>) -> usize {
+    bound.map_or(usize::MAX, |bound| {
+        usize::try_from(bound.saturating_sub(offset)).map_or(usize::MAX, |n| n.saturating_add(1))
+    })
+}
+
+/// Whether `probs` sums to `expected` within [`MASS_TOLERANCE`].
+fn mass_conserved(probs: &[f64], expected: f64) -> bool {
+    (probs.iter().sum::<f64>() - expected).abs() <= MASS_TOLERANCE
+}
+
+/// Turns weights into their running totals, left to right, in place.
+fn prefix_sums(weights: &mut [f64]) {
+    let mut acc = 0.0;
+    for w in weights {
+        acc += *w;
+        *w = acc;
+    }
+}
+
+/// Writes ascending sparse `(bucket, count)` pairs into `out` as dense
+/// integer-valued weights; returns their first bucket, or `None` for no
+/// pairs.
+fn spread(counts: &[(u64, u32)], out: &mut Vec<f64>) -> Option<u64> {
+    let &(first, _) = counts.first()?;
+    let &(last, _) = counts.last()?;
+    out.clear();
+    out.resize(span(first, last), 0.0);
+    for &(at, count) in counts {
+        accumulate(out, (at - first) as usize, f64::from(count));
+    }
+    Some(first)
+}
+
+/// The number of samples behind `(bucket, count)` pairs, as a weight.
+fn total_count(counts: &[(u64, u32)]) -> f64 {
+    counts
+        .iter()
+        .map(|&(_, count)| u64::from(count))
+        .sum::<u64>() as f64
 }
 
 /// Smallest and largest index produced by `indices`.
@@ -764,65 +678,183 @@ fn prune_in_place(probs: &mut Vec<f64>, offset: &mut u64, epsilon: f64) {
     }
 }
 
-/// The cumulative prefix sums of a [`Pmf`]: an O(1)-per-query view of
-/// `F(t)`, built once by [`Pmf::into_cumulative`] and memoized by the model
-/// cache while a replica's windows are unchanged.
-#[derive(Debug, Clone, PartialEq)]
+/// The wait term `W` of Eq. 2, as [`CdfTable::of_counts`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wait<'a> {
+    /// A queuing-delay window's `(bucket, count)` pairs.
+    Counts(&'a [(u64, u32)]),
+    /// `S^{*q}`: the service counts convolved with themselves `q` times.
+    ServiceFold(u32),
+}
+
+/// The gateway-delay term `T` of Eq. 2, as [`CdfTable::of_counts`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Delay<'a> {
+    /// A point mass: shifts the sum right by this many buckets.
+    Shift(u64),
+    /// A delay window's `(bucket, count)` pairs, convolved into `W`.
+    Counts(&'a [(u64, u32)]),
+}
+
+/// `F(t) = P(R ≤ t)` of Eq. 2's response time `R = S + (W + T)`, answered
+/// as a point query over the integer counts of its terms. The service
+/// term `S` is kept as its sparse `(bucket, count)` pairs and the rest as
+/// one cumulative count vector `Wcum`, so
+///
+/// ```text
+/// F(t) = Σ_a s[a] · Wcum[t − a] / (|S|·|W|)
+/// ```
+///
+/// costs one multiply-add per bucket of `S` and one division — no
+/// convolution of `S` with `W`, and nothing built past the buckets a
+/// lookup can reach.
+///
+/// The first bucket a table is read at is memoized with its value, so a
+/// planner reading every table at the same `t − δ` pays the sum once per
+/// table. The memo is transparent: a lookup returns the same value whether
+/// it hits or not.
+#[derive(Debug, Clone)]
 pub struct CdfTable {
     bucket: Duration,
+    /// The service window's `(bucket, count)` pairs, ascending by bucket.
+    service: Vec<(u64, u32)>,
+    /// The bucket `cum[0]` describes.
     offset: u64,
-    /// `cum[i] = Σ probs[..=i]`, accumulated left-to-right exactly like
-    /// [`Pmf::cdf`] does.
+    /// `cum[i]`: the count of `W + T` at buckets `≤ offset + i`. Non-empty.
     cum: Vec<f64>,
+    /// `|S|·|W|` (times `|T|` for a delay window): `F(t)` is the count of
+    /// sums `≤ t` over this.
+    total: f64,
     /// The last bucket at which the table equals the full distribution's
-    /// `F`; [`UNBOUNDED`] unless the source pmf was built within a bound.
-    horizon: u64,
+    /// `F`; `None` when it is exact everywhere.
+    horizon: Option<u64>,
+    /// The first bucket read and its value.
+    memo: OnceLock<(u64, f64)>,
 }
 
 impl CdfTable {
-    /// `F(t) = P(X ≤ t)` — identical to [`Pmf::cdf`] on the source pmf,
-    /// including the rounding of the prefix sum, but without re-summing.
+    /// The table of Eq. 2's `R = S + W + T` from the integer counts of its
+    /// terms: the `service` counts become the outer term, and the inner one
+    /// is `W` (convolved with the delay window's counts for a windowed `T`;
+    /// a point-mass `T` shifts the sum instead).
+    ///
+    /// Every weight is an integer held in an `f64`, so every sum is exact
+    /// while the total `|S|·|W|` (times `|T|` for a delay window) stays
+    /// below 2^53, and [`CdfTable::value_at`] returns the exact rational
+    /// rounded once. `S^{*q}` doubles its operand's weights with each
+    /// squaring; past 2^53 the sums round like any float arithmetic.
+    ///
+    /// With an inclusive `horizon` bucket, every product keeps only the
+    /// inner buckets a lookup up to it can reach, `horizon − T − min S`:
+    /// all supports are non-negative, so a kept bucket sums exactly the
+    /// products the untruncated one does, in the same order, and the table
+    /// agrees with an unbounded one bit for bit up to the horizon.
+    ///
+    /// `None` when `service` or a window in use is empty.
+    pub(crate) fn of_counts(
+        bucket: Duration,
+        service: Vec<(u64, u32)>,
+        wait: Wait<'_>,
+        delay: Delay<'_>,
+        horizon: Option<u64>,
+        scratch: &mut ConvScratch,
+    ) -> Option<CdfTable> {
+        let &(first, _) = service.first()?;
+        let service_total = total_count(&service);
+        let shift = match delay {
+            Delay::Shift(buckets) => buckets,
+            Delay::Counts(_) => 0,
+        };
+        let reach = horizon.map(|h| h.saturating_sub(shift.saturating_add(first)));
+        let (mut offset, mut inner, mut inner_total) = match wait {
+            Wait::Counts(counts) => {
+                let mut dense = Vec::new();
+                (spread(counts, &mut dense)?, dense, total_count(counts))
+            }
+            Wait::ServiceFold(q) => {
+                spread(&service, &mut scratch.base)?;
+                let (offset, fold) = scratch.power(first, q, reach, 0.0, square_into);
+                (offset, fold, service_total.powi(q as i32))
+            }
+        };
+        if let Delay::Counts(counts) = delay {
+            offset += spread(counts, &mut scratch.base)?;
+            let kept = len_within(offset, reach);
+            convolve_into(&inner, &scratch.base, &mut scratch.tmp, kept);
+            std::mem::swap(&mut inner, &mut scratch.tmp);
+            inner_total *= total_count(counts);
+        }
+        inner.truncate(len_within(offset, reach));
+        prefix_sums(&mut inner);
+        Some(CdfTable {
+            bucket,
+            service,
+            offset: shift + offset,
+            cum: inner,
+            total: service_total * inner_total,
+            horizon,
+            memo: OnceLock::new(),
+        })
+    }
+
+    /// `F(t) = P(R ≤ t)`, the exact rational rounded once while the
+    /// table's total stays below 2^53.
     ///
     /// Past the table's horizon (a caller bug, see [`CdfTable::covers`])
-    /// the answer is the last prefix sum: a lower bound on `F(t)`, so a
+    /// the answer sums the last weights kept: a lower bound on `F(t)`, so a
     /// selection made from it can only be more redundant, never less.
+    #[aqua::hot_path]
     pub fn value_at(&self, t: Duration) -> f64 {
         debug_assert!(self.covers(t), "cdf lookup at {t} is past the horizon");
-        let t_idx = t.as_nanos() / self.bucket.as_nanos();
-        if t_idx < self.offset {
-            return 0.0;
+        let at = t.as_nanos() / self.bucket.as_nanos();
+        match self.memo.get() {
+            Some(&(memo_at, value)) if memo_at == at => value,
+            _ => {
+                let value = self.sum_at(at);
+                // Only the first bucket read is kept; a set that loses a
+                // race to another reader's keeps theirs, which is as good.
+                let _ = self.memo.set((at, value));
+                value
+            }
         }
-        let upto = (t_idx - self.offset).min(self.cum.len() as u64 - 1) as usize;
-        self.cum.get(upto).copied().unwrap_or(1.0).min(1.0)
+    }
+
+    /// `F` at bucket `at`, summed over the service term's buckets.
+    #[aqua::hot_path]
+    fn sum_at(&self, at: u64) -> f64 {
+        let Some(reach) = at.checked_sub(self.offset) else {
+            return 0.0;
+        };
+        let last = self.cum.len().saturating_sub(1);
+        let mut sum = 0.0;
+        for &(a, weight) in &self.service {
+            // Ascending buckets: once one is past reach, all later are.
+            let Some(upto) = reach.checked_sub(a) else {
+                break;
+            };
+            let upto = usize::try_from(upto).map_or(last, |upto| upto.min(last));
+            sum += f64::from(weight) * self.cum.get(upto).copied().unwrap_or(0.0);
+        }
+        (sum / self.total).min(1.0)
     }
 
     /// Whether `t` lies within the horizon the table was built to, i.e.
     /// whether [`CdfTable::value_at`] is exact there.
     #[inline]
     pub fn covers(&self, t: Duration) -> bool {
-        t.as_nanos() / self.bucket.as_nanos() <= self.horizon
+        self.horizon
+            .is_none_or(|horizon| t.as_nanos() / self.bucket.as_nanos() <= horizon)
     }
 
-    /// The bucket width of the source pmf.
+    /// The bucket width of the windows the table was built from.
     #[inline]
     pub fn bucket_width(&self) -> Duration {
         self.bucket
     }
-
-    /// Number of buckets covered (same as the source pmf's `len`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// Always `false`; mirrors [`Pmf::is_empty`].
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
-/// Reusable buffers for [`Pmf::self_convolve`].
+/// Reusable buffers for [`Pmf::self_convolve`] and the `S^{*q}` term of
+/// [`CdfTable::of_counts`].
 ///
 /// Holding one of these per model cache keeps the q-fold convolution free
 /// of steady-state allocations: the squaring chain ping-pongs between the
@@ -838,6 +870,62 @@ impl ConvScratch {
     /// Creates an empty scratch space (buffers grow on first use).
     pub fn new() -> Self {
         ConvScratch::default()
+    }
+
+    /// The `n`-fold self-convolution of the weights in `base`, whose first
+    /// bucket is `offset`, by squaring: ⌊log₂ n⌋ squarings with `square`
+    /// plus `popcount(n) − 1` accumulating products. Returns the first
+    /// bucket and the weights; `n = 0` yields the unit point mass at zero.
+    ///
+    /// Every product keeps only its buckets up to `bound` (exact there, as
+    /// supports are non-negative) and sheds up to `epsilon` of tail mass
+    /// ([`Pmf::prune_tails`]). Exact tables pass `0.0`: they never prune,
+    /// and their integer weights let them square with [`square_into`].
+    fn power(
+        &mut self,
+        offset: u64,
+        n: u32,
+        bound: Option<u64>,
+        epsilon: f64,
+        square: fn(&[f64], &mut Vec<f64>, usize),
+    ) -> (u64, Vec<f64>) {
+        if n == 0 {
+            return (0, vec![1.0]);
+        }
+        let mut base = std::mem::take(&mut self.base);
+        let mut base_offset = offset;
+        let mut acc = std::mem::take(&mut self.acc);
+        acc.clear();
+        let mut acc_offset = 0u64;
+        let mut have_acc = false;
+        let mut tmp = std::mem::take(&mut self.tmp);
+        let mut k = n;
+        loop {
+            if k & 1 == 1 {
+                if have_acc {
+                    acc_offset += base_offset;
+                    convolve_into(&acc, &base, &mut tmp, len_within(acc_offset, bound));
+                    std::mem::swap(&mut acc, &mut tmp);
+                    prune_in_place(&mut acc, &mut acc_offset, epsilon);
+                } else {
+                    acc.extend_from_slice(&base);
+                    acc_offset = base_offset;
+                    have_acc = true;
+                }
+            }
+            k >>= 1;
+            if k == 0 {
+                break;
+            }
+            base_offset *= 2;
+            square(&base, &mut tmp, len_within(base_offset, bound));
+            std::mem::swap(&mut base, &mut tmp);
+            prune_in_place(&mut base, &mut base_offset, epsilon);
+        }
+        self.base = base;
+        self.tmp = tmp;
+        // `acc` moves into the result; the scratch slot refills next call.
+        (acc_offset, acc)
     }
 }
 
@@ -1039,30 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn mixture_averages_cdfs() {
-        let a = Pmf::point(ms(10), ms(1)).unwrap();
-        let b = Pmf::point(ms(20), ms(1)).unwrap();
-        let mix = Pmf::mixture(&[(1.0, &a), (3.0, &b)]).unwrap();
-        assert!((mix.cdf(ms(10)) - 0.25).abs() < 1e-12);
-        assert!((mix.cdf(ms(20)) - 1.0).abs() < 1e-12);
-        assert!((mix.mass() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixture_rejects_empty_and_mismatched() {
-        assert!(matches!(
-            Pmf::mixture(&[]).unwrap_err(),
-            PmfError::EmptySamples
-        ));
-        let a = Pmf::point(ms(1), ms(1)).unwrap();
-        let b = Pmf::point(ms(1), ms(2)).unwrap();
-        assert!(matches!(
-            Pmf::mixture(&[(1.0, &a), (1.0, &b)]).unwrap_err(),
-            PmfError::BucketMismatch { .. }
-        ));
-    }
-
-    #[test]
     fn debug_is_informative() {
         let pmf = Pmf::point(ms(2), ms(1)).unwrap();
         let s = format!("{pmf:?}");
@@ -1093,26 +1157,6 @@ mod tests {
             Pmf::from_bucket_counts([(3, 1)], Duration::ZERO).unwrap_err(),
             PmfError::ZeroBucketWidth
         );
-    }
-
-    #[test]
-    fn cumulative_table_matches_cdf_exactly() {
-        let pmf = Pmf::from_samples(
-            (0..50).map(|i| ms(100 + (i * i) % 37)).collect::<Vec<_>>(),
-            ms(1),
-        )
-        .unwrap();
-        let table = pmf.clone().into_cumulative(UNBOUNDED);
-        for t in 90..150 {
-            assert_eq!(
-                table.value_at(ms(t)),
-                pmf.cdf(ms(t)),
-                "cached cdf diverged at t = {t} ms"
-            );
-        }
-        assert_eq!(table.value_at(Duration::ZERO), 0.0);
-        assert_eq!(table.len(), pmf.len());
-        assert_eq!(table.bucket_width(), pmf.bucket_width());
     }
 
     #[test]
@@ -1222,53 +1266,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_convolution_is_exact_up_to_the_bound() {
-        let a = Pmf::from_samples([ms(3), ms(5), ms(5), ms(9)], ms(1)).unwrap();
-        let b = Pmf::from_samples([ms(2), ms(2), ms(30)], ms(1)).unwrap();
-        let full = a.convolve(&b).unwrap();
-        for bound in 0..45u64 {
-            let cut = a.convolve_within(&b, bound).unwrap();
-            assert!(cut.mass() <= full.mass() + 1e-15);
-            for t in 0..=bound {
-                assert_eq!(cut.cdf(ms(t)), full.cdf(ms(t)), "bound {bound}, t {t}");
-            }
-        }
-        // Support starting past the bound: one bucket survives, out of reach.
-        let cut = a.convolve_within(&b, 4).unwrap();
-        assert_eq!(cut.len(), 1);
-        assert_eq!(cut.cdf(ms(4)), 0.0);
+    /// Service {10, 12}, wait {0, 2}, shift 3: sums 13, 15, 15 and 17.
+    fn two_by_two(horizon: Option<u64>) -> CdfTable {
+        CdfTable::of_counts(
+            ms(1),
+            vec![(10, 1), (12, 1)],
+            Wait::Counts(&[(0, 1), (2, 1)]),
+            Delay::Shift(3),
+            horizon,
+            &mut ConvScratch::new(),
+        )
+        .unwrap()
     }
 
     #[test]
-    fn bounded_self_convolution_skips_pruning_and_stays_exact() {
-        let pmf = Pmf::from_weighted([(ms(1), 1.0), (ms(2), 1e6), (ms(40), 1.0)], ms(1)).unwrap();
+    fn counts_table_reads_the_exact_rational() {
+        let table = two_by_two(None);
+        for (t, f) in [
+            (0, 0.0),
+            (12, 0.0),
+            (13, 0.25),
+            (14, 0.25),
+            (15, 0.75),
+            (17, 1.0),
+        ] {
+            assert_eq!(table.value_at(ms(t)), f, "t = {t}");
+        }
+        assert_eq!(table.value_at(Duration::MAX), 1.0);
+        // The memo holds the first bucket read and never changes an answer.
+        assert_eq!(table.memo.get(), Some(&(0, 0.0)));
+        assert_eq!(table.value_at(ms(15)), 0.75);
+        let (service, wait) = (vec![(3, 2), (5, 1)], [(1, 1), (4, 3)]);
+        let windowed = CdfTable::of_counts(
+            ms(1),
+            service,
+            Wait::ServiceFold(2),
+            Delay::Counts(&wait),
+            None,
+            &mut ConvScratch::new(),
+        )
+        .unwrap();
+        // S^{*2} = {6 ×4, 8 ×4, 10 ×1}; ⊛ T = {7 ×4, 9 ×4, 10 ×12, 11 ×1,
+        // 12 ×12, 14 ×3}. At 14: s = 3 (×2) reads the 21 at ≤ 11, s = 5 the
+        // 8 at ≤ 9.
+        assert_eq!(windowed.total, 3.0 * 9.0 * 4.0);
+        assert_eq!(windowed.value_at(ms(14)), (2.0 * 21.0 + 8.0) / 108.0);
+    }
+
+    #[test]
+    fn a_bounded_chain_is_a_prefix_of_the_unbounded_one() {
+        let counts = [(3, 2), (4, 1), (7, 5), (9, 1)];
         let mut scratch = ConvScratch::new();
-        for n in 0..=32u32 {
-            let exact = pmf.self_convolve(n, 0.0, &mut scratch);
-            let cut = pmf.self_convolve_within(n, 1e-3, &mut scratch, 60);
-            assert!(cut.support_max() <= ms(60) || cut.len() == 1, "n = {n}");
-            for t in 0..=60 {
-                assert_eq!(cut.cdf(ms(t)), exact.cdf(ms(t)), "n = {n}, t = {t}");
+        for n in 0..=9u32 {
+            spread(&counts, &mut scratch.base);
+            let (offset, full) = scratch.power(3, n, None, 0.0, square_into);
+            for bound in [0u64, 10, 25, 40] {
+                spread(&counts, &mut scratch.base);
+                let (cut_offset, cut) = scratch.power(3, n, Some(bound), 0.0, square_into);
+                assert_eq!(cut_offset, offset, "n = {n}");
+                let kept = len_within(offset, Some(bound)).min(full.len());
+                assert_eq!(cut.get(..kept), full.get(..kept), "n = {n}, bound {bound}");
             }
+            let mass: f64 = full.iter().sum();
+            assert_eq!(mass, 9f64.powi(n as i32), "integer weights stay exact");
         }
     }
 
     #[test]
     fn table_reports_what_it_covers() {
-        let pmf = Pmf::from_samples([ms(10), ms(20)], ms(1)).unwrap();
-        let bounded = pmf.clone().into_cumulative(15);
+        let bounded = two_by_two(Some(15));
         assert!(bounded.covers(ms(15)) && !bounded.covers(ms(16)));
-        assert_eq!(bounded.value_at(ms(15)), 0.5);
-        assert!(pmf.into_cumulative(UNBOUNDED).covers(Duration::MAX));
+        assert_eq!(bounded.value_at(ms(15)), 0.75);
+        assert!(two_by_two(None).covers(Duration::MAX));
+        assert_eq!(bounded.bucket_width(), ms(1));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "past the horizon")]
     fn lookup_past_the_horizon_is_flagged_in_debug_builds() {
-        let table = Pmf::point(ms(3), ms(1)).unwrap().into_cumulative(5);
-        let _ = table.value_at(ms(6));
+        let _ = two_by_two(Some(5)).value_at(ms(6));
     }
 
     mod kernel {
@@ -1297,6 +1374,26 @@ mod tests {
                 convolve_into(&a, &b, &mut new, max_len);
                 old.truncate(max_len);
                 prop_assert_eq!(bits(&old), bits(&new));
+            }
+
+            #[test]
+            fn symmetric_square_matches_the_full_product(
+                a in weights(),
+                max_len in 1usize..260,
+            ) {
+                let (mut full, mut square) = (Vec::new(), Vec::new());
+                // Integer weights: the same exact sums in another order.
+                let counts: Vec<f64> = a.iter().map(|w| (w * 1e4).floor()).collect();
+                convolve_into(&counts, &counts, &mut full, max_len);
+                square_into(&counts, &mut square, max_len);
+                prop_assert_eq!(&full, &square);
+                // Fractional weights: equal up to rounding.
+                convolve_into(&a, &a, &mut full, usize::MAX);
+                square_into(&a, &mut square, usize::MAX);
+                prop_assert_eq!(full.len(), square.len());
+                for (f, s) in full.iter().zip(&square) {
+                    prop_assert!((f - s).abs() <= 1e-12 * f.max(1.0), "{f} vs {s}");
+                }
             }
         }
     }

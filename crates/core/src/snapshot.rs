@@ -3,8 +3,8 @@
 //! The paper's selection path (§5.3) reads the information repository on
 //! every request but mutates it only when perf reports arrive. This module
 //! packages the read side as an immutable, epoch-published **planning
-//! view**: per-replica cumulative response-time tables ([`CdfTable`],
-//! already memoized by the model cache of `model.rs`) plus the freshness
+//! view**: per-replica point-query response-time tables ([`CdfTable`],
+//! the same tables the model cache of `model.rs` memoizes) plus the freshness
 //! metadata needed to decide when a replica's entry is stale. Publishers
 //! rebuild a new [`PlanningView`] off the hot path whenever generation
 //! counters move and swap it into a [`SnapshotCell`] with a brief
@@ -39,7 +39,7 @@ pub fn method_slot(scope: MethodScope, method: Option<MethodId>) -> u64 {
     }
 }
 
-/// One replica's published planning state: its cumulative response-time
+/// One replica's published planning state: its point-query response-time
 /// tables per method slot plus the generation counters they were built at.
 #[derive(Debug, Clone)]
 pub struct ReplicaSnapshot {
@@ -70,9 +70,9 @@ impl ReplicaSnapshot {
         }
     }
 
-    /// Builds a snapshot of `stats` by running the full response-time
-    /// pipeline (§5.3.1) for every method slot the replica has history
-    /// for. This is the publisher-side cost, paid off the hot path.
+    /// Builds a snapshot of `stats` with the response-time table (§5.3.1)
+    /// of every method slot the replica has history for. This is the
+    /// publisher-side cost, paid off the hot path.
     pub fn build(
         id: ReplicaId,
         stats: &ReplicaStats,

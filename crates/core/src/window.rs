@@ -314,6 +314,12 @@ impl BucketedWindow {
         self.counts.iter().copied()
     }
 
+    /// The same `(bucket index, count)` pairs as a slice.
+    #[inline]
+    pub(crate) fn counts(&self) -> &[(u64, u32)] {
+        &self.counts
+    }
+
     /// The mutation generation: strictly increases on every `push`,
     /// `clear`, or `set_capacity`.
     #[inline]

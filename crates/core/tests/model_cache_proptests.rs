@@ -1,12 +1,20 @@
-//! Cache-equivalence property tests: for *any* interleaving of repository
-//! mutations and *any* estimator combination, a query answered through the
-//! generation-keyed [`ModelCache`] must equal the from-scratch pipeline
-//! within 1e-12 (they share one pipeline, so in practice they are
-//! bit-identical — the tolerance guards future refactors). Likewise a
-//! table built only up to a horizon must equal the full one below it.
+//! Property tests of the point-query model, for *any* interleaving of
+//! repository mutations and *any* estimator combination:
+//!
+//! - a query answered through the generation-keyed [`ModelCache`] equals
+//!   the from-scratch query bit for bit;
+//! - on small windows, `F(x)` is the exact rational an enumeration of
+//!   every tuple of retained samples gives, rounded once;
+//! - it agrees with the whole-distribution float pipeline
+//!   (`response_pmf_with(..).cdf(x)`) to 1e-12 at queue depths 0–32, and
+//!   a table built only up to a horizon reads, below it, what the full
+//!   one reads.
 
-use aqua_core::pmf::{ConvScratch, UNBOUNDED};
+use std::collections::BTreeMap;
+
+use aqua_core::pmf::ConvScratch;
 use aqua_core::prelude::*;
+use aqua_core::repository::MethodHistory;
 use proptest::prelude::*;
 
 fn ms(v: u64) -> Duration {
@@ -122,12 +130,11 @@ fn all_configs() -> Vec<ModelConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The heart of the tentpole's correctness argument: one persistent
-    /// cache per estimator combination survives an arbitrary interleaving
-    /// of `record_perf` / `record_gateway_delay` / `remove_replica` /
-    /// probation transitions / re-insertions, and after every operation
-    /// agrees with the from-scratch model for every replica, method, and a
-    /// spread of deadlines.
+    /// One persistent cache per estimator combination survives an
+    /// arbitrary interleaving of `record_perf` / `record_gateway_delay` /
+    /// `remove_replica` / probation transitions / re-insertions, and after
+    /// every operation agrees bit for bit with the from-scratch model for
+    /// every replica, method, and a spread of deadlines.
     #[test]
     fn cached_cdf_matches_from_scratch_for_all_estimators(
         ops in prop::collection::vec(op(), 1..40),
@@ -158,7 +165,7 @@ proptest! {
                             let fresh = model.probability_by_for(stats, deadline, method);
                             match (cached, fresh) {
                                 (Some(c), Some(f)) => prop_assert!(
-                                    (c - f).abs() <= 1e-12,
+                                    c.to_bits() == f.to_bits(),
                                     "cached {c} vs fresh {f} for {id:?} {method:?} @{deadline_ms}ms ({})",
                                     model_label(model),
                                 ),
@@ -186,13 +193,14 @@ proptest! {
         }
     }
 
-    /// A table built within a horizon reads, at every bucket up to and
-    /// including the horizon's own, what the unbounded pipeline computes
-    /// there — for every estimator combination and queue depths up to the
-    /// 32-fold cap. Without pruning the two agree bit for bit; with it
-    /// they differ by the pruned mass the bounded chain keeps.
+    /// (b) Against the whole-distribution float pipeline, the reference
+    /// the tables replaced: every estimator combination, queue depths up
+    /// to the 32-fold cap, bounded and unbounded tables. Without pruning
+    /// the two agree to 1e-12; the pruned default differs by the mass it
+    /// cut. Below its horizon a bounded table reads the unbounded one's
+    /// values bit for bit.
     #[test]
-    fn table_within_a_horizon_matches_the_full_one_below_it(
+    fn tables_agree_with_the_float_pipeline_bounded_and_unbounded(
         ops in prop::collection::vec(op_with(60, 32), 1..30),
     ) {
         let mut repo = InfoRepository::new(5);
@@ -213,35 +221,173 @@ proptest! {
             };
             let Some(stats) = repo.stats(ReplicaId::new(replica)) else { continue };
             for model in &models {
-                let tolerance = if model.config().prune_epsilon == 0.0 { 0.0 } else { 1e-9 };
+                let tolerance = if model.config().prune_epsilon == 0.0 { 1e-12 } else { 1e-9 };
                 for method in [None, Some(MethodId::new(1))] {
-                    let full = model
-                        .response_pmf_with(stats, method, &mut scratch)
-                        .map(|pmf| (pmf.support_min(), pmf.into_cumulative(UNBOUNDED)));
+                    let reference = model.response_pmf_with(stats, method, &mut scratch);
+                    let full = model.response_cdf(stats, method, &mut scratch, None);
+                    prop_assert_eq!(full.is_some(), reference.is_some());
+                    let (Some(full), Some(reference)) = (&full, &reference) else { continue };
+                    let last = reference.support_max().as_millis() + 2;
+                    for t in (0..=last).step_by(3) {
+                        let (f, r) = (full.value_at(ms(t)), reference.cdf(ms(t)));
+                        prop_assert!(
+                            (f - r).abs() <= tolerance,
+                            "table {f} vs pmf {r} at {t} ms ({})",
+                            model_label(model),
+                        );
+                    }
                     for horizon_ms in [0u64, 9, 70, 150, 640] {
-                        let bounded =
-                            model.response_cdf(stats, method, &mut scratch, Some(ms(horizon_ms)));
-                        prop_assert_eq!(bounded.is_some(), full.is_some());
-                        let (Some(bounded), Some((starts_at, full))) = (&bounded, &full) else {
-                            continue;
-                        };
+                        let bounded = model
+                            .response_cdf(stats, method, &mut scratch, Some(ms(horizon_ms)))
+                            .expect("present whenever the unbounded table is");
                         prop_assert!(bounded.covers(ms(horizon_ms)));
                         prop_assert!(!bounded.covers(ms(horizon_ms + 1)));
                         for t in 0..=horizon_ms {
                             let (b, f) = (bounded.value_at(ms(t)), full.value_at(ms(t)));
                             prop_assert!(
-                                (b - f).abs() <= tolerance,
+                                b.to_bits() == f.to_bits(),
                                 "bounded {b} vs full {f} at {t} ms of {horizon_ms} ms ({})",
                                 model_label(model),
                             );
-                            // (Pruning may move the full table's start.)
-                            if tolerance == 0.0 && *starts_at > ms(horizon_ms) {
-                                prop_assert_eq!(b, 0.0, "support starts past the horizon");
-                            }
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (a) On windows of at most six samples and queues of at most three,
+    /// `F(x)` is the share of all tuples of retained samples — one per
+    /// term of Eq. 2, `q` service samples for `S^{*q}` — whose bucket sum
+    /// is at most `x`'s bucket. Counted here as a `u128` rational by
+    /// listing every tuple, it must equal the table's value bit for bit,
+    /// at every bucket and through bounded tables too.
+    #[test]
+    fn tables_read_the_exact_rational_of_every_sample_tuple(
+        l in 1usize..=6,
+        ops in prop::collection::vec(small_op(), 1..24),
+    ) {
+        let id = ReplicaId::new(0);
+        let mut repo = InfoRepository::new(l);
+        repo.insert_replica(id);
+        for op in &ops {
+            apply(&mut repo, op);
+        }
+        let stats = repo.stats(id).expect("only ever inserted");
+        let mut scratch = ConvScratch::new();
+        for bucket_ms in [1u64, 3] {
+            for config in all_configs() {
+                let model = ResponseTimeModel::new(ModelConfig { bucket: ms(bucket_ms), ..config });
+                for method in [None, Some(MethodId::new(0)), Some(MethodId::new(1))] {
+                    let table = model.response_cdf(stats, method, &mut scratch, None);
+                    let oracle = tuple_sums(stats, model.config(), method);
+                    prop_assert_eq!(table.is_some(), oracle.is_some(), "{}", model_label(&model));
+                    let (Some(table), Some((sums, tuples))) = (table, oracle) else { continue };
+                    let top = sums.keys().last().copied().unwrap_or(0) + 1;
+                    let horizon = top / 2;
+                    let bounded = model
+                        .response_cdf(stats, method, &mut scratch, Some(ms(horizon * bucket_ms)))
+                        .expect("present whenever the unbounded table is");
+                    let mut within = 0u128;
+                    for x in 0..=top {
+                        within += sums.get(&x).copied().unwrap_or(0);
+                        let exact = within as f64 / tuples as f64;
+                        let at = ms(x * bucket_ms);
+                        prop_assert!(
+                            table.value_at(at).to_bits() == exact.to_bits(),
+                            "F({x}) = {} vs {within}/{tuples} ({})",
+                            table.value_at(at),
+                            model_label(&model),
+                        );
+                        if x <= horizon {
+                            prop_assert!(bounded.value_at(at).to_bits() == exact.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Perf reports and delays for replica 0 only, small enough that every
+/// tuple of samples can be listed.
+fn small_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (0..METHODS, 0u64..40, 0u64..20, 0u32..=3).prop_map(
+            |(method, service_ms, queue_ms, outstanding)| Op::Perf {
+                replica: 0,
+                method,
+                service_ms,
+                queue_ms,
+                outstanding,
+            }
+        ),
+        1 => (0u64..15).prop_map(|delay_ms| Op::Delay { replica: 0, delay_ms }),
+    ]
+}
+
+/// The number of sample tuples per bucket sum, and the number of tuples,
+/// for the model `config` describes — or `None` when a term in use has
+/// no samples. Lists every tuple; no convolution involved.
+fn tuple_sums(
+    stats: &ReplicaStats,
+    config: &ModelConfig,
+    method: Option<MethodId>,
+) -> Option<(BTreeMap<u64, u128>, u128)> {
+    let bucket_ns = config.bucket.as_nanos();
+    let bucketed = |window: &SlidingWindow<Duration>| -> Vec<u64> {
+        window.iter().map(|d| d.as_nanos() / bucket_ns).collect()
+    };
+    let term = |of: fn(&MethodHistory) -> &SlidingWindow<Duration>| -> Vec<u64> {
+        match config.method_scope {
+            MethodScope::PerMethod => stats
+                .history(method.unwrap_or_default())
+                .map(|history| bucketed(of(history)))
+                .unwrap_or_default(),
+            _ => stats
+                .histories()
+                .flat_map(|(_, history)| bucketed(of(history)))
+                .collect(),
+        }
+    };
+    let service = term(MethodHistory::service_times);
+    let mut terms = vec![service.clone()];
+    match config.queue_estimator {
+        QueueEstimator::History => terms.push(term(MethodHistory::queuing_delays)),
+        _ => terms.extend(std::iter::repeat_n(service, stats.outstanding() as usize)),
+    }
+    let shift = match config.delay_estimator {
+        DelayEstimator::LastValue => stats.last_gateway_delay()?.as_nanos() / bucket_ns,
+        _ => {
+            terms.push(bucketed(stats.gateway_delays()));
+            0
+        }
+    };
+    if terms.iter().any(Vec::is_empty) {
+        return None;
+    }
+    let mut sums = BTreeMap::new();
+    let mut pick = vec![0usize; terms.len()];
+    loop {
+        let sum: u64 = terms.iter().zip(&pick).map(|(term, &i)| term[i]).sum();
+        *sums.entry(shift + sum).or_insert(0u128) += 1;
+        // Odometer: advance the first digit that has not wrapped.
+        let mut digit = 0;
+        loop {
+            let Some(term) = terms.get(digit) else {
+                let tuples = terms.iter().map(|term| term.len() as u128).product();
+                return Some((sums, tuples));
+            };
+            pick[digit] += 1;
+            if pick[digit] < term.len() {
+                break;
+            }
+            pick[digit] = 0;
+            digit += 1;
         }
     }
 }

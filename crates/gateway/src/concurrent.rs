@@ -1108,6 +1108,44 @@ mod tests {
         assert!(plan.replicas.len() < 3, "warm plans are selective");
     }
 
+    /// Two replicas certain to answer in time, one of them only up to float
+    /// rounding: ten distinct service times of weight 0.1 each sum, in a
+    /// whole-distribution prefix sum, to 0.9999999999999999 where the exact
+    /// count is 10 of 10. The tables read the exact 1.0, so Algorithm 1
+    /// sees a tie and ranks the two by id.
+    #[test]
+    fn certain_replicas_tie_and_rank_by_id() {
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 10, Box::new(ModelBased::default()))
+            .with_min_republish(Duration::ZERO);
+        let [spread, steady, slow] = [0, 1, 2].map(ReplicaId::new);
+        let mut at = Instant::EPOCH;
+        for r in [spread, steady, slow] {
+            h.insert_replica(at, r);
+        }
+        for k in 0..10 {
+            at += ms(1);
+            for (r, service_ms) in [(spread, 20 + k), (steady, 20), (slow, 300)] {
+                h.on_perf_update(at, r, PerfReport::new(ms(service_ms), ms(0), 0));
+                h.ingest(at, r, None, Some(ms(1)));
+            }
+        }
+        h.ingest(at + ms(1), slow, None, Some(ms(1)));
+
+        let view = h.planning_view();
+        let model = ResponseTimeModel::default();
+        let whole = |r| {
+            let stats = view.repository().stats(r).unwrap();
+            model.response_pmf(stats).unwrap().cdf(ms(199))
+        };
+        assert_eq!((whole(spread), whole(steady)), (0.9999999999999999, 1.0));
+        for r in [spread, steady] {
+            assert_eq!(view.probability_by(r, 0, ms(199)), Some(1.0));
+        }
+        let plan = h.plan_request(at + ms(2));
+        assert_eq!(plan.replicas.as_ref(), &[spread, steady]);
+    }
+
     #[test]
     fn first_reply_delivers_then_duplicates_are_redundant() {
         let h = handler(0.9);
