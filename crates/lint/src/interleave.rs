@@ -1842,6 +1842,7 @@ mod tests {
     #[test]
     fn buggy_registry_read_order_is_caught() {
         let e = explore(&registry_scrape_buggy_model());
+        assert_eq!(e.schedules, 2002);
         assert!(
             !e.violations.is_empty(),
             "flipped read order must surface bucket > count"
@@ -1861,6 +1862,7 @@ mod tests {
     #[test]
     fn generation_only_key_hits_the_aba_bug() {
         let e = explore(&repository_no_epoch_model());
+        assert_eq!(e.schedules, 1716);
         assert!(
             !e.violations.is_empty(),
             "dropping the epoch from the key must reintroduce the ABA race"
@@ -1880,6 +1882,7 @@ mod tests {
     #[test]
     fn unserialized_publish_loses_an_update() {
         let e = explore(&snapshot_publish_racy_model());
+        assert_eq!(e.schedules, 72072);
         assert!(
             !e.violations.is_empty(),
             "dropping the publish mutex and version guard must lose a sample"
@@ -1899,12 +1902,13 @@ mod tests {
     fn pending_retry_model_passes_exhaustively() {
         let e = explore(&pending_retry_model());
         assert!(e.passed(), "violations: {:?}", e.violations);
-        assert!(e.schedules >= 1000, "schedules: {}", e.schedules);
+        assert_eq!(e.schedules, 1680);
     }
 
     #[test]
     fn missing_retry_recheck_leaks_a_pending_entry() {
         let e = explore(&pending_retry_no_recheck_model());
+        assert_eq!(e.schedules, 1680);
         assert!(
             !e.violations.is_empty(),
             "dropping the post-insert re-check must leak the retry's entry"
@@ -1921,6 +1925,7 @@ mod tests {
     #[test]
     fn toctou_reply_claim_delivers_twice() {
         let e = explore(&pending_retry_toctou_model());
+        assert_eq!(e.schedules, 11550);
         assert!(
             !e.violations.is_empty(),
             "splitting the CAS into check+mark must double-deliver"
@@ -1947,6 +1952,7 @@ mod tests {
     #[test]
     fn lost_wakeup_variant_is_caught() {
         let e = explore(&reactor_lost_wakeup_model());
+        assert_eq!(e.schedules, 4290);
         assert!(
             !e.violations.is_empty(),
             "harvesting before the flag clear must lose a wakeup"
@@ -1963,6 +1969,7 @@ mod tests {
     #[test]
     fn clear_before_drain_variant_is_caught() {
         let e = explore(&reactor_clear_before_drain_model());
+        assert_eq!(e.schedules, 4290);
         assert!(
             e.violations
                 .iter()
@@ -1985,6 +1992,7 @@ mod tests {
     #[test]
     fn seq_collision_variant_is_caught() {
         let e = explore(&mux_seq_collision_model());
+        assert_eq!(e.schedules, 2554);
         assert!(
             !e.violations.is_empty(),
             "dropping the handle bits from wire seqs must misroute a reply"
@@ -2000,12 +2008,13 @@ mod tests {
     fn shard_barrier_model_passes_exhaustively() {
         let e = explore(&shard_barrier_model());
         assert!(e.passed(), "violations: {:?}", e.violations);
-        assert!(e.schedules >= 1000, "schedules: {}", e.schedules);
+        assert_eq!(e.schedules, 3168);
     }
 
     #[test]
     fn lookahead_off_by_one_is_caught() {
         let e = explore(&shard_barrier_off_by_one_model());
+        assert_eq!(e.schedules, 3168);
         assert!(
             !e.violations.is_empty(),
             "widening the window to T + L must deliver into a closed window"
@@ -2031,6 +2040,7 @@ mod tests {
     #[test]
     fn writing_past_the_ring_is_caught_as_a_reorder() {
         let e = explore(&send_rule_write_past_ring_model());
+        assert_eq!(e.schedules, 4234);
         assert!(
             e.violations.iter().any(|(_, msg)| msg.contains("reorder")),
             "an inline write that skips the ring must overtake a queued frame: {:?}",
