@@ -2,7 +2,13 @@
 //!
 //! Builds a simulated cluster from command-line flags, runs it, and prints
 //! a report (optionally JSON). Useful for exploring the design space
-//! beyond the canned figure/ablation binaries.
+//! beyond the canned figure binaries. Flags it cannot honour (a zero
+//! `--replicas` or `--window`, a `--crash`/`--bursty` index past the last
+//! replica, a malformed value) exit 2 with a message naming the flag.
+//!
+//! `aqua_lab study NAME [SEEDS]` instead runs one of DESIGN.md §4's
+//! ablation studies ([`aqua_bench::studies`]) and prints its table;
+//! `aqua_lab study` lists them.
 //!
 //! ```text
 //! aqua_lab [flags]
@@ -32,6 +38,7 @@
 //!                         AQUA_OBS environment variable)
 //! ```
 
+use aqua_bench::studies;
 use aqua_core::model::ModelConfig;
 use aqua_core::qos::QosSpec;
 use aqua_core::time::{Duration, Instant};
@@ -98,10 +105,32 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Reports input the runner cannot honour and exits 2.
+fn reject(msg: &str) -> ! {
+    eprintln!("{msg}");
+    usage()
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| reject(&format!("invalid value {value:?} for {flag}")))
+}
+
 fn parse_strategy(spec: &str) -> StrategySpec {
     let (name, k) = match spec.split_once(':') {
-        Some((n, k)) => (n, k.parse().unwrap_or(2)),
-        None => (spec, 2),
+        Some((name, k)) => (name, Some(k)),
+        None => (spec, None),
+    };
+    let k = match k {
+        None => 2,
+        Some(_) if matches!(name, "model" | "all") => {
+            reject(&format!("--strategy {name} takes no :K"))
+        }
+        Some(k) => match parse("--strategy", k) {
+            0 => reject("--strategy: K must be at least 1"),
+            k => k,
+        },
     };
     match name {
         "model" => StrategySpec::paper(),
@@ -112,69 +141,99 @@ fn parse_strategy(spec: &str) -> StrategySpec {
         "rr" => StrategySpec::RoundRobin { k },
         "static" => StrategySpec::StaticK { k },
         "all" => StrategySpec::AllReplicas,
-        other => {
-            eprintln!("unknown strategy {other:?}");
-            usage()
-        }
+        other => reject(&format!("unknown strategy {other:?}")),
     }
 }
 
-fn parse_args() -> Options {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Options {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
+            args.next()
+                .unwrap_or_else(|| reject(&format!("missing value for {name}")))
         };
         match flag.as_str() {
-            "--replicas" => opts.replicas = value("--replicas").parse().unwrap_or_else(|_| usage()),
-            "--service" => opts.service_ms = value("--service").parse().unwrap_or_else(|_| usage()),
-            "--std" => opts.std_ms = value("--std").parse().unwrap_or_else(|_| usage()),
-            "--deadline" => {
-                opts.deadline_ms = value("--deadline").parse().unwrap_or_else(|_| usage())
-            }
-            "--pc" => opts.pc = value("--pc").parse().unwrap_or_else(|_| usage()),
-            "--requests" => opts.requests = value("--requests").parse().unwrap_or_else(|_| usage()),
-            "--think" => opts.think_ms = value("--think").parse().unwrap_or_else(|_| usage()),
-            "--open-loop" => {
-                opts.open_loop_ms = Some(value("--open-loop").parse().unwrap_or_else(|_| usage()))
-            }
-            "--window" => opts.window = value("--window").parse().unwrap_or_else(|_| usage()),
-            "--crashes" => opts.crashes = value("--crashes").parse().unwrap_or_else(|_| usage()),
-            "--strategy" => opts.strategy = parse_strategy(&value("--strategy")),
+            "--replicas" => opts.replicas = parse(&flag, &value(&flag)),
+            "--service" => opts.service_ms = parse(&flag, &value(&flag)),
+            "--std" => opts.std_ms = parse(&flag, &value(&flag)),
+            "--deadline" => opts.deadline_ms = parse(&flag, &value(&flag)),
+            "--pc" => opts.pc = parse(&flag, &value(&flag)),
+            "--requests" => opts.requests = parse(&flag, &value(&flag)),
+            "--think" => opts.think_ms = parse(&flag, &value(&flag)),
+            "--open-loop" => opts.open_loop_ms = Some(parse(&flag, &value(&flag))),
+            "--window" => opts.window = parse(&flag, &value(&flag)),
+            "--crashes" => opts.crashes = parse(&flag, &value(&flag)),
+            "--strategy" => opts.strategy = parse_strategy(&value(&flag)),
             "--crash" => {
-                let v = value("--crash");
+                let v = value(&flag);
                 let Some((i, s)) = v.split_once('@') else {
-                    usage()
+                    reject(&format!("--crash takes I@SECS, got {v:?}"))
                 };
-                opts.crash_at.push((
-                    i.parse().unwrap_or_else(|_| usage()),
-                    s.parse().unwrap_or_else(|_| usage()),
-                ));
+                opts.crash_at.push((parse(&flag, i), parse(&flag, s)));
             }
-            "--bursty" => opts
-                .bursty
-                .push(value("--bursty").parse().unwrap_or_else(|_| usage())),
-            "--background" => {
-                opts.background = value("--background").parse().unwrap_or_else(|_| usage())
-            }
+            "--bursty" => opts.bursty.push(parse(&flag, &value(&flag))),
+            "--background" => opts.background = parse(&flag, &value(&flag)),
             "--congested" => opts.congested = true,
-            "--standbys" => opts.standbys = value("--standbys").parse().unwrap_or_else(|_| usage()),
+            "--standbys" => opts.standbys = parse(&flag, &value(&flag)),
             "--queue-scaled" => opts.queue_scaled = true,
-            "--seed" => opts.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
+            "--seed" => opts.seed = parse(&flag, &value(&flag)),
             "--json" => opts.json = true,
-            "--obs" => opts.obs = Some(value("--obs")),
+            "--obs" => opts.obs = Some(value(&flag)),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
+            other => reject(&format!("unknown flag {other:?}")),
         }
     }
+    if opts.replicas == 0 {
+        reject("--replicas must be at least 1");
+    }
+    if opts.window == 0 {
+        reject("--window must be at least 1");
+    }
+    let in_range = |flag: &str, i: usize| {
+        if i >= opts.replicas {
+            reject(&format!(
+                "{flag}: no replica {i} among --replicas {} (indices start at 0)",
+                opts.replicas
+            ));
+        }
+    };
+    for &(i, _) in &opts.crash_at {
+        in_range("--crash", i);
+    }
+    for &i in &opts.bursty {
+        in_range("--bursty", i);
+    }
     opts
+}
+
+/// `aqua_lab study [NAME [SEEDS]]`: run one ablation study, or list them.
+fn run_study(mut args: impl Iterator<Item = String>) {
+    let Some(name) = args.next() else {
+        println!("usage: aqua_lab study <name> [seeds]\n");
+        for study in &studies::STUDIES {
+            println!(
+                "  {:<16} {:<4} {} ({} seeds)",
+                study.name, study.id, study.title, study.default_seeds
+            );
+        }
+        return;
+    };
+    let Some(study) = studies::find(&name) else {
+        reject(&format!(
+            "unknown study {name:?}; `aqua_lab study` lists them"
+        ))
+    };
+    let seeds = match args.next() {
+        None => study.default_seeds,
+        Some(v) => match parse("study seeds", &v) {
+            0 => reject("study seeds must be at least 1"),
+            n => n,
+        },
+    };
+    if let Some(extra) = args.next() {
+        reject(&format!("unexpected argument {extra:?} after study seeds"));
+    }
+    print!("{}", study.report(seeds));
 }
 
 fn build_config(opts: &Options) -> ExperimentConfig {
@@ -277,22 +336,20 @@ fn build_config(opts: &Options) -> ExperimentConfig {
 }
 
 fn main() {
-    let opts = parse_args();
+    let mut args = std::env::args().skip(1).peekable();
+    if args.next_if(|a| a == "study").is_some() {
+        return run_study(args);
+    }
+    let opts = parse_args(args);
     let config = build_config(&opts);
-    let obs_dir = opts.obs.clone().or_else(aqua_obs::dir_from_env);
-    let obs = obs_dir.as_deref().map(|dir| {
-        aqua_obs::Obs::to_dir(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open observability directory {dir:?}: {e}");
-            std::process::exit(2);
-        })
-    });
-    let report = run_experiment_observed(&config, obs.as_ref());
-    if let (Some(obs), Some(dir)) = (&obs, &obs_dir) {
-        if let Err(e) = obs.dump(dir) {
-            eprintln!("cannot write metric snapshots into {dir:?}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("observability written to {dir}/{{journal.jsonl,metrics.prom,metrics.json}}");
+    let obs = opts
+        .obs
+        .clone()
+        .or_else(aqua_obs::dir_from_env)
+        .map(aqua_bench::obs_open);
+    let report = run_experiment_observed(&config, obs.as_ref().map(|(obs, _)| obs));
+    if let Some((obs, dir)) = &obs {
+        aqua_bench::obs_dump(obs, dir);
     }
     let client = report.client_under_test();
 

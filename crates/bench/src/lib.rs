@@ -1,59 +1,31 @@
 //! # aqua-bench — benchmarks and figure regeneration
 //!
-//! Shared harness code for the criterion benches (`benches/`) and the
+//! Shared harness code for the criterion benches (`benches/`), the
 //! experiment binaries (`src/bin/`) that regenerate every figure of the
-//! paper's evaluation (§6). See DESIGN.md's experiment index for the
-//! mapping from paper figure to binary.
+//! paper's evaluation (§6), and the ablation [`studies`] that `aqua_lab
+//! study` runs. See DESIGN.md's experiment index for the mapping from
+//! paper figure or ablation to its regenerator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod paper_eval;
+pub mod studies;
 pub mod synthetic;
 
 /// Opens the observability sink requested via the `AQUA_OBS` environment
 /// variable (see [`aqua_obs::dir_from_env`]): returns the handle plus the
-/// output directory, or `None` when observability is off. Setting
-/// `AQUA_OBS_ROTATE_BYTES` to a positive value rotates the journal once
-/// the active file passes that size, so long soaks stay bounded. Exits on
-/// I/O errors — this is binary-startup code.
+/// output directory, or `None` when observability is off. Exits on I/O
+/// errors — this is binary-startup code.
 pub fn obs_from_env() -> Option<(aqua_obs::Obs, String)> {
-    let dir = aqua_obs::dir_from_env()?;
-    let rotate_bytes: u64 = std::env::var("AQUA_OBS_ROTATE_BYTES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let opened = if rotate_bytes > 0 {
-        aqua_obs::Obs::to_dir_rotating(&dir, rotate_bytes)
-    } else {
-        aqua_obs::Obs::to_dir(&dir)
-    };
-    match opened {
-        Ok(obs) => Some((obs, dir)),
-        Err(e) => {
-            eprintln!("cannot open observability directory {dir:?}: {e}");
-            std::process::exit(2);
-        }
-    }
+    aqua_obs::dir_from_env().map(obs_open)
 }
 
-/// Opens a rotating observability sink in `base/<slug>` where the slug is
-/// `label` reduced to `[a-z0-9-]`. Used by multi-scenario harnesses that
-/// must keep each run's journal separate (gateway sequence numbers
-/// restart per run, so a shared journal would alias spans during
-/// forensics replay). Honors `AQUA_OBS_ROTATE_BYTES` like
-/// [`obs_from_env`]; exits on I/O errors.
-pub fn obs_into_subdir(base: &str, label: &str) -> (aqua_obs::Obs, String) {
-    let slug: String = label
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect::<String>()
-        .split('-')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("-");
-    let dir = format!("{base}/{slug}");
+/// Opens an observability sink writing into `dir`. Setting
+/// `AQUA_OBS_ROTATE_BYTES` to a positive value rotates the journal once
+/// the active file passes that size, so long soaks stay bounded. Exits on
+/// I/O errors.
+pub fn obs_open(dir: String) -> (aqua_obs::Obs, String) {
     let rotate_bytes: u64 = std::env::var("AQUA_OBS_ROTATE_BYTES")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -65,6 +37,24 @@ pub fn obs_into_subdir(base: &str, label: &str) -> (aqua_obs::Obs, String) {
             std::process::exit(2);
         }
     }
+}
+
+/// Opens a sink in `base/<slug>` (see [`obs_open`]) where the slug is
+/// `label` reduced to `[a-z0-9-]`. Used by multi-scenario harnesses that
+/// must keep each run's journal separate (gateway sequence numbers
+/// restart per run, so a shared journal would alias spans during
+/// forensics replay).
+pub fn obs_into_subdir(base: &str, label: &str) -> (aqua_obs::Obs, String) {
+    let slug: String = label
+        .to_lowercase()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect::<String>()
+        .split('-')
+        .filter(|s| !s.is_empty())
+        .collect::<Vec<_>>()
+        .join("-");
+    obs_open(format!("{base}/{slug}"))
 }
 
 /// Flushes `obs` into `dir` (journal + both metric snapshots), reporting
