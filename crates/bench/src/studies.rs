@@ -190,27 +190,25 @@ impl Study {
             .map(|l| l.to_string())
             .chain(self.columns.iter().map(|c| c.header().to_string()))
             .collect();
-        let rows = (self.cases)()
-            .into_iter()
-            .map(|Case { mut labels, mut config }| {
-                let mut totals = vec![0.0; self.columns.len()];
-                for seed in 1..=seeds {
-                    config.seed = seed;
-                    let report = run_experiment(&config);
-                    let client = report.client_under_test();
-                    for (total, column) in totals.iter_mut().zip(self.columns) {
-                        *total += column.sample(client);
-                    }
+        let mut rows = Vec::new();
+        for Case {
+            mut labels,
+            mut config,
+        } in (self.cases)()
+        {
+            let mut totals = vec![0.0; self.columns.len()];
+            for seed in 1..=seeds {
+                config.seed = seed;
+                let report = run_experiment(&config);
+                let client = report.client_under_test();
+                for (total, column) in totals.iter_mut().zip(self.columns) {
+                    *total += column.sample(client);
                 }
-                labels.extend(
-                    self.columns
-                        .iter()
-                        .zip(totals)
-                        .map(|(column, total)| column.cell(total, seeds, &config)),
-                );
-                labels
-            })
-            .collect();
+            }
+            let cells = self.columns.iter().zip(totals);
+            labels.extend(cells.map(|(column, total)| column.cell(total, seeds, &config)));
+            rows.push(labels);
+        }
         Table { header, rows }
     }
 
@@ -525,10 +523,22 @@ fn window() -> Vec<Case> {
 /// unreplicated baseline.
 fn crash() -> Vec<Case> {
     [
-        ("model-based, no crash (control)", StrategySpec::paper(), false),
+        (
+            "model-based, no crash (control)",
+            StrategySpec::paper(),
+            false,
+        ),
         ("model-based, m0 crashes", StrategySpec::paper(), true),
-        ("fastest-mean k=1, no crash", StrategySpec::FastestMean { k: 1 }, false),
-        ("fastest-mean k=1, m0 crashes", StrategySpec::FastestMean { k: 1 }, true),
+        (
+            "fastest-mean k=1, no crash",
+            StrategySpec::FastestMean { k: 1 },
+            false,
+        ),
+        (
+            "fastest-mean k=1, m0 crashes",
+            StrategySpec::FastestMean { k: 1 },
+            true,
+        ),
     ]
     .into_iter()
     .map(|(label, strategy, crash)| {

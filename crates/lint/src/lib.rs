@@ -2,8 +2,9 @@
 //!
 //! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds eight
 //! token-level rules ([`rules`]), and a bounded model checker
-//! ([`interleave`]) exhaustively explores the interleavings of six shadow
-//! models ported from real synchronization hot spots.
+//! ([`interleave`]) exhaustively explores the interleavings of eight shadow
+//! models ported from real synchronization hot spots, and of ten buggy
+//! variants it must catch.
 //!
 //! The tool takes no dependencies beyond the vendored `shadow` shim — it
 //! must keep working in the air-gapped build environment, and it lints the

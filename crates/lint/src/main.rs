@@ -140,43 +140,63 @@ fn main() -> ExitCode {
     }
 }
 
+/// Explores every catalogue entry. Fails when an entry misses its pinned
+/// schedule count, a shipped model fails, or a buggy variant is not
+/// caught. Prints one line per shipped model, with its violations, and
+/// one per variant.
 fn run_models(json: bool) -> ExitCode {
     let results = interleave::run_all();
     let mut ok = true;
     if json {
         let mut out = String::from("{\n  \"models\": [");
-        for (i, (name, e)) in results.iter().enumerate() {
+        for (i, (entry, e)) in results.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"name\": \"{name}\", \"schedules\": {}, \"deadlocks\": {}, \"violations\": {}, \"passed\": {}}}",
+                "\n    {{\"name\": \"{}\", \"variant\": {}, \"schedules\": {}, \"deadlocks\": {}, \"violations\": {}, \"passed\": {}, \"as_pinned\": {}}}",
+                entry.name,
+                entry.catches.is_some(),
                 e.schedules,
                 e.deadlocks,
                 e.violations.len(),
-                e.passed()
+                e.passed(),
+                entry.check(e).is_ok()
             ));
         }
         out.push_str("\n  ]\n}");
         println!("{out}");
     }
-    for (name, e) in &results {
+    for (entry, e) in &results {
+        let verdict = entry.check(e);
         if !json {
-            println!(
-                "model {name}: {} schedules, {} deadlocks, {} violations — {}",
-                e.schedules,
-                e.deadlocks,
-                e.violations.len(),
-                if e.passed() { "PASS" } else { "FAIL" }
-            );
-            for (trace, msg) in &e.violations {
-                println!("  violation: {msg}");
-                println!("    trace: {}", trace.join(" -> "));
+            match entry.catches {
+                None => {
+                    println!(
+                        "model {}: {} schedules, {} deadlocks, {} violations — {}",
+                        entry.name,
+                        e.schedules,
+                        e.deadlocks,
+                        e.violations.len(),
+                        if e.passed() { "PASS" } else { "FAIL" }
+                    );
+                    for (trace, msg) in &e.violations {
+                        println!("  violation: {msg}");
+                        println!("    trace: {}", trace.join(" -> "));
+                    }
+                }
+                Some(text) => println!(
+                    "variant {}: {} schedules, must be caught by {text:?} — {}",
+                    entry.name,
+                    e.schedules,
+                    if verdict.is_ok() { "CAUGHT" } else { "MISSED" }
+                ),
+            }
+            if let Err(why) = &verdict {
+                println!("  pin: {why}");
             }
         }
-        if !e.passed() || e.schedules < 1000 {
-            ok = false;
-        }
+        ok &= verdict.is_ok();
     }
     if ok {
         ExitCode::SUCCESS
