@@ -5,8 +5,8 @@
 //!
 //! A study keeps only what differs between them — its cases (each a
 //! complete [`ExperimentConfig`] whose seed the runner overwrites), its
-//! label and metric columns and its text — and [`Study::run`] does the
-//! seed loop and the averaging for all of them.
+//! label and metric columns and its text — and one runner does the seed
+//! loop, the averaging and the printing for all of them.
 
 use aqua_core::model::{
     DelayEstimator, MethodScope, ModelConfig, QueueEstimator, ResponseTimeModel,
@@ -23,8 +23,8 @@ use aqua_workload::{
 use lan_sim::UniformLan;
 
 /// One metric column of a study table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Column {
+#[derive(Clone, Copy)]
+enum Column {
     /// Observed timing-failure probability, mean over seeds.
     Failure,
     /// Replicas per request, mean over seeds.
@@ -123,11 +123,11 @@ fn model_overhead_us(config: &ExperimentConfig) -> f64 {
 }
 
 /// One row of a study: its label cells and the experiment it runs.
-pub struct Case {
+struct Case {
     /// Cells for the study's label columns.
-    pub labels: Vec<String>,
+    labels: Vec<String>,
     /// The experiment; the runner sets `seed`.
-    pub config: ExperimentConfig,
+    config: ExperimentConfig,
 }
 
 fn case(labels: &[&dyn std::fmt::Display], config: ExperimentConfig) -> Case {
@@ -138,17 +138,16 @@ fn case(labels: &[&dyn std::fmt::Display], config: ExperimentConfig) -> Case {
 }
 
 /// A computed study table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
+struct Table {
     /// Column headers: the label columns, then the metric columns.
-    pub header: Vec<String>,
+    header: Vec<String>,
     /// One row of cells per case.
-    pub rows: Vec<Vec<String>>,
+    rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// The table as markdown, one line per row.
-    pub fn markdown(&self) -> String {
+    fn markdown(&self) -> String {
         let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
         let mut out = line(&self.header);
         out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
@@ -183,7 +182,7 @@ pub struct Study {
 
 impl Study {
     /// Runs every case over seeds `1..=seeds`.
-    pub fn run(&self, seeds: u64) -> Table {
+    fn run(&self, seeds: u64) -> Table {
         let header = self
             .labels
             .iter()

@@ -134,13 +134,18 @@ mod tests {
     #[test]
     fn overhead_grows_with_window_size() {
         let qos = QosSpec::new(Duration::from_millis(150), 0.9).unwrap();
-        let small = measure_overhead(7, 5, &qos, 200);
-        let large = measure_overhead(7, 20, &qos, 200);
+        // The best of five means: other tests run on the other threads, and
+        // one preempted measurement must not decide a small difference.
+        let best = |window| {
+            (0..5)
+                .map(|_| measure_overhead(7, window, &qos, 200).mean_total)
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (best(5), best(20));
         assert!(
-            large.mean_total >= small.mean_total,
-            "l=20 ({}) should cost at least l=5 ({})",
-            large.mean_total,
-            small.mean_total
+            large >= small,
+            "l=20 ({large}) should cost at least l=5 ({small})"
         );
     }
 }
