@@ -24,7 +24,8 @@
 //! * [`qos`] — client QoS specifications (§4).
 //! * [`failure`] — timing failure detection and QoS callbacks (§5.4.2).
 //! * [`overhead`] — δ accounting for deadline adjustment (§5.3.3).
-//! * [`scheduler`] — the per-client scheduling agent tying it all together.
+//! * [`scheduler`] — the per-client scheduling agent tying it all together,
+//!   and [`scheduler::plan`], the one planning function every planner runs.
 //! * [`snapshot`] — immutable, epoch-published planning views for
 //!   lock-free concurrent planning.
 //!
@@ -103,7 +104,7 @@ pub mod window;
 pub mod prelude {
     pub use crate::failure::{TimingFailureDetector, TimingVerdict};
     pub use crate::model::{
-        DelayEstimator, MethodScope, ModelCache, ModelCacheStats, ModelConfig, QueueEstimator,
+        DelayEstimator, MethodScope, ModelCacheStats, ModelConfig, QueueEstimator,
         ResponseTimeModel,
     };
     pub use crate::overhead::OverheadTracker;

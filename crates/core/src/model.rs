@@ -20,11 +20,8 @@
 //! callers that need one.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
-use crate::aqua;
 use crate::pmf::{CdfTable, ConvScratch, Delay, Pmf, Wait};
-use crate::qos::ReplicaId;
 use crate::repository::{MethodHistory, MethodId, ReplicaStats};
 use crate::time::Duration;
 use crate::window::BucketedWindow;
@@ -302,81 +299,6 @@ impl ResponseTimeModel {
         self.response_cdf(stats, method, &mut ConvScratch::new(), Some(deadline))
             .map(|table| table.value_at(deadline))
     }
-
-    /// Cached variant of [`ResponseTimeModel::probability_by_for`]: memoizes
-    /// the response table per `(replica, method)` and answers repeat
-    /// queries from it — no window rescans, no convolutions, no
-    /// allocations, and one multiply-add per service bucket unless the
-    /// table's memo already holds the bucket asked for.
-    ///
-    /// Freshness is decided purely by generation counters ([`GenKey`]): the
-    /// cached entry is reused if and only if the replica epoch, the relevant
-    /// perf generation, the gateway-delay generation, and the outstanding
-    /// count all match the values captured when the entry was built. Any
-    /// `record_perf`, `record_gateway_delay`, probation transition, or
-    /// remove/re-insert moves one of those counters and falls through to a
-    /// rebuild via [`ResponseTimeModel::response_cdf`] — the *same* exact
-    /// table the uncached path reads, so cached and from-scratch answers
-    /// are bit-identical.
-    #[aqua::hot_path]
-    pub fn probability_by_cached(
-        &self,
-        cache: &mut ModelCache,
-        id: ReplicaId,
-        stats: &ReplicaStats,
-        deadline: Duration,
-        method: Option<MethodId>,
-    ) -> Option<f64> {
-        let (slot, perf_generation) = match self.config.method_scope {
-            MethodScope::PerMethod => {
-                let m = method.unwrap_or_default();
-                let Some(history) = stats.history(m) else {
-                    // The uncached path returns None too; any entry under
-                    // this slot is from a previous incarnation of the id
-                    // and can never hit again — shed it now.
-                    let slot = u64::from(m.index());
-                    if cache.entries.remove(&(id, slot)).is_some() {
-                        cache.stats.invalidations += 1;
-                    }
-                    return None;
-                };
-                (u64::from(m.index()), history.generation())
-            }
-            MethodScope::Aggregate => (u64::MAX, stats.perf_generation()),
-        };
-        let key = GenKey {
-            epoch: stats.epoch(),
-            perf: perf_generation,
-            delay: stats.delay_generation(),
-            outstanding: stats.outstanding(),
-        };
-        if let Some(entry) = cache.entries.get(&(id, slot)) {
-            if entry.key == key {
-                cache.stats.hits += 1;
-                return Some(entry.cdf.value_at(deadline));
-            }
-        }
-        match self.response_cdf(stats, method, &mut cache.scratch, None) {
-            Some(cdf) => {
-                cache.stats.misses += 1;
-                let value = cdf.value_at(deadline);
-                if cache
-                    .entries
-                    .insert((id, slot), CacheEntry { key, cdf })
-                    .is_some()
-                {
-                    cache.stats.invalidations += 1;
-                }
-                Some(value)
-            }
-            None => {
-                if cache.entries.remove(&(id, slot)).is_some() {
-                    cache.stats.invalidations += 1;
-                }
-                None
-            }
-        }
-    }
 }
 
 /// Sorts `(bucket, count)` pairs by bucket and merges those of one bucket.
@@ -392,84 +314,20 @@ fn merged(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
     pairs
 }
 
-/// Counters describing how a [`ModelCache`] has behaved so far.
+/// Counters describing how a table memo has behaved so far: the
+/// model-based strategy's per-replica snapshots, refreshed by
+/// [`crate::snapshot::ReplicaSnapshot::refresh`]. Observers export them
+/// as `aqua_model_cache_{hits,misses,invalidations}_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelCacheStats {
-    /// Queries answered from a memoized table.
+    /// Reads answered from a held snapshot.
     pub hits: u64,
-    /// Queries that had to build a table.
+    /// Reads that had to build one.
     pub misses: u64,
-    /// Entries displaced because their generation key went stale (or their
-    /// replica disappeared / stopped having enough data).
+    /// Held snapshots displaced because a generation they were built from
+    /// moved, their tables stopped short of the deadline, or their replica
+    /// left.
     pub invalidations: u64,
-}
-
-/// The complete freshness fingerprint of one cached response distribution.
-///
-/// `epoch` guards against ABA on remove/re-insert of a replica id; `perf` is
-/// the per-method history generation (PerMethod scope) or the replica-wide
-/// perf generation (Aggregate scope — also bumped by probation transitions);
-/// `delay` is the gateway-delay window generation; `outstanding` captures the
-/// queue depth the QueueScaled estimator convolved with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GenKey {
-    epoch: u64,
-    perf: u64,
-    delay: u64,
-    outstanding: u32,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    key: GenKey,
-    cdf: CdfTable,
-}
-
-/// Memoized response distributions keyed by `(replica, method slot)`, plus
-/// the reusable convolution scratch used on misses. See
-/// [`ResponseTimeModel::probability_by_cached`].
-#[derive(Debug, Default)]
-pub struct ModelCache {
-    entries: HashMap<(ReplicaId, u64), CacheEntry>,
-    scratch: ConvScratch,
-    stats: ModelCacheStats,
-}
-
-impl ModelCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lifetime hit/miss/invalidation counters.
-    pub fn stats(&self) -> ModelCacheStats {
-        self.stats
-    }
-
-    /// Number of memoized `(replica, method)` distributions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&mut self) {
-        let dropped = self.entries.len() as u64;
-        self.entries.clear();
-        self.stats.invalidations += dropped;
-    }
-
-    /// Drops entries for replicas not accepted by `keep` — used to shed
-    /// state for removed replicas without waiting for epoch mismatches.
-    pub fn retain_replicas(&mut self, mut keep: impl FnMut(ReplicaId) -> bool) {
-        let before = self.entries.len();
-        self.entries.retain(|(id, _), _| keep(*id));
-        self.stats.invalidations += (before - self.entries.len()) as u64;
-    }
 }
 
 #[cfg(test)]
@@ -684,145 +542,5 @@ mod tests {
             assert!(p >= last - 1e-12, "cdf decreased at {t}");
             last = p;
         }
-    }
-
-    #[test]
-    fn cache_hits_on_unchanged_windows_and_matches_uncached() {
-        let repo = warm_repo(&[80, 100, 120, 140], &[0, 5, 10, 20], 3);
-        let model = ResponseTimeModel::default();
-        let r = ReplicaId::new(0);
-        let stats = repo.stats(r).unwrap();
-        let mut cache = ModelCache::new();
-        for t in (60..200).step_by(5) {
-            let cached = model.probability_by_cached(&mut cache, r, stats, ms(t), None);
-            let fresh = model.probability_by(stats, ms(t));
-            assert_eq!(cached, fresh, "cached and uncached disagree at {t}");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "one build, then pure lookups");
-        assert_eq!(stats.hits, 27);
-        assert_eq!(stats.invalidations, 0);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cache_invalidates_on_each_generation_source() {
-        let mut repo = warm_repo(&[100, 100], &[10, 10], 5);
-        let r = ReplicaId::new(0);
-        // Aggregate scope keys on the replica-wide perf generation, which is
-        // the counter probation transitions move (per-method history
-        // generations only move with their own samples — probation cannot
-        // change a per-method distribution, so no invalidation is needed
-        // there).
-        let model = ResponseTimeModel::new(ModelConfig {
-            method_scope: MethodScope::Aggregate,
-            queue_estimator: QueueEstimator::QueueScaled,
-            ..ModelConfig::default()
-        });
-        let mut cache = ModelCache::new();
-        let mut misses = 0;
-        let query = |cache: &mut ModelCache, repo: &InfoRepository| {
-            let stats = repo.stats(r).unwrap();
-            let cached = model.probability_by_cached(cache, r, stats, ms(300), None);
-            assert_eq!(cached, model.probability_by(stats, ms(300)));
-        };
-
-        query(&mut cache, &repo);
-        misses += 1;
-        assert_eq!(cache.stats().misses, misses);
-
-        // Unchanged → hit.
-        query(&mut cache, &repo);
-        assert_eq!(cache.stats().misses, misses);
-        assert_eq!(cache.stats().hits, 1);
-
-        // New perf sample (also changes outstanding) → rebuild.
-        repo.record_perf(r, PerfReport::new(ms(120), ms(0), 2), Instant::EPOCH);
-        query(&mut cache, &repo);
-        misses += 1;
-        assert_eq!(cache.stats().misses, misses);
-
-        // New gateway delay → rebuild.
-        repo.record_gateway_delay(r, ms(7), Instant::EPOCH);
-        query(&mut cache, &repo);
-        misses += 1;
-        assert_eq!(cache.stats().misses, misses);
-
-        // Probation transition → rebuild (perf generation moves).
-        repo.set_probation(r, 1);
-        query(&mut cache, &repo);
-        misses += 1;
-        assert_eq!(cache.stats().misses, misses);
-
-        // Every rebuild displaced the previous entry.
-        assert_eq!(cache.stats().invalidations, misses - 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cache_epoch_guards_against_replica_reinsertion() {
-        let mut repo = warm_repo(&[100], &[0], 0);
-        let r = ReplicaId::new(0);
-        let model = ResponseTimeModel::default();
-        let mut cache = ModelCache::new();
-        assert!(model
-            .probability_by_cached(&mut cache, r, repo.stats(r).unwrap(), ms(90), None)
-            .is_some());
-
-        // Remove and re-insert the same id, replaying the *same number* of
-        // updates so the per-replica generations coincide; only the epoch
-        // distinguishes the incarnations.
-        repo.remove_replica(r);
-        repo.insert_replica(r);
-        repo.record_perf(r, PerfReport::new(ms(500), ms(0), 0), Instant::EPOCH);
-        repo.record_gateway_delay(r, ms(0), Instant::EPOCH);
-        let p = model
-            .probability_by_cached(&mut cache, r, repo.stats(r).unwrap(), ms(90), None)
-            .unwrap();
-        assert_eq!(
-            p, 0.0,
-            "stale 100 ms entry must not answer for the 500 ms incarnation"
-        );
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn cache_drops_entry_when_data_becomes_insufficient() {
-        let mut repo = warm_repo(&[100], &[0], 0);
-        let r = ReplicaId::new(0);
-        let model = ResponseTimeModel::default();
-        let mut cache = ModelCache::new();
-        assert!(model
-            .probability_by_cached(&mut cache, r, repo.stats(r).unwrap(), ms(90), None)
-            .is_some());
-        assert_eq!(cache.len(), 1);
-
-        repo.remove_replica(r);
-        repo.insert_replica(r);
-        assert!(model
-            .probability_by_cached(&mut cache, r, repo.stats(r).unwrap(), ms(90), None)
-            .is_none());
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn retain_replicas_sheds_removed_ids() {
-        let model = ResponseTimeModel::default();
-        let mut repo = InfoRepository::new(2);
-        let mut cache = ModelCache::new();
-        for raw in 0..3u64 {
-            let id = ReplicaId::new(raw);
-            repo.insert_replica(id);
-            repo.record_perf(id, PerfReport::new(ms(10), ms(0), 0), Instant::EPOCH);
-            repo.record_gateway_delay(id, ms(1), Instant::EPOCH);
-            assert!(model
-                .probability_by_cached(&mut cache, id, repo.stats(id).unwrap(), ms(90), None)
-                .is_some());
-        }
-        assert_eq!(cache.len(), 3);
-        cache.retain_replicas(|id| id != ReplicaId::new(1));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().invalidations, 1);
     }
 }

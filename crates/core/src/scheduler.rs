@@ -6,7 +6,7 @@
 //!
 //! 1. adjusts the client's deadline by the most recently measured algorithm
 //!    overhead δ (§5.3.3),
-//! 2. evaluates `F_Ri(t − δ)` for every replica in the repository using the
+//! 2. evaluates `F_Ri(t − δ)` for every replica not on probation using the
 //!    online model (§5.3.1),
 //! 3. runs Algorithm 1 to pick the replica subset (§5.3.2),
 //! 4. measures how long steps 2–3 took and records it as the next δ.
@@ -15,12 +15,16 @@
 //! history joins — there is no performance data, so "the selection strategy
 //! selects all the replicas in the list. This allows the replicas to publish
 //! their performance updates to the clients" (§5.4.1).
+//!
+//! Steps 2–3 are [`plan`], which the model-based strategy and the
+//! concurrent gateway's lock-free planner run too.
 
+use crate::aqua;
 use crate::model::{ModelConfig, ResponseTimeModel};
 use crate::overhead::OverheadTracker;
 use crate::qos::{QosSpec, ReplicaId};
 use crate::repository::{InfoRepository, MethodId};
-use crate::select::{select_replicas, select_replicas_tolerating, Candidate, Selection};
+use crate::select::{select_replicas_tolerating, Candidate, Selection};
 use crate::time::Duration;
 
 /// Policy for replicas that do not yet have enough history for the model.
@@ -36,7 +40,7 @@ pub enum ColdStartPolicy {
     Optimistic(f64),
 }
 
-/// Configuration of a [`ReplicaSelector`].
+/// Configuration of a [`ReplicaSelector`], and what [`plan`] takes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SelectorConfig {
@@ -189,7 +193,8 @@ impl ReplicaSelector {
     }
 
     /// Like [`ReplicaSelector::select`] but classifying per method
-    /// (multi-interface extension, §8 ext. 1).
+    /// (multi-interface extension, §8 ext. 1). Reads every table from
+    /// scratch: this is the Figure 3 instrument, which times the model.
     pub fn select_for_method(
         &mut self,
         qos: &QosSpec,
@@ -197,78 +202,124 @@ impl ReplicaSelector {
     ) -> SelectionDecision {
         let started = std::time::Instant::now();
         let adjusted_deadline = self.overhead.adjusted_deadline(qos.deadline());
-
-        if self.repository.is_empty() {
-            return SelectionDecision {
-                selection: select_replicas(&[], qos.min_probability()),
-                candidates: Vec::new(),
-                reason: SelectionReason::NoReplicas,
-                adjusted_deadline,
-                model_time: Duration::from(started.elapsed()),
-                select_time: Duration::ZERO,
-            };
-        }
-
-        let mut candidates = Vec::with_capacity(self.repository.len());
-        let mut cold = false;
-        for (id, stats) in self.repository.iter() {
-            match self
-                .model
-                .probability_by_for(stats, adjusted_deadline, method)
-            {
-                Some(p) => candidates.push(Candidate::new(id, p)),
-                None => match self.config.cold_start {
-                    ColdStartPolicy::SelectAll => {
-                        cold = true;
-                        break;
-                    }
-                    ColdStartPolicy::Optimistic(p) => {
-                        candidates.push(Candidate::new(id, p.clamp(0.0, 1.0)));
-                    }
-                },
-            }
-        }
-        let model_time = Duration::from(started.elapsed());
-
-        if cold {
-            let all: Vec<ReplicaId> = self.repository.replica_ids().collect();
-            let selection = cold_start_selection(all);
-            let decision = SelectionDecision {
-                selection,
-                candidates: Vec::new(),
-                reason: SelectionReason::ColdStart,
-                adjusted_deadline,
-                model_time,
-                select_time: Duration::ZERO,
-            };
-            self.overhead.record(decision.overhead());
-            return decision;
-        }
-
-        let select_started = std::time::Instant::now();
-        let selection =
-            select_replicas_tolerating(&candidates, qos.min_probability(), self.config.crashes);
-        let select_time = Duration::from(select_started.elapsed());
-
+        // The model phase ends with the last member's `F_Ri` read, and
+        // Algorithm 1 runs after it: one clock read marks the split.
+        let mut unread = self.repository.selectable().count();
+        let mut ranked_at = started;
+        let Plan {
+            selection,
+            candidates,
+        } = plan(
+            &self.config,
+            qos.min_probability(),
+            self.repository.selectable(),
+            |_, stats| {
+                let p = self
+                    .model
+                    .probability_by_for(stats, adjusted_deadline, method);
+                unread -= 1;
+                if unread == 0 {
+                    ranked_at = std::time::Instant::now();
+                }
+                p
+            },
+        );
+        let finished = std::time::Instant::now();
+        let reason = match (candidates.is_empty(), selection.redundancy()) {
+            (false, _) => SelectionReason::Model,
+            (true, 0) => SelectionReason::NoReplicas,
+            (true, _) => SelectionReason::ColdStart,
+        };
+        let (model_time, select_time) = if reason == SelectionReason::Model {
+            (ranked_at - started, finished - ranked_at)
+        } else {
+            (finished - started, std::time::Duration::ZERO)
+        };
         let decision = SelectionDecision {
             selection,
             candidates,
-            reason: SelectionReason::Model,
+            reason,
             adjusted_deadline,
-            model_time,
-            select_time,
+            model_time: Duration::from(model_time),
+            select_time: Duration::from(select_time),
         };
         self.overhead.record(decision.overhead());
         decision
     }
 }
 
-/// Builds the "select everything" decision used during cold start.
-fn cold_start_selection(all: Vec<ReplicaId>) -> Selection {
-    // Reuse Algorithm 1 with an unattainable requirement so it returns the
-    // complete set M with consistent bookkeeping.
-    let candidates: Vec<Candidate> = all.into_iter().map(|id| Candidate::new(id, 0.0)).collect();
-    select_replicas(&candidates, 1.0)
+/// What [`plan`] decided: the set to multicast to and the ranking it was
+/// chosen from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The chosen replica set.
+    pub selection: Selection,
+    /// Every member with the `F_Ri(t − δ)` Algorithm 1 ranked it at, in
+    /// member order; empty on a cold-start multicast, which ranks nothing.
+    pub candidates: Vec<Candidate>,
+}
+
+impl Plan {
+    /// Each chosen replica with its ranked `F_Ri`, in selection order
+    /// (nothing on a cold-start multicast).
+    pub fn predictions(&self) -> impl Iterator<Item = (ReplicaId, f64)> + '_ {
+        self.selection.replicas().iter().filter_map(|id| {
+            let c = self.candidates.iter().find(|c| c.id == *id)?;
+            Some((*id, c.probability))
+        })
+    }
+}
+
+/// The one planning function (§5.3–§5.4.1) every planner runs:
+/// [`ReplicaSelector`], the model-based strategy and the concurrent
+/// handler's lock-free path differ only in where `F_Ri` comes from.
+///
+/// `members` are the replicas a plan may trust (selectable, not
+/// excluded), in ascending id order, each with whatever `probability`
+/// needs to read its `F_Ri(t − δ)`. A member with no distribution yet
+/// either forces the cold-start multicast to every member (§5.4.1: the
+/// members after it are not read) or is ranked at the optimistic
+/// probability, per `config.cold_start`; otherwise Algorithm 1 picks the
+/// set tolerating `config.crashes` crashes at `min_probability` (`Pc`).
+#[aqua::hot_path]
+pub fn plan<M>(
+    config: &SelectorConfig,
+    min_probability: f64,
+    members: impl IntoIterator<Item = (ReplicaId, M)>,
+    mut probability: impl FnMut(ReplicaId, M) -> Option<f64>,
+) -> Plan {
+    let mut members = members.into_iter();
+    let (_, most) = members.size_hint();
+    // aqua-lint: allow(no-alloc-in-select) the ranking is part of the returned plan; one reservation sized by the member count, no per-replica reallocation
+    let mut candidates = Vec::with_capacity(most.unwrap_or(0));
+    while let Some((id, member)) = members.next() {
+        let p = match probability(id, member) {
+            Some(p) => p,
+            None => match config.cold_start {
+                ColdStartPolicy::Optimistic(p) => p.clamp(0.0, 1.0),
+                ColdStartPolicy::SelectAll => {
+                    // Every member read so far had a distribution, so the
+                    // multicast is those, this one and the rest, in order.
+                    let everyone = candidates
+                        .iter()
+                        .map(|c: &Candidate| c.id)
+                        .chain(std::iter::once(id))
+                        .chain(members.map(|(id, _)| id))
+                        .collect();
+                    candidates.clear();
+                    return Plan {
+                        selection: Selection::everyone(everyone),
+                        candidates,
+                    };
+                }
+            },
+        };
+        candidates.push(Candidate::new(id, p));
+    }
+    Plan {
+        selection: select_replicas_tolerating(&candidates, min_probability, config.crashes),
+        candidates,
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +377,28 @@ mod tests {
         let d = selector.select(&qos);
         assert_eq!(d.reason, SelectionReason::ColdStart);
         assert_eq!(d.selection.redundancy(), 2);
+    }
+
+    #[test]
+    fn replicas_on_probation_are_not_trusted() {
+        let mut selector = ReplicaSelector::new(5, SelectorConfig::default());
+        for i in 0..4 {
+            warm(&mut selector, i, 20 + 10 * i);
+        }
+        selector
+            .repository_mut()
+            .set_probation(ReplicaId::new(0), 5);
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let d = selector.select(&qos);
+        assert_eq!(d.reason, SelectionReason::Model);
+        assert_eq!(d.selection.replicas(), [1, 2].map(ReplicaId::new));
+        assert_eq!(d.candidates.len(), 3, "r0 is not ranked at all");
+
+        // A cold member multicasts to the trusted members only.
+        selector.repository_mut().insert_replica(ReplicaId::new(9));
+        let cold = selector.select(&qos);
+        assert_eq!(cold.reason, SelectionReason::ColdStart);
+        assert_eq!(cold.selection.replicas(), [1, 2, 3, 9].map(ReplicaId::new));
     }
 
     #[test]

@@ -87,6 +87,17 @@ impl Selection {
     pub fn is_fallback_all(&self) -> bool {
         self.fallback_all
     }
+
+    /// Every one of `replicas`, with no prediction behind the choice: the
+    /// cold-start multicast of §5.4.1.
+    pub(crate) fn everyone(replicas: Vec<ReplicaId>) -> Self {
+        Selection {
+            replicas,
+            predicted_probability: 0.0,
+            crash_tolerant_probability: 0.0,
+            fallback_all: true,
+        }
+    }
 }
 
 impl fmt::Display for Selection {

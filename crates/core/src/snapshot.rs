@@ -3,9 +3,9 @@
 //! The paper's selection path (§5.3) reads the information repository on
 //! every request but mutates it only when perf reports arrive. This module
 //! packages the read side as an immutable, epoch-published **planning
-//! view**: per-replica point-query response-time tables ([`CdfTable`],
-//! the same tables the model cache of `model.rs` memoizes) plus the freshness
-//! metadata needed to decide when a replica's entry is stale. Publishers
+//! view**: per-replica point-query response-time tables ([`CdfTable`])
+//! plus the freshness metadata needed to decide when a replica's entry is
+//! stale ([`ReplicaSnapshot::refresh`]). Publishers
 //! rebuild a new [`PlanningView`] off the hot path whenever generation
 //! counters move and swap it into a [`SnapshotCell`] with a brief
 //! pointer-sized critical section; planners [`SnapshotCell::load`] the
@@ -29,8 +29,7 @@ use crate::time::Duration;
 /// per-method models, or this sentinel for the aggregate scope.
 pub const AGGREGATE_SLOT: u64 = u64::MAX;
 
-/// Maps a request's (optional) method id to the slot its table lives in,
-/// mirroring the keying of the generation-keyed model cache.
+/// Maps a request's (optional) method id to the slot its table lives in.
 #[inline]
 pub fn method_slot(scope: MethodScope, method: Option<MethodId>) -> u64 {
     match scope {
@@ -51,14 +50,53 @@ pub struct ReplicaSnapshot {
     delay_generation: u64,
     outstanding: u32,
     /// `(slot, table)` pairs sorted by slot for binary-search lookup.
-    cdfs: Vec<(u64, Arc<CdfTable>)>,
+    cdfs: Vec<(u64, CdfTable)>,
 }
 
 impl ReplicaSnapshot {
-    /// A snapshot of `stats` with no tables: all a handler whose strategy
-    /// plans from the repository itself ever reads.
-    pub fn without_tables(id: ReplicaId, stats: &ReplicaStats) -> Self {
-        ReplicaSnapshot {
+    /// Builds a snapshot of `stats` with the response-time table (§5.3.1)
+    /// of every method slot the replica has history for, exact at every
+    /// deadline. This is the publisher-side cost, paid off the hot path.
+    pub fn build(
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: &ResponseTimeModel,
+        scratch: &mut ConvScratch,
+    ) -> Self {
+        Self::build_within(id, stats, Some(model), scratch, None)
+    }
+
+    /// What a planner holding `held` for a replica does before reading
+    /// `stats` at deadlines up to `horizon`: `None` while nothing `held`
+    /// was built from has moved and its tables reach `horizon`, else the
+    /// snapshot to replace it with, with tables from `model` exact up to
+    /// `horizon` (none without a model: the planner reads the repository).
+    /// The one reuse rule of every table memo, the publisher's and the
+    /// model-based strategy's.
+    pub fn refresh(
+        held: Option<&ReplicaSnapshot>,
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: Option<&ResponseTimeModel>,
+        scratch: &mut ConvScratch,
+        horizon: Duration,
+    ) -> Option<ReplicaSnapshot> {
+        match held {
+            Some(held) if held.is_current(stats) && held.covers(horizon) => None,
+            _ => Some(Self::build_within(id, stats, model, scratch, Some(horizon))),
+        }
+    }
+
+    /// A snapshot of `stats` with `model`'s tables exact up to `horizon`
+    /// (everywhere for `None`), or with no tables without a model.
+    fn build_within(
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: Option<&ResponseTimeModel>,
+        scratch: &mut ConvScratch,
+        horizon: Option<Duration>,
+    ) -> Self {
+        let mut snapshot = ReplicaSnapshot {
             id,
             warm: stats.is_warm(),
             selectable: !stats.is_on_probation(),
@@ -67,38 +105,21 @@ impl ReplicaSnapshot {
             delay_generation: stats.delay_generation(),
             outstanding: stats.outstanding(),
             cdfs: Vec::new(),
-        }
-    }
-
-    /// Builds a snapshot of `stats` with the response-time table (§5.3.1)
-    /// of every method slot the replica has history for. This is the
-    /// publisher-side cost, paid off the hot path.
-    pub fn build(
-        id: ReplicaId,
-        stats: &ReplicaStats,
-        model: &ResponseTimeModel,
-        scratch: &mut ConvScratch,
-    ) -> Self {
-        Self::build_within(id, stats, model, scratch, None)
-    }
-
-    /// [`ReplicaSnapshot::build`] with tables exact only up to `horizon` —
-    /// the deadline of the QoS spec the view is published under, past
-    /// which no plan reads.
-    pub fn build_within(
-        id: ReplicaId,
-        stats: &ReplicaStats,
-        model: &ResponseTimeModel,
-        scratch: &mut ConvScratch,
-        horizon: Option<Duration>,
-    ) -> Self {
-        let mut snapshot = Self::without_tables(id, stats);
+        };
+        let Some(model) = model else {
+            return snapshot;
+        };
+        let scope = model.config().method_scope;
+        snapshot.cdfs.reserve_exact(match scope {
+            MethodScope::PerMethod => stats.histories().count(),
+            MethodScope::Aggregate => 1,
+        });
         let mut table_for = |slot: u64, method: Option<MethodId>| {
             if let Some(cdf) = model.response_cdf(stats, method, scratch, horizon) {
-                snapshot.cdfs.push((slot, Arc::new(cdf)));
+                snapshot.cdfs.push((slot, cdf));
             }
         };
-        match model.config().method_scope {
+        match scope {
             MethodScope::PerMethod => {
                 for (method, _) in stats.histories() {
                     table_for(u64::from(method.index()), Some(method));
@@ -431,6 +452,37 @@ mod tests {
         assert!(snap.is_current(repo.stats(id).unwrap()));
         repo.record_perf(id, PerfReport::new(ms(33), ms(1), 0), Instant::EPOCH);
         assert!(!snap.is_current(repo.stats(id).unwrap()));
+    }
+
+    #[test]
+    fn refresh_never_answers_for_a_reinserted_replica() {
+        let mut repo = warmed_repo(1, 5);
+        let model = ResponseTimeModel::new(ModelConfig::default());
+        let mut scratch = ConvScratch::new();
+        let id = ReplicaId::new(0);
+        let stats = repo.stats(id).unwrap();
+        let held =
+            ReplicaSnapshot::refresh(None, id, stats, Some(&model), &mut scratch, ms(200)).unwrap();
+
+        // Remove and re-insert the same id, replaying as many updates so
+        // every generation coincides: only the epoch tells them apart.
+        repo.remove_replica(id);
+        repo.insert_replica(id);
+        for _ in 0..5 {
+            repo.record_perf(id, PerfReport::new(ms(500), ms(0), 0), Instant::EPOCH);
+        }
+        repo.record_gateway_delay(id, ms(2), Instant::EPOCH);
+        let stats = repo.stats(id).unwrap();
+        assert_eq!(held.perf_generation, stats.perf_generation());
+        assert_eq!(held.delay_generation, stats.delay_generation());
+        let fresh =
+            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200))
+                .expect("a new incarnation is rebuilt");
+        assert_eq!(
+            fresh.probability_by(0, ms(200)),
+            Some(0.0),
+            "the 500 ms incarnation, not the stale 30–70 ms one"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests of the point-query model, for *any* interleaving of
 //! repository mutations and *any* estimator combination:
 //!
-//! - a query answered through the generation-keyed [`ModelCache`] equals
-//!   the from-scratch query bit for bit;
+//! - a read from a snapshot kept by the shared refresh rule
+//!   ([`ReplicaSnapshot::refresh`]) equals the from-scratch query bit for
+//!   bit;
 //! - on small windows, `F(x)` is the exact rational an enumeration of
 //!   every tuple of retained samples gives, rounded once;
 //! - it agrees with the whole-distribution float pipeline
@@ -15,6 +16,7 @@ use std::collections::BTreeMap;
 use aqua_core::pmf::ConvScratch;
 use aqua_core::prelude::*;
 use aqua_core::repository::MethodHistory;
+use aqua_core::snapshot::method_slot;
 use proptest::prelude::*;
 
 fn ms(v: u64) -> Duration {
@@ -130,13 +132,17 @@ fn all_configs() -> Vec<ModelConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One persistent cache per estimator combination survives an
+    /// One snapshot memo per estimator combination, refreshed by the rule
+    /// every planner shares ([`ReplicaSnapshot::refresh`]), survives an
     /// arbitrary interleaving of `record_perf` / `record_gateway_delay` /
-    /// `remove_replica` / probation transitions / re-insertions, and after
-    /// every operation agrees bit for bit with the from-scratch model for
-    /// every replica, method, and a spread of deadlines.
+    /// `remove_replica` / probation transitions / re-insertions while the
+    /// horizon it refreshes to grows halfway through. After every operation
+    /// it agrees bit for bit with the from-scratch model for every replica,
+    /// method, and a spread of deadlines up to the horizon; it rebuilds
+    /// exactly when a generation moved or its tables stop short of the
+    /// horizon, and a repeat refresh reuses what the first one left.
     #[test]
-    fn cached_cdf_matches_from_scratch_for_all_estimators(
+    fn snapshot_refresh_matches_from_scratch_for_all_estimators(
         ops in prop::collection::vec(op(), 1..40),
     ) {
         let configs = all_configs();
@@ -148,48 +154,59 @@ proptest! {
             .into_iter()
             .map(ResponseTimeModel::new)
             .collect();
-        let mut caches: Vec<ModelCache> = models.iter().map(|_| ModelCache::new()).collect();
+        let mut memos: Vec<BTreeMap<ReplicaId, ReplicaSnapshot>> =
+            models.iter().map(|_| BTreeMap::new()).collect();
+        let mut scratch = ConvScratch::new();
 
-        for op in &ops {
+        for (step, op) in ops.iter().enumerate() {
             apply(&mut repo, op);
-            for (model, cache) in models.iter().zip(caches.iter_mut()) {
+            // A read at 3 s past an 800 ms table would trip its horizon
+            // assertion: growing the horizon must rebuild every table.
+            let horizon = ms(if step < ops.len() / 2 { 800 } else { 3_000 });
+            for (model, memo) in models.iter().zip(memos.iter_mut()) {
                 for raw in 0..POOL {
                     let id = ReplicaId::new(raw);
                     let Some(stats) = repo.stats(id) else { continue };
+                    // A removed id keeps its snapshot: the re-inserted
+                    // replica's must not be answered from it.
+                    let held = memo.get(&id);
+                    let stale = held.is_none_or(|h| !h.is_current(stats) || !h.covers(horizon));
+                    let fresh =
+                        ReplicaSnapshot::refresh(held, id, stats, Some(model), &mut scratch, horizon);
+                    prop_assert_eq!(fresh.is_some(), stale);
+                    let Some(snapshot) = fresh.or_else(|| held.cloned()) else { continue };
+                    let again = ReplicaSnapshot::refresh(
+                        Some(&snapshot), id, stats, Some(model), &mut scratch, horizon,
+                    );
+                    prop_assert!(again.is_none(), "a repeat refresh rebuilt");
                     for method in [None, Some(MethodId::new(0)), Some(MethodId::new(1))] {
+                        let slot = method_slot(model.config().method_scope, method);
                         for deadline_ms in [0u64, 50, 200, 800, 3_000] {
                             let deadline = ms(deadline_ms);
-                            let cached = model.probability_by_cached(
-                                cache, id, stats, deadline, method,
-                            );
+                            if deadline > horizon {
+                                continue;
+                            }
+                            let memoized = snapshot.probability_by(slot, deadline);
                             let fresh = model.probability_by_for(stats, deadline, method);
-                            match (cached, fresh) {
-                                (Some(c), Some(f)) => prop_assert!(
-                                    c.to_bits() == f.to_bits(),
-                                    "cached {c} vs fresh {f} for {id:?} {method:?} @{deadline_ms}ms ({})",
+                            match (memoized, fresh) {
+                                (Some(m), Some(f)) => prop_assert!(
+                                    m.to_bits() == f.to_bits(),
+                                    "memoized {m} vs fresh {f} for {id:?} {method:?} @{deadline_ms}ms ({})",
                                     model_label(model),
                                 ),
                                 (None, None) => {}
-                                (c, f) => prop_assert!(
+                                (m, f) => prop_assert!(
                                     false,
-                                    "presence mismatch: cached {c:?} vs fresh {f:?} for {id:?} \
+                                    "presence mismatch: memoized {m:?} vs fresh {f:?} for {id:?} \
                                      {method:?} @{deadline_ms}ms ({})",
                                     model_label(model),
                                 ),
                             }
                         }
                     }
+                    memo.insert(id, snapshot);
                 }
             }
-        }
-
-        // The cache must actually be caching: across this many repeat
-        // queries at least some hits are expected whenever any window
-        // warmed up at all.
-        let totals: u64 = caches.iter().map(|c| c.stats().hits + c.stats().misses).sum();
-        let hits: u64 = caches.iter().map(|c| c.stats().hits).sum();
-        if totals > 0 {
-            prop_assert!(hits > 0 || totals < 10, "no hits across {totals} queries");
         }
     }
 

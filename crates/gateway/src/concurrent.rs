@@ -38,8 +38,7 @@ use aqua_core::model::{ModelCacheStats, ResponseTimeModel};
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
-use aqua_core::scheduler::ColdStartPolicy;
-use aqua_core::select::{select_replicas_tolerating, Candidate};
+use aqua_core::scheduler::plan;
 use aqua_core::snapshot::{method_slot, PlanningView, ReplicaSnapshot, SnapshotCell};
 use aqua_core::time::{Duration, Instant};
 use aqua_obs::contention::LockContention;
@@ -501,33 +500,31 @@ impl ConcurrentHandler {
         let current = self.snapshot.load();
         let merged = self.merged_repository();
         // One read: the tables are built to the deadline they publish with.
+        // Plans read `F(t)` at the view's own deadline less δ, never past it.
         let qos = self.qos();
+        let model = match &self.planner {
+            PlannerMode::Snapshot { model, .. } => Some(model),
+            // The strategy reads the repository, not tables.
+            PlannerMode::Strategy(_) => None,
+        };
         let mut rebuilt = 0u64;
         let mut snaps: Vec<Arc<ReplicaSnapshot>> = Vec::with_capacity(merged.len());
         for (id, stats) in merged.iter() {
-            let reused = current
+            let held = current
                 .replicas()
                 .binary_search_by_key(&id, |r| r.id())
                 .ok()
-                .map(|i| &current.replicas()[i])
-                .filter(|snap| snap.is_current(stats) && snap.covers(qos.deadline()))
-                .map(Arc::clone);
-            snaps.push(reused.unwrap_or_else(|| {
-                rebuilt += 1;
-                Arc::new(match &self.planner {
-                    // Plans read `F(t)` at the view's own deadline less δ,
-                    // never past it.
-                    PlannerMode::Snapshot { model, .. } => ReplicaSnapshot::build_within(
-                        id,
-                        stats,
-                        model,
-                        &mut scratch,
-                        Some(qos.deadline()),
-                    ),
-                    // The strategy reads the repository, not tables.
-                    PlannerMode::Strategy(_) => ReplicaSnapshot::without_tables(id, stats),
-                })
-            }));
+                .and_then(|i| current.replicas().get(i));
+            let fresh = ReplicaSnapshot::refresh(
+                held.map(|held| held.as_ref()),
+                id,
+                stats,
+                model,
+                &mut scratch,
+                qos.deadline(),
+            );
+            rebuilt += u64::from(fresh.is_some());
+            snaps.extend(fresh.map(Arc::new).or_else(|| held.cloned()));
         }
         let reused = snaps.len() as u64 - rebuilt;
         let view = PlanningView::assemble(current.version() + 1, snaps, Arc::new(merged), qos);
@@ -734,11 +731,11 @@ impl ConcurrentHandler {
         Some((seq, replicas))
     }
 
-    /// Algorithm 1 over the published snapshot: evaluate `F_Ri(t − δ)`
-    /// from the memoized tables, then run the crash-tolerant subset
-    /// selection. Runs entirely on the caller's thread. Returns the
-    /// selection plus each chosen replica's predicted `P(meet deadline)`
-    /// (empty on a cold-start multicast, which has no model to consult).
+    /// Algorithm 1 over the published snapshot: [`plan`] reading
+    /// `F_Ri(t − δ)` from the published tables. Runs entirely on the
+    /// caller's thread. Returns the selection plus each chosen replica's
+    /// predicted `P(meet deadline)` (empty on a cold-start multicast,
+    /// which has no model to consult).
     #[aqua::hot_path]
     fn plan_from_snapshot(
         &self,
@@ -751,47 +748,16 @@ impl ConcurrentHandler {
             self.last_overhead_ns.load(Ordering::Relaxed),
         ));
         let slot = method_slot(spec.model.method_scope, method);
-        // aqua-lint: allow(no-alloc-in-select) the candidate list is the function's output; one exact-size reservation, no per-replica reallocation
-        let mut candidates = Vec::with_capacity(view.replicas().len());
-        for snap in view.replicas() {
-            let id = snap.id();
-            if !snap.is_selectable() || exclude.contains(&id) {
-                continue;
-            }
-            match snap.probability_by(slot, deadline) {
-                Some(p) => candidates.push(Candidate::new(id, p)),
-                None => match spec.cold_start {
-                    ColdStartPolicy::SelectAll => {
-                        // Cold start (§5.4.1): multicast to every
-                        // selectable member in one round.
-                        let everyone = view
-                            .replicas()
-                            .iter()
-                            .filter(|s| s.is_selectable() && !exclude.contains(&s.id()))
-                            .map(|s| s.id())
-                            .collect();
-                        // aqua-lint: allow(no-alloc-in-select) Vec::new is allocation-free; a cold-start multicast has no predictions to report
-                        return (everyone, Vec::new());
-                    }
-                    ColdStartPolicy::Optimistic(p) => {
-                        candidates.push(Candidate::new(id, p.clamp(0.0, 1.0)));
-                    }
-                },
-            }
-        }
-        let chosen =
-            select_replicas_tolerating(&candidates, view.qos().min_probability(), spec.crashes)
-                .into_replicas();
-        let predicted = chosen
+        let members = view
+            .replicas()
             .iter()
-            .map(|id| {
-                candidates
-                    .iter()
-                    .find(|c| c.id == *id)
-                    .map_or(0.0, |c| c.probability)
-            })
-            .collect();
-        (chosen, predicted)
+            .filter(|snap| snap.is_selectable() && !exclude.contains(&snap.id()))
+            .map(|snap| (snap.id(), snap));
+        let plan = plan(spec, view.qos().min_probability(), members, |_, snap| {
+            snap.probability_by(slot, deadline)
+        });
+        let predicted = plan.predictions().map(|(_, p)| p).collect();
+        (plan.selection.into_replicas(), predicted)
     }
 
     // -- replies ------------------------------------------------------------

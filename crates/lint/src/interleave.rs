@@ -27,9 +27,9 @@
 //!   quantile fallback holds (`obs-registry-buggy-read-order` reads the
 //!   count first).
 //! * `repository-record-vs-remove-epoch` — `aqua-core` repository
-//!   `record_perf` racing a remove/re-insert: model-cache keys carry the
-//!   replica `epoch`, so a generation counter that restarts after
-//!   re-insert can never alias a stale cache entry (the ABA hazard
+//!   `record_perf` racing a remove/re-insert: a held snapshot's key carries
+//!   the replica `epoch`, so a generation counter that restarts after
+//!   re-insert can never alias a stale snapshot (the ABA hazard
 //!   `repository-no-epoch-aba` exhibits).
 //! * `gateway-snapshot-publish-vs-plan` — the concurrent gateway's
 //!   snapshot pipeline: sharded ingestion marks a dirty flag, publishers
@@ -469,7 +469,7 @@ fn registry(count_first: bool) -> Model<RegistryState> {
 // Model 2: repository — record vs remove/re-insert (ABA epoch).
 // ---------------------------------------------------------------------------
 
-/// Shadow of the repository entry a model-cache key is derived from.
+/// Shadow of the repository entry a table memo's key is derived from.
 #[derive(Clone)]
 struct RepoState {
     /// Bumped on every (re-)insert; part of the cache key.
@@ -499,8 +499,9 @@ fn repository(key_includes_epoch: bool) -> Model<RepoState> {
         }
     };
 
-    // Thread 0 — the gateway's model cache: snapshot a key, then keep
-    // validating cached data against the live entry (probability_by_cached).
+    // Thread 0 — a table memo: snapshot a key, then keep validating the
+    // held data against the live entry (ReplicaSnapshot::refresh, the
+    // rule the publisher and the model-based strategy share).
     let cache = vec![
         St::new("cache.build", |s, _| {
             s.cached = Some((s.epoch.load(), s.generation.load(), s.incarnation.load()));

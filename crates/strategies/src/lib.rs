@@ -25,12 +25,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use aqua_core::model::{ModelCache, ModelCacheStats, ModelConfig, ResponseTimeModel};
+use aqua_core::model::{ModelCacheStats, ModelConfig, ResponseTimeModel};
 use aqua_core::overhead::OverheadTracker;
+use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, ReplicaStats};
-use aqua_core::scheduler::ColdStartPolicy;
-use aqua_core::select::{select_replicas_tolerating, Candidate};
+use aqua_core::scheduler::{plan, ColdStartPolicy};
+use aqua_core::snapshot::{method_slot, ReplicaSnapshot};
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -72,25 +73,12 @@ impl<'a> SelectionInput<'a> {
     }
 }
 
-/// The parameters a lock-free planner needs to reproduce a strategy's
-/// selection from a published planning snapshot instead of a live
-/// repository reference.
-///
-/// A strategy that is a pure function of the per-replica response-time
-/// distributions (the paper's model-based selection) can hand these out;
-/// the concurrent handler then evaluates Algorithm 1 against the
-/// snapshot's memoized CDF tables with no strategy (or repository) lock
-/// at all. Stateful baselines (round-robin rotation, seeded shuffles)
-/// cannot, and keep going through [`SelectionStrategy::select`].
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotPlanSpec {
-    /// The response-time model configuration the snapshots are built with.
-    pub model: ModelConfig,
-    /// Crash tolerance handed to Algorithm 1's generalization (§5.3.2).
-    pub crashes: usize,
-    /// Policy for replicas whose snapshot has no distribution yet.
-    pub cold_start: ColdStartPolicy,
-}
+/// What a lock-free planner needs to reproduce a strategy's selection
+/// from a published planning snapshot: the configuration
+/// [`aqua_core::scheduler::plan`] takes. Only strategies that are a pure
+/// function of the response-time distributions (the paper's) have one;
+/// stateful baselines keep going through [`SelectionStrategy::select`].
+pub use aqua_core::scheduler::SelectorConfig as SnapshotPlanSpec;
 
 /// A replica-selection policy.
 pub trait SelectionStrategy: Send {
@@ -103,8 +91,8 @@ pub trait SelectionStrategy: Send {
     /// an immediately failed request.
     fn select(&mut self, input: &SelectionInput<'_>) -> Vec<ReplicaId>;
 
-    /// Lifetime counters of the strategy's internal model cache, if it has
-    /// one. Baselines return `None`.
+    /// Lifetime counters of the strategy's table memo, if it has one.
+    /// Baselines return `None`.
     fn cache_stats(&self) -> Option<ModelCacheStats> {
         None
     }
@@ -136,11 +124,14 @@ pub trait SelectionStrategy: Send {
 /// behind the strategy interface so it can be compared against baselines.
 #[derive(Debug)]
 pub struct ModelBased {
+    config: SnapshotPlanSpec,
     model: ResponseTimeModel,
-    cache: ModelCache,
+    /// The table memo: one snapshot per replica planned for, sorted by id,
+    /// kept while [`ReplicaSnapshot::refresh`] finds it fresh.
+    snapshots: Vec<ReplicaSnapshot>,
+    scratch: ConvScratch,
+    memo: ModelCacheStats,
     overhead: OverheadTracker,
-    cold_start: ColdStartPolicy,
-    crashes: usize,
     last_predictions: Vec<(ReplicaId, f64)>,
 }
 
@@ -149,11 +140,15 @@ impl ModelBased {
     /// paper's cold-start rule (select all until warmed up).
     pub fn new(model: ModelConfig) -> Self {
         ModelBased {
+            config: SnapshotPlanSpec {
+                model,
+                ..SnapshotPlanSpec::default()
+            },
             model: ResponseTimeModel::new(model),
-            cache: ModelCache::new(),
+            snapshots: Vec::new(),
+            scratch: ConvScratch::new(),
+            memo: ModelCacheStats::default(),
             overhead: OverheadTracker::new(),
-            cold_start: ColdStartPolicy::SelectAll,
-            crashes: 1,
             last_predictions: Vec::new(),
         }
     }
@@ -161,7 +156,7 @@ impl ModelBased {
     /// Overrides the cold-start policy.
     #[must_use]
     pub fn with_cold_start(mut self, policy: ColdStartPolicy) -> Self {
-        self.cold_start = policy;
+        self.config.cold_start = policy;
         self
     }
 
@@ -169,7 +164,7 @@ impl ModelBased {
     /// tolerate (default 1, Algorithm 1; §5.3.2 sketches the general case).
     #[must_use]
     pub fn with_crash_tolerance(mut self, crashes: usize) -> Self {
-        self.crashes = crashes;
+        self.config.crashes = crashes;
         self
     }
 
@@ -192,52 +187,60 @@ impl SelectionStrategy for ModelBased {
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Vec<ReplicaId> {
         let started = std::time::Instant::now();
-        let deadline = self.overhead.adjusted_deadline(input.qos.deadline());
-        if self.cache.len() > input.repository.len() {
-            // Cheap steady-state bound: entries can only outnumber replicas
-            // after removals, so shed the leftovers in one pass.
-            let repository = input.repository;
-            self.cache
-                .retain_replicas(|id| repository.stats(id).is_some());
+        // Tables reach the spec's deadline; plans read them at `t − δ`.
+        let horizon = input.qos.deadline();
+        let deadline = self.overhead.adjusted_deadline(horizon);
+        let repository = input.repository;
+        if self.snapshots.len() > repository.len() {
+            // Cheap steady-state bound: snapshots can only outnumber
+            // replicas after removals, so shed the leftovers in one pass.
+            let before = self.snapshots.len();
+            self.snapshots.retain(|s| repository.contains(s.id()));
+            self.memo.invalidations += (before - self.snapshots.len()) as u64;
         }
-        let mut candidates = Vec::with_capacity(input.repository.len());
-        for (id, stats) in input.candidates() {
-            let p = self.model.probability_by_cached(
-                &mut self.cache,
-                id,
-                stats,
-                deadline,
-                input.method,
-            );
-            match p {
-                Some(p) => candidates.push(Candidate::new(id, p)),
-                None => match self.cold_start {
-                    ColdStartPolicy::SelectAll => {
-                        self.overhead.record(Duration::from(started.elapsed()));
-                        self.last_predictions.clear();
-                        return input.candidate_ids().collect();
+        let slot = method_slot(self.config.model.method_scope, input.method);
+        let plan = plan(
+            &self.config,
+            input.qos.min_probability(),
+            input.candidates(),
+            |id, stats| {
+                let at = self
+                    .snapshots
+                    .binary_search_by_key(&id, ReplicaSnapshot::id);
+                let held = at.ok().and_then(|i| self.snapshots.get(i));
+                let Some(fresh) = ReplicaSnapshot::refresh(
+                    held,
+                    id,
+                    stats,
+                    Some(&self.model),
+                    &mut self.scratch,
+                    horizon,
+                ) else {
+                    self.memo.hits += 1;
+                    return held?.probability_by(slot, deadline);
+                };
+                self.memo.misses += 1;
+                let p = fresh.probability_by(slot, deadline);
+                match at {
+                    Ok(i) => {
+                        self.memo.invalidations += 1;
+                        if let Some(held) = self.snapshots.get_mut(i) {
+                            *held = fresh;
+                        }
                     }
-                    ColdStartPolicy::Optimistic(p) => {
-                        candidates.push(Candidate::new(id, p.clamp(0.0, 1.0)));
-                    }
-                },
-            }
-        }
-        let selection =
-            select_replicas_tolerating(&candidates, input.qos.min_probability(), self.crashes);
+                    Err(i) => self.snapshots.insert(i, fresh),
+                }
+                p
+            },
+        );
         self.overhead.record(Duration::from(started.elapsed()));
-        let chosen = selection.into_replicas();
         self.last_predictions.clear();
-        for id in &chosen {
-            if let Some(c) = candidates.iter().find(|c| c.id == *id) {
-                self.last_predictions.push((*id, c.probability));
-            }
-        }
-        chosen
+        self.last_predictions.extend(plan.predictions());
+        plan.selection.into_replicas()
     }
 
     fn cache_stats(&self) -> Option<ModelCacheStats> {
-        Some(self.cache.stats())
+        Some(self.memo)
     }
 
     fn last_predictions(&self) -> &[(ReplicaId, f64)] {
@@ -245,11 +248,7 @@ impl SelectionStrategy for ModelBased {
     }
 
     fn snapshot_spec(&self) -> Option<SnapshotPlanSpec> {
-        Some(SnapshotPlanSpec {
-            model: *self.model.config(),
-            crashes: self.crashes,
-            cold_start: self.cold_start,
-        })
+        Some(self.config)
     }
 }
 
