@@ -55,7 +55,7 @@ pub fn emit_fault_events(obs: &Obs, schedule: &FaultSchedule, upto: Instant) {
 
 /// Incremental emitter of fault active/cleared events.
 ///
-/// The socket runtime's fault driver thread owns one and calls
+/// Each socket replica's event loop owns one and calls
 /// [`FaultTracker::advance`] at every transition it wakes up for; each window
 /// edge is emitted exactly once, in time order per fault.
 #[derive(Debug)]

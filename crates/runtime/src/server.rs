@@ -1,25 +1,36 @@
 //! A replica server over real TCP sockets.
 //!
-//! One [`ReplicaServer`] is one AQuA server replica on localhost: a
-//! blocking accept loop, per-connection reader threads feeding a single
-//! **FIFO service thread** (the request queue of §5.1 Stage 3), and
-//! performance publication to subscribers after every serviced request
-//! (§5.4.1). Service time is simulated by sleeping a sampled duration; the
-//! *measured* elapsed time is what gets reported, exactly like the
-//! instrumented gateway of the paper.
+//! One [`ReplicaServer`] is one AQuA server replica on localhost, run by
+//! **one thread**: a level-triggered `epoll` loop over the listener, every
+//! connection and a wake socket, the shape of the client's reactor. The
+//! loop *is* the FIFO server of §5.1 Stage 3. It stamps each request as it
+//! reads it (t2), starts the head job (t3), piggybacks the measured service
+//! time and `tq = t3 − t2` on the reply, and sends the same numbers to every
+//! other subscriber as a `PerfUpdate` (§5.4.1). Service time is simulated
+//! by waiting out a sampled duration; the *measured* elapsed time is what
+//! gets reported, exactly like the instrumented gateway of the paper.
 //!
-//! A connection is one shared `Arc<TcpStream>` from accept to teardown:
-//! its reader pulls whole bursts into a [`FrameAssembler`] (one `read`
-//! however many frames arrived, like the client's reactor), and every
-//! queued job, the subscriber list and the forced-shutdown list hold the
-//! same handle — no descriptor is duplicated per request. Nothing polls:
-//! `accept`, `read` and the service queue's `recv` all block, and a crash
-//! wakes each of them (a throwaway self-connect, a socket shutdown, a
-//! sentinel).
+//! Everything that waits is a deadline of the loop, kept with
+//! `epoll_wait`'s timeout: the job in service, a reply held back by a delay
+//! spike, and the next edge of the fault schedule (down windows, pauses,
+//! service factors, the fault journal). Only the sub-millisecond remainder
+//! the timeout cannot express is slept, so arrivals are read and stamped
+//! while a job is in service, and a zero-time job is answered in the wake
+//! that read it. Nothing polls.
+//!
+//! Every queue is bounded. The FIFO holds at most `FIFO_CAP` jobs; while
+//! it is full the loop reads no connection, so backpressure reaches the
+//! client through TCP. Replies and updates are written nonblocking from
+//! per-connection buffers, with `EPOLLOUT` armed only under backpressure,
+//! and a peer that lets more than `MAX_UNSENT` bytes pile up is closed like
+//! any other failed peer — no peer can wedge the replica.
 
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
@@ -29,19 +40,34 @@ use aqua_core::time::Instant;
 use aqua_faults::{FaultSchedule, FaultTracker};
 use aqua_replica::ServiceTimeModel;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::wire::{Frame, FrameAssembler};
+use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::wire::{Frame, FrameAssembler, MAX_FRAME};
+
+/// Jobs the FIFO holds at most. While it is full the loop reads nothing.
+const FIFO_CAP: usize = 256;
+
+/// Unsent bytes past which a connection's peer counts as failed: two of
+/// the largest frames, so no single reply trips it on its own.
+const MAX_UNSENT: usize = 2 * MAX_FRAME as usize;
+
+/// Epoll cookie of the listener; connections count up from zero.
+const LISTENER: u64 = u64::MAX;
+
+/// Epoll cookie of the wake socket.
+const WAKE: u64 = u64::MAX - 1;
+
+/// Events pulled per `epoll_wait`.
+const MAX_EVENTS: usize = 64;
 
 /// Configuration of one socket replica.
 #[derive(Debug, Clone)]
 pub struct ReplicaServerConfig {
     /// This replica's identity.
     pub replica: ReplicaId,
-    /// Per-request service-time distribution (slept out in real time).
+    /// Per-request service-time distribution (waited out in real time).
     pub service: ServiceTimeModel,
     /// RNG seed for the service-time draws.
     pub seed: u64,
@@ -53,10 +79,9 @@ pub struct ReplicaServerConfig {
     pub obs: Option<aqua_obs::Obs>,
     /// Scheduled fault injection on the server's own clock (zero at
     /// spawn): crash-and-recover windows refuse connections and drop
-    /// queued work, pauses stall the service thread (queued work
-    /// survives), degradations and overloads stretch the slept service
-    /// time, delay spikes postpone replies, and message drops swallow
-    /// them.
+    /// queued work, pauses stall the FIFO (queued work survives),
+    /// degradations and overloads stretch the service time, delay spikes
+    /// postpone replies, and message drops swallow them.
     pub faults: Option<FaultSchedule>,
 }
 
@@ -76,7 +101,7 @@ impl ReplicaServerConfig {
     }
 }
 
-/// Cached server-side metric handles, created once per service loop.
+/// Cached server-side metric handles, created once per server.
 struct ServerMetrics {
     serviced: Arc<aqua_obs::metrics::Counter>,
     service_ns: Arc<aqua_obs::metrics::Histogram>,
@@ -98,61 +123,28 @@ impl ServerMetrics {
     }
 }
 
-/// A queued request job.
-struct Job {
-    /// The requester's connection.
-    writer: Arc<TcpStream>,
-    peer: SocketAddr,
-    seq: u64,
-    method: u32,
-    payload: Bytes,
-    enqueued: StdInstant,
-}
-
-/// A message on the service channel: the queue of §5.1 Stage 3 plus a
-/// shutdown sentinel, so the service thread blocks on `recv()` instead of
-/// polling a timeout.
-enum ServiceMsg {
-    Job(Job),
-    Shutdown,
-}
-
+/// What the handle and the loop share.
 #[derive(Debug)]
 struct Shared {
     shutdown: AtomicBool,
-    /// Inside a scheduled down window: connections are refused (accepted
-    /// and immediately dropped so reconnect probes fail fast) and queued
-    /// work is discarded, but the listener stays alive for recovery.
-    refusing: AtomicBool,
     serviced: AtomicU64,
-    /// The server's time origin; fault schedules run on this clock.
-    epoch: StdInstant,
-    /// The listener's address: `crash` connects to it to wake `accept`.
-    addr: SocketAddr,
-    /// Wakes the service thread out of its blocking `recv()` on crash.
-    notify: Mutex<Option<Sender<ServiceMsg>>>,
-    /// Subscriber connections (for perf pushes).
-    subscribers: Mutex<Vec<(SocketAddr, Arc<TcpStream>)>>,
-    /// Every connection with a live reader, for forced shutdown.
-    connections: Mutex<Vec<Arc<TcpStream>>>,
+    /// Live connections and subscribers, as the loop last counted them.
+    connections: AtomicUsize,
+    subscribers: AtomicUsize,
+    /// `crash`'s end of the wake socket, blocking: a byte written wakes the
+    /// loop, and end-of-file comes once the loop has closed everything.
+    wake: UnixStream,
 }
 
 impl Shared {
-    fn new(addr: SocketAddr) -> Shared {
+    fn new(wake: UnixStream) -> Shared {
         Shared {
             shutdown: AtomicBool::new(false),
-            refusing: AtomicBool::new(false),
             serviced: AtomicU64::new(0),
-            epoch: StdInstant::now(),
-            addr,
-            notify: Mutex::new(None),
-            subscribers: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
+            connections: AtomicUsize::new(0),
+            subscribers: AtomicUsize::new(0),
+            wake,
         }
-    }
-
-    fn now(&self) -> Instant {
-        Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 }
 
@@ -164,70 +156,31 @@ pub struct ReplicaServer {
     addr: SocketAddr,
     replica: ReplicaId,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ReplicaServer {
-    /// Binds a listener on `127.0.0.1:0` and spawns the accept and service
-    /// threads.
+    /// Binds a listener on `127.0.0.1:0` and spawns the server's one
+    /// thread.
     ///
     /// # Errors
     ///
-    /// Propagates socket binding errors.
+    /// Propagates socket binding, epoll and thread-spawn errors.
     pub fn spawn(config: ReplicaServerConfig) -> io::Result<ReplicaServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(addr));
-        let (job_tx, job_rx) = unbounded::<ServiceMsg>();
-        *shared.notify.lock() = Some(job_tx.clone());
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            let job_tx = job_tx.clone();
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, shared, job_tx);
-            }));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            let replica = config.replica;
-            let service = config.service.clone();
-            let seed = config.seed;
-            let crash_after = config.crash_after;
-            let metrics = config
-                .obs
-                .as_ref()
-                .map(|obs| ServerMetrics::new(obs, replica));
-            let faults = config.faults.clone().unwrap_or_else(FaultSchedule::empty);
-            threads.push(std::thread::spawn(move || {
-                service_loop(
-                    shared,
-                    job_rx,
-                    replica,
-                    service,
-                    seed,
-                    crash_after,
-                    metrics,
-                    faults,
-                );
-            }));
-        }
-        if let Some(schedule) = config.faults.filter(|s| !s.is_empty()) {
-            let shared = Arc::clone(&shared);
-            let replica = config.replica;
-            let obs = config.obs.clone();
-            threads.push(std::thread::spawn(move || {
-                fault_driver(shared, schedule, replica, obs);
-            }));
-        }
-        drop(job_tx);
-
+        let replica = config.replica;
+        let (wake, loop_wake) = UnixStream::pair()?;
+        let shared = Arc::new(Shared::new(wake));
+        let server = ServerLoop::new(config, listener, loop_wake, Arc::clone(&shared))?;
+        let thread = std::thread::Builder::new()
+            .name("aqua-replica".to_string())
+            .spawn(move || server.run())?;
         Ok(ReplicaServer {
             addr,
-            replica: config.replica,
+            replica,
             shared,
-            threads,
+            thread: Some(thread),
         })
     }
 
@@ -247,9 +200,18 @@ impl ReplicaServer {
     }
 
     /// Crashes the replica: connections are closed, the queue is dropped,
-    /// and no further requests are serviced. Idempotent.
+    /// and no further requests are serviced. Returns once every connection
+    /// and the listener are shut. Idempotent.
     pub fn crash(&self) {
-        crash(&self.shared);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = &self.shared.wake;
+        let _ = wake.write(&[1u8]);
+        // The loop never writes to its end; it hangs up after closing every
+        // connection and the listener, and the read sees end-of-file.
+        while matches!(
+            wake.read(&mut [0u8; 1]),
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted
+        ) {}
     }
 
     /// Whether the replica has crashed (or been shut down).
@@ -261,301 +223,594 @@ impl ReplicaServer {
 impl Drop for ReplicaServer {
     fn drop(&mut self) {
         self.crash();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
-fn crash(shared: &Shared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    // Wake the service thread out of its blocking recv; the sentinel rides
-    // behind any queued jobs, but the shutdown flag makes the loop discard
-    // those on sight.
-    // Take the sender out in its own statement: an `if let` scrutinee
-    // keeps the temporary lock guard alive across the body, which would
-    // hold `notify` across the send.
-    let tx = shared.notify.lock().take();
-    if let Some(tx) = tx {
-        let _ = tx.send(ServiceMsg::Shutdown);
-    }
-    for conn in shared.connections.lock().drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-    shared.subscribers.lock().clear();
-    // The accept loop blocks in `accept`; a throwaway connection gets it
-    // to look at the flag. Refused at once when the listener is gone.
-    let _ = TcpStream::connect_timeout(&shared.addr, StdDuration::from_millis(250));
+/// One accepted connection, owned by the loop.
+struct Conn {
+    stream: TcpStream,
+    assembler: FrameAssembler,
+    /// Encoded replies and updates the kernel has not taken yet.
+    out: Vec<u8>,
+    /// The interest set registered with epoll.
+    interest: u32,
+    /// Sent a `Hello`: gets a `PerfUpdate` for every other peer's request.
+    subscribed: bool,
+    /// On the loop's flush list.
+    dirty: bool,
 }
 
-/// Tears down live connections without shutting the replica down: the
-/// entry into a scheduled down window.
-fn drop_connections(shared: &Shared) {
-    for conn in shared.connections.lock().drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-    shared.subscribers.lock().clear();
+/// A request waiting in the FIFO.
+struct Job {
+    conn: u64,
+    seq: u64,
+    method: u32,
+    payload: Bytes,
+    /// t2: when the loop read it.
+    enqueued: StdInstant,
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, job_tx: Sender<ServiceMsg>) {
-    // Reader threads are tracked here and joined when the accept loop
-    // exits; by then shutdown/crash has torn every connection down, so
-    // each reader's blocking read has already failed.
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    // `accept` blocks: it returns for a client, or for the connection
-    // `crash` makes once the shutdown flag is up.
-    while let Ok((stream, peer)) = listener.accept() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.refusing.load(Ordering::SeqCst) {
-            // Down window: explicit refusal. Dropping the accepted
-            // stream resets the peer immediately, so reconnect
-            // probes fail fast instead of hanging.
-            drop(stream);
-            continue;
-        }
-        stream.set_nodelay(true).ok();
-        let stream = Arc::new(stream);
-        shared.connections.lock().push(Arc::clone(&stream));
-        let shared = Arc::clone(&shared);
-        let job_tx = job_tx.clone();
-        readers.retain(|t| !t.is_finished());
-        readers.push(std::thread::spawn(move || {
-            reader_loop(stream, peer, shared, job_tx)
-        }));
-    }
-    for t in readers {
-        let _ = t.join();
-    }
+/// The job the server is busy with.
+struct InService {
+    job: Job,
+    queue_ns: u64,
+    started: StdInstant,
+    /// When service ends; once it has, when a delay spike lets the reply go.
+    due: StdInstant,
+    /// Set when service ends.
+    served: Option<Served>,
 }
 
-/// Walks the fault schedule on the server's clock: flips the refusal flag
-/// at down-window edges (tearing live connections down on entry) and
-/// journals every fault activation/clearance exactly once.
-fn fault_driver(
+/// What the end of service measured and decided.
+struct Served {
+    service_ns: u64,
+    queue_len: u32,
+    /// The fault schedule loses the reply.
+    dropped: bool,
+}
+
+/// The server's thread: every socket, the FIFO and the fault clock.
+struct ServerLoop {
     shared: Arc<Shared>,
-    schedule: FaultSchedule,
     replica: ReplicaId,
-    obs: Option<aqua_obs::Obs>,
-) {
-    let mut tracker = FaultTracker::new(schedule.specs().len());
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = shared.now();
-        if let Some(obs) = &obs {
-            tracker.advance(obs, &schedule, now);
-        }
-        let down = schedule.is_down(replica, now);
-        let was = shared.refusing.swap(down, Ordering::SeqCst);
-        if down && !was {
-            drop_connections(&shared);
-        }
-        let Some(next) = schedule.next_transition_after(now) else {
-            return; // schedule exhausted; a saturated window never clears
-        };
-        // Sleep toward the next edge in short slices so a crash() still
-        // joins promptly.
-        let wait = std::time::Duration::from(next.saturating_duration_since(now))
-            + StdDuration::from_millis(1);
-        let deadline = StdInstant::now() + wait;
-        while StdInstant::now() < deadline {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let left = deadline.saturating_duration_since(StdInstant::now());
-            std::thread::sleep(left.min(StdDuration::from_millis(20)));
-        }
-    }
+    service: ServiceTimeModel,
+    rng: SmallRng,
+    crash_after: Option<u64>,
+    metrics: Option<ServerMetrics>,
+    faults: FaultSchedule,
+    /// The fault journal, when there is a sink and a schedule.
+    journal: Option<(aqua_obs::Obs, FaultTracker)>,
+    /// The fault schedule's time origin: spawn.
+    epoch: StdInstant,
+    /// The next fault-schedule edge to act on.
+    next_edge: Option<StdInstant>,
+    /// Inside a scheduled down window.
+    down: bool,
+    epoll: Epoll,
+    listener: TcpListener,
+    conns: HashMap<u64, Conn>,
+    next_conn: u64,
+    fifo: VecDeque<Job>,
+    busy: Option<InService>,
+    /// Whether connections are read; not while the FIFO is full.
+    reading: bool,
+    /// Connections whose assembler may hold frames a full FIFO turned away.
+    stalled: VecDeque<u64>,
+    /// Connections with output for the end-of-wake flush.
+    dirty: Vec<u64>,
+    /// One `PerfUpdate` encoding, shared by every subscriber.
+    update: Vec<u8>,
+    /// Subscribers whose peer failed while an update was queued.
+    failed: Vec<u64>,
+    /// The loop's end of the wake socket.
+    wake: UnixStream,
 }
 
-fn reader_loop(
-    stream: Arc<TcpStream>,
-    peer: SocketAddr,
-    shared: Arc<Shared>,
-    job_tx: Sender<ServiceMsg>,
-) {
-    let mut assembler = FrameAssembler::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // One read takes in whatever has arrived: a pipelined burst of
-        // requests costs one syscall, not two per frame.
-        match assembler.read_from(&mut &*stream) {
-            Ok(0) => break, // EOF: replies to queued jobs may still go out
-            Ok(_) => {
-                if enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).is_err() {
-                    // Framing is lost (or the service thread is gone):
-                    // nothing more can be read from this peer.
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    break;
+impl ServerLoop {
+    fn new(
+        config: ReplicaServerConfig,
+        listener: TcpListener,
+        wake: UnixStream,
+        shared: Arc<Shared>,
+    ) -> io::Result<ServerLoop> {
+        listener.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
+        epoll.add(wake.as_raw_fd(), EPOLLIN, WAKE)?;
+        let faults = config.faults.unwrap_or_default();
+        let epoch = StdInstant::now();
+        let journal = config
+            .obs
+            .clone()
+            .filter(|_| !faults.is_empty())
+            .map(|obs| (obs, FaultTracker::new(faults.specs().len())));
+        Ok(ServerLoop {
+            shared,
+            replica: config.replica,
+            service: config.service,
+            rng: SmallRng::seed_from_u64(config.seed),
+            crash_after: config.crash_after,
+            metrics: config
+                .obs
+                .as_ref()
+                .map(|obs| ServerMetrics::new(obs, config.replica)),
+            // A schedule's first edge is acted on at once: journal and
+            // down state from time zero.
+            next_edge: (!faults.is_empty()).then_some(epoch),
+            faults,
+            journal,
+            epoch,
+            down: false,
+            epoll,
+            listener,
+            conns: HashMap::new(),
+            next_conn: 0,
+            fifo: VecDeque::with_capacity(FIFO_CAP),
+            busy: None,
+            reading: true,
+            stalled: VecDeque::new(),
+            dirty: Vec::new(),
+            update: Vec::new(),
+            failed: Vec::new(),
+            wake,
+        })
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn run(mut self) {
+        let mut events = [EpollEvent::EMPTY; MAX_EVENTS];
+        loop {
+            self.advance();
+            self.flush_dirty();
+            if self.stopped() {
+                break;
+            }
+            let timeout = self.wait_ms();
+            let Ok(n) = self.epoll.wait(&mut events, timeout) else {
+                break;
+            };
+            let now = StdInstant::now();
+            for ev in &events[..n] {
+                let (token, bits) = (ev.data, ev.events);
+                match token {
+                    LISTENER => self.accept(),
+                    WAKE => {
+                        let _ = (&self.wake).read(&mut [0u8; 16]);
+                    }
+                    _ => self.on_conn_event(token, bits, now),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            if self.stopped() {
+                break; // crashed: nothing read in this wake is serviced
+            }
+        }
+        // Every connection and the listener close before the wake socket,
+        // whose end-of-file is what `crash` waits for.
+        self.close_all();
+        drop(self.listener);
+        drop(self.wake);
+    }
+
+    /// `epoll_wait`'s timeout for the next deadline — the job in service,
+    /// a held reply, the next fault edge — or `-1` with none. A remainder
+    /// under a millisecond is slept here and the wait only polls.
+    fn wait_ms(&self) -> i32 {
+        let due = [self.busy.as_ref().map(|b| b.due), self.next_edge];
+        let Some(due) = due.into_iter().flatten().min() else {
+            return -1;
+        };
+        let left = due.saturating_duration_since(StdInstant::now());
+        if left >= StdDuration::from_millis(1) {
+            return i32::try_from(left.as_millis()).unwrap_or(i32::MAX);
+        }
+        std::thread::sleep(left);
+        0
+    }
+
+    /// Acts on everything due by now: the fault edge, then the FIFO.
+    fn advance(&mut self) {
+        let now = StdInstant::now();
+        if self.next_edge.is_some_and(|edge| edge <= now) {
+            self.on_fault_edge(now);
+        }
+        self.serve();
+    }
+
+    /// Journals the fault edges passed and, entering a down window, drops
+    /// every connection with all queued and in-service work, like a
+    /// crashed process. Then aims at the next edge.
+    fn on_fault_edge(&mut self, now: StdInstant) {
+        let at = fault_time(self.epoch, now);
+        if let Some((obs, tracker)) = &mut self.journal {
+            tracker.advance(obs, &self.faults, at);
+        }
+        let down = self.faults.is_down(self.replica, at);
+        if down && !self.down {
+            self.close_all();
+            self.fifo.clear();
+            self.busy = None;
+            self.stalled.clear();
+            self.reading = true;
+        }
+        self.down = down;
+        self.next_edge = self
+            .faults
+            .next_transition_after(at)
+            .map(|edge| self.epoch + StdDuration::from_nanos(edge.as_nanos()));
+    }
+
+    /// Runs the FIFO up to now: finishes the job in service once it is due,
+    /// sends its reply once any delay spike has passed, and starts the next
+    /// job unless a pause holds the queue. A zero-time job is started and
+    /// answered in one call.
+    fn serve(&mut self) {
+        loop {
+            let now = StdInstant::now();
+            if let Some(busy) = &mut self.busy {
+                if now < busy.due {
+                    return;
+                }
+                if busy.served.is_none() {
+                    let service_ns = now.duration_since(busy.started).as_nanos() as u64;
+                    let queue_len = self.fifo.len() as u32;
+                    if let Some(m) = &self.metrics {
+                        m.serviced.inc();
+                        m.service_ns.record(service_ns);
+                        m.queue_ns.record(busy.queue_ns);
+                        m.queue_depth.set(i64::from(queue_len));
+                    }
+                    let at = fault_time(self.epoch, now);
+                    busy.served = Some(Served {
+                        service_ns,
+                        queue_len,
+                        dropped: self.faults.should_drop(Some(self.replica), None, at),
+                    });
+                    let spike = self.faults.reply_delay(self.replica, at);
+                    if !spike.is_zero() {
+                        // A network delay spike on the reply path.
+                        busy.due = now + StdDuration::from(spike);
+                        continue;
+                    }
+                }
+                let Some(InService {
+                    job,
+                    queue_ns,
+                    served: Some(served),
+                    ..
+                }) = self.busy.take()
+                else {
+                    return;
+                };
+                self.reply(job, queue_ns, served);
+                let done = self.shared.serviced.fetch_add(1, Ordering::Relaxed) + 1;
+                if self.crash_after.is_some_and(|n| done >= n) {
+                    self.shared.shutdown.store(true, Ordering::SeqCst);
+                    return;
+                }
+                continue;
+            }
+            if self.fifo.is_empty() {
+                return;
+            }
+            let at = fault_time(self.epoch, now);
+            if self.faults.paused_until(self.replica, at).is_some() {
+                // Queued work survives a pause; the edge that ends it
+                // wakes the loop.
+                return;
+            }
+            let Some(job) = self.fifo.pop_front() else {
+                return;
+            };
+            self.refill(now);
+            // t3 − t2.
+            let queue_ns = now.duration_since(job.enqueued).as_nanos() as u64;
+            let factor = self.faults.service_factor(self.replica, at);
+            let target: StdDuration = self.service.sample(&mut self.rng).mul_f64(factor).into();
+            self.busy = Some(InService {
+                job,
+                queue_ns,
+                started: now,
+                due: now + target,
+                served: None,
+            });
         }
     }
-    // Deregister this peer's subscription and let go of the socket; it
-    // closes once the last queued job for it is done.
-    shared.subscribers.lock().retain(|(p, _)| *p != peer);
-    shared
-        .connections
-        .lock()
-        .retain(|c| !Arc::ptr_eq(c, &stream));
-}
 
-/// Acts on every complete frame buffered in `assembler`, in arrival
-/// order: a `Hello` subscribes the peer, a `Request` is stamped (t2) and
-/// queued for the service thread.
-///
-/// # Errors
-///
-/// A malformed frame, or a service thread that no longer takes jobs.
-fn enqueue_frames(
-    assembler: &mut FrameAssembler,
-    stream: &Arc<TcpStream>,
-    peer: SocketAddr,
-    shared: &Shared,
-    job_tx: &Sender<ServiceMsg>,
-) -> io::Result<()> {
-    while let Some(frame) = assembler.next_frame()? {
-        match frame {
-            Frame::Hello { .. } => {
-                shared.subscribers.lock().push((peer, Arc::clone(stream)));
+    /// Queues the reply for the requester and a `PerfUpdate` for every
+    /// other subscriber (the requester has the data piggybacked).
+    fn reply(&mut self, job: Job, queue_ns: u64, served: Served) {
+        let Served {
+            service_ns,
+            queue_len,
+            dropped,
+        } = served;
+        let replica = self.replica.index();
+        if !dropped {
+            if let Some(conn) = self.conns.get_mut(&job.conn) {
+                Frame::Reply {
+                    seq: job.seq,
+                    replica,
+                    service_ns,
+                    queue_ns,
+                    queue_len,
+                    method: job.method,
+                    payload: job.payload,
+                }
+                .encode_into(&mut conn.out);
+                if !note_output(job.conn, conn, &mut self.dirty) {
+                    self.close(job.conn);
+                }
             }
-            Frame::Request {
-                seq,
-                method,
-                payload,
-            } => {
-                let job = Job {
-                    writer: Arc::clone(stream),
-                    peer,
+        }
+        self.update.clear();
+        for (&token, conn) in &mut self.conns {
+            if !conn.subscribed || token == job.conn {
+                continue;
+            }
+            if self.update.is_empty() {
+                Frame::PerfUpdate {
+                    replica,
+                    service_ns,
+                    queue_ns,
+                    queue_len,
+                    method: job.method,
+                }
+                .encode_into(&mut self.update);
+            }
+            conn.out.extend_from_slice(&self.update);
+            if !note_output(token, conn, &mut self.dirty) {
+                self.failed.push(token);
+            }
+        }
+        while let Some(token) = self.failed.pop() {
+            self.close(token);
+        }
+    }
+
+    /// Room in the FIFO again: frames a full FIFO left in assemblers go
+    /// first, in the order they were turned away; then reading resumes.
+    fn refill(&mut self, now: StdInstant) {
+        while !self.reading && self.fifo.len() < FIFO_CAP {
+            let Some(token) = self.stalled.pop_front() else {
+                self.set_reading(true);
+                return;
+            };
+            if self.take_frames(token, now).is_err() {
+                self.close(token);
+            }
+        }
+    }
+
+    /// Acts on the complete frames buffered for `token`, in arrival order:
+    /// a `Hello` subscribes the peer, a `Request` is stamped (t2 = `now`)
+    /// and queued. Stops when the FIFO is full, leaving the rest for when
+    /// it has room, and stops reading until then.
+    ///
+    /// # Errors
+    ///
+    /// A malformed frame: framing is lost and the connection must go.
+    fn take_frames(&mut self, token: u64, now: StdInstant) -> io::Result<()> {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return Ok(());
+        };
+        while self.fifo.len() < FIFO_CAP {
+            match conn.assembler.next_frame()? {
+                Some(Frame::Hello { .. }) if !conn.subscribed => {
+                    conn.subscribed = true;
+                    self.shared.subscribers.fetch_add(1, Ordering::SeqCst);
+                }
+                Some(Frame::Request {
                     seq,
                     method,
                     payload,
-                    enqueued: StdInstant::now(),
-                };
-                job_tx
-                    .send(ServiceMsg::Job(job))
-                    .map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))?;
+                }) => self.fifo.push_back(Job {
+                    conn: token,
+                    seq,
+                    method,
+                    payload,
+                    enqueued: now,
+                }),
+                Some(_) => {} // clients send no replies or updates
+                None => return Ok(()),
             }
-            _ => {} // clients do not send replies/updates
+        }
+        if conn.assembler.pending() > 0 {
+            self.stalled.push_back(token);
+        }
+        self.set_reading(false);
+        Ok(())
+    }
+
+    /// Arms or disarms reads on every connection.
+    fn set_reading(&mut self, reading: bool) {
+        if self.reading != reading {
+            self.reading = reading;
+            for (&token, conn) in &mut self.conns {
+                rearm(&self.epoll, reading, token, conn);
+            }
+        }
+    }
+
+    /// Takes every pending connection; inside a down window each is
+    /// closed at once, so reconnect probes fail fast instead of hanging.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) if self.down => drop(stream),
+                // A socket the loop cannot take is dropped: the peer sees
+                // a refusal.
+                Ok((stream, _)) => {
+                    let _ = self.insert(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Registers an accepted socket; returns its token.
+    fn insert(&mut self, stream: TcpStream) -> io::Result<u64> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        let token = self.next_conn;
+        let interest = interest(self.reading, false);
+        self.epoll.add(stream.as_raw_fd(), interest, token)?;
+        self.next_conn += 1;
+        self.conns.insert(
+            token,
+            Conn {
+                stream,
+                assembler: FrameAssembler::new(),
+                out: Vec::new(),
+                interest,
+                subscribed: false,
+                dirty: false,
+            },
+        );
+        self.shared.connections.fetch_add(1, Ordering::SeqCst);
+        Ok(token)
+    }
+
+    fn on_conn_event(&mut self, token: u64, bits: u32, now: StdInstant) {
+        if bits & EPOLLOUT != 0 {
+            self.flush(token);
+        }
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
+            if self.reading {
+                self.read(token, now);
+            } else if bits & (EPOLLERR | EPOLLHUP) != 0 {
+                self.close(token);
+            }
+        }
+    }
+
+    /// One `read` per readiness, and what it brought is queued. Epoll is
+    /// level-triggered: bytes — or the end-of-file — still waiting report
+    /// the connection again. End-of-file and errors close it.
+    fn read(&mut self, token: u64, now: StdInstant) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        match conn.assembler.read_from(&mut conn.stream) {
+            Ok(0) => self.close(token),
+            Ok(_) => {
+                if self.take_frames(token, now).is_err() {
+                    self.close(token);
+                }
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.close(token),
+        }
+    }
+
+    fn flush_dirty(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for token in dirty.drain(..) {
+            self.flush(token);
+        }
+        self.dirty = dirty;
+    }
+
+    /// Writes what the connection's peer will take now and arms `EPOLLOUT`
+    /// for the rest; a write error closes the connection.
+    fn flush(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.dirty = false;
+        if write_out(conn).is_err() {
+            return self.close(token);
+        }
+        rearm(&self.epoll, self.reading, token, conn);
+    }
+
+    /// Drops one connection. Closing its only descriptor takes it out of
+    /// the epoll set.
+    fn close(&mut self, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            self.shared.connections.fetch_sub(1, Ordering::SeqCst);
+            if conn.subscribed {
+                self.shared.subscribers.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    fn close_all(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        self.dirty.clear();
+        self.shared.connections.store(0, Ordering::SeqCst);
+        self.shared.subscribers.store(0, Ordering::SeqCst);
+    }
+}
+
+/// The fault schedule's clock at `at`: time since `epoch`.
+fn fault_time(epoch: StdInstant, at: StdInstant) -> Instant {
+    Instant::from_nanos(at.duration_since(epoch).as_nanos() as u64)
+}
+
+/// Notes new output on a connection: it joins the end-of-wake flush, or,
+/// once more than `MAX_UNSENT` bytes are waiting, is flushed on the spot.
+/// Returns `false` when the peer has failed — a write error, or still too
+/// much unsent.
+fn note_output(token: u64, conn: &mut Conn, dirty: &mut Vec<u64>) -> bool {
+    if conn.out.len() > MAX_UNSENT && (write_out(conn).is_err() || conn.out.len() > MAX_UNSENT) {
+        return false;
+    }
+    if !conn.dirty {
+        conn.dirty = true;
+        dirty.push(token);
+    }
+    true
+}
+
+/// Writes from the front of `conn.out` until it is empty or the socket
+/// would block.
+///
+/// # Errors
+///
+/// The write error that killed the connection.
+fn write_out(conn: &mut Conn) -> io::Result<()> {
+    while !conn.out.is_empty() {
+        match conn.stream.write(&conn.out) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                conn.out.drain(..n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn service_loop(
-    shared: Arc<Shared>,
-    job_rx: Receiver<ServiceMsg>,
-    replica: ReplicaId,
-    service: ServiceTimeModel,
-    seed: u64,
-    crash_after: Option<u64>,
-    metrics: Option<ServerMetrics>,
-    faults: FaultSchedule,
-) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Reused frame buffer: replies and perf updates are encoded once per
-    // job into this scratch space instead of allocating per frame (and
-    // per subscriber).
-    let mut frame_buf: Vec<u8> = Vec::with_capacity(256);
-    loop {
-        // Blocking receive: the sole wakeups are jobs, the crash sentinel,
-        // and channel teardown — no polling.
-        let job = match job_rx.recv() {
-            Ok(ServiceMsg::Job(job)) => job,
-            Ok(ServiceMsg::Shutdown) | Err(_) => return,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Crashed while this job sat in the queue: discard it.
-            return;
-        }
-        let now = shared.now();
-        if faults.is_down(replica, now) {
-            // A scheduled down window swallows queued work silently, like
-            // a crashed process losing its queue.
-            continue;
-        }
-        if let Some(until) = faults.paused_until(replica, now) {
-            // Pause/stall: the service thread wedges but queued work
-            // survives and is serviced after the resume.
-            let stall = std::time::Duration::from(until.saturating_duration_since(now));
-            std::thread::sleep(stall);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-        }
-        // t3: dequeue; tq = t3 − t2.
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        let factor = faults.service_factor(replica, shared.now());
-        let target: std::time::Duration = service.sample(&mut rng).mul_f64(factor).into();
-        let service_started = StdInstant::now();
-        if !target.is_zero() {
-            std::thread::sleep(target);
-        }
-        let service_ns = service_started.elapsed().as_nanos() as u64;
-        let queue_len = job_rx.len() as u32;
-        if let Some(m) = &metrics {
-            m.serviced.inc();
-            m.service_ns.record(service_ns);
-            m.queue_ns.record(queue_ns);
-            m.queue_depth.set(i64::from(queue_len));
-        }
+/// The interest a connection needs: reads while the FIFO has room,
+/// writability while output is waiting.
+fn interest(reading: bool, unsent: bool) -> u32 {
+    let read = if reading { EPOLLIN | EPOLLRDHUP } else { 0 };
+    read | if unsent { EPOLLOUT } else { 0 }
+}
 
-        let reply = Frame::Reply {
-            seq: job.seq,
-            replica: replica.index(),
-            service_ns,
-            queue_ns,
-            queue_len,
-            method: job.method,
-            payload: job.payload,
-        };
-        let reply_at = shared.now();
-        let spike = faults.reply_delay(replica, reply_at);
-        if !spike.is_zero() {
-            // Network delay spike on the reply path.
-            std::thread::sleep(spike.into());
-        }
-        let mut writer = &*job.writer;
-        frame_buf.clear();
-        reply.encode_into(&mut frame_buf);
-        if faults.should_drop(Some(replica), None, reply_at) {
-            // The reply message is lost; the client's redundancy or retry
-            // has to mask it.
-        } else if writer.write_all(&frame_buf).is_err() {
-            shared.subscribers.lock().retain(|(p, _)| *p != job.peer);
-        }
-
-        // Publish to every *other* subscriber (the requester already got
-        // the data piggybacked on its reply).
-        {
-            let mut subs = shared.subscribers.lock();
-            // With no other subscriber — the common single-client and
-            // mux-pool case — skip the encode entirely.
-            if subs.iter().any(|(p, _)| *p != job.peer) {
-                let update = Frame::PerfUpdate {
-                    replica: replica.index(),
-                    service_ns,
-                    queue_ns,
-                    queue_len,
-                    method: job.method,
-                };
-                // One encoding serves every subscriber.
-                frame_buf.clear();
-                update.encode_into(&mut frame_buf);
-                subs.retain(|(p, w)| *p == job.peer || (&**w).write_all(&frame_buf).is_ok());
-            }
-        }
-
-        let done = shared.serviced.fetch_add(1, Ordering::Relaxed) + 1;
-        if crash_after.is_some_and(|n| done >= n) {
-            crash(&shared);
-            return;
-        }
+/// Registers the interest a connection needs now, if it changed.
+fn rearm(epoll: &Epoll, reading: bool, token: u64, conn: &mut Conn) {
+    let want = interest(reading, !conn.out.is_empty());
+    if want != conn.interest {
+        conn.interest = want;
+        let _ = epoll.modify(conn.stream.as_raw_fd(), want, token);
     }
 }
 
@@ -681,34 +936,37 @@ mod tests {
 
     #[test]
     fn a_burst_is_queued_in_order_behind_its_hello() {
-        // What one `read` of a pipelined segment hands the reader: a
+        // What one `read` of a pipelined segment hands the loop: a
         // `Hello`, eight requests and the first half of a ninth.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = Arc::new(connect(listener.local_addr().unwrap()));
-        let peer = stream.local_addr().unwrap();
-        let shared = Shared::new(listener.local_addr().unwrap());
-        let (job_tx, job_rx) = unbounded();
+        let stream = connect(listener.local_addr().unwrap());
+        let (wake, loop_wake) = UnixStream::pair().unwrap();
+        let shared = Arc::new(Shared::new(wake));
+        let config = ReplicaServerConfig::quick(ReplicaId::new(1), 0);
+        let mut server = ServerLoop::new(config, listener, loop_wake, Arc::clone(&shared)).unwrap();
+        let token = server.insert(stream).unwrap();
         let mut bytes = Vec::new();
         Frame::Hello { client: 7 }.encode_into(&mut bytes);
         for seq in 0..9 {
             request(seq).encode_into(&mut bytes);
         }
         let whole = bytes.len() - request(8).encoded_len() / 2;
-        let mut assembler = FrameAssembler::new();
-        assembler.extend(&bytes[..whole]);
-        enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).unwrap();
+        let arrive = |server: &mut ServerLoop, bytes: &[u8]| {
+            server
+                .conns
+                .get_mut(&token)
+                .unwrap()
+                .assembler
+                .extend(bytes);
+            server.take_frames(token, StdInstant::now()).unwrap();
+        };
+        arrive(&mut server, &bytes[..whole]);
 
         // Subscribed with every job still in the queue: the `Hello` took
         // effect before any request of its segment is serviced.
-        assert_eq!(shared.subscribers.lock().len(), 1);
-        let queued = || {
-            let mut jobs = Vec::new();
-            while let Ok(ServiceMsg::Job(job)) = job_rx.try_recv() {
-                jobs.push(job);
-            }
-            jobs
-        };
-        let jobs = queued();
+        assert_eq!(shared.subscribers.load(Ordering::SeqCst), 1);
+        let queued = |server: &mut ServerLoop| server.fifo.drain(..).collect::<Vec<Job>>();
+        let jobs = queued(&mut server);
         let seqs: Vec<u64> = jobs.iter().map(|job| job.seq).collect();
         assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
         assert!(
@@ -717,10 +975,9 @@ mod tests {
         );
 
         // The rest of the ninth arrives: it is queued, nothing is redone.
-        assembler.extend(&bytes[whole..]);
-        enqueue_frames(&mut assembler, &stream, peer, &shared, &job_tx).unwrap();
-        assert!(matches!(queued()[..], [Job { seq: 8, .. }]));
-        assert_eq!(shared.subscribers.lock().len(), 1);
+        arrive(&mut server, &bytes[whole..]);
+        assert!(matches!(queued(&mut server)[..], [Job { seq: 8, .. }]));
+        assert_eq!(shared.subscribers.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -780,22 +1037,27 @@ mod tests {
         let hello = segment.len();
         request(1).encode_into(&mut segment);
         conn.write_all(&segment[..hello + 6]).unwrap();
-        assert!(eventually(|| server.shared.subscribers.lock().len() == 1));
+        assert!(eventually(|| server
+            .shared
+            .subscribers
+            .load(Ordering::SeqCst)
+            == 1));
         drop(conn);
         assert!(
-            eventually(|| server.shared.subscribers.lock().is_empty()),
-            "the reader saw EOF behind the half frame"
+            eventually(|| server.shared.subscribers.load(Ordering::SeqCst) == 0),
+            "the loop saw EOF behind the half frame"
         );
         assert!(
-            eventually(|| server.shared.connections.lock().is_empty()),
+            eventually(|| server.shared.connections.load(Ordering::SeqCst) == 0),
             "and let go of the socket"
         );
         assert_eq!(server.serviced(), 0);
     }
     #[test]
     fn a_malformed_frame_gets_the_connection_closed() {
-        // Framing is lost for good, so the reader stops — and says so to
-        // the peer instead of leaving it to wait on a socket nobody reads.
+        // Framing is lost for good, so the loop drops the connection — and
+        // says so to the peer instead of leaving it to wait on a socket
+        // nobody reads.
         let server =
             ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(8), 0)).unwrap();
         let mut conn = connect(server.addr());
@@ -806,6 +1068,182 @@ mod tests {
         let closed = matches!(io::Read::read(&mut conn, &mut byte), Ok(0))
             || conn.write_all(&[0u8; 64]).is_err();
         assert!(closed, "the server hung up");
-        assert!(eventually(|| server.shared.connections.lock().is_empty()));
+        assert!(eventually(|| server
+            .shared
+            .connections
+            .load(Ordering::SeqCst)
+            == 0));
+    }
+
+    /// Reads one reply within three seconds, or says why not.
+    fn reply_within_3s(conn: &mut TcpStream) -> Result<Frame, String> {
+        conn.set_read_timeout(Some(StdDuration::from_secs(3))).ok();
+        Frame::read_from(conn).map_err(|e| format!("no reply within 3 s: {e}"))
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_does_not_wedge_the_replica() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(9), 0)).unwrap();
+        // 400 requests of 64 KiB, pipelined, and not one reply read: the
+        // replies pile up far past any socket buffer.
+        let mut deaf = connect(server.addr());
+        let mut burst = Vec::new();
+        for seq in 0..400 {
+            Frame::Request {
+                seq,
+                method: 0,
+                payload: Bytes::from(vec![0xA5u8; 64 * 1024]),
+            }
+            .encode_into(&mut burst);
+        }
+        let writer = std::thread::spawn(move || {
+            // The server hangs up part-way; the write error is the point.
+            let _ = deaf.write_all(&burst);
+            deaf
+        });
+        let deaf = writer.join().unwrap();
+        assert!(
+            eventually(|| server.shared.connections.load(Ordering::SeqCst) == 0),
+            "the peer that never reads was let go"
+        );
+
+        let mut polite = connect(server.addr());
+        request(1).write_to(&mut polite).unwrap();
+        match reply_within_3s(&mut polite) {
+            Ok(Frame::Reply { seq: 1, .. }) => {}
+            other => panic!("the replica is wedged: {other:?}"),
+        }
+        drop(deaf);
+    }
+
+    #[test]
+    fn a_subscriber_that_never_reads_does_not_wedge_the_replica() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(10), 0)).unwrap();
+        let mut deaf = connect(server.addr());
+        Frame::Hello { client: 1 }.write_to(&mut deaf).unwrap();
+        assert!(eventually(|| server
+            .shared
+            .subscribers
+            .load(Ordering::SeqCst)
+            == 1));
+
+        // A busy client reads all of its own replies, and every one of its
+        // requests is a `PerfUpdate` the subscriber never reads. It sends
+        // rounds of requests until the updates have overrun every socket
+        // buffer and the server's own limit.
+        const ROUND: usize = 50_000;
+        let busy = connect(server.addr());
+        busy.set_read_timeout(Some(StdDuration::from_secs(3))).ok();
+        let mut burst = Vec::new();
+        for seq in 0..ROUND as u64 {
+            request(seq).encode_into(&mut burst);
+        }
+        let reply_len = Frame::Reply {
+            seq: 0,
+            replica: 0,
+            service_ns: 0,
+            queue_ns: 0,
+            queue_len: 0,
+            method: 0,
+            payload: Bytes::from(vec![0u8; 8]),
+        }
+        .encoded_len();
+        let mut buf = vec![0u8; 64 * 1024];
+        for round in 0.. {
+            if server.shared.subscribers.load(Ordering::SeqCst) == 0 {
+                break;
+            }
+            assert!(round < 40, "{round} rounds and the subscriber is still on");
+            std::thread::scope(|scope| {
+                scope.spawn(|| (&busy).write_all(&burst).unwrap());
+                let mut left = ROUND * reply_len;
+                while left > 0 {
+                    match io::Read::read(&mut &busy, &mut buf[..left.min(64 * 1024)]) {
+                        Ok(n) if n > 0 => left -= n,
+                        other => panic!("round {round}: {left} reply bytes short: {other:?}"),
+                    }
+                }
+            });
+        }
+
+        let mut polite = connect(server.addr());
+        request(1).write_to(&mut polite).unwrap();
+        match reply_within_3s(&mut polite) {
+            Ok(Frame::Reply { seq: 1, .. }) => {}
+            other => panic!("the replica is wedged: {other:?}"),
+        }
+        drop(deaf);
+    }
+
+    #[test]
+    fn a_full_fifo_stops_reading() {
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(11), 1)).unwrap();
+        let mut conn = connect(server.addr());
+        let total = FIFO_CAP as u64 + 100;
+        let mut burst = Vec::new();
+        for seq in 0..total {
+            request(seq).encode_into(&mut burst);
+        }
+        conn.write_all(&burst).unwrap();
+        conn.set_read_timeout(Some(StdDuration::from_secs(5))).ok();
+        for expected in 0..total {
+            match Frame::read_from(&mut conn).unwrap() {
+                Frame::Reply { seq, queue_len, .. } => {
+                    assert_eq!(seq, expected);
+                    assert!(
+                        queue_len as usize <= FIFO_CAP,
+                        "reply {seq} saw {queue_len} queued, the cap is {FIFO_CAP}"
+                    );
+                }
+                other => panic!("expected reply, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn arrivals_are_stamped_while_a_job_is_in_service() {
+        // t2 is the read, not the end of the job in front: B, sent 10 ms
+        // into A's 30 ms, waits the 20 ms that are left.
+        let server =
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(12), 30)).unwrap();
+        let mut conn = connect(server.addr());
+        request(1).write_to(&mut conn).unwrap();
+        let sent_a = StdInstant::now();
+        std::thread::sleep(StdDuration::from_millis(10));
+        request(2).write_to(&mut conn).unwrap();
+        let gap = sent_a.elapsed();
+        assert!(
+            gap < StdDuration::from_millis(25),
+            "the test thread overslept"
+        );
+        conn.set_read_timeout(Some(StdDuration::from_secs(2))).ok();
+        let mut service = Vec::new();
+        let mut waited = Vec::new();
+        for _ in 0..2 {
+            match Frame::read_from(&mut conn).unwrap() {
+                Frame::Reply {
+                    service_ns,
+                    queue_ns,
+                    ..
+                } => {
+                    service.push(StdDuration::from_nanos(service_ns));
+                    waited.push(StdDuration::from_nanos(queue_ns));
+                }
+                other => panic!("expected reply, got {other:?}"),
+            }
+        }
+        for s in &service {
+            assert!(*s >= StdDuration::from_millis(30), "served {s:?}");
+        }
+        let expected = service[0].saturating_sub(gap);
+        let off = waited[1].abs_diff(expected);
+        assert!(
+            off <= StdDuration::from_millis(5),
+            "B waited {:?}, expected about {expected:?}",
+            waited[1]
+        );
     }
 }
