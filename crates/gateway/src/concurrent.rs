@@ -19,16 +19,21 @@
 //!   planning view off the hot path, debounced so a burst of replies
 //!   costs one rebuild (freshness stays bounded by the sliding window
 //!   *l* of §5.2 — see DESIGN.md §12 for the equivalence argument).
-//! * **The pending-request table** is sharded by sequence number. Sibling
-//!   attempts of one logical request (retries) share an atomic `answered`
-//!   flag, so first-reply delivery, duplicate classification, give-up,
-//!   and retry re-planning race safely: exactly one of deliver/give-up
-//!   wins the flag, and the loser reclassifies itself.
+//! * **The pending-request table** is sharded by sequence number, each
+//!   shard a [`PendingTable`] trimmed on insert. Sibling attempts of one
+//!   logical request (retries) share an atomic `answered` flag, so
+//!   first-reply delivery, duplicate classification, give-up, and retry
+//!   re-planning race safely: exactly one of deliver/give-up wins the
+//!   flag, and the loser reclassifies itself.
+//!
+//! Without an attached [`aqua_obs::Obs`] a plan or a reply reads the wall
+//! clock only for δ (§5.3.3): lock waits, ingest times and the plan's
+//! per-replica predictions are measured for an observer alone.
 //!
 //! The publish-vs-plan and reply-vs-retry protocols are model-checked by
 //! `aqua-lint`'s bounded interleaving checker (`interleave.rs`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,7 +43,7 @@ use aqua_core::model::{ModelCacheStats, ResponseTimeModel};
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
-use aqua_core::scheduler::plan;
+use aqua_core::scheduler::{plan, Plan};
 use aqua_core::snapshot::{method_slot, PlanningView, ReplicaSnapshot, SnapshotCell};
 use aqua_core::time::{Duration, Instant};
 use aqua_obs::contention::LockContention;
@@ -46,7 +51,8 @@ use aqua_obs::metrics::{Counter, Histogram};
 use aqua_strategies::{SelectionInput, SelectionStrategy, SnapshotPlanSpec};
 use parking_lot::Mutex;
 
-use crate::obs::{HandlerObserver, PlanObservation};
+use crate::obs::{aligned_predictions, HandlerObserver, PlanObservation};
+use crate::pending::{Answered, PendingTable};
 use crate::timing::{HandlerStats, ReplyOutcome, RequestPlan};
 
 /// Number of pending-table shards (sequence numbers hash across them).
@@ -58,22 +64,36 @@ const INGEST_SHARDS: usize = 16;
 /// planning view is therefore at most this much behind the shards.
 const DEFAULT_MIN_REPUBLISH: Duration = Duration::from_micros(500);
 
-/// One attempt awaiting replies. Sibling attempts of the same logical
-/// request share `answered` and `group`, which is what makes delivery,
-/// give-up, and retry registration race-safe (see module docs).
+/// What the sibling attempts of one logical request share: one
+/// allocation per request, which is what makes delivery, give-up, and
+/// retry registration race-safe (see module docs).
+#[derive(Debug)]
+struct Group {
+    /// "A first reply was delivered (or the request was given up)";
+    /// exactly one CAS ever wins it.
+    answered: AtomicBool,
+    /// The original attempt's seq.
+    origin: u64,
+    /// Every retry's seq, in order (empty, and unallocated, until the
+    /// first retry). A retry registers itself here *before* inserting its
+    /// entry, so the winner's retire pass can never miss it entirely.
+    retries: Mutex<Vec<u64>>,
+}
+
+/// One attempt awaiting replies.
 #[derive(Debug, Clone)]
 struct PendingEntry {
     /// `t0` of the *logical* request (retries inherit the original).
     intercepted_at: Instant,
     /// `t1` of this attempt.
     sent_at: Instant,
-    /// Group-wide "a first reply was delivered (or the request was given
-    /// up)" flag; exactly one CAS ever wins it.
-    answered: Arc<AtomicBool>,
-    /// Every attempt seq of the logical request, the original first. A
-    /// retry registers itself here *before* inserting its entry, so the
-    /// winner's retire pass can never miss it entirely.
-    group: Arc<Mutex<Vec<u64>>>,
+    group: Arc<Group>,
+}
+
+impl Answered for PendingEntry {
+    fn is_answered(&self) -> bool {
+        self.group.answered.load(Ordering::Acquire)
+    }
 }
 
 /// Lifetime counters, updated with relaxed atomics from any thread.
@@ -164,7 +184,7 @@ pub struct ConcurrentHandler {
     min_republish: Duration,
     ingest: Vec<Mutex<InfoRepository>>,
     membership: Mutex<Membership>,
-    pending: Vec<Mutex<HashMap<u64, PendingEntry>>>,
+    pending: Vec<Mutex<PendingTable<PendingEntry>>>,
     next_seq: AtomicU64,
     /// Most recent δ (§5.3.3) in nanoseconds, read by the next plan.
     last_overhead_ns: AtomicU64,
@@ -223,7 +243,7 @@ impl ConcurrentHandler {
                 .collect(),
             membership: Mutex::new(Membership::default()),
             pending: (0..PENDING_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(PendingTable::default()))
                 .collect(),
             next_seq: AtomicU64::new(0),
             last_overhead_ns: AtomicU64::new(0),
@@ -317,12 +337,15 @@ impl ConcurrentHandler {
             .iter()
             .map(|shard| {
                 let shard = self.pending_contention.acquire(|| shard.lock());
-                shard
-                    .values()
-                    .filter(|p| !p.answered.load(Ordering::Acquire))
-                    .count()
+                shard.values().filter(|p| !p.is_answered()).count()
             })
             .sum()
+    }
+
+    /// Entries the pending table holds, answered or not.
+    #[cfg(test)]
+    pub(crate) fn tracked_entries(&self) -> usize {
+        self.pending.iter().map(|shard| shard.lock().len()).sum()
     }
 
     /// Emits every span still held by the observer and flushes the
@@ -574,8 +597,11 @@ impl ConcurrentHandler {
         let entry = PendingEntry {
             intercepted_at: now,
             sent_at: now,
-            answered: Arc::new(AtomicBool::new(false)),
-            group: Arc::new(Mutex::new(vec![seq])),
+            group: Arc::new(Group {
+                answered: AtomicBool::new(false),
+                origin: seq,
+                retries: Mutex::new(Vec::new()),
+            }),
         };
         {
             let mut shard = self
@@ -598,31 +624,27 @@ impl ConcurrentHandler {
         retry_of: u64,
         exclude: &[ReplicaId],
     ) -> Option<RequestPlan> {
-        let origin = {
+        let group = {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(retry_of).lock());
-            shard.get(&retry_of).cloned()
+            shard.get(retry_of).map(|origin| Arc::clone(&origin.group))
         }?;
-        if origin.answered.load(Ordering::Acquire) {
+        if group.answered.load(Ordering::Acquire) {
             return None;
         }
         let (seq, replicas) = self.plan_with(now, method, t0, Some(retry_of), exclude)?;
         // Join the group *before* inserting the entry: the delivery path
-        // snapshots the group and retires every member it finds, so a
+        // walks the group and retires every member it finds, so a
         // concurrent winner either sees our seq (and retires the entry
         // once we insert it — or misses it and we self-retire below) or
         // has not delivered yet, in which case the flag check below is
         // still false and the attempt proceeds normally.
-        {
-            let mut group = origin.group.lock();
-            group.push(seq);
-        }
+        group.retries.lock().push(seq);
         let entry = PendingEntry {
             intercepted_at: t0,
             sent_at: now,
-            answered: Arc::clone(&origin.answered),
-            group: Arc::clone(&origin.group),
+            group: Arc::clone(&group),
         };
         {
             let mut shard = self
@@ -630,7 +652,7 @@ impl ConcurrentHandler {
                 .acquire(|| self.pending_shard(seq).lock());
             shard.insert(seq, entry);
         }
-        if origin.answered.load(Ordering::Acquire) {
+        if group.answered.load(Ordering::Acquire) {
             // The sibling resolved while we were registering. The winner's
             // retire pass may have run before our insert; retire ourselves
             // (idempotent — at most one of the two removals succeeds).
@@ -650,12 +672,20 @@ impl ConcurrentHandler {
         retry_of: Option<u64>,
         exclude: &[ReplicaId],
     ) -> Option<(u64, Arc<[ReplicaId]>)> {
+        // δ's two clock reads are the only ones an unobserved plan makes.
         let started = std::time::Instant::now();
         let view = self.snapshot.load();
+        // The per-replica predictions feed only the observer.
+        let observed = self.obs.is_some();
         let (mut replicas, predicted, cache_totals) = match &self.planner {
             PlannerMode::Snapshot { spec, .. } => {
-                let (selected, predicted) = self.plan_from_snapshot(&view, spec, method, exclude);
-                (selected, predicted, None)
+                let plan = self.plan_from_snapshot(&view, spec, method, exclude);
+                let predicted = if observed {
+                    plan.predictions().map(|(_, p)| p).collect()
+                } else {
+                    Vec::new()
+                };
+                (plan.selection.into_replicas(), predicted, None)
             }
             PlannerMode::Strategy(strategy) => {
                 let mut strategy = strategy.lock();
@@ -666,14 +696,11 @@ impl ConcurrentHandler {
                     now,
                     exclude,
                 });
-                // Strategies that model per-replica success expose this
-                // plan's predictions; baselines return an empty slice.
-                let predictions = strategy.last_predictions();
-                let predicted: Vec<f64> = selected
-                    .iter()
-                    .map(|r| predictions.iter().find(|(id, _)| id == r).map(|(_, p)| *p))
-                    .collect::<Option<Vec<f64>>>()
-                    .unwrap_or_default();
+                let predicted = if observed {
+                    aligned_predictions(&selected, strategy.last_predictions())
+                } else {
+                    Vec::new()
+                };
                 (selected, predicted, strategy.cache_stats())
             }
         };
@@ -733,9 +760,9 @@ impl ConcurrentHandler {
 
     /// Algorithm 1 over the published snapshot: [`plan`] reading
     /// `F_Ri(t − δ)` from the published tables. Runs entirely on the
-    /// caller's thread. Returns the selection plus each chosen replica's
-    /// predicted `P(meet deadline)` (empty on a cold-start multicast,
-    /// which has no model to consult).
+    /// caller's thread. The plan carries each ranked replica's predicted
+    /// `P(meet deadline)` (nothing on a cold-start multicast, which has no
+    /// model to consult).
     #[aqua::hot_path]
     fn plan_from_snapshot(
         &self,
@@ -743,7 +770,7 @@ impl ConcurrentHandler {
         spec: &SnapshotPlanSpec,
         method: Option<MethodId>,
         exclude: &[ReplicaId],
-    ) -> (Vec<ReplicaId>, Vec<f64>) {
+    ) -> Plan {
         let deadline = view.qos().deadline().saturating_sub(Duration::from_nanos(
             self.last_overhead_ns.load(Ordering::Relaxed),
         ));
@@ -753,11 +780,9 @@ impl ConcurrentHandler {
             .iter()
             .filter(|snap| snap.is_selectable() && !exclude.contains(&snap.id()))
             .map(|snap| (snap.id(), snap));
-        let plan = plan(spec, view.qos().min_probability(), members, |_, snap| {
+        plan(spec, view.qos().min_probability(), members, |_, snap| {
             snap.probability_by(slot, deadline)
-        });
-        let predicted = plan.predictions().map(|(_, p)| p).collect();
-        (plan.selection.into_replicas(), predicted)
+        })
     }
 
     // -- replies ------------------------------------------------------------
@@ -766,7 +791,7 @@ impl ConcurrentHandler {
     /// for attempt `seq`, carrying piggybacked perf data. Lock scope: one
     /// pending-shard lookup, one ingest-shard update, and (on a first
     /// reply) the detector and the sibling retire pass — never the
-    /// planning path.
+    /// planning path, and never a scan of the pending table.
     pub fn on_reply(
         &self,
         now: Instant,
@@ -778,7 +803,7 @@ impl ConcurrentHandler {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.get(&seq).cloned()
+            shard.get(seq).cloned()
         };
         let Some(entry) = entry else {
             // Expired request: still mine the perf data (no td — the
@@ -794,14 +819,16 @@ impl ConcurrentHandler {
             .saturating_sub(perf.service_time);
         // Exactly one reply (or the give-up timer) wins the group flag.
         let first = entry
+            .group
             .answered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok();
-        // Ingest-shard handling cost, recorded on the span as `ingest_ns`
-        // so forensics can separate wire delay from ingest stalls.
-        let ingest_started = std::time::Instant::now();
+        // Ingest-shard handling cost, recorded on an observer's span as
+        // `ingest_ns` so forensics can separate wire delay from ingest
+        // stalls; nobody else reads it, so nobody else pays for it.
+        let ingest_started = self.obs.is_some().then(std::time::Instant::now);
         self.ingest(now, replica, Some(perf), Some(td));
-        let ingest_nanos = ingest_started.elapsed().as_nanos() as u64;
+        let ingest_nanos = ingest_started.map(|started| started.elapsed().as_nanos() as u64);
 
         if first {
             let response_time = now.saturating_duration_since(entry.intercepted_at);
@@ -824,7 +851,7 @@ impl ConcurrentHandler {
                 true,
                 Some(verdict),
             );
-            self.retire_siblings(now, &entry, seq);
+            self.retire_siblings(now, &entry.group, seq);
             ReplyOutcome::Deliver {
                 response_time,
                 verdict,
@@ -842,20 +869,18 @@ impl ConcurrentHandler {
                 false,
                 None,
             );
-            self.retire_old_entries(seq);
             ReplyOutcome::Redundant
         }
     }
 
     /// Retires every sibling attempt of `winner` (their entries go away;
     /// the winner's stays, flagged answered, so late duplicates classify
-    /// as redundant rather than unknown).
-    fn retire_siblings(&self, now: Instant, entry: &PendingEntry, winner: u64) {
-        let siblings: Vec<u64> = {
-            let group = entry.group.lock();
-            group.clone()
-        };
-        for seq in siblings {
+    /// as redundant rather than unknown). Walks the group under its lock:
+    /// a retry registering meanwhile waits, then finds the flag set and
+    /// retires itself.
+    fn retire_siblings(&self, now: Instant, group: &Group, winner: u64) {
+        let retries = group.retries.lock();
+        for seq in std::iter::once(group.origin).chain(retries.iter().copied()) {
             if seq != winner {
                 self.retire_attempt(now, seq);
             }
@@ -869,7 +894,7 @@ impl ConcurrentHandler {
             let mut shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.remove(&seq).is_some()
+            shard.remove(seq).is_some()
         };
         if removed {
             self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -880,35 +905,16 @@ impl ConcurrentHandler {
         removed
     }
 
-    /// Bounded cleanup of answered entries, run on the redundant-reply
-    /// path for the shard the reply hashed to.
-    fn retire_old_entries(&self, seq: u64) {
-        let next = self.next_seq.load(Ordering::Relaxed);
-        if next > 1024 {
-            let cutoff = next - 1024;
-            let mut shard = self
-                .pending_contention
-                .acquire(|| self.pending_shard(seq).lock());
-            shard.retain(|s, p| *s >= cutoff || !p.answered.load(Ordering::Relaxed));
-        }
-    }
-
     /// Retires attempt `seq` because a sibling resolved the logical
     /// request. Returns `true` if the attempt was still open.
     pub fn on_abandon(&self, now: Instant, seq: u64) -> bool {
-        let entry = {
+        let open = {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.get(&seq).cloned()
+            shard.get(seq).is_some_and(|entry| !entry.is_answered())
         };
-        let Some(entry) = entry else {
-            return false;
-        };
-        if entry.answered.load(Ordering::Acquire) {
-            return false;
-        }
-        self.retire_attempt(now, seq)
+        open && self.retire_attempt(now, seq)
     }
 
     /// Finalizes a request that never received any reply, at `now`. Wins
@@ -917,16 +923,16 @@ impl ConcurrentHandler {
     /// should then drain its delivery channel instead of failing the
     /// call).
     pub fn on_give_up(&self, now: Instant, seq: u64) -> bool {
-        let entry = {
+        let group = {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.get(&seq).cloned()
+            shard.get(seq).map(|entry| Arc::clone(&entry.group))
         };
-        let Some(entry) = entry else {
+        let Some(group) = group else {
             return false;
         };
-        if entry
+        if group
             .answered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
@@ -937,7 +943,7 @@ impl ConcurrentHandler {
             let mut shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.remove(&seq);
+            shard.remove(seq);
         }
         self.stats.gave_up.fetch_add(1, Ordering::Relaxed);
         // An unbounded response time: record as "missed by a lot".
@@ -963,7 +969,7 @@ impl ConcurrentHandler {
 
     // -- helpers ------------------------------------------------------------
 
-    fn pending_shard(&self, seq: u64) -> &Mutex<HashMap<u64, PendingEntry>> {
+    fn pending_shard(&self, seq: u64) -> &Mutex<PendingTable<PendingEntry>> {
         &self.pending[(seq as usize) % PENDING_SHARDS]
     }
 
@@ -988,7 +994,7 @@ impl ConcurrentHandler {
         perf: &PerfReport,
         td: Duration,
         in_flight: Duration,
-        ingest_nanos: u64,
+        ingest_nanos: Option<u64>,
         first: bool,
         verdict: Option<TimingVerdict>,
     ) {
@@ -1001,7 +1007,7 @@ impl ConcurrentHandler {
                 perf.queuing_delay.as_nanos(),
                 td.as_nanos(),
                 in_flight.as_nanos(),
-                Some(ingest_nanos),
+                ingest_nanos,
                 first,
                 false,
                 verdict,
@@ -1252,6 +1258,68 @@ mod tests {
         assert_eq!(h.detector().failures(), 1);
     }
 
+    /// With an `Obs` attached every lock the handler accounts is counted
+    /// once per acquisition, and every reply on a span carries its ingest
+    /// time: the work an unobserved handler skips, done in full.
+    #[test]
+    fn an_observed_handler_counts_each_acquisition_and_times_each_ingest() {
+        use aqua_obs::contention::LOCK_ACQUISITIONS_TOTAL;
+        use aqua_strategies::StaticK;
+
+        let (obs, reader) = aqua_obs::Obs::in_memory();
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        // No debounced publish: only the three forced ones at join time.
+        let mut h = ConcurrentHandler::new(qos, 5, Box::new(StaticK { k: 2 }))
+            .with_min_republish(Duration::from_secs(3_600));
+        h.attach_obs(&obs, Some(0));
+        let [r0, r1, r2] = [0, 1, 2].map(ReplicaId::new);
+        for r in [r0, r1, r2] {
+            h.insert_replica(Instant::EPOCH, r);
+        }
+        let at = |k: u64| Instant::from_millis(100 + k);
+        let perf = PerfReport::new(ms(20), ms(0), 0);
+
+        // A delivered call and its redundant reply: pending-shard 1 + 2,
+        // ingest-shard 2.
+        let a = h.plan_request(at(0));
+        assert_eq!(a.replicas.as_ref(), &[r0, r1]);
+        assert!(matches!(
+            h.on_reply(at(1), a.seq, r0, perf),
+            ReplyOutcome::Deliver { .. }
+        ));
+        assert_eq!(h.on_reply(at(2), a.seq, r1, perf), ReplyOutcome::Redundant);
+        // A retried call the retry wins: plan 1, retry lookup + insert 2,
+        // winning reply 1 + the original's retirement 1, the original's
+        // late reply 1; ingest-shard 2.
+        let b = h.plan_request(at(3));
+        let retry = h
+            .plan_retry(at(4), None, at(3), b.seq, &b.replicas)
+            .unwrap();
+        assert_eq!(retry.replicas.as_ref(), &[r2]);
+        assert!(matches!(
+            h.on_reply(at(5), retry.seq, r2, perf),
+            ReplyOutcome::Deliver { .. }
+        ));
+        assert_eq!(h.on_reply(at(6), b.seq, r0, perf), ReplyOutcome::Unknown);
+        // A call given up: plan 1, lookup 1, removal 1.
+        let c = h.plan_request(at(7));
+        assert!(h.on_give_up(at(8), c.seq));
+
+        let acquisitions = |lock| {
+            obs.registry()
+                .counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", lock)])
+                .get()
+        };
+        assert_eq!(acquisitions("pending-shard"), 3 + 6 + 3);
+        assert_eq!(acquisitions("ingest-shard"), 2 + 2);
+        assert_eq!(acquisitions("publish"), 3);
+
+        h.flush_observability();
+        let spans = reader.lines_containing("\"type\":\"request\"").concat();
+        assert_eq!(spans.matches("\"ingest_ns\":").count(), 3, "{spans}");
+        assert!(!spans.contains("\"ingest_ns\":null"), "{spans}");
+    }
+
     #[test]
     fn rejoined_replica_shadows_as_probation_member() {
         let h = handler(0.9);
@@ -1487,8 +1555,14 @@ mod tests {
                             // plans between them.
                             let view = h.planning_view();
                             let full = with_full_tables(&view, model);
-                            let (expected, _) = h.plan_from_snapshot(&full, spec, None, &[]);
-                            let (bounded, _) = h.plan_from_snapshot(&view, spec, None, &[]);
+                            let expected = h
+                                .plan_from_snapshot(&full, spec, None, &[])
+                                .selection
+                                .into_replicas();
+                            let bounded = h
+                                .plan_from_snapshot(&view, spec, None, &[])
+                                .selection
+                                .into_replicas();
                             prop_assert_eq!(&bounded, &expected);
                             let plan = h.plan_request(now);
                             prop_assert_eq!(

@@ -27,6 +27,7 @@ mod handlers;
 mod manager;
 pub mod obs;
 mod passive_client;
+mod pending;
 mod proto;
 mod server;
 mod supervisor;

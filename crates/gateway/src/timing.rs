@@ -14,7 +14,7 @@
 //! 3. [`TimingFaultHandler::on_perf_update`] /
 //!    [`TimingFaultHandler::on_view`] — keep the repository current.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use aqua_core::failure::{TimingFailureDetector, TimingVerdict};
@@ -24,7 +24,8 @@ use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
 use aqua_core::time::{Duration, Instant};
 use aqua_strategies::{SelectionInput, SelectionStrategy};
 
-use crate::obs::{HandlerObserver, PlanObservation};
+use crate::obs::{aligned_predictions, HandlerObserver, PlanObservation};
+use crate::pending::{Answered, PendingTable};
 
 /// A request the handler has multicast and is awaiting replies for.
 #[derive(Debug, Clone)]
@@ -41,6 +42,12 @@ pub struct PendingRequest {
     /// Probes refresh the repository but are invisible to the client:
     /// no delivery, no timing-failure accounting (§8, extension 3).
     pub probe: bool,
+}
+
+impl Answered for PendingRequest {
+    fn is_answered(&self) -> bool {
+        self.answered
+    }
 }
 
 /// The plan produced for one intercepted request: multicast the request
@@ -114,7 +121,7 @@ pub struct TimingFaultHandler {
     repository: InfoRepository,
     strategy: Box<dyn SelectionStrategy>,
     detector: TimingFailureDetector,
-    pending: HashMap<u64, PendingRequest>,
+    pending: PendingTable<PendingRequest>,
     next_seq: u64,
     stats: HandlerStats,
     observer: Option<HandlerObserver>,
@@ -152,7 +159,7 @@ impl TimingFaultHandler {
             repository: InfoRepository::new(window),
             strategy,
             detector: TimingFailureDetector::new(qos),
-            pending: HashMap::new(),
+            pending: PendingTable::default(),
             next_seq: 0,
             stats: HandlerStats::default(),
             observer: None,
@@ -240,6 +247,12 @@ impl TimingFaultHandler {
         self.pending.values().filter(|p| !p.answered).count()
     }
 
+    /// Entries the pending table holds, answered or not.
+    #[cfg(test)]
+    pub(crate) fn tracked_entries(&self) -> usize {
+        self.pending.len()
+    }
+
     /// Intercepts a client request at `now` (= `t0` = `t1`) and selects the
     /// replica subset. The caller multicasts the request and later reports
     /// replies via [`TimingFaultHandler::on_reply`].
@@ -300,15 +313,12 @@ impl TimingFaultHandler {
         }
         // The model's per-replica P(meet deadline) for this very plan,
         // aligned with the selection (empty for baseline strategies and
-        // cold-start multicasts). Captured before probation shadows are
-        // appended: shadows carry no prediction.
-        let predicted: Vec<f64> = {
-            let predictions = self.strategy.last_predictions();
-            replicas
-                .iter()
-                .map(|r| predictions.iter().find(|(id, _)| id == r).map(|(_, p)| *p))
-                .collect::<Option<Vec<f64>>>()
-                .unwrap_or_default()
+        // cold-start multicasts), for the observer alone. Captured before
+        // probation shadows are appended: shadows carry no prediction.
+        let predicted = if self.observer.is_some() {
+            aligned_predictions(&replicas, self.strategy.last_predictions())
+        } else {
+            Vec::new()
         };
         // Probation members ride along as shadow traffic: never trusted
         // candidates until `l` fresh samples arrive (§5.2), but the extra
@@ -432,7 +442,7 @@ impl TimingFaultHandler {
         replica: ReplicaId,
         perf: PerfReport,
     ) -> ReplyOutcome {
-        let Some(pending) = self.pending.get_mut(&seq) else {
+        let Some(pending) = self.pending.get_mut(seq) else {
             // Expired request: still mine the perf data.
             self.record_perf_only(now, replica, perf);
             return ReplyOutcome::Unknown;
@@ -452,12 +462,13 @@ impl TimingFaultHandler {
         }
 
         // The gateway-side handling cost of this reply (repository update
-        // plus delay bookkeeping), recorded on the span as `ingest_ns` so
-        // forensics can separate wire delay from ingest stalls.
-        let ingest_started = std::time::Instant::now();
+        // plus delay bookkeeping), recorded on an observer's span as
+        // `ingest_ns` so forensics can separate wire delay from ingest
+        // stalls. Measured only for an observer.
+        let ingest_started = self.observer.is_some().then(std::time::Instant::now);
         self.record_perf_tracked(now, replica, perf);
         self.repository.record_gateway_delay(replica, td, now);
-        let ingest_nanos = ingest_started.elapsed().as_nanos() as u64;
+        let ingest_nanos = ingest_started.map(|started| started.elapsed().as_nanos() as u64);
 
         if probe {
             // Probe replies only feed the repository.
@@ -512,7 +523,6 @@ impl TimingFaultHandler {
                 false,
                 None,
             );
-            self.retire_old_entries();
             ReplyOutcome::Redundant
         }
     }
@@ -526,7 +536,7 @@ impl TimingFaultHandler {
         perf: &PerfReport,
         td: Duration,
         in_flight: Duration,
-        ingest_nanos: u64,
+        ingest_nanos: Option<u64>,
         first: bool,
         probe: bool,
         verdict: Option<TimingVerdict>,
@@ -540,21 +550,11 @@ impl TimingFaultHandler {
                 perf.queuing_delay.as_nanos(),
                 td.as_nanos(),
                 in_flight.as_nanos(),
-                Some(ingest_nanos),
+                ingest_nanos,
                 first,
                 probe,
                 verdict,
             );
-        }
-    }
-
-    /// Answered entries are kept so later duplicates count as `Redundant`
-    /// rather than `Unknown`; memory is bounded by retiring entries older
-    /// than the most recent 1024 sequence numbers.
-    fn retire_old_entries(&mut self) {
-        if self.next_seq > 1024 {
-            let cutoff = self.next_seq - 1024;
-            self.pending.retain(|s, p| *s >= cutoff || !p.answered);
         }
     }
 
@@ -638,9 +638,9 @@ impl TimingFaultHandler {
     /// [`ReplyOutcome::Unknown`] (still mining their perf data). Returns
     /// `true` if the attempt was still open.
     pub fn on_abandon(&mut self, now: Instant, seq: u64) -> bool {
-        match self.pending.get(&seq) {
+        match self.pending.get(seq) {
             Some(p) if !p.answered && !p.probe => {
-                self.pending.remove(&seq);
+                self.pending.remove(seq);
                 self.stats.abandoned += 1;
                 if let Some(observer) = self.observer.as_mut() {
                     observer.on_abandon(seq, now.as_nanos());
@@ -656,17 +656,17 @@ impl TimingFaultHandler {
     /// Counts as a timing failure. Returns `true` if the request was
     /// still open.
     pub fn on_give_up(&mut self, now: Instant, seq: u64) -> bool {
-        match self.pending.get(&seq) {
+        match self.pending.get(seq) {
             Some(p) if p.probe => {
                 // An unanswered probe is not a client-visible failure.
-                self.pending.remove(&seq);
+                self.pending.remove(seq);
                 if let Some(observer) = self.observer.as_mut() {
                     observer.on_give_up(seq, true, None, false, now.as_nanos());
                 }
                 false
             }
             Some(p) if !p.answered => {
-                self.pending.remove(&seq);
+                self.pending.remove(seq);
                 self.stats.gave_up += 1;
                 // An unbounded response time: record as "missed by a lot".
                 let verdict = self
@@ -692,7 +692,7 @@ impl TimingFaultHandler {
 
     /// The pending entry for a sequence number, if still tracked.
     pub fn pending(&self, seq: u64) -> Option<&PendingRequest> {
-        self.pending.get(&seq)
+        self.pending.get(seq)
     }
 }
 

@@ -12,6 +12,10 @@
 //!
 //! The quotient is the mean lock-wait per acquisition — the direct measure
 //! of how serialized a path still is (zero on an uncontended shard).
+//!
+//! Only registered counters time anything: a [`LockContention::detached`]
+//! handle, the configuration of a handler with no [`crate::Obs`], takes
+//! the lock and nothing else — no clock read, no atomic add.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,61 +27,72 @@ pub const LOCK_WAIT_NS_TOTAL: &str = "aqua_lock_wait_ns_total";
 /// Metric name for the number of lock acquisitions.
 pub const LOCK_ACQUISITIONS_TOTAL: &str = "aqua_lock_acquisitions_total";
 
+/// The registered pair behind an accounting handle.
+#[derive(Debug, Clone)]
+struct Counters {
+    wait_ns: Arc<Counter>,
+    acquisitions: Arc<Counter>,
+}
+
 /// Cached wait-time counters for one named lock (or family of shards that
-/// should be accounted together).
+/// should be accounted together), or none at all.
 ///
 /// Cloning shares the underlying counters, so a handle can be distributed
 /// to every thread touching the section.
 #[derive(Debug, Clone)]
 pub struct LockContention {
-    wait_ns: Arc<Counter>,
-    acquisitions: Arc<Counter>,
+    counters: Option<Counters>,
 }
 
 impl LockContention {
     /// Counters registered under the given lock name.
     pub fn new(registry: &Registry, lock: &str) -> Self {
         LockContention {
-            wait_ns: registry.counter(LOCK_WAIT_NS_TOTAL, &[("lock", lock)]),
-            acquisitions: registry.counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", lock)]),
+            counters: Some(Counters {
+                wait_ns: registry.counter(LOCK_WAIT_NS_TOTAL, &[("lock", lock)]),
+                acquisitions: registry.counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", lock)]),
+            }),
         }
     }
 
-    /// Unregistered counters: still count (cheap atomics) but are visible
-    /// only through this handle. The configuration for handlers that have
-    /// no [`crate::Obs`] attached.
+    /// No counters: acquisitions are neither timed nor counted. The
+    /// configuration for handlers that have no [`crate::Obs`] attached.
     pub fn detached() -> Self {
-        LockContention {
-            wait_ns: Arc::new(Counter::new()),
-            acquisitions: Arc::new(Counter::new()),
-        }
+        LockContention { counters: None }
     }
 
-    /// Records one acquisition that waited `waited` to enter the section.
+    /// Records one acquisition that waited `waited` to enter the section
+    /// (a no-op on a detached handle).
     #[inline]
     pub fn record(&self, waited: Duration) {
-        self.wait_ns.add(waited.as_nanos() as u64);
-        self.acquisitions.inc();
+        if let Some(counters) = &self.counters {
+            counters.wait_ns.add(waited.as_nanos() as u64);
+            counters.acquisitions.inc();
+        }
     }
 
-    /// Times `acquire` (a closure performing the blocking `lock()` call)
-    /// and records the wait, returning the guard.
+    /// Runs `acquire` (a closure performing the blocking `lock()` call)
+    /// and returns the guard; a registered handle also times the call and
+    /// records the wait.
     #[inline]
     pub fn acquire<G>(&self, acquire: impl FnOnce() -> G) -> G {
+        if self.counters.is_none() {
+            return acquire();
+        }
         let started = Instant::now();
         let guard = acquire();
         self.record(started.elapsed());
         guard
     }
 
-    /// Cumulative nanoseconds callers spent blocked.
+    /// Cumulative nanoseconds callers spent blocked (0 when detached).
     pub fn wait_ns(&self) -> u64 {
-        self.wait_ns.get()
+        self.counters.as_ref().map_or(0, |c| c.wait_ns.get())
     }
 
-    /// Number of acquisitions recorded.
+    /// Number of acquisitions recorded (0 when detached).
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.get()
+        self.counters.as_ref().map_or(0, |c| c.acquisitions.get())
     }
 }
 
@@ -86,12 +101,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn detached_counters_accumulate() {
+    fn a_detached_handle_counts_nothing() {
         let c = LockContention::detached();
         c.record(Duration::from_nanos(120));
         c.record(Duration::from_nanos(30));
-        assert_eq!(c.wait_ns(), 150);
-        assert_eq!(c.acquisitions(), 2);
+        let m = std::sync::Mutex::new(7u32);
+        assert_eq!(*c.acquire(|| m.lock().unwrap()), 7);
+        assert_eq!(c.wait_ns(), 0);
+        assert_eq!(c.acquisitions(), 0);
     }
 
     #[test]
@@ -118,10 +135,17 @@ mod tests {
 
     #[test]
     fn acquire_times_the_closure() {
-        let c = LockContention::detached();
+        let registry = Registry::new();
+        let c = LockContention::new(&registry, "publish");
         let m = std::sync::Mutex::new(7u32);
         let guard = c.acquire(|| m.lock().unwrap());
         assert_eq!(*guard, 7);
         assert_eq!(c.acquisitions(), 1);
+        assert_eq!(
+            registry
+                .counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", "publish")])
+                .get(),
+            1
+        );
     }
 }
