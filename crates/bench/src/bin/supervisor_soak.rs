@@ -33,6 +33,7 @@
 //! sub-directory per scenario, each independently replayable with
 //! `aqua_forensics` (see EXPERIMENTS.md § Supervisor soak).
 
+use aqua_core::model::ModelConfig;
 use aqua_core::qos::QosSpec;
 use aqua_core::time::{Duration, Instant};
 use aqua_gateway::{ArrivalModel, CalibrationConfig, SupervisionConfig, SupervisorConfig};
@@ -41,7 +42,7 @@ use aqua_trace::forensics::analyze;
 use aqua_trace::replay::read_journal;
 use aqua_workload::{
     run_experiment_observed, ClientSpec, ExperimentConfig, FaultPlan, ManagerSpec, NetworkSpec,
-    ServerSpec,
+    ServerSpec, StrategySpec,
 };
 
 fn ms(v: u64) -> Duration {
@@ -306,14 +307,29 @@ fn rolling_restart(seed: u64) -> Scenario {
 /// 3. Correlated-failure escalation: three of four replicas degrade in
 ///    one window; per-replica restarts are disabled (sick threshold out
 ///    of reach), so the only move left is the fleet-level one.
+///
+///    The client tolerates two crashes, so every plan holds at least
+///    three replicas. Before the fault every replica meets the deadline
+///    with `F = 1` exactly, and Algorithm 1 breaks the tie by id: replicas
+///    0, 1 and 2 serve every request and share its first replies, so each
+///    of them has the calibration samples a replica-scoped alert needs
+///    when the fault makes the next plan late for all three. The fault
+///    starts after ~33 requests, while a window holds fewer than 20
+///    samples and one miss is past the 5 % margin; an 8× slowdown keeps
+///    a fast service draw from still meeting the deadline on that first
+///    late plan (seeds 1–40 all escalate).
 fn correlated_escalation(seed: u64) -> Scenario {
     let mut client = ClientSpec::paper(QosSpec::new(ms(250), 0.9).expect("valid spec"));
+    client.strategy = StrategySpec::ModelBasedTolerating {
+        model: ModelConfig::default(),
+        crashes: 2,
+    };
     client.think_time = ms(100);
     client.num_requests = 200;
     client.window = 20;
     client.calibration = Some(soak_calibration());
     let requests = client.num_requests;
-    let at = Instant::from_secs(5);
+    let at = Instant::from_secs(6);
     let dur = Duration::from_secs(10);
     Scenario {
         label: "correlated-failure escalation",
@@ -349,9 +365,9 @@ fn correlated_escalation(seed: u64) -> Scenario {
             }),
             clients: vec![client],
             faults: FaultPlan::new()
-                .degrade(0, at, dur, 5.0)
-                .degrade(1, at, dur, 5.0)
-                .degrade(2, at, dur, 5.0),
+                .degrade(0, at, dur, 8.0)
+                .degrade(1, at, dur, 8.0)
+                .degrade(2, at, dur, 8.0),
             max_virtual_time: Duration::from_secs(120),
         },
         requests,

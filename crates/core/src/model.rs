@@ -279,7 +279,7 @@ impl ResponseTimeModel {
             }
         };
         let horizon = horizon.map(|h| h.as_nanos() / bucket.as_nanos());
-        CdfTable::of_counts(bucket, service.into_owned(), wait, delay, horizon, scratch)
+        CdfTable::of_counts(bucket, &service, wait, delay, horizon, scratch)
     }
 
     /// Predicts `F_Ri(deadline)`: the probability that a response from this

@@ -751,16 +751,21 @@ impl CdfTable {
     /// agrees with an unbounded one bit for bit up to the horizon.
     ///
     /// `None` when `service` or a window in use is empty.
+    ///
+    /// The table's two vectors come from `scratch`'s spares (see
+    /// [`ConvScratch::recycle`]), so a rebuild that recycled the table it
+    /// replaces allocates nothing.
+    #[aqua::hot_path]
     pub(crate) fn of_counts(
         bucket: Duration,
-        service: Vec<(u64, u32)>,
+        service: &[(u64, u32)],
         wait: Wait<'_>,
         delay: Delay<'_>,
         horizon: Option<u64>,
         scratch: &mut ConvScratch,
     ) -> Option<CdfTable> {
         let &(first, _) = service.first()?;
-        let service_total = total_count(&service);
+        let service_total = total_count(service);
         let shift = match delay {
             Delay::Shift(buckets) => buckets,
             Delay::Counts(_) => 0,
@@ -768,11 +773,11 @@ impl CdfTable {
         let reach = horizon.map(|h| h.saturating_sub(shift.saturating_add(first)));
         let (mut offset, mut inner, mut inner_total) = match wait {
             Wait::Counts(counts) => {
-                let mut dense = Vec::new();
+                let mut dense = scratch.spare_weights();
                 (spread(counts, &mut dense)?, dense, total_count(counts))
             }
             Wait::ServiceFold(q) => {
-                spread(&service, &mut scratch.base)?;
+                spread(service, &mut scratch.base)?;
                 let (offset, fold) = scratch.power(first, q, reach, 0.0, square_into);
                 (offset, fold, service_total.powi(q as i32))
             }
@@ -786,9 +791,11 @@ impl CdfTable {
         }
         inner.truncate(len_within(offset, reach));
         prefix_sums(&mut inner);
+        let mut pairs = scratch.spare_pairs();
+        pairs.extend_from_slice(service);
         Some(CdfTable {
             bucket,
-            service,
+            service: pairs,
             offset: shift + offset,
             cum: inner,
             total: service_total * inner_total,
@@ -853,23 +860,65 @@ impl CdfTable {
     }
 }
 
-/// Reusable buffers for [`Pmf::self_convolve`] and the `S^{*q}` term of
+/// Reusable buffers for [`Pmf::self_convolve`] and the tables of
 /// [`CdfTable::of_counts`].
 ///
-/// Holding one of these per model cache keeps the q-fold convolution free
-/// of steady-state allocations: the squaring chain ping-pongs between the
-/// `base` and `tmp` buffers, and `acc` seeds the result vector.
+/// Holding one of these per table memo keeps rebuilding tables free of
+/// steady-state allocations: the squaring chain ping-pongs between the
+/// `base` and `tmp` buffers, and every vector a table keeps — its service
+/// pairs, its cumulative counts, the `q = 0` unit mass, the power chain's
+/// result, the `History` spread — is taken from the spares that
+/// `ConvScratch::recycle` returns retired tables' vectors to.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
     base: Vec<f64>,
-    acc: Vec<f64>,
     tmp: Vec<f64>,
+    /// Weight vectors of recycled tables, cleared.
+    weights: Vec<Vec<f64>>,
+    /// Service-pair vectors of recycled tables, cleared.
+    pairs: Vec<Vec<(u64, u32)>>,
 }
 
 impl ConvScratch {
     /// Creates an empty scratch space (buffers grow on first use).
     pub fn new() -> Self {
         ConvScratch::default()
+    }
+
+    /// Takes `table` apart and keeps its two vectors for the next tables
+    /// built with this scratch. The spares never outnumber the tables a
+    /// memo held at once: a table is built from a spare whenever one is
+    /// left.
+    pub(crate) fn recycle(&mut self, table: CdfTable) {
+        let CdfTable {
+            mut service,
+            mut cum,
+            ..
+        } = table;
+        service.clear();
+        self.pairs.push(service);
+        cum.clear();
+        self.weights.push(cum);
+    }
+
+    /// An empty weight vector: a recycled one while any is left.
+    #[aqua::hot_path]
+    fn spare_weights(&mut self) -> Vec<f64> {
+        if let Some(spare) = self.weights.pop() {
+            return spare;
+        }
+        // aqua-lint: allow(no-alloc-in-select) pool miss: no table recycled yet, so the new vector grows on first use
+        Vec::new()
+    }
+
+    /// An empty service-pair vector: a recycled one while any is left.
+    #[aqua::hot_path]
+    fn spare_pairs(&mut self) -> Vec<(u64, u32)> {
+        if let Some(spare) = self.pairs.pop() {
+            return spare;
+        }
+        // aqua-lint: allow(no-alloc-in-select) pool miss: no table recycled yet, so the new vector grows on first use
+        Vec::new()
     }
 
     /// The `n`-fold self-convolution of the weights in `base`, whose first
@@ -889,13 +938,13 @@ impl ConvScratch {
         epsilon: f64,
         square: fn(&[f64], &mut Vec<f64>, usize),
     ) -> (u64, Vec<f64>) {
+        let mut acc = self.spare_weights();
         if n == 0 {
-            return (0, vec![1.0]);
+            acc.push(1.0);
+            return (0, acc);
         }
         let mut base = std::mem::take(&mut self.base);
         let mut base_offset = offset;
-        let mut acc = std::mem::take(&mut self.acc);
-        acc.clear();
         let mut acc_offset = 0u64;
         let mut have_acc = false;
         let mut tmp = std::mem::take(&mut self.tmp);
@@ -924,7 +973,6 @@ impl ConvScratch {
         }
         self.base = base;
         self.tmp = tmp;
-        // `acc` moves into the result; the scratch slot refills next call.
         (acc_offset, acc)
     }
 }
@@ -1270,7 +1318,7 @@ mod tests {
     fn two_by_two(horizon: Option<u64>) -> CdfTable {
         CdfTable::of_counts(
             ms(1),
-            vec![(10, 1), (12, 1)],
+            &[(10, 1), (12, 1)],
             Wait::Counts(&[(0, 1), (2, 1)]),
             Delay::Shift(3),
             horizon,
@@ -1299,7 +1347,7 @@ mod tests {
         let (service, wait) = (vec![(3, 2), (5, 1)], [(1, 1), (4, 3)]);
         let windowed = CdfTable::of_counts(
             ms(1),
-            service,
+            &service,
             Wait::ServiceFold(2),
             Delay::Counts(&wait),
             None,

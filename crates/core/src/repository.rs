@@ -107,7 +107,7 @@ impl PerfReport {
 /// Per-method measurement history: the service time and queuing delay
 /// vectors of §5.2, kept with incrementally maintained bucket counts so the
 /// model can rebuild its pmfs in O(distinct buckets) instead of O(l).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MethodHistory {
     service_times: BucketedWindow,
@@ -170,8 +170,25 @@ impl MethodHistory {
     }
 }
 
+impl Clone for MethodHistory {
+    fn clone(&self) -> Self {
+        MethodHistory {
+            service_times: self.service_times.clone(),
+            queuing_delays: self.queuing_delays.clone(),
+            generation: self.generation,
+        }
+    }
+
+    /// Copies `source` into this history's windows, reusing their buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.service_times.clone_from(&source.service_times);
+        self.queuing_delays.clone_from(&source.queuing_delays);
+        self.generation = source.generation;
+    }
+}
+
 /// Everything the repository knows about one replica.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicaStats {
     histories: BTreeMap<MethodId, MethodHistory>,
@@ -191,6 +208,47 @@ pub struct ReplicaStats {
     /// of `outstanding`/probation changes that per-method generations
     /// don't see).
     perf_generation: u64,
+}
+
+impl Clone for ReplicaStats {
+    fn clone(&self) -> Self {
+        ReplicaStats {
+            histories: self.histories.clone(),
+            gateway_delays: self.gateway_delays.clone(),
+            outstanding: self.outstanding,
+            last_update: self.last_update,
+            window: self.window,
+            bucket: self.bucket,
+            probation: self.probation,
+            epoch: self.epoch,
+            perf_generation: self.perf_generation,
+        }
+    }
+
+    /// Copies `source` into this entry, reusing the buffers of every
+    /// window it already holds: a method history this entry lacks is the
+    /// only thing allocated, one this entry has and `source` lacks is
+    /// dropped.
+    fn clone_from(&mut self, source: &Self) {
+        self.histories
+            .retain(|method, _| source.histories.contains_key(method));
+        for (method, history) in &source.histories {
+            match self.histories.get_mut(method) {
+                Some(held) => held.clone_from(history),
+                None => {
+                    self.histories.insert(*method, history.clone());
+                }
+            }
+        }
+        self.gateway_delays.clone_from(&source.gateway_delays);
+        self.outstanding = source.outstanding;
+        self.last_update = source.last_update;
+        self.window = source.window;
+        self.bucket = source.bucket;
+        self.probation = source.probation;
+        self.epoch = source.epoch;
+        self.perf_generation = source.perf_generation;
+    }
 }
 
 impl ReplicaStats {
@@ -425,16 +483,28 @@ impl InfoRepository {
         self.replicas.remove(&id)
     }
 
-    /// Installs a fully-built stats entry for `id`, replacing any existing
-    /// one. This is the merge primitive for sharded ingestion: per-replica
-    /// shards record into their own repositories, and a publisher copies
-    /// the refreshed entries into the merged view it is about to publish.
+    /// Makes the entry for `id` a copy of `stats`, reusing the window
+    /// buffers of the entry already held for it. This is the merge
+    /// primitive for sharded ingestion: per-replica shards record into
+    /// their own repositories, and a publisher copies the refreshed
+    /// entries into the merged view it is about to publish — the view it
+    /// published before, once nobody holds that any more.
     ///
     /// The insertion counter is advanced past the entry's epoch so a later
     /// [`InfoRepository::insert_replica`] can never mint a duplicate epoch.
-    pub fn insert_stats(&mut self, id: ReplicaId, stats: ReplicaStats) {
+    pub fn copy_stats(&mut self, id: ReplicaId, stats: &ReplicaStats) {
         self.next_epoch = self.next_epoch.max(stats.epoch());
-        self.replicas.insert(id, stats);
+        match self.replicas.get_mut(&id) {
+            Some(held) => held.clone_from(stats),
+            None => {
+                self.replicas.insert(id, stats.clone());
+            }
+        }
+    }
+
+    /// Drops every replica for which `keep` returns `false`.
+    pub fn retain_replicas(&mut self, mut keep: impl FnMut(ReplicaId) -> bool) {
+        self.replicas.retain(|id, _| keep(*id));
     }
 
     /// Replaces the membership with `view`, dropping state for departed

@@ -67,12 +67,15 @@ impl ReplicaSnapshot {
     }
 
     /// What a planner holding `held` for a replica does before reading
-    /// `stats` at deadlines up to `horizon`: `None` while nothing `held`
-    /// was built from has moved and its tables reach `horizon`, else the
-    /// snapshot to replace it with, with tables from `model` exact up to
-    /// `horizon` (none without a model: the planner reads the repository).
-    /// The one reuse rule of every table memo, the publisher's and the
-    /// model-based strategy's.
+    /// `stats` at deadlines up to `horizon`: `None` while `held`
+    /// [serves](ReplicaSnapshot::serves) them, else the snapshot to
+    /// replace it with, with tables from `model` exact up to `horizon`
+    /// (none without a model: the planner reads the repository). A memo
+    /// that owns its snapshot rebuilds it in place instead
+    /// ([`ReplicaSnapshot::refresh_in_place`]); both follow the one reuse
+    /// rule of every table memo, the publisher's and the model-based
+    /// strategy's.
+    #[aqua::hot_path]
     pub fn refresh(
         held: Option<&ReplicaSnapshot>,
         id: ReplicaId,
@@ -82,9 +85,39 @@ impl ReplicaSnapshot {
         horizon: Duration,
     ) -> Option<ReplicaSnapshot> {
         match held {
-            Some(held) if held.is_current(stats) && held.covers(horizon) => None,
+            Some(held) if held.serves(stats, horizon) => None,
             _ => Some(Self::build_within(id, stats, model, scratch, Some(horizon))),
         }
+    }
+
+    /// [`ReplicaSnapshot::refresh`] for a snapshot its memo owns: leaves
+    /// it alone while it serves `stats` up to `horizon` (`false`), else
+    /// rebuilds it in place (`true`). The rebuild reuses the snapshot's
+    /// table list, and its tables' vectors pass through `scratch`'s
+    /// spares into the new tables, so a steady-state rebuild allocates
+    /// nothing.
+    #[aqua::hot_path]
+    pub fn refresh_in_place(
+        &mut self,
+        stats: &ReplicaStats,
+        model: Option<&ResponseTimeModel>,
+        scratch: &mut ConvScratch,
+        horizon: Duration,
+    ) -> bool {
+        if self.serves(stats, horizon) {
+            return false;
+        }
+        self.rebuild(self.id, stats, model, scratch, Some(horizon));
+        true
+    }
+
+    /// The reuse rule: a snapshot serves `stats` at deadlines up to
+    /// `horizon` while nothing it was built from has moved
+    /// ([`ReplicaSnapshot::is_current`]) and its tables reach `horizon`
+    /// ([`ReplicaSnapshot::covers`]).
+    #[inline]
+    pub fn serves(&self, stats: &ReplicaStats, horizon: Duration) -> bool {
+        self.is_current(stats) && self.covers(horizon)
     }
 
     /// A snapshot of `stats` with `model`'s tables exact up to `horizon`
@@ -98,37 +131,59 @@ impl ReplicaSnapshot {
     ) -> Self {
         let mut snapshot = ReplicaSnapshot {
             id,
-            warm: stats.is_warm(),
-            selectable: !stats.is_on_probation(),
-            epoch: stats.epoch(),
-            perf_generation: stats.perf_generation(),
-            delay_generation: stats.delay_generation(),
-            outstanding: stats.outstanding(),
+            warm: false,
+            selectable: false,
+            epoch: 0,
+            perf_generation: 0,
+            delay_generation: 0,
+            outstanding: 0,
             cdfs: Vec::new(),
         };
+        snapshot.rebuild(id, stats, model, scratch, horizon);
+        snapshot
+    }
+
+    /// Makes this snapshot the one [`ReplicaSnapshot::build_within`]
+    /// builds, in place: its tables go back to `scratch` and the new ones
+    /// are built from `scratch`'s spares into the same list.
+    #[aqua::hot_path]
+    fn rebuild(
+        &mut self,
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: Option<&ResponseTimeModel>,
+        scratch: &mut ConvScratch,
+        horizon: Option<Duration>,
+    ) {
+        self.id = id;
+        self.warm = stats.is_warm();
+        self.selectable = !stats.is_on_probation();
+        self.epoch = stats.epoch();
+        self.perf_generation = stats.perf_generation();
+        self.delay_generation = stats.delay_generation();
+        self.outstanding = stats.outstanding();
+        for (_, table) in self.cdfs.drain(..) {
+            scratch.recycle(table);
+        }
         let Some(model) = model else {
-            return snapshot;
+            return;
         };
-        let scope = model.config().method_scope;
-        snapshot.cdfs.reserve_exact(match scope {
-            MethodScope::PerMethod => stats.histories().count(),
-            MethodScope::Aggregate => 1,
-        });
-        let mut table_for = |slot: u64, method: Option<MethodId>| {
-            if let Some(cdf) = model.response_cdf(stats, method, scratch, horizon) {
-                snapshot.cdfs.push((slot, cdf));
-            }
-        };
-        match scope {
+        match model.config().method_scope {
             MethodScope::PerMethod => {
+                self.cdfs.reserve_exact(stats.histories().count());
                 for (method, _) in stats.histories() {
-                    table_for(u64::from(method.index()), Some(method));
+                    if let Some(cdf) = model.response_cdf(stats, Some(method), scratch, horizon) {
+                        self.cdfs.push((u64::from(method.index()), cdf));
+                    }
                 }
             }
-            MethodScope::Aggregate => table_for(AGGREGATE_SLOT, None),
+            MethodScope::Aggregate => {
+                if let Some(cdf) = model.response_cdf(stats, None, scratch, horizon) {
+                    self.cdfs.push((AGGREGATE_SLOT, cdf));
+                }
+            }
         }
-        snapshot.cdfs.sort_unstable_by_key(|entry| entry.0);
-        snapshot
+        self.cdfs.sort_unstable_by_key(|entry| entry.0);
     }
 
     /// The replica this snapshot describes.
@@ -291,10 +346,116 @@ impl PlanningView {
         &self.repository
     }
 
-    /// Shares the backing repository (publishers clone it copy-on-write).
+    /// Shares the backing repository. A holder keeps it unchanged: the
+    /// publisher that retires this view refills the repository in place
+    /// only while nobody else holds it ([`ViewSpares`]).
     #[inline]
     pub fn repository_arc(&self) -> Arc<InfoRepository> {
         Arc::clone(&self.repository)
+    }
+}
+
+/// What a publisher reuses of the view it last swapped out, so that a
+/// steady-state republish allocates and frees (almost) nothing: the
+/// view's snapshot list, its repository with every window buffer, and
+/// each snapshot no newer view shares, tables and all.
+///
+/// The one rule: a buffer is reused only when the publisher holds the
+/// only reference to it, decided by [`Arc::try_unwrap`] (the view) and
+/// [`Arc::get_mut`] (its repository and snapshots) alone. A planner that
+/// still holds the retired view keeps it whole, and the publish starts
+/// from empty buffers; a snapshot the current view shares is dropped
+/// from the spares untouched.
+#[derive(Debug, Default)]
+pub struct ViewSpares {
+    /// The view the last publish swapped out, until the next reclaims it.
+    retired: Option<Arc<PlanningView>>,
+    /// Snapshots of the reclaimed view that nothing else holds, by id.
+    snapshots: Vec<Arc<ReplicaSnapshot>>,
+    /// An empty snapshot list for the next view.
+    list: Vec<Arc<ReplicaSnapshot>>,
+    /// The reclaimed view's repository.
+    repository: Option<Arc<InfoRepository>>,
+}
+
+impl ViewSpares {
+    /// Keeps `view`, just swapped out of the cell, for the next publish.
+    pub fn retire(&mut self, view: Arc<PlanningView>) {
+        self.retired = Some(view);
+    }
+
+    /// Takes the retired view apart for its buffers if nobody else holds
+    /// it; otherwise only drops this reference to it. Spares left from
+    /// the last publish are dropped either way.
+    pub fn reclaim(&mut self) {
+        self.snapshots.clear();
+        self.repository = None;
+        let Some(Ok(view)) = self.retired.take().map(Arc::try_unwrap) else {
+            return;
+        };
+        let PlanningView {
+            mut replicas,
+            repository,
+            ..
+        } = view;
+        replicas.retain_mut(|snapshot| Arc::get_mut(snapshot).is_some());
+        self.list = std::mem::replace(&mut self.snapshots, replicas);
+        self.repository = Some(repository);
+    }
+
+    /// The repository for the next view, refilled by `fill`: the
+    /// reclaimed one while nobody else holds it, else an empty one with
+    /// window `window`.
+    pub fn repository(
+        &mut self,
+        window: usize,
+        fill: impl FnOnce(&mut InfoRepository),
+    ) -> Arc<InfoRepository> {
+        if let Some(mut repository) = self.repository.take() {
+            if let Some(held) = Arc::get_mut(&mut repository) {
+                fill(held);
+                return repository;
+            }
+        }
+        let mut fresh = InfoRepository::new(window);
+        fill(&mut fresh);
+        Arc::new(fresh)
+    }
+
+    /// An empty list for the next view's snapshots.
+    pub fn list(&mut self) -> Vec<Arc<ReplicaSnapshot>> {
+        std::mem::take(&mut self.list)
+    }
+
+    /// What [`ReplicaSnapshot::refresh`] builds for `id`, built in a
+    /// spare's buffers — `id`'s own when the reclaimed view had one —
+    /// or anew when no spare is left.
+    pub fn rebuilt(
+        &mut self,
+        id: ReplicaId,
+        stats: &ReplicaStats,
+        model: Option<&ResponseTimeModel>,
+        scratch: &mut ConvScratch,
+        horizon: Duration,
+    ) -> Arc<ReplicaSnapshot> {
+        let own = self.snapshots.binary_search_by_key(&id, |s| s.id());
+        let spare = match own {
+            Ok(at) => Some(self.snapshots.remove(at)),
+            Err(_) => self.snapshots.pop(),
+        };
+        if let Some(mut spare) = spare {
+            if let Some(snapshot) = Arc::get_mut(&mut spare) {
+                snapshot.rebuild(id, stats, model, scratch, Some(horizon));
+                return spare;
+            }
+        }
+        Arc::new(ReplicaSnapshot::build_within(
+            id,
+            stats,
+            model,
+            scratch,
+            Some(horizon),
+        ))
     }
 }
 
@@ -334,15 +495,22 @@ impl SnapshotCell {
     /// is not greater than the published version — the guard that makes a
     /// delayed publisher harmless instead of an ABA hazard.
     pub fn publish(&self, view: Arc<PlanningView>) -> bool {
+        self.replace(view).is_ok()
+    }
+
+    /// [`SnapshotCell::publish`], handing back the view it swapped out
+    /// (`Ok`), or `view` itself when the version guard refused it
+    /// (`Err`). Either is dropped, or kept for its buffers
+    /// ([`ViewSpares::retire`]), outside the write lock.
+    pub fn replace(&self, view: Arc<PlanningView>) -> Result<Arc<PlanningView>, Arc<PlanningView>> {
         let mut guard = self
             .current
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         if view.version() <= guard.version() {
-            return false;
+            return Err(view);
         }
-        *guard = view;
-        true
+        Ok(std::mem::replace(&mut *guard, view))
     }
 
     /// The published version without retaining the view.

@@ -29,7 +29,7 @@ use crate::time::Duration;
 /// assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
 /// assert_eq!(w.latest(), Some(&4));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlidingWindow<T> {
     samples: Vec<T>,
@@ -181,6 +181,26 @@ impl<T> SlidingWindow<T> {
     }
 }
 
+impl<T: Clone> Clone for SlidingWindow<T> {
+    fn clone(&self) -> Self {
+        SlidingWindow {
+            samples: self.samples.clone(),
+            capacity: self.capacity,
+            head: self.head,
+            pushed: self.pushed,
+        }
+    }
+
+    /// Copies `source` into this window's buffer: no allocation once the
+    /// buffer has held as many samples.
+    fn clone_from(&mut self, source: &Self) {
+        self.samples.clone_from(&source.samples);
+        self.capacity = source.capacity;
+        self.head = source.head;
+        self.pushed = source.pushed;
+    }
+}
+
 impl<T: fmt::Debug> fmt::Debug for SlidingWindow<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SlidingWindow")
@@ -263,7 +283,7 @@ impl<T> ExactSizeIterator for Iter<'_, T> {}
 /// assert_eq!(w.bucket_counts().collect::<Vec<_>>(), vec![(5, 1), (7, 1), (9, 1)]);
 /// assert!(w.generation() > g0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BucketedWindow {
     samples: SlidingWindow<Duration>,
@@ -404,6 +424,25 @@ impl BucketedWindow {
         for sample in self.samples.iter() {
             count_sample(&mut self.counts, sample.as_nanos() / bucket_ns);
         }
+    }
+}
+
+impl Clone for BucketedWindow {
+    fn clone(&self) -> Self {
+        BucketedWindow {
+            samples: self.samples.clone(),
+            bucket: self.bucket,
+            counts: self.counts.clone(),
+            generation: self.generation,
+        }
+    }
+
+    /// Copies `source` into this window's two buffers, reusing them.
+    fn clone_from(&mut self, source: &Self) {
+        self.samples.clone_from(&source.samples);
+        self.bucket = source.bucket;
+        self.counts.clone_from(&source.counts);
+        self.generation = source.generation;
     }
 }
 

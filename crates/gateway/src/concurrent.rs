@@ -18,7 +18,9 @@
 //!   repository. A publisher merges the shards and republishes the
 //!   planning view off the hot path, debounced so a burst of replies
 //!   costs one rebuild (freshness stays bounded by the sliding window
-//!   *l* of §5.2 — see DESIGN.md §12 for the equivalence argument).
+//!   *l* of §5.2 — see DESIGN.md §12 for the equivalence argument). It
+//!   builds each view in the buffers of the view it last swapped out,
+//!   once no planner holds that one any more.
 //! * **The pending-request table** is sharded by sequence number, each
 //!   shard a [`PendingTable`] trimmed on insert. Sibling attempts of one
 //!   logical request (retries) share an atomic `answered` flag, so
@@ -44,7 +46,7 @@ use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
 use aqua_core::scheduler::{plan, Plan};
-use aqua_core::snapshot::{method_slot, PlanningView, ReplicaSnapshot, SnapshotCell};
+use aqua_core::snapshot::{method_slot, PlanningView, SnapshotCell, ViewSpares};
 use aqua_core::time::{Duration, Instant};
 use aqua_obs::contention::LockContention;
 use aqua_obs::metrics::{Counter, Histogram};
@@ -159,6 +161,19 @@ struct PublishMetrics {
     reused: Arc<Counter>,
 }
 
+/// What publishes reuse, behind the publish mutex: a steady-state
+/// republish builds its view in the buffers of the view the previous one
+/// swapped out (DESIGN.md §12).
+#[derive(Debug, Default)]
+struct Publisher {
+    /// Convolution scratch and the spare table vectors.
+    scratch: ConvScratch,
+    /// The retired view and what it yields once nobody else holds it.
+    spares: ViewSpares,
+    /// The present members, copied out of the membership lock.
+    present: Vec<ReplicaId>,
+}
+
 /// Observer state (the observer's hooks take `&mut self`).
 struct ObsState {
     observer: HandlerObserver,
@@ -175,8 +190,8 @@ pub struct ConcurrentHandler {
     strategy_name: &'static str,
     planner: PlannerMode,
     snapshot: SnapshotCell,
-    /// Serializes publishers; holds their convolution scratch buffers.
-    publish: Mutex<ConvScratch>,
+    /// Serializes publishers; holds the buffers they reuse.
+    publish: Mutex<Publisher>,
     /// Set by ingestion when shard state moved past the published view.
     dirty: AtomicBool,
     /// `Instant::as_nanos` of the last publish, for the debounce check.
@@ -234,7 +249,7 @@ impl ConcurrentHandler {
             strategy_name,
             planner,
             snapshot: SnapshotCell::new(PlanningView::empty(window, qos)),
-            publish: Mutex::new(ConvScratch::new()),
+            publish: Mutex::new(Publisher::default()),
             dirty: AtomicBool::new(false),
             last_publish_ns: AtomicU64::new(0),
             min_republish: DEFAULT_MIN_REPUBLISH,
@@ -313,7 +328,9 @@ impl ConcurrentHandler {
     /// A point-in-time copy of the merged information repository (the
     /// facade tests and reporting read; planning uses the published view).
     pub fn repository(&self) -> InfoRepository {
-        self.merged_repository()
+        let mut merged = InfoRepository::new(self.window);
+        self.merge_into(&mut merged, &mut Vec::new());
+        merged
     }
 
     /// A point-in-time copy of the timing-failure detector.
@@ -505,7 +522,7 @@ impl ConcurrentHandler {
                 return;
             }
         }
-        let mut scratch = self.publish_contention.acquire(|| self.publish.lock());
+        let mut publisher = self.publish_contention.acquire(|| self.publish.lock());
         if !force && !self.dirty.load(Ordering::Acquire) {
             // A queued publisher already covered this batch of updates.
             return;
@@ -520,8 +537,16 @@ impl ConcurrentHandler {
             .publish_metrics
             .as_ref()
             .map(|metrics| (metrics, std::time::Instant::now()));
+        let Publisher {
+            scratch,
+            spares,
+            present,
+        } = &mut *publisher;
+        spares.reclaim();
         let current = self.snapshot.load();
-        let merged = self.merged_repository();
+        let merged = spares.repository(self.window, |merged| {
+            self.merge_into(merged, present);
+        });
         // One read: the tables are built to the deadline they publish with.
         // Plans read `F(t)` at the view's own deadline less δ, never past it.
         let qos = self.qos();
@@ -531,27 +556,26 @@ impl ConcurrentHandler {
             PlannerMode::Strategy(_) => None,
         };
         let mut rebuilt = 0u64;
-        let mut snaps: Vec<Arc<ReplicaSnapshot>> = Vec::with_capacity(merged.len());
+        let mut snaps = spares.list();
         for (id, stats) in merged.iter() {
             let held = current
                 .replicas()
                 .binary_search_by_key(&id, |r| r.id())
                 .ok()
                 .and_then(|i| current.replicas().get(i));
-            let fresh = ReplicaSnapshot::refresh(
-                held.map(|held| held.as_ref()),
-                id,
-                stats,
-                model,
-                &mut scratch,
-                qos.deadline(),
-            );
-            rebuilt += u64::from(fresh.is_some());
-            snaps.extend(fresh.map(Arc::new).or_else(|| held.cloned()));
+            match held {
+                Some(held) if held.serves(stats, qos.deadline()) => snaps.push(Arc::clone(held)),
+                _ => {
+                    rebuilt += 1;
+                    snaps.push(spares.rebuilt(id, stats, model, scratch, qos.deadline()));
+                }
+            }
         }
         let reused = snaps.len() as u64 - rebuilt;
-        let view = PlanningView::assemble(current.version() + 1, snaps, Arc::new(merged), qos);
-        self.snapshot.publish(Arc::new(view));
+        let view = PlanningView::assemble(current.version() + 1, snaps, merged, qos);
+        drop(current);
+        let (Ok(retired) | Err(retired)) = self.snapshot.replace(Arc::new(view));
+        spares.retire(retired);
         if let Some((metrics, started)) = timed {
             metrics
                 .publish_ns
@@ -561,24 +585,23 @@ impl ConcurrentHandler {
         }
     }
 
-    /// Clones every present replica's stats out of its shard (one shard
-    /// lock at a time) into one repository.
-    fn merged_repository(&self) -> InfoRepository {
-        let present: Vec<ReplicaId> = {
-            let membership = self.membership.lock();
-            membership.present.iter().copied().collect()
-        };
-        let mut merged = InfoRepository::new(self.window);
-        for id in present {
-            let stats = {
-                let repo = self.ingest_shard(id).lock();
-                repo.stats(id).cloned()
-            };
-            if let Some(stats) = stats {
-                merged.insert_stats(id, stats);
+    /// Makes `merged` hold a copy of every present replica's stats,
+    /// copied out of its shard (one shard lock at a time) into the
+    /// buffers `merged` already holds for it; departed replicas are
+    /// dropped. `present` is scratch for the member list.
+    fn merge_into(&self, merged: &mut InfoRepository, present: &mut Vec<ReplicaId>) {
+        present.clear();
+        present.extend(self.membership.lock().present.iter().copied());
+        merged.retain_replicas(|id| present.binary_search(&id).is_ok());
+        for &id in present.iter() {
+            let repo = self.ingest_shard(id).lock();
+            match repo.stats(id) {
+                Some(stats) => merged.copy_stats(id, stats),
+                None => {
+                    merged.remove_replica(id);
+                }
             }
         }
-        merged
     }
 
     // -- planning -----------------------------------------------------------
@@ -1021,6 +1044,7 @@ mod tests {
     use super::*;
     use crate::timing::TimingFaultHandler;
     use aqua_core::model::ModelConfig;
+    use aqua_core::snapshot::ReplicaSnapshot;
     use aqua_strategies::{FastestMean, ModelBased};
 
     fn ms(v: u64) -> Duration {
@@ -1448,6 +1472,96 @@ mod tests {
         assert!(!plan.replicas.is_empty());
     }
 
+    /// Everything a planner can read from `view`: the membership and
+    /// flags of its snapshots, their tables' values (as bits) at
+    /// deadlines up to the view's own, and the stats of its repository.
+    fn fingerprint(view: &PlanningView) -> Vec<String> {
+        let slot = method_slot(ModelConfig::default().method_scope, None);
+        let deadline = view.qos().deadline().as_nanos();
+        let mut out = vec![format!("v{} {:?}", view.version(), view.qos())];
+        for snap in view.replicas() {
+            let values: Vec<Option<u64>> = (0..=4)
+                .map(|k| {
+                    let at = Duration::from_nanos(deadline * k / 4);
+                    snap.probability_by(slot, at).map(f64::to_bits)
+                })
+                .collect();
+            out.push(format!(
+                "{:?} warm={} selectable={} epoch={} slots={} {values:?}",
+                snap.id(),
+                snap.is_warm(),
+                snap.is_selectable(),
+                snap.epoch(),
+                snap.slot_count(),
+            ));
+        }
+        for (id, stats) in view.repository().iter() {
+            out.push(format!("{id:?} {stats:?}"));
+        }
+        out
+    }
+
+    /// The publish behind `view` built what a from-scratch build of the
+    /// handler's repository gives: the same stats, and every table equal
+    /// to a fresh build at deadlines up to the view's.
+    fn assert_published_fresh(h: &ConcurrentHandler, view: &PlanningView) {
+        let repository = h.repository();
+        let published: Vec<String> = view
+            .repository()
+            .iter()
+            .map(|(id, stats)| format!("{id:?} {stats:?}"))
+            .collect();
+        let expected: Vec<String> = repository
+            .iter()
+            .map(|(id, stats)| format!("{id:?} {stats:?}"))
+            .collect();
+        assert_eq!(published, expected);
+        let model = ResponseTimeModel::default();
+        let slot = method_slot(model.config().method_scope, None);
+        let ids: Vec<ReplicaId> = view.replicas().iter().map(|s| s.id()).collect();
+        assert_eq!(ids, repository.replica_ids().collect::<Vec<_>>());
+        for snap in view.replicas() {
+            let stats = repository.stats(snap.id()).unwrap();
+            assert!(snap.is_current(stats), "{:?} is stale", snap.id());
+            let fresh = ReplicaSnapshot::build(snap.id(), stats, &model, &mut ConvScratch::new());
+            for deadline in [0, 50, 100, 150, 200] {
+                assert_eq!(
+                    snap.probability_by(slot, ms(deadline)).map(f64::to_bits),
+                    fresh.probability_by(slot, ms(deadline)).map(f64::to_bits),
+                    "{:?} @{deadline}ms",
+                    snap.id()
+                );
+            }
+        }
+    }
+
+    /// A planner holding a view across republishes of changed replicas
+    /// reads exactly what it loaded: the publisher reuses a retired
+    /// view's buffers only once nobody else holds it. The views published
+    /// meanwhile, recycled ones included, are still built right.
+    #[test]
+    fn a_held_view_never_changes_across_republishes() {
+        let h = handler(0.9);
+        warm(&h, &[0, 1, 2, 3], 20);
+        let held = h.planning_view();
+        let before = fingerprint(&held);
+        let mut at = Instant::from_millis(100);
+        for round in 0..6u64 {
+            at += ms(1);
+            for i in 0..4u64 {
+                let report = PerfReport::new(ms(30 + 25 * round + i), ms(round), round as u32);
+                h.on_perf_update(at, ReplicaId::new(i), report);
+                let now = h.planning_view();
+                assert!(now.version() > held.version());
+                assert_published_fresh(&h, &now);
+                assert_eq!(fingerprint(&held), before, "round {round}, replica {i}");
+            }
+        }
+        let plan = h.plan_request(at);
+        assert!(!plan.replicas.is_empty());
+        assert_eq!(fingerprint(&held), before);
+    }
+
     mod bounded_tables {
         use super::*;
         use aqua_core::model::QueueEstimator;
@@ -1506,6 +1620,144 @@ mod tests {
                 .map(|(id, stats)| Arc::new(ReplicaSnapshot::build(id, stats, model, &mut scratch)))
                 .collect();
             PlanningView::assemble(view.version(), snaps, view.repository_arc(), view.qos())
+        }
+
+        #[derive(Debug, Clone)]
+        enum Churn {
+            Perf {
+                r: u64,
+                service_ms: u64,
+                queue_len: u32,
+            },
+            Call {
+                service_ms: u64,
+            },
+            /// Replica `r` leaves the view.
+            Leave {
+                r: u64,
+            },
+            /// Replica `r` comes back: a new epoch, on probation.
+            Rejoin {
+                r: u64,
+            },
+            /// A planner keeps the current view.
+            Hold,
+            /// The oldest held view is let go.
+            Release,
+        }
+
+        fn churn() -> impl Strategy<Value = Churn> {
+            prop_oneof![
+                8 => (0u64..4, 1u64..120, 0u32..5).prop_map(|(r, service_ms, queue_len)| {
+                    Churn::Perf { r, service_ms, queue_len }
+                }),
+                3 => (1u64..90).prop_map(|service_ms| Churn::Call { service_ms }),
+                1 => (0u64..4).prop_map(|r| Churn::Leave { r }),
+                1 => (0u64..4).prop_map(|r| Churn::Rejoin { r }),
+                2 => Just(Churn::Hold),
+                2 => Just(Churn::Release),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Recycling meets membership changes: replicas leave and
+            /// rejoin with new epochs while planners hold some views and
+            /// let go of others. Every published view plans what
+            /// Algorithm 1 plans on its unbounded tables, publishes the
+            /// handler's repository and each replica's current epoch, and
+            /// every held view stays what it was when it was loaded.
+            #[test]
+            fn recycled_views_match_algorithm_1_across_leaves_and_rejoins(
+                ops in prop::collection::vec(churn(), 1..80),
+                queue_scaled in any::<bool>(),
+            ) {
+                let config = ModelConfig {
+                    queue_estimator: if queue_scaled {
+                        QueueEstimator::QueueScaled
+                    } else {
+                        QueueEstimator::History
+                    },
+                    ..ModelConfig::default()
+                };
+                let qos = QosSpec::new(ms(150), 0.9).unwrap();
+                let h = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::new(config)))
+                    .with_min_republish(Duration::ZERO);
+                let PlannerMode::Snapshot { spec, model } = &h.planner else {
+                    unreachable!("model-based plans from snapshots");
+                };
+                let mut now = Instant::EPOCH;
+                let mut members: BTreeSet<u64> = (0..4).collect();
+                for i in &members {
+                    h.insert_replica(now, ReplicaId::new(*i));
+                }
+                let mut held: std::collections::VecDeque<(Arc<PlanningView>, Vec<String>)> =
+                    std::collections::VecDeque::new();
+                for op in ops {
+                    now += ms(1);
+                    match op {
+                        Churn::Perf { r, service_ms, queue_len } => h.on_perf_update(
+                            now,
+                            ReplicaId::new(r),
+                            PerfReport::new(ms(service_ms), ms(service_ms / 3), queue_len),
+                        ),
+                        Churn::Call { service_ms } => {
+                            let plan = h.plan_request(now);
+                            for replica in plan.replicas.iter() {
+                                h.on_reply(
+                                    now + ms(service_ms),
+                                    plan.seq,
+                                    *replica,
+                                    PerfReport::new(ms(service_ms), ms(0), 0),
+                                );
+                            }
+                        }
+                        Churn::Leave { r } => {
+                            members.remove(&r);
+                            h.on_view(now, members.iter().copied().map(ReplicaId::new));
+                        }
+                        Churn::Rejoin { r } => {
+                            members.insert(r);
+                            h.on_view(now, members.iter().copied().map(ReplicaId::new));
+                        }
+                        Churn::Hold => {
+                            let view = h.planning_view();
+                            let print = fingerprint(&view);
+                            held.push_back((view, print));
+                        }
+                        Churn::Release => {
+                            held.pop_front();
+                        }
+                    }
+                    let view = h.planning_view();
+                    let repository = h.repository();
+                    let published: Vec<(ReplicaId, u64)> = view
+                        .replicas()
+                        .iter()
+                        .map(|snap| (snap.id(), snap.epoch()))
+                        .collect();
+                    let expected: Vec<(ReplicaId, u64)> = repository
+                        .iter()
+                        .map(|(id, stats)| (id, stats.epoch()))
+                        .collect();
+                    prop_assert_eq!(published, expected);
+                    for (id, stats) in repository.iter() {
+                        prop_assert_eq!(
+                            format!("{:?}", view.repository().stats(id)),
+                            format!("{:?}", Some(stats))
+                        );
+                    }
+                    let full = with_full_tables(&view, model);
+                    prop_assert_eq!(
+                        h.plan_from_snapshot(&view, spec, None, &[]).selection.into_replicas(),
+                        h.plan_from_snapshot(&full, spec, None, &[]).selection.into_replicas()
+                    );
+                    for (view, print) in &held {
+                        prop_assert_eq!(&fingerprint(view), print);
+                    }
+                }
+            }
         }
 
         proptest! {

@@ -1,0 +1,204 @@
+//! Allocation counts of a republish and of a stale model-based refresh,
+//! measured with a counting global allocator on the calling thread.
+//!
+//! Wall time on a shared host is noisy; an allocation count is not. A
+//! steady-state publish builds its view in the buffers of the view the
+//! previous publish retired, and a stale `ModelBased` memo rebuilds its
+//! snapshots in place, so both stay within a small fixed number of
+//! allocations however many replicas and tables they rebuild.
+
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use aqua_core::model::{ModelConfig, QueueEstimator};
+use aqua_core::qos::{QosSpec, ReplicaId};
+use aqua_core::repository::{InfoRepository, PerfReport};
+use aqua_core::time::{Duration, Instant};
+use aqua_gateway::ConcurrentHandler;
+use aqua_strategies::{ModelBased, SelectionInput, SelectionStrategy};
+
+/// The system allocator, counting the calling thread's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations for `alloc` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this layout, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The `gateway_churn` shape: 16 replicas, windows of `l = 100`, the
+/// q-fold `QueueScaled` estimator.
+const REPLICAS: u64 = 16;
+const WINDOW: usize = 100;
+
+/// At most this many allocations per publish of 16 changed replicas. A
+/// publish makes one, the new view's `Arc`, and none per replica or per
+/// table; before views were recycled it made 185 to 187.
+const PUBLISH_BOUND: u64 = 2;
+
+/// At most this many allocations per `ModelBased::select` that rebuilds
+/// all 16 stale snapshots. A select makes three, Algorithm 1's candidate
+/// and selection vectors and the answer, and none per snapshot or per
+/// table; before snapshots were rebuilt in place it made 54 or 55.
+const SELECT_BOUND: u64 = 4;
+
+fn model() -> ModelConfig {
+    ModelConfig {
+        queue_estimator: QueueEstimator::QueueScaled,
+        ..ModelConfig::default()
+    }
+}
+
+fn qos() -> QosSpec {
+    QosSpec::new(Duration::from_millis(150), 0.9).unwrap()
+}
+
+/// Replica `r`'s report in round `round`: service times of 30–80 ms and
+/// queues of 0–4, both moving every round so every table changes.
+fn report(r: u64, round: u64) -> PerfReport {
+    let service = Duration::from_millis(30 + (r * 3 + round * 7) % 50);
+    let queue = ((r + round) % 5) as u32;
+    PerfReport::new(service, service.saturating_mul(u64::from(queue)), queue)
+}
+
+#[test]
+fn a_steady_state_publish_allocates_within_a_fixed_bound() {
+    let handler = ConcurrentHandler::new(qos(), WINDOW, Box::new(ModelBased::new(model())));
+    let ms = |v: u64| Instant::EPOCH + Duration::from_millis(v);
+    for r in 0..REPLICAS {
+        handler.insert_replica(Instant::EPOCH, ReplicaId::new(r));
+    }
+    // Fill every window, then one cold-start multicast gives every
+    // replica a gateway delay.
+    for round in 0..WINDOW as u64 {
+        for r in 0..REPLICAS {
+            handler.on_perf_update(ms(round), ReplicaId::new(r), report(r, round));
+        }
+    }
+    let now = ms(WINDOW as u64);
+    let plan = handler.plan_request(now);
+    assert_eq!(
+        plan.replicas.len(),
+        REPLICAS as usize,
+        "cold start asks everyone"
+    );
+    for id in plan.replicas.iter() {
+        handler.on_reply(now, plan.seq, *id, report(id.index(), 0));
+    }
+
+    // One round per millisecond, one update per replica: the first
+    // update of a round publishes what the last round changed (the
+    // 500 µs debounce holds back the other fifteen), so every publish
+    // rebuilds all sixteen replicas' tables.
+    let rounds = 200u64;
+    let mut per_publish = Vec::new();
+    for round in 0..rounds {
+        let now = ms(WINDOW as u64 + 1 + round);
+        let version = handler.planning_view().version();
+        let allocations = allocations_of(|| {
+            for r in 0..REPLICAS {
+                handler.on_perf_update(now, ReplicaId::new(r), report(r, round));
+            }
+        });
+        let view = handler.planning_view();
+        assert_eq!(view.version(), version + 1, "one publish per round");
+        assert!(view.all_warm());
+        per_publish.push(allocations);
+    }
+    // Warm-up: the first publishes grow the spare buffers.
+    let steady = &per_publish[20..];
+    let worst = steady.iter().copied().max().unwrap_or_default();
+    assert!(
+        worst <= PUBLISH_BOUND,
+        "a steady-state publish allocated {worst} times (bound {PUBLISH_BOUND}): {steady:?}"
+    );
+}
+
+#[test]
+fn a_stale_model_based_refresh_allocates_within_a_fixed_bound() {
+    let mut repository = InfoRepository::new(WINDOW);
+    for r in 0..REPLICAS {
+        let id = ReplicaId::new(r);
+        repository.insert_replica(id);
+        for round in 0..WINDOW as u64 {
+            repository.record_perf(id, report(r, round), Instant::EPOCH);
+        }
+        repository.record_gateway_delay(id, Duration::from_millis(1), Instant::EPOCH);
+    }
+    let mut strategy = ModelBased::new(model());
+    let qos = qos();
+    let mut per_select = Vec::new();
+    for round in 0..200u64 {
+        // Every replica moves, so every held snapshot is stale.
+        for r in 0..REPLICAS {
+            repository.record_perf(ReplicaId::new(r), report(r, round), Instant::EPOCH);
+        }
+        let before = strategy.cache_stats().unwrap_or_default();
+        let input = SelectionInput {
+            repository: &repository,
+            qos: &qos,
+            method: None,
+            now: Instant::EPOCH,
+            exclude: &[],
+        };
+        let mut selected = Vec::new();
+        let allocations = allocations_of(|| selected = strategy.select(&input));
+        assert!(!selected.is_empty());
+        let after = strategy.cache_stats().unwrap_or_default();
+        if round > 0 {
+            assert_eq!(after.hits, before.hits, "every snapshot was stale");
+        }
+        per_select.push(allocations);
+        drop(selected);
+    }
+    let steady = &per_select[20..];
+    let worst = steady.iter().copied().max().unwrap_or_default();
+    assert!(
+        worst <= SELECT_BOUND,
+        "a stale select allocated {worst} times (bound {SELECT_BOUND}): {steady:?}"
+    );
+}

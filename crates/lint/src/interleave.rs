@@ -33,9 +33,13 @@
 //!   `repository-no-epoch-aba` exhibits).
 //! * `gateway-snapshot-publish-vs-plan` — the concurrent gateway's
 //!   snapshot pipeline: sharded ingestion marks a dirty flag, publishers
-//!   rebuild under a publish mutex and install through a version-guarded
-//!   cell, planners read lock-free. `gateway-snapshot-unserialized-publish`
-//!   drops both the mutex and the guard and loses an update.
+//!   rebuild under a publish mutex into the buffers of the view the last
+//!   publish retired (only if no planner still holds it) and install
+//!   through a version-guarded cell, planners read lock-free.
+//!   `gateway-snapshot-unserialized-publish` drops both the mutex and the
+//!   guard and loses an update; `gateway-snapshot-recycle-while-held`
+//!   reuses the retired view without asking whether a planner holds it,
+//!   and the planner reads tables rebuilt under its feet.
 //! * `gateway-reply-vs-retry` — the sharded pending-request table: a
 //!   first reply CASes the shared `answered` flag and retires sibling
 //!   attempts while the retry path inserts its entry; the retry's
@@ -237,9 +241,9 @@ impl Entry {
     }
 }
 
-/// Every model: the eight shipped ones (which must pass), then the ten
+/// Every model: the eight shipped ones (which must pass), then the eleven
 /// buggy variants (which must be caught).
-pub fn catalogue() -> [Entry; 18] {
+pub fn catalogue() -> [Entry; 19] {
     let shipped = |name, schedules, explore| Entry {
         name,
         schedules,
@@ -261,9 +265,9 @@ pub fn catalogue() -> [Entry; 18] {
         shipped("repository-record-vs-remove-epoch", 1_716, || {
             explore(&repository(true))
         }),
-        // 5 + 5 + 3 steps, the publish mutex serializing the two rebuilds.
-        shipped("gateway-snapshot-publish-vs-plan", 3_432, || {
-            explore(&snapshot(true, true))
+        // 6 + 6 + 3 steps, the publish mutex serializing the two rebuilds.
+        shipped("gateway-snapshot-publish-vs-plan", 6_370, || {
+            explore(&snapshot(true, true, true))
         }),
         // 4 + 3 + 4 always-enabled steps: 11!/(4!·3!·4!).
         shipped("gateway-reply-vs-retry", 1_680, || {
@@ -290,9 +294,15 @@ pub fn catalogue() -> [Entry; 18] {
         }),
         variant(
             "gateway-snapshot-unserialized-publish",
-            72_072,
+            420_420,
             "ABA",
-            || explore(&snapshot(false, false)),
+            || explore(&snapshot(false, false, true)),
+        ),
+        variant(
+            "gateway-snapshot-recycle-while-held",
+            6_370,
+            "planner read mutated tables",
+            || explore(&snapshot(true, true, false)),
         ),
         variant(
             "gateway-retry-missing-recheck",
@@ -556,9 +566,12 @@ fn repository(key_includes_epoch: bool) -> Model<RepoState> {
 // ---------------------------------------------------------------------------
 
 /// Shadow of the `ConcurrentHandler` snapshot pipeline: sharded ingestion
-/// marks a dirty flag, publishers rebuild the planning snapshot under a
+/// marks a dirty flag, publishers rebuild the planning view under a
 /// publish mutex and install it through a version-guarded cell, and the
-/// planner reads the published pointer without any lock.
+/// planner reads the published pointer without any lock. A publisher
+/// builds into the buffers of the view the previous publish swapped out
+/// (`ViewSpares`) when no planner still holds that view, and into new
+/// buffers otherwise.
 #[derive(Clone)]
 struct SnapshotState {
     /// Per-shard ingested sample counts (two ingestion shards).
@@ -567,15 +580,27 @@ struct SnapshotState {
     dirty: ShadowAtomicU64,
     /// Serializes rebuild+install (`ConcurrentHandler::publish`).
     publish_lock: ShadowLock,
-    /// Published snapshot: version and content (samples included).
-    snap_version: ShadowAtomicU64,
-    snap_content: ShadowAtomicU64,
-    /// Per-ingester scratch: the snapshot each built `(version, content)`;
-    /// `None` when the dirty check said someone else already published.
+    /// View buffers, `(version, content)` each: the initial view and at
+    /// most one new buffer per publish.
+    views: [(u64, u64); 3],
+    /// Buffers in use so far.
+    allocated: usize,
+    /// Planner references to each view (`Arc` clones from a load).
+    holders: [u32; 3],
+    /// The view the cell publishes.
+    current: usize,
+    /// The view the last install swapped out, kept for its buffers.
+    retired: Option<usize>,
+    /// Per-ingester harvest: the `(version, content)` to publish; `None`
+    /// when the dirty check said someone else already published.
     built: [Option<(u64, u64)>; 2],
+    /// Per-ingester buffer the harvest was built into.
+    buffer: [Option<usize>; 2],
     /// Per-ingester "finished the whole publish path" flags.
     done: [bool; 2],
-    /// Planner scratch: last `(version, content)` loaded.
+    /// Planner: the view it holds and what it read there at load time.
+    held: Option<(usize, (u64, u64))>,
+    /// Planner: the last `(version, content)` it loaded.
     planned: Option<(u64, u64)>,
     /// First violation observed by a planner or final-state check.
     violation: Option<String>,
@@ -585,13 +610,18 @@ struct SnapshotState {
 /// under the publish mutex, `version_guard` makes install refuse
 /// `version <= current` (`SnapshotCell::publish`). Without both, a
 /// rebuild computed before a peer's sample can overwrite the newer
-/// snapshot (lost update + same-version ABA).
-fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
+/// snapshot (lost update + same-version ABA). `unique_check` lets the
+/// recycle step reuse the retired view only if no planner holds it
+/// (`Arc::try_unwrap`); without it a planner reads tables rebuilt under
+/// its feet.
+fn snapshot(use_mutex: bool, version_guard: bool, unique_check: bool) -> Model<SnapshotState> {
     type St = Step<SnapshotState>;
     // Each ingester mirrors `ingest` + `maybe_publish`: write its shard
     // and mark dirty (one step — the shard mutex covers both), take the
-    // publish mutex, harvest (re-check dirty, clear it, rebuild from ALL
-    // shards at version current+1), install, release.
+    // publish mutex, harvest (re-check dirty, clear it, merge ALL shards
+    // at version current+1), recycle (build into the retired view's
+    // buffers, or new ones), install (the swapped-out view is retired),
+    // release.
     let ingester = || {
         vec![
             St::new("ingest.write+dirty", |s, tid| {
@@ -613,14 +643,31 @@ fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
                 } else {
                     s.dirty.store(0);
                     let content = s.shard[0].load() + s.shard[1].load();
-                    s.built[tid] = Some((s.snap_version.load() + 1, content));
+                    s.built[tid] = Some((s.views[s.current].0 + 1, content));
                 }
             }),
+            St::new("publish.recycle", move |s, tid| {
+                let Some(built) = s.built[tid] else {
+                    return;
+                };
+                let reclaimed = s
+                    .retired
+                    .take()
+                    .filter(|&view| !unique_check || s.holders[view] == 0);
+                let buffer = reclaimed.unwrap_or_else(|| {
+                    s.allocated += 1;
+                    s.allocated - 1
+                });
+                s.views[buffer] = built;
+                s.buffer[tid] = Some(buffer);
+            }),
             St::new("publish.install", move |s, tid| {
-                if let Some((version, content)) = s.built[tid] {
-                    if !version_guard || version > s.snap_version.load() {
-                        s.snap_version.store(version);
-                        s.snap_content.store(content);
+                if let Some(buffer) = s.buffer[tid] {
+                    if !version_guard || s.views[buffer].0 > s.views[s.current].0 {
+                        s.retired = Some(s.current);
+                        s.current = buffer;
+                    } else {
+                        s.retired = Some(buffer);
                     }
                 }
             }),
@@ -633,12 +680,14 @@ fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
         ]
     };
 
-    // The planner loads the published pointer three times, lock-free,
-    // exactly like `plan_from_snapshot`. Versions must never regress, and
-    // one version must never expose two different contents (stale-snapshot
-    // ABA).
-    fn plan_load(s: &mut SnapshotState, _: usize) {
-        let seen = (s.snap_version.load(), s.snap_content.load());
+    // The planner loads the published pointer (holding the view), reads
+    // its tables, lets go, and loads again, lock-free like
+    // `plan_with`. Versions must never regress, one version must never
+    // expose two different contents (stale-snapshot ABA), and a held
+    // view must read what it held at load time.
+    fn observe(s: &mut SnapshotState) -> usize {
+        let view = s.current;
+        let seen = s.views[view];
         if let Some((pv, pc)) = s.planned {
             if seen.0 < pv {
                 s.violation = Some(format!(
@@ -653,11 +702,28 @@ fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
             }
         }
         s.planned = Some(seen);
+        view
     }
     let planner = vec![
-        St::new("plan.load1", plan_load),
-        St::new("plan.load2", plan_load),
-        St::new("plan.load3", plan_load),
+        St::new("plan.load", |s, _| {
+            let view = observe(s);
+            s.holders[view] += 1;
+            s.held = Some((view, s.views[view]));
+        }),
+        St::new("plan.read+release", |s, _| {
+            if let Some((view, loaded)) = s.held.take() {
+                if s.views[view] != loaded {
+                    s.violation = Some(format!(
+                        "planner read mutated tables: held v{} with content {}, read v{} with {}",
+                        loaded.0, loaded.1, s.views[view].0, s.views[view].1
+                    ));
+                }
+                s.holders[view] -= 1;
+            }
+        }),
+        St::new("plan.load2", |s, _| {
+            observe(s);
+        }),
     ];
 
     Model {
@@ -665,10 +731,15 @@ fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
             shard: [ShadowAtomicU64::new(0), ShadowAtomicU64::new(0)],
             dirty: ShadowAtomicU64::new(0),
             publish_lock: ShadowLock::new(),
-            snap_version: ShadowAtomicU64::new(0),
-            snap_content: ShadowAtomicU64::new(0),
+            views: [(0, 0); 3],
+            allocated: 1,
+            holders: [0; 3],
+            current: 0,
+            retired: None,
             built: [None, None],
+            buffer: [None, None],
             done: [false, false],
+            held: None,
             planned: None,
             violation: None,
         },
@@ -677,7 +748,7 @@ fn snapshot(use_mutex: bool, version_guard: bool) -> Model<SnapshotState> {
             recorded(&s.violation)?;
             if s.done[0] && s.done[1] && s.dirty.load() == 0 {
                 let total = s.shard[0].load() + s.shard[1].load();
-                let content = s.snap_content.load();
+                let content = s.views[s.current].1;
                 if content != total {
                     return Err(format!(
                         "published snapshot lost samples: contains {content}, shards hold {total}"

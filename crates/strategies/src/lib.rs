@@ -207,30 +207,29 @@ impl SelectionStrategy for ModelBased {
                 let at = self
                     .snapshots
                     .binary_search_by_key(&id, ReplicaSnapshot::id);
-                let held = at.ok().and_then(|i| self.snapshots.get(i));
-                let Some(fresh) = ReplicaSnapshot::refresh(
-                    held,
-                    id,
-                    stats,
-                    Some(&self.model),
-                    &mut self.scratch,
-                    horizon,
-                ) else {
-                    self.memo.hits += 1;
-                    return held?.probability_by(slot, deadline);
-                };
-                self.memo.misses += 1;
-                let p = fresh.probability_by(slot, deadline);
-                match at {
-                    Ok(i) => {
-                        self.memo.invalidations += 1;
-                        if let Some(held) = self.snapshots.get_mut(i) {
-                            *held = fresh;
-                        }
+                let held = match at {
+                    Ok(i) => self.snapshots.get_mut(i)?,
+                    Err(i) => {
+                        let fresh = ReplicaSnapshot::refresh(
+                            None,
+                            id,
+                            stats,
+                            Some(&self.model),
+                            &mut self.scratch,
+                            horizon,
+                        )?;
+                        self.memo.misses += 1;
+                        self.snapshots.insert(i, fresh);
+                        return self.snapshots.get(i)?.probability_by(slot, deadline);
                     }
-                    Err(i) => self.snapshots.insert(i, fresh),
+                };
+                if held.refresh_in_place(stats, Some(&self.model), &mut self.scratch, horizon) {
+                    self.memo.misses += 1;
+                    self.memo.invalidations += 1;
+                } else {
+                    self.memo.hits += 1;
                 }
-                p
+                held.probability_by(slot, deadline)
             },
         );
         self.overhead.record(Duration::from(started.elapsed()));
