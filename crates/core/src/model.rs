@@ -316,8 +316,7 @@ fn merged(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
 
 /// Counters describing how a table memo has behaved so far: the
 /// model-based strategy's per-replica snapshots, refreshed by
-/// [`crate::snapshot::ReplicaSnapshot::refresh`]. Observers export them
-/// as `aqua_model_cache_{hits,misses,invalidations}_total`.
+/// [`crate::snapshot::ReplicaSnapshot::refresh`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelCacheStats {
     /// Reads answered from a held snapshot.

@@ -370,7 +370,7 @@ impl PlanningView {
 pub struct ViewSpares {
     /// The view the last publish swapped out, until the next reclaims it.
     retired: Option<Arc<PlanningView>>,
-    /// Snapshots of the reclaimed view that nothing else holds, by id.
+    /// Snapshots of reclaimed views that nothing else holds, by id.
     snapshots: Vec<Arc<ReplicaSnapshot>>,
     /// An empty snapshot list for the next view.
     list: Vec<Arc<ReplicaSnapshot>>,
@@ -385,10 +385,10 @@ impl ViewSpares {
     }
 
     /// Takes the retired view apart for its buffers if nobody else holds
-    /// it; otherwise only drops this reference to it. Spares left from
-    /// the last publish are dropped either way.
+    /// it; otherwise only drops this reference to it. Snapshots the last
+    /// publish left unused stay spares: the next may rebuild more than
+    /// the retired view frees.
     pub fn reclaim(&mut self) {
-        self.snapshots.clear();
         self.repository = None;
         let Some(Ok(view)) = self.retired.take().map(Arc::try_unwrap) else {
             return;
@@ -399,7 +399,9 @@ impl ViewSpares {
             ..
         } = view;
         replicas.retain_mut(|snapshot| Arc::get_mut(snapshot).is_some());
-        self.list = std::mem::replace(&mut self.snapshots, replicas);
+        self.snapshots.append(&mut replicas);
+        self.snapshots.sort_unstable_by_key(|s| s.id());
+        self.list = replicas;
         self.repository = Some(repository);
     }
 
@@ -699,5 +701,24 @@ mod tests {
         assert!(before.replicas().is_empty());
         assert_eq!(cell.load().version(), 1);
         assert_eq!(cell.load().replicas().len(), 1);
+    }
+
+    /// A publish that rebuilds fewer snapshots than the retired view
+    /// freed keeps the rest for the next, which may rebuild more.
+    #[test]
+    fn spares_a_publish_leaves_unused_serve_the_next() {
+        let repo = warmed_repo(4, 5);
+        let model = ResponseTimeModel::new(ModelConfig::default());
+        let mut spares = ViewSpares::default();
+        spares.retire(Arc::new(build_view(&repo, &model, 1)));
+        spares.reclaim();
+        let (id, stats) = repo.iter().next().unwrap();
+        drop(spares.rebuilt(id, stats, Some(&model), &mut ConvScratch::new(), ms(200)));
+        // The next retired view frees nothing of its own.
+        let empty = PlanningView::assemble(2, Vec::new(), Arc::new(repo.clone()), spec());
+        spares.retire(Arc::new(empty));
+        spares.reclaim();
+        let kept: Vec<ReplicaId> = spares.snapshots.iter().map(|s| s.id()).collect();
+        assert_eq!(kept, [1, 2, 3].map(ReplicaId::new));
     }
 }

@@ -11,15 +11,15 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use aqua_core::qos::QosSpec;
+use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
 use aqua_strategies::SelectionStrategy;
 use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 
+use crate::concurrent::{ConcurrentHandler, ReplyOutcome};
 use crate::proto::{AquaMsg, RequestId, Wire};
-use crate::timing::{ReplyOutcome, TimingFaultHandler};
 
 /// How a client paces its requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,6 +162,17 @@ enum TimerKind {
     Retry(u64),
 }
 
+/// What a retry of a logical request needs: its method, its `t0`, the
+/// first attempt's selection (excluded from the re-plan), and every
+/// attempt's seq in issue order.
+#[derive(Debug)]
+struct RetryState {
+    method: MethodId,
+    t0: Instant,
+    selected: Arc<[ReplicaId]>,
+    attempts: Vec<u64>,
+}
+
 /// One buffered calibration alert: `(replica scope, method, observed,
 /// promised)`, the fields an [`AquaMsg::AlertReport`] carries.
 type BufferedAlert = (Option<u64>, u32, f64, f64);
@@ -169,7 +180,7 @@ type BufferedAlert = (Option<u64>, u32, f64, f64);
 /// The simulated client gateway node. See the module docs.
 pub struct ClientGateway {
     config: ClientConfig,
-    handler: Option<TimingFaultHandler>,
+    handler: Option<ConcurrentHandler>,
     strategy: Option<Box<dyn SelectionStrategy>>,
     agent: Option<MembershipAgent>,
     timers: HashMap<TimerToken, TimerKind>,
@@ -181,9 +192,9 @@ pub struct ClientGateway {
     /// The run's fault timeline, installed on the handler's observer at
     /// start so emitted spans carry stable fault-window ids.
     fault_windows: Vec<aqua_faults::FaultWindow>,
-    /// Root seq → (method, attempt seqs in issue order). Tracked only when
-    /// retries are enabled; resolving any attempt retires its siblings.
-    retry_state: HashMap<u64, (MethodId, Vec<u64>)>,
+    /// Root seq → its retry state. Tracked only when retries are enabled;
+    /// resolving any attempt retires its siblings.
+    retry_state: HashMap<u64, RetryState>,
     /// Sibling attempt seq → root seq.
     root_of: HashMap<u64, u64>,
     /// Calibration alerts the watchdog hook buffered during the current
@@ -251,7 +262,7 @@ impl ClientGateway {
     /// Call once at the end of a run; no-op without
     /// [`ClientGateway::with_obs`].
     pub fn finish_observability(&mut self) {
-        if let Some(handler) = self.handler.as_mut() {
+        if let Some(handler) = self.handler.as_ref() {
             handler.flush_observability();
         }
     }
@@ -262,7 +273,7 @@ impl ClientGateway {
     }
 
     /// The handler, once the node has started.
-    pub fn handler(&self) -> Option<&TimingFaultHandler> {
+    pub fn handler(&self) -> Option<&ConcurrentHandler> {
         self.handler.as_ref()
     }
 
@@ -276,8 +287,8 @@ impl ClientGateway {
         self.shed_requests
     }
 
-    fn handler_mut(&mut self) -> &mut TimingFaultHandler {
-        self.handler.as_mut().expect("started")
+    fn live(&self) -> &ConcurrentHandler {
+        self.handler.as_ref().expect("started")
     }
 
     fn schedule(&mut self, ctx: &mut Context<'_, Wire>, after: Duration, kind: TimerKind) {
@@ -340,7 +351,7 @@ impl ClientGateway {
         } else {
             self.config.methods[(self.issued as usize) % self.config.methods.len()]
         };
-        let plan = self.handler_mut().plan_request_for(now, Some(method));
+        let plan = self.live().plan_request_for(now, Some(method));
         // Map replica ids to their hosts via the current view.
         let view = self.agent.as_ref().expect("started").view();
         let targets: Vec<NodeId> = plan
@@ -351,7 +362,7 @@ impl ClientGateway {
         if targets.is_empty() {
             // Selection raced a view change; drop the pending entry as an
             // immediate give-up.
-            self.handler_mut().on_give_up(now, plan.seq);
+            self.live().on_give_up(now, plan.seq);
             return IssueResult::NoServers;
         }
 
@@ -381,7 +392,15 @@ impl ClientGateway {
         self.schedule(ctx, give_up_after, TimerKind::GiveUp(plan.seq));
         if let Some(retry_after) = self.config.retry_after {
             if retry_after < give_up_after {
-                self.retry_state.insert(plan.seq, (method, vec![plan.seq]));
+                self.retry_state.insert(
+                    plan.seq,
+                    RetryState {
+                        method,
+                        t0: now,
+                        selected: Arc::clone(&plan.replicas),
+                        attempts: vec![plan.seq],
+                    },
+                );
                 self.schedule(ctx, retry_after, TimerKind::Retry(plan.seq));
             }
         }
@@ -392,25 +411,15 @@ impl ClientGateway {
     /// Algorithm 1 over the remaining replicas and multicast a sibling
     /// attempt for the same logical request.
     fn retry(&mut self, root: u64, ctx: &mut Context<'_, Wire>) {
-        let Some((method, _)) = self.retry_state.get(&root).cloned() else {
-            return;
-        };
-        let Some(pending) = self.handler_mut().pending(root).cloned() else {
+        let Some(state) = self.retry_state.get(&root) else {
             return; // already resolved
         };
-        if pending.answered {
-            return;
-        }
-        let now = ctx.now();
-        let plan = self.handler_mut().plan_retry(
-            now,
-            Some(method),
-            pending.intercepted_at,
-            root,
-            &pending.selected,
-        );
+        let (method, now) = (state.method, ctx.now());
+        let plan = self
+            .live()
+            .plan_retry(now, Some(method), state.t0, root, &state.selected);
         let Some(plan) = plan else {
-            return; // nobody left beyond the original selection
+            return; // resolved, or nobody left beyond the original selection
         };
         let view = self.agent.as_ref().expect("started").view();
         let targets: Vec<NodeId> = plan
@@ -419,7 +428,7 @@ impl ClientGateway {
             .filter_map(|r| view.node_of(*r))
             .collect();
         if targets.is_empty() {
-            self.handler_mut().on_abandon(now, plan.seq);
+            self.live().on_abandon(now, plan.seq);
             return;
         }
         ctx.multicast(
@@ -433,8 +442,8 @@ impl ClientGateway {
                 payload_size: self.config.request_size,
             }),
         );
-        if let Some((_, attempts)) = self.retry_state.get_mut(&root) {
-            attempts.push(plan.seq);
+        if let Some(state) = self.retry_state.get_mut(&root) {
+            state.attempts.push(plan.seq);
         }
         self.root_of.insert(plan.seq, root);
         if let Some(rec) = self.records.iter_mut().find(|r| r.seq == root) {
@@ -442,16 +451,14 @@ impl ClientGateway {
         }
     }
 
-    /// Resolves an attempt seq to the root request it belongs to and
-    /// retires its sibling attempts.
-    fn settle_attempts(&mut self, delivered: u64, now: Instant) -> u64 {
+    /// Resolves a delivered attempt's seq to the root request it belongs
+    /// to and forgets the request's retry state. The handler has already
+    /// retired the sibling attempts.
+    fn settle_attempts(&mut self, delivered: u64) -> u64 {
         let root = self.root_of.get(&delivered).copied().unwrap_or(delivered);
-        if let Some((_, attempts)) = self.retry_state.remove(&root) {
-            for attempt in attempts {
+        if let Some(state) = self.retry_state.remove(&root) {
+            for attempt in state.attempts {
                 self.root_of.remove(&attempt);
-                if attempt != delivered {
-                    self.handler_mut().on_abandon(now, attempt);
-                }
             }
         }
         root
@@ -506,11 +513,11 @@ impl ClientGateway {
         };
         if !self.finished {
             let now = ctx.now();
-            let stale = self.handler_mut().stale_replicas(now, staleness);
+            let stale = self.live().stale_replicas(now, staleness);
             for replica in stale {
-                let plan = self.handler_mut().plan_probe(now, replica);
+                let plan = self.live().plan_probe(now, replica);
                 let Some(node) = self.agent.as_ref().and_then(|a| a.view().node_of(replica)) else {
-                    self.handler_mut().on_give_up(now, plan.seq);
+                    self.live().on_give_up(now, plan.seq);
                     continue;
                 };
                 ctx.send(
@@ -536,17 +543,17 @@ impl ClientGateway {
     /// attempt carries the single give-up; earlier attempts retire.
     fn give_up(&mut self, seq: u64, ctx: &mut Context<'_, Wire>) {
         let now = ctx.now();
-        let resolved = if let Some((_, attempts)) = self.retry_state.remove(&seq) {
+        let resolved = if let Some(RetryState { attempts, .. }) = self.retry_state.remove(&seq) {
             let last = *attempts.last().expect("at least the root attempt");
             for attempt in &attempts {
                 self.root_of.remove(attempt);
                 if *attempt != last {
-                    self.handler_mut().on_abandon(now, *attempt);
+                    self.live().on_abandon(now, *attempt);
                 }
             }
-            self.handler_mut().on_give_up(now, last)
+            self.live().on_give_up(now, last)
         } else {
-            self.handler_mut().on_give_up(now, seq)
+            self.live().on_give_up(now, seq)
         };
         if resolved {
             if let Some(rec) = self.records.iter_mut().find(|r| r.seq == seq) {
@@ -582,13 +589,13 @@ impl ClientGateway {
                 payload_size: _,
             } => {
                 let now = ctx.now();
-                let outcome = self.handler_mut().on_reply(now, id.seq, replica, perf);
+                let outcome = self.live().on_reply(now, id.seq, replica, perf);
                 if let ReplyOutcome::Deliver {
                     response_time,
                     verdict,
                 } = outcome
                 {
-                    let root = self.settle_attempts(id.seq, now);
+                    let root = self.settle_attempts(id.seq);
                     if let Some(rec) = self.records.iter_mut().find(|r| r.seq == root) {
                         rec.first_reply_at = Some(now);
                         rec.response_time = Some(response_time);
@@ -597,7 +604,7 @@ impl ClientGateway {
                     }
                     if verdict.should_notify() {
                         if let Some(new_qos) = self.config.renegotiate_to {
-                            self.handler_mut().renegotiate(new_qos);
+                            self.live().renegotiate(now, new_qos);
                         }
                     }
                     self.finish_request(ctx);
@@ -605,7 +612,7 @@ impl ClientGateway {
             }
             AquaMsg::PerfUpdate { replica, perf } => {
                 let now = ctx.now();
-                self.handler_mut().on_perf_update(now, replica, perf);
+                self.live().on_perf_update(now, replica, perf);
             }
             AquaMsg::Directive {
                 renegotiate_pc,
@@ -619,11 +626,11 @@ impl ClientGateway {
                     return;
                 }
                 if let Some(pc) = renegotiate_pc {
-                    let current = self.handler_mut().qos();
+                    let current = self.live().qos();
                     // Only ever renegotiate the promise downward.
                     if pc < current.min_probability() {
                         if let Ok(relaxed) = QosSpec::new(current.deadline(), pc) {
-                            self.handler_mut().renegotiate(relaxed);
+                            self.live().renegotiate(ctx.now(), relaxed);
                         }
                     }
                 }
@@ -674,20 +681,25 @@ impl Node<Wire> for ClientGateway {
         match event {
             Event::Started => {
                 let strategy = self.strategy.take().expect("strategy set at construction");
+                // One thread drives the handler, so every plan publishes
+                // what the replies before it brought.
                 let mut handler =
-                    TimingFaultHandler::new(self.config.qos, self.config.window, strategy);
+                    ConcurrentHandler::new(self.config.qos, self.config.window, strategy)
+                        .with_min_republish(Duration::ZERO);
                 if let Some((obs, client)) = self.obs.as_ref() {
                     handler.attach_obs(obs, Some(*client));
                     if !self.fault_windows.is_empty() {
                         handler.set_fault_windows(self.fault_windows.clone());
                     }
-                    if let Some(observer) = handler.observer_mut() {
-                        // Reconfigure before hooking: configure_watchdog
-                        // replaces the watchdog, hooks and all.
-                        if let Some(calibration) = self.config.calibration {
-                            observer.configure_watchdog(calibration);
-                        }
-                        if self.config.manager.is_some() {
+                    let config = &self.config;
+                    self.alert_buffer = handler
+                        .with_observer(|observer| {
+                            // Reconfigure before hooking: configure_watchdog
+                            // replaces the watchdog, hooks and all.
+                            if let Some(calibration) = config.calibration {
+                                observer.configure_watchdog(calibration);
+                            }
+                            config.manager?;
                             let buffer = Arc::new(Mutex::new(Vec::new()));
                             let sink = Arc::clone(&buffer);
                             observer.watchdog_mut().add_hook(move |alert| {
@@ -700,9 +712,9 @@ impl Node<Wire> for ClientGateway {
                                     ));
                                 }
                             });
-                            self.alert_buffer = Some(buffer);
-                        }
-                    }
+                            Some(buffer)
+                        })
+                        .flatten();
                 }
                 self.handler = Some(handler);
                 self.finished = false;
@@ -742,7 +754,7 @@ impl Node<Wire> for ClientGateway {
                         .map(|v| v.replica_ids().collect::<Vec<_>>());
                     if let Some(servers) = installed {
                         let now = ctx.now();
-                        self.handler_mut().on_view(now, servers);
+                        self.live().on_view(now, servers);
                         self.subscribe_to_new_servers(ctx);
                     }
                 }

@@ -1,11 +1,14 @@
-//! The concurrent timing fault handler: lock-free planning over published
+//! The timing fault handler (§5.4): lock-free planning over published
 //! snapshots plus a sharded write path.
 //!
-//! [`crate::TimingFaultHandler`] is deliberately single-threaded — the
-//! socket runtime used to wrap it in one big mutex, which serialized
-//! *everything*: Algorithm 1, reply classification, repository updates,
-//! and the pending-request table. [`ConcurrentHandler`] splits those
-//! responsibilities so concurrent callers never meet on a lock:
+//! [`ConcurrentHandler`] owns the per-service state of a client gateway —
+//! the QoS spec, the information repository, the selection strategy, the
+//! pending-request table and the timing-failure detector — and is pure
+//! bookkeeping: its caller feeds it events and performs the sends it
+//! plans. One handler serves both substrates. The simulator's
+//! [`crate::ClientGateway`] drives it from one thread with no debounce;
+//! the socket runtime shares it between caller and reply threads. For
+//! those, it splits its responsibilities so they never meet on a lock:
 //!
 //! * **Planning** reads an immutable [`PlanningView`] published through a
 //!   [`SnapshotCell`]: per-replica cumulative response-time tables plus
@@ -15,18 +18,23 @@
 //!   (stateful baselines) fall back to a small strategy mutex.
 //! * **Reply ingestion** is sharded by replica: piggybacked perf reports
 //!   and gateway-delay measurements update only the owning shard's
-//!   repository. A publisher merges the shards and republishes the
-//!   planning view off the hot path, debounced so a burst of replies
-//!   costs one rebuild (freshness stays bounded by the sliding window
-//!   *l* of §5.2 — see DESIGN.md §12 for the equivalence argument). It
-//!   builds each view in the buffers of the view it last swapped out,
-//!   once no planner holds that one any more.
+//!   repository and mark the view dirty. A **plan** publishes: one that
+//!   finds the view dirty merges the shards and republishes before it
+//!   loads the view, at most once per debounce interval, so a burst of
+//!   replies costs one rebuild. It only *tries* the publish lock: a plan
+//!   never waits on another thread's publish, and plans from the current
+//!   view instead. Membership changes and renegotiation publish at once,
+//!   waiting for the lock. A publish builds the view in the buffers of
+//!   the view it last swapped out, once no planner holds that one any
+//!   more (DESIGN.md §12).
 //! * **The pending-request table** is sharded by sequence number, each
 //!   shard a [`PendingTable`] trimmed on insert. Sibling attempts of one
 //!   logical request (retries) share an atomic `answered` flag, so
 //!   first-reply delivery, duplicate classification, give-up, and retry
 //!   re-planning race safely: exactly one of deliver/give-up wins the
-//!   flag, and the loser reclassifies itself.
+//!   flag, and the loser reclassifies itself. Active probes (§8,
+//!   extension 3) are entries too: their replies feed the repository but
+//!   are never delivered, and an unanswered probe is not a failure.
 //!
 //! Without an attached [`aqua_obs::Obs`] a plan or a reply reads the wall
 //! clock only for δ (§5.3.3): lock waits, ingest times and the plan's
@@ -36,12 +44,13 @@
 //! `aqua-lint`'s bounded interleaving checker (`interleave.rs`).
 
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aqua_core::aqua;
 use aqua_core::failure::{TimingFailureDetector, TimingVerdict};
-use aqua_core::model::{ModelCacheStats, ResponseTimeModel};
+use aqua_core::model::ResponseTimeModel;
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
@@ -55,15 +64,79 @@ use parking_lot::Mutex;
 
 use crate::obs::{aligned_predictions, HandlerObserver, PlanObservation};
 use crate::pending::{Answered, PendingTable};
-use crate::timing::{HandlerStats, ReplyOutcome, RequestPlan};
+
+/// The plan produced for one intercepted request: multicast the request
+/// with this sequence number to these replicas.
+#[derive(Debug, Clone)]
+pub struct RequestPlan {
+    /// Client-local sequence number identifying the request.
+    pub seq: u64,
+    /// Replicas to multicast to (empty when none are known — the caller
+    /// should fail the request immediately).
+    pub replicas: Arc<[ReplicaId]>,
+}
+
+/// What [`ConcurrentHandler::on_reply`] decided about a reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyOutcome {
+    /// First reply for the request: deliver it to the client.
+    Deliver {
+        /// End-to-end response time `tr = t4 − t0`.
+        response_time: Duration,
+        /// Timing classification (and whether to fire the QoS callback).
+        verdict: TimingVerdict,
+    },
+    /// A redundant reply: discard, but its performance data was used.
+    Redundant,
+    /// Reply for an unknown/expired request (e.g. after give-up).
+    Unknown,
+}
+
+/// Aggregate counters for reporting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HandlerStats {
+    /// Requests planned.
+    pub requests: u64,
+    /// Sum of selected-set sizes (for average redundancy).
+    pub replicas_selected: u64,
+    /// Replies delivered to the client (first replies).
+    pub delivered: u64,
+    /// Redundant replies discarded.
+    pub redundant: u64,
+    /// Requests finalized as failures because no reply ever arrived.
+    pub gave_up: u64,
+    /// QoS-violation callbacks issued.
+    pub callbacks: u64,
+    /// Active probes sent to replicas with stale performance data.
+    pub probes: u64,
+    /// Deadline-driven retry attempts issued (§retry: re-run Algorithm 1
+    /// over the remaining replicas when the first selection misses an
+    /// intermediate deadline).
+    pub retries: u64,
+    /// Attempts retired without delivery or failure because a sibling
+    /// attempt resolved the logical request.
+    pub abandoned: u64,
+}
+
+impl HandlerStats {
+    /// Average number of replicas selected per request.
+    pub fn mean_redundancy(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.replicas_selected as f64 / self.requests as f64
+        }
+    }
+}
 
 /// Number of pending-table shards (sequence numbers hash across them).
 const PENDING_SHARDS: usize = 16;
 /// Number of reply-ingestion shards (replicas hash across them).
 const INGEST_SHARDS: usize = 16;
-/// Default minimum interval between snapshot republishes. A burst of
-/// replies inside the interval is coalesced into one rebuild; the
-/// planning view is therefore at most this much behind the shards.
+/// Default minimum interval between plan-triggered republishes. A burst
+/// of replies inside the interval is coalesced into one rebuild; the view
+/// a plan reads therefore misses at most the samples of this interval
+/// before it.
 const DEFAULT_MIN_REPUBLISH: Duration = Duration::from_micros(500);
 
 /// What the sibling attempts of one logical request share: one
@@ -82,6 +155,16 @@ struct Group {
     retries: Mutex<Vec<u64>>,
 }
 
+impl Group {
+    fn open(origin: u64) -> Arc<Group> {
+        Arc::new(Group {
+            answered: AtomicBool::new(false),
+            origin,
+            retries: Mutex::new(Vec::new()),
+        })
+    }
+}
+
 /// One attempt awaiting replies.
 #[derive(Debug, Clone)]
 struct PendingEntry {
@@ -90,6 +173,9 @@ struct PendingEntry {
     /// `t1` of this attempt.
     sent_at: Instant,
     group: Arc<Group>,
+    /// Probes refresh the repository but are invisible to the client: no
+    /// delivery, no timing-failure accounting (§8, extension 3).
+    probe: bool,
 }
 
 impl Answered for PendingEntry {
@@ -107,6 +193,7 @@ struct AtomicStats {
     redundant: AtomicU64,
     gave_up: AtomicU64,
     callbacks: AtomicU64,
+    probes: AtomicU64,
     retries: AtomicU64,
     abandoned: AtomicU64,
 }
@@ -120,7 +207,7 @@ impl AtomicStats {
             redundant: self.redundant.load(Ordering::Relaxed),
             gave_up: self.gave_up.load(Ordering::Relaxed),
             callbacks: self.callbacks.load(Ordering::Relaxed),
-            probes: 0,
+            probes: self.probes.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             abandoned: self.abandoned.load(Ordering::Relaxed),
         }
@@ -174,12 +261,6 @@ struct Publisher {
     present: Vec<ReplicaId>,
 }
 
-/// Observer state (the observer's hooks take `&mut self`).
-struct ObsState {
-    observer: HandlerObserver,
-    cache_seen: ModelCacheStats,
-}
-
 /// A timing fault handler shareable across threads: `&self` everywhere,
 /// no global lock. See the module docs for the architecture.
 pub struct ConcurrentHandler {
@@ -192,7 +273,8 @@ pub struct ConcurrentHandler {
     snapshot: SnapshotCell,
     /// Serializes publishers; holds the buffers they reuse.
     publish: Mutex<Publisher>,
-    /// Set by ingestion when shard state moved past the published view.
+    /// Set by ingestion when shard state moved past the published view;
+    /// the next plan past the debounce publishes it.
     dirty: AtomicBool,
     /// `Instant::as_nanos` of the last publish, for the debounce check.
     last_publish_ns: AtomicU64,
@@ -205,7 +287,8 @@ pub struct ConcurrentHandler {
     last_overhead_ns: AtomicU64,
     detector: Mutex<TimingFailureDetector>,
     stats: AtomicStats,
-    obs: Option<Mutex<ObsState>>,
+    /// The observer (its hooks take `&mut self`).
+    obs: Option<Mutex<HandlerObserver>>,
     publish_metrics: Option<PublishMetrics>,
     client_id: Option<u64>,
     pending_contention: LockContention,
@@ -273,7 +356,10 @@ impl ConcurrentHandler {
         }
     }
 
-    /// Overrides the republish debounce interval (tests, benchmarks).
+    /// Overrides the interval a plan waits after the last publish before
+    /// it publishes again. The socket runtime keeps the 500 µs default;
+    /// the simulator passes zero, so every plan reads the repository as
+    /// it stands.
     #[must_use]
     pub fn with_min_republish(mut self, interval: Duration) -> Self {
         self.min_republish = interval;
@@ -284,12 +370,11 @@ impl ConcurrentHandler {
     /// shared). Also registers the lock-contention counters
     /// `aqua_lock_wait_ns_total{lock=…}` for the shard and publish locks
     /// and the publish metrics `aqua_view_publish_ns` and
-    /// `aqua_view_snapshots_{rebuilt,reused}_total`.
+    /// `aqua_view_snapshots_{rebuilt,reused}_total`. A publish that builds
+    /// tables also counts its reused snapshots as model-cache hits and its
+    /// rebuilt ones as misses (`aqua_model_cache_{hits,misses}_total`).
     pub fn attach_obs(&mut self, obs: &aqua_obs::Obs, client: Option<u64>) {
-        self.obs = Some(Mutex::new(ObsState {
-            observer: HandlerObserver::new(obs, client),
-            cache_seen: ModelCacheStats::default(),
-        }));
+        self.obs = Some(Mutex::new(HandlerObserver::new(obs, client)));
         self.publish_metrics = Some(PublishMetrics {
             publish_ns: obs.registry().histogram("aqua_view_publish_ns", &[]),
             rebuilt: obs
@@ -317,7 +402,7 @@ impl ConcurrentHandler {
     pub fn renegotiate(&self, now: Instant, qos: QosSpec) {
         *self.qos.lock() = qos;
         self.detector.lock().renegotiate(qos);
-        self.maybe_publish(now, true);
+        self.publish(now);
     }
 
     /// The active strategy's name.
@@ -331,6 +416,18 @@ impl ConcurrentHandler {
         let mut merged = InfoRepository::new(self.window);
         self.merge_into(&mut merged, &mut Vec::new());
         merged
+    }
+
+    /// Write access to the repository for seeding it by hand: the guard
+    /// derefs to a merged copy, and when dropped writes the copy back to
+    /// the shards and the membership, then publishes. The exclusive
+    /// borrow rules out any concurrent call meanwhile.
+    pub fn repository_mut(&mut self) -> RepositoryMut<'_> {
+        let merged = self.repository();
+        RepositoryMut {
+            handler: self,
+            merged,
+        }
     }
 
     /// A point-in-time copy of the timing-failure detector.
@@ -369,7 +466,7 @@ impl ConcurrentHandler {
     /// journal. No-op without an attached observer.
     pub fn flush_observability(&self) {
         if let Some(obs) = &self.obs {
-            obs.lock().observer.flush();
+            obs.lock().flush();
         }
     }
 
@@ -378,14 +475,14 @@ impl ConcurrentHandler {
     /// No-op without an attached observer.
     pub fn set_fault_windows(&self, windows: Vec<aqua_faults::FaultWindow>) {
         if let Some(obs) = &self.obs {
-            obs.lock().observer.set_fault_windows(windows);
+            obs.lock().set_fault_windows(windows);
         }
     }
 
     /// Runs `f` against the attached observer (watchdog reconfiguration,
     /// alert hooks). Returns `None` without an attached observer.
     pub fn with_observer<T>(&self, f: impl FnOnce(&mut HandlerObserver) -> T) -> Option<T> {
-        self.obs.as_ref().map(|obs| f(&mut obs.lock().observer))
+        self.obs.as_ref().map(|obs| f(&mut obs.lock()))
     }
 
     // -- membership ---------------------------------------------------------
@@ -401,7 +498,7 @@ impl ConcurrentHandler {
             let mut repo = self.ingest_shard(id).lock();
             repo.insert_replica(id)
         };
-        self.maybe_publish(now, true);
+        self.publish(now);
         inserted
     }
 
@@ -423,7 +520,7 @@ impl ConcurrentHandler {
             repo.set_probation(replica, self.window as u32);
         }
         self.observe_probation(replica, true, now);
-        self.maybe_publish(now, true);
+        self.publish(now);
     }
 
     /// Installs a new membership view; departed replicas are dropped, and
@@ -462,7 +559,7 @@ impl ConcurrentHandler {
             }
             self.observe_probation(id, true, now);
         }
-        self.maybe_publish(now, true);
+        self.publish(now);
     }
 
     // -- ingestion ----------------------------------------------------------
@@ -473,7 +570,8 @@ impl ConcurrentHandler {
     }
 
     /// Records into the replica's shard; emits the probation-cleared event
-    /// when the sample completes a fresh window; marks the view dirty.
+    /// when the sample completes a fresh window; marks the view dirty for
+    /// the next plan to publish.
     fn ingest(
         &self,
         now: Instant,
@@ -503,30 +601,43 @@ impl ConcurrentHandler {
             self.observe_probation(replica, false, now);
         }
         self.dirty.store(true, Ordering::Release);
-        self.maybe_publish(now, false);
     }
 
     // -- publishing ---------------------------------------------------------
 
-    /// Rebuilds and publishes the planning view if it is stale (or
-    /// `force`d by a membership change). Debounced: at most one publish
-    /// per [`ConcurrentHandler::with_min_republish`] interval, so a burst
-    /// of replies costs one rebuild.
-    fn maybe_publish(&self, now: Instant, force: bool) {
-        if !force {
-            if !self.dirty.load(Ordering::Acquire) {
-                return;
-            }
-            let last = self.last_publish_ns.load(Ordering::Relaxed);
-            if now.as_nanos().saturating_sub(last) < self.min_republish.as_nanos() {
-                return;
-            }
-        }
+    /// Publishes now, waiting for a concurrent publisher: a membership
+    /// change or a renegotiation must reach the very next plan.
+    fn publish(&self, now: Instant) {
         let mut publisher = self.publish_contention.acquire(|| self.publish.lock());
-        if !force && !self.dirty.load(Ordering::Acquire) {
-            // A queued publisher already covered this batch of updates.
+        self.rebuild(now, &mut publisher);
+    }
+
+    /// Publishes what ingestion marked dirty, unless the last publish was
+    /// less than [`ConcurrentHandler::with_min_republish`] ago. Called by
+    /// a plan before it loads the view. Only tries the publish lock: a
+    /// plan never waits on another thread's publish, and plans from the
+    /// current view instead.
+    fn publish_if_dirty(&self, now: Instant) {
+        if !self.dirty.load(Ordering::Acquire) {
             return;
         }
+        let last = self.last_publish_ns.load(Ordering::Relaxed);
+        if now.as_nanos().saturating_sub(last) < self.min_republish.as_nanos() {
+            return;
+        }
+        let Some(mut publisher) = self.publish.try_lock() else {
+            return;
+        };
+        self.publish_contention.record(std::time::Duration::ZERO);
+        if self.dirty.load(Ordering::Acquire) {
+            // Else a publish that held the lock meanwhile covered it.
+            self.rebuild(now, &mut publisher);
+        }
+    }
+
+    /// Merges the shards and swaps in a view built from them, behind the
+    /// publish lock.
+    fn rebuild(&self, now: Instant, publisher: &mut Publisher) {
         self.dirty.store(false, Ordering::Release);
         let last = self.last_publish_ns.load(Ordering::Relaxed);
         // aqua-lint: allow(atomics-ordering) debounce timestamp only; the snapshot is published via the version-guarded cell, a stale read costs one extra rebuild
@@ -541,7 +652,7 @@ impl ConcurrentHandler {
             scratch,
             spares,
             present,
-        } = &mut *publisher;
+        } = publisher;
         spares.reclaim();
         let current = self.snapshot.load();
         let merged = spares.repository(self.window, |merged| {
@@ -583,6 +694,11 @@ impl ConcurrentHandler {
             metrics.rebuilt.add(rebuilt);
             metrics.reused.add(reused);
         }
+        // The published tables are the model cache: a snapshot carried
+        // over is a hit, one rebuilt is a miss.
+        if let (Some(obs), Some(_)) = (&self.obs, model) {
+            obs.lock().on_model_cache(reused, rebuilt);
+        }
     }
 
     /// Makes `merged` hold a copy of every present replica's stats,
@@ -615,24 +731,72 @@ impl ConcurrentHandler {
     /// Like [`ConcurrentHandler::plan_request`] with a method id.
     pub fn plan_request_for(&self, now: Instant, method: Option<MethodId>) -> RequestPlan {
         let (seq, replicas) = self
-            .plan_with(now, method, now, None, &[])
+            .plan_with(now, method, None, &[])
+            // aqua-lint: allow(no-panic-in-hot-path) plan_with returns None only for a retry with nobody left to ask; a first plan is no retry
             .expect("initial selections always produce a plan");
-        let entry = PendingEntry {
-            intercepted_at: now,
-            sent_at: now,
-            group: Arc::new(Group {
-                answered: AtomicBool::new(false),
-                origin: seq,
-                retries: Mutex::new(Vec::new()),
-            }),
-        };
-        {
-            let mut shard = self
-                .pending_contention
-                .acquire(|| self.pending_shard(seq).lock());
-            shard.insert(seq, entry);
-        }
+        self.insert_pending(
+            seq,
+            PendingEntry {
+                intercepted_at: now,
+                sent_at: now,
+                group: Group::open(seq),
+                probe: false,
+            },
+        );
         RequestPlan { seq, replicas }
+    }
+
+    /// Plans an **active probe** to one replica (§8, extension 3: "use
+    /// active probes \[5\] when a replica's performance information is
+    /// obsolete"). The caller sends a minimal request with the returned
+    /// sequence number; the reply refreshes the repository (including the
+    /// gateway delay, which needs the recorded `t1`) but is never delivered
+    /// and never counts toward the timing-failure statistics.
+    pub fn plan_probe(&self, now: Instant, replica: ReplicaId) -> RequestPlan {
+        let replicas: Arc<[ReplicaId]> = Arc::from([replica]);
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        self.stats.probes.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            let qos = self.qos();
+            obs.lock().on_plan(PlanObservation {
+                seq,
+                method: MethodId::DEFAULT.index(),
+                client: self.client_id,
+                now_nanos: now.as_nanos(),
+                deadline_nanos: qos.deadline().as_nanos(),
+                promised: qos.min_probability(),
+                selected: &replicas,
+                predicted: &[],
+                view_version: None,
+                probe: true,
+                overhead_nanos: None,
+                retry_of: None,
+            });
+        }
+        self.insert_pending(
+            seq,
+            PendingEntry {
+                intercepted_at: now,
+                sent_at: now,
+                group: Group::open(seq),
+                probe: true,
+            },
+        );
+        RequestPlan { seq, replicas }
+    }
+
+    /// Replicas whose repository entry is older than `staleness` at `now`
+    /// (or has no data at all) — the probe candidates, by id.
+    pub fn stale_replicas(&self, now: Instant, staleness: Duration) -> Vec<ReplicaId> {
+        self.repository()
+            .iter()
+            .filter(|(_, stats)| {
+                stats
+                    .last_update()
+                    .is_none_or(|at| now.saturating_duration_since(at) > staleness)
+            })
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Plans a deadline-driven retry of attempt `retry_of`: Algorithm 1
@@ -656,7 +820,7 @@ impl ConcurrentHandler {
         if group.answered.load(Ordering::Acquire) {
             return None;
         }
-        let (seq, replicas) = self.plan_with(now, method, t0, Some(retry_of), exclude)?;
+        let (seq, replicas) = self.plan_with(now, method, Some(retry_of), exclude)?;
         // Join the group *before* inserting the entry: the delivery path
         // walks the group and retires every member it finds, so a
         // concurrent winner either sees our seq (and retires the entry
@@ -664,17 +828,15 @@ impl ConcurrentHandler {
         // has not delivered yet, in which case the flag check below is
         // still false and the attempt proceeds normally.
         group.retries.lock().push(seq);
-        let entry = PendingEntry {
-            intercepted_at: t0,
-            sent_at: now,
-            group: Arc::clone(&group),
-        };
-        {
-            let mut shard = self
-                .pending_contention
-                .acquire(|| self.pending_shard(seq).lock());
-            shard.insert(seq, entry);
-        }
+        self.insert_pending(
+            seq,
+            PendingEntry {
+                intercepted_at: t0,
+                sent_at: now,
+                group: Arc::clone(&group),
+                probe: false,
+            },
+        );
         if group.answered.load(Ordering::Acquire) {
             // The sibling resolved while we were registering. The winner's
             // retire pass may have run before our insert; retire ourselves
@@ -685,22 +847,24 @@ impl ConcurrentHandler {
         Some(RequestPlan { seq, replicas })
     }
 
-    /// Shared planning core: runs the selection (snapshot or strategy
-    /// mode), appends probation shadows, updates stats and the observer.
+    /// Shared planning core: publishes a dirty view, runs the selection
+    /// (snapshot or strategy mode), appends probation shadows, updates
+    /// stats and the observer.
     fn plan_with(
         &self,
         now: Instant,
         method: Option<MethodId>,
-        _t0: Instant,
         retry_of: Option<u64>,
         exclude: &[ReplicaId],
     ) -> Option<(u64, Arc<[ReplicaId]>)> {
         // δ's two clock reads are the only ones an unobserved plan makes.
+        // δ covers the publish: building the tables is evaluating the model.
         let started = std::time::Instant::now();
+        self.publish_if_dirty(now);
         let view = self.snapshot.load();
         // The per-replica predictions feed only the observer.
         let observed = self.obs.is_some();
-        let (mut replicas, predicted, cache_totals) = match &self.planner {
+        let (mut replicas, predicted) = match &self.planner {
             PlannerMode::Snapshot { spec, .. } => {
                 let plan = self.plan_from_snapshot(&view, spec, method, exclude);
                 let predicted = if observed {
@@ -708,7 +872,7 @@ impl ConcurrentHandler {
                 } else {
                     Vec::new()
                 };
-                (plan.selection.into_replicas(), predicted, None)
+                (plan.selection.into_replicas(), predicted)
             }
             PlannerMode::Strategy(strategy) => {
                 let mut strategy = strategy.lock();
@@ -724,7 +888,7 @@ impl ConcurrentHandler {
                 } else {
                     Vec::new()
                 };
-                (selected, predicted, strategy.cache_stats())
+                (selected, predicted)
             }
         };
         if retry_of.is_some() && replicas.is_empty() {
@@ -753,8 +917,7 @@ impl ConcurrentHandler {
             .replicas_selected
             .fetch_add(replicas.len() as u64, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
-            let mut obs = obs.lock();
-            obs.observer.on_plan(PlanObservation {
+            obs.lock().on_plan(PlanObservation {
                 seq,
                 method: method.unwrap_or_default().index(),
                 client: self.client_id,
@@ -768,15 +931,6 @@ impl ConcurrentHandler {
                 overhead_nanos: Some(overhead_nanos),
                 retry_of,
             });
-            if let Some(totals) = cache_totals {
-                let seen = obs.cache_seen;
-                obs.observer.on_model_cache(
-                    totals.hits - seen.hits,
-                    totals.misses - seen.misses,
-                    totals.invalidations - seen.invalidations,
-                );
-                obs.cache_seen = totals;
-            }
         }
         Some((seq, replicas))
     }
@@ -853,6 +1007,22 @@ impl ConcurrentHandler {
         self.ingest(now, replica, Some(perf), Some(td));
         let ingest_nanos = ingest_started.map(|started| started.elapsed().as_nanos() as u64);
 
+        if entry.probe {
+            // Probe replies only feed the repository.
+            self.observe_reply(
+                seq,
+                replica,
+                now,
+                &perf,
+                td,
+                in_flight,
+                ingest_nanos,
+                first,
+                true,
+                None,
+            );
+            return ReplyOutcome::Redundant;
+        }
         if first {
             let response_time = now.saturating_duration_since(entry.intercepted_at);
             let verdict = {
@@ -872,6 +1042,7 @@ impl ConcurrentHandler {
                 in_flight,
                 ingest_nanos,
                 true,
+                false,
                 Some(verdict),
             );
             self.retire_siblings(now, &entry.group, seq);
@@ -889,6 +1060,7 @@ impl ConcurrentHandler {
                 td,
                 in_flight,
                 ingest_nanos,
+                false,
                 false,
                 None,
             );
@@ -913,29 +1085,27 @@ impl ConcurrentHandler {
     /// Removes one attempt's entry; counts and journals the abandonment
     /// iff this call actually removed it (races are idempotent).
     fn retire_attempt(&self, now: Instant, seq: u64) -> bool {
-        let removed = {
-            let mut shard = self
-                .pending_contention
-                .acquire(|| self.pending_shard(seq).lock());
-            shard.remove(seq).is_some()
-        };
+        let removed = self.remove_pending(seq);
         if removed {
             self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = &self.obs {
-                obs.lock().observer.on_abandon(seq, now.as_nanos());
+                obs.lock().on_abandon(seq, now.as_nanos());
             }
         }
         removed
     }
 
     /// Retires attempt `seq` because a sibling resolved the logical
-    /// request. Returns `true` if the attempt was still open.
+    /// request. Returns `true` if the attempt was still open (a probe
+    /// never is).
     pub fn on_abandon(&self, now: Instant, seq: u64) -> bool {
         let open = {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.get(seq).is_some_and(|entry| !entry.is_answered())
+            shard
+                .get(seq)
+                .is_some_and(|entry| !entry.probe && !entry.is_answered())
         };
         open && self.retire_attempt(now, seq)
     }
@@ -944,17 +1114,28 @@ impl ConcurrentHandler {
     /// or loses the group's answered flag against a concurrent first
     /// reply — returns `false` when the reply got there first (the caller
     /// should then drain its delivery channel instead of failing the
-    /// call).
+    /// call). A probe's give-up only retires it and returns `false`.
     pub fn on_give_up(&self, now: Instant, seq: u64) -> bool {
-        let group = {
+        let found = {
             let shard = self
                 .pending_contention
                 .acquire(|| self.pending_shard(seq).lock());
-            shard.get(seq).map(|entry| Arc::clone(&entry.group))
+            shard
+                .get(seq)
+                .map(|entry| (Arc::clone(&entry.group), entry.probe))
         };
-        let Some(group) = group else {
+        let Some((group, probe)) = found else {
             return false;
         };
+        if probe {
+            // An unanswered probe is not a client-visible failure.
+            self.remove_pending(seq);
+            if let Some(obs) = &self.obs {
+                obs.lock()
+                    .on_give_up(seq, true, None, false, now.as_nanos());
+            }
+            return false;
+        }
         if group
             .answered
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -962,12 +1143,7 @@ impl ConcurrentHandler {
         {
             return false;
         }
-        {
-            let mut shard = self
-                .pending_contention
-                .acquire(|| self.pending_shard(seq).lock());
-            shard.remove(seq);
-        }
+        self.remove_pending(seq);
         self.stats.gave_up.fetch_add(1, Ordering::Relaxed);
         // An unbounded response time: record as "missed by a lot".
         let deadline = self.qos.lock().deadline();
@@ -979,7 +1155,7 @@ impl ConcurrentHandler {
             self.stats.callbacks.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(obs) = &self.obs {
-            obs.lock().observer.on_give_up(
+            obs.lock().on_give_up(
                 seq,
                 false,
                 Some(verdict),
@@ -993,18 +1169,33 @@ impl ConcurrentHandler {
     // -- helpers ------------------------------------------------------------
 
     fn pending_shard(&self, seq: u64) -> &Mutex<PendingTable<PendingEntry>> {
+        // aqua-lint: allow(no-panic-in-hot-path) reduced modulo PENDING_SHARDS, the length `new` gives the vector
         &self.pending[(seq as usize) % PENDING_SHARDS]
     }
 
+    fn insert_pending(&self, seq: u64, entry: PendingEntry) {
+        let mut shard = self
+            .pending_contention
+            .acquire(|| self.pending_shard(seq).lock());
+        shard.insert(seq, entry);
+    }
+
+    /// Removes `seq`'s entry; `true` if this call removed it.
+    fn remove_pending(&self, seq: u64) -> bool {
+        let mut shard = self
+            .pending_contention
+            .acquire(|| self.pending_shard(seq).lock());
+        shard.remove(seq).is_some()
+    }
+
     fn ingest_shard(&self, id: ReplicaId) -> &Mutex<InfoRepository> {
-        &self.ingest[(id.index() as usize) % INGEST_SHARDS]
+        // aqua-lint: allow(no-panic-in-hot-path) ingest_index reduces modulo INGEST_SHARDS, the length `new` gives the vector
+        &self.ingest[ingest_index(id)]
     }
 
     fn observe_probation(&self, replica: ReplicaId, started: bool, now: Instant) {
         if let Some(obs) = &self.obs {
-            obs.lock()
-                .observer
-                .on_probation(replica, started, now.as_nanos());
+            obs.lock().on_probation(replica, started, now.as_nanos());
         }
     }
 
@@ -1019,10 +1210,11 @@ impl ConcurrentHandler {
         in_flight: Duration,
         ingest_nanos: Option<u64>,
         first: bool,
+        probe: bool,
         verdict: Option<TimingVerdict>,
     ) {
         if let Some(obs) = &self.obs {
-            obs.lock().observer.on_reply(
+            obs.lock().on_reply(
                 seq,
                 replica,
                 now.as_nanos(),
@@ -1032,17 +1224,64 @@ impl ConcurrentHandler {
                 in_flight.as_nanos(),
                 ingest_nanos,
                 first,
-                false,
+                probe,
                 verdict,
             );
         }
     }
 }
 
+/// The ingestion shard replica `id` records into.
+fn ingest_index(id: ReplicaId) -> usize {
+    (id.index() as usize) % INGEST_SHARDS
+}
+
+/// Write access to a [`ConcurrentHandler`]'s repository, from
+/// [`ConcurrentHandler::repository_mut`].
+pub struct RepositoryMut<'a> {
+    handler: &'a mut ConcurrentHandler,
+    merged: InfoRepository,
+}
+
+impl Deref for RepositoryMut<'_> {
+    type Target = InfoRepository;
+
+    fn deref(&self) -> &InfoRepository {
+        &self.merged
+    }
+}
+
+impl DerefMut for RepositoryMut<'_> {
+    fn deref_mut(&mut self) -> &mut InfoRepository {
+        &mut self.merged
+    }
+}
+
+impl Drop for RepositoryMut<'_> {
+    /// Writes the copy back: each replica to its shard, the members to the
+    /// membership, and publishes the result.
+    fn drop(&mut self) {
+        let handler = &mut *self.handler;
+        let merged = &self.merged;
+        let membership = handler.membership.get_mut();
+        membership.present = merged.replica_ids().collect();
+        membership.seen.extend(merged.replica_ids());
+        for shard in &mut handler.ingest {
+            shard.get_mut().retain_replicas(|id| merged.contains(id));
+        }
+        for (id, stats) in merged.iter() {
+            if let Some(shard) = handler.ingest.get_mut(ingest_index(id)) {
+                shard.get_mut().copy_stats(id, stats);
+            }
+        }
+        // The debounce clock stays where it was.
+        handler.publish(Instant::EPOCH);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::TimingFaultHandler;
     use aqua_core::model::ModelConfig;
     use aqua_core::snapshot::ReplicaSnapshot;
     use aqua_strategies::{FastestMean, ModelBased};
@@ -1058,8 +1297,7 @@ mod tests {
     }
 
     /// Inserts `ids` and fills their windows with per-replica service
-    /// times via the reply/perf-update path, mirroring the serialized
-    /// handler tests.
+    /// times via the reply/perf-update path.
     fn warm(h: &ConcurrentHandler, ids: &[u64], service_ms: u64) {
         let mut at = Instant::EPOCH;
         for i in ids {
@@ -1073,8 +1311,6 @@ mod tests {
                 h.ingest(at, r, None, Some(ms(1)));
             }
         }
-        // One more tick so the (zero-interval) debounce publishes the tail.
-        h.ingest(at + ms(1), ReplicaId::new(ids[0]), None, Some(ms(1)));
     }
 
     #[test]
@@ -1085,7 +1321,9 @@ mod tests {
         }
         let plan = h.plan_request(Instant::EPOCH);
         assert_eq!(plan.replicas.len(), 3, "cold start selects everyone");
+        assert_eq!(plan.seq, 0);
         assert_eq!(h.stats().requests, 1);
+        assert_eq!(h.pending_count(), 1);
     }
 
     #[test]
@@ -1094,13 +1332,18 @@ mod tests {
         warm(&h, &[0, 1, 2], 20);
         let plan = h.plan_request(Instant::from_millis(100));
 
-        // Serialized reference: same repository content, same QoS.
+        // Serialized reference: the strategy itself over the same
+        // repository content and QoS.
         let qos = QosSpec::new(ms(200), 0.9).unwrap();
-        let mut reference = TimingFaultHandler::new(qos, 5, Box::new(ModelBased::default()));
-        *reference.repository_mut() = h.repository();
-        let expected = reference.plan_request(Instant::from_millis(100));
+        let expected = ModelBased::default().select(&SelectionInput {
+            repository: &h.repository(),
+            qos: &qos,
+            method: None,
+            now: Instant::from_millis(100),
+            exclude: &[],
+        });
 
-        assert_eq!(plan.replicas.as_ref(), expected.replicas.as_ref());
+        assert_eq!(plan.replicas.as_ref(), expected.as_slice());
         assert!(plan.replicas.len() < 3, "warm plans are selective");
     }
 
@@ -1126,8 +1369,8 @@ mod tests {
                 h.ingest(at, r, None, Some(ms(1)));
             }
         }
-        h.ingest(at + ms(1), slow, None, Some(ms(1)));
 
+        let plan = h.plan_request(at + ms(2));
         let view = h.planning_view();
         let model = ResponseTimeModel::default();
         let whole = |r| {
@@ -1138,7 +1381,6 @@ mod tests {
         for r in [spread, steady] {
             assert_eq!(view.probability_by(r, 0, ms(199)), Some(1.0));
         }
-        let plan = h.plan_request(at + ms(2));
         assert_eq!(plan.replicas.as_ref(), &[spread, steady]);
     }
 
@@ -1150,7 +1392,7 @@ mod tests {
         let plan = h.plan_request(t0);
         let r = plan.replicas[0];
         let t4 = t0 + ms(30);
-        match h.on_reply(t4, plan.seq, r, PerfReport::new(ms(20), ms(0), 0)) {
+        match h.on_reply(t4, plan.seq, r, PerfReport::new(ms(20), ms(3), 1)) {
             ReplyOutcome::Deliver {
                 response_time,
                 verdict,
@@ -1160,8 +1402,14 @@ mod tests {
             }
             other => panic!("expected delivery, got {other:?}"),
         }
+        // td = 30 − 3 − 20 = 7 ms, and the queue length landed.
+        let stats = |h: &ConcurrentHandler| h.repository().stats(r).cloned().unwrap();
+        assert_eq!(stats(&h).last_gateway_delay(), Some(ms(7)));
+        assert_eq!(stats(&h).outstanding(), 1);
         let again = h.on_reply(t4 + ms(5), plan.seq, r, PerfReport::new(ms(20), ms(0), 0));
         assert_eq!(again, ReplyOutcome::Redundant);
+        // The redundant reply was mined: td = 35 − 20 = 15 ms.
+        assert_eq!(stats(&h).last_gateway_delay(), Some(ms(15)));
         let stats = h.stats();
         assert_eq!((stats.delivered, stats.redundant), (1, 1));
         assert_eq!(h.pending_count(), 0);
@@ -1211,7 +1459,12 @@ mod tests {
             retry.replicas[0],
             PerfReport::new(ms(20), ms(0), 0),
         );
-        assert!(matches!(out, ReplyOutcome::Deliver { .. }));
+        // The retry keeps the original interception time, so the response
+        // time spans both attempts.
+        match out {
+            ReplyOutcome::Deliver { response_time, .. } => assert_eq!(response_time, ms(170)),
+            other => panic!("expected delivery, got {other:?}"),
+        }
         let late = h.on_reply(
             t0 + ms(180),
             plan.seq,
@@ -1220,6 +1473,7 @@ mod tests {
         );
         assert_eq!(late, ReplyOutcome::Unknown, "retired attempt is gone");
         let stats = h.stats();
+        assert_eq!(stats.requests, 1, "a retry is not a new request");
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.abandoned, 1);
         assert_eq!(stats.delivered, 1);
@@ -1365,6 +1619,21 @@ mod tests {
             "probation members are appended last"
         );
         assert_eq!(h.pending_count(), 1);
+        // Rejoining while still connected is a no-op.
+        h.on_rejoin(Instant::from_millis(302), ReplicaId::new(0));
+        let repository = h.repository();
+        assert!(!repository
+            .stats(ReplicaId::new(0))
+            .unwrap()
+            .is_on_probation());
+    }
+
+    /// Samples recorded by `view`'s repository for `r`.
+    fn samples(view: &PlanningView, r: ReplicaId) -> usize {
+        view.repository()
+            .stats(r)
+            .and_then(|s| s.history(MethodId::DEFAULT).map(|m| m.len()))
+            .unwrap_or(0)
     }
 
     #[test]
@@ -1374,7 +1643,8 @@ mod tests {
             .with_min_republish(ms(10));
         h.insert_replica(Instant::EPOCH, ReplicaId::new(0));
         let v0 = h.planning_view().version();
-        // A burst of updates inside the debounce window: no republish.
+        // A burst of updates and a plan inside the debounce window: no
+        // republish.
         for k in 1..5u64 {
             h.on_perf_update(
                 Instant::from_millis(k),
@@ -1382,22 +1652,43 @@ mod tests {
                 PerfReport::new(ms(20), ms(0), 0),
             );
         }
+        h.plan_request(Instant::from_millis(5));
         assert_eq!(h.planning_view().version(), v0);
-        // Past the window: one publish covers the whole burst.
+        // Past the window: the next plan's publish covers the whole burst.
         h.on_perf_update(
             Instant::from_millis(30),
             ReplicaId::new(0),
             PerfReport::new(ms(20), ms(0), 0),
         );
+        h.plan_request(Instant::from_millis(30));
         assert_eq!(h.planning_view().version(), v0 + 1);
         assert_eq!(
-            h.planning_view()
-                .repository()
-                .stats(ReplicaId::new(0))
-                .and_then(|s| s.history(MethodId::DEFAULT).map(|m| m.len()))
-                .unwrap_or(0),
+            samples(&h.planning_view(), ReplicaId::new(0)),
             5,
             "the coalesced publish carries every sample"
+        );
+    }
+
+    /// A report inside the debounce of the publish before it is not left
+    /// behind until some later reply: the next plan past the debounce
+    /// publishes it, however long after it comes.
+    #[test]
+    fn a_plan_long_after_a_burst_plans_from_all_of_it() {
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::default()));
+        let r = ReplicaId::new(0);
+        h.insert_replica(Instant::EPOCH, r);
+        let report = PerfReport::new(ms(20), ms(0), 0);
+        let first = Instant::from_millis(1);
+        h.on_perf_update(first, r, report);
+        h.on_perf_update(first + Duration::from_micros(100), r, report);
+        h.plan_request(Instant::from_secs(10));
+        let view = h.planning_view();
+        assert_eq!(samples(&view, r), 2, "the plan's view holds both reports");
+        let generation = view.repository().stats(r).unwrap().perf_generation();
+        assert_eq!(
+            generation,
+            h.repository().stats(r).unwrap().perf_generation()
         );
     }
 
@@ -1422,6 +1713,7 @@ mod tests {
         let h = ConcurrentHandler::new(qos, 5, Box::new(FastestMean { k: 1 }))
             .with_min_republish(Duration::ZERO);
         warm(&h, &[0, 1], 20);
+        h.plan_request(Instant::from_millis(100));
         let view = h.planning_view();
         assert!(view.all_warm(), "flags and generations still publish");
         for snap in view.replicas() {
@@ -1435,6 +1727,7 @@ mod tests {
     fn renegotiating_a_longer_deadline_rebuilds_the_tables_to_it() {
         let h = handler(0.9);
         warm(&h, &[0, 1, 2], 20);
+        h.plan_request(Instant::from_millis(40));
         let before = h.planning_view();
         assert!(before.replicas().iter().all(|s| s.covers(ms(200))));
         assert!(!before.replicas().iter().any(|s| s.covers(ms(201))));
@@ -1543,6 +1836,7 @@ mod tests {
     fn a_held_view_never_changes_across_republishes() {
         let h = handler(0.9);
         warm(&h, &[0, 1, 2, 3], 20);
+        h.plan_request(Instant::from_millis(100));
         let held = h.planning_view();
         let before = fingerprint(&held);
         let mut at = Instant::from_millis(100);
@@ -1551,6 +1845,7 @@ mod tests {
             for i in 0..4u64 {
                 let report = PerfReport::new(ms(30 + 25 * round + i), ms(round), round as u32);
                 h.on_perf_update(at, ReplicaId::new(i), report);
+                h.plan_request(at);
                 let now = h.planning_view();
                 assert!(now.version() > held.version());
                 assert_published_fresh(&h, &now);
@@ -1730,6 +2025,7 @@ mod tests {
                             held.pop_front();
                         }
                     }
+                    h.plan_request(now);
                     let view = h.planning_view();
                     let repository = h.repository();
                     let published: Vec<(ReplicaId, u64)> = view
@@ -1803,8 +2099,11 @@ mod tests {
                             h.renegotiate(now, QosSpec::new(ms(deadline_ms), pc).unwrap());
                         }
                         Op::Call { service_ms } => {
-                            // Both selections read the same δ: nothing
-                            // plans between them.
+                            // A plan publishes what the ops before it
+                            // changed; the next one then plans from the
+                            // same view. Both selections read the same δ:
+                            // nothing plans between them.
+                            h.plan_request(now);
                             let view = h.planning_view();
                             let full = with_full_tables(&view, model);
                             let expected = h
@@ -1868,5 +2167,212 @@ mod tests {
         assert_eq!(stats.requests, 200);
         assert_eq!(stats.delivered, 200);
         assert_eq!(h.pending_count(), 0);
+    }
+
+    /// Seeds `ids` through [`ConcurrentHandler::repository_mut`]: three
+    /// `service_ms` samples and a 2 ms gateway delay each, at the epoch.
+    fn seed(h: &mut ConcurrentHandler, ids: &[u64], service_ms: u64) {
+        let mut repository = h.repository_mut();
+        for i in ids {
+            let r = ReplicaId::new(*i);
+            repository.insert_replica(r);
+            for _ in 0..3 {
+                let report = PerfReport::new(ms(service_ms), ms(0), 0);
+                repository.record_perf(r, report, Instant::EPOCH);
+            }
+            repository.record_gateway_delay(r, ms(2), Instant::EPOCH);
+        }
+    }
+
+    #[test]
+    fn late_first_reply_is_a_timing_failure() {
+        let mut h = handler(0.0);
+        seed(&mut h, &[0, 1], 100);
+        let plan = h.plan_request(Instant::EPOCH);
+        let perf = PerfReport::new(ms(480), ms(0), 0);
+        match h.on_reply(Instant::EPOCH + ms(500), plan.seq, plan.replicas[0], perf) {
+            ReplyOutcome::Deliver { verdict, .. } => {
+                assert!(!verdict.is_timely());
+                assert!(!verdict.should_notify(), "Pc = 0 tolerates failures");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(h.detector().failures(), 1);
+    }
+
+    #[test]
+    fn probes_refresh_without_touching_statistics() {
+        let mut h = handler(0.9);
+        seed(&mut h, &[0, 1], 100);
+        let r = ReplicaId::new(0);
+        let t0 = Instant::from_secs(1);
+        let plan = h.plan_probe(t0, r);
+        assert_eq!(&plan.replicas[..], &[r]);
+        assert_eq!(h.stats().probes, 1);
+        assert_eq!(h.stats().requests, 0, "probes are not client requests");
+
+        // The probe reply is never delivered, even though it is the first,
+        // and way past any deadline it is still no failure.
+        let perf = PerfReport::new(ms(650), ms(40), 2);
+        let outcome = h.on_reply(t0 + ms(700), plan.seq, r, perf);
+        assert_eq!(outcome, ReplyOutcome::Redundant);
+        assert_eq!((h.stats().delivered, h.stats().redundant), (0, 0));
+        assert_eq!(h.detector().total(), 0, "no timing accounting for probes");
+        // But the measurements landed: td = 700 − 40 − 650 = 10 ms.
+        let repository = h.repository();
+        let stats = repository.stats(r).unwrap();
+        assert_eq!(stats.last_gateway_delay(), Some(ms(10)));
+        assert_eq!(stats.outstanding(), 2);
+    }
+
+    #[test]
+    fn unanswered_probes_give_up_silently() {
+        let mut h = handler(0.9);
+        seed(&mut h, &[0, 1], 100);
+        let plan = h.plan_probe(Instant::EPOCH, ReplicaId::new(1));
+        assert!(
+            !h.on_abandon(Instant::from_secs(1), plan.seq),
+            "a probe has no siblings"
+        );
+        assert!(
+            !h.on_give_up(Instant::from_secs(5), plan.seq),
+            "probe give-up is not a failure"
+        );
+        assert_eq!(h.stats().gave_up, 0);
+        assert_eq!(h.stats().probes, 1);
+        assert_eq!(h.detector().total(), 0);
+        assert_eq!(h.pending_count(), 0, "the give-up retired the probe");
+    }
+
+    #[test]
+    fn stale_replicas_reports_old_and_empty_entries() {
+        let mut h = handler(0.5);
+        seed(&mut h, &[0], 100); // updated at Instant::EPOCH
+        h.insert_replica(Instant::EPOCH, ReplicaId::new(9)); // never updated
+        let stale = h.stale_replicas(Instant::from_secs(10), Duration::from_secs(5));
+        assert_eq!(stale, vec![ReplicaId::new(0), ReplicaId::new(9)]);
+        let fresh = h.stale_replicas(Instant::from_millis(1), Duration::from_secs(5));
+        assert_eq!(fresh, vec![ReplicaId::new(9)], "only the blank entry");
+    }
+
+    #[test]
+    fn perf_update_warms_repository() {
+        let h = handler(0.0);
+        h.insert_replica(Instant::EPOCH, ReplicaId::new(0));
+        let perf = PerfReport::new(ms(10), ms(1), 0);
+        h.on_perf_update(Instant::EPOCH, ReplicaId::new(0), perf);
+        let repository = h.repository();
+        let stats = repository.stats(ReplicaId::new(0)).unwrap();
+        assert_eq!(stats.outstanding(), 0);
+        assert!(stats.history(MethodId::DEFAULT).is_some());
+        assert!(!stats.is_warm(), "still no gateway delay measured");
+    }
+
+    #[test]
+    fn renegotiate_resets_detector() {
+        let mut h = handler(0.9);
+        seed(&mut h, &[0, 1], 100);
+        let plan = h.plan_request(Instant::EPOCH);
+        let perf = PerfReport::new(ms(880), ms(0), 0);
+        match h.on_reply(Instant::EPOCH + ms(900), plan.seq, plan.replicas[0], perf) {
+            ReplyOutcome::Deliver { verdict, .. } => assert!(verdict.should_notify()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(h.stats().callbacks, 1);
+        assert!(h.detector().is_violating());
+        h.renegotiate(Instant::from_secs(1), QosSpec::new(ms(1_000), 0.5).unwrap());
+        assert!(!h.detector().is_violating());
+        assert_eq!(h.qos().deadline(), ms(1_000));
+    }
+
+    #[test]
+    fn mean_redundancy_tracks_selections() {
+        let mut h = handler(0.0);
+        seed(&mut h, &[0, 1, 2, 3], 100);
+        for i in 0..4 {
+            let plan = h.plan_request(Instant::from_millis(i * 10));
+            assert_eq!(plan.replicas.len(), 2, "Pc = 0 warm selects 2");
+        }
+        assert_eq!(h.stats().mean_redundancy(), 2.0);
+    }
+
+    #[test]
+    fn retry_with_nobody_left_is_refused() {
+        let mut h = handler(0.0);
+        seed(&mut h, &[0, 1], 100);
+        let first = h.plan_request(Instant::EPOCH);
+        assert_eq!(first.replicas.len(), 2);
+        assert!(
+            h.plan_retry(
+                Instant::from_millis(150),
+                None,
+                Instant::EPOCH,
+                first.seq,
+                &first.replicas
+            )
+            .is_none(),
+            "every replica is already serving the first attempt"
+        );
+        assert_eq!(h.stats().retries, 0);
+    }
+
+    #[test]
+    fn abandoned_attempt_is_neither_delivery_nor_failure() {
+        let mut h = handler(0.0);
+        seed(&mut h, &[0, 1], 100);
+        let plan = h.plan_request(Instant::EPOCH);
+        assert!(h.on_abandon(Instant::from_millis(50), plan.seq));
+        assert!(
+            !h.on_abandon(Instant::from_millis(51), plan.seq),
+            "already retired"
+        );
+        let stats = h.stats();
+        assert_eq!(stats.abandoned, 1);
+        assert_eq!(stats.delivered, 0);
+        assert_eq!(stats.gave_up, 0);
+        assert_eq!(h.detector().failures(), 0);
+        // A late reply from the abandoned attempt still mines perf data.
+        let perf = PerfReport::new(ms(100), ms(0), 0);
+        let outcome = h.on_reply(Instant::from_millis(120), plan.seq, plan.replicas[0], perf);
+        assert!(matches!(outcome, ReplyOutcome::Unknown));
+        assert!(
+            !h.on_give_up(Instant::from_millis(130), plan.seq),
+            "nothing left to give up on"
+        );
+    }
+
+    #[test]
+    fn rejoining_replica_serves_probation_until_fresh_window() {
+        let mut h = handler(0.0);
+        seed(&mut h, &[0, 1, 2], 100);
+        let [r0, r1, r2] = [0, 1, 2].map(ReplicaId::new);
+        h.on_view(Instant::EPOCH, [r0, r1]);
+        assert!(!h.repository().contains(r2));
+        let plan = h.plan_request(Instant::EPOCH);
+        assert!(
+            !plan.replicas.contains(&r2),
+            "a departed replica is not asked"
+        );
+        // Replica 2 recovers and rejoins the view: probation, not trust.
+        h.on_view(Instant::from_millis(10), [r0, r1, r2]);
+        assert!(h.repository().stats(r2).unwrap().is_on_probation());
+        // It shadows the next selection (so its window can refill) but is
+        // never a trusted candidate while on probation.
+        let plan = h.plan_request(Instant::from_millis(20));
+        assert_eq!(
+            plan.replicas.last(),
+            Some(&r2),
+            "shadows are appended after the trusted selection"
+        );
+        // l fresh samples clear probation.
+        for i in 0..5u64 {
+            let perf = PerfReport::new(ms(90), ms(0), 0);
+            h.on_perf_update(Instant::from_millis(30 + i), r2, perf);
+        }
+        assert!(!h.repository().stats(r2).unwrap().is_on_probation());
+        // A never-seen member is warmed by the cold-start multicast instead.
+        let r3 = ReplicaId::new(3);
+        h.on_view(Instant::from_millis(40), [r0, r1, r2, r3]);
+        assert!(!h.repository().stats(r3).unwrap().is_on_probation());
     }
 }

@@ -1,6 +1,6 @@
 //! Observability hooks for the timing fault handler.
 //!
-//! [`HandlerObserver`] is the glue between [`crate::TimingFaultHandler`]
+//! [`HandlerObserver`] is the glue between [`crate::ConcurrentHandler`]
 //! and the `aqua-obs` registry/journal: the handler calls one hook per
 //! lifecycle event (plan, reply, give-up) and the observer maintains
 //!
@@ -125,7 +125,6 @@ pub struct HandlerObserver {
     probation_cleared: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    cache_invalidations: Arc<Counter>,
     overhead: Arc<Histogram>,
     response: Arc<Histogram>,
     selection_sizes: HashMap<usize, Arc<Counter>>,
@@ -167,7 +166,6 @@ impl HandlerObserver {
                 .counter("aqua_probation_transitions_total", &[("phase", "cleared")]),
             cache_hits: registry.counter("aqua_model_cache_hits_total", &labels),
             cache_misses: registry.counter("aqua_model_cache_misses_total", &labels),
-            cache_invalidations: registry.counter("aqua_model_cache_invalidations_total", &labels),
             overhead: registry.histogram("aqua_selection_overhead_ns", &labels),
             response: registry.histogram("aqua_response_time_ns", &labels),
             selection_sizes: HashMap::new(),
@@ -418,18 +416,11 @@ impl HandlerObserver {
         }
     }
 
-    /// Accumulates one plan's model-cache activity (deltas, not lifetime
-    /// totals — the handler subtracts the previous snapshot).
-    pub(crate) fn on_model_cache(&mut self, hits: u64, misses: u64, invalidations: u64) {
-        if hits > 0 {
-            self.cache_hits.add(hits);
-        }
-        if misses > 0 {
-            self.cache_misses.add(misses);
-        }
-        if invalidations > 0 {
-            self.cache_invalidations.add(invalidations);
-        }
+    /// Accumulates one publish's model-cache activity: snapshots carried
+    /// over (hits) and rebuilt (misses).
+    pub(crate) fn on_model_cache(&mut self, hits: u64, misses: u64) {
+        self.cache_hits.add(hits);
+        self.cache_misses.add(misses);
     }
 
     /// Records a probation transition for `replica`: `started = true` when
@@ -462,11 +453,6 @@ impl HandlerObserver {
             }
         }
         self.obs.journal().flush();
-    }
-
-    /// Number of spans not yet emitted.
-    pub fn open_spans(&self) -> usize {
-        self.spans.len()
     }
 }
 

@@ -1,5 +1,5 @@
-//! The pending-request table both handlers keep: sequence number → entry,
-//! trimmed in constant time per insert.
+//! The handler's pending-request table: sequence number → entry, trimmed
+//! in constant time per insert.
 //!
 //! An answered entry stays in the table for a while so that a late
 //! duplicate reply classifies as [`crate::ReplyOutcome::Redundant`] rather
@@ -82,10 +82,6 @@ impl<E> PendingTable<E> {
         self.entries.get(&seq)
     }
 
-    pub(crate) fn get_mut(&mut self, seq: u64) -> Option<&mut E> {
-        self.entries.get_mut(&seq)
-    }
-
     /// Removes an entry; its seq leaves the insertion order at a later
     /// trim.
     pub(crate) fn remove(&mut self, seq: u64) -> Option<E> {
@@ -97,6 +93,7 @@ impl<E> PendingTable<E> {
     }
 
     /// Entries held, answered or not.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -105,8 +102,7 @@ impl<E> PendingTable<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::{ReplyOutcome, TimingFaultHandler};
-    use crate::ConcurrentHandler;
+    use crate::{ConcurrentHandler, ReplyOutcome};
     use aqua_core::qos::{QosSpec, ReplicaId};
     use aqua_core::repository::PerfReport;
     use aqua_core::time::{Duration, Instant};
@@ -114,9 +110,9 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// How far past [`KEEP_RECENT`] the concurrent handler's table may
-    /// run: each of its 16 shards trims only on its own inserts, so the
-    /// whole table can lag by one shard's share of the window.
+    /// How far past [`KEEP_RECENT`] the handler's table may run: each of
+    /// its 16 shards trims only on its own inserts, so the whole table can
+    /// lag by one shard's share of the window.
     const SLACK: usize = KEEP_RECENT as usize / 16;
 
     impl Answered for bool {
@@ -150,109 +146,31 @@ mod tests {
     /// answered by its only reply was never freed.
     #[test]
     fn a_single_replica_handler_keeps_a_bounded_pending_table() {
-        fn entries_after_calls<H: Handler>(calls: u64) -> usize {
-            let mut handler = H::with_replicas(Box::new(ModelBased::default()), 1);
-            for call in 0..calls {
-                let now = Instant::from_nanos(call * 10_000);
-                let (seq, replicas) = handler.plan(now);
-                assert_eq!(replicas, [ReplicaId::new(0)]);
-                let out = handler.reply(now, seq, replicas[0]);
-                assert!(matches!(out, ReplyOutcome::Deliver { .. }));
-            }
-            assert_eq!(handler.open(), 0);
-            handler.tracked()
+        let handler = with_replicas(Box::new(ModelBased::default()), 1);
+        for call in 0..20_000 {
+            let now = Instant::from_nanos(call * 10_000);
+            let plan = handler.plan_request(now);
+            assert_eq!(plan.replicas.as_ref(), [ReplicaId::new(0)]);
+            let out = handler.on_reply(now, plan.seq, plan.replicas[0], report());
+            assert!(matches!(out, ReplyOutcome::Deliver { .. }));
         }
+        assert_eq!(handler.pending_count(), 0);
+        let entries = handler.tracked_entries();
         let bound = KEEP_RECENT as usize + SLACK;
-        let serial = entries_after_calls::<TimingFaultHandler>(20_000);
-        assert!(serial <= bound, "TimingFaultHandler holds {serial} entries");
-        let shared = entries_after_calls::<ConcurrentHandler>(20_000);
-        assert!(shared <= bound, "ConcurrentHandler holds {shared} entries");
+        assert!(entries <= bound, "the handler holds {entries} entries");
     }
 
-    /// Both handlers behind the operations the proptest drives.
-    trait Handler {
-        /// Whether a reply resolves the whole group of sibling attempts
-        /// (the concurrent handler) or only its own attempt.
-        const GROUPS: bool;
-        fn with_replicas(strategy: Box<dyn SelectionStrategy>, replicas: u64) -> Self;
-        fn plan(&mut self, now: Instant) -> (u64, Vec<ReplicaId>);
-        fn retry(
-            &mut self,
-            now: Instant,
-            retry_of: u64,
-            exclude: &[ReplicaId],
-        ) -> Option<(u64, Vec<ReplicaId>)>;
-        fn reply(&mut self, now: Instant, seq: u64, replica: ReplicaId) -> ReplyOutcome;
-        fn give_up(&mut self, now: Instant, seq: u64) -> bool;
-        fn abandon(&mut self, now: Instant, seq: u64) -> bool;
-        fn tracked(&self) -> usize;
-        fn open(&self) -> usize;
-    }
-
-    fn qos() -> QosSpec {
-        QosSpec::new(Duration::from_millis(200), 0.9).unwrap()
+    fn with_replicas(strategy: Box<dyn SelectionStrategy>, replicas: u64) -> ConcurrentHandler {
+        let qos = QosSpec::new(Duration::from_millis(200), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 5, strategy);
+        for r in 0..replicas {
+            h.insert_replica(Instant::EPOCH, ReplicaId::new(r));
+        }
+        h
     }
 
     fn report() -> PerfReport {
         PerfReport::new(Duration::from_millis(20), Duration::ZERO, 0)
-    }
-
-    /// The parts of [`Handler`] both handlers spell the same way.
-    macro_rules! handler_ops {
-        () => {
-            fn plan(&mut self, now: Instant) -> (u64, Vec<ReplicaId>) {
-                let plan = self.plan_request(now);
-                (plan.seq, plan.replicas.to_vec())
-            }
-            fn retry(
-                &mut self,
-                now: Instant,
-                retry_of: u64,
-                exclude: &[ReplicaId],
-            ) -> Option<(u64, Vec<ReplicaId>)> {
-                self.plan_retry(now, None, now, retry_of, exclude)
-                    .map(|plan| (plan.seq, plan.replicas.to_vec()))
-            }
-            fn reply(&mut self, now: Instant, seq: u64, replica: ReplicaId) -> ReplyOutcome {
-                self.on_reply(now, seq, replica, report())
-            }
-            fn give_up(&mut self, now: Instant, seq: u64) -> bool {
-                self.on_give_up(now, seq)
-            }
-            fn abandon(&mut self, now: Instant, seq: u64) -> bool {
-                self.on_abandon(now, seq)
-            }
-            fn tracked(&self) -> usize {
-                self.tracked_entries()
-            }
-            fn open(&self) -> usize {
-                self.pending_count()
-            }
-        };
-    }
-
-    impl Handler for TimingFaultHandler {
-        const GROUPS: bool = false;
-        fn with_replicas(strategy: Box<dyn SelectionStrategy>, replicas: u64) -> Self {
-            let mut h = TimingFaultHandler::new(qos(), 5, strategy);
-            for r in 0..replicas {
-                h.repository_mut().insert_replica(ReplicaId::new(r));
-            }
-            h
-        }
-        handler_ops!();
-    }
-
-    impl Handler for ConcurrentHandler {
-        const GROUPS: bool = true;
-        fn with_replicas(strategy: Box<dyn SelectionStrategy>, replicas: u64) -> Self {
-            let h = ConcurrentHandler::new(qos(), 5, strategy);
-            for r in 0..replicas {
-                h.insert_replica(Instant::EPOCH, ReplicaId::new(r));
-            }
-            h
-        }
-        handler_ops!();
     }
 
     /// What the table must say about one attempt.
@@ -273,7 +191,7 @@ mod tests {
         origin: u64,
     }
 
-    /// The protocol both handlers run, without any trimming.
+    /// The protocol the handler runs, without any trimming.
     #[derive(Default)]
     struct Model {
         attempts: BTreeMap<u64, Attempt>,
@@ -310,23 +228,21 @@ mod tests {
             attempt.state = state;
         }
 
-        /// Resolves the logical request of open attempt `seq`. With groups,
-        /// a delivery retires the open siblings and a give-up leaves their
-        /// entries in place, resolved through the shared flag.
-        fn resolve(&mut self, groups: bool, seq: u64, delivered: bool) {
-            if groups {
-                let origin = self.attempts[&seq].origin;
-                for sibling in self.groups[&origin].clone() {
-                    if sibling != seq && self.state(sibling) == State::Open {
-                        self.set(
-                            sibling,
-                            if delivered {
-                                State::Removed
-                            } else {
-                                State::Answered
-                            },
-                        );
-                    }
+        /// Resolves the logical request of open attempt `seq`: a delivery
+        /// retires the open siblings and a give-up leaves their entries in
+        /// place, resolved through the shared flag.
+        fn resolve(&mut self, seq: u64, delivered: bool) {
+            let origin = self.attempts[&seq].origin;
+            for sibling in self.groups[&origin].clone() {
+                if sibling != seq && self.state(sibling) == State::Open {
+                    self.set(
+                        sibling,
+                        if delivered {
+                            State::Removed
+                        } else {
+                            State::Answered
+                        },
+                    );
                 }
             }
             self.set(
@@ -381,21 +297,21 @@ mod tests {
     }
 
     /// Sends one reply to `handler` and checks it against `model`.
-    fn reply<H: Handler>(
-        handler: &mut H,
+    fn reply(
+        handler: &ConcurrentHandler,
         model: &mut Model,
         now: Instant,
         seq: u64,
         replica: ReplicaId,
     ) -> Result<(), TestCaseError> {
-        let out = handler.reply(now, seq, replica);
+        let out = handler.on_reply(now, seq, replica, report());
         let expected = match model.state(seq) {
             State::Open => {
                 prop_assert!(
                     matches!(out, ReplyOutcome::Deliver { .. }),
                     "open attempt {seq} must deliver, got {out:?}"
                 );
-                model.resolve(H::GROUPS, seq, true);
+                model.resolve(seq, true);
                 return Ok(());
             }
             State::Answered => ReplyOutcome::Redundant,
@@ -417,9 +333,13 @@ mod tests {
     }
 
     /// Drives `ops`, cycling until more than two windows of seqs were
-    /// planned, through a handler and the model side by side.
-    fn check<H: Handler>(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
-        let mut handler = H::with_replicas(Box::new(StaticK { k }), 4);
+    /// planned, through the handler and the model side by side.
+    fn check(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+        let handler = with_replicas(Box::new(StaticK { k }), 4);
+        let plan = |now| {
+            let plan = handler.plan_request(now);
+            (plan.seq, plan.replicas.to_vec())
+        };
         let mut model = Model::default();
         let mut now = Instant::EPOCH;
         let mut max_open = 0;
@@ -430,11 +350,11 @@ mod tests {
                 match *op {
                     Op::Burst { n, replies } => {
                         for i in 0..n {
-                            let (seq, replicas) = handler.plan(now);
+                            let (seq, replicas) = plan(now);
                             model.add(seq, replicas.clone(), seq);
                             for (k, replica) in replicas.into_iter().enumerate() {
                                 if replies[(i % 4) as usize] & (1 << k) != 0 {
-                                    reply(&mut handler, &mut model, now, seq, replica)?;
+                                    reply(&handler, &mut model, now, seq, replica)?;
                                 }
                             }
                         }
@@ -444,20 +364,20 @@ mod tests {
                         let Some(&replica) = model.attempts[&seq].replicas.get(k) else {
                             continue;
                         };
-                        reply(&mut handler, &mut model, now, seq, replica)?;
+                        reply(&handler, &mut model, now, seq, replica)?;
                     }
                     Op::GiveUp { back } => {
                         let Some(seq) = target(back) else { continue };
                         let open = model.state(seq) == State::Open;
-                        prop_assert_eq!(handler.give_up(now, seq), open, "give-up of {}", seq);
+                        prop_assert_eq!(handler.on_give_up(now, seq), open, "give-up of {}", seq);
                         if open {
-                            model.resolve(H::GROUPS, seq, false);
+                            model.resolve(seq, false);
                         }
                     }
                     Op::Abandon { back } => {
                         let Some(seq) = target(back) else { continue };
                         let open = model.state(seq) == State::Open;
-                        prop_assert_eq!(handler.abandon(now, seq), open, "abandon of {}", seq);
+                        prop_assert_eq!(handler.on_abandon(now, seq), open, "abandon of {}", seq);
                         if open {
                             model.set(seq, State::Removed);
                         }
@@ -465,37 +385,31 @@ mod tests {
                     Op::Retry { back } => {
                         let Some(seq) = target(back) else { continue };
                         let asked = model.attempts[&seq].replicas.clone();
-                        let retried = handler.retry(now, seq, &asked);
-                        if H::GROUPS && model.state(seq) != State::Open {
+                        let retried = handler.plan_retry(now, None, now, seq, &asked);
+                        if model.state(seq) != State::Open {
                             prop_assert!(retried.is_none(), "retry of resolved seq {seq}");
                         }
-                        if let Some((retry, replicas)) = retried {
-                            // Only the concurrent handler groups a retry
-                            // with the attempt it retries.
-                            let origin = if H::GROUPS {
-                                model.attempts[&seq].origin
-                            } else {
-                                retry
-                            };
-                            model.add(retry, replicas, origin);
+                        if let Some(retry) = retried {
+                            let origin = model.attempts[&seq].origin;
+                            model.add(retry.seq, retry.replicas.to_vec(), origin);
                         }
                     }
                 }
-                prop_assert_eq!(handler.open(), model.open, "open attempts");
+                prop_assert_eq!(handler.pending_count(), model.open, "open attempts");
                 max_open = max_open.max(model.open);
                 // The table holds the window, the open attempts, and
                 // resolved entries no trim has reached yet. Two front
                 // entries examined per insert keep the last below a small
                 // multiple of the open ones (DESIGN.md §12).
                 prop_assert!(
-                    handler.tracked() <= KEEP_RECENT as usize + SLACK + 3 * max_open,
+                    handler.tracked_entries() <= KEEP_RECENT as usize + SLACK + 3 * max_open,
                     "table holds {} entries, at most {} were open at once",
-                    handler.tracked(),
+                    handler.tracked_entries(),
                     max_open
                 );
             }
             // Progress even when the ops plan nothing.
-            let (seq, replicas) = handler.plan(now);
+            let (seq, replicas) = plan(now);
             model.add(seq, replicas, seq);
         }
         Ok(())
@@ -506,15 +420,14 @@ mod tests {
 
         /// Trimming on insert changes nothing a reply to one of the last
         /// `KEEP_RECENT` seqs can see, never drops an open entry, and
-        /// keeps the table bounded, on both handlers and at every
-        /// redundancy the selection may use.
+        /// keeps the table bounded, at every redundancy the selection
+        /// may use.
         #[test]
         fn trimming_on_insert_keeps_the_reply_protocol(
             ops in prop::collection::vec(op(), 1..40),
             k in 1usize..=3,
         ) {
-            check::<TimingFaultHandler>(k, &ops)?;
-            check::<ConcurrentHandler>(k, &ops)?;
+            check(k, &ops)?;
         }
     }
 }

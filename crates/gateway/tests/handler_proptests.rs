@@ -1,16 +1,22 @@
 //! Property tests for the timing fault handler as a state machine: random
 //! sequences of replies, perf updates, view changes, and give-ups must
-//! never break its accounting invariants.
+//! never break its accounting invariants. The handler runs with no
+//! republish debounce, as the simulator runs it.
 
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::PerfReport;
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::{ReplyOutcome, TimingFaultHandler};
+use aqua_gateway::{ConcurrentHandler, ReplyOutcome};
 use aqua_strategies::ModelBased;
 use proptest::prelude::*;
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
+}
+
+fn handler(qos: QosSpec, window: usize) -> ConcurrentHandler {
+    ConcurrentHandler::new(qos, window, Box::new(ModelBased::default()))
+        .with_min_republish(Duration::ZERO)
 }
 
 /// An abstract action to drive the handler with.
@@ -88,9 +94,9 @@ proptest! {
     fn handler_accounting_never_breaks(actions in prop::collection::vec(action(), 1..80)) {
         let pool = 5u64;
         let qos = QosSpec::new(ms(200), 0.9).unwrap();
-        let mut handler = TimingFaultHandler::new(qos, 5, Box::new(ModelBased::default()));
+        let handler = handler(qos, 5);
         for i in 0..pool {
-            handler.repository_mut().insert_replica(ReplicaId::new(i));
+            handler.insert_replica(Instant::EPOCH, ReplicaId::new(i));
         }
 
         let mut now = Instant::EPOCH;
@@ -184,7 +190,7 @@ proptest! {
         let pool = 5u64;
         let l = 5u32; // repository window == probation length
         let qos = QosSpec::new(ms(200), 0.9).unwrap();
-        let mut handler = TimingFaultHandler::new(qos, l as usize, Box::new(ModelBased::default()));
+        let handler = handler(qos, l as usize);
         let mut now = Instant::EPOCH;
         // Everyone starts in the view, so every later reappearance is a
         // rejoin (first joins are warmed by cold-start, not probation).
@@ -251,9 +257,10 @@ proptest! {
             }
 
             // The handler must agree with the shadow model exactly.
+            let repository = handler.repository();
             for i in 0..pool as usize {
                 let id = ReplicaId::new(i as u64);
-                let stats = handler.repository().stats(id);
+                let stats = repository.stats(id);
                 prop_assert_eq!(stats.is_some(), in_view[i]);
                 if let Some(stats) = stats {
                     prop_assert_eq!(
@@ -264,7 +271,7 @@ proptest! {
                 }
             }
             // Strategies may only trust replicas that are off probation.
-            for (_, stats) in handler.repository().selectable() {
+            for (_, stats) in repository.selectable() {
                 prop_assert!(!stats.is_on_probation());
             }
         }
@@ -274,10 +281,9 @@ proptest! {
     fn handler_is_deterministic(actions in prop::collection::vec(action(), 1..40)) {
         fn run(actions: &[Action]) -> (u64, u64, u64, usize) {
             let qos = QosSpec::new(ms(200), 0.5).unwrap();
-            let mut handler =
-                TimingFaultHandler::new(qos, 5, Box::new(ModelBased::default()));
+            let handler = handler(qos, 5);
             for i in 0..4u64 {
-                handler.repository_mut().insert_replica(ReplicaId::new(i));
+                handler.insert_replica(Instant::EPOCH, ReplicaId::new(i));
             }
             let mut now = Instant::EPOCH;
             let mut plans = Vec::new();

@@ -129,25 +129,37 @@ fn a_steady_state_publish_allocates_within_a_fixed_bound() {
     for id in plan.replicas.iter() {
         handler.on_reply(now, plan.seq, *id, report(id.index(), 0));
     }
+    // Plan and retire requests until the pending table holds as many
+    // seqs as it ever will: from then on a plan's own allocations are the
+    // same every time.
+    for _ in 0..3_000 {
+        let plan = handler.plan_request(now);
+        handler.on_abandon(now, plan.seq);
+    }
 
-    // One round per millisecond, one update per replica: the first
-    // update of a round publishes what the last round changed (the
-    // 500 µs debounce holds back the other fifteen), so every publish
-    // rebuilds all sixteen replicas' tables.
+    // One round per millisecond, one update per replica, then a plan: the
+    // plan publishes what the round changed (the round is past the 500 µs
+    // debounce), so every publish rebuilds all sixteen replicas' tables. A
+    // second plan on the same view publishes nothing; what the first
+    // allocated beyond it is the publish's.
     let rounds = 200u64;
     let mut per_publish = Vec::new();
     for round in 0..rounds {
         let now = ms(WINDOW as u64 + 1 + round);
         let version = handler.planning_view().version();
-        let allocations = allocations_of(|| {
-            for r in 0..REPLICAS {
-                handler.on_perf_update(now, ReplicaId::new(r), report(r, round));
-            }
-        });
+        for r in 0..REPLICAS {
+            handler.on_perf_update(now, ReplicaId::new(r), report(r, round));
+        }
+        let mut plans = Vec::with_capacity(2);
+        let publishing = allocations_of(|| plans.push(handler.plan_request(now)));
+        let planning = allocations_of(|| plans.push(handler.plan_request(now)));
         let view = handler.planning_view();
         assert_eq!(view.version(), version + 1, "one publish per round");
         assert!(view.all_warm());
-        per_publish.push(allocations);
+        for plan in plans {
+            handler.on_abandon(now, plan.seq);
+        }
+        per_publish.push(publishing.saturating_sub(planning));
     }
     // Warm-up: the first publishes grow the spare buffers.
     let steady = &per_publish[20..];

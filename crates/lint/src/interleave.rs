@@ -16,7 +16,7 @@
 //! and `aqua-lint --interleave` all check against it.
 //!
 //! Eight models port real synchronization hot spots from the workspace;
-//! each has one or two buggy variants that prove the checker catches the
+//! each has one to three buggy variants that prove the checker catches the
 //! bug the shipped design prevents:
 //!
 //! * `obs-registry-register-vs-scrape` — `aqua-obs` metric registration
@@ -31,15 +31,21 @@
 //!   the replica `epoch`, so a generation counter that restarts after
 //!   re-insert can never alias a stale snapshot (the ABA hazard
 //!   `repository-no-epoch-aba` exhibits).
-//! * `gateway-snapshot-publish-vs-plan` — the concurrent gateway's
-//!   snapshot pipeline: sharded ingestion marks a dirty flag, publishers
-//!   rebuild under a publish mutex into the buffers of the view the last
-//!   publish retired (only if no planner still holds it) and install
-//!   through a version-guarded cell, planners read lock-free.
+//! * `gateway-snapshot-publish-vs-plan` — the gateway handler's snapshot
+//!   pipeline: sharded ingestion marks a dirty flag; a plan that finds it
+//!   set publishes if it can *try*-lock the publish mutex, and a
+//!   membership change publishes waiting for the mutex. Both rebuild into
+//!   the buffers of the view the last publish retired (only if no planner
+//!   still holds it) and install through a version-guarded cell; planners
+//!   read lock-free, and a plan that found no publish in flight plans from
+//!   a view holding every ingest complete when it started.
 //!   `gateway-snapshot-unserialized-publish` drops both the mutex and the
 //!   guard and loses an update; `gateway-snapshot-recycle-while-held`
 //!   reuses the retired view without asking whether a planner holds it,
-//!   and the planner reads tables rebuilt under its feet.
+//!   and the planner reads tables rebuilt under its feet;
+//!   `gateway-snapshot-plan-claims-dirty` clears the dirty flag when the
+//!   plan looks at it rather than under the mutex, and a second plan finds
+//!   a clean flag and a free mutex while an ingest is still unpublished.
 //! * `gateway-reply-vs-retry` — the sharded pending-request table: a
 //!   first reply CASes the shared `answered` flag and retires sibling
 //!   attempts while the retry path inserts its entry; the retry's
@@ -241,9 +247,9 @@ impl Entry {
     }
 }
 
-/// Every model: the eight shipped ones (which must pass), then the eleven
+/// Every model: the eight shipped ones (which must pass), then the twelve
 /// buggy variants (which must be caught).
-pub fn catalogue() -> [Entry; 19] {
+pub fn catalogue() -> [Entry; 20] {
     let shipped = |name, schedules, explore| Entry {
         name,
         schedules,
@@ -265,9 +271,10 @@ pub fn catalogue() -> [Entry; 19] {
         shipped("repository-record-vs-remove-epoch", 1_716, || {
             explore(&repository(true))
         }),
-        // 6 + 6 + 3 steps, the publish mutex serializing the two rebuilds.
-        shipped("gateway-snapshot-publish-vs-plan", 6_370, || {
-            explore(&snapshot(true, true, true))
+        // 5 + 4 + 3 steps, the publish mutex serializing the two rebuilds
+        // (the plan only tries it, so it never blocks).
+        shipped("gateway-snapshot-publish-vs-plan", 15_840, || {
+            explore(&snapshot(true, true, true, false))
         }),
         // 4 + 3 + 4 always-enabled steps: 11!/(4!·3!·4!).
         shipped("gateway-reply-vs-retry", 1_680, || {
@@ -292,17 +299,24 @@ pub fn catalogue() -> [Entry; 19] {
         variant("repository-no-epoch-aba", 1_716, "stale cache hit", || {
             explore(&repository(false))
         }),
+        // 5 + 4 + 3 always-enabled steps: 12!/(5!·4!·3!).
         variant(
             "gateway-snapshot-unserialized-publish",
-            420_420,
+            27_720,
             "ABA",
-            || explore(&snapshot(false, false, true)),
+            || explore(&snapshot(false, false, true, false)),
         ),
         variant(
             "gateway-snapshot-recycle-while-held",
-            6_370,
+            15_840,
             "planner read mutated tables",
-            || explore(&snapshot(true, true, false)),
+            || explore(&snapshot(true, true, false, false)),
+        ),
+        variant(
+            "gateway-snapshot-plan-claims-dirty",
+            15_840,
+            "plan missed an ingest",
+            || explore(&snapshot(true, true, true, true)),
         ),
         variant(
             "gateway-retry-missing-recheck",
@@ -566,23 +580,25 @@ fn repository(key_includes_epoch: bool) -> Model<RepoState> {
 // ---------------------------------------------------------------------------
 
 /// Shadow of the `ConcurrentHandler` snapshot pipeline: sharded ingestion
-/// marks a dirty flag, publishers rebuild the planning view under a
-/// publish mutex and install it through a version-guarded cell, and the
-/// planner reads the published pointer without any lock. A publisher
-/// builds into the buffers of the view the previous publish swapped out
-/// (`ViewSpares`) when no planner still holds that view, and into new
-/// buffers otherwise.
+/// marks a dirty flag, and publishers merge the shards under a publish
+/// mutex and install the view through a version-guarded cell; planners
+/// read the published pointer without any lock. A plan publishes a dirty
+/// view itself, but only *tries* the mutex; a membership change takes it,
+/// waiting. A publisher builds into the buffers of the view the previous
+/// publish swapped out (`ViewSpares`) when no planner still holds that
+/// view, and into new buffers otherwise.
 #[derive(Clone)]
 struct SnapshotState {
-    /// Per-shard ingested sample counts (two ingestion shards).
+    /// Samples written: `[ingested replies, membership changes]`.
     shard: [ShadowAtomicU64; 2],
     /// The "snapshot is stale" flag (`ConcurrentHandler::dirty`).
     dirty: ShadowAtomicU64,
     /// Serializes rebuild+install (`ConcurrentHandler::publish`).
     publish_lock: ShadowLock,
-    /// View buffers, `(version, content)` each: the initial view and at
-    /// most one new buffer per publish.
-    views: [(u64, u64); 3],
+    /// View buffers, `(version, content)` each, the content being the
+    /// shard counts merged into it: the initial view and at most one new
+    /// buffer per publish.
+    views: [(u64, [u64; 2]); 3],
     /// Buffers in use so far.
     allocated: usize,
     /// Planner references to each view (`Arc` clones from a load).
@@ -591,101 +607,112 @@ struct SnapshotState {
     current: usize,
     /// The view the last install swapped out, kept for its buffers.
     retired: Option<usize>,
-    /// Per-ingester harvest: the `(version, content)` to publish; `None`
-    /// when the dirty check said someone else already published.
-    built: [Option<(u64, u64)>; 2],
-    /// Per-ingester buffer the harvest was built into.
+    /// Per-publisher (plan, membership) harvest: the `(version, content)`
+    /// to publish; `None` when the dirty check said someone else already
+    /// published.
+    built: [Option<(u64, [u64; 2])>; 2],
+    /// Per-publisher buffer the harvest was built into.
     buffer: [Option<usize>; 2],
-    /// Per-ingester "finished the whole publish path" flags.
-    done: [bool; 2],
-    /// Planner: the view it holds and what it read there at load time.
-    held: Option<(usize, (u64, u64))>,
-    /// Planner: the last `(version, content)` it loaded.
-    planned: Option<(u64, u64)>,
+    /// Per-thread "finished" flags.
+    done: [bool; 3],
+    /// Per thread: whether its plan found the view dirty.
+    wants: [bool; 3],
+    /// Per thread: the ingests its plan must see — those complete when it
+    /// looked — or `None` when it found a publish in flight, which a plan
+    /// does not wait for.
+    owed: [Option<u64>; 3],
+    /// The holding planner: the view it holds and what it read there at
+    /// load time.
+    held: Option<(usize, (u64, [u64; 2]))>,
+    /// The last `(version, content)` any planner loaded.
+    planned: Option<(u64, [u64; 2])>,
     /// First violation observed by a planner or final-state check.
     violation: Option<String>,
 }
 
-/// Snapshot publish-vs-plan model: `use_mutex` serializes rebuild+install
-/// under the publish mutex, `version_guard` makes install refuse
-/// `version <= current` (`SnapshotCell::publish`). Without both, a
-/// rebuild computed before a peer's sample can overwrite the newer
-/// snapshot (lost update + same-version ABA). `unique_check` lets the
-/// recycle step reuse the retired view only if no planner holds it
-/// (`Arc::try_unwrap`); without it a planner reads tables rebuilt under
-/// its feet.
-fn snapshot(use_mutex: bool, version_guard: bool, unique_check: bool) -> Model<SnapshotState> {
+/// Snapshot publish-vs-plan model. Thread 0 ingests a reply and then
+/// plans, publishing what it finds dirty if the mutex is free; thread 1
+/// changes the membership and publishes, waiting for the mutex; thread 2
+/// plans from a view it holds across their publishes.
+///
+/// `use_mutex` serializes rebuild+install under the publish mutex,
+/// `version_guard` makes install refuse `version <= current`
+/// (`SnapshotCell::publish`). Without both, a rebuild computed before a
+/// peer's sample can overwrite the newer snapshot (lost update +
+/// same-version ABA). `unique_check` lets the recycle step reuse the
+/// retired view only if no planner holds it (`Arc::try_unwrap`); without
+/// it a planner reads tables rebuilt under its feet. `claim_at_check`
+/// has the plan clear the dirty flag when it looks at it, before it takes
+/// the mutex and harvests; a plan that looks in between finds the view
+/// clean and the mutex free, and plans without an ingest that completed
+/// before it started.
+fn snapshot(
+    use_mutex: bool,
+    version_guard: bool,
+    unique_check: bool,
+    claim_at_check: bool,
+) -> Model<SnapshotState> {
     type St = Step<SnapshotState>;
-    // Each ingester mirrors `ingest` + `maybe_publish`: write its shard
-    // and mark dirty (one step — the shard mutex covers both), take the
-    // publish mutex, harvest (re-check dirty, clear it, merge ALL shards
-    // at version current+1), recycle (build into the retired view's
-    // buffers, or new ones), install (the swapped-out view is retired),
-    // release.
-    let ingester = || {
-        vec![
-            St::new("ingest.write+dirty", |s, tid| {
-                s.shard[tid].fetch_add(1);
-                s.dirty.store(1);
-            }),
-            St::gated(
-                "publish.lock",
-                move |s, tid| !use_mutex || s.publish_lock.can_acquire(tid),
-                move |s, tid| {
-                    if use_mutex {
-                        s.publish_lock.acquire(tid);
-                    }
-                },
-            ),
-            St::new("publish.harvest", |s, tid| {
-                if s.dirty.load() == 0 {
-                    s.built[tid] = None; // someone newer already published
-                } else {
-                    s.dirty.store(0);
-                    let content = s.shard[0].load() + s.shard[1].load();
-                    s.built[tid] = Some((s.views[s.current].0 + 1, content));
-                }
-            }),
-            St::new("publish.recycle", move |s, tid| {
-                let Some(built) = s.built[tid] else {
-                    return;
-                };
-                let reclaimed = s
-                    .retired
-                    .take()
-                    .filter(|&view| !unique_check || s.holders[view] == 0);
-                let buffer = reclaimed.unwrap_or_else(|| {
-                    s.allocated += 1;
-                    s.allocated - 1
-                });
-                s.views[buffer] = built;
-                s.buffer[tid] = Some(buffer);
-            }),
-            St::new("publish.install", move |s, tid| {
-                if let Some(buffer) = s.buffer[tid] {
-                    if !version_guard || s.views[buffer].0 > s.views[s.current].0 {
-                        s.retired = Some(s.current);
-                        s.current = buffer;
-                    } else {
-                        s.retired = Some(buffer);
-                    }
-                }
-            }),
-            St::new("publish.unlock", move |s, tid| {
-                if use_mutex {
-                    s.publish_lock.release(tid);
-                }
-                s.done[tid] = true;
-            }),
-        ]
+    // Publisher slots in `built` and `buffer`.
+    const PLAN: usize = 0;
+    const MEMBER: usize = 1;
+    // A planner's first look: is the view dirty, and is a publish in
+    // flight? A plan that finds the view clean with the mutex free, or
+    // that goes on to win the mutex, is owed every ingest complete now.
+    fn look(s: &mut SnapshotState, tid: usize, claim: bool) {
+        s.wants[tid] = s.dirty.load() == 1;
+        if claim {
+            s.dirty.store(0);
+        }
+        let owed = s.wants[tid] || s.publish_lock.is_free();
+        s.owed[tid] = owed.then(|| s.shard[0].load());
+    }
+    // The publish steps both publishers share, `at` naming the thread's
+    // slot: harvest (re-check dirty unless `forced`, clear it, merge every
+    // shard at version current+1), then one step that recycles (builds
+    // into the retired view's buffers, or new ones), installs and unlocks.
+    let harvest = move |s: &mut SnapshotState, at: usize, forced: bool| {
+        if !forced && !claim_at_check && s.dirty.load() == 0 {
+            s.built[at] = None; // someone newer already published
+            return;
+        }
+        s.dirty.store(0);
+        let content = [s.shard[0].load(), s.shard[1].load()];
+        s.built[at] = Some((s.views[s.current].0 + 1, content));
     };
-
-    // The planner loads the published pointer (holding the view), reads
-    // its tables, lets go, and loads again, lock-free like
-    // `plan_with`. Versions must never regress, one version must never
-    // expose two different contents (stale-snapshot ABA), and a held
-    // view must read what it held at load time.
-    fn observe(s: &mut SnapshotState) -> usize {
+    let recycle = move |s: &mut SnapshotState, at: usize| {
+        let Some(built) = s.built[at] else {
+            return;
+        };
+        let reclaimed = s
+            .retired
+            .take()
+            .filter(|&view| !unique_check || s.holders[view] == 0);
+        let buffer = reclaimed.unwrap_or_else(|| {
+            s.allocated += 1;
+            s.allocated - 1
+        });
+        s.views[buffer] = built;
+        s.buffer[at] = Some(buffer);
+    };
+    let install = move |s: &mut SnapshotState, at: usize, tid: usize| {
+        recycle(s, at);
+        if let Some(buffer) = s.buffer[at] {
+            if !version_guard || s.views[buffer].0 > s.views[s.current].0 {
+                s.retired = Some(s.current);
+                s.current = buffer;
+            } else {
+                s.retired = Some(buffer);
+            }
+        }
+        if use_mutex && s.publish_lock.holder() == Some(tid) {
+            s.publish_lock.release(tid);
+        }
+    };
+    // Loads the published pointer: versions must never regress, one
+    // version must never expose two different contents (stale-snapshot
+    // ABA), and a plan owed an ingest must find it in the view.
+    fn observe(s: &mut SnapshotState, tid: usize) -> usize {
         let view = s.current;
         let seen = s.views[view];
         if let Some((pv, pc)) = s.planned {
@@ -696,33 +723,100 @@ fn snapshot(use_mutex: bool, version_guard: bool, unique_check: bool) -> Model<S
                 ));
             } else if seen.0 == pv && seen.1 != pc {
                 s.violation = Some(format!(
-                    "stale-snapshot ABA: v{pv} observed with content {pc} and then {}",
+                    "stale-snapshot ABA: v{pv} observed with content {pc:?} and then {:?}",
                     seen.1
+                ));
+            }
+        }
+        if let Some(owed) = s.owed[tid] {
+            if seen.1[0] < owed {
+                s.violation = Some(format!(
+                    "plan missed an ingest: {owed} complete when it looked, v{} holds {}",
+                    seen.0, seen.1[0]
                 ));
             }
         }
         s.planned = Some(seen);
         view
     }
-    let planner = vec![
-        St::new("plan.load", |s, _| {
-            let view = observe(s);
+
+    let plan = vec![
+        St::new("ingest+plan.check", move |s, tid| {
+            s.shard[0].fetch_add(1);
+            s.dirty.store(1);
+            look(s, tid, claim_at_check);
+        }),
+        St::new("plan.try_lock", move |s, tid| {
+            if !s.wants[tid] || !use_mutex {
+                return;
+            }
+            if s.publish_lock.can_acquire(tid) {
+                s.publish_lock.acquire(tid);
+            } else {
+                // A publish is in flight: plan from the current view.
+                s.wants[tid] = false;
+                s.owed[tid] = None;
+            }
+        }),
+        St::new("publish.harvest", move |s, tid| {
+            if s.wants[tid] {
+                harvest(s, PLAN, false);
+            }
+        }),
+        St::new("publish.recycle+install", move |s, tid| {
+            install(s, PLAN, tid)
+        }),
+        St::new("plan.load", |s, tid| {
+            observe(s, tid);
+            s.done[tid] = true;
+        }),
+    ];
+    let member = vec![
+        St::new("member.write", |s, _| {
+            s.shard[1].fetch_add(1);
+        }),
+        St::gated(
+            "publish.lock",
+            move |s, tid| !use_mutex || s.publish_lock.can_acquire(tid),
+            move |s, tid| {
+                if use_mutex {
+                    s.publish_lock.acquire(tid);
+                }
+            },
+        ),
+        St::new("publish.harvest", move |s, _| harvest(s, MEMBER, true)),
+        St::new("publish.recycle+install", move |s, tid| {
+            install(s, MEMBER, tid);
+            s.done[tid] = true;
+        }),
+    ];
+    // The holding planner looks, loads the published pointer and holds
+    // the view, reads its tables and lets go, lock-free like `plan_with`
+    // past its publish (a dirty view is left to the publishing plan).
+    let holder = vec![
+        St::new("plan.check", move |s, tid| {
+            look(s, tid, false);
+            if s.wants[tid] {
+                // Left to the publishing plan: no ingest is owed.
+                s.owed[tid] = None;
+            }
+        }),
+        St::new("plan.load", |s, tid| {
+            let view = observe(s, tid);
             s.holders[view] += 1;
             s.held = Some((view, s.views[view]));
         }),
-        St::new("plan.read+release", |s, _| {
+        St::new("plan.read+release", |s, tid| {
             if let Some((view, loaded)) = s.held.take() {
                 if s.views[view] != loaded {
                     s.violation = Some(format!(
-                        "planner read mutated tables: held v{} with content {}, read v{} with {}",
+                        "planner read mutated tables: held v{} with content {:?}, read v{} with {:?}",
                         loaded.0, loaded.1, s.views[view].0, s.views[view].1
                     ));
                 }
                 s.holders[view] -= 1;
             }
-        }),
-        St::new("plan.load2", |s, _| {
-            observe(s);
+            s.done[tid] = true;
         }),
     ];
 
@@ -731,27 +825,29 @@ fn snapshot(use_mutex: bool, version_guard: bool, unique_check: bool) -> Model<S
             shard: [ShadowAtomicU64::new(0), ShadowAtomicU64::new(0)],
             dirty: ShadowAtomicU64::new(0),
             publish_lock: ShadowLock::new(),
-            views: [(0, 0); 3],
+            views: [(0, [0, 0]); 3],
             allocated: 1,
             holders: [0; 3],
             current: 0,
             retired: None,
             built: [None, None],
             buffer: [None, None],
-            done: [false, false],
+            done: [false; 3],
+            wants: [false; 3],
+            owed: [None; 3],
             held: None,
             planned: None,
             violation: None,
         },
-        threads: vec![ingester(), ingester(), planner],
+        threads: vec![plan, member, holder],
         invariant: Box::new(|s| {
             recorded(&s.violation)?;
-            if s.done[0] && s.done[1] && s.dirty.load() == 0 {
-                let total = s.shard[0].load() + s.shard[1].load();
+            if s.done.iter().all(|&d| d) && s.dirty.load() == 0 {
+                let total = [s.shard[0].load(), s.shard[1].load()];
                 let content = s.views[s.current].1;
                 if content != total {
                     return Err(format!(
-                        "published snapshot lost samples: contains {content}, shards hold {total}"
+                        "published snapshot lost samples: contains {content:?}, shards hold {total:?}"
                     ));
                 }
             }

@@ -3,7 +3,7 @@
 //! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds eight
 //! token-level rules ([`rules`]), and a bounded model checker
 //! ([`interleave`]) exhaustively explores the interleavings of eight shadow
-//! models ported from real synchronization hot spots, and of eleven buggy
+//! models ported from real synchronization hot spots, and of twelve buggy
 //! variants it must catch.
 //!
 //! The tool takes no dependencies beyond the vendored `shadow` shim — it

@@ -389,7 +389,7 @@ fn fn_body_extent(tokens: &[Token], from: usize) -> Option<(usize, usize)> {
 fn in_no_panic_scope(path: &str) -> bool {
     path.starts_with("crates/core/src")
         || path.starts_with("crates/strategies/src")
-        || path == "crates/gateway/src/timing.rs"
+        || path == "crates/gateway/src/concurrent.rs"
 }
 
 /// Forbid `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`, `todo!`,

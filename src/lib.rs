@@ -52,7 +52,7 @@ pub use lan_sim as sim;
 pub mod prelude {
     pub use aqua_core::prelude::*;
     pub use aqua_gateway::{
-        ClientConfig, ClientGateway, ServerConfig, ServerGateway, TimingFaultHandler,
+        ClientConfig, ClientGateway, ConcurrentHandler, ServerConfig, ServerGateway,
     };
     pub use aqua_group::{FailureDetectorConfig, GroupCoordinator, Member, Role, View};
     pub use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
