@@ -104,8 +104,7 @@ pub mod window;
 pub mod prelude {
     pub use crate::failure::{TimingFailureDetector, TimingVerdict};
     pub use crate::model::{
-        DelayEstimator, MethodScope, ModelCacheStats, ModelConfig, QueueEstimator,
-        ResponseTimeModel,
+        DelayEstimator, MethodScope, ModelConfig, QueueEstimator, ResponseTimeModel,
     };
     pub use crate::overhead::OverheadTracker;
     pub use crate::pmf::Pmf;

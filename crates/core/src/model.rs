@@ -314,21 +314,6 @@ fn merged(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
     pairs
 }
 
-/// Counters describing how a table memo has behaved so far: the
-/// model-based strategy's per-replica snapshots, refreshed by
-/// [`crate::snapshot::ReplicaSnapshot::refresh`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModelCacheStats {
-    /// Reads answered from a held snapshot.
-    pub hits: u64,
-    /// Reads that had to build one.
-    pub misses: u64,
-    /// Held snapshots displaced because a generation they were built from
-    /// moved, their tables stopped short of the deadline, or their replica
-    /// left.
-    pub invalidations: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,11 +91,10 @@ impl ReplicaSnapshot {
     }
 
     /// [`ReplicaSnapshot::refresh`] for a snapshot its memo owns: leaves
-    /// it alone while it serves `stats` up to `horizon` (`false`), else
-    /// rebuilds it in place (`true`). The rebuild reuses the snapshot's
-    /// table list, and its tables' vectors pass through `scratch`'s
-    /// spares into the new tables, so a steady-state rebuild allocates
-    /// nothing.
+    /// it alone while it serves `stats` up to `horizon`, else rebuilds it
+    /// in place. The rebuild reuses the snapshot's table list, and its
+    /// tables' vectors pass through `scratch`'s spares into the new
+    /// tables, so a steady-state rebuild allocates nothing.
     #[aqua::hot_path]
     pub fn refresh_in_place(
         &mut self,
@@ -103,12 +102,10 @@ impl ReplicaSnapshot {
         model: Option<&ResponseTimeModel>,
         scratch: &mut ConvScratch,
         horizon: Duration,
-    ) -> bool {
-        if self.serves(stats, horizon) {
-            return false;
+    ) {
+        if !self.serves(stats, horizon) {
+            self.rebuild(self.id, stats, model, scratch, Some(horizon));
         }
-        self.rebuild(self.id, stats, model, scratch, Some(horizon));
-        true
     }
 
     /// The reuse rule: a snapshot serves `stats` at deadlines up to

@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use aqua_core::model::{ModelCacheStats, ModelConfig, ResponseTimeModel};
+use aqua_core::model::{ModelConfig, ResponseTimeModel};
 use aqua_core::overhead::OverheadTracker;
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
@@ -91,12 +91,6 @@ pub trait SelectionStrategy: Send {
     /// an immediately failed request.
     fn select(&mut self, input: &SelectionInput<'_>) -> Vec<ReplicaId>;
 
-    /// Lifetime counters of the strategy's table memo, if it has one.
-    /// Baselines return `None`.
-    fn cache_stats(&self) -> Option<ModelCacheStats> {
-        None
-    }
-
     /// How to reproduce this strategy from an immutable planning snapshot,
     /// if it is snapshot-plannable. `None` (the default) means the
     /// strategy is stateful or opaque and callers must serialize calls to
@@ -130,7 +124,6 @@ pub struct ModelBased {
     /// kept while [`ReplicaSnapshot::refresh`] finds it fresh.
     snapshots: Vec<ReplicaSnapshot>,
     scratch: ConvScratch,
-    memo: ModelCacheStats,
     overhead: OverheadTracker,
     last_predictions: Vec<(ReplicaId, f64)>,
 }
@@ -147,7 +140,6 @@ impl ModelBased {
             model: ResponseTimeModel::new(model),
             snapshots: Vec::new(),
             scratch: ConvScratch::new(),
-            memo: ModelCacheStats::default(),
             overhead: OverheadTracker::new(),
             last_predictions: Vec::new(),
         }
@@ -194,9 +186,7 @@ impl SelectionStrategy for ModelBased {
         if self.snapshots.len() > repository.len() {
             // Cheap steady-state bound: snapshots can only outnumber
             // replicas after removals, so shed the leftovers in one pass.
-            let before = self.snapshots.len();
             self.snapshots.retain(|s| repository.contains(s.id()));
-            self.memo.invalidations += (before - self.snapshots.len()) as u64;
         }
         let slot = method_slot(self.config.model.method_scope, input.method);
         let plan = plan(
@@ -218,17 +208,11 @@ impl SelectionStrategy for ModelBased {
                             &mut self.scratch,
                             horizon,
                         )?;
-                        self.memo.misses += 1;
                         self.snapshots.insert(i, fresh);
                         return self.snapshots.get(i)?.probability_by(slot, deadline);
                     }
                 };
-                if held.refresh_in_place(stats, Some(&self.model), &mut self.scratch, horizon) {
-                    self.memo.misses += 1;
-                    self.memo.invalidations += 1;
-                } else {
-                    self.memo.hits += 1;
-                }
+                held.refresh_in_place(stats, Some(&self.model), &mut self.scratch, horizon);
                 held.probability_by(slot, deadline)
             },
         );
@@ -236,10 +220,6 @@ impl SelectionStrategy for ModelBased {
         self.last_predictions.clear();
         self.last_predictions.extend(plan.predictions());
         plan.selection.into_replicas()
-    }
-
-    fn cache_stats(&self) -> Option<ModelCacheStats> {
-        Some(self.memo)
     }
 
     fn last_predictions(&self) -> &[(ReplicaId, f64)] {
@@ -730,17 +710,17 @@ mod tests {
         let qos = QosSpec::new(ms(150), 0.9).unwrap();
         let mut strat = ModelBased::default();
         let first = strat.select(&input(&repo, &qos));
-        let stats = strat.cache_stats().unwrap();
-        assert_eq!(stats.misses, 4, "one build per warm replica");
-        assert_eq!(stats.hits, 0);
+        assert_eq!(strat.snapshots.len(), 4, "one build per warm replica");
+        // Every held snapshot serves the unchanged windows at the
+        // deadline, so the repeat selection rebuilds none of them.
+        for held in &strat.snapshots {
+            let stats = repo.stats(held.id()).unwrap();
+            assert!(held.serves(stats, qos.deadline()));
+        }
 
         let second = strat.select(&input(&repo, &qos));
         assert_eq!(first, second);
-        let stats = strat.cache_stats().unwrap();
-        assert_eq!(stats.misses, 4, "unchanged windows rebuild nothing");
-        assert_eq!(stats.hits, 4);
-
-        assert!(Random::new(1, 1).cache_stats().is_none());
+        assert_eq!(strat.snapshots.len(), 4, "unchanged windows add nothing");
     }
 
     #[test]
