@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use aqua_core::qos::{QosSpec, ReplicaId};
+use aqua_core::qos::QosSpec;
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
@@ -158,19 +158,9 @@ enum TimerKind {
     GiveUp(u64),
     /// Check for stale replica entries and probe them (§8 ext. 3).
     ProbeCheck,
-    /// Intermediate retry deadline for request `seq` (the root attempt).
-    Retry(u64),
-}
-
-/// What a retry of a logical request needs: its method, its `t0`, the
-/// first attempt's selection (excluded from the re-plan), and every
-/// attempt's seq in issue order.
-#[derive(Debug)]
-struct RetryState {
-    method: MethodId,
-    t0: Instant,
-    selected: Arc<[ReplicaId]>,
-    attempts: Vec<u64>,
+    /// Intermediate retry deadline for request `seq` (its first
+    /// attempt), which invokes `method`.
+    Retry(u64, MethodId),
 }
 
 /// One buffered calibration alert: `(replica scope, method, observed,
@@ -192,11 +182,6 @@ pub struct ClientGateway {
     /// The run's fault timeline, installed on the handler's observer at
     /// start so emitted spans carry stable fault-window ids.
     fault_windows: Vec<aqua_faults::FaultWindow>,
-    /// Root seq → its retry state. Tracked only when retries are enabled;
-    /// resolving any attempt retires its siblings.
-    retry_state: HashMap<u64, RetryState>,
-    /// Sibling attempt seq → root seq.
-    root_of: HashMap<u64, u64>,
     /// Calibration alerts the watchdog hook buffered during the current
     /// event, drained into [`AquaMsg::AlertReport`]s afterwards (hooks
     /// run inside handler calls and cannot send messages themselves).
@@ -232,8 +217,6 @@ impl ClientGateway {
             finished: false,
             obs: None,
             fault_windows: Vec::new(),
-            retry_state: HashMap::new(),
-            root_of: HashMap::new(),
             alert_buffer: None,
             shed_until: None,
             shed_requests: 0,
@@ -392,16 +375,7 @@ impl ClientGateway {
         self.schedule(ctx, give_up_after, TimerKind::GiveUp(plan.seq));
         if let Some(retry_after) = self.config.retry_after {
             if retry_after < give_up_after {
-                self.retry_state.insert(
-                    plan.seq,
-                    RetryState {
-                        method,
-                        t0: now,
-                        selected: Arc::clone(&plan.replicas),
-                        attempts: vec![plan.seq],
-                    },
-                );
-                self.schedule(ctx, retry_after, TimerKind::Retry(plan.seq));
+                self.schedule(ctx, retry_after, TimerKind::Retry(plan.seq, method));
             }
         }
         IssueResult::Issued
@@ -410,15 +384,9 @@ impl ClientGateway {
     /// The intermediate retry deadline passed without a reply: re-run
     /// Algorithm 1 over the remaining replicas and multicast a sibling
     /// attempt for the same logical request.
-    fn retry(&mut self, root: u64, ctx: &mut Context<'_, Wire>) {
-        let Some(state) = self.retry_state.get(&root) else {
-            return; // already resolved
-        };
-        let (method, now) = (state.method, ctx.now());
-        let plan = self
-            .live()
-            .plan_retry(now, Some(method), state.t0, root, &state.selected);
-        let Some(plan) = plan else {
+    fn retry(&mut self, root: u64, method: MethodId, ctx: &mut Context<'_, Wire>) {
+        let now = ctx.now();
+        let Some(plan) = self.live().plan_retry(now, root) else {
             return; // resolved, or nobody left beyond the original selection
         };
         let view = self.agent.as_ref().expect("started").view();
@@ -442,26 +410,9 @@ impl ClientGateway {
                 payload_size: self.config.request_size,
             }),
         );
-        if let Some(state) = self.retry_state.get_mut(&root) {
-            state.attempts.push(plan.seq);
-        }
-        self.root_of.insert(plan.seq, root);
         if let Some(rec) = self.records.iter_mut().find(|r| r.seq == root) {
             rec.redundancy += targets.len();
         }
-    }
-
-    /// Resolves a delivered attempt's seq to the root request it belongs
-    /// to and forgets the request's retry state. The handler has already
-    /// retired the sibling attempts.
-    fn settle_attempts(&mut self, delivered: u64) -> u64 {
-        let root = self.root_of.get(&delivered).copied().unwrap_or(delivered);
-        if let Some(state) = self.retry_state.remove(&root) {
-            for attempt in state.attempts {
-                self.root_of.remove(&attempt);
-            }
-        }
-        root
     }
 
     /// Handles one arrival tick according to the pacing discipline.
@@ -539,23 +490,10 @@ impl ClientGateway {
     }
 
     /// The give-up timer fired; if the request is still outstanding, record
-    /// the timing failure and move on. With retries in play the newest
-    /// attempt carries the single give-up; earlier attempts retire.
+    /// the timing failure and move on. The handler resolves every attempt
+    /// of the request.
     fn give_up(&mut self, seq: u64, ctx: &mut Context<'_, Wire>) {
-        let now = ctx.now();
-        let resolved = if let Some(RetryState { attempts, .. }) = self.retry_state.remove(&seq) {
-            let last = *attempts.last().expect("at least the root attempt");
-            for attempt in &attempts {
-                self.root_of.remove(attempt);
-                if *attempt != last {
-                    self.live().on_abandon(now, *attempt);
-                }
-            }
-            self.live().on_give_up(now, last)
-        } else {
-            self.live().on_give_up(now, seq)
-        };
-        if resolved {
+        if self.live().on_give_up(ctx.now(), seq) {
             if let Some(rec) = self.records.iter_mut().find(|r| r.seq == seq) {
                 rec.timely = false;
             }
@@ -593,10 +531,10 @@ impl ClientGateway {
                 if let ReplyOutcome::Deliver {
                     response_time,
                     verdict,
+                    request,
                 } = outcome
                 {
-                    let root = self.settle_attempts(id.seq);
-                    if let Some(rec) = self.records.iter_mut().find(|r| r.seq == root) {
+                    if let Some(rec) = self.records.iter_mut().find(|r| r.seq == request) {
                         rec.first_reply_at = Some(now);
                         rec.response_time = Some(response_time);
                         rec.timely = verdict.is_timely();
@@ -739,7 +677,7 @@ impl Node<Wire> for ClientGateway {
                     Some(TimerKind::IssueRequest) => self.issue_request(ctx),
                     Some(TimerKind::ProbeCheck) => self.probe_stale(ctx),
                     Some(TimerKind::GiveUp(seq)) => self.give_up(seq, ctx),
-                    Some(TimerKind::Retry(seq)) => self.retry(seq, ctx),
+                    Some(TimerKind::Retry(seq, method)) => self.retry(seq, method, ctx),
                     None => {}
                 }
             }

@@ -28,11 +28,14 @@
 //!   the view it last swapped out, once no planner holds that one any
 //!   more (DESIGN.md §12).
 //! * **The pending-request table** is sharded by sequence number, each
-//!   shard a [`PendingTable`] trimmed on insert. Sibling attempts of one
-//!   logical request (retries) share an atomic `answered` flag, so
+//!   shard a [`PendingTable`] trimmed on insert. The attempts of one
+//!   logical request (the first and its retries) share one group: its
+//!   `t0`, method and first selection, and an atomic `answered` flag, so
 //!   first-reply delivery, duplicate classification, give-up, and retry
 //!   re-planning race safely: exactly one of deliver/give-up wins the
-//!   flag, and the loser reclassifies itself. Active probes (§8,
+//!   flag and retires the other attempts, and the loser reclassifies
+//!   itself. Callers address a request by its first attempt's seq and
+//!   keep nothing else about its attempts. Active probes (§8,
 //!   extension 3) are entries too: their replies feed the repository but
 //!   are never delivered, and an unanswered probe is not a failure.
 //!
@@ -85,6 +88,9 @@ pub enum ReplyOutcome {
         response_time: Duration,
         /// Timing classification (and whether to fire the QoS callback).
         verdict: TimingVerdict,
+        /// The seq of the request's first attempt, whichever attempt
+        /// this reply answered.
+        request: u64,
     },
     /// A redundant reply: discard, but its performance data was used.
     Redundant,
@@ -139,7 +145,7 @@ const INGEST_SHARDS: usize = 16;
 /// before it.
 const DEFAULT_MIN_REPUBLISH: Duration = Duration::from_micros(500);
 
-/// What the sibling attempts of one logical request share: one
+/// The one record of a logical request, shared by its attempts: one
 /// allocation per request, which is what makes delivery, give-up, and
 /// retry registration race-safe (see module docs).
 #[derive(Debug)]
@@ -149,6 +155,12 @@ struct Group {
     answered: AtomicBool,
     /// The original attempt's seq.
     origin: u64,
+    /// `t0` of the request: every attempt's response time counts from it.
+    intercepted_at: Instant,
+    /// The method every attempt invokes.
+    method: Option<MethodId>,
+    /// The first attempt's selection, which a retry does not ask again.
+    replicas: Arc<[ReplicaId]>,
     /// Every retry's seq, in order (empty, and unallocated, until the
     /// first retry). A retry registers itself here *before* inserting its
     /// entry, so the winner's retire pass can never miss it entirely.
@@ -156,10 +168,18 @@ struct Group {
 }
 
 impl Group {
-    fn open(origin: u64) -> Arc<Group> {
+    fn open(
+        origin: u64,
+        intercepted_at: Instant,
+        method: Option<MethodId>,
+        replicas: &Arc<[ReplicaId]>,
+    ) -> Arc<Group> {
         Arc::new(Group {
             answered: AtomicBool::new(false),
             origin,
+            intercepted_at,
+            method,
+            replicas: Arc::clone(replicas),
             retries: Mutex::new(Vec::new()),
         })
     }
@@ -168,8 +188,6 @@ impl Group {
 /// One attempt awaiting replies.
 #[derive(Debug, Clone)]
 struct PendingEntry {
-    /// `t0` of the *logical* request (retries inherit the original).
-    intercepted_at: Instant,
     /// `t1` of this attempt.
     sent_at: Instant,
     group: Arc<Group>,
@@ -737,9 +755,8 @@ impl ConcurrentHandler {
         self.insert_pending(
             seq,
             PendingEntry {
-                intercepted_at: now,
                 sent_at: now,
-                group: Group::open(seq),
+                group: Group::open(seq, now, method, &replicas),
                 probe: false,
             },
         );
@@ -776,9 +793,8 @@ impl ConcurrentHandler {
         self.insert_pending(
             seq,
             PendingEntry {
-                intercepted_at: now,
                 sent_at: now,
-                group: Group::open(seq),
+                group: Group::open(seq, now, None, &replicas),
                 probe: true,
             },
         );
@@ -799,28 +815,22 @@ impl ConcurrentHandler {
             .collect()
     }
 
-    /// Plans a deadline-driven retry of attempt `retry_of`: Algorithm 1
-    /// re-runs over the remaining replicas and the new attempt joins the
-    /// original's group. Returns `None` when no replica is left to ask or
-    /// the logical request already resolved.
-    pub fn plan_retry(
-        &self,
-        now: Instant,
-        method: Option<MethodId>,
-        t0: Instant,
-        retry_of: u64,
-        exclude: &[ReplicaId],
-    ) -> Option<RequestPlan> {
+    /// Plans a deadline-driven retry of request `origin`: Algorithm 1
+    /// re-runs, for the request's method, over the replicas its first
+    /// attempt did not ask, and the new attempt joins the request's group
+    /// and keeps its `t0`. Returns `None` when no replica is left to ask
+    /// or the request already resolved.
+    pub fn plan_retry(&self, now: Instant, origin: u64) -> Option<RequestPlan> {
         let group = {
             let shard = self
                 .pending_contention
-                .acquire(|| self.pending_shard(retry_of).lock());
-            shard.get(retry_of).map(|origin| Arc::clone(&origin.group))
+                .acquire(|| self.pending_shard(origin).lock());
+            shard.get(origin).map(|entry| Arc::clone(&entry.group))
         }?;
         if group.answered.load(Ordering::Acquire) {
             return None;
         }
-        let (seq, replicas) = self.plan_with(now, method, Some(retry_of), exclude)?;
+        let (seq, replicas) = self.plan_with(now, group.method, Some(origin), &group.replicas)?;
         // Join the group *before* inserting the entry: the delivery path
         // walks the group and retires every member it finds, so a
         // concurrent winner either sees our seq (and retires the entry
@@ -831,7 +841,6 @@ impl ConcurrentHandler {
         self.insert_pending(
             seq,
             PendingEntry {
-                intercepted_at: t0,
                 sent_at: now,
                 group: Arc::clone(&group),
                 probe: false,
@@ -1024,7 +1033,7 @@ impl ConcurrentHandler {
             return ReplyOutcome::Redundant;
         }
         if first {
-            let response_time = now.saturating_duration_since(entry.intercepted_at);
+            let response_time = now.saturating_duration_since(entry.group.intercepted_at);
             let verdict = {
                 let mut detector = self.detector.lock();
                 detector.record(response_time)
@@ -1049,6 +1058,7 @@ impl ConcurrentHandler {
             ReplyOutcome::Deliver {
                 response_time,
                 verdict,
+                request: entry.group.origin,
             }
         } else {
             self.stats.redundant.fetch_add(1, Ordering::Relaxed);
@@ -1110,11 +1120,14 @@ impl ConcurrentHandler {
         open && self.retire_attempt(now, seq)
     }
 
-    /// Finalizes a request that never received any reply, at `now`. Wins
-    /// or loses the group's answered flag against a concurrent first
-    /// reply — returns `false` when the reply got there first (the caller
-    /// should then drain its delivery channel instead of failing the
-    /// call). A probe's give-up only retires it and returns `false`.
+    /// Finalizes a request that never received any reply, at `now`,
+    /// through the seq of any of its attempts still open. Wins or loses
+    /// the group's answered flag against a concurrent first reply —
+    /// returns `false` when the reply got there first (the caller should
+    /// then drain its delivery channel instead of failing the call). The
+    /// winner retires every attempt: the newest still open carries the
+    /// one timing failure, the older ones are abandoned as superseded.
+    /// A probe's give-up only retires it and returns `false`.
     pub fn on_give_up(&self, now: Instant, seq: u64) -> bool {
         let found = {
             let shard = self
@@ -1143,7 +1156,20 @@ impl ConcurrentHandler {
         {
             return false;
         }
-        self.remove_pending(seq);
+        // Under the group lock, like the delivery's retire pass; the
+        // superseded attempts are journalled before the give-up.
+        let carrier = {
+            let retries = group.retries.lock();
+            let attempts = || std::iter::once(group.origin).chain(retries.iter().copied());
+            let carrier = attempts()
+                .rev()
+                .find(|&attempt| self.remove_pending(attempt))
+                .unwrap_or(seq);
+            for attempt in attempts().filter(|&attempt| attempt != carrier) {
+                self.retire_attempt(now, attempt);
+            }
+            carrier
+        };
         self.stats.gave_up.fetch_add(1, Ordering::Relaxed);
         // An unbounded response time: record as "missed by a lot".
         let deadline = self.qos.lock().deadline();
@@ -1156,7 +1182,7 @@ impl ConcurrentHandler {
         }
         if let Some(obs) = &self.obs {
             obs.lock().on_give_up(
-                seq,
+                carrier,
                 false,
                 Some(verdict),
                 verdict.should_notify(),
@@ -1396,7 +1422,9 @@ mod tests {
             ReplyOutcome::Deliver {
                 response_time,
                 verdict,
+                request,
             } => {
+                assert_eq!(request, plan.seq);
                 assert_eq!(response_time, ms(30));
                 assert!(verdict.is_timely());
             }
@@ -1443,7 +1471,7 @@ mod tests {
         let t0 = Instant::from_millis(100);
         let plan = h.plan_request(t0);
         let retry = h
-            .plan_retry(t0 + ms(150), None, t0, plan.seq, &plan.replicas)
+            .plan_retry(t0 + ms(150), plan.seq)
             .expect("replicas remain for the retry");
         for r in retry.replicas.iter() {
             assert!(
@@ -1462,7 +1490,14 @@ mod tests {
         // The retry keeps the original interception time, so the response
         // time spans both attempts.
         match out {
-            ReplyOutcome::Deliver { response_time, .. } => assert_eq!(response_time, ms(170)),
+            ReplyOutcome::Deliver {
+                response_time,
+                request,
+                ..
+            } => {
+                assert_eq!(response_time, ms(170));
+                assert_eq!(request, plan.seq, "the request is named by its origin");
+            }
             other => panic!("expected delivery, got {other:?}"),
         }
         let late = h.on_reply(
@@ -1492,9 +1527,7 @@ mod tests {
             plan.replicas[0],
             PerfReport::new(ms(20), ms(0), 0),
         );
-        assert!(h
-            .plan_retry(t0 + ms(150), None, t0, plan.seq, &plan.replicas)
-            .is_none());
+        assert!(h.plan_retry(t0 + ms(150), plan.seq).is_none());
     }
 
     #[test]
@@ -1536,6 +1569,55 @@ mod tests {
         assert_eq!(h.detector().failures(), 1);
     }
 
+    /// A give-up through either attempt of a retried request resolves the
+    /// whole request: the first attempt retires as superseded, the retry
+    /// carries the one timing failure, and the table is empty.
+    #[test]
+    fn a_give_up_through_any_attempt_retires_the_whole_group() {
+        for through_retry in [false, true] {
+            let (obs, reader) = aqua_obs::Obs::in_memory();
+            let mut h = handler(0.9);
+            h.attach_obs(&obs, Some(0));
+            warm(&h, &[0, 1, 2], 20);
+            let t0 = Instant::from_millis(100);
+            let plan = h.plan_request(t0);
+            let retry = h.plan_retry(t0 + ms(150), plan.seq).expect("a retry");
+            let via = if through_retry { retry.seq } else { plan.seq };
+            assert!(h.on_give_up(t0 + ms(300), via), "give-up via {via}");
+            assert!(!h.on_give_up(t0 + ms(301), via), "resolved once");
+
+            let stats = h.stats();
+            assert_eq!((stats.gave_up, stats.abandoned), (1, 1));
+            assert_eq!(h.detector().failures(), 1);
+            assert_eq!(h.pending_count(), 0);
+            for (seq, replica) in [(plan.seq, plan.replicas[0]), (retry.seq, retry.replicas[0])] {
+                let perf = PerfReport::new(ms(20), ms(0), 0);
+                let late = h.on_reply(t0 + ms(400), seq, replica, perf);
+                assert_eq!(late, ReplyOutcome::Unknown, "late reply to {seq}");
+            }
+            h.flush_observability();
+            let spans: Vec<(String, String)> = reader
+                .lines_containing(r#""type":"request""#)
+                .iter()
+                .filter_map(|line| {
+                    let field = |key: &str| {
+                        let rest = line.split(&format!(r#""{key}":"#)).nth(1)?;
+                        Some(rest.split([',', '}']).next()?.trim_matches('"').to_string())
+                    };
+                    Some((field("seq")?, field("outcome")?))
+                })
+                .collect();
+            assert_eq!(
+                spans,
+                [
+                    (plan.seq.to_string(), "superseded".to_string()),
+                    (retry.seq.to_string(), "gave_up".to_string()),
+                ],
+                "superseded first, then the give-up"
+            );
+        }
+    }
+
     /// With an `Obs` attached every lock the handler accounts is counted
     /// once per acquisition, and every reply on a span carries its ingest
     /// time: the work an unobserved handler skips, done in full.
@@ -1570,9 +1652,7 @@ mod tests {
         // winning reply 1 + the original's retirement 1, the original's
         // late reply 1; ingest-shard 2.
         let b = h.plan_request(at(3));
-        let retry = h
-            .plan_retry(at(4), None, at(3), b.seq, &b.replicas)
-            .unwrap();
+        let retry = h.plan_retry(at(4), b.seq).unwrap();
         assert_eq!(retry.replicas.as_ref(), &[r2]);
         assert!(matches!(
             h.on_reply(at(5), retry.seq, r2, perf),
@@ -2303,14 +2383,7 @@ mod tests {
         let first = h.plan_request(Instant::EPOCH);
         assert_eq!(first.replicas.len(), 2);
         assert!(
-            h.plan_retry(
-                Instant::from_millis(150),
-                None,
-                Instant::EPOCH,
-                first.seq,
-                &first.replicas
-            )
-            .is_none(),
+            h.plan_retry(Instant::from_millis(150), first.seq).is_none(),
             "every replica is already serving the first attempt"
         );
         assert_eq!(h.stats().retries, 0);

@@ -228,31 +228,19 @@ mod tests {
             attempt.state = state;
         }
 
-        /// Resolves the logical request of open attempt `seq`: a delivery
-        /// retires the open siblings and a give-up leaves their entries in
-        /// place, resolved through the shared flag.
+        /// Resolves the logical request of open attempt `seq`: every open
+        /// attempt's entry goes, except a delivering one's, which stays to
+        /// classify duplicates.
         fn resolve(&mut self, seq: u64, delivered: bool) {
             let origin = self.attempts[&seq].origin;
-            for sibling in self.groups[&origin].clone() {
-                if sibling != seq && self.state(sibling) == State::Open {
-                    self.set(
-                        sibling,
-                        if delivered {
-                            State::Removed
-                        } else {
-                            State::Answered
-                        },
-                    );
+            for attempt in self.groups[&origin].clone() {
+                if self.state(attempt) == State::Open {
+                    self.set(attempt, State::Removed);
                 }
             }
-            self.set(
-                seq,
-                if delivered {
-                    State::Answered
-                } else {
-                    State::Removed
-                },
-            );
+            if delivered {
+                self.set(seq, State::Answered);
+            }
         }
     }
 
@@ -270,8 +258,11 @@ mod tests {
             back: u64,
             k: usize,
         },
+        /// Give-up through the `k`-th attempt of the request of the
+        /// attempt `back` seqs before the newest.
         GiveUp {
             back: u64,
+            k: usize,
         },
         Abandon {
             back: u64,
@@ -290,7 +281,7 @@ mod tests {
             3 => (1u64..80, any::<u32>())
                 .prop_map(|(n, bits)| Op::Burst { n, replies: bits.to_le_bytes() }),
             4 => (back(), 0usize..3).prop_map(|(back, k)| Op::Reply { back, k }),
-            1 => back().prop_map(|back| Op::GiveUp { back }),
+            1 => (back(), 0usize..3).prop_map(|(back, k)| Op::GiveUp { back, k }),
             1 => back().prop_map(|back| Op::Abandon { back }),
             2 => back().prop_map(|back| Op::Retry { back }),
         ]
@@ -366,8 +357,10 @@ mod tests {
                         };
                         reply(&handler, &mut model, now, seq, replica)?;
                     }
-                    Op::GiveUp { back } => {
-                        let Some(seq) = target(back) else { continue };
+                    Op::GiveUp { back, k } => {
+                        let Some(target) = target(back) else { continue };
+                        let attempts = &model.groups[&model.attempts[&target].origin];
+                        let seq = attempts[k % attempts.len()];
                         let open = model.state(seq) == State::Open;
                         prop_assert_eq!(handler.on_give_up(now, seq), open, "give-up of {}", seq);
                         if open {
@@ -384,8 +377,7 @@ mod tests {
                     }
                     Op::Retry { back } => {
                         let Some(seq) = target(back) else { continue };
-                        let asked = model.attempts[&seq].replicas.clone();
-                        let retried = handler.plan_retry(now, None, now, seq, &asked);
+                        let retried = handler.plan_retry(now, seq);
                         if model.state(seq) != State::Open {
                             prop_assert!(retried.is_none(), "retry of resolved seq {seq}");
                         }

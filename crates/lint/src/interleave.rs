@@ -47,11 +47,14 @@
 //!   plan looks at it rather than under the mutex, and a second plan finds
 //!   a clean flag and a free mutex while an ingest is still unpublished.
 //! * `gateway-reply-vs-retry` — the sharded pending-request table: a
-//!   first reply CASes the shared `answered` flag and retires sibling
-//!   attempts while the retry path inserts its entry; the retry's
-//!   post-insert re-check closes the lost-entry window.
-//!   `gateway-retry-missing-recheck` leaks the pending entry and
-//!   `gateway-reply-toctou-claim` delivers twice.
+//!   first reply or the give-up timer CASes the shared `answered` flag
+//!   and retires the request's other attempts while the retry path
+//!   inserts its entry; the retry's post-insert re-check closes the
+//!   lost-entry window. Exactly one of delivery and give-up happens, and
+//!   the table ends empty. `gateway-retry-missing-recheck` leaks the
+//!   pending entry, `gateway-reply-toctou-claim` delivers twice, and
+//!   `gateway-give-up-strands-retry` gives up through the first attempt
+//!   without walking the group and leaks the retry's entry.
 //! * `reactor-wake-coalescing` — the socket runtime's self-pipe wake
 //!   path: submitters coalesce pokes through the `wake_pending` flag (only
 //!   the 0→1 `swap` writes the wake byte), and the reactor loop drains the
@@ -247,9 +250,9 @@ impl Entry {
     }
 }
 
-/// Every model: the eight shipped ones (which must pass), then the twelve
-/// buggy variants (which must be caught).
-pub fn catalogue() -> [Entry; 20] {
+/// Every model: the eight shipped ones (which must pass), then the
+/// thirteen buggy variants (which must be caught).
+pub fn catalogue() -> [Entry; 21] {
     let shipped = |name, schedules, explore| Entry {
         name,
         schedules,
@@ -276,9 +279,9 @@ pub fn catalogue() -> [Entry; 20] {
         shipped("gateway-snapshot-publish-vs-plan", 15_840, || {
             explore(&snapshot(true, true, true, false))
         }),
-        // 4 + 3 + 4 always-enabled steps: 11!/(4!·3!·4!).
-        shipped("gateway-reply-vs-retry", 1_680, || {
-            explore(&pending(true, true))
+        // 3 + 3 + 3 + 2 always-enabled steps: 11!/(3!·3!·3!·2!).
+        shipped("gateway-reply-vs-retry", 92_400, || {
+            explore(&pending(true, true, true))
         }),
         // 2 + 2 + 9 always-enabled steps: 13!/(2!·2!·9!).
         shipped("reactor-wake-coalescing", 4_290, || {
@@ -320,15 +323,22 @@ pub fn catalogue() -> [Entry; 20] {
         ),
         variant(
             "gateway-retry-missing-recheck",
-            1_680,
+            92_400,
             "lost pending entry",
-            || explore(&pending(false, true)),
+            || explore(&pending(false, true, true)),
         ),
+        // 4 + 3 + 4 + 2 always-enabled steps: 13!/(4!·3!·4!·2!).
         variant(
             "gateway-reply-toctou-claim",
-            11_550,
+            900_900,
             "duplicate first-reply delivery",
-            || explore(&pending(true, false)),
+            || explore(&pending(true, false, true)),
+        ),
+        variant(
+            "gateway-give-up-strands-retry",
+            92_400,
+            "lost pending entry",
+            || explore(&pending(true, true, false)),
         ),
         variant("reactor-lost-wakeup", 4_290, "lost wakeup", || {
             explore(&wake(|[poll, drain, clear, harvest]| {
@@ -857,12 +867,12 @@ fn snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// Model 4: concurrent gateway — first reply vs retry re-plan.
+// Model 4: concurrent gateway — first reply vs retry re-plan vs give-up.
 // ---------------------------------------------------------------------------
 
 /// Shadow of the sharded pending-request table: an original attempt and a
 /// retry attempt share an `answered` flag and a sibling group; replies
-/// race the retry's insertion.
+/// and the give-up timer race the retry's insertion.
 #[derive(Clone)]
 struct PendingState {
     /// The shared `answered` CAS flag (0 = open, 1 = resolved).
@@ -873,10 +883,14 @@ struct PendingState {
     group_len: ShadowAtomicU64,
     /// First-reply deliveries to the caller.
     deliveries: ShadowAtomicU64,
+    /// Timing failures the give-up recorded.
+    gave_up: ShadowAtomicU64,
     /// Per-attempt scratch: whether the reply to it won the claim.
     won: [bool; 2],
-    /// Completion flags: `[reply0, retry, reply1]`.
-    done: [bool; 3],
+    /// Give-up scratch: whether it won the claim.
+    gave_up_won: bool,
+    /// Completion flags: `[reply0, retry, reply1, give_up]`.
+    done: [bool; 4],
 }
 
 /// Reply-vs-retry model. `retry_rechecks`: the retry re-checks `answered`
@@ -885,7 +899,14 @@ struct PendingState {
 /// request with one indivisible compare-and-swap (the shipped
 /// `AtomicBool` CAS); without it the check and the mark are two steps —
 /// the classic TOCTOU bug, where both replies think they are first.
-fn pending(retry_rechecks: bool, atomic_cas: bool) -> Model<PendingState> {
+/// `give_up_walks_group`: a give-up that wins the claim retires every
+/// attempt in the group, as a delivery does; without it, it removes only
+/// the entry it was called through and strands the retry's.
+fn pending(
+    retry_rechecks: bool,
+    atomic_cas: bool,
+    give_up_walks_group: bool,
+) -> Model<PendingState> {
     type St = Step<PendingState>;
     // A reply to `attempt`, raced by everything else. Unknown seqs (entry
     // absent) only mine perf data. The retry joins the sibling group
@@ -943,6 +964,31 @@ fn pending(retry_rechecks: bool, atomic_cas: bool) -> Model<PendingState> {
         }),
     ];
 
+    // The give-up timer, called through the original attempt's seq. Its
+    // lookup and CAS are one step: only a claim winner removes entries,
+    // so an entry gone between the two means the CAS fails anyway. The
+    // walk holds the group lock, as `retry.join_group` does, so it sees
+    // the retry either registered or not yet; one not yet inserted finds
+    // the flag set on its re-check.
+    let give_up = vec![
+        St::new("give_up.claim", |s, _| {
+            if s.pending[0].load() == 1 && s.answered.load() == 0 {
+                s.answered.store(1);
+                s.gave_up_won = true;
+            }
+        }),
+        St::new("give_up.walk", move |s, tid| {
+            if s.gave_up_won {
+                s.pending[0].store(0);
+                if give_up_walks_group && s.group_len.load() == 2 {
+                    s.pending[1].store(0);
+                }
+                s.gave_up.fetch_add(1);
+            }
+            s.done[tid] = true;
+        }),
+    ];
+
     Model {
         init: PendingState {
             answered: ShadowAtomicU64::new(0),
@@ -951,15 +997,20 @@ fn pending(retry_rechecks: bool, atomic_cas: bool) -> Model<PendingState> {
             pending: [ShadowAtomicU64::new(1), ShadowAtomicU64::new(0)],
             group_len: ShadowAtomicU64::new(1),
             deliveries: ShadowAtomicU64::new(0),
+            gave_up: ShadowAtomicU64::new(0),
             won: [false, false],
-            done: [false, false, false],
+            gave_up_won: false,
+            done: [false; 4],
         },
-        threads: vec![reply(0), retry, reply(1)],
+        threads: vec![reply(0), retry, reply(1), give_up],
         invariant: Box::new(|s| {
             if s.deliveries.load() > 1 {
                 return Err("duplicate first-reply delivery".to_string());
             }
-            if s.done.iter().all(|&d| d) && s.answered.load() == 1 {
+            if s.deliveries.load() + s.gave_up.load() > 1 {
+                return Err("request both delivered and given up".to_string());
+            }
+            if s.done.iter().all(|&d| d) {
                 if s.pending[0].load() != 0 || s.pending[1].load() != 0 {
                     return Err(format!(
                         "lost pending entry: request resolved but table holds [{}, {}]",
@@ -967,8 +1018,8 @@ fn pending(retry_rechecks: bool, atomic_cas: bool) -> Model<PendingState> {
                         s.pending[1].load()
                     ));
                 }
-                if s.deliveries.load() != 1 {
-                    return Err("resolved request was never delivered".to_string());
+                if s.deliveries.load() + s.gave_up.load() != 1 {
+                    return Err("request neither delivered nor given up".to_string());
                 }
             }
             Ok(())

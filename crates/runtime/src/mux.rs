@@ -92,7 +92,8 @@ pub struct MuxPoolConfig {
     /// not produced a reply after this long, Algorithm 1 re-runs over the
     /// *remaining* replicas and the request is re-multicast as a sibling
     /// attempt (the original stays live; the earliest reply of either
-    /// wins). `None` disables retries.
+    /// wins). `None` disables retries, and a retry due at or past
+    /// `give_up_after` is never sent.
     pub retry_after: Option<Duration>,
     /// Reconnect policy for replicas lost to TCP teardown. With the
     /// default policy a recovered replica rejoins the connection set and
@@ -310,20 +311,18 @@ fn perf_report(service_ns: u64, queue_ns: u64, queue_len: u32, method: u32) -> P
     }
 }
 
-/// An in-flight call attempt awaiting the request's earliest reply.
+/// An in-flight call awaiting the earliest reply to any of its attempts.
 struct Waiter {
     tx: Sender<WaitMsg>,
     /// Replicas multicast to across the request's attempts.
     redundancy: usize,
-    /// The other attempt of the same request once a retry is out. Both
-    /// entries enter and leave the table under one hold of its lock.
-    sibling: Option<u64>,
 }
 
 /// Per-handle state shared between its callers and the reactor.
 struct HandleState {
     handler: ConcurrentHandler,
-    /// Handler seq → waiter, for every attempt in flight.
+    /// The seq of a request's first attempt → its waiter, for every call
+    /// in flight. The handler owns the request's attempts.
     waiters: Mutex<HashMap<u64, Waiter>>,
     /// Where this handle's wire-local sequence numbers start: one past
     /// the last the id's previous owners used (0 for a fresh id). The
@@ -344,25 +343,17 @@ struct HandleIds {
 }
 
 impl HandleState {
-    /// Resolves the winning attempt's waiter and retires its sibling. The
-    /// handler already classified the reply as first and retired the
-    /// sibling's pending entry; this is only waiter-table bookkeeping.
+    /// Resolves the waiter of `request`, whose first reply the handler
+    /// has just delivered (and whose other attempts it retired).
     fn deliver(
         &self,
-        seq: u64,
+        request: u64,
         replica: ReplicaId,
         response_time: Duration,
         verdict: aqua_core::failure::TimingVerdict,
         payload: Bytes,
     ) {
-        let waiter = {
-            let mut waiters = self.waiters.lock();
-            let waiter = waiters.remove(&seq);
-            if let Some(sibling) = waiter.as_ref().and_then(|w| w.sibling) {
-                waiters.remove(&sibling);
-            }
-            waiter
-        };
+        let waiter = self.waiters.lock().remove(&request);
         // `None`: resolved concurrently (give-up or disconnect sweep).
         let Some(waiter) = waiter else { return };
         let outcome = CallOutcome {
@@ -383,17 +374,8 @@ impl HandleState {
             let mut waiters = self.waiters.lock();
             waiters.drain().collect()
         };
-        for (seq, waiter) in drained {
-            // One timing failure per request: the retry carries it, the
-            // first attempt retires as superseded.
-            match waiter.sibling {
-                Some(retry) if retry > seq => continue, // the retry's own entry does both
-                Some(first) => {
-                    self.handler.on_abandon(now, first);
-                }
-                None => {}
-            }
-            self.handler.on_give_up(now, seq);
+        for (request, waiter) in drained {
+            self.handler.on_give_up(now, request);
             let _ = waiter.tx.send(WaitMsg::NoReplicas);
         }
     }
@@ -588,9 +570,10 @@ impl ReactorSink for Inner {
                     if let ReplyOutcome::Deliver {
                         response_time,
                         verdict,
+                        request,
                     } = outcome
                     {
-                        state.deliver(local, replica, response_time, verdict, payload);
+                        state.deliver(request, replica, response_time, verdict, payload);
                     }
                 }
                 self.fan_perf(Some(hid), replica, perf, now);
@@ -848,7 +831,7 @@ impl MuxHandle {
         f(&self.state.handler)
     }
 
-    /// Attempts awaiting a reply.
+    /// Calls awaiting a reply.
     #[cfg(test)]
     pub(crate) fn waiter_count(&self) -> usize {
         self.state.waiters.lock().len()
@@ -885,36 +868,23 @@ impl MuxHandle {
         // lightning-fast reply finds it.
         let first = plan.seq;
         let mut redundancy = plan.replicas.len();
-        let (tx, rx) = bounded(2);
-        {
-            let mut waiters = self.state.waiters.lock();
-            waiters.insert(
-                first,
-                Waiter {
-                    tx,
-                    redundancy,
-                    sibling: None,
-                },
-            );
-        }
+        let (tx, rx) = bounded(1);
+        let waiter = Waiter { tx, redundancy };
+        self.state.waiters.lock().insert(first, waiter);
         if self.transmit(first, method, payload, &plan.replicas) == 0 {
-            self.forget(first, None);
+            self.state.waiters.lock().remove(&first);
             handler.on_give_up(inner.now(), first);
             return Err(CallError::GaveUp { redundancy });
         }
         let give_up = std::time::Duration::from(self.give_up_after);
         let mut wait = give_up;
-        let mut retry = None;
-        if let Some(retry_after) = inner.config.retry_after {
-            match rx.recv_timeout(std::time::Duration::from(retry_after).min(give_up)) {
+        // A retry due at the give-up would only be given up with it.
+        let retry_after = inner.config.retry_after.filter(|&r| r < self.give_up_after);
+        if let Some(retry_after) = retry_after {
+            match rx.recv_timeout(std::time::Duration::from(retry_after)) {
                 Ok(msg) => return resolve(msg),
                 Err(_) => {
-                    if let Some((seq, added)) =
-                        self.retry(t0, method, payload, first, &plan.replicas)
-                    {
-                        retry = Some(seq);
-                        redundancy += added;
-                    }
+                    redundancy += self.retry(method, payload, first);
                     let spent = inner.now().saturating_duration_since(t0);
                     wait = give_up.saturating_sub(std::time::Duration::from(spent));
                 }
@@ -923,21 +893,15 @@ impl MuxHandle {
         match rx.recv_timeout(wait) {
             Ok(msg) => resolve(msg),
             Err(_) => {
-                let now = inner.now();
-                // One timing failure per request: the newest attempt
-                // carries the give-up, the first retires as superseded.
-                if retry.is_some() {
-                    handler.on_abandon(now, first);
-                }
                 // Losing `on_give_up` means a first reply (or the
                 // disconnect sweep) won the race against the timer: its
                 // message is on the channel, or arrives momentarily.
-                let msg = if handler.on_give_up(now, retry.unwrap_or(first)) {
+                let msg = if handler.on_give_up(inner.now(), first) {
                     None
                 } else {
                     rx.recv_timeout(std::time::Duration::from_secs(1)).ok()
                 };
-                self.forget(first, retry);
+                self.state.waiters.lock().remove(&first);
                 msg.map_or(Err(CallError::GaveUp { redundancy }), resolve)
             }
         }
@@ -983,66 +947,35 @@ impl MuxHandle {
         sent
     }
 
-    /// The deadline-driven retry: Algorithm 1 re-runs over the replicas
-    /// the first attempt did not ask and the request goes out again as a
-    /// sibling attempt — the first stays live, the earliest reply of
-    /// either wins. Returns the retry's seq and how many replicas it
-    /// added, or `None` when nothing went out (nobody left to ask or
+    /// The deadline-driven retry of request `first`: the handler re-runs
+    /// Algorithm 1 over the replicas the first attempt did not ask and
+    /// the request goes out again as a sibling attempt — the first stays
+    /// live, the earliest reply of either wins. Returns how many replicas
+    /// it added: none when nothing went out (nobody left to ask or
     /// reachable, or the request resolved meanwhile).
-    fn retry(
-        &self,
-        t0: Instant,
-        method: MethodId,
-        payload: &[u8],
-        first: u64,
-        asked: &[ReplicaId],
-    ) -> Option<(u64, usize)> {
+    fn retry(&self, method: MethodId, payload: &[u8], first: u64) -> usize {
         let handler = &self.state.handler;
         let now = self.inner.now();
-        let plan = handler.plan_retry(now, Some(method), t0, first, asked)?;
-        let (seq, added) = (plan.seq, plan.replicas.len());
-        let registered = {
-            let mut waiters = self.state.waiters.lock();
-            let twin = waiters.get_mut(&first).map(|w| {
-                w.sibling = Some(seq);
-                w.redundancy += added;
-                Waiter {
-                    tx: w.tx.clone(),
-                    redundancy: w.redundancy,
-                    sibling: Some(first),
-                }
-            });
-            let registered = twin.is_some();
-            if let Some(twin) = twin {
-                waiters.insert(seq, twin);
-            }
-            registered
+        let Some(plan) = handler.plan_retry(now, first) else {
+            return 0;
         };
-        if registered && self.transmit(seq, method, payload, &plan.replicas) > 0 {
-            return Some((seq, added));
+        let added = plan.replicas.len();
+        // The waiter grows before the multicast, so even a lightning-fast
+        // reply to the retry reports it.
+        let waiters = &self.state.waiters;
+        let grown = waiters
+            .lock()
+            .get_mut(&first)
+            .map(|w| w.redundancy += added)
+            .is_some();
+        if grown && self.transmit(plan.seq, method, payload, &plan.replicas) > 0 {
+            return added;
         }
-        // Retire the attempt quietly.
-        {
-            let mut waiters = self.state.waiters.lock();
-            if waiters.remove(&seq).is_some() {
-                if let Some(w) = waiters.get_mut(&first) {
-                    w.sibling = None;
-                    w.redundancy -= added;
-                }
-            }
+        if let Some(w) = waiters.lock().get_mut(&first).filter(|_| grown) {
+            w.redundancy -= added;
         }
-        handler.on_abandon(now, seq);
-        None
-    }
-
-    /// Removes a resolved call's leftover waiter entries (the delivery
-    /// path retires what it wins; a call that timed out sweeps its own).
-    fn forget(&self, first: u64, retry: Option<u64>) {
-        let mut waiters = self.state.waiters.lock();
-        waiters.remove(&first);
-        if let Some(retry) = retry {
-            waiters.remove(&retry);
-        }
+        handler.on_abandon(now, plan.seq);
+        0
     }
 }
 
@@ -1411,6 +1344,45 @@ mod tests {
             });
             assert_eq!(handle.waiter_count(), 0, "both attempts left the table");
         }
+    }
+
+    #[test]
+    fn a_retry_due_at_the_give_up_is_never_sent() {
+        // Both replicas pause from 1 s to 3 s on their own clocks,
+        // and the retry deadline is the give-up: a warm handle's call
+        // must give up without multicasting a retry it would give up in
+        // the same instant.
+        let plan = FaultPlan::new()
+            .pause(0, Instant::from_secs(1), ms(2_000))
+            .pause(1, Instant::from_secs(1), ms(2_000));
+        let began = StdInstant::now();
+        let mut servers = vec![
+            ReplicaServerConfig::quick(ReplicaId::new(0), 5),
+            ReplicaServerConfig::quick(ReplicaId::new(1), 20),
+        ];
+        for server in &mut servers {
+            server.faults = Some(plan.instantiate(7));
+        }
+        let mut config = MuxPoolConfig::new(QosSpec::new(ms(50), 0.9).unwrap());
+        config.give_up_after = ms(100);
+        config.retry_after = Some(ms(100));
+        let (_servers, pool) = pool_with(servers, config);
+        // FastestMean k=1 asks one replica once warm, leaving one to retry.
+        let handle = pool.handle(Box::new(FastestMean { k: 1 }));
+        for _ in 0..3 {
+            handle.call(MethodId::DEFAULT, b"warm").expect("warm-up");
+        }
+        handle.with_handler(|h| assert!(h.repository().all_warm()));
+        std::thread::sleep(std::time::Duration::from_millis(1_300).saturating_sub(began.elapsed()));
+        let err = handle.call(MethodId::DEFAULT, b"paused").unwrap_err();
+        assert!(matches!(err, CallError::GaveUp { redundancy: 1 }), "{err}");
+        handle.with_handler(|h| {
+            let stats = h.stats();
+            assert_eq!(stats.retries, 0, "no retry went out");
+            assert_eq!((stats.gave_up, stats.abandoned), (1, 0));
+            assert_eq!(h.pending_count(), 0);
+        });
+        assert_eq!(handle.waiter_count(), 0);
     }
 
     /// Metric names (labels and values stripped) in `obs` and the record

@@ -85,6 +85,10 @@ fn paused_selection_is_rescued_by_deadline_retry() {
     assert_eq!(client.records.len(), 30, "the run completed");
     assert!(client.stats.retries >= 1, "the pause forced retries");
     assert_eq!(client.stats.gave_up, 0, "every request was answered");
+    assert_eq!(
+        client.stats.abandoned, client.stats.retries,
+        "every retried request has one winner and one superseded attempt"
+    );
     assert!(
         client.records.iter().all(|r| r.response_time.is_some()),
         "retries rescued every paused request"
