@@ -102,8 +102,10 @@ fn bench_publish_path(c: &mut Criterion) {
 /// A publish's unit of work as `gateway_churn` runs it: one replica's
 /// point-query table, `QueueScaled` over a full `l` = 100 window of
 /// 30–70 ms service times behind a queue of `q`, built up to a 150 ms
-/// deadline — and one read of it at the bucket its memo holds (a warm
-/// plan's read) and at one it does not (the first read, or a replay's).
+/// deadline — fresh, and for `q` 2–4 refreshed from the table it replaces
+/// after one pushed sample — and one read of it at the bucket its memo
+/// holds (a warm plan's read) and at one it does not (the first read, or
+/// a replay's).
 fn bench_table_build(c: &mut Criterion) {
     let deadline = Duration::from_millis(150);
     let model = ResponseTimeModel::new(ModelConfig {
@@ -132,6 +134,26 @@ fn bench_table_build(c: &mut Criterion) {
         let table = model
             .response_cdf(stats, None, &mut scratch, Some(deadline))
             .expect("warm replica");
+        if q >= 2 {
+            let mut pushed = repo.clone();
+            let sample = PerfReport::new(Duration::from_millis(41), Duration::ZERO, q);
+            pushed.record_perf(id, sample, Instant::EPOCH);
+            let stats = pushed.stats(id).expect("inserted");
+            group.bench_function(
+                BenchmarkId::from_parameter(format!("refresh_q{q}")),
+                |bench| {
+                    bench.iter(|| {
+                        model.response_cdf_from(
+                            Some(&table),
+                            stats,
+                            None,
+                            &mut scratch,
+                            Some(deadline),
+                        )
+                    });
+                },
+            );
+        }
         // Plans read `t − δ`: the memo holds that bucket, not `t`'s.
         let planned = deadline.saturating_sub(Duration::from_micros(5));
         table.value_at(planned);

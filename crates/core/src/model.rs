@@ -256,6 +256,23 @@ impl ResponseTimeModel {
         scratch: &mut ConvScratch,
         horizon: Option<Duration>,
     ) -> Option<CdfTable> {
+        self.response_cdf_from(None, stats, method, scratch, horizon)
+    }
+
+    /// [`ResponseTimeModel::response_cdf`] for a table that replaces
+    /// `held`, the same replica's table for the same method slot in the
+    /// same epoch: a `QueueScaled` table refreshes the powers of `S` that
+    /// `held` kept from the buckets that moved instead of squaring `S`
+    /// again ([`CdfTable::is_refreshed`]). It reads what a fresh table
+    /// reads, bit for bit.
+    pub fn response_cdf_from(
+        &self,
+        held: Option<&CdfTable>,
+        stats: &ReplicaStats,
+        method: Option<MethodId>,
+        scratch: &mut ConvScratch,
+        horizon: Option<Duration>,
+    ) -> Option<CdfTable> {
         let bucket = self.config.bucket;
         let service = self.term_counts(stats, method, MethodHistory::service_window)?;
         let queuing;
@@ -279,7 +296,7 @@ impl ResponseTimeModel {
             }
         };
         let horizon = horizon.map(|h| h.as_nanos() / bucket.as_nanos());
-        CdfTable::of_counts(bucket, &service, wait, delay, horizon, scratch)
+        CdfTable::of_counts(bucket, &service, wait, delay, horizon, held, scratch)
     }
 
     /// Predicts `F_Ri(deadline)`: the probability that a response from this

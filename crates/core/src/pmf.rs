@@ -22,6 +22,20 @@
 //! keeps the service term's sparse counts and one cumulative count vector
 //! for the rest, in exact integer arithmetic.
 //!
+//! A `QueueScaled` table, `R = S^{*(q+1)}`, built to a horizon at a queue
+//! depth `q` of 2–5 also keeps `P2 = S⊛S` (and `P3 = S⊛S⊛S` for `q` of 4
+//! or 5), and factorises `R` from them: it sums over `S`, `P2` or `P3`
+//! and cumulates `P2` or `P3`. The table that replaces it refreshes those
+//! powers from the few buckets of `S` that moved, `D = S_new − S_old`:
+//!
+//! ```text
+//! P3 += 3·P2⊛D + 3·S⊛D⊛D + D⊛D⊛D
+//! P2 += 2·S⊛D + D⊛D
+//! ```
+//!
+//! instead of squaring `S` again. Every entry is an integer count, so a
+//! refreshed table reads what a fresh one does, bit for bit.
+//!
 //! # Bucketing convention
 //!
 //! A sample `d` falls into bucket `⌊d / w⌋` for bucket width `w`, and every
@@ -696,18 +710,173 @@ pub(crate) enum Delay<'a> {
     Counts(&'a [(u64, u32)]),
 }
 
+/// 2^53: below it an `f64` holds every integer exactly, so sums of
+/// integer counts that stay below it are exact in any order.
+const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
+
+/// The most buckets a service window may have moved by since the table a
+/// rebuild replaces for the new table to refresh that one's kept powers.
+const MAX_MOVED: usize = 8;
+
+/// The most samples a service window may hold for its table to keep
+/// powers of `S`: every partial sum of a refresh between two such tables
+/// is then below `16 · (2^16)³ = 2^52`.
+const MAX_FACTORED_SAMPLES: f64 = 65_536.0;
+
+/// A term of `R = S^{*(q+1)}` that a table sums over or keeps cumulated:
+/// the service counts, or one of the powers it keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Term {
+    /// `S`, as its sparse `(bucket, count)` pairs.
+    Service,
+    /// `P2 = S⊛S`.
+    Square,
+    /// `P3 = S⊛S⊛S`.
+    Cube,
+}
+
+impl Term {
+    /// How many copies of `S` the term sums: its first bucket is this
+    /// many times `S`'s.
+    fn degree(self) -> u64 {
+        match self {
+            Term::Service => 1,
+            Term::Square => 2,
+            Term::Cube => 3,
+        }
+    }
+}
+
+/// The `(outer, inner)` factors of `S^{*(q+1)}` taken from kept powers,
+/// for the queue depths that have them.
+fn factors(q: u32) -> Option<(Term, Term)> {
+    match q {
+        2 => Some((Term::Service, Term::Square)),
+        3 => Some((Term::Square, Term::Square)),
+        4 => Some((Term::Square, Term::Cube)),
+        5 => Some((Term::Cube, Term::Cube)),
+        _ => None,
+    }
+}
+
+/// The powers of its service counts a table keeps, dense from bucket 0
+/// through its horizon bucket: `square` when `q ≥ 2` factorises, `cube`
+/// too when `q ∈ {4, 5}`, each empty when not kept.
+#[derive(Debug, Clone, Default)]
+struct Powers {
+    square: Vec<f64>,
+    cube: Vec<f64>,
+    /// Whether they were refreshed from the replaced table's, not built.
+    refreshed: bool,
+}
+
+impl Powers {
+    /// The weights of a kept power, dense from bucket 0.
+    fn of(&self, term: Term) -> &[f64] {
+        match term {
+            Term::Service => &[],
+            Term::Square => &self.square,
+            Term::Cube => &self.cube,
+        }
+    }
+}
+
+/// `S_new − S_old` between two service windows: the buckets whose counts
+/// differ, with signed count changes, at most [`MAX_MOVED`] of them.
+#[derive(Debug)]
+struct Moved {
+    len: usize,
+    pairs: [(u64, f64); MAX_MOVED],
+}
+
+impl Moved {
+    /// One merge-walk of the two ascending pair lists; `None` when more
+    /// than [`MAX_MOVED`] buckets differ.
+    fn between(old: &[(u64, u32)], new: &[(u64, u32)]) -> Option<Moved> {
+        let mut moved = Moved {
+            len: 0,
+            pairs: [(0, 0.0); MAX_MOVED],
+        };
+        let (mut old, mut new) = (old.iter(), new.iter());
+        let (mut left, mut right) = (old.next(), new.next());
+        loop {
+            let (at, by) = match (left, right) {
+                (None, None) => return Some(moved),
+                (Some(&(a, x)), Some(&(b, y))) if a == b => {
+                    (left, right) = (old.next(), new.next());
+                    if x == y {
+                        continue;
+                    }
+                    (a, f64::from(y) - f64::from(x))
+                }
+                (Some(&(a, x)), Some(&(b, _))) if a < b => {
+                    left = old.next();
+                    (a, -f64::from(x))
+                }
+                (Some(&(a, x)), None) => {
+                    left = old.next();
+                    (a, -f64::from(x))
+                }
+                (_, Some(&(b, y))) => {
+                    right = new.next();
+                    (b, f64::from(y))
+                }
+            };
+            *moved.pairs.get_mut(moved.len)? = (at, by);
+            moved.len += 1;
+        }
+    }
+
+    fn pairs(&self) -> &[(u64, f64)] {
+        self.pairs.get(..self.len).unwrap_or_default()
+    }
+}
+
+/// A bucket as an index into a vector dense from bucket 0.
+fn index(bucket: u64) -> usize {
+    usize::try_from(bucket).unwrap_or(usize::MAX)
+}
+
+/// Adds `scale` times the convolution of `left` and `right` to `out`,
+/// dense from bucket 0, at the buckets it holds.
+fn add_products(
+    out: &mut [f64],
+    scale: f64,
+    left: impl Iterator<Item = (u64, f64)>,
+    right: &[(u64, f64)],
+) {
+    for (a, x) in left {
+        let x = scale * x;
+        for &(b, y) in right {
+            if let Some(slot) = out.get_mut(index(a + b)) {
+                *slot += x * y;
+            }
+        }
+    }
+}
+
+/// Makes `weights`, whose first entry is bucket `offset`, dense from
+/// bucket 0 with exactly `len` entries.
+fn from_zero(weights: &mut Vec<f64>, offset: u64, len: usize) {
+    let offset = index(offset).min(len);
+    weights.truncate(len - offset);
+    weights.resize(len, 0.0);
+    weights.rotate_right(offset);
+}
+
 /// `F(t) = P(R ≤ t)` of Eq. 2's response time `R = S + (W + T)`, answered
-/// as a point query over the integer counts of its terms. The service
-/// term `S` is kept as its sparse `(bucket, count)` pairs and the rest as
-/// one cumulative count vector `Wcum`, so
+/// as a point query over the integer counts of its terms. The outer term
+/// (`S` as its sparse `(bucket, count)` pairs, or a power of `S` the table
+/// keeps) is summed over, and the rest is one cumulative count vector
+/// `Wcum`, so
 ///
 /// ```text
 /// F(t) = Σ_a s[a] · Wcum[t − a] / (|S|·|W|)
 /// ```
 ///
-/// costs one multiply-add per bucket of `S` and one division — no
-/// convolution of `S` with `W`, and nothing built past the buckets a
-/// lookup can reach.
+/// costs one multiply-add per bucket of the outer term and one division —
+/// no convolution of the outer term with the rest, and nothing built past
+/// the buckets a lookup can reach.
 ///
 /// The first bucket a table is read at is memoized with its value, so a
 /// planner reading every table at the same `t − δ` pays the sum once per
@@ -718,6 +887,10 @@ pub struct CdfTable {
     bucket: Duration,
     /// The service window's `(bucket, count)` pairs, ascending by bucket.
     service: Vec<(u64, u32)>,
+    /// The term [`CdfTable::value_at`] sums over.
+    outer: Term,
+    /// The powers of `S` kept for the next table to refresh from.
+    powers: Powers,
     /// The bucket `cum[0]` describes.
     offset: u64,
     /// `cum[i]`: the count of `W + T` at buckets `≤ offset + i`. Non-empty.
@@ -734,9 +907,10 @@ pub struct CdfTable {
 
 impl CdfTable {
     /// The table of Eq. 2's `R = S + W + T` from the integer counts of its
-    /// terms: the `service` counts become the outer term, and the inner one
-    /// is `W` (convolved with the delay window's counts for a windowed `T`;
-    /// a point-mass `T` shifts the sum instead).
+    /// terms: the `service` counts become the outer term (or a power of
+    /// them, below), and the inner one is `W` (convolved with the delay
+    /// window's counts for a windowed `T`; a point-mass `T` shifts the sum
+    /// instead).
     ///
     /// Every weight is an integer held in an `f64`, so every sum is exact
     /// while the total `|S|·|W|` (times `|T|` for a delay window) stays
@@ -745,14 +919,23 @@ impl CdfTable {
     /// squaring; past 2^53 the sums round like any float arithmetic.
     ///
     /// With an inclusive `horizon` bucket, every product keeps only the
-    /// inner buckets a lookup up to it can reach, `horizon − T − min S`:
+    /// inner buckets a lookup up to it can reach, `horizon − T − min outer`:
     /// all supports are non-negative, so a kept bucket sums exactly the
-    /// products the untruncated one does, in the same order, and the table
-    /// agrees with an unbounded one bit for bit up to the horizon.
+    /// products the untruncated one does, and the table agrees with an
+    /// unbounded one bit for bit up to the horizon.
+    ///
+    /// A bounded `S^{*q}` table with `q ∈ 2..=5` whose total stays below
+    /// 2^53, over at most [`MAX_FACTORED_SAMPLES`] service samples,
+    /// factorises `R = S^{*(q+1)}` from kept powers `P2 = S⊛S` and
+    /// `P3 = S⊛S⊛S` ([`factors`]). Those are refreshed from `held`, the
+    /// table this one replaces, when it kept them to the same horizon and
+    /// the service counts moved in at most [`MAX_MOVED`] buckets; else they
+    /// are built by squaring. Every other table sums over `S` and builds
+    /// its inner term by the squaring chain of [`ConvScratch::power`].
     ///
     /// `None` when `service` or a window in use is empty.
     ///
-    /// The table's two vectors come from `scratch`'s spares (see
+    /// The table's vectors come from `scratch`'s spares (see
     /// [`ConvScratch::recycle`]), so a rebuild that recycled the table it
     /// replaces allocates nothing.
     #[aqua::hot_path]
@@ -762,21 +945,47 @@ impl CdfTable {
         wait: Wait<'_>,
         delay: Delay<'_>,
         horizon: Option<u64>,
+        held: Option<&CdfTable>,
         scratch: &mut ConvScratch,
     ) -> Option<CdfTable> {
         let &(first, _) = service.first()?;
         let service_total = total_count(service);
-        let shift = match delay {
-            Delay::Shift(buckets) => buckets,
-            Delay::Counts(_) => 0,
+        let (shift, delay_total) = match delay {
+            Delay::Shift(buckets) => (buckets, 1.0),
+            Delay::Counts(counts) => (0, total_count(counts)),
         };
-        let reach = horizon.map(|h| h.saturating_sub(shift.saturating_add(first)));
-        let (mut offset, mut inner, mut inner_total) = match wait {
-            Wait::Counts(counts) => {
+        let factored = match (wait, horizon) {
+            (Wait::ServiceFold(q), Some(horizon))
+                if service_total.powi(q as i32 + 1) * delay_total < EXACT_BELOW
+                    && service_total <= MAX_FACTORED_SAMPLES =>
+            {
+                factors(q).map(|factors| (factors, horizon))
+            }
+            _ => None,
+        };
+        let outer = factored.map_or(Term::Service, |((outer, _), _)| outer);
+        let reach = horizon.map(|h| h.saturating_sub(shift.saturating_add(outer.degree() * first)));
+        let mut powers = Powers::default();
+        let (mut offset, mut inner, mut inner_total) = match (wait, factored) {
+            (Wait::Counts(counts), _) => {
                 let mut dense = scratch.spare_weights();
                 (spread(counts, &mut dense)?, dense, total_count(counts))
             }
-            Wait::ServiceFold(q) => {
+            (Wait::ServiceFold(q), Some(((_, kept), horizon))) => {
+                let cube = outer == Term::Cube || kept == Term::Cube;
+                let held = held.filter(|held| held.bucket == bucket);
+                powers = scratch.powers(service, horizon, cube, held);
+                let from = kept.degree() * first;
+                let mut dense = scratch.spare_weights();
+                let weights = powers.of(kept).iter().skip(index(from));
+                dense.extend(weights.take(len_within(from, reach)));
+                if dense.is_empty() {
+                    // Starts past the horizon: no lookup up to it reads it.
+                    dense.push(0.0);
+                }
+                (from, dense, service_total.powi(q as i32))
+            }
+            (Wait::ServiceFold(q), None) => {
                 spread(service, &mut scratch.base)?;
                 let (offset, fold) = scratch.power(first, q, reach, 0.0, square_into);
                 (offset, fold, service_total.powi(q as i32))
@@ -787,7 +996,7 @@ impl CdfTable {
             let kept = len_within(offset, reach);
             convolve_into(&inner, &scratch.base, &mut scratch.tmp, kept);
             std::mem::swap(&mut inner, &mut scratch.tmp);
-            inner_total *= total_count(counts);
+            inner_total *= delay_total;
         }
         inner.truncate(len_within(offset, reach));
         prefix_sums(&mut inner);
@@ -796,6 +1005,8 @@ impl CdfTable {
         Some(CdfTable {
             bucket,
             service: pairs,
+            outer,
+            powers,
             offset: shift + offset,
             cum: inner,
             total: service_total * inner_total,
@@ -826,23 +1037,46 @@ impl CdfTable {
         }
     }
 
-    /// `F` at bucket `at`, summed over the service term's buckets.
+    /// `F` at bucket `at`, summed over the outer term's buckets.
     #[aqua::hot_path]
     fn sum_at(&self, at: u64) -> f64 {
         let Some(reach) = at.checked_sub(self.offset) else {
             return 0.0;
         };
+        let sum = match self.outer {
+            Term::Service => {
+                let weights = self.service.iter().map(|&(a, n)| (a, f64::from(n)));
+                self.fold(reach, weights)
+            }
+            power => {
+                let from = power.degree() * self.first_bucket();
+                let weights = self.powers.of(power).iter().skip(index(from));
+                self.fold(reach, (from..).zip(weights.copied()))
+            }
+        };
+        (sum / self.total).min(1.0)
+    }
+
+    /// `Σ_a w_a · cum[reach − a]` over the ascending `(a, w_a)` of the
+    /// outer term, reading `cum`'s last entry past its end.
+    #[inline]
+    fn fold(&self, reach: u64, outer: impl Iterator<Item = (u64, f64)>) -> f64 {
         let last = self.cum.len().saturating_sub(1);
         let mut sum = 0.0;
-        for &(a, weight) in &self.service {
+        for (a, weight) in outer {
             // Ascending buckets: once one is past reach, all later are.
             let Some(upto) = reach.checked_sub(a) else {
                 break;
             };
             let upto = usize::try_from(upto).map_or(last, |upto| upto.min(last));
-            sum += f64::from(weight) * self.cum.get(upto).copied().unwrap_or(0.0);
+            sum += weight * self.cum.get(upto).copied().unwrap_or(0.0);
         }
-        (sum / self.total).min(1.0)
+        sum
+    }
+
+    /// The service window's first bucket.
+    fn first_bucket(&self) -> u64 {
+        self.service.first().map_or(0, |&(at, _)| at)
     }
 
     /// Whether `t` lies within the horizon the table was built to, i.e.
@@ -858,6 +1092,13 @@ impl CdfTable {
     pub fn bucket_width(&self) -> Duration {
         self.bucket
     }
+
+    /// Whether the powers of `S` this table keeps were refreshed from the
+    /// table it replaced, rather than built by squaring.
+    #[inline]
+    pub fn is_refreshed(&self) -> bool {
+        self.powers.refreshed
+    }
 }
 
 /// Reusable buffers for [`Pmf::self_convolve`] and the tables of
@@ -866,9 +1107,9 @@ impl CdfTable {
 /// Holding one of these per table memo keeps rebuilding tables free of
 /// steady-state allocations: the squaring chain ping-pongs between the
 /// `base` and `tmp` buffers, and every vector a table keeps — its service
-/// pairs, its cumulative counts, the `q = 0` unit mass, the power chain's
-/// result, the `History` spread — is taken from the spares that
-/// `ConvScratch::recycle` returns retired tables' vectors to.
+/// pairs, its cumulative counts, its kept powers, the `q = 0` unit mass,
+/// the power chain's result, the `History` spread — is taken from the
+/// spares that `ConvScratch::recycle` returns retired tables' vectors to.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
     base: Vec<f64>,
@@ -885,20 +1126,27 @@ impl ConvScratch {
         ConvScratch::default()
     }
 
-    /// Takes `table` apart and keeps its two vectors for the next tables
-    /// built with this scratch. The spares never outnumber the tables a
-    /// memo held at once: a table is built from a spare whenever one is
-    /// left.
+    /// Takes `table` apart and keeps its vectors for the next tables
+    /// built with this scratch. The spares never outnumber the vectors
+    /// the tables a memo held at once had: a table is built from spares
+    /// whenever any are left.
     pub(crate) fn recycle(&mut self, table: CdfTable) {
         let CdfTable {
             mut service,
             mut cum,
+            powers,
             ..
         } = table;
         service.clear();
         self.pairs.push(service);
         cum.clear();
         self.weights.push(cum);
+        for mut kept in [powers.square, powers.cube] {
+            if kept.capacity() > 0 {
+                kept.clear();
+                self.weights.push(kept);
+            }
+        }
     }
 
     /// An empty weight vector: a recycled one while any is left.
@@ -919,6 +1167,93 @@ impl ConvScratch {
         }
         // aqua-lint: allow(no-alloc-in-select) pool miss: no table recycled yet, so the new vector grows on first use
         Vec::new()
+    }
+
+    /// `P2 = S⊛S` and, with `cube`, `P3 = S⊛S⊛S` of the non-empty
+    /// `service` counts, dense from bucket 0 through `horizon`.
+    ///
+    /// They are refreshed from `held`'s when it kept them to the same
+    /// horizon and the two service windows differ in at most
+    /// [`MAX_MOVED`] buckets. With `D = S_new − S_old` and the held `S` and
+    /// `P2`:
+    ///
+    /// ```text
+    /// P3 += 3·P2⊛D + 3·S⊛D⊛D + D⊛D⊛D
+    /// P2 += 2·S⊛D + D⊛D
+    /// ```
+    ///
+    /// evaluated through `X = P2 + S⊛D`: `P3 += 3·D⊛X + D⊛D⊛D`, one axpy
+    /// per moved bucket, then `P2 = X + S⊛D + D⊛D`. Every entry is an
+    /// integer count and every partial sum stays below 2^53
+    /// ([`MAX_FACTORED_SAMPLES`]), so a refreshed power equals a built one
+    /// bit for bit. Otherwise they are built: `P2` by [`square_into`], `P3`
+    /// as `P2 ⊛ S`.
+    #[aqua::hot_path]
+    fn powers(
+        &mut self,
+        service: &[(u64, u32)],
+        horizon: u64,
+        cube: bool,
+        held: Option<&CdfTable>,
+    ) -> Powers {
+        let refresh = held
+            .filter(|held| {
+                held.horizon == Some(horizon)
+                    && !held.powers.square.is_empty()
+                    && (!cube || !held.powers.cube.is_empty())
+            })
+            .and_then(|held| Some((held, Moved::between(&held.service, service)?)));
+        let mut powers = Powers {
+            square: self.spare_weights(),
+            ..Powers::default()
+        };
+        if cube {
+            powers.cube = self.spare_weights();
+        }
+        if let Some((held, moved)) = refresh {
+            let moved = moved.pairs();
+            let old_service = || held.service.iter().map(|&(a, n)| (a, f64::from(n)));
+            powers.square.extend_from_slice(&held.powers.square);
+            if cube {
+                // `P2 + S⊛D = S_old⊛S_new`, where both updates meet.
+                add_products(&mut powers.square, 1.0, old_service(), moved);
+                // `P3 + 3·D⊛(P2 + S⊛D) + D⊛D⊛D`, one moved bucket of the
+                // first `D` at a time: an axpy, then its `D⊛D` products.
+                powers.cube.extend_from_slice(&held.powers.cube);
+                for &(at, by) in moved {
+                    let slots = powers.cube.get_mut(index(at)..).unwrap_or_default();
+                    let scale = 3.0 * by;
+                    for (slot, &weight) in slots.iter_mut().zip(&powers.square) {
+                        *slot += scale * weight;
+                    }
+                    let shifted = moved.iter().map(|&(b, y)| (at + b, y));
+                    add_products(&mut powers.cube, by, shifted, moved);
+                }
+                add_products(&mut powers.square, 1.0, old_service(), moved);
+            } else {
+                add_products(&mut powers.square, 2.0, old_service(), moved);
+            }
+            // `P2 + 2·S⊛D + D⊛D`.
+            add_products(&mut powers.square, 1.0, moved.iter().copied(), moved);
+            powers.refreshed = true;
+            return powers;
+        }
+        let len = index(horizon).saturating_add(1);
+        let first = spread(service, &mut self.base).unwrap_or(0);
+        let square_from = Term::Square.degree() * first;
+        square_into(
+            &self.base,
+            &mut powers.square,
+            len_within(square_from, Some(horizon)),
+        );
+        if cube {
+            let cube_from = Term::Cube.degree() * first;
+            let kept = len_within(cube_from, Some(horizon));
+            convolve_into(&powers.square, &self.base, &mut powers.cube, kept);
+            from_zero(&mut powers.cube, cube_from, len);
+        }
+        from_zero(&mut powers.square, square_from, len);
+        powers
     }
 
     /// The `n`-fold self-convolution of the weights in `base`, whose first
@@ -1322,6 +1657,7 @@ mod tests {
             Wait::Counts(&[(0, 1), (2, 1)]),
             Delay::Shift(3),
             horizon,
+            None,
             &mut ConvScratch::new(),
         )
         .unwrap()
@@ -1350,6 +1686,7 @@ mod tests {
             &service,
             Wait::ServiceFold(2),
             Delay::Counts(&wait),
+            None,
             None,
             &mut ConvScratch::new(),
         )
@@ -1394,6 +1731,125 @@ mod tests {
     #[should_panic(expected = "past the horizon")]
     fn lookup_past_the_horizon_is_flagged_in_debug_builds() {
         let _ = two_by_two(Some(5)).value_at(ms(6));
+    }
+
+    #[test]
+    fn moved_buckets_are_the_signed_difference_of_two_windows() {
+        let old = [(3, 2), (5, 1), (9, 4)];
+        let new = [(1, 1), (3, 2), (5, 3), (10, 4)];
+        let moved = Moved::between(&old, &new).unwrap();
+        assert_eq!(
+            moved.pairs(),
+            [(1, 1.0), (5, 2.0), (9, -4.0), (10, 4.0)].as_slice()
+        );
+        assert!(Moved::between(&old, &old).unwrap().pairs().is_empty());
+        let wide: Vec<(u64, u32)> = (0..9).map(|at| (2 * at, 1)).collect();
+        assert!(Moved::between(&[], &wide).is_none(), "one bucket too many");
+        assert!(Moved::between(&[], &wide[1..]).is_some());
+    }
+
+    mod refresh {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A window's `(bucket, count)` pairs: up to 24 buckets in 0..60.
+        fn window() -> impl Strategy<Value = Vec<(u64, u32)>> {
+            prop::collection::vec((0u64..60, 1u32..5), 1..24)
+        }
+
+        fn merged(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+            pairs.sort_unstable_by_key(|&(at, _)| at);
+            pairs.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            pairs
+        }
+
+        fn table(
+            service: &[(u64, u32)],
+            q: u32,
+            horizon: Option<u64>,
+            held: Option<&CdfTable>,
+            scratch: &mut ConvScratch,
+        ) -> CdfTable {
+            let wait = Wait::ServiceFold(q);
+            CdfTable::of_counts(
+                ms(1),
+                service,
+                wait,
+                Delay::Shift(2),
+                horizon,
+                held,
+                scratch,
+            )
+            .unwrap()
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|w| w.to_bits()).collect()
+        }
+
+        proptest! {
+            /// A table refreshed from the one it replaces keeps the powers
+            /// a fresh one builds, bit for bit, and reads what the fresh
+            /// one and today's chain read at every bucket up to the
+            /// horizon. It refreshes exactly when the held table kept the
+            /// powers it needs to the same horizon and at most
+            /// `MAX_MOVED` buckets moved.
+            #[test]
+            fn a_refreshed_table_is_a_fresh_one(
+                old in window(),
+                added in prop::collection::vec((0u64..60, 1u32..5), 0..12),
+                dropped in 0usize..4,
+                held_q in prop_oneof![2u32..=5, 0u32..=7],
+                q in prop_oneof![2u32..=5, 0u32..=7],
+                horizon in 0u64..400,
+                same_horizon in prop_oneof![3 => Just(true), 1 => Just(false)],
+            ) {
+                let old = merged(old);
+                // Drop the lowest buckets and add new pairs, so the diff
+                // ranges from nothing to more than `MAX_MOVED` buckets.
+                let new = merged(old.iter().skip(dropped).copied().chain(added).collect());
+                if new.is_empty() {
+                    return Ok(());
+                }
+                let mut scratch = ConvScratch::new();
+                let held_horizon = if same_horizon { horizon } else { horizon + 1 };
+                let held = table(&old, held_q, Some(held_horizon), None, &mut scratch);
+                let refreshed = table(&new, q, Some(horizon), Some(&held), &mut scratch);
+                let fresh = table(&new, q, Some(horizon), None, &mut scratch);
+                let chain = table(&new, q, None, None, &mut scratch);
+                let count = |pairs: &[(u64, u32)], at| {
+                    pairs.iter().find(|&&(b, _)| b == at).map_or(0, |&(_, n)| n)
+                };
+                let moved = (0..120).filter(|&at| count(&old, at) != count(&new, at)).count() <= 8;
+                let cubed = |(outer, inner)| outer == Term::Cube || inner == Term::Cube;
+                let (needs, kept) = (factors(q).map(cubed), factors(held_q).map(cubed));
+                let can = match (needs, kept) {
+                    (Some(cube), Some(has_cube)) => !cube || has_cube,
+                    _ => false,
+                };
+                prop_assert_eq!(refreshed.is_refreshed(), can && moved && same_horizon);
+                prop_assert!(!fresh.is_refreshed());
+                prop_assert_eq!(bits(&refreshed.powers.square), bits(&fresh.powers.square));
+                prop_assert_eq!(bits(&refreshed.powers.cube), bits(&fresh.powers.cube));
+                for t in 0..=horizon {
+                    let (r, f, c) = (
+                        refreshed.value_at(ms(t)),
+                        fresh.value_at(ms(t)),
+                        chain.value_at(ms(t)),
+                    );
+                    prop_assert!(
+                        r.to_bits() == f.to_bits() && f.to_bits() == c.to_bits(),
+                        "q = {q} at {t}: refreshed {r}, fresh {f}, chain {c}"
+                    );
+                }
+            }
+        }
     }
 
     mod kernel {

@@ -63,14 +63,15 @@ impl ReplicaSnapshot {
         model: &ResponseTimeModel,
         scratch: &mut ConvScratch,
     ) -> Self {
-        Self::build_within(id, stats, Some(model), scratch, None)
+        Self::build_within(id, stats, Some(model), scratch, None, None)
     }
 
     /// What a planner holding `held` for a replica does before reading
     /// `stats` at deadlines up to `horizon`: `None` while `held`
     /// [serves](ReplicaSnapshot::serves) them, else the snapshot to
-    /// replace it with, with tables from `model` exact up to `horizon`
-    /// (none without a model: the planner reads the repository). A memo
+    /// replace it with, with tables from `model` exact up to `horizon`,
+    /// refreshed from `held`'s ([`ReplicaSnapshot::rebuild`]; none
+    /// without a model: the planner reads the repository). A memo
     /// that owns its snapshot rebuilds it in place instead
     /// ([`ReplicaSnapshot::refresh_in_place`]); both follow the one reuse
     /// rule of every table memo, the publisher's and the model-based
@@ -86,7 +87,14 @@ impl ReplicaSnapshot {
     ) -> Option<ReplicaSnapshot> {
         match held {
             Some(held) if held.serves(stats, horizon) => None,
-            _ => Some(Self::build_within(id, stats, model, scratch, Some(horizon))),
+            _ => Some(Self::build_within(
+                id,
+                stats,
+                model,
+                scratch,
+                Some(horizon),
+                held,
+            )),
         }
     }
 
@@ -104,7 +112,7 @@ impl ReplicaSnapshot {
         horizon: Duration,
     ) {
         if !self.serves(stats, horizon) {
-            self.rebuild(self.id, stats, model, scratch, Some(horizon));
+            self.rebuild(self.id, stats, model, scratch, Some(horizon), None);
         }
     }
 
@@ -118,13 +126,15 @@ impl ReplicaSnapshot {
     }
 
     /// A snapshot of `stats` with `model`'s tables exact up to `horizon`
-    /// (everywhere for `None`), or with no tables without a model.
+    /// (everywhere for `None`), or with no tables without a model; the
+    /// tables refresh from `held`'s ([`ReplicaSnapshot::rebuild`]).
     fn build_within(
         id: ReplicaId,
         stats: &ReplicaStats,
         model: Option<&ResponseTimeModel>,
         scratch: &mut ConvScratch,
         horizon: Option<Duration>,
+        held: Option<&ReplicaSnapshot>,
     ) -> Self {
         let mut snapshot = ReplicaSnapshot {
             id,
@@ -136,13 +146,18 @@ impl ReplicaSnapshot {
             outstanding: 0,
             cdfs: Vec::new(),
         };
-        snapshot.rebuild(id, stats, model, scratch, horizon);
+        snapshot.rebuild(id, stats, model, scratch, horizon, held);
         snapshot
     }
 
     /// Makes this snapshot the one [`ReplicaSnapshot::build_within`]
     /// builds, in place: its tables go back to `scratch` and the new ones
     /// are built from `scratch`'s spares into the same list.
+    ///
+    /// `held` is the snapshot this one replaces, only read: while it
+    /// describes the same incarnation of the replica (its epoch), each
+    /// slot's table is built from `held`'s table for that slot
+    /// ([`ResponseTimeModel::response_cdf_from`]).
     #[aqua::hot_path]
     fn rebuild(
         &mut self,
@@ -151,6 +166,7 @@ impl ReplicaSnapshot {
         model: Option<&ResponseTimeModel>,
         scratch: &mut ConvScratch,
         horizon: Option<Duration>,
+        held: Option<&ReplicaSnapshot>,
     ) {
         self.id = id;
         self.warm = stats.is_warm();
@@ -165,17 +181,24 @@ impl ReplicaSnapshot {
         let Some(model) = model else {
             return;
         };
+        let held = held.filter(|held| held.epoch == self.epoch);
+        let held_table = |slot| held.and_then(|held| held.table(slot));
         match model.config().method_scope {
             MethodScope::PerMethod => {
                 self.cdfs.reserve_exact(stats.histories().count());
                 for (method, _) in stats.histories() {
-                    if let Some(cdf) = model.response_cdf(stats, Some(method), scratch, horizon) {
-                        self.cdfs.push((u64::from(method.index()), cdf));
+                    let slot = u64::from(method.index());
+                    let held = held_table(slot);
+                    if let Some(cdf) =
+                        model.response_cdf_from(held, stats, Some(method), scratch, horizon)
+                    {
+                        self.cdfs.push((slot, cdf));
                     }
                 }
             }
             MethodScope::Aggregate => {
-                if let Some(cdf) = model.response_cdf(stats, None, scratch, horizon) {
+                let held = held_table(AGGREGATE_SLOT);
+                if let Some(cdf) = model.response_cdf_from(held, stats, None, scratch, horizon) {
                     self.cdfs.push((AGGREGATE_SLOT, cdf));
                 }
             }
@@ -231,12 +254,17 @@ impl ReplicaSnapshot {
     /// the slot (no history yet, or the model could not produce one).
     #[aqua::hot_path]
     pub fn probability_by(&self, slot: u64, deadline: Duration) -> Option<f64> {
+        Some(self.table(slot)?.value_at(deadline))
+    }
+
+    /// The published table of a method slot, if the replica has one.
+    #[aqua::hot_path]
+    pub fn table(&self, slot: u64) -> Option<&CdfTable> {
         let at = self
             .cdfs
             .binary_search_by_key(&slot, |entry| entry.0)
             .ok()?;
-        let (_, cdf) = self.cdfs.get(at)?;
-        Some(cdf.value_at(deadline))
+        self.cdfs.get(at).map(|(_, cdf)| cdf)
     }
 
     /// Number of method slots with a published table.
@@ -426,9 +454,10 @@ impl ViewSpares {
         std::mem::take(&mut self.list)
     }
 
-    /// What [`ReplicaSnapshot::refresh`] builds for `id`, built in a
-    /// spare's buffers — `id`'s own when the reclaimed view had one —
-    /// or anew when no spare is left.
+    /// What [`ReplicaSnapshot::refresh`] builds for `id` to replace
+    /// `held`, built in a spare's buffers — `id`'s own when the reclaimed
+    /// view had one — or anew when no spare is left. `held` is only read,
+    /// so a planner that holds it still sees it unchanged.
     pub fn rebuilt(
         &mut self,
         id: ReplicaId,
@@ -436,6 +465,7 @@ impl ViewSpares {
         model: Option<&ResponseTimeModel>,
         scratch: &mut ConvScratch,
         horizon: Duration,
+        held: Option<&ReplicaSnapshot>,
     ) -> Arc<ReplicaSnapshot> {
         let own = self.snapshots.binary_search_by_key(&id, |s| s.id());
         let spare = match own {
@@ -444,7 +474,7 @@ impl ViewSpares {
         };
         if let Some(mut spare) = spare {
             if let Some(snapshot) = Arc::get_mut(&mut spare) {
-                snapshot.rebuild(id, stats, model, scratch, Some(horizon));
+                snapshot.rebuild(id, stats, model, scratch, Some(horizon), held);
                 return spare;
             }
         }
@@ -454,6 +484,7 @@ impl ViewSpares {
             model,
             scratch,
             Some(horizon),
+            held,
         ))
     }
 }
@@ -521,7 +552,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelConfig;
+    use crate::model::{ModelConfig, QueueEstimator};
     use crate::repository::PerfReport;
     use crate::time::Instant;
 
@@ -621,6 +652,62 @@ mod tests {
         assert!(!snap.is_current(repo.stats(id).unwrap()));
     }
 
+    /// A `QueueScaled` table refreshes the powers of `S` that the table
+    /// it replaces kept only within one incarnation of the replica: a
+    /// re-inserted one, even with the same samples, builds them anew.
+    #[test]
+    fn tables_refresh_only_from_the_same_incarnation() {
+        let model = ResponseTimeModel::new(ModelConfig {
+            queue_estimator: QueueEstimator::QueueScaled,
+            ..ModelConfig::default()
+        });
+        let mut scratch = ConvScratch::new();
+        let id = ReplicaId::new(0);
+        let fill = |repo: &mut InfoRepository, extra: u64| {
+            for k in 0..5 + extra {
+                let report = PerfReport::new(ms(30 + 7 * k), ms(0), 3);
+                repo.record_perf(id, report, Instant::EPOCH);
+            }
+            repo.record_gateway_delay(id, ms(2), Instant::EPOCH);
+        };
+        let mut repo = warmed_repo(0, 5);
+        repo.insert_replica(id);
+        fill(&mut repo, 0);
+        let held = ReplicaSnapshot::refresh(
+            None,
+            id,
+            repo.stats(id).unwrap(),
+            Some(&model),
+            &mut scratch,
+            ms(200),
+        )
+        .unwrap();
+        fill(&mut repo, 1);
+        let stats = repo.stats(id).unwrap();
+        let next =
+            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200));
+        assert!(next.unwrap().table(0).unwrap().is_refreshed());
+
+        repo.remove_replica(id);
+        repo.insert_replica(id);
+        fill(&mut repo, 1);
+        let stats = repo.stats(id).unwrap();
+        let next =
+            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200))
+                .unwrap();
+        let table = next.table(0).unwrap();
+        assert!(!table.is_refreshed(), "a new incarnation builds its powers");
+        let fresh = model
+            .response_cdf(stats, None, &mut scratch, Some(ms(200)))
+            .unwrap();
+        for t in 0..=200 {
+            assert_eq!(
+                table.value_at(ms(t)).to_bits(),
+                fresh.value_at(ms(t)).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn refresh_never_answers_for_a_reinserted_replica() {
         let mut repo = warmed_repo(1, 5);
@@ -710,7 +797,14 @@ mod tests {
         spares.retire(Arc::new(build_view(&repo, &model, 1)));
         spares.reclaim();
         let (id, stats) = repo.iter().next().unwrap();
-        drop(spares.rebuilt(id, stats, Some(&model), &mut ConvScratch::new(), ms(200)));
+        drop(spares.rebuilt(
+            id,
+            stats,
+            Some(&model),
+            &mut ConvScratch::new(),
+            ms(200),
+            None,
+        ));
         // The next retired view frees nothing of its own.
         let empty = PlanningView::assemble(2, Vec::new(), Arc::new(repo.clone()), spec());
         spares.retire(Arc::new(empty));

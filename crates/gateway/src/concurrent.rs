@@ -696,7 +696,10 @@ impl ConcurrentHandler {
                 Some(held) if held.serves(stats, qos.deadline()) => snaps.push(Arc::clone(held)),
                 _ => {
                     rebuilt += 1;
-                    snaps.push(spares.rebuilt(id, stats, model, scratch, qos.deadline()));
+                    // The stale snapshot's tables are read, never written:
+                    // a planner holding `current` still sees them.
+                    let held = held.map(Arc::as_ref);
+                    snaps.push(spares.rebuilt(id, stats, model, scratch, qos.deadline(), held));
                 }
             }
         }
@@ -1308,7 +1311,7 @@ impl Drop for RepositoryMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqua_core::model::ModelConfig;
+    use aqua_core::model::{ModelConfig, QueueEstimator};
     use aqua_core::snapshot::ReplicaSnapshot;
     use aqua_strategies::{FastestMean, ModelBased};
 
@@ -1877,7 +1880,11 @@ mod tests {
     /// The publish behind `view` built what a from-scratch build of the
     /// handler's repository gives: the same stats, and every table equal
     /// to a fresh build at deadlines up to the view's.
-    fn assert_published_fresh(h: &ConcurrentHandler, view: &PlanningView) {
+    fn assert_published_fresh(
+        h: &ConcurrentHandler,
+        view: &PlanningView,
+        model: &ResponseTimeModel,
+    ) {
         let repository = h.repository();
         let published: Vec<String> = view
             .repository()
@@ -1889,14 +1896,13 @@ mod tests {
             .map(|(id, stats)| format!("{id:?} {stats:?}"))
             .collect();
         assert_eq!(published, expected);
-        let model = ResponseTimeModel::default();
         let slot = method_slot(model.config().method_scope, None);
         let ids: Vec<ReplicaId> = view.replicas().iter().map(|s| s.id()).collect();
         assert_eq!(ids, repository.replica_ids().collect::<Vec<_>>());
         for snap in view.replicas() {
             let stats = repository.stats(snap.id()).unwrap();
             assert!(snap.is_current(stats), "{:?} is stale", snap.id());
-            let fresh = ReplicaSnapshot::build(snap.id(), stats, &model, &mut ConvScratch::new());
+            let fresh = ReplicaSnapshot::build(snap.id(), stats, model, &mut ConvScratch::new());
             for deadline in [0, 50, 100, 150, 200] {
                 assert_eq!(
                     snap.probability_by(slot, ms(deadline)).map(f64::to_bits),
@@ -1916,6 +1922,46 @@ mod tests {
     fn a_held_view_never_changes_across_republishes() {
         let h = handler(0.9);
         warm(&h, &[0, 1, 2, 3], 20);
+        held_view_never_changes(&h, &ResponseTimeModel::default(), |round| round as u32);
+    }
+
+    /// The same with `QueueScaled` tables: the held view's tables keep
+    /// `S⊛S` and `S⊛S⊛S` (queue 4), the first tables to replace them
+    /// (queue 4 again) refresh those, which must only read them, and later
+    /// ones cycle through queues 5, 0, 1, 2 and 3.
+    #[test]
+    fn a_held_queue_scaled_view_never_changes_across_republishes() {
+        let config = ModelConfig {
+            queue_estimator: QueueEstimator::QueueScaled,
+            ..ModelConfig::default()
+        };
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::new(config)))
+            .with_min_republish(Duration::ZERO);
+        warm(&h, &[0, 1, 2, 3], 20);
+        let at = Instant::from_millis(99);
+        for i in 0..4u64 {
+            let report = PerfReport::new(ms(25 + 10 * i), ms(0), 4);
+            h.on_perf_update(at, ReplicaId::new(i), report);
+        }
+        let model = ResponseTimeModel::new(config);
+        held_view_never_changes(&h, &model, |round| ((round + 4) % 6) as u32);
+        // The last round went from queue 2 to 3: every table refreshed
+        // the `S⊛S` the view before kept.
+        for snap in h.planning_view().replicas() {
+            assert!(snap.table(0).unwrap().is_refreshed(), "{:?}", snap.id());
+        }
+    }
+
+    /// Holds the view `h` publishes next, then republishes one changed
+    /// replica at a time, six rounds over four replicas, each report at
+    /// queue `queue_of(round)`: the held view reads the same throughout,
+    /// and every view published meanwhile is `model`'s fresh one.
+    fn held_view_never_changes(
+        h: &ConcurrentHandler,
+        model: &ResponseTimeModel,
+        queue_of: fn(u64) -> u32,
+    ) {
         h.plan_request(Instant::from_millis(100));
         let held = h.planning_view();
         let before = fingerprint(&held);
@@ -1923,12 +1969,12 @@ mod tests {
         for round in 0..6u64 {
             at += ms(1);
             for i in 0..4u64 {
-                let report = PerfReport::new(ms(30 + 25 * round + i), ms(round), round as u32);
+                let report = PerfReport::new(ms(30 + 25 * round + i), ms(round), queue_of(round));
                 h.on_perf_update(at, ReplicaId::new(i), report);
                 h.plan_request(at);
                 let now = h.planning_view();
                 assert!(now.version() > held.version());
-                assert_published_fresh(&h, &now);
+                assert_published_fresh(h, &now, model);
                 assert_eq!(fingerprint(&held), before, "round {round}, replica {i}");
             }
         }
@@ -1939,7 +1985,6 @@ mod tests {
 
     mod bounded_tables {
         use super::*;
-        use aqua_core::model::QueueEstimator;
         use proptest::prelude::*;
 
         #[derive(Debug, Clone)]
