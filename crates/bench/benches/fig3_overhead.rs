@@ -1,8 +1,8 @@
 //! Criterion bench for **Figure 3**: per-request overhead of the selection
-//! algorithm (distribution computation + Algorithm 1) as a function of the
-//! number of replicas and the sliding-window size.
+//! algorithm (the handler's table builds + Algorithm 1 over them) as a
+//! function of the number of replicas and the sliding-window size.
 
-use aqua_bench::synthetic::synthetic_selector;
+use aqua_bench::synthetic::SyntheticPlanner;
 use aqua_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -15,8 +15,8 @@ fn bench_selection_overhead(c: &mut Criterion) {
                 BenchmarkId::new(format!("window_{l}"), n),
                 &(n, l),
                 |b, &(n, l)| {
-                    let mut selector = synthetic_selector(n, l, 42);
-                    b.iter(|| std::hint::black_box(selector.select(&qos)));
+                    let mut planner = SyntheticPlanner::new(n, l, 42, qos);
+                    b.iter(|| std::hint::black_box(planner.plan()));
                 },
             );
         }

@@ -2,8 +2,9 @@
 //! (µs per request) vs. number of replicas, for sliding windows of 5, 10,
 //! and 20.
 //!
-//! The overhead is the measured δ of §5.3.3: computing the per-replica
-//! distribution functions plus running Algorithm 1. The paper reports
+//! The overhead is the measured δ of §5.3.3, timed on the two steps of
+//! the handler's plan: building each replica's distribution-function
+//! table, then running Algorithm 1 over the tables. The paper reports
 //! 100–900 µs on 2001-era hardware, ~90% of it spent on the distribution
 //! computation; absolute numbers on modern hardware are smaller, but the
 //! growth with `n` and `l` is the reproduced shape.

@@ -1,7 +1,12 @@
 //! Synthetic repositories for micro-benchmarking the selection algorithm
 //! (Figure 3) without running a full simulation.
 
+use std::sync::Arc;
+
+use aqua_core::pmf::ConvScratch;
 use aqua_core::prelude::*;
+use aqua_core::scheduler::{plan, Plan};
+use aqua_core::snapshot::{method_slot, PlanningView, ViewSpares};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,29 +42,119 @@ pub fn synthetic_repository(n: usize, l: usize, seed: u64) -> InfoRepository {
     repo
 }
 
-/// A ready-to-run selector over a synthetic repository.
-pub fn synthetic_selector(n: usize, l: usize, seed: u64) -> ReplicaSelector {
-    let mut selector = ReplicaSelector::new(l, SelectorConfig::default());
-    *selector.repository_mut() = synthetic_repository(n, l, seed);
-    selector
+/// The two steps of a handler's plan over a synthetic repository, timed
+/// apart, with every member stale on every plan (each has a new report):
+///
+/// 1. the model: the deadline-bounded table build a publish makes for
+///    each stale member ([`ViewSpares::rebuilt`]), in the buffers of the
+///    view the previous plan retired;
+/// 2. the selection: [`plan`] reading those tables at `t − δ`, the body of
+///    the handler's snapshot planner, with δ the previous plan's total.
+#[derive(Debug)]
+pub struct SyntheticPlanner {
+    repository: Arc<InfoRepository>,
+    config: SelectorConfig,
+    model: ResponseTimeModel,
+    qos: QosSpec,
+    scratch: ConvScratch,
+    spares: ViewSpares,
+    version: u64,
+    delta: Duration,
 }
 
-/// Measures the mean per-decision overhead δ (and its model/selection
-/// split) over `iters` scheduling decisions.
+/// One plan of a [`SyntheticPlanner`] and what its two steps took.
+#[derive(Debug, Clone)]
+pub struct TimedPlan {
+    /// What Algorithm 1 selected, and the ranking it read.
+    pub plan: Plan,
+    /// Time building every member's table.
+    pub model_time: Duration,
+    /// Time in [`plan`]: each table's point read, then Algorithm 1.
+    pub select_time: Duration,
+}
+
+impl TimedPlan {
+    /// The plan's whole overhead δ.
+    pub fn overhead(&self) -> Duration {
+        self.model_time.saturating_add(self.select_time)
+    }
+}
+
+impl SyntheticPlanner {
+    /// A planner for `qos` over [`synthetic_repository`]`(n, l, seed)`,
+    /// with the paper's model and cold-start rule.
+    pub fn new(n: usize, l: usize, seed: u64, qos: QosSpec) -> Self {
+        let config = SelectorConfig::default();
+        SyntheticPlanner {
+            repository: Arc::new(synthetic_repository(n, l, seed)),
+            config,
+            model: ResponseTimeModel::new(config.model),
+            qos,
+            scratch: ConvScratch::new(),
+            spares: ViewSpares::default(),
+            version: 0,
+            delta: Duration::ZERO,
+        }
+    }
+
+    /// Builds every member's table, then plans over them.
+    pub fn plan(&mut self) -> TimedPlan {
+        let started = std::time::Instant::now();
+        self.spares.reclaim();
+        let mut snapshots = self.spares.list();
+        let horizon = self.qos.deadline();
+        for (id, stats) in self.repository.iter() {
+            let model = Some(&self.model);
+            let scratch = &mut self.scratch;
+            snapshots.push(
+                self.spares
+                    .rebuilt(id, stats, model, scratch, horizon, None),
+            );
+        }
+        let built = std::time::Instant::now();
+        let deadline = self.qos.deadline().saturating_sub(self.delta);
+        let slot = method_slot(self.config.model.method_scope, None);
+        let members = snapshots
+            .iter()
+            .filter(|snap| snap.is_selectable())
+            .map(|snap| (snap.id(), snap));
+        let plan = plan(
+            &self.config,
+            self.qos.min_probability(),
+            members,
+            |_, snap| snap.probability_by(slot, deadline),
+        );
+        let finished = std::time::Instant::now();
+        self.version += 1;
+        let repository = Arc::clone(&self.repository);
+        let view = PlanningView::assemble(self.version, snapshots, repository, self.qos);
+        self.spares.retire(Arc::new(view));
+        let timed = TimedPlan {
+            plan,
+            model_time: Duration::from(built - started),
+            select_time: Duration::from(finished - built),
+        };
+        self.delta = timed.overhead();
+        timed
+    }
+}
+
+/// Measures the mean per-plan overhead δ (and its model/selection split)
+/// over `iters` plans of a [`SyntheticPlanner`].
 pub fn measure_overhead(n: usize, l: usize, qos: &QosSpec, iters: u32) -> OverheadMeasurement {
-    let mut selector = synthetic_selector(n, l, 42);
-    // Warm up caches and the δ tracker.
+    let mut planner = SyntheticPlanner::new(n, l, 42, *qos);
+    // Warm up the buffers and δ.
     for _ in 0..16 {
-        let _ = selector.select(qos);
+        let _ = planner.plan();
     }
     let mut total = Duration::ZERO;
     let mut model = Duration::ZERO;
     let mut select = Duration::ZERO;
     for _ in 0..iters {
-        let decision = selector.select(qos);
-        total = total.saturating_add(decision.overhead());
-        model = model.saturating_add(decision.model_time);
-        select = select.saturating_add(decision.select_time);
+        let timed = planner.plan();
+        total = total.saturating_add(timed.overhead());
+        model = model.saturating_add(timed.model_time);
+        select = select.saturating_add(timed.select_time);
     }
     OverheadMeasurement {
         n,
@@ -114,12 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn selector_selects_over_synthetic_data() {
-        let mut selector = synthetic_selector(7, 5, 2);
+    fn planner_plans_over_synthetic_data() {
         let qos = QosSpec::new(Duration::from_millis(200), 0.9).unwrap();
-        let d = selector.select(&qos);
-        assert_eq!(d.reason, SelectionReason::Model);
-        assert!(d.selection.redundancy() >= 2);
+        let mut planner = SyntheticPlanner::new(7, 5, 2, qos);
+        for _ in 0..2 {
+            let timed = planner.plan();
+            assert_eq!(timed.plan.candidates.len(), 7, "every member is ranked");
+            assert!(timed.plan.selection.redundancy() >= 2);
+        }
     }
 
     #[test]

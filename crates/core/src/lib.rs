@@ -23,45 +23,54 @@
 //! * [`select`] — Algorithm 1 with the single-crash guarantee (Eq. 3).
 //! * [`qos`] — client QoS specifications (§4).
 //! * [`failure`] — timing failure detection and QoS callbacks (§5.4.2).
-//! * [`overhead`] — δ accounting for deadline adjustment (§5.3.3).
-//! * [`scheduler`] — the per-client scheduling agent tying it all together,
-//!   and [`scheduler::plan`], the one planning function every planner runs.
+//! * [`scheduler`] — [`scheduler::plan`], the one planning function tying
+//!   model and Algorithm 1 together.
 //! * [`snapshot`] — immutable, epoch-published planning views for
 //!   lock-free concurrent planning.
 //!
 //! ## Quick start
 //!
+//! The timing fault handler of `aqua-gateway` plans every request: it
+//! publishes each replica's `F_Ri` table and runs [`scheduler::plan`] over
+//! them, less its own measured overhead δ.
+//!
 //! ```
 //! use aqua_core::prelude::*;
+//! use aqua_core::snapshot::method_slot;
+//! use aqua_gateway::ConcurrentHandler;
+//! use aqua_strategies::ModelBased;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ms = Duration::from_millis;
 //!
-//! // A scheduler with the paper's sliding window of 5.
-//! let mut selector = ReplicaSelector::new(5, SelectorConfig::default());
-//!
-//! // The group has three replicas.
-//! for i in 0..3 {
-//!     selector.repository_mut().insert_replica(ReplicaId::new(i));
-//! }
-//!
-//! // Feed measurements (normally piggybacked on replies).
-//! for i in 0..3 {
-//!     let r = ReplicaId::new(i);
-//!     for _ in 0..5 {
-//!         selector.repository_mut().record_perf(
-//!             r,
-//!             PerfReport::new(ms(90 + 10 * i), ms(5), 1),
-//!             Instant::EPOCH,
-//!         );
-//!     }
-//!     selector.repository_mut().record_gateway_delay(r, ms(3), Instant::EPOCH);
-//! }
-//!
-//! // "Respond within 150 ms with probability at least 0.9."
+//! // "Respond within 150 ms with probability at least 0.9", planned with
+//! // the paper's model and sliding window of 5.
 //! let qos = QosSpec::new(ms(150), 0.9)?;
-//! let decision = selector.select(&qos);
-//! assert!(decision.selection.redundancy() >= 2);
+//! let mut handler = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::default()));
+//!
+//! // Three replicas and their measurements (normally piggybacked on
+//! // replies).
+//! {
+//!     let mut repository = handler.repository_mut();
+//!     for i in 0..3 {
+//!         let r = ReplicaId::new(i);
+//!         repository.insert_replica(r);
+//!         for _ in 0..5 {
+//!             let report = PerfReport::new(ms(90 + 10 * i), ms(5), 1);
+//!             repository.record_perf(r, report, Instant::EPOCH);
+//!         }
+//!         repository.record_gateway_delay(r, ms(3), Instant::EPOCH);
+//!     }
+//! }
+//!
+//! let plan = handler.plan_request(Instant::EPOCH);
+//! let view = handler.planning_view();
+//! let slot = method_slot(MethodScope::PerMethod, None);
+//! for r in plan.replicas.iter() {
+//!     let f = view.probability_by(*r, slot, qos.deadline());
+//!     assert!(f.is_some_and(|f| f > 0.9), "{r}: F_R(150 ms) = {f:?}");
+//! }
+//! assert!(plan.replicas.len() >= 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -90,7 +99,6 @@ pub mod aqua {
 pub mod analytic;
 pub mod failure;
 pub mod model;
-pub mod overhead;
 pub mod pmf;
 pub mod qos;
 pub mod repository;
@@ -106,13 +114,10 @@ pub mod prelude {
     pub use crate::model::{
         DelayEstimator, MethodScope, ModelConfig, QueueEstimator, ResponseTimeModel,
     };
-    pub use crate::overhead::OverheadTracker;
     pub use crate::pmf::Pmf;
     pub use crate::qos::{QosSpec, ReplicaId};
     pub use crate::repository::{InfoRepository, MethodId, PerfReport, ReplicaStats};
-    pub use crate::scheduler::{
-        ColdStartPolicy, ReplicaSelector, SelectionDecision, SelectionReason, SelectorConfig,
-    };
+    pub use crate::scheduler::{ColdStartPolicy, SelectorConfig};
     pub use crate::select::{
         combined_probability, select_replicas, select_replicas_tolerating, Candidate, Selection,
     };

@@ -5,7 +5,7 @@
 //! packages the read side as an immutable, epoch-published **planning
 //! view**: per-replica point-query response-time tables ([`CdfTable`])
 //! plus the freshness metadata needed to decide when a replica's entry is
-//! stale ([`ReplicaSnapshot::refresh`]). Publishers
+//! stale ([`ReplicaSnapshot::serves`]). Publishers
 //! rebuild a new [`PlanningView`] off the hot path whenever generation
 //! counters move and swap it into a [`SnapshotCell`] with a brief
 //! pointer-sized critical section; planners [`SnapshotCell::load`] the
@@ -64,56 +64,6 @@ impl ReplicaSnapshot {
         scratch: &mut ConvScratch,
     ) -> Self {
         Self::build_within(id, stats, Some(model), scratch, None, None)
-    }
-
-    /// What a planner holding `held` for a replica does before reading
-    /// `stats` at deadlines up to `horizon`: `None` while `held`
-    /// [serves](ReplicaSnapshot::serves) them, else the snapshot to
-    /// replace it with, with tables from `model` exact up to `horizon`,
-    /// refreshed from `held`'s ([`ReplicaSnapshot::rebuild`]; none
-    /// without a model: the planner reads the repository). A memo
-    /// that owns its snapshot rebuilds it in place instead
-    /// ([`ReplicaSnapshot::refresh_in_place`]); both follow the one reuse
-    /// rule of every table memo, the publisher's and the model-based
-    /// strategy's.
-    #[aqua::hot_path]
-    pub fn refresh(
-        held: Option<&ReplicaSnapshot>,
-        id: ReplicaId,
-        stats: &ReplicaStats,
-        model: Option<&ResponseTimeModel>,
-        scratch: &mut ConvScratch,
-        horizon: Duration,
-    ) -> Option<ReplicaSnapshot> {
-        match held {
-            Some(held) if held.serves(stats, horizon) => None,
-            _ => Some(Self::build_within(
-                id,
-                stats,
-                model,
-                scratch,
-                Some(horizon),
-                held,
-            )),
-        }
-    }
-
-    /// [`ReplicaSnapshot::refresh`] for a snapshot its memo owns: leaves
-    /// it alone while it serves `stats` up to `horizon`, else rebuilds it
-    /// in place. The rebuild reuses the snapshot's table list, and its
-    /// tables' vectors pass through `scratch`'s spares into the new
-    /// tables, so a steady-state rebuild allocates nothing.
-    #[aqua::hot_path]
-    pub fn refresh_in_place(
-        &mut self,
-        stats: &ReplicaStats,
-        model: Option<&ResponseTimeModel>,
-        scratch: &mut ConvScratch,
-        horizon: Duration,
-    ) {
-        if !self.serves(stats, horizon) {
-            self.rebuild(self.id, stats, model, scratch, Some(horizon), None);
-        }
     }
 
     /// The reuse rule: a snapshot serves `stats` at deadlines up to
@@ -454,10 +404,14 @@ impl ViewSpares {
         std::mem::take(&mut self.list)
     }
 
-    /// What [`ReplicaSnapshot::refresh`] builds for `id` to replace
-    /// `held`, built in a spare's buffers — `id`'s own when the reclaimed
-    /// view had one — or anew when no spare is left. `held` is only read,
-    /// so a planner that holds it still sees it unchanged.
+    /// The snapshot of `stats` that replaces `held`, a snapshot of `id`
+    /// that no longer [serves](ReplicaSnapshot::serves) them: `model`'s
+    /// tables exact up to `horizon`, refreshed from `held`'s while it
+    /// describes the same incarnation of the replica, or none without a
+    /// model (the planner reads the repository). Built in a spare's
+    /// buffers — `id`'s own when the reclaimed view had one — or anew
+    /// when no spare is left. `held` is only read, so a planner that holds
+    /// it still sees it unchanged.
     pub fn rebuilt(
         &mut self,
         id: ReplicaId,
@@ -673,32 +627,25 @@ mod tests {
         let mut repo = warmed_repo(0, 5);
         repo.insert_replica(id);
         fill(&mut repo, 0);
-        let held = ReplicaSnapshot::refresh(
-            None,
-            id,
-            repo.stats(id).unwrap(),
-            Some(&model),
-            &mut scratch,
-            ms(200),
-        )
-        .unwrap();
+        let mut spares = ViewSpares::default();
+        let mut rebuilt = |held: Option<&ReplicaSnapshot>, stats: &ReplicaStats| {
+            assert!(held.is_none_or(|held| !held.serves(stats, ms(200))));
+            spares.rebuilt(id, stats, Some(&model), &mut scratch, ms(200), held)
+        };
+        let held = rebuilt(None, repo.stats(id).unwrap());
         fill(&mut repo, 1);
-        let stats = repo.stats(id).unwrap();
-        let next =
-            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200));
-        assert!(next.unwrap().table(0).unwrap().is_refreshed());
+        let next = rebuilt(Some(&*held), repo.stats(id).unwrap());
+        assert!(next.table(0).unwrap().is_refreshed());
 
         repo.remove_replica(id);
         repo.insert_replica(id);
         fill(&mut repo, 1);
         let stats = repo.stats(id).unwrap();
-        let next =
-            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200))
-                .unwrap();
+        let next = rebuilt(Some(&*held), stats);
         let table = next.table(0).unwrap();
         assert!(!table.is_refreshed(), "a new incarnation builds its powers");
         let fresh = model
-            .response_cdf(stats, None, &mut scratch, Some(ms(200)))
+            .response_cdf(stats, None, &mut ConvScratch::new(), Some(ms(200)))
             .unwrap();
         for t in 0..=200 {
             assert_eq!(
@@ -709,14 +656,14 @@ mod tests {
     }
 
     #[test]
-    fn refresh_never_answers_for_a_reinserted_replica() {
+    fn a_reinserted_replica_is_never_served_from_its_old_snapshot() {
         let mut repo = warmed_repo(1, 5);
         let model = ResponseTimeModel::new(ModelConfig::default());
         let mut scratch = ConvScratch::new();
+        let mut spares = ViewSpares::default();
         let id = ReplicaId::new(0);
         let stats = repo.stats(id).unwrap();
-        let held =
-            ReplicaSnapshot::refresh(None, id, stats, Some(&model), &mut scratch, ms(200)).unwrap();
+        let held = spares.rebuilt(id, stats, Some(&model), &mut scratch, ms(200), None);
 
         // Remove and re-insert the same id, replaying as many updates so
         // every generation coincides: only the epoch tells them apart.
@@ -729,9 +676,8 @@ mod tests {
         let stats = repo.stats(id).unwrap();
         assert_eq!(held.perf_generation, stats.perf_generation());
         assert_eq!(held.delay_generation, stats.delay_generation());
-        let fresh =
-            ReplicaSnapshot::refresh(Some(&held), id, stats, Some(&model), &mut scratch, ms(200))
-                .expect("a new incarnation is rebuilt");
+        assert!(!held.serves(stats, ms(200)), "a new incarnation is rebuilt");
+        let fresh = spares.rebuilt(id, stats, Some(&model), &mut scratch, ms(200), Some(&*held));
         assert_eq!(
             fresh.probability_by(0, ms(200)),
             Some(0.0),

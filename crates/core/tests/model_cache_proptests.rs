@@ -1,9 +1,9 @@
 //! Property tests of the point-query model, for *any* interleaving of
 //! repository mutations and *any* estimator combination:
 //!
-//! - a read from a snapshot kept by the shared refresh rule
-//!   ([`ReplicaSnapshot::refresh`]) equals the from-scratch query bit for
-//!   bit;
+//! - a read from a snapshot kept by the publisher's reuse rule
+//!   ([`ReplicaSnapshot::serves`], else [`ViewSpares::rebuilt`]) equals
+//!   the from-scratch query bit for bit;
 //! - on small windows, `F(x)` is the exact rational an enumeration of
 //!   every tuple of retained samples gives, rounded once;
 //! - it agrees with the whole-distribution float pipeline
@@ -15,135 +15,31 @@
 //!   and refreshes exactly when the rule says it may.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use aqua_core::pmf::ConvScratch;
 use aqua_core::prelude::*;
 use aqua_core::repository::MethodHistory;
-use aqua_core::snapshot::method_slot;
+use aqua_core::snapshot::{method_slot, ViewSpares};
 use proptest::prelude::*;
 
-fn ms(v: u64) -> Duration {
-    Duration::from_millis(v)
-}
-
-/// One repository mutation, drawn at random.
-#[derive(Debug, Clone)]
-enum Op {
-    Perf {
-        replica: u64,
-        method: u32,
-        service_ms: u64,
-        queue_ms: u64,
-        outstanding: u32,
-    },
-    Delay {
-        replica: u64,
-        delay_ms: u64,
-    },
-    Remove {
-        replica: u64,
-    },
-    Insert {
-        replica: u64,
-    },
-    Probation {
-        replica: u64,
-        samples: u32,
-    },
-}
-
-const POOL: u64 = 4;
-const METHODS: u32 = 2;
-
-fn op() -> impl Strategy<Value = Op> {
-    op_with(400, 5)
-}
-
-/// Ops whose perf reports carry service times below `service_ms` and queue
-/// lengths up to `max_outstanding`.
-fn op_with(service_ms: u64, max_outstanding: u32) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0..POOL, 0..METHODS, 1..service_ms, 0u64..100, 0..=max_outstanding).prop_map(
-            |(replica, method, service_ms, queue_ms, outstanding)| Op::Perf {
-                replica,
-                method,
-                service_ms,
-                queue_ms,
-                outstanding,
-            }
-        ),
-        3 => (0..POOL, 0u64..50).prop_map(|(replica, delay_ms)| Op::Delay { replica, delay_ms }),
-        1 => (0..POOL).prop_map(|replica| Op::Remove { replica }),
-        2 => (0..POOL).prop_map(|replica| Op::Insert { replica }),
-        1 => (0..POOL, 0u32..4).prop_map(|(replica, samples)| Op::Probation { replica, samples }),
-    ]
-}
-
-fn apply(repo: &mut InfoRepository, op: &Op) {
-    match *op {
-        Op::Perf {
-            replica,
-            method,
-            service_ms,
-            queue_ms,
-            outstanding,
-        } => {
-            let id = ReplicaId::new(replica);
-            if repo.contains(id) {
-                repo.record_perf(
-                    id,
-                    PerfReport::new(ms(service_ms), ms(queue_ms), outstanding)
-                        .with_method(MethodId::new(method)),
-                    Instant::EPOCH,
-                );
-            }
-        }
-        Op::Delay { replica, delay_ms } => {
-            let id = ReplicaId::new(replica);
-            if repo.contains(id) {
-                repo.record_gateway_delay(id, ms(delay_ms), Instant::EPOCH);
-            }
-        }
-        Op::Remove { replica } => {
-            repo.remove_replica(ReplicaId::new(replica));
-        }
-        Op::Insert { replica } => {
-            repo.insert_replica(ReplicaId::new(replica));
-        }
-        Op::Probation { replica, samples } => repo.set_probation(ReplicaId::new(replica), samples),
-    }
-}
-
-/// Every estimator combination the model supports.
-fn all_configs() -> Vec<ModelConfig> {
-    let mut configs = Vec::new();
-    for scope in [MethodScope::PerMethod, MethodScope::Aggregate] {
-        for queue in [QueueEstimator::History, QueueEstimator::QueueScaled] {
-            for delay in [DelayEstimator::LastValue, DelayEstimator::WindowPmf] {
-                configs.push(ModelConfig {
-                    method_scope: scope,
-                    queue_estimator: queue,
-                    delay_estimator: delay,
-                    ..ModelConfig::default()
-                });
-            }
-        }
-    }
-    configs
-}
+mod repo_ops;
+use repo_ops::{all_configs, apply, ms, op, op_with, Op, METHODS, POOL};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// One snapshot memo per estimator combination, refreshed by the rule
-    /// every planner shares ([`ReplicaSnapshot::refresh`]), survives an
+    /// One snapshot memo per estimator combination, kept by the rule a
+    /// publish follows (the held snapshot while it
+    /// [serves](ReplicaSnapshot::serves), else [`ViewSpares::rebuilt`]),
+    /// survives an
     /// arbitrary interleaving of `record_perf` / `record_gateway_delay` /
     /// `remove_replica` / probation transitions / re-insertions while the
     /// horizon it refreshes to grows halfway through. After every operation
     /// it agrees bit for bit with the from-scratch model for every replica,
     /// method, and a spread of deadlines up to the horizon; it rebuilds
     /// exactly when a generation moved or its tables stop short of the
-    /// horizon, and a repeat refresh reuses what the first one left.
+    /// horizon, and what it rebuilds serves at once.
     #[test]
     fn snapshot_refresh_matches_from_scratch_for_all_estimators(
         ops in prop::collection::vec(op(), 1..40),
@@ -157,9 +53,10 @@ proptest! {
             .into_iter()
             .map(ResponseTimeModel::new)
             .collect();
-        let mut memos: Vec<BTreeMap<ReplicaId, ReplicaSnapshot>> =
+        let mut memos: Vec<BTreeMap<ReplicaId, Arc<ReplicaSnapshot>>> =
             models.iter().map(|_| BTreeMap::new()).collect();
         let mut scratch = ConvScratch::new();
+        let mut spares = ViewSpares::default();
 
         for (step, op) in ops.iter().enumerate() {
             apply(&mut repo, op);
@@ -174,14 +71,14 @@ proptest! {
                     // replica's must not be answered from it.
                     let held = memo.get(&id);
                     let stale = held.is_none_or(|h| !h.is_current(stats) || !h.covers(horizon));
-                    let fresh =
-                        ReplicaSnapshot::refresh(held, id, stats, Some(model), &mut scratch, horizon);
-                    prop_assert_eq!(fresh.is_some(), stale);
-                    let Some(snapshot) = fresh.or_else(|| held.cloned()) else { continue };
-                    let again = ReplicaSnapshot::refresh(
-                        Some(&snapshot), id, stats, Some(model), &mut scratch, horizon,
-                    );
-                    prop_assert!(again.is_none(), "a repeat refresh rebuilt");
+                    prop_assert_eq!(held.is_none_or(|h| !h.serves(stats, horizon)), stale);
+                    let snapshot = match held {
+                        Some(held) if !stale => Arc::clone(held),
+                        held => spares.rebuilt(
+                            id, stats, Some(model), &mut scratch, horizon, held.map(Arc::as_ref),
+                        ),
+                    };
+                    prop_assert!(snapshot.serves(stats, horizon), "a rebuild is stale");
                     for method in [None, Some(MethodId::new(0)), Some(MethodId::new(1))] {
                         let slot = method_slot(model.config().method_scope, method);
                         for deadline_ms in [0u64, 50, 200, 800, 3_000] {
@@ -573,7 +470,7 @@ fn moved_buckets(old: &[(u64, u32)], new: &[(u64, u32)]) -> usize {
 
 /// A snapshot the refresh property holds, with what it was built from.
 struct Held {
-    snapshot: ReplicaSnapshot,
+    snapshot: Arc<ReplicaSnapshot>,
     horizon: Duration,
     queue: u32,
     /// Each method slot's service counts.
@@ -626,6 +523,7 @@ proptest! {
             .collect();
         let mut held: Vec<Option<Held>> = models.iter().map(|_| None).collect();
         let mut scratch = ConvScratch::new();
+        let mut spares = ViewSpares::default();
         for (step, round) in rounds.iter().enumerate() {
             for (push, method) in &round.pushes {
                 let method = MethodId::new(*method);
@@ -646,11 +544,13 @@ proptest! {
             for (at, model) in models.iter().enumerate() {
                 let scope = model.config().method_scope;
                 let last = held[at].as_ref();
-                let Some(snapshot) = ReplicaSnapshot::refresh(
-                    last.map(|held| &held.snapshot), id, stats, Some(model), &mut scratch, horizon,
-                ) else {
+                if last.is_some_and(|held| held.snapshot.serves(stats, horizon)) {
                     continue;
-                };
+                }
+                let snapshot = spares.rebuilt(
+                    id, stats, Some(model), &mut scratch, horizon,
+                    last.map(|held| held.snapshot.as_ref()),
+                );
                 let mut counts = BTreeMap::new();
                 for method in [None, Some(MethodId::new(0)), Some(MethodId::new(1))] {
                     let slot = method_slot(scope, method);

@@ -65,7 +65,7 @@ use aqua_obs::metrics::{Counter, Histogram};
 use aqua_strategies::{SelectionInput, SelectionStrategy, SnapshotPlanSpec};
 use parking_lot::Mutex;
 
-use crate::obs::{aligned_predictions, HandlerObserver, PlanObservation};
+use crate::obs::{HandlerObserver, PlanObservation};
 use crate::pending::{Answered, PendingTable};
 
 /// The plan produced for one intercepted request: multicast the request
@@ -874,12 +874,12 @@ impl ConcurrentHandler {
         let started = std::time::Instant::now();
         self.publish_if_dirty(now);
         let view = self.snapshot.load();
-        // The per-replica predictions feed only the observer.
-        let observed = self.obs.is_some();
+        // The per-replica predictions feed only the observer; a strategy
+        // planned under the mutex predicts nothing.
         let (mut replicas, predicted) = match &self.planner {
             PlannerMode::Snapshot { spec, .. } => {
                 let plan = self.plan_from_snapshot(&view, spec, method, exclude);
-                let predicted = if observed {
+                let predicted = if self.obs.is_some() {
                     plan.predictions().map(|(_, p)| p).collect()
                 } else {
                     Vec::new()
@@ -887,20 +887,14 @@ impl ConcurrentHandler {
                 (plan.selection.into_replicas(), predicted)
             }
             PlannerMode::Strategy(strategy) => {
-                let mut strategy = strategy.lock();
-                let selected = strategy.select(&SelectionInput {
+                let selected = strategy.lock().select(&SelectionInput {
                     repository: view.repository(),
                     qos: &view.qos(),
                     method,
                     now,
                     exclude,
                 });
-                let predicted = if observed {
-                    aligned_predictions(&selected, strategy.last_predictions())
-                } else {
-                    Vec::new()
-                };
-                (selected, predicted)
+                (selected, Vec::new())
             }
         };
         if retry_of.is_some() && replicas.is_empty() {
@@ -1308,6 +1302,11 @@ impl Drop for RepositoryMut<'_> {
     }
 }
 
+/// Random repository histories, shared with the model's property tests.
+#[cfg(test)]
+#[path = "../../core/tests/repo_ops/mod.rs"]
+mod repo_ops;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1374,6 +1373,113 @@ mod tests {
 
         assert_eq!(plan.replicas.as_ref(), expected.as_slice());
         assert!(plan.replicas.len() < 3, "warm plans are selective");
+    }
+
+    /// A plan reads each `F_Ri` at the deadline less the last plan's δ
+    /// (§5.3.3): at 200 − 170 = 30 ms only the 21 ms replica is timely.
+    #[test]
+    fn plans_read_the_deadline_less_the_last_delta() {
+        let h = handler(0.9);
+        warm(&h, &[0, 1, 2], 20);
+        h.plan_request(Instant::from_millis(100));
+        let PlannerMode::Snapshot { spec, .. } = &h.planner else {
+            unreachable!("model-based plans from snapshots");
+        };
+        let view = h.planning_view();
+        let read =
+            |plan: Plan| -> Vec<f64> { plan.candidates.iter().map(|c| c.probability).collect() };
+        h.last_overhead_ns.store(0, Ordering::Relaxed);
+        let full = h.plan_from_snapshot(&view, spec, None, &[]);
+        assert_eq!(read(full), [1.0, 1.0, 1.0]);
+        h.last_overhead_ns
+            .store(ms(170).as_nanos(), Ordering::Relaxed);
+        let late = h.plan_from_snapshot(&view, spec, None, &[]);
+        assert_eq!(read(late), [1.0, 0.0, 0.0]);
+    }
+
+    mod reference {
+        use super::*;
+        use crate::concurrent::repo_ops::{all_configs, apply, op, METHODS, POOL};
+        use aqua_core::scheduler::ColdStartPolicy;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// `ModelBased::select` is the δ = 0 reference. On any
+            /// repository history, for every estimator combination (both
+            /// method scopes), both cold-start policies and any method,
+            /// it selects what a freshly built handler's first plan
+            /// selects ahead of its probation shadows; with replicas
+            /// excluded, what that plan's body selects on the same view.
+            #[test]
+            fn model_based_select_is_a_fresh_handlers_first_plan(
+                ops in prop::collection::vec(op(), 40..160),
+                deadline_ms in 20u64..600,
+                pc in 0.0f64..1.0,
+                method in 0..METHODS,
+                excluded in 1u8..16,
+            ) {
+                let mut repo = InfoRepository::new(5);
+                for i in 0..POOL {
+                    repo.insert_replica(ReplicaId::new(i));
+                }
+                for op in &ops {
+                    apply(&mut repo, op);
+                }
+                let qos = QosSpec::new(ms(deadline_ms), pc).unwrap();
+                let method = Some(MethodId::new(method));
+                let exclude: Vec<ReplicaId> = (0..POOL)
+                    .filter(|i| excluded >> i & 1 == 1)
+                    .map(ReplicaId::new)
+                    .collect();
+                let shadows: Vec<ReplicaId> = repo
+                    .iter()
+                    .filter(|(_, stats)| stats.is_on_probation())
+                    .map(|(id, _)| id)
+                    .collect();
+                for config in all_configs() {
+                    for cold_start in [ColdStartPolicy::SelectAll, ColdStartPolicy::Optimistic(0.5)] {
+                        let strategy = || ModelBased::new(config).with_cold_start(cold_start);
+                        let reference = |exclude: &[ReplicaId]| {
+                            strategy().select(&SelectionInput {
+                                repository: &repo,
+                                qos: &qos,
+                                method,
+                                now: Instant::EPOCH,
+                                exclude,
+                            })
+                        };
+                        let mut h = ConcurrentHandler::new(qos, 5, Box::new(strategy()));
+                        *h.repository_mut() = repo.clone();
+                        let PlannerMode::Snapshot { spec, .. } = &h.planner else {
+                            unreachable!("model-based plans from snapshots");
+                        };
+                        // No plan has measured a δ yet.
+                        let view = h.planning_view();
+                        let body = h.plan_from_snapshot(&view, spec, method, &exclude);
+                        prop_assert_eq!(
+                            body.selection.into_replicas(),
+                            reference(&exclude),
+                            "{:?}, {:?}, excluding {:?}",
+                            config,
+                            cold_start,
+                            exclude
+                        );
+                        let plan = h.plan_request_for(Instant::EPOCH, method);
+                        let mut expected = reference(&[]);
+                        expected.extend_from_slice(&shadows);
+                        prop_assert_eq!(
+                            plan.replicas.as_ref(),
+                            expected.as_slice(),
+                            "{:?}, {:?}",
+                            config,
+                            cold_start
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Two replicas certain to answer in time, one of them only up to float

@@ -75,20 +75,6 @@ pub(crate) struct PlanObservation<'a> {
     pub retry_of: Option<u64>,
 }
 
-/// A strategy's `predictions` aligned with `selected`, for
-/// [`PlanObservation::predicted`]: empty unless every selected replica has
-/// one (baselines predict nothing).
-pub(crate) fn aligned_predictions(
-    selected: &[ReplicaId],
-    predictions: &[(ReplicaId, f64)],
-) -> Vec<f64> {
-    selected
-        .iter()
-        .map(|r| predictions.iter().find(|(id, _)| id == r).map(|(_, p)| *p))
-        .collect::<Option<Vec<f64>>>()
-        .unwrap_or_default()
-}
-
 /// Tags `span` with every fault window that overlapped a selected
 /// replica (or the whole network) during its lifetime, then emits it.
 /// Pending/gave-up spans without an end time use the deadline window as

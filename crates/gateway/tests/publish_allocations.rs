@@ -1,11 +1,10 @@
-//! Allocation counts of a republish and of a stale model-based refresh,
-//! measured with a counting global allocator on the calling thread.
+//! Allocation counts of a republish, measured with a counting global
+//! allocator on the calling thread.
 //!
 //! Wall time on a shared host is noisy; an allocation count is not. A
 //! steady-state publish builds its view in the buffers of the view the
-//! previous publish retired, and a stale `ModelBased` memo rebuilds its
-//! snapshots in place, so both stay within a small fixed number of
-//! allocations however many replicas and tables they rebuild.
+//! previous publish retired, so it stays within a small fixed number of
+//! allocations however many replicas and tables it rebuilds.
 
 #![allow(unsafe_code)]
 
@@ -14,10 +13,10 @@ use std::cell::Cell;
 
 use aqua_core::model::{ModelConfig, QueueEstimator};
 use aqua_core::qos::{QosSpec, ReplicaId};
-use aqua_core::repository::{InfoRepository, PerfReport, ReplicaStats};
+use aqua_core::repository::PerfReport;
 use aqua_core::time::{Duration, Instant};
 use aqua_gateway::ConcurrentHandler;
-use aqua_strategies::{ModelBased, SelectionInput, SelectionStrategy};
+use aqua_strategies::ModelBased;
 
 /// The system allocator, counting the calling thread's allocations.
 struct Counting;
@@ -79,12 +78,6 @@ const WINDOW: usize = 100;
 /// publish makes one, the new view's `Arc`, and none per replica or per
 /// table; before views were recycled it made 185 to 187.
 const PUBLISH_BOUND: u64 = 2;
-
-/// At most this many allocations per `ModelBased::select` that rebuilds
-/// all 16 stale snapshots. A select makes three, Algorithm 1's candidate
-/// and selection vectors and the answer, and none per snapshot or per
-/// table; before snapshots were rebuilt in place it made 54 or 55.
-const SELECT_BOUND: u64 = 4;
 
 /// Rounds before a publish counts as steady. The reports repeat every
 /// 150 rounds (service times every 50, queues every 6), so a window holds
@@ -179,49 +172,5 @@ fn a_steady_state_publish_allocates_within_a_fixed_bound() {
     assert!(
         worst <= PUBLISH_BOUND,
         "a steady-state publish allocated {worst} times (bound {PUBLISH_BOUND}): {steady:?}"
-    );
-}
-
-#[test]
-fn a_stale_model_based_refresh_allocates_within_a_fixed_bound() {
-    let mut repository = InfoRepository::new(WINDOW);
-    for r in 0..REPLICAS {
-        let id = ReplicaId::new(r);
-        repository.insert_replica(id);
-        for round in 0..WINDOW as u64 {
-            repository.record_perf(id, report(r, round), Instant::EPOCH);
-        }
-        repository.record_gateway_delay(id, Duration::from_millis(1), Instant::EPOCH);
-    }
-    let mut strategy = ModelBased::new(model());
-    let qos = qos();
-    let mut per_select = Vec::new();
-    for round in 0..200u64 {
-        // Every replica moves, so every held snapshot is stale.
-        for r in 0..REPLICAS {
-            let id = ReplicaId::new(r);
-            let before = repository.stats(id).map(ReplicaStats::perf_generation);
-            repository.record_perf(id, report(r, round), Instant::EPOCH);
-            let after = repository.stats(id).map(ReplicaStats::perf_generation);
-            assert_ne!(after, before, "every snapshot was stale");
-        }
-        let input = SelectionInput {
-            repository: &repository,
-            qos: &qos,
-            method: None,
-            now: Instant::EPOCH,
-            exclude: &[],
-        };
-        let mut selected = Vec::new();
-        let allocations = allocations_of(|| selected = strategy.select(&input));
-        assert!(!selected.is_empty());
-        per_select.push(allocations);
-        drop(selected);
-    }
-    let steady = &per_select[20..];
-    let worst = steady.iter().copied().max().unwrap_or_default();
-    assert!(
-        worst <= SELECT_BOUND,
-        "a stale select allocated {worst} times (bound {SELECT_BOUND}): {steady:?}"
     );
 }

@@ -534,8 +534,8 @@ fn repository(key_includes_epoch: bool) -> Model<RepoState> {
     };
 
     // Thread 0 — a table memo: snapshot a key, then keep validating the
-    // held data against the live entry (ReplicaSnapshot::refresh, the
-    // rule the publisher and the model-based strategy share).
+    // held data against the live entry (ReplicaSnapshot::serves, the
+    // rule a publish keeps a held snapshot by).
     let cache = vec![
         St::new("cache.build", |s, _| {
             s.cached = Some((s.epoch.load(), s.generation.load(), s.incarnation.load()));

@@ -26,12 +26,9 @@
 #![warn(missing_docs)]
 
 use aqua_core::model::{ModelConfig, ResponseTimeModel};
-use aqua_core::overhead::OverheadTracker;
-use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, ReplicaStats};
 use aqua_core::scheduler::{plan, ColdStartPolicy};
-use aqua_core::snapshot::{method_slot, ReplicaSnapshot};
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -98,16 +95,6 @@ pub trait SelectionStrategy: Send {
     fn snapshot_spec(&self) -> Option<SnapshotPlanSpec> {
         None
     }
-
-    /// Per-replica `P(meet deadline)` behind the most recent
-    /// [`SelectionStrategy::select`] answer, in the same order as that
-    /// answer, for strategies that compute one. Baselines (and model-based
-    /// cold-start multicasts, which select without predictions) return an
-    /// empty slice. The handler copies these into the request span so the
-    /// journal records what the planner *believed* at selection time.
-    fn last_predictions(&self) -> &[(ReplicaId, f64)] {
-        &[]
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -116,16 +103,16 @@ pub trait SelectionStrategy: Send {
 
 /// The DSN 2001 model-based selection (the paper's contribution), exposed
 /// behind the strategy interface so it can be compared against baselines.
+///
+/// A handler plans it from its published tables
+/// ([`SelectionStrategy::snapshot_spec`]). [`SelectionStrategy::select`]
+/// is the same plan as a pure function of its input: every `F_Ri` a table
+/// built from the repository at the full deadline, with no δ (§5.3.3) —
+/// what a fresh handler's first plan selects.
 #[derive(Debug)]
 pub struct ModelBased {
     config: SnapshotPlanSpec,
     model: ResponseTimeModel,
-    /// The table memo: one snapshot per replica planned for, sorted by id,
-    /// kept while [`ReplicaSnapshot::refresh`] finds it fresh.
-    snapshots: Vec<ReplicaSnapshot>,
-    scratch: ConvScratch,
-    overhead: OverheadTracker,
-    last_predictions: Vec<(ReplicaId, f64)>,
 }
 
 impl ModelBased {
@@ -138,10 +125,6 @@ impl ModelBased {
                 ..SnapshotPlanSpec::default()
             },
             model: ResponseTimeModel::new(model),
-            snapshots: Vec::new(),
-            scratch: ConvScratch::new(),
-            overhead: OverheadTracker::new(),
-            last_predictions: Vec::new(),
         }
     }
 
@@ -159,11 +142,6 @@ impl ModelBased {
         self.config.crashes = crashes;
         self
     }
-
-    /// The δ tracker, exposed for the Figure 3 instrumentation.
-    pub fn overhead(&self) -> &OverheadTracker {
-        &self.overhead
-    }
 }
 
 impl Default for ModelBased {
@@ -178,52 +156,14 @@ impl SelectionStrategy for ModelBased {
     }
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Vec<ReplicaId> {
-        let started = std::time::Instant::now();
-        // Tables reach the spec's deadline; plans read them at `t − δ`.
-        let horizon = input.qos.deadline();
-        let deadline = self.overhead.adjusted_deadline(horizon);
-        let repository = input.repository;
-        if self.snapshots.len() > repository.len() {
-            // Cheap steady-state bound: snapshots can only outnumber
-            // replicas after removals, so shed the leftovers in one pass.
-            self.snapshots.retain(|s| repository.contains(s.id()));
-        }
-        let slot = method_slot(self.config.model.method_scope, input.method);
+        let deadline = input.qos.deadline();
         let plan = plan(
             &self.config,
             input.qos.min_probability(),
             input.candidates(),
-            |id, stats| {
-                let at = self
-                    .snapshots
-                    .binary_search_by_key(&id, ReplicaSnapshot::id);
-                let held = match at {
-                    Ok(i) => self.snapshots.get_mut(i)?,
-                    Err(i) => {
-                        let fresh = ReplicaSnapshot::refresh(
-                            None,
-                            id,
-                            stats,
-                            Some(&self.model),
-                            &mut self.scratch,
-                            horizon,
-                        )?;
-                        self.snapshots.insert(i, fresh);
-                        return self.snapshots.get(i)?.probability_by(slot, deadline);
-                    }
-                };
-                held.refresh_in_place(stats, Some(&self.model), &mut self.scratch, horizon);
-                held.probability_by(slot, deadline)
-            },
+            |_, stats| self.model.probability_by_for(stats, deadline, input.method),
         );
-        self.overhead.record(Duration::from(started.elapsed()));
-        self.last_predictions.clear();
-        self.last_predictions.extend(plan.predictions());
         plan.selection.into_replicas()
-    }
-
-    fn last_predictions(&self) -> &[(ReplicaId, f64)] {
-        &self.last_predictions
     }
 
     fn snapshot_spec(&self) -> Option<SnapshotPlanSpec> {
@@ -493,7 +433,6 @@ mod tests {
         // r0 (52 ms) and r3 (90 ms) both always make 150 ms; Pc=0.9 is met
         // by the single backup, so K = {best, second-best} = {r0, r3}.
         assert_eq!(idx(&sel), vec![0, 3]);
-        assert_eq!(strat.overhead().samples(), 1, "δ recorded");
     }
 
     #[test]
@@ -677,50 +616,6 @@ mod tests {
         });
         assert_eq!(excluded, as_if_removed);
         assert!(!excluded.contains(&ReplicaId::new(0)));
-    }
-
-    #[test]
-    fn model_based_exposes_last_predictions() {
-        let repo = repo();
-        let qos = QosSpec::new(ms(150), 0.9).unwrap();
-        let mut strat = ModelBased::default();
-        assert!(strat.last_predictions().is_empty(), "nothing planned yet");
-        let sel = strat.select(&input(&repo, &qos));
-        let preds = strat.last_predictions();
-        assert_eq!(preds.len(), sel.len(), "one prediction per chosen replica");
-        for (i, (id, p)) in preds.iter().enumerate() {
-            assert_eq!(*id, sel[i], "aligned with the selection order");
-            assert!((0.0..=1.0).contains(p));
-        }
-        // Baselines expose nothing.
-        let mut rr = RoundRobin::new(2);
-        rr.select(&input(&repo, &qos));
-        assert!(rr.last_predictions().is_empty());
-        // A cold-start multicast selects without predictions.
-        let mut cold = ModelBased::default();
-        let mut warm_plus_cold = repo.clone();
-        warm_plus_cold.insert_replica(ReplicaId::new(9));
-        cold.select(&input(&warm_plus_cold, &qos));
-        assert!(cold.last_predictions().is_empty());
-    }
-
-    #[test]
-    fn model_based_cache_serves_repeat_selections() {
-        let repo = repo();
-        let qos = QosSpec::new(ms(150), 0.9).unwrap();
-        let mut strat = ModelBased::default();
-        let first = strat.select(&input(&repo, &qos));
-        assert_eq!(strat.snapshots.len(), 4, "one build per warm replica");
-        // Every held snapshot serves the unchanged windows at the
-        // deadline, so the repeat selection rebuilds none of them.
-        for held in &strat.snapshots {
-            let stats = repo.stats(held.id()).unwrap();
-            assert!(held.serves(stats, qos.deadline()));
-        }
-
-        let second = strat.select(&input(&repo, &qos));
-        assert_eq!(first, second);
-        assert_eq!(strat.snapshots.len(), 4, "unchanged windows add nothing");
     }
 
     #[test]

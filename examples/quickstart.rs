@@ -8,6 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use aqua::prelude::*;
+use aqua_core::snapshot::method_slot;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ms = Duration::from_millis;
@@ -30,36 +31,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Act 2: probabilities from measured history --------------------
     println!("\n== Act 2: the response-time model over measurements ==");
-    let mut selector = ReplicaSelector::new(5, SelectorConfig::default());
+    // The timing fault handler with the paper's model and window l = 5.
+    let qos = QosSpec::new(ms(150), 0.9)?;
+    let mut handler = ConcurrentHandler::new(qos, 5, Box::new(ModelBased::default()));
     // Three replicas: fast-and-steady, fast-but-queued, slow.
     let profiles: [(&str, u64, u64); 3] = [("fast", 40, 0), ("queued", 40, 120), ("slow", 170, 0)];
-    for (i, (_, service, queue)) in profiles.iter().enumerate() {
-        let id = ReplicaId::new(i as u64);
-        selector.repository_mut().insert_replica(id);
-        for k in 0..5u64 {
-            selector.repository_mut().record_perf(
-                id,
-                PerfReport::new(ms(service + 5 * k), ms(*queue), 1),
-                Instant::EPOCH,
-            );
+    {
+        let mut repository = handler.repository_mut();
+        for (i, (_, service, queue)) in profiles.iter().enumerate() {
+            let id = ReplicaId::new(i as u64);
+            repository.insert_replica(id);
+            for k in 0..5u64 {
+                let report = PerfReport::new(ms(service + 5 * k), ms(*queue), 1);
+                repository.record_perf(id, report, Instant::EPOCH);
+            }
+            repository.record_gateway_delay(id, ms(3), Instant::EPOCH);
         }
-        selector
-            .repository_mut()
-            .record_gateway_delay(id, ms(3), Instant::EPOCH);
     }
-    let qos = QosSpec::new(ms(150), 0.9)?;
-    let decision = selector.select(&qos);
-    for c in &decision.candidates {
-        let name = profiles[c.id.index() as usize].0;
-        println!("  F_R({name})({}) = {:.3}", qos.deadline(), c.probability);
+    let plan = handler.plan_request(Instant::EPOCH);
+    // The tables the plan read, published with the view.
+    let view = handler.planning_view();
+    let slot = method_slot(MethodScope::PerMethod, None);
+    for (i, (name, ..)) in profiles.iter().enumerate() {
+        let f = view.probability_by(ReplicaId::new(i as u64), slot, qos.deadline());
+        println!(
+            "  F_R({name})({}) = {:.3}",
+            qos.deadline(),
+            f.unwrap_or(f64::NAN)
+        );
     }
-    println!(
-        "  selected: {} in {} (model {}, Algorithm 1 {})",
-        decision.selection,
-        decision.overhead(),
-        decision.model_time,
-        decision.select_time
-    );
+    let selected: Vec<&str> = plan
+        .replicas
+        .iter()
+        .map(|r| profiles[r.index() as usize].0)
+        .collect();
+    println!("  selected: {}", selected.join(", "));
 
     // ---- Act 3: a live simulated cluster --------------------------------
     println!("\n== Act 3: a simulated 5-replica cluster, 20 requests ==");
