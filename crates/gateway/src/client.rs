@@ -21,6 +21,11 @@ use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 use crate::concurrent::{ConcurrentHandler, ReplyOutcome};
 use crate::proto::{AquaMsg, RequestId, Wire};
 
+/// The δ (§5.3.3) every simulated plan assumes: 1.5 µs, inside the
+/// 0.7–2.6 µs that `fig3_overhead` measures for the handler's plan steps.
+/// A constant keeps the host's clock out of a seeded run.
+const MODELLED_OVERHEAD: Duration = Duration::from_nanos(1_500);
+
 /// How a client paces its requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
@@ -623,7 +628,8 @@ impl Node<Wire> for ClientGateway {
                 // what the replies before it brought.
                 let mut handler =
                     ConcurrentHandler::new(self.config.qos, self.config.window, strategy)
-                        .with_min_republish(Duration::ZERO);
+                        .with_min_republish(Duration::ZERO)
+                        .with_modelled_overhead(MODELLED_OVERHEAD);
                 if let Some((obs, client)) = self.obs.as_ref() {
                     handler.attach_obs(obs, Some(*client));
                     if !self.fault_windows.is_empty() {

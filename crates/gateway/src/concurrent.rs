@@ -303,6 +303,8 @@ pub struct ConcurrentHandler {
     next_seq: AtomicU64,
     /// Most recent δ (§5.3.3) in nanoseconds, read by the next plan.
     last_overhead_ns: AtomicU64,
+    /// A fixed δ that replaces the per-plan clock reads, if set.
+    modelled_overhead: Option<Duration>,
     detector: Mutex<TimingFailureDetector>,
     stats: AtomicStats,
     /// The observer (its hooks take `&mut self`).
@@ -363,6 +365,7 @@ impl ConcurrentHandler {
                 .collect(),
             next_seq: AtomicU64::new(0),
             last_overhead_ns: AtomicU64::new(0),
+            modelled_overhead: None,
             detector: Mutex::new(TimingFailureDetector::new(qos)),
             stats: AtomicStats::default(),
             obs: None,
@@ -381,6 +384,17 @@ impl ConcurrentHandler {
     #[must_use]
     pub fn with_min_republish(mut self, interval: Duration) -> Self {
         self.min_republish = interval;
+        self
+    }
+
+    /// Plans with a fixed, modelled δ instead of timing each plan: the
+    /// plan reads no clock, and stores and reports `overhead` as its δ.
+    /// The simulator passes one, so that no host reaches its plans; the
+    /// socket runtime keeps measuring. A handler's first plan still reads
+    /// the deadline less δ = 0.
+    #[must_use]
+    pub fn with_modelled_overhead(mut self, overhead: Duration) -> Self {
+        self.modelled_overhead = Some(overhead);
         self
     }
 
@@ -662,6 +676,8 @@ impl ConcurrentHandler {
         self.last_publish_ns
             .store(now.as_nanos().max(last), Ordering::Relaxed);
 
+        // Observer-only: the publish time reaches a metric, never a plan,
+        // so it stays measured under a modelled δ.
         let timed = self
             .publish_metrics
             .as_ref()
@@ -869,9 +885,13 @@ impl ConcurrentHandler {
         retry_of: Option<u64>,
         exclude: &[ReplicaId],
     ) -> Option<(u64, Arc<[ReplicaId]>)> {
-        // δ's two clock reads are the only ones an unobserved plan makes.
-        // δ covers the publish: building the tables is evaluating the model.
-        let started = std::time::Instant::now();
+        // δ's two clock reads are the only ones an unobserved plan makes,
+        // and a modelled δ makes neither. δ covers the publish: building
+        // the tables is evaluating the model.
+        let started = self
+            .modelled_overhead
+            .is_none()
+            .then(std::time::Instant::now);
         self.publish_if_dirty(now);
         let view = self.snapshot.load();
         // The per-replica predictions feed only the observer; a strategy
@@ -908,7 +928,10 @@ impl ConcurrentHandler {
                 replicas.push(id);
             }
         }
-        let overhead_nanos = started.elapsed().as_nanos() as u64;
+        let overhead_nanos = started.map_or_else(
+            || self.modelled_overhead.unwrap_or_default().as_nanos(),
+            |started| started.elapsed().as_nanos() as u64,
+        );
         // aqua-lint: allow(atomics-ordering) standalone overhead gauge; readers tolerate staleness and no other data is published under it
         self.last_overhead_ns
             .store(overhead_nanos, Ordering::Relaxed);
@@ -1008,7 +1031,8 @@ impl ConcurrentHandler {
             .is_ok();
         // Ingest-shard handling cost, recorded on an observer's span as
         // `ingest_ns` so forensics can separate wire delay from ingest
-        // stalls; nobody else reads it, so nobody else pays for it.
+        // stalls; nobody else reads it, so nobody else pays for it. It
+        // never reaches a plan, so it stays measured under a modelled δ.
         let ingest_started = self.obs.is_some().then(std::time::Instant::now);
         self.ingest(now, replica, Some(perf), Some(td));
         let ingest_nanos = ingest_started.map(|started| started.elapsed().as_nanos() as u64);
@@ -1395,6 +1419,27 @@ mod tests {
             .store(ms(170).as_nanos(), Ordering::Relaxed);
         let late = h.plan_from_snapshot(&view, spec, None, &[]);
         assert_eq!(read(late), [1.0, 0.0, 0.0]);
+    }
+
+    /// A modelled δ is exactly what the next plan subtracts, even after a
+    /// plan whose publish rebuilt every table: no clock is read.
+    #[test]
+    fn a_modelled_delta_is_the_overhead_of_every_plan() {
+        let h = handler(0.9).with_modelled_overhead(ms(170));
+        warm(&h, &[0, 1, 2], 20);
+        let version = h.planning_view().version();
+        h.plan_request(Instant::from_millis(100));
+        assert!(h.planning_view().version() > version, "the plan published");
+        assert_eq!(
+            h.last_overhead_ns.load(Ordering::Relaxed),
+            ms(170).as_nanos()
+        );
+        let PlannerMode::Snapshot { spec, .. } = &h.planner else {
+            unreachable!("model-based plans from snapshots");
+        };
+        let plan = h.plan_from_snapshot(&h.planning_view(), spec, None, &[]);
+        let read: Vec<f64> = plan.candidates.iter().map(|c| c.probability).collect();
+        assert_eq!(read, [1.0, 0.0, 0.0], "F read at 200 − 170 = 30 ms");
     }
 
     mod reference {
