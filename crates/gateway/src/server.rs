@@ -2,21 +2,23 @@
 //! 3–4, §5.4.1 server side).
 //!
 //! One [`ServerGateway`] node models a host running one replica: it joins
-//! the multicast group as a server, FIFO-queues incoming requests
-//! (recording `t2`/`t3`), "services" each request by waiting out a sampled
-//! service time (scaled by the host's load process), replies with the
-//! piggybacked performance data, and pushes a [`AquaMsg::PerfUpdate`] to
-//! every subscriber — "each time it processes a request" (§5.4.1).
+//! the multicast group as a server and drives the replica's Stage 3, an
+//! [`aqua_replica::ReplicaCore`], on the simulation clock. The core queues
+//! each request, stamping `t2` and `t3`, and samples its service time; the
+//! node waits that out on a timer, replies with the piggybacked
+//! performance data, and pushes a [`AquaMsg::PerfUpdate`] to every
+//! subscriber — "each time it processes a request" (§5.4.1). The node
+//! itself keeps membership, crash plans, drains and recovery.
 //!
 //! Crashes are silent: the node stops heartbeating and detaches, so the
 //! group coordinator eventually evicts it via a view change.
 
 use aqua_core::qos::ReplicaId;
-use aqua_core::repository::{MethodId, PerfReport};
+use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::{FaultSchedule, ReplicaHealth};
 use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
-use aqua_replica::{CrashPlan, CrashState, LoadModel, LoadProcess, RequestQueue, ServiceTimeModel};
+use aqua_replica::{CrashPlan, CrashState, LoadModel, ReplicaCore, ServiceTimeModel};
 use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 
 use crate::proto::{AquaMsg, RequestId, Wire};
@@ -77,23 +79,13 @@ impl ServerConfig {
     }
 }
 
-/// A request being serviced right now.
-#[derive(Debug, Clone)]
-struct InService {
-    id: RequestId,
-    method: MethodId,
-    queuing_delay: Duration,
-    service_time: Duration,
-    timer: TimerToken,
-}
-
 /// The simulated server node. See the module docs.
 pub struct ServerGateway {
     config: ServerConfig,
     agent: Option<MembershipAgent>,
-    queue: RequestQueue<(RequestId, MethodId)>,
-    in_service: Option<InService>,
-    load: LoadProcess,
+    core: ReplicaCore<RequestId>,
+    /// Fires when the request in service is done.
+    service_timer: Option<TimerToken>,
     crash: Option<CrashState>,
     crash_timer: Option<TimerToken>,
     /// Standby replica that has not been activated yet (Proteus, §2).
@@ -112,6 +104,8 @@ pub struct ServerGateway {
     /// Next edge of the scheduled fault plan.
     fault_timer: Option<TimerToken>,
     subscribers: Vec<NodeId>,
+    /// The subscribers a `PerfUpdate` goes to, reused across replies.
+    targets: Vec<NodeId>,
     serviced: u64,
     restarts: u64,
 }
@@ -120,7 +114,7 @@ impl std::fmt::Debug for ServerGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerGateway")
             .field("replica", &self.config.replica)
-            .field("queued", &self.queue.len())
+            .field("queued", &self.core.queue_len())
             .field("serviced", &self.serviced)
             .field("crashed", &self.is_crashed())
             .finish()
@@ -130,13 +124,18 @@ impl std::fmt::Debug for ServerGateway {
 impl ServerGateway {
     /// Creates a server from its configuration.
     pub fn new(config: ServerConfig) -> Self {
-        let load = LoadProcess::new(config.load.clone());
+        let core = ReplicaCore::new(
+            config.replica,
+            config.service.clone(),
+            config.method_services.clone(),
+            config.load.clone(),
+            config.faults.clone().unwrap_or_default(),
+        );
         ServerGateway {
             config,
             agent: None,
-            queue: RequestQueue::new(),
-            in_service: None,
-            load,
+            core,
+            service_timer: None,
             crash: None,
             crash_timer: None,
             dormant: false,
@@ -147,6 +146,7 @@ impl ServerGateway {
             recovery_timer: None,
             fault_timer: None,
             subscribers: Vec::new(),
+            targets: Vec::new(),
             serviced: 0,
             restarts: 0,
         }
@@ -196,7 +196,7 @@ impl ServerGateway {
     /// state and go dormant, arming self-reactivation for scheduled
     /// drains whose window has not ended yet.
     fn maybe_go_dormant(&mut self, ctx: &mut Context<'_, Wire>) {
-        if !self.draining || self.in_service.is_some() || !self.queue.is_empty() {
+        if !self.draining || !self.core.is_idle() {
             return;
         }
         self.draining = false;
@@ -286,8 +286,8 @@ impl ServerGateway {
             if let Some(agent) = self.agent.as_mut() {
                 agent.stop();
             }
-            self.queue.drain();
-            self.in_service = None;
+            self.core.crash();
+            self.service_timer = None;
             self.dead = true;
             self.recovery_timer = if until.as_nanos() == u64::MAX {
                 None // crash-forever: stay dark
@@ -310,7 +310,7 @@ impl ServerGateway {
 
     /// Current queue depth.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.core.queue_len()
     }
 
     /// Registered performance-update subscribers.
@@ -322,8 +322,8 @@ impl ServerGateway {
         if let Some(agent) = self.agent.as_mut() {
             agent.stop();
         }
-        self.queue.drain();
-        self.in_service = None;
+        self.core.crash();
+        self.service_timer = None;
         match self.config.recover_after {
             // Permanent crash: leave the simulation entirely.
             None => ctx.detach_self(),
@@ -369,62 +369,26 @@ impl ServerGateway {
         self.is_crashed()
     }
 
+    /// Starts the next queued request unless one is in service or a pause
+    /// holds the queue; the fault-edge timer resumes a paused replica.
     fn start_next_service(&mut self, ctx: &mut Context<'_, Wire>) {
-        if self.in_service.is_some() {
-            return;
+        let now = ctx.now();
+        if let Some(due) = self.core.start(now, ctx.rng()) {
+            self.service_timer = Some(ctx.set_timer(due.saturating_duration_since(now)));
         }
-        if let Some(schedule) = &self.config.faults {
-            // Paused: the service stage stalls but queued work survives;
-            // the fault-edge timer resumes us when the pause ends.
-            if schedule
-                .paused_until(self.config.replica, ctx.now())
-                .is_some()
-            {
-                return;
-            }
-        }
-        // t3: dequeue for service.
-        let Some(((id, method), queuing_delay)) = self.queue.pop(ctx.now()) else {
-            return;
-        };
-        let mut factor = self.load.factor(ctx.now(), ctx.rng());
-        if let Some(schedule) = &self.config.faults {
-            factor *= schedule.service_factor(self.config.replica, ctx.now());
-        }
-        let model = self
-            .config
-            .method_services
-            .iter()
-            .find(|(m, _)| *m == method)
-            .map(|(_, s)| s)
-            .unwrap_or(&self.config.service);
-        let service_time = model.sample(ctx.rng()).mul_f64(factor);
-        let timer = ctx.set_timer(service_time);
-        self.in_service = Some(InService {
-            id,
-            method,
-            queuing_delay,
-            service_time,
-            timer,
-        });
     }
 
     fn finish_service(&mut self, ctx: &mut Context<'_, Wire>) {
-        let Some(job) = self.in_service.take() else {
+        self.service_timer = None;
+        let Some((id, perf)) = self.core.finish(ctx.now()) else {
             return;
         };
         self.serviced += 1;
-        let perf = PerfReport {
-            service_time: job.service_time,
-            queuing_delay: job.queuing_delay,
-            queue_len: self.queue.len() as u32,
-            method: job.method,
-        };
         // Reply to the requesting client (perf piggybacked)…
         ctx.send(
-            job.id.client,
+            id.client,
             GroupMsg::App(AquaMsg::Reply {
-                id: job.id,
+                id,
                 replica: self.config.replica,
                 perf,
                 payload_size: self.config.reply_size,
@@ -436,14 +400,11 @@ impl ServerGateway {
             replica: self.config.replica,
             perf,
         });
-        let targets: Vec<NodeId> = self
-            .subscribers
-            .iter()
-            .copied()
-            .filter(|s| *s != job.id.client)
-            .collect();
-        if !targets.is_empty() {
-            ctx.multicast(&targets, update);
+        self.targets.clear();
+        self.targets
+            .extend(self.subscribers.iter().filter(|s| **s != id.client));
+        if !self.targets.is_empty() {
+            ctx.multicast(&self.targets, update);
         }
 
         // Crash-after-N triggers after the reply is sent (the request that
@@ -501,7 +462,7 @@ impl Node<Wire> for ServerGateway {
                         return;
                     }
                 }
-                if self.in_service.as_ref().is_some_and(|j| j.timer == token) {
+                if self.service_timer == Some(token) {
                     self.finish_service(ctx);
                 }
             }
@@ -526,8 +487,7 @@ impl Node<Wire> for ServerGateway {
                         method,
                         payload_size: _,
                     }) => {
-                        // t2: enqueue on arrival.
-                        self.queue.push((id, method), ctx.now());
+                        self.core.arrive(ctx.now(), id, method);
                         self.start_next_service(ctx);
                     }
                     GroupMsg::App(AquaMsg::Subscribe { client })

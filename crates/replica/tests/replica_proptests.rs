@@ -1,7 +1,10 @@
 //! Property tests for the replica behaviour models.
 
+use aqua_core::qos::ReplicaId;
+use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
-use aqua_replica::{CrashPlan, CrashState, LoadModel, LoadProcess, RequestQueue, ServiceTimeModel};
+use aqua_faults::FaultSchedule;
+use aqua_replica::{CrashPlan, CrashState, LoadModel, LoadProcess, ReplicaCore, ServiceTimeModel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -72,7 +75,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    // ---------------- FIFO queue ----------------
+    // ---------------- Stage 3 ----------------
 
     #[test]
     fn queue_is_fifo_and_delays_are_exact(
@@ -81,22 +84,33 @@ proptest! {
     ) {
         let mut arrivals = arrivals;
         arrivals.sort_unstable();
-        let mut q = RequestQueue::new();
+        let mut core = ReplicaCore::new(
+            ReplicaId::new(0),
+            ServiceTimeModel::Deterministic(ms(service_gap)),
+            Vec::new(),
+            LoadModel::nominal(),
+            FaultSchedule::empty(),
+        );
         for (i, at) in arrivals.iter().enumerate() {
-            q.push(i, Instant::from_millis(*at));
+            core.arrive(Instant::from_millis(*at), i, MethodId::DEFAULT);
         }
-        prop_assert_eq!(q.len(), arrivals.len());
-        prop_assert_eq!(q.max_depth(), arrivals.len());
-        // Pop everything starting after the last arrival, spaced by
-        // service_gap.
-        let mut t = *arrivals.last().unwrap();
+        prop_assert_eq!(core.queue_len(), arrivals.len());
+        // Serve everything back to back from the last arrival on.
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut t = Instant::from_millis(*arrivals.last().unwrap());
         for (i, at) in arrivals.iter().enumerate() {
-            let (item, tq) = q.pop(Instant::from_millis(t)).unwrap();
+            let due = core.start(t, &mut rng).unwrap();
+            let (item, perf) = core.finish(due).unwrap();
             prop_assert_eq!(item, i, "FIFO order");
-            prop_assert_eq!(tq, ms(t - at), "tq = t3 − t2 exactly");
-            t += service_gap;
+            prop_assert_eq!(
+                perf.queuing_delay,
+                t.duration_since(Instant::from_millis(*at)),
+                "tq = t3 − t2 exactly"
+            );
+            prop_assert_eq!(perf.service_time, ms(service_gap), "ts = finish − t3");
+            t = due;
         }
-        prop_assert!(q.is_empty());
+        prop_assert!(core.is_idle());
     }
 
     // ---------------- Crash plans ----------------

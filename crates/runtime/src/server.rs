@@ -3,12 +3,14 @@
 //! One [`ReplicaServer`] is one AQuA server replica on localhost, run by
 //! **one thread**: a level-triggered `epoll` loop over the listener, every
 //! connection and a wake socket, the shape of the client's reactor. The
-//! loop *is* the FIFO server of §5.1 Stage 3. It stamps each request as it
-//! reads it (t2), starts the head job (t3), piggybacks the measured service
-//! time and `tq = t3 − t2` on the reply, and sends the same numbers to every
-//! other subscriber as a `PerfUpdate` (§5.4.1). Service time is simulated
-//! by waiting out a sampled duration; the *measured* elapsed time is what
-//! gets reported, exactly like the instrumented gateway of the paper.
+//! loop drives §5.1 Stage 3, an [`aqua_replica::ReplicaCore`] run on the
+//! fault schedule's clock (time since spawn), as the simulated replica
+//! does. The core stamps each request as the loop reads it (t2) and starts
+//! the head job (t3); the loop piggybacks the measured service time and
+//! `tq = t3 − t2` on the reply, and sends the same numbers to every other
+//! subscriber as a `PerfUpdate` (§5.4.1). Service time is simulated by
+//! waiting out a sampled duration; the *measured* elapsed time is what gets
+//! reported, exactly like the instrumented gateway of the paper.
 //!
 //! Everything that waits is a deadline of the loop, kept with
 //! `epoll_wait`'s timeout: the job in service, a reply held back by a delay
@@ -18,9 +20,9 @@
 //! while a job is in service, and a zero-time job is answered in the wake
 //! that read it. Nothing polls.
 //!
-//! Every queue is bounded. The FIFO holds at most `FIFO_CAP` jobs; while
-//! it is full the loop reads no connection, so backpressure reaches the
-//! client through TCP. Replies and updates are written nonblocking from
+//! Every queue is bounded. The loop queues at most `FIFO_CAP` jobs; at that
+//! depth it reads no connection, so backpressure reaches the client through
+//! TCP. Replies and updates are written nonblocking from
 //! per-connection buffers, with `EPOLLOUT` armed only under backpressure,
 //! and a peer that lets more than `MAX_UNSENT` bytes pile up is closed like
 //! any other failed peer — no peer can wedge the replica.
@@ -36,9 +38,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use aqua_core::qos::ReplicaId;
+use aqua_core::repository::{MethodId, PerfReport};
 use aqua_core::time::Instant;
 use aqua_faults::{FaultSchedule, FaultTracker};
-use aqua_replica::ServiceTimeModel;
+use aqua_replica::{LoadModel, ReplicaCore, ServiceTimeModel};
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,7 +49,7 @@ use rand::SeedableRng;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{Frame, FrameAssembler, MAX_FRAME};
 
-/// Jobs the FIFO holds at most. While it is full the loop reads nothing.
+/// Jobs the loop queues at most. At this depth it reads nothing.
 const FIFO_CAP: usize = 256;
 
 /// Unsent bytes past which a connection's peer counts as failed: two of
@@ -243,40 +246,26 @@ struct Conn {
     dirty: bool,
 }
 
-/// A request waiting in the FIFO.
+/// Where a request's reply goes.
 struct Job {
     conn: u64,
     seq: u64,
-    method: u32,
     payload: Bytes,
-    /// t2: when the loop read it.
-    enqueued: StdInstant,
 }
 
-/// The job the server is busy with.
-struct InService {
-    job: Job,
-    queue_ns: u64,
-    started: StdInstant,
-    /// When service ends; once it has, when a delay spike lets the reply go.
-    due: StdInstant,
-    /// Set when service ends.
-    served: Option<Served>,
-}
-
-/// What the end of service measured and decided.
+/// A job whose service has ended, and what the fault schedule decided.
 struct Served {
-    service_ns: u64,
-    queue_len: u32,
+    job: Job,
+    perf: PerfReport,
     /// The fault schedule loses the reply.
     dropped: bool,
 }
 
-/// The server's thread: every socket, the FIFO and the fault clock.
+/// The server's thread: every socket, Stage 3 and the fault clock.
 struct ServerLoop {
     shared: Arc<Shared>,
     replica: ReplicaId,
-    service: ServiceTimeModel,
+    core: ReplicaCore<Job>,
     rng: SmallRng,
     crash_after: Option<u64>,
     metrics: Option<ServerMetrics>,
@@ -293,11 +282,14 @@ struct ServerLoop {
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    fifo: VecDeque<Job>,
-    busy: Option<InService>,
-    /// Whether connections are read; not while the FIFO is full.
+    /// When the job in service ends; once it has, when a delay spike lets
+    /// its reply go.
+    due: Option<StdInstant>,
+    /// A reply held back by a delay spike.
+    held: Option<Served>,
+    /// Whether connections are read; not while `FIFO_CAP` jobs wait.
     reading: bool,
-    /// Connections whose assembler may hold frames a full FIFO turned away.
+    /// Connections whose assembler may hold frames a full queue turned away.
     stalled: VecDeque<u64>,
     /// Connections with output for the end-of-wake flush.
     dirty: Vec<u64>,
@@ -331,7 +323,13 @@ impl ServerLoop {
         Ok(ServerLoop {
             shared,
             replica: config.replica,
-            service: config.service,
+            core: ReplicaCore::new(
+                config.replica,
+                config.service,
+                Vec::new(),
+                LoadModel::nominal(),
+                faults.clone(),
+            ),
             rng: SmallRng::seed_from_u64(config.seed),
             crash_after: config.crash_after,
             metrics: config
@@ -349,8 +347,8 @@ impl ServerLoop {
             listener,
             conns: HashMap::new(),
             next_conn: 0,
-            fifo: VecDeque::with_capacity(FIFO_CAP),
-            busy: None,
+            due: None,
+            held: None,
             reading: true,
             stalled: VecDeque::new(),
             dirty: Vec::new(),
@@ -402,8 +400,7 @@ impl ServerLoop {
     /// a held reply, the next fault edge — or `-1` with none. A remainder
     /// under a millisecond is slept here and the wait only polls.
     fn wait_ms(&self) -> i32 {
-        let due = [self.busy.as_ref().map(|b| b.due), self.next_edge];
-        let Some(due) = due.into_iter().flatten().min() else {
+        let Some(due) = [self.due, self.next_edge].into_iter().flatten().min() else {
             return -1;
         };
         let left = due.saturating_duration_since(StdInstant::now());
@@ -414,7 +411,7 @@ impl ServerLoop {
         0
     }
 
-    /// Acts on everything due by now: the fault edge, then the FIFO.
+    /// Acts on everything due by now: the fault edge, then Stage 3.
     fn advance(&mut self) {
         let now = StdInstant::now();
         if self.next_edge.is_some_and(|edge| edge <= now) {
@@ -434,8 +431,9 @@ impl ServerLoop {
         let down = self.faults.is_down(self.replica, at);
         if down && !self.down {
             self.close_all();
-            self.fifo.clear();
-            self.busy = None;
+            self.core.crash();
+            self.due = None;
+            self.held = None;
             self.stalled.clear();
             self.reading = true;
         }
@@ -446,92 +444,67 @@ impl ServerLoop {
             .map(|edge| self.epoch + StdDuration::from_nanos(edge.as_nanos()));
     }
 
-    /// Runs the FIFO up to now: finishes the job in service once it is due,
+    /// Runs Stage 3 up to now: finishes the job in service once it is due,
     /// sends its reply once any delay spike has passed, and starts the next
     /// job unless a pause holds the queue. A zero-time job is started and
     /// answered in one call.
     fn serve(&mut self) {
         loop {
             let now = StdInstant::now();
-            if let Some(busy) = &mut self.busy {
-                if now < busy.due {
-                    return;
-                }
-                if busy.served.is_none() {
-                    let service_ns = now.duration_since(busy.started).as_nanos() as u64;
-                    let queue_len = self.fifo.len() as u32;
-                    if let Some(m) = &self.metrics {
-                        m.serviced.inc();
-                        m.service_ns.record(service_ns);
-                        m.queue_ns.record(busy.queue_ns);
-                        m.queue_depth.set(i64::from(queue_len));
-                    }
-                    let at = fault_time(self.epoch, now);
-                    busy.served = Some(Served {
-                        service_ns,
-                        queue_len,
-                        dropped: self.faults.should_drop(Some(self.replica), None, at),
-                    });
-                    let spike = self.faults.reply_delay(self.replica, at);
-                    if !spike.is_zero() {
-                        // A network delay spike on the reply path.
-                        busy.due = now + StdDuration::from(spike);
-                        continue;
-                    }
-                }
-                let Some(InService {
-                    job,
-                    queue_ns,
-                    served: Some(served),
-                    ..
-                }) = self.busy.take()
-                else {
-                    return;
-                };
-                self.reply(job, queue_ns, served);
-                let done = self.shared.serviced.fetch_add(1, Ordering::Relaxed) + 1;
-                if self.crash_after.is_some_and(|n| done >= n) {
-                    self.shared.shutdown.store(true, Ordering::SeqCst);
-                    return;
-                }
-                continue;
-            }
-            if self.fifo.is_empty() {
+            if self.due.is_some_and(|due| now < due) {
                 return;
             }
             let at = fault_time(self.epoch, now);
-            if self.faults.paused_until(self.replica, at).is_some() {
-                // Queued work survives a pause; the edge that ends it
-                // wakes the loop.
+            if self.due.take().is_none() {
+                // Nothing to start, or a pause holds the queue until the
+                // edge that ends it wakes the loop.
+                let Some(due) = self.core.start(at, &mut self.rng) else {
+                    return;
+                };
+                self.refill(now);
+                self.due = Some(self.epoch + StdDuration::from_nanos(due.as_nanos()));
+                continue;
+            }
+            let served = match self.held.take() {
+                Some(served) => served,
+                None => {
+                    let Some((job, perf)) = self.core.finish(at) else {
+                        return;
+                    };
+                    if let Some(m) = &self.metrics {
+                        m.serviced.inc();
+                        m.service_ns.record(perf.service_time.as_nanos());
+                        m.queue_ns.record(perf.queuing_delay.as_nanos());
+                        m.queue_depth.set(i64::from(perf.queue_len));
+                    }
+                    let dropped = self.faults.should_drop(Some(self.replica), None, at);
+                    let served = Served { job, perf, dropped };
+                    let spike = self.faults.reply_delay(self.replica, at);
+                    if !spike.is_zero() {
+                        // A network delay spike on the reply path.
+                        self.held = Some(served);
+                        self.due = Some(now + StdDuration::from(spike));
+                        continue;
+                    }
+                    served
+                }
+            };
+            self.reply(served);
+            let done = self.shared.serviced.fetch_add(1, Ordering::Relaxed) + 1;
+            if self.crash_after.is_some_and(|n| done >= n) {
+                self.shared.shutdown.store(true, Ordering::SeqCst);
                 return;
             }
-            let Some(job) = self.fifo.pop_front() else {
-                return;
-            };
-            self.refill(now);
-            // t3 − t2.
-            let queue_ns = now.duration_since(job.enqueued).as_nanos() as u64;
-            let factor = self.faults.service_factor(self.replica, at);
-            let target: StdDuration = self.service.sample(&mut self.rng).mul_f64(factor).into();
-            self.busy = Some(InService {
-                job,
-                queue_ns,
-                started: now,
-                due: now + target,
-                served: None,
-            });
         }
     }
 
     /// Queues the reply for the requester and a `PerfUpdate` for every
     /// other subscriber (the requester has the data piggybacked).
-    fn reply(&mut self, job: Job, queue_ns: u64, served: Served) {
-        let Served {
-            service_ns,
-            queue_len,
-            dropped,
-        } = served;
+    fn reply(&mut self, served: Served) {
+        let Served { job, perf, dropped } = served;
         let replica = self.replica.index();
+        let (service_ns, queue_ns) = (perf.service_time.as_nanos(), perf.queuing_delay.as_nanos());
+        let (queue_len, method) = (perf.queue_len, perf.method.index());
         if !dropped {
             if let Some(conn) = self.conns.get_mut(&job.conn) {
                 Frame::Reply {
@@ -540,7 +513,7 @@ impl ServerLoop {
                     service_ns,
                     queue_ns,
                     queue_len,
-                    method: job.method,
+                    method,
                     payload: job.payload,
                 }
                 .encode_into(&mut conn.out);
@@ -560,7 +533,7 @@ impl ServerLoop {
                     service_ns,
                     queue_ns,
                     queue_len,
-                    method: job.method,
+                    method,
                 }
                 .encode_into(&mut self.update);
             }
@@ -574,10 +547,10 @@ impl ServerLoop {
         }
     }
 
-    /// Room in the FIFO again: frames a full FIFO left in assemblers go
+    /// Room in the queue again: frames a full queue left in assemblers go
     /// first, in the order they were turned away; then reading resumes.
     fn refill(&mut self, now: StdInstant) {
-        while !self.reading && self.fifo.len() < FIFO_CAP {
+        while !self.reading && self.core.queue_len() < FIFO_CAP {
             let Some(token) = self.stalled.pop_front() else {
                 self.set_reading(true);
                 return;
@@ -589,9 +562,9 @@ impl ServerLoop {
     }
 
     /// Acts on the complete frames buffered for `token`, in arrival order:
-    /// a `Hello` subscribes the peer, a `Request` is stamped (t2 = `now`)
-    /// and queued. Stops when the FIFO is full, leaving the rest for when
-    /// it has room, and stops reading until then.
+    /// a `Hello` subscribes the peer, a `Request` is queued, stamped t2 =
+    /// `now`. Stops when the queue is full, leaving the rest for when it
+    /// has room, and stops reading until then.
     ///
     /// # Errors
     ///
@@ -600,7 +573,8 @@ impl ServerLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return Ok(());
         };
-        while self.fifo.len() < FIFO_CAP {
+        let at = fault_time(self.epoch, now);
+        while self.core.queue_len() < FIFO_CAP {
             match conn.assembler.next_frame()? {
                 Some(Frame::Hello { .. }) if !conn.subscribed => {
                     conn.subscribed = true;
@@ -610,13 +584,14 @@ impl ServerLoop {
                     seq,
                     method,
                     payload,
-                }) => self.fifo.push_back(Job {
-                    conn: token,
-                    seq,
-                    method,
-                    payload,
-                    enqueued: now,
-                }),
+                }) => {
+                    let job = Job {
+                        conn: token,
+                        seq,
+                        payload,
+                    };
+                    self.core.arrive(at, job, MethodId::new(method));
+                }
                 Some(_) => {} // clients send no replies or updates
                 None => return Ok(()),
             }
@@ -798,7 +773,7 @@ fn write_out(conn: &mut Conn) -> io::Result<()> {
     Ok(())
 }
 
-/// The interest a connection needs: reads while the FIFO has room,
+/// The interest a connection needs: reads while the queue has room,
 /// writability while output is waiting.
 fn interest(reading: bool, unsent: bool) -> u32 {
     let read = if reading { EPOLLIN | EPOLLRDHUP } else { 0 };
@@ -965,18 +940,29 @@ mod tests {
         // Subscribed with every job still in the queue: the `Hello` took
         // effect before any request of its segment is serviced.
         assert_eq!(shared.subscribers.load(Ordering::SeqCst), 1);
-        let queued = |server: &mut ServerLoop| server.fifo.drain(..).collect::<Vec<Job>>();
-        let jobs = queued(&mut server);
-        let seqs: Vec<u64> = jobs.iter().map(|job| job.seq).collect();
+        assert_eq!(server.core.queue_len(), 8);
+        // Served back to back at one instant, in queue order.
+        let queued = |server: &mut ServerLoop| {
+            let at = fault_time(server.epoch, StdInstant::now());
+            let mut served = Vec::new();
+            while server.core.start(at, &mut server.rng).is_some() {
+                served.extend(server.core.finish(at));
+            }
+            served
+        };
+        let served = queued(&mut server);
+        let seqs: Vec<u64> = served.iter().map(|(job, _)| job.seq).collect();
         assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
         assert!(
-            jobs.windows(2).all(|w| w[0].enqueued <= w[1].enqueued),
+            served
+                .windows(2)
+                .all(|w| w[0].1.queuing_delay >= w[1].1.queuing_delay),
             "enqueue stamps follow arrival order"
         );
 
         // The rest of the ninth arrives: it is queued, nothing is redone.
         arrive(&mut server, &bytes[whole..]);
-        assert!(matches!(queued(&mut server)[..], [Job { seq: 8, .. }]));
+        assert!(matches!(queued(&mut server)[..], [(Job { seq: 8, .. }, _)]));
         assert_eq!(shared.subscribers.load(Ordering::SeqCst), 1);
     }
 

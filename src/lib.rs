@@ -14,7 +14,7 @@
 //! | [`core`] | `aqua-core` | pmfs, repository, model, Algorithm 1, QoS, failure detection |
 //! | [`sim`] | `lan-sim` | deterministic discrete-event LAN simulator |
 //! | [`group`] | `aqua-group` | views, multicast, heartbeat failure detector |
-//! | [`replica`] | `aqua-replica` | service-time models, load processes, crash plans, FIFO queue |
+//! | [`replica`] | `aqua-replica` | the sans-IO Stage-3 core, service-time models, load processes, crash plans |
 //! | [`gateway`] | `aqua-gateway` | the timing fault handler + client/server gateway nodes |
 //! | [`strategies`] | `aqua-strategies` | the paper's strategy and classic baselines |
 //! | [`workload`] | `aqua-workload` | experiment configs, runner, figure formatting |
