@@ -22,72 +22,8 @@
 //! can be replayed with `aqua_forensics` (see EXPERIMENTS.md § Chaos).
 //! `AQUA_OBS_ROTATE_BYTES` bounds individual journal files.
 
-use aqua_core::qos::QosSpec;
-use aqua_core::time::{Duration, Instant};
-use aqua_workload::{
-    run_experiment_observed, ClientSpec, ExperimentConfig, FaultPlan, NetworkSpec, ServerSpec,
-};
-
-fn ms(v: u64) -> Duration {
-    Duration::from_millis(v)
-}
-
-fn config(seed: u64, faults: FaultPlan) -> ExperimentConfig {
-    let qos = QosSpec::new(ms(200), 0.9).expect("valid spec");
-    let mut client = ClientSpec::paper(qos);
-    client.num_requests = 50;
-    client.think_time = ms(500);
-    client.retry_after = Some(ms(250));
-    ExperimentConfig {
-        seed,
-        network: NetworkSpec::paper(),
-        servers: (0..7).map(|_| ServerSpec::paper()).collect(),
-        standby_servers: Vec::new(),
-        manager: None,
-        clients: vec![client],
-        faults,
-        max_virtual_time: Duration::from_secs(120),
-    }
-}
-
-/// One chaos scenario: a fault plan plus the failure-probability ceiling
-/// enforced in `--check` mode.
-struct Scenario {
-    label: &'static str,
-    faults: FaultPlan,
-    budget: f64,
-}
-
-fn scenarios() -> Vec<Scenario> {
-    let at = Instant::from_secs;
-    vec![
-        Scenario {
-            label: "baseline (no faults)",
-            faults: FaultPlan::new(),
-            budget: 0.20,
-        },
-        Scenario {
-            label: "crash-recover r0 [5 s, 15 s)",
-            faults: FaultPlan::new().crash_recover(0, at(5), Duration::from_secs(10)),
-            budget: 0.30,
-        },
-        Scenario {
-            label: "pause r1 [5 s, 12 s)",
-            faults: FaultPlan::new().pause(1, at(5), Duration::from_secs(7)),
-            budget: 0.30,
-        },
-        Scenario {
-            label: "delay spike 4x [5 s, 15 s)",
-            faults: FaultPlan::new().delay_spike_all(at(5), Duration::from_secs(10), 4.0),
-            budget: 0.40,
-        },
-        Scenario {
-            label: "drop 30% at r2 [5 s, 20 s)",
-            faults: FaultPlan::new().drop_messages(2, at(5), Duration::from_secs(15), 0.3),
-            budget: 0.30,
-        },
-    ]
-}
+use aqua_bench::chaos::{config, scenarios, REQUESTS};
+use aqua_workload::run_experiment_observed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,9 +59,9 @@ fn main() {
             c.stats.retries,
             c.mean_redundancy()
         );
-        if c.records.len() != 50 {
+        if c.records.len() as u64 != REQUESTS {
             violations.push(format!(
-                "{}: only {}/50 requests completed",
+                "{}: only {}/{REQUESTS} requests completed",
                 scenario.label,
                 c.records.len()
             ));
