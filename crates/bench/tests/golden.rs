@@ -225,8 +225,11 @@ fn chaos_projection() -> String {
     out
 }
 
+/// A golden file and the projection it holds.
+type Projection = (&'static str, fn() -> String);
+
 /// The three projections and their golden files.
-fn projections() -> [(&'static str, fn() -> String); 3] {
+fn projections() -> [Projection; 3] {
     [
         ("projection_pause_retry.txt", pause_retry_projection),
         ("projection_fault_mix.txt", fault_mix_projection),
