@@ -18,7 +18,8 @@ use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
 use aqua_strategies::SelectionStrategy;
 use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 
-use crate::concurrent::{ConcurrentHandler, ReplyOutcome};
+use crate::call::{Call, Step};
+use crate::concurrent::{ConcurrentHandler, ReplyOutcome, RequestPlan};
 use crate::proto::{AquaMsg, RequestId, Wire};
 
 /// The δ (§5.3.3) every simulated plan assumes: 1.5 µs, inside the
@@ -83,11 +84,9 @@ pub struct ClientConfig {
     pub probe_stale_after: Option<Duration>,
     /// If set, renegotiate to this spec when the QoS callback fires (§4).
     pub renegotiate_to: Option<QosSpec>,
-    /// If set, a request that is still unanswered this long after being
-    /// issued is retried: Algorithm 1 re-runs over the remaining replicas
-    /// and a sibling attempt is multicast (the original stays live; the
-    /// earliest reply of either wins). Should be shorter than
-    /// `give_up_after` to be useful.
+    /// If set, a request still unanswered this long after being issued
+    /// multicasts a sibling attempt over the replicas not yet asked (see
+    /// [`Call`]); armed only when shorter than `give_up_after`.
     pub retry_after: Option<Duration>,
     /// The dependability manager's node, when an elastic supervisor runs:
     /// the client forwards its watchdog's calibration alerts there and
@@ -132,7 +131,7 @@ pub struct RequestRecord {
     pub seq: u64,
     /// When the request was intercepted/sent (`t0` = `t1`).
     pub sent_at: Instant,
-    /// How many replicas were selected (the redundancy level).
+    /// How many replicas its attempts reached (the redundancy level).
     pub redundancy: usize,
     /// When the first reply arrived (`t4`), if any.
     pub first_reply_at: Option<Instant>,
@@ -155,17 +154,14 @@ enum IssueResult {
     Finished,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 enum TimerKind {
     /// Fire the next request (start or think-time expiry).
     IssueRequest,
-    /// Give up on request `seq`.
-    GiveUp(u64),
     /// Check for stale replica entries and probe them (§8 ext. 3).
     ProbeCheck,
-    /// Intermediate retry deadline for request `seq` (its first
-    /// attempt), which invokes `method`.
-    Retry(u64, MethodId),
+    /// The next deadline of a request or a probe in flight.
+    Deadline(Call),
 }
 
 /// One buffered calibration alert: `(replica scope, method, observed,
@@ -317,12 +313,7 @@ impl ClientGateway {
             self.shed_requests += 1;
             return IssueResult::NoServers;
         }
-        if self
-            .config
-            .num_requests
-            .is_some_and(|limit| self.issued >= limit)
-        {
-            self.finished = true;
+        if self.budget_spent() {
             return IssueResult::Finished;
         }
         let has_servers = self
@@ -339,85 +330,78 @@ impl ClientGateway {
         } else {
             self.config.methods[(self.issued as usize) % self.config.methods.len()]
         };
-        let plan = self.live().plan_request_for(now, Some(method));
-        // Map replica ids to their hosts via the current view.
-        let view = self.agent.as_ref().expect("started").view();
-        let targets: Vec<NodeId> = plan
-            .replicas
-            .iter()
-            .filter_map(|r| view.node_of(*r))
-            .collect();
-        if targets.is_empty() {
-            // Selection raced a view change; drop the pending entry as an
-            // immediate give-up.
-            self.live().on_give_up(now, plan.seq);
+        let (give_up_after, retry_after) = (self.config.give_up_after, self.config.retry_after);
+        let Some((mut call, plan)) =
+            Call::start(self.live(), now, method, give_up_after, retry_after)
+        else {
+            return IssueResult::NoServers;
+        };
+        // An empty multicast means selection raced a view change.
+        if !self.send(ctx, &mut call, &plan, self.config.request_size) {
             return IssueResult::NoServers;
         }
-
         self.issued += 1;
-        let id = RequestId {
-            client: ctx.self_id(),
-            seq: plan.seq,
-        };
-        ctx.multicast(
-            &targets,
-            GroupMsg::App(AquaMsg::Request {
-                id,
-                method,
-                payload_size: self.config.request_size,
-            }),
-        );
         self.records.push(RequestRecord {
             seq: plan.seq,
             sent_at: now,
-            redundancy: targets.len(),
+            redundancy: call.redundancy(),
             first_reply_at: None,
             response_time: None,
             timely: false,
             callback: false,
         });
-        let give_up_after = self.config.give_up_after;
-        self.schedule(ctx, give_up_after, TimerKind::GiveUp(plan.seq));
-        if let Some(retry_after) = self.config.retry_after {
-            if retry_after < give_up_after {
-                self.schedule(ctx, retry_after, TimerKind::Retry(plan.seq, method));
-            }
-        }
+        self.wait(ctx, call);
         IssueResult::Issued
     }
 
-    /// The intermediate retry deadline passed without a reply: re-run
-    /// Algorithm 1 over the remaining replicas and multicast a sibling
-    /// attempt for the same logical request.
-    fn retry(&mut self, root: u64, method: MethodId, ctx: &mut Context<'_, Wire>) {
-        let now = ctx.now();
-        let Some(plan) = self.live().plan_retry(now, root) else {
-            return; // resolved, or nobody left beyond the original selection
-        };
+    /// Multicasts `attempt` to the hosts of its replicas in the current
+    /// view and tells `call` how many it reached: `false` if that ended it.
+    fn send(
+        &mut self,
+        ctx: &mut Context<'_, Wire>,
+        call: &mut Call,
+        attempt: &RequestPlan,
+        payload_size: u32,
+    ) -> bool {
         let view = self.agent.as_ref().expect("started").view();
-        let targets: Vec<NodeId> = plan
+        let targets: Vec<NodeId> = attempt
             .replicas
             .iter()
             .filter_map(|r| view.node_of(*r))
             .collect();
-        if targets.is_empty() {
-            self.live().on_abandon(now, plan.seq);
-            return;
+        let (client, seq, method) = (ctx.self_id(), attempt.seq, call.method());
+        let id = RequestId { client, seq };
+        let request = AquaMsg::Request {
+            id,
+            method,
+            payload_size,
+        };
+        ctx.multicast(&targets, GroupMsg::App(request));
+        call.sent(self.live(), ctx.now(), attempt, targets.len())
+    }
+
+    /// Arms one timer at `call`'s next deadline, if it has one.
+    fn wait(&mut self, ctx: &mut Context<'_, Wire>, call: Call) {
+        if let Some(deadline) = call.next_deadline() {
+            let after = deadline.saturating_duration_since(ctx.now());
+            self.schedule(ctx, after, TimerKind::Deadline(call));
         }
-        ctx.multicast(
-            &targets,
-            GroupMsg::App(AquaMsg::Request {
-                id: RequestId {
-                    client: ctx.self_id(),
-                    seq: plan.seq,
-                },
-                method,
-                payload_size: self.config.request_size,
-            }),
-        );
-        if let Some(rec) = self.records.iter_mut().find(|r| r.seq == root) {
-            rec.redundancy += targets.len();
+    }
+
+    /// A request's or a probe's deadline passed: a retry goes out and is
+    /// recorded, a give-up is a timing failure and the client moves on.
+    fn on_deadline(&mut self, mut call: Call, ctx: &mut Context<'_, Wire>) {
+        match call.on_deadline(self.live(), ctx.now()) {
+            Step::Send(retry) => {
+                self.send(ctx, &mut call, &retry, self.config.request_size);
+                if let Some(rec) = self.records.iter_mut().find(|r| r.seq == call.seq()) {
+                    rec.redundancy = call.redundancy();
+                }
+            }
+            Step::GaveUp => self.finish_request(ctx),
+            Step::Wait | Step::Answered => {}
         }
+        self.wait(ctx, call);
     }
 
     /// Handles one arrival tick according to the pacing discipline.
@@ -471,53 +455,27 @@ impl ClientGateway {
             let now = ctx.now();
             let stale = self.live().stale_replicas(now, staleness);
             for replica in stale {
-                let plan = self.live().plan_probe(now, replica);
-                let Some(node) = self.agent.as_ref().and_then(|a| a.view().node_of(replica)) else {
-                    self.live().on_give_up(now, plan.seq);
-                    continue;
-                };
-                ctx.send(
-                    node,
-                    GroupMsg::App(AquaMsg::Request {
-                        id: RequestId {
-                            client: ctx.self_id(),
-                            seq: plan.seq,
-                        },
-                        method: MethodId::DEFAULT,
-                        payload_size: 0,
-                    }),
-                );
-                let give_up = self.config.give_up_after;
-                self.schedule(ctx, give_up, TimerKind::GiveUp(plan.seq));
+                let (mut call, plan) =
+                    Call::probe(self.live(), now, replica, self.config.give_up_after);
+                self.send(ctx, &mut call, &plan, 0);
+                self.wait(ctx, call);
             }
             self.schedule(ctx, staleness, TimerKind::ProbeCheck);
         }
     }
 
-    /// The give-up timer fired; if the request is still outstanding, record
-    /// the timing failure and move on. The handler resolves every attempt
-    /// of the request.
-    fn give_up(&mut self, seq: u64, ctx: &mut Context<'_, Wire>) {
-        if self.live().on_give_up(ctx.now(), seq) {
-            if let Some(rec) = self.records.iter_mut().find(|r| r.seq == seq) {
-                rec.timely = false;
-            }
-            self.finish_request(ctx);
-        }
+    /// Whether the configured number of requests went out; marks the
+    /// client finished if so.
+    fn budget_spent(&mut self) -> bool {
+        let limit = self.config.num_requests;
+        self.finished |= limit.is_some_and(|limit| self.issued >= limit);
+        self.finished
     }
 
     /// Called when a request resolves (first reply or give-up); closed-loop
     /// clients schedule their next request from here.
     fn finish_request(&mut self, ctx: &mut Context<'_, Wire>) {
-        if self
-            .config
-            .num_requests
-            .is_some_and(|limit| self.issued >= limit)
-        {
-            self.finished = true;
-            return;
-        }
-        if self.config.arrivals == ArrivalModel::ClosedLoop {
+        if !self.budget_spent() && self.config.arrivals == ArrivalModel::ClosedLoop {
             let think = self.config.think_time;
             self.schedule(ctx, think, TimerKind::IssueRequest);
         }
@@ -682,8 +640,7 @@ impl Node<Wire> for ClientGateway {
                 match self.timers.remove(&token) {
                     Some(TimerKind::IssueRequest) => self.issue_request(ctx),
                     Some(TimerKind::ProbeCheck) => self.probe_stale(ctx),
-                    Some(TimerKind::GiveUp(seq)) => self.give_up(seq, ctx),
-                    Some(TimerKind::Retry(seq, method)) => self.retry(seq, method, ctx),
+                    Some(TimerKind::Deadline(call)) => self.on_deadline(call, ctx),
                     None => {}
                 }
             }

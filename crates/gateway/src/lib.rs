@@ -10,6 +10,10 @@
 //!   callers: lock-free snapshot planning plus sharded reply ingestion and
 //!   pending-request tracking. The simulator and the socket runtime both
 //!   drive it.
+//! * [`Call`] — one request's lifecycle around the handler, sans I/O:
+//!   the first attempt, the retry and give-up deadlines, what an attempt
+//!   that reached nobody means, and the redundancy count. Both clients
+//!   drive it.
 //! * [`ClientGateway`] — a simulated client gateway node wrapping the
 //!   handler plus the paper's closed-loop request generator.
 //! * [`ServerGateway`] — a simulated replica host: FIFO queue, service-time
@@ -20,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod call;
 mod client;
 mod concurrent;
 mod handlers;
@@ -31,6 +36,7 @@ mod proto;
 mod server;
 mod supervisor;
 
+pub use call::{Call, Step};
 pub use client::{ArrivalModel, ClientConfig, ClientGateway, RequestRecord};
 pub use concurrent::{ConcurrentHandler, HandlerStats, ReplyOutcome, RepositoryMut, RequestPlan};
 pub use handlers::{active_strategy, FailoverAction, PassiveHandler, PassivePending};
@@ -220,6 +226,56 @@ mod sim_tests {
         assert!(
             stats.gave_up > 0 || client.records().iter().any(|r| !r.timely),
             "with every replica dead, requests must fail: {stats:?}"
+        );
+    }
+
+    /// `mux::tests::a_retry_due_at_the_give_up_is_never_sent` on the
+    /// simulator: both replicas pause from 2 s to 4 s and the retry
+    /// deadline is the give-up, so a stalled request gives up without
+    /// multicasting a retry it would give up in the same instant.
+    #[test]
+    fn a_retry_due_at_the_give_up_is_never_sent() {
+        let qos = QosSpec::new(ms(50), 0.9).unwrap();
+        let mut sim = Simulation::with_network(5, UniformLan::aqua_testbed());
+        let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
+            FailureDetectorConfig::default(),
+        ));
+        let pause = aqua_faults::FaultPlan::new()
+            .pause(0, Instant::from_secs(2), ms(2_000))
+            .pause(1, Instant::from_secs(2), ms(2_000));
+        for i in 0..2u64 {
+            sim.add_node(ServerGateway::new(ServerConfig {
+                service: ServiceTimeModel::Deterministic(ms(5 + 15 * i)),
+                faults: Some(pause.instantiate(7)),
+                ..ServerConfig::paper(ReplicaId::new(i), coordinator)
+            }));
+        }
+        let mut ccfg = ClientConfig::paper(coordinator, qos);
+        ccfg.num_requests = Some(10);
+        ccfg.think_time = ms(200);
+        ccfg.give_up_after = ms(100);
+        ccfg.retry_after = Some(ms(100));
+        // FastestMean k=1 asks one replica once warm, leaving one to retry.
+        let strategy = Box::new(aqua_strategies::FastestMean { k: 1 });
+        let client = sim.add_node(ClientGateway::new(ccfg, strategy));
+        sim.run_until(Instant::from_secs(30));
+
+        let gw = sim.node::<ClientGateway>(client).unwrap();
+        assert!(gw.is_finished(), "{gw:?}");
+        let stats = gw.handler().unwrap().stats();
+        assert!(stats.gave_up >= 1, "the pause stalled a request: {stats:?}");
+        assert_eq!(stats.retries, 0, "no retry went out");
+        assert_eq!(stats.abandoned, 0);
+        assert_eq!(gw.handler().unwrap().pending_count(), 0);
+        let stalled: Vec<&RequestRecord> = gw
+            .records()
+            .iter()
+            .filter(|r| r.response_time.is_none())
+            .collect();
+        assert_eq!(stalled.len() as u64, stats.gave_up);
+        assert!(
+            stalled.iter().all(|r| r.redundancy == 1),
+            "one replica asked, none retried: {stalled:?}"
         );
     }
 

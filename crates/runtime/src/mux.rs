@@ -9,11 +9,9 @@
 //!
 //! A [`MuxHandle`] is one logical client (§5.4's gateway): it owns a full
 //! `ConcurrentHandler` (its own sliding windows, failure detector and
-//! selection strategy), plans lock-free on the caller's thread, multicasts
-//! to the selected replicas, waits for the earliest reply and — when the
-//! pool is configured with `retry_after` — re-runs Algorithm 1 over the
-//! remaining replicas at the intermediate deadline. Handles make
-//! independent selection decisions exactly like separate clients would.
+//! selection strategy) and drives each call's [`Call`] on the caller's
+//! thread: multicast each attempt, then wait for the earliest reply until
+//! the next deadline. Handles select independently, like separate clients.
 //! The request sequence space is carved into per-handle namespaces: the
 //! top [`HANDLE_BITS`] bits of the wire `seq` carry the handle id, the
 //! low bits the handle-local sequence number. Servers echo `seq` verbatim,
@@ -46,17 +44,17 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, RwLock, Weak};
+use std::sync::{Arc, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
 
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{MethodId, PerfReport};
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::{ConcurrentHandler, ReplyOutcome};
+use aqua_gateway::{Call, ConcurrentHandler, ReplyOutcome, Step};
 use aqua_strategies::SelectionStrategy;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::reactor::{NetMetrics, Reactor, ReactorSink};
@@ -88,12 +86,10 @@ pub struct MuxPoolConfig {
     /// adds the handler's metrics and spans, so a pool with thousands of
     /// handles does not explode label cardinality.
     pub obs: Option<aqua_obs::Obs>,
-    /// Optional deadline-driven retry: when a handle's first selection has
-    /// not produced a reply after this long, Algorithm 1 re-runs over the
-    /// *remaining* replicas and the request is re-multicast as a sibling
-    /// attempt (the original stays live; the earliest reply of either
-    /// wins). `None` disables retries, and a retry due at or past
-    /// `give_up_after` is never sent.
+    /// Optional deadline-driven retry this long after a call starts: a
+    /// sibling attempt over the replicas not yet asked (see [`Call`]).
+    /// `None` disables retries; one due at or past `give_up_after` is
+    /// never sent.
     pub retry_after: Option<Duration>,
     /// Reconnect policy for replicas lost to TCP teardown. With the
     /// default policy a recovered replica rejoins the connection set and
@@ -154,7 +150,7 @@ pub struct CallOutcome {
     pub timely: bool,
     /// Whether the QoS-violation callback fired.
     pub callback: bool,
-    /// How many replicas the request was multicast to.
+    /// How many replicas the call's attempts reached.
     pub redundancy: usize,
     /// The replying replica.
     pub replica: ReplicaId,
@@ -170,11 +166,9 @@ pub enum CallError {
     /// No reply arrived within the give-up window (counted as a timing
     /// failure).
     GaveUp {
-        /// How many replicas had been selected.
+        /// How many replicas the call's attempts reached.
         redundancy: usize,
     },
-    /// Transport-level failure.
-    Io(io::Error),
 }
 
 impl std::fmt::Display for CallError {
@@ -182,27 +176,13 @@ impl std::fmt::Display for CallError {
         match self {
             CallError::NoReplicas => write!(f, "no replicas available"),
             CallError::GaveUp { redundancy } => {
-                write!(f, "no reply from any of {redundancy} selected replicas")
+                write!(f, "no reply from any of the {redundancy} replicas reached")
             }
-            CallError::Io(e) => write!(f, "transport error: {e}"),
         }
     }
 }
 
-impl std::error::Error for CallError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CallError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CallError {
-    fn from(e: io::Error) -> Self {
-        CallError::Io(e)
-    }
-}
+impl std::error::Error for CallError {}
 
 /// Cached wire-level counters (frames/bytes in each direction), so the
 /// hot path never touches the registry lock.
@@ -239,67 +219,15 @@ impl WireMetrics {
     }
 }
 
-/// A latch that background reconnect threads wait on instead of plain
-/// sleeping, so teardown can interrupt a backoff wait and join promptly.
-struct StopSignal {
-    state: StdMutex<bool>,
-    cv: Condvar,
-}
+/// What a waiter channel carries: the first reply, whose redundancy the
+/// caller fills in, or [`CallError::NoReplicas`] from the disconnect sweep.
+type Resolved = Result<CallOutcome, CallError>;
 
-impl StopSignal {
-    fn new() -> StopSignal {
-        StopSignal {
-            state: StdMutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Raises the signal and wakes every waiter. Idempotent.
-    fn raise(&self) {
-        {
-            let mut raised = self.state.lock().unwrap_or_else(|p| p.into_inner());
-            *raised = true;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Whether the signal has been raised.
-    fn is_raised(&self) -> bool {
-        *self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Blocks up to `dur`; returns `true` if the signal was raised before
-    /// the timeout elapsed.
-    fn wait(&self, dur: std::time::Duration) -> bool {
-        let deadline = StdInstant::now() + dur;
-        let mut raised = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        while !*raised {
-            let left = deadline.saturating_duration_since(StdInstant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(raised, left)
-                .unwrap_or_else(|p| p.into_inner());
-            raised = guard;
-        }
-        true
-    }
-}
-
-/// One resolved call message on a waiter channel.
-enum WaitMsg {
-    Outcome(CallOutcome),
-    /// Every replica disconnected while the call was in flight.
-    NoReplicas,
-}
-
-fn resolve(msg: WaitMsg) -> Result<CallOutcome, CallError> {
-    match msg {
-        WaitMsg::Outcome(outcome) => Ok(outcome),
-        WaitMsg::NoReplicas => Err(CallError::NoReplicas),
-    }
+fn resolve(msg: Resolved, redundancy: usize) -> Resolved {
+    msg.map(|outcome| CallOutcome {
+        redundancy,
+        ..outcome
+    })
 }
 
 fn perf_report(service_ns: u64, queue_ns: u64, queue_len: u32, method: u32) -> PerfReport {
@@ -311,19 +239,13 @@ fn perf_report(service_ns: u64, queue_ns: u64, queue_len: u32, method: u32) -> P
     }
 }
 
-/// An in-flight call awaiting the earliest reply to any of its attempts.
-struct Waiter {
-    tx: Sender<WaitMsg>,
-    /// Replicas multicast to across the request's attempts.
-    redundancy: usize,
-}
-
 /// Per-handle state shared between its callers and the reactor.
 struct HandleState {
     handler: ConcurrentHandler,
-    /// The seq of a request's first attempt → its waiter, for every call
-    /// in flight. The handler owns the request's attempts.
-    waiters: Mutex<HashMap<u64, Waiter>>,
+    /// The seq of a request's first attempt → the channel its caller
+    /// waits on, for every call in flight. The handler owns the request's
+    /// attempts, the caller's [`Call`] its deadlines and redundancy.
+    waiters: Mutex<HashMap<u64, Sender<Resolved>>>,
     /// Where this handle's wire-local sequence numbers start: one past
     /// the last the id's previous owners used (0 for a fresh id). The
     /// handler counts from 0; the wire carries `seq_base` + that.
@@ -343,40 +265,41 @@ struct HandleIds {
 }
 
 impl HandleState {
-    /// Resolves the waiter of `request`, whose first reply the handler
+    /// Resolves the waiter of the request whose first reply the handler
     /// has just delivered (and whose other attempts it retired).
-    fn deliver(
-        &self,
-        request: u64,
-        replica: ReplicaId,
-        response_time: Duration,
-        verdict: aqua_core::failure::TimingVerdict,
-        payload: Bytes,
-    ) {
-        let waiter = self.waiters.lock().remove(&request);
+    fn deliver(&self, outcome: ReplyOutcome, replica: ReplicaId, payload: Bytes) {
+        let ReplyOutcome::Deliver {
+            response_time,
+            verdict,
+            request,
+        } = outcome
+        else {
+            return;
+        };
         // `None`: resolved concurrently (give-up or disconnect sweep).
-        let Some(waiter) = waiter else { return };
-        let outcome = CallOutcome {
+        let Some(tx) = self.waiters.lock().remove(&request) else {
+            return;
+        };
+        let _ = tx.send(Ok(CallOutcome {
             response_time,
             timely: verdict.is_timely(),
             callback: verdict.should_notify(),
-            redundancy: waiter.redundancy,
+            redundancy: 0,
             replica,
             payload,
-        };
-        let _ = waiter.tx.send(WaitMsg::Outcome(outcome));
+        }));
     }
 
     /// Nobody left who could ever answer: fails every in-flight call at
     /// once instead of letting each caller ride out its give-up timer.
     fn fail_all(&self, now: Instant) {
-        let drained: Vec<(u64, Waiter)> = {
+        let drained: Vec<(u64, Sender<Resolved>)> = {
             let mut waiters = self.waiters.lock();
             waiters.drain().collect()
         };
-        for (request, waiter) in drained {
+        for (request, tx) in drained {
             self.handler.on_give_up(now, request);
-            let _ = waiter.tx.send(WaitMsg::NoReplicas);
+            let _ = tx.send(Err(CallError::NoReplicas));
         }
     }
 }
@@ -397,8 +320,11 @@ struct Inner {
     ids: Mutex<HandleIds>,
     /// Self-reference handed to background reconnect threads.
     weak: Weak<Inner>,
-    /// Interrupts reconnect backoff waits on teardown.
-    stop: Arc<StopSignal>,
+    /// Dropped on teardown, which disconnects `stopped`.
+    stop: Mutex<Option<Sender<()>>>,
+    /// Never carries a message: reconnect threads wait out their backoff
+    /// on it, and its disconnection wakes them all at once.
+    stopped: Receiver<()>,
     /// Live reconnect threads, joined when the pool drops (finished
     /// handles are reaped opportunistically).
     reconnect_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -407,11 +333,6 @@ struct Inner {
 impl Inner {
     fn now(&self) -> Instant {
         Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn handle_state(&self, hid: u64) -> Option<Arc<HandleState>> {
-        let handles = self.handles.read().unwrap_or_else(|p| p.into_inner());
-        handles.get(&hid).cloned()
     }
 
     /// Every live handle's state, except `skip`'s.
@@ -479,15 +400,16 @@ impl Inner {
     /// policy is configured). On success the replica rejoins the
     /// connection set and every handle's repository **on probation**. The
     /// thread's handle is tracked so teardown joins it instead of leaking
-    /// it; its backoff waits ride the stop latch, so the join is prompt.
+    /// it; its backoff waits end when the pool stops, so the join is
+    /// prompt.
     fn spawn_reconnect(&self, id: ReplicaId) {
         let Some(policy) = self.config.reconnect.clone() else {
             return;
         };
         let weak = self.weak.clone();
-        let stop = Arc::clone(&self.stop);
+        let stopped = self.stopped.clone();
         let handle = std::thread::spawn(move || loop {
-            if stop.is_raised() {
+            if let Err(TryRecvError::Disconnected) = stopped.try_recv() {
                 return;
             }
             let Some(inner) = weak.upgrade() else { return };
@@ -512,7 +434,7 @@ impl Inner {
                 .saturating_mul(1u32 << attempt.min(16))
                 .min(std::time::Duration::from(policy.max_backoff));
             drop(inner); // don't pin the pool's state alive while waiting
-            if stop.wait(delay) {
+            if let Err(RecvTimeoutError::Disconnected) = stopped.recv_timeout(delay) {
                 return;
             }
             let Some(inner) = weak.upgrade() else { return };
@@ -561,20 +483,16 @@ impl ReactorSink for Inner {
                 let now = self.now();
                 // A dropped handle's replies find no state; those to an
                 // earlier owner of a reused id fall below its base.
-                let owner = self.handle_state(hid).and_then(|state| {
+                let handles = self.handles.read().unwrap_or_else(|p| p.into_inner());
+                let state = handles.get(&hid).cloned();
+                drop(handles);
+                let owner = state.and_then(|state| {
                     let local = (seq & SEQ_MASK).checked_sub(state.seq_base)?;
                     Some((state, local))
                 });
                 if let Some((state, local)) = owner {
                     let outcome = state.handler.on_reply(now, local, replica, perf);
-                    if let ReplyOutcome::Deliver {
-                        response_time,
-                        verdict,
-                        request,
-                    } = outcome
-                    {
-                        state.deliver(request, replica, response_time, verdict, payload);
-                    }
+                    state.deliver(outcome, replica, payload);
                 }
                 self.fan_perf(Some(hid), replica, perf, now);
             }
@@ -603,12 +521,10 @@ impl ReactorSink for Inner {
         let now = self.now();
         let (states, none_left) = {
             let mut conns = self.conns.write().unwrap_or_else(|p| p.into_inner());
-            match conns.get(&id) {
-                Some(&current) if current == conn => {
-                    conns.remove(&id);
-                }
-                _ => return, // stale: a different connection instance
+            if conns.get(&id) != Some(&conn) {
+                return; // stale: a different connection instance
             }
+            conns.remove(&id);
             // The view goes out under `conns`, as admissions do, so it
             // cannot overtake the rejoin of a replica it does not list.
             let states = self.states(None);
@@ -617,10 +533,9 @@ impl ReactorSink for Inner {
             }
             (states, conns.is_empty())
         };
-        if none_left {
-            for state in &states {
-                state.fail_all(now);
-            }
+        // The pool's own rule: with no replica left, no call can finish.
+        for state in states.iter().filter(|_| none_left) {
+            state.fail_all(now);
         }
         self.spawn_reconnect(id);
     }
@@ -639,7 +554,7 @@ impl Drop for MuxPool {
     fn drop(&mut self) {
         // Interrupt backoff waits, join every reconnect thread, then stop
         // and join the reactor.
-        self.inner.stop.raise();
+        self.inner.stop.lock().take();
         let threads: Vec<JoinHandle<()>> = {
             let mut threads = self.inner.reconnect_threads.lock();
             threads.drain(..).collect()
@@ -655,10 +570,8 @@ impl Drop for MuxPool {
 
 impl std::fmt::Debug for MuxPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let handles = {
-            let handles = self.inner.handles.read().unwrap_or_else(|p| p.into_inner());
-            handles.len()
-        };
+        let handles = self.inner.handles.read();
+        let handles = handles.unwrap_or_else(|p| p.into_inner()).len();
         f.debug_struct("MuxPool")
             .field("connections", &self.connection_count())
             .field("handles", &handles)
@@ -683,6 +596,7 @@ impl MuxPool {
             .obs
             .as_ref()
             .map(|obs| WireMetrics::new(obs, config.id));
+        let (stop, stopped) = bounded(1);
         let inner = Arc::new_cyclic(|weak| Inner {
             config,
             handles: RwLock::new(HashMap::new()),
@@ -693,7 +607,8 @@ impl MuxPool {
             epoch: StdInstant::now(),
             ids: Mutex::new(HandleIds::default()),
             weak: weak.clone(),
-            stop: Arc::new(StopSignal::new()),
+            stop: Mutex::new(Some(stop)),
+            stopped,
             reconnect_threads: Mutex::new(Vec::new()),
         });
         let sink: Weak<dyn ReactorSink> = inner.weak.clone();
@@ -858,53 +773,49 @@ impl MuxHandle {
         let inner = &self.inner;
         let handler = &self.state.handler;
         let _in_flight = inner.reactor.enter_call();
-        let t0 = inner.now();
-        let plan = handler.plan_request_for(t0, Some(method));
-        if plan.replicas.is_empty() {
-            handler.on_give_up(inner.now(), plan.seq);
+        let retry_after = inner.config.retry_after;
+        let Some((mut call, plan)) = Call::start(
+            handler,
+            inner.now(),
+            method,
+            self.give_up_after,
+            retry_after,
+        ) else {
             return Err(CallError::NoReplicas);
-        }
+        };
         // The waiter goes in *before* the multicast so even a
         // lightning-fast reply finds it.
-        let first = plan.seq;
-        let mut redundancy = plan.replicas.len();
+        let first = call.seq();
         let (tx, rx) = bounded(1);
-        let waiter = Waiter { tx, redundancy };
-        self.state.waiters.lock().insert(first, waiter);
-        if self.transmit(first, method, payload, &plan.replicas) == 0 {
-            self.state.waiters.lock().remove(&first);
-            handler.on_give_up(inner.now(), first);
-            return Err(CallError::GaveUp { redundancy });
-        }
-        let give_up = std::time::Duration::from(self.give_up_after);
-        let mut wait = give_up;
-        // A retry due at the give-up would only be given up with it.
-        let retry_after = inner.config.retry_after.filter(|&r| r < self.give_up_after);
-        if let Some(retry_after) = retry_after {
-            match rx.recv_timeout(std::time::Duration::from(retry_after)) {
-                Ok(msg) => return resolve(msg),
-                Err(_) => {
-                    redundancy += self.retry(method, payload, first);
-                    let spent = inner.now().saturating_duration_since(t0);
-                    wait = give_up.saturating_sub(std::time::Duration::from(spent));
+        self.state.waiters.lock().insert(first, tx);
+        let reached = self.transmit(first, method, payload, &plan.replicas);
+        let mut raced = None;
+        if call.sent(handler, inner.now(), &plan, reached) {
+            while let Some(deadline) = call.next_deadline() {
+                let wait = deadline.saturating_duration_since(inner.now());
+                if let Ok(msg) = rx.recv_timeout(std::time::Duration::from(wait)) {
+                    return resolve(msg, call.redundancy());
+                }
+                match call.on_deadline(handler, inner.now()) {
+                    Step::Send(retry) => {
+                        let reached = self.transmit(retry.seq, method, payload, &retry.replicas);
+                        call.sent(handler, inner.now(), &retry, reached);
+                    }
+                    // A first reply (or the disconnect sweep) won the race
+                    // against the give-up: its message is on the channel,
+                    // or arrives momentarily.
+                    Step::Answered => {
+                        raced = rx.recv_timeout(std::time::Duration::from_secs(1)).ok();
+                    }
+                    Step::Wait | Step::GaveUp => {}
                 }
             }
         }
-        match rx.recv_timeout(wait) {
-            Ok(msg) => resolve(msg),
-            Err(_) => {
-                // Losing `on_give_up` means a first reply (or the
-                // disconnect sweep) won the race against the timer: its
-                // message is on the channel, or arrives momentarily.
-                let msg = if handler.on_give_up(inner.now(), first) {
-                    None
-                } else {
-                    rx.recv_timeout(std::time::Duration::from_secs(1)).ok()
-                };
-                self.state.waiters.lock().remove(&first);
-                msg.map_or(Err(CallError::GaveUp { redundancy }), resolve)
-            }
-        }
+        self.state.waiters.lock().remove(&first);
+        let redundancy = call.redundancy();
+        raced.map_or(Err(CallError::GaveUp { redundancy }), |msg| {
+            resolve(msg, redundancy)
+        })
     }
 
     /// Multicasts attempt `seq` to `replicas`: the reactor encodes the
@@ -945,37 +856,6 @@ impl MuxHandle {
             }
         }
         sent
-    }
-
-    /// The deadline-driven retry of request `first`: the handler re-runs
-    /// Algorithm 1 over the replicas the first attempt did not ask and
-    /// the request goes out again as a sibling attempt — the first stays
-    /// live, the earliest reply of either wins. Returns how many replicas
-    /// it added: none when nothing went out (nobody left to ask or
-    /// reachable, or the request resolved meanwhile).
-    fn retry(&self, method: MethodId, payload: &[u8], first: u64) -> usize {
-        let handler = &self.state.handler;
-        let now = self.inner.now();
-        let Some(plan) = handler.plan_retry(now, first) else {
-            return 0;
-        };
-        let added = plan.replicas.len();
-        // The waiter grows before the multicast, so even a lightning-fast
-        // reply to the retry reports it.
-        let waiters = &self.state.waiters;
-        let grown = waiters
-            .lock()
-            .get_mut(&first)
-            .map(|w| w.redundancy += added)
-            .is_some();
-        if grown && self.transmit(plan.seq, method, payload, &plan.replicas) > 0 {
-            return added;
-        }
-        if let Some(w) = waiters.lock().get_mut(&first).filter(|_| grown) {
-            w.redundancy -= added;
-        }
-        handler.on_abandon(now, plan.seq);
-        0
     }
 }
 
