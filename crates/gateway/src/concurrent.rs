@@ -681,6 +681,7 @@ impl ConcurrentHandler {
         let timed = self
             .publish_metrics
             .as_ref()
+            // aqua-lint: allow(no-wallclock-in-sim) observer-only: the publish time reaches a metric, never a plan
             .map(|metrics| (metrics, std::time::Instant::now()));
         let Publisher {
             scratch,
@@ -891,6 +892,7 @@ impl ConcurrentHandler {
         let started = self
             .modelled_overhead
             .is_none()
+            // aqua-lint: allow(no-wallclock-in-sim) the socket runtime's measured δ; a simulated client models δ and reads no clock
             .then(std::time::Instant::now);
         self.publish_if_dirty(now);
         let view = self.snapshot.load();
@@ -1033,6 +1035,7 @@ impl ConcurrentHandler {
         // `ingest_ns` so forensics can separate wire delay from ingest
         // stalls; nobody else reads it, so nobody else pays for it. It
         // never reaches a plan, so it stays measured under a modelled δ.
+        // aqua-lint: allow(no-wallclock-in-sim) observer-only: the ingest time reaches a span, never a plan
         let ingest_started = self.obs.is_some().then(std::time::Instant::now);
         self.ingest(now, replica, Some(perf), Some(td));
         let ingest_nanos = ingest_started.map(|started| started.elapsed().as_nanos() as u64);

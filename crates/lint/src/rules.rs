@@ -1,4 +1,4 @@
-//! The eight aqua-lint rules, plus the allow-annotation machinery.
+//! The nine aqua-lint rules, plus the allow-annotation machinery.
 //!
 //! Rules operate on the token stream from [`crate::lexer`]; none of them
 //! parse Rust properly. Each heuristic is documented next to its
@@ -36,9 +36,11 @@ pub const ATOMICS_ORDER: &str = "atomics-ordering";
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
 /// Rule: `thread::spawn` handles must be held, joined, or justified.
 pub const SPAWN_JOIN: &str = "spawn-join";
+/// Rule: no host-clock reads in the crates a seeded simulation runs.
+pub const NO_WALLCLOCK: &str = "no-wallclock-in-sim";
 
 /// All rule identifiers, in reporting order.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     NO_PANIC,
     NO_ALLOC,
     LOCK_ORDER,
@@ -47,6 +49,7 @@ pub const ALL_RULES: [&str; 8] = [
     ATOMICS_ORDER,
     UNSAFE_AUDIT,
     SPAWN_JOIN,
+    NO_WALLCLOCK,
 ];
 
 /// One reported violation.
@@ -112,6 +115,9 @@ pub fn analyze_file(path: &str, source: &str) -> FileAnalysis {
 
     if in_no_panic_scope(path) {
         check_no_panic(path, &lexed.tokens, &excluded, &mut raw);
+    }
+    if in_sim_scope(path) {
+        check_no_wallclock(path, &lexed.tokens, &excluded, &mut raw);
     }
     check_no_alloc(path, &lexed.tokens, &excluded, &functions, &mut raw);
     if in_lock_order_scope(path) {
@@ -390,6 +396,53 @@ fn in_no_panic_scope(path: &str) -> bool {
     path.starts_with("crates/core/src")
         || path.starts_with("crates/strategies/src")
         || path == "crates/gateway/src/concurrent.rs"
+}
+
+/// The crates a seeded simulation runs: the model, the strategies, the
+/// gateway, the engine, the group, the replica and the workloads. Their
+/// results must be a pure function of (config, seed).
+fn in_sim_scope(path: &str) -> bool {
+    [
+        "core",
+        "strategies",
+        "gateway",
+        "sim",
+        "group",
+        "replica",
+        "workload",
+    ]
+    .iter()
+    .any(|krate| path.starts_with(&format!("crates/{krate}/src/")))
+}
+
+/// Forbid `Instant::now` and `SystemTime::now` outside `#[cfg(test)]`
+/// code, called or passed as a function. Time in these crates is the
+/// caller's `now`; `aqua_core::time::Instant` has no `now`, so any match
+/// reads the host's clock. A read that reaches only a metric or a span
+/// takes an allow annotation saying so.
+fn check_no_wallclock(path: &str, tokens: &[Token], excluded: &[bool], out: &mut Vec<Finding>) {
+    for (i, window) in tokens.windows(4).enumerate() {
+        let [clock, colon, colon2, now] = window else {
+            continue;
+        };
+        if excluded[i]
+            || !(clock.is_ident("Instant") || clock.is_ident("SystemTime"))
+            || !colon.is_punct(':')
+            || !colon2.is_punct(':')
+            || !now.is_ident("now")
+        {
+            continue;
+        }
+        out.push(Finding {
+            rule: NO_WALLCLOCK,
+            file: path.to_string(),
+            line: clock.line,
+            message: format!(
+                "`{}::now` reads the host clock in simulated code; take `now` from the caller",
+                clock.text
+            ),
+        });
+    }
 }
 
 /// Forbid `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`, `todo!`,

@@ -5,7 +5,7 @@
 
 use aqua_lint::rules::{
     analyze_file, audit_manifest, detect_cycles, Finding, ATOMICS_ORDER, LOCK_ORDER, NO_ALLOC,
-    NO_PANIC, SPAWN_JOIN, UNIT_HYGIENE, UNSAFE_AUDIT, VENDOR_AUDIT,
+    NO_PANIC, NO_WALLCLOCK, SPAWN_JOIN, UNIT_HYGIENE, UNSAFE_AUDIT, VENDOR_AUDIT,
 };
 use std::path::Path;
 
@@ -342,6 +342,61 @@ fn concurrency_rules_scope_is_path_based() {
         findings.iter().all(|f| f.rule != ATOMICS_ORDER),
         "{findings:?}"
     );
+}
+
+#[test]
+fn no_wallclock_positive_fires_per_construct() {
+    let findings = lint_as("crates/gateway/src/fixture.rs", "no_wallclock_positive.rs");
+    let clock = |f: &&Finding| f.rule == NO_WALLCLOCK;
+    let of = |needle: &str| {
+        findings
+            .iter()
+            .filter(clock)
+            .filter(|f| f.message.contains(needle))
+            .count()
+    };
+    assert_eq!(of("`Instant::now`"), 3, "called, passed, unjustified");
+    assert_eq!(of("`SystemTime::now`"), 1);
+    assert_eq!(findings.iter().filter(clock).count(), 4, "{findings:?}");
+}
+
+#[test]
+fn no_wallclock_negative_is_silent() {
+    let findings = lint_as("crates/sim/src/fixture.rs", "no_wallclock_negative.rs");
+    assert!(
+        findings.iter().all(|f| f.rule != NO_WALLCLOCK),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn no_wallclock_scope_is_the_simulated_crates() {
+    for krate in [
+        "core",
+        "strategies",
+        "gateway",
+        "sim",
+        "group",
+        "replica",
+        "workload",
+    ] {
+        let path = format!("crates/{krate}/src/fixture.rs");
+        let findings = lint_as(&path, "no_wallclock_positive.rs");
+        assert_eq!(
+            findings.iter().filter(|f| f.rule == NO_WALLCLOCK).count(),
+            4,
+            "{path}"
+        );
+    }
+    // The socket runtime, the benches and tests run on the wall clock.
+    for path in [
+        "crates/runtime/src/fixture.rs",
+        "crates/bench/src/fixture.rs",
+        "crates/sim/tests/fixture.rs",
+    ] {
+        let findings = lint_as(path, "no_wallclock_positive.rs");
+        assert!(findings.iter().all(|f| f.rule != NO_WALLCLOCK), "{path}");
+    }
 }
 
 #[test]
