@@ -9,6 +9,12 @@
 //! computation; absolute numbers on modern hardware are smaller, but the
 //! growth with `n` and `l` is the reproduced shape.
 //!
+//! A cell is a few milliseconds of wall time, so on a shared host a
+//! single run's series need not be monotone in `n` or `l`: neighbouring
+//! cells cross. EXPERIMENTS.md's Figure 3 takes the median of seven runs
+//! per cell; `synthetic::tests::table_work_grows_with_window_size` checks
+//! the shape in counted work, which no host load moves.
+//!
 //! Usage: `fig3_overhead [iters]` (default 2000 iterations per cell).
 
 use aqua_bench::synthetic::measure_overhead;

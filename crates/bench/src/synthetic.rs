@@ -249,17 +249,30 @@ mod tests {
             .sum()
     }
 
-    /// Fig. 3's shape, the model's work growing with `l`, counted rather
-    /// than timed: on `measure_overhead`'s seeded draws, a window of 20
-    /// gives the table builds more cells to touch than a window of 5.
-    /// The wall-clock shape is `fig3_overhead`'s output.
+    /// Fig. 3's shape counted rather than timed: on `measure_overhead`'s
+    /// seeded draws, the table builds touch more cells with every replica
+    /// added (`n` = 2–8) and with every larger window (`l` = 5, 10, 20),
+    /// across the figure's whole grid. One timed run of `fig3_overhead`
+    /// need not be monotone on a shared host; this test holds on any.
     #[test]
     fn table_work_grows_with_window_size() {
-        let cells = |window| table_cells(&synthetic_repository(7, window, 42));
-        let (small, large) = (cells(5), cells(20));
-        assert!(
-            large > small,
-            "l=20 ({large} cells) should touch more than l=5 ({small} cells)"
-        );
+        let cells = |n, l| table_cells(&synthetic_repository(n, l, 42));
+        let windows = [5, 10, 20];
+        for n in 2..=8 {
+            for l in windows {
+                let here = cells(n, l);
+                if n < 8 {
+                    let more = cells(n + 1, l);
+                    assert!(more > here, "l={l}: n={n} touches {here} cells, n+1 {more}");
+                }
+                if let Some(&wider) = windows.iter().find(|&&w| w > l) {
+                    let more = cells(n, wider);
+                    assert!(
+                        more > here,
+                        "n={n}: l={l} touches {here} cells, l={wider} {more}"
+                    );
+                }
+            }
+        }
     }
 }
