@@ -81,15 +81,14 @@ impl Call {
         )
     }
 
+    /// A call of `first` that gives up `give_up_after` past `now`, no retry.
     fn new(first: &RequestPlan, method: MethodId, now: Instant, give_up_after: Duration) -> Call {
-        let give_up_at = Some(now.saturating_add(give_up_after));
-        let (first, retry_at, redundancy) = (first.seq, None, 0);
         Call {
-            first,
+            first: first.seq,
             method,
-            retry_at,
-            give_up_at,
-            redundancy,
+            retry_at: None,
+            give_up_at: Some(now.saturating_add(give_up_after)),
+            redundancy: 0,
         }
     }
 

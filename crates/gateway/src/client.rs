@@ -146,7 +146,7 @@ pub struct RequestRecord {
 /// Outcome of trying to issue a single request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueResult {
-    /// Request multicast; a give-up timer is armed.
+    /// Request multicast; its deadline timer is armed.
     Issued,
     /// No servers in the view (or a view-change race emptied the targets).
     NoServers,

@@ -534,8 +534,10 @@ impl ReactorSink for Inner {
             (states, conns.is_empty())
         };
         // The pool's own rule: with no replica left, no call can finish.
-        for state in states.iter().filter(|_| none_left) {
-            state.fail_all(now);
+        if none_left {
+            for state in &states {
+                state.fail_all(now);
+            }
         }
         self.spawn_reconnect(id);
     }
