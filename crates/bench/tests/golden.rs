@@ -12,6 +12,10 @@
 //! journal's ordered `(type, seq, outcome)`. They pin every retry,
 //! give-up and abandon of the client's request lifecycle, which no
 //! printed table shows one by one.
+//!
+//! Last, a work count: every experiment of the Fig. 4/5 grid with the
+//! events it processed, the messages it sent and when it ended. A change
+//! that only makes the simulator faster must leave it byte-identical.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,8 +25,8 @@ use aqua_core::qos::QosSpec;
 use aqua_core::time::{Duration, Instant};
 use aqua_replica::ServiceTimeModel;
 use aqua_workload::{
-    run_experiment_observed, ClientSpec, ExperimentConfig, FaultPlan, NetworkSpec, ServerSpec,
-    StrategySpec,
+    run_experiment, run_experiment_observed, ClientSpec, ExperimentConfig, FaultPlan, NetworkSpec,
+    ServerSpec, StrategySpec,
 };
 
 /// The stdout of the figure binary at `bin` run with `args`, which must
@@ -225,15 +229,39 @@ fn chaos_projection() -> String {
     out
 }
 
+/// Every experiment of `fig4_selection 3`'s grid, in the order it runs
+/// them: `Pc`, seed, deadline, then the simulator's work — events
+/// processed, messages sent and the virtual time the run ended at.
+fn paper_grid_counts() -> String {
+    let mut out = String::from("# pc seed deadline_ms events messages ended_at_ns\n");
+    for pc in aqua_bench::paper_eval::PAPER_PROBABILITIES {
+        for seed in 1..=3 {
+            for deadline in aqua_bench::paper_eval::paper_deadlines() {
+                let qos = QosSpec::new(ms(deadline), pc).expect("the grid's QoS is valid");
+                let report = run_experiment(&ExperimentConfig::paper(qos, seed));
+                let _ = writeln!(
+                    out,
+                    "{pc} {seed} {deadline} {} {} {}",
+                    report.events,
+                    report.messages,
+                    report.ended_at.as_nanos()
+                );
+            }
+        }
+    }
+    out
+}
+
 /// A golden file and the projection it holds.
 type Projection = (&'static str, fn() -> String);
 
-/// The three projections and their golden files.
-fn projections() -> [Projection; 3] {
+/// The projections and their golden files.
+fn projections() -> [Projection; 4] {
     [
         ("projection_pause_retry.txt", pause_retry_projection),
         ("projection_fault_mix.txt", fault_mix_projection),
         ("projection_chaos.txt", chaos_projection),
+        ("paper_grid_counts.txt", paper_grid_counts),
     ]
 }
 
@@ -270,8 +298,19 @@ fn the_chaos_projection_matches_its_golden() {
     );
 }
 
-/// Rewrites the three projection goldens from the current code. Run it
-/// only for a deliberate move, and say why in the change:
+/// The simulator's work over the Fig. 4/5 grid at 3 seeds.
+#[test]
+fn the_paper_grid_counts_match_their_golden() {
+    let (name, make) = projections()[3];
+    assert_golden(
+        "work counts of fig4_selection 3's grid",
+        make().as_bytes(),
+        name,
+    );
+}
+
+/// Rewrites the projection and work-count goldens from the current code.
+/// Run it only for a deliberate move, and say why in the change:
 /// `cargo test -p aqua-bench --test golden -- --ignored regenerate`.
 #[test]
 #[ignore = "writes tests/golden; run by hand for a deliberate move"]
