@@ -1,11 +1,11 @@
-//! Events and their deterministic ordering.
+//! Events, and the key that orders them in the classic engine's queue.
 
-use core::cmp::Ordering;
 use core::fmt;
 
 use aqua_core::time::Instant;
 
 use crate::node::NodeId;
+use crate::queue::{EventKey, Keyed};
 
 /// Handle for a pending timer, usable to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +44,7 @@ pub enum Event<M> {
     },
 }
 
-/// Internal: what sits in the event queue.
+/// Internal: what sits in the classic engine's event queue.
 #[derive(Debug)]
 pub(crate) struct Scheduled<M> {
     pub at: Instant,
@@ -55,40 +55,43 @@ pub(crate) struct Scheduled<M> {
     pub event: Event<M>,
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
+/// The classic engine has one sequence for the whole simulation, so every
+/// event has origin 0 and the queue's `(at, origin, seq)` order is
+/// `(at, seq)`.
+impl<M> Keyed for Scheduled<M> {
+    #[inline]
+    fn key(&self) -> EventKey {
+        EventKey {
+            at: self.at.as_nanos(),
+            origin: 0,
+            seq: self.seq,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::CalendarQueue;
 
     #[test]
-    fn scheduled_orders_by_time_then_seq() {
+    fn scheduled_pops_by_time_then_seq() {
         let mk = |at_ms: u64, seq: u64| Scheduled::<()> {
             at: Instant::from_millis(at_ms),
             seq,
             target: NodeId::new(0),
             event: Event::Started,
         };
-        assert!(mk(1, 5) < mk(2, 0));
-        assert!(mk(1, 0) < mk(1, 1));
-        assert_eq!(mk(3, 7), mk(3, 7));
+        let mut queue = CalendarQueue::new();
+        for (at_ms, seq) in [(2, 0), (1, 5), (3, 7), (1, 1), (5000, 2), (1, 3)] {
+            queue.push(mk(at_ms, seq));
+        }
+        let popped: Vec<(u64, u64)> = core::iter::from_fn(|| queue.pop())
+            .map(|s| (s.at.as_nanos() / 1_000_000, s.seq))
+            .collect();
+        assert_eq!(
+            popped,
+            vec![(1, 1), (1, 3), (1, 5), (2, 0), (3, 7), (5000, 2)]
+        );
     }
 }

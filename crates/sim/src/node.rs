@@ -81,9 +81,9 @@ impl<M: Payload, T: Node<M> + Any> AnyNode<M> for T {
 /// Engine-side operations a [`Context`] forwards to.
 ///
 /// Two implementations exist: the sequential [`SimCore`] (one queue, one
-/// RNG, global `(timestamp, seq)` order) and the sharded engine's per-shard
-/// core (per-shard queues, per-node RNG streams, `(timestamp, origin, seq)`
-/// order). Nodes never see the difference.
+/// RNG, one sequence: `(timestamp, origin 0, seq)` order) and the sharded
+/// engine's per-shard core (per-shard queues, per-node RNG streams,
+/// `(timestamp, origin, seq)` order). Nodes never see the difference.
 pub(crate) trait ContextCore<M> {
     /// Current virtual time.
     fn now(&self) -> Instant;
@@ -141,7 +141,7 @@ impl BitSet {
 /// contexts it hands to nodes.
 pub(crate) struct SimCore<M> {
     pub now: Instant,
-    pub queue: std::collections::BinaryHeap<core::cmp::Reverse<Scheduled<M>>>,
+    pub queue: crate::queue::CalendarQueue<Scheduled<M>>,
     pub seq: u64,
     pub next_timer: u64,
     /// Cancelled-timer flags, indexed by token value.
@@ -160,12 +160,12 @@ impl<M> SimCore<M> {
     pub(crate) fn push(&mut self, at: Instant, target: NodeId, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(core::cmp::Reverse(Scheduled {
+        self.queue.push(Scheduled {
             at,
             seq,
             target,
             event,
-        }));
+        });
     }
 
     /// Marks a node detached.

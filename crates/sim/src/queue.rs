@@ -202,6 +202,8 @@ pub struct CalendarQueue<T> {
     overflow: u32,
     /// Earliest bucket on the overflow chain (`u64::MAX` when empty).
     overflow_first: u64,
+    /// Entries queued.
+    len: usize,
 }
 
 impl<T: Keyed> Default for CalendarQueue<T> {
@@ -215,6 +217,7 @@ impl<T: Keyed> Default for CalendarQueue<T> {
             current: BinaryHeap::new(),
             overflow: NIL,
             overflow_first: u64::MAX,
+            len: 0,
         }
     }
 }
@@ -223,6 +226,16 @@ impl<T: Keyed> CalendarQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The number of entries queued.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no entry is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Queues `item`. Keys need not be unique for the queue to work, but
@@ -238,6 +251,7 @@ impl<T: Keyed> CalendarQueue<T> {
             self.slab.put(index, item);
             index
         };
+        self.len += 1;
         self.place(index, key);
     }
 
@@ -281,6 +295,7 @@ impl<T: Keyed> CalendarQueue<T> {
         let item = self.slab.take(k.slot);
         self.slab.set_link(k.slot, self.free);
         self.free = k.slot;
+        self.len -= 1;
         Some(item)
     }
 
@@ -385,6 +400,7 @@ mod tests {
             self.pushed += 1;
             self.queue.push(Unique(key));
             self.model.push(Reverse(key));
+            assert_eq!(self.queue.len(), self.model.len());
         }
 
         fn peek(&mut self) {
@@ -395,6 +411,7 @@ mod tests {
         fn pop(&mut self) {
             let expected = self.model.pop().map(|Reverse(k)| k);
             assert_eq!(self.queue.pop().map(|Unique(key)| key), expected);
+            assert_eq!(self.queue.len(), self.model.len());
             if let Some(key) = expected {
                 self.now = key.at;
             }
@@ -525,6 +542,32 @@ mod tests {
         pair.pop();
         assert_eq!(pair.queue.free, freed_last);
         assert_eq!(pair.queue.slab.len(), n as usize);
+    }
+
+    #[test]
+    fn len_counts_what_is_queued_wherever_it_waits() {
+        let mut queue = CalendarQueue::new();
+        assert!(queue.is_empty());
+        // The current bucket's heap, a ring chain and the overflow chain.
+        for (seq, at) in [0, BUCKET_NANOS * 3, DROP_DELAY.as_nanos()]
+            .into_iter()
+            .enumerate()
+        {
+            queue.push(Unique(EventKey {
+                at,
+                origin: 0,
+                seq: seq as u64,
+            }));
+            assert_eq!(queue.len(), seq + 1);
+        }
+        assert_eq!(queue.peek_at(), Some(0));
+        assert_eq!(queue.len(), 3, "a peek removes nothing");
+        for left in (0..3).rev() {
+            assert!(queue.pop().is_some());
+            assert_eq!(queue.len(), left);
+        }
+        assert!(queue.pop().is_none());
+        assert!(queue.is_empty());
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The simulation driver: event loop, node registry, determinism.
 
-use core::cmp::Reverse;
 use core::fmt;
-use std::collections::BinaryHeap;
 
 use aqua_core::aqua;
 use aqua_core::time::{Duration, Instant};
@@ -12,6 +10,7 @@ use rand::SeedableRng;
 use crate::event::{Event, Scheduled};
 use crate::network::{InstantNetwork, NetworkModel};
 use crate::node::{AnyNode, BitSet, Context, NodeId, SimCore};
+use crate::queue::CalendarQueue;
 use crate::trace::{NodeCounters, TraceEvent, TraceRecord};
 use crate::Payload;
 
@@ -19,7 +18,8 @@ use crate::Payload;
 /// connected by a [`NetworkModel`].
 ///
 /// Determinism: events are totally ordered by `(timestamp, scheduling
-/// sequence)`, and all randomness flows through one seeded [`SmallRng`], so
+/// sequence)` — the [`CalendarQueue`]'s `(at, origin, seq)` order with
+/// origin 0 — and all randomness flows through one seeded [`SmallRng`], so
 /// two runs with the same seed and the same wiring produce identical
 /// histories.
 ///
@@ -76,7 +76,7 @@ impl<M: Payload> Simulation<M> {
         Simulation {
             core: SimCore {
                 now: Instant::EPOCH,
-                queue: BinaryHeap::new(),
+                queue: CalendarQueue::new(),
                 seq: 0,
                 next_timer: 0,
                 cancelled: BitSet::default(),
@@ -265,7 +265,7 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Pops and dispatches the next event, honoring an optional inclusive
-    /// deadline with a single heap peek (no pop-and-reinsert, no second
+    /// deadline with a single queue peek (no pop-and-reinsert, no second
     /// comparison pass in the caller).
     ///
     /// This is the hottest remaining loop of the workspace when the
@@ -276,19 +276,11 @@ impl<M: Payload> Simulation<M> {
     #[aqua::hot_path]
     fn step_bounded(&mut self, deadline: Option<Instant>) -> bool {
         loop {
-            match self.core.queue.peek() {
-                None => return false,
-                Some(Reverse(next)) => {
-                    if let Some(deadline) = deadline {
-                        if next.at > deadline {
-                            return false;
-                        }
-                    }
-                }
-            }
-            let Some(Reverse(scheduled)) = self.core.queue.pop() else {
+            let due = |at| deadline.is_none_or(|deadline| at <= deadline.as_nanos());
+            if !self.core.queue.peek_at().is_some_and(due) {
                 return false;
-            };
+            }
+            let scheduled = self.core.queue.pop().expect("a peeked entry pops");
             debug_assert!(
                 scheduled.at >= self.core.now,
                 "time must not move backwards"
@@ -306,23 +298,15 @@ impl<M: Payload> Simulation<M> {
             }
 
             let Scheduled { target, event, .. } = scheduled;
-            match &event {
-                Event::Started => self
-                    .core
-                    .tracer
-                    .record(self.core.now, TraceEvent::NodeStarted { node: target }),
-                Event::Message { from, .. } => self.core.tracer.record(
-                    self.core.now,
-                    TraceEvent::MessageDelivered {
-                        from: *from,
-                        to: target,
-                    },
-                ),
-                Event::Timer { .. } => self
-                    .core
-                    .tracer
-                    .record(self.core.now, TraceEvent::TimerFired { node: target }),
-            }
+            let record = match &event {
+                Event::Started => TraceEvent::NodeStarted { node: target },
+                Event::Message { from, .. } => TraceEvent::MessageDelivered {
+                    from: *from,
+                    to: target,
+                },
+                Event::Timer { .. } => TraceEvent::TimerFired { node: target },
+            };
+            self.core.tracer.record(self.core.now, record);
             let mut node = match self.nodes.get_mut(target.0 as usize) {
                 Some(slot) => slot.take().expect("node not re-entrantly dispatched"),
                 None => continue,
