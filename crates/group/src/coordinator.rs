@@ -8,8 +8,6 @@
 //! for the failed replicas from their local information repositories"
 //! (§5.4).
 
-use std::collections::HashMap;
-
 use aqua_core::time::{Duration, Instant};
 use lan_sim::{Context, Event, Node, NodeId};
 
@@ -46,7 +44,10 @@ impl Default for FailureDetectorConfig {
 pub struct GroupCoordinator<A> {
     config: FailureDetectorConfig,
     view: View,
-    last_heartbeat: HashMap<NodeId, Instant>,
+    /// When each node was last heard from (its join or its latest
+    /// heartbeat), indexed by [`NodeId::index`]; `None` for a node never
+    /// heard from, or not since it left or was evicted.
+    last_heartbeat: Vec<Option<Instant>>,
     views_installed: u64,
     _marker: core::marker::PhantomData<fn() -> A>,
 }
@@ -57,7 +58,7 @@ impl<A> GroupCoordinator<A> {
         GroupCoordinator {
             config,
             view: View::default(),
-            last_heartbeat: HashMap::new(),
+            last_heartbeat: Vec::new(),
             views_installed: 0,
             _marker: core::marker::PhantomData,
         }
@@ -85,6 +86,16 @@ where
         ctx.multicast(&targets, GroupMsg::ViewChange(self.view.clone()));
     }
 
+    /// Sets `node`'s slot of the heartbeat table, growing the table to
+    /// reach it.
+    fn set_heard(&mut self, node: NodeId, at: Option<Instant>) {
+        let index = node.index() as usize;
+        if index >= self.last_heartbeat.len() {
+            self.last_heartbeat.resize(index + 1, None);
+        }
+        self.last_heartbeat[index] = at;
+    }
+
     fn sweep_suspects(&mut self, ctx: &mut Context<'_, GroupMsg<A>>) {
         let now = ctx.now();
         let timeout = self.config.timeout;
@@ -94,14 +105,16 @@ where
             .servers()
             .map(|m| m.node)
             .filter(|node| {
-                last.get(node)
-                    .is_none_or(|hb| now.saturating_duration_since(*hb) > timeout)
+                last.get(node.index() as usize)
+                    .copied()
+                    .flatten()
+                    .is_none_or(|hb| now.saturating_duration_since(hb) > timeout)
             })
             .collect();
         if !suspects.is_empty() {
             self.view.members.retain(|m| !suspects.contains(&m.node));
             for node in &suspects {
-                self.last_heartbeat.remove(node);
+                self.set_heard(*node, None);
             }
             self.install_view(ctx);
         }
@@ -127,7 +140,7 @@ where
                     if !self.view.contains(member.node) {
                         self.view.members.push(member);
                         if member.role == Role::Server {
-                            self.last_heartbeat.insert(member.node, ctx.now());
+                            self.set_heard(member.node, Some(ctx.now()));
                         }
                         self.install_view(ctx);
                     }
@@ -135,13 +148,11 @@ where
                 GroupMsg::Leave { member } => {
                     if self.view.contains(member) {
                         self.view.members.retain(|m| m.node != member);
-                        self.last_heartbeat.remove(&member);
+                        self.set_heard(member, None);
                         self.install_view(ctx);
                     }
                 }
-                GroupMsg::Heartbeat => {
-                    self.last_heartbeat.insert(from, ctx.now());
-                }
+                GroupMsg::Heartbeat => self.set_heard(from, Some(ctx.now())),
                 // Application traffic and view changes are not addressed to
                 // the coordinator.
                 GroupMsg::App(_) | GroupMsg::ViewChange(_) => {}

@@ -256,6 +256,114 @@ mod tests {
         assert_eq!(coord_state.view().members.len(), 1);
     }
 
+    /// A node that does nothing itself: a test speaks for it by
+    /// injecting its messages to the coordinator.
+    struct Silent;
+
+    impl Node<GroupMsg<NoApp>> for Silent {
+        fn on_event(&mut self, _: Event<GroupMsg<NoApp>>, _: &mut Context<'_, GroupMsg<NoApp>>) {}
+    }
+
+    /// Delivers `msg` from `from` to `coord` at `at_ms`.
+    fn inject(
+        sim: &mut Simulation<GroupMsg<NoApp>>,
+        at_ms: u64,
+        from: NodeId,
+        coord: NodeId,
+        msg: GroupMsg<NoApp>,
+    ) {
+        sim.schedule_message(Instant::from_millis(at_ms), from, coord, msg);
+    }
+
+    /// Heartbeats from `from` at every `at_ms` of `times`.
+    fn heartbeats(
+        sim: &mut Simulation<GroupMsg<NoApp>>,
+        from: NodeId,
+        coord: NodeId,
+        times: impl Iterator<Item = u64>,
+    ) {
+        for at_ms in times {
+            inject(sim, at_ms, from, coord, GroupMsg::Heartbeat);
+        }
+    }
+
+    /// The coordinator's server members, in view order, and how many
+    /// views it has installed.
+    fn servers(sim: &Simulation<GroupMsg<NoApp>>, coord: NodeId) -> (Vec<NodeId>, u64) {
+        let coord = sim.node::<GroupCoordinator<NoApp>>(coord).unwrap();
+        let nodes = coord.view().servers().map(|m| m.node).collect();
+        (nodes, coord.views_installed())
+    }
+
+    /// Delivers `node`'s join, as a server, to `coord` at `at_ms`. (The
+    /// default detector the next tests run sweeps every 50 ms and
+    /// suspects a server silent for more than 200 ms.)
+    fn join(sim: &mut Simulation<GroupMsg<NoApp>>, at_ms: u64, node: NodeId, coord: NodeId) {
+        let member = Member::server(node, ReplicaId::new(node.index().into()));
+        inject(sim, at_ms, node, coord, GroupMsg::Join { member });
+    }
+
+    #[test]
+    fn nodes_past_the_heartbeat_table_join_and_heartbeat() {
+        let mut sim = Simulation::new(1);
+        let coord = sim.add_node(GroupCoordinator::<NoApp>::new(Default::default()));
+        let near = sim.add_node(Silent);
+        let far = (0..40).map(|_| sim.add_node(Silent)).last().unwrap();
+        let stray = sim.add_node(Silent);
+        join(&mut sim, 10, near, coord);
+        // The table reaches `near`; `far` and then `stray` lie past it.
+        join(&mut sim, 20, far, coord);
+        inject(&mut sim, 30, stray, coord, GroupMsg::Heartbeat);
+        heartbeats(&mut sim, near, coord, (60..=460).step_by(50));
+        heartbeats(&mut sim, far, coord, (60..=460).step_by(50));
+        sim.run_until(Instant::from_millis(500));
+        assert_eq!(
+            servers(&sim, coord),
+            (vec![near, far], 2),
+            "two joins, no eviction, and a heartbeat admits no one"
+        );
+    }
+
+    #[test]
+    fn a_server_that_left_can_rejoin() {
+        let mut sim = Simulation::new(1);
+        let coord = sim.add_node(GroupCoordinator::<NoApp>::new(Default::default()));
+        let a = sim.add_node(Silent);
+        let b = sim.add_node(Silent);
+        join(&mut sim, 10, a, coord);
+        join(&mut sim, 10, b, coord);
+        heartbeats(&mut sim, b, coord, (60..=560).step_by(50));
+        // `a` leaves just before a sweep and rejoins; it next heartbeats
+        // as late as its rejoin allows, so only the rejoin's own time keeps
+        // it in the view until then.
+        inject(&mut sim, 95, a, coord, GroupMsg::Leave { member: a });
+        sim.run_until(Instant::from_millis(120));
+        assert_eq!(servers(&sim, coord), (vec![b], 3), "a left, b stayed");
+        join(&mut sim, 150, a, coord);
+        heartbeats(&mut sim, a, coord, (300..=550).step_by(50));
+        sim.run_until(Instant::from_millis(600));
+        assert_eq!(servers(&sim, coord), (vec![b, a], 4), "a is back");
+    }
+
+    #[test]
+    fn an_evicted_suspect_that_heartbeats_stays_out_until_it_rejoins() {
+        let mut sim = Simulation::new(1);
+        let coord = sim.add_node(GroupCoordinator::<NoApp>::new(Default::default()));
+        let s = sim.add_node(Silent);
+        join(&mut sim, 10, s, coord);
+        // Silent past the timeout: evicted by the sweep at 250 ms.
+        heartbeats(&mut sim, s, coord, (300..=900).step_by(50));
+        sim.run_until(Instant::from_millis(720));
+        assert_eq!(
+            servers(&sim, coord),
+            (vec![], 2),
+            "heartbeats do not readmit"
+        );
+        join(&mut sim, 730, s, coord);
+        sim.run_until(Instant::from_millis(950));
+        assert_eq!(servers(&sim, coord), (vec![s], 3), "a join does");
+    }
+
     #[test]
     fn stale_views_are_ignored_by_agents() {
         let cfg = FailureDetectorConfig::default();
