@@ -4,9 +4,10 @@
 //! synthetic service load, (200 ms, Pc = 0.9) client) through a set of
 //! fault scenarios from `aqua-faults` — scheduled crash-and-recover, a
 //! pause/stall, a network-wide delay spike, and probabilistic message
-//! drops — with deadline-driven retries armed, and reports how far each
-//! scenario pushes the observed timing-failure probability from the
-//! fault-free baseline.
+//! drops — and reports how far each scenario pushes the observed
+//! timing-failure probability from the fault-free baseline. A
+//! deadline-driven retry is armed, but the redundant selection at
+//! Pc = 0.9 masks the pause and the drops, so the retry is not needed.
 //!
 //! Usage: `chaos_experiment [--seed N] [--check]`
 //!
@@ -79,7 +80,8 @@ fn main() {
     println!();
     println!("expected: every fault window is masked — the crash by the");
     println!("redundant selection plus reconnect-with-probation, the pause");
-    println!("and the drops by the deadline-driven retry — so no scenario");
+    println!("and the drops by the redundant selection at Pc = 0.9 (the");
+    println!("retry stays armed but is not needed) — so no scenario");
     println!("strays far above the fault-free baseline.");
     if check {
         if violations.is_empty() {
