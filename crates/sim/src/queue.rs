@@ -202,8 +202,6 @@ pub struct CalendarQueue<T> {
     overflow: u32,
     /// Earliest bucket on the overflow chain (`u64::MAX` when empty).
     overflow_first: u64,
-    /// Entries queued.
-    len: usize,
 }
 
 impl<T: Keyed> Default for CalendarQueue<T> {
@@ -217,7 +215,6 @@ impl<T: Keyed> Default for CalendarQueue<T> {
             current: BinaryHeap::new(),
             overflow: NIL,
             overflow_first: u64::MAX,
-            len: 0,
         }
     }
 }
@@ -228,14 +225,17 @@ impl<T: Keyed> CalendarQueue<T> {
         Self::default()
     }
 
-    /// The number of entries queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entry is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The number of entries queued: the slots in use, counted off the
+    /// free list rather than kept beside `push` and `pop`, which is a walk
+    /// as long as the pending set's high-water mark.
+    pub(crate) fn len(&self) -> usize {
+        let mut index = self.free;
+        let mut free = 0;
+        while index != NIL {
+            free += 1;
+            index = self.slab.link(index);
+        }
+        self.slab.len() - free
     }
 
     /// Queues `item`. Keys need not be unique for the queue to work, but
@@ -251,7 +251,6 @@ impl<T: Keyed> CalendarQueue<T> {
             self.slab.put(index, item);
             index
         };
-        self.len += 1;
         self.place(index, key);
     }
 
@@ -295,7 +294,6 @@ impl<T: Keyed> CalendarQueue<T> {
         let item = self.slab.take(k.slot);
         self.slab.set_link(k.slot, self.free);
         self.free = k.slot;
-        self.len -= 1;
         Some(item)
     }
 
@@ -400,18 +398,17 @@ mod tests {
             self.pushed += 1;
             self.queue.push(Unique(key));
             self.model.push(Reverse(key));
-            assert_eq!(self.queue.len(), self.model.len());
         }
 
         fn peek(&mut self) {
             let expected = self.model.peek().map(|Reverse(k)| k.at);
             assert_eq!(self.queue.peek_at(), expected);
+            assert_eq!(self.queue.len(), self.model.len());
         }
 
         fn pop(&mut self) {
             let expected = self.model.pop().map(|Reverse(k)| k);
             assert_eq!(self.queue.pop().map(|Unique(key)| key), expected);
-            assert_eq!(self.queue.len(), self.model.len());
             if let Some(key) = expected {
                 self.now = key.at;
             }
@@ -547,7 +544,7 @@ mod tests {
     #[test]
     fn len_counts_what_is_queued_wherever_it_waits() {
         let mut queue = CalendarQueue::new();
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
         // The current bucket's heap, a ring chain and the overflow chain.
         for (seq, at) in [0, BUCKET_NANOS * 3, DROP_DELAY.as_nanos()]
             .into_iter()
@@ -567,7 +564,13 @@ mod tests {
             assert_eq!(queue.len(), left);
         }
         assert!(queue.pop().is_none());
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
+        queue.push(Unique(EventKey {
+            at: 1,
+            origin: 0,
+            seq: 3,
+        }));
+        assert_eq!(queue.len(), 1, "a reused slot counts again");
     }
 
     #[test]
