@@ -1,4 +1,5 @@
-//! A monotone calendar queue: the pending-event set of one shard.
+//! A monotone calendar queue: the pending-event set of the classic
+//! engine and of each shard of the sharded one.
 //!
 //! A discrete-event simulation pops events in non-decreasing time order
 //! and pushes almost all of them a short, bounded way into the future —
