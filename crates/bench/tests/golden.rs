@@ -2,7 +2,7 @@
 //!
 //! A golden is what a seeded run prints, committed: a change that moves
 //! one byte of it changed a plan. To accept a deliberate move, regenerate
-//! the file with the command in its test and say why in the change.
+//! the file (see [`regenerate`]) and say why in the change.
 //!
 //! The simulator's plans read a modelled δ, never the host's clock, so
 //! these hold on a loaded host too.
@@ -59,55 +59,88 @@ fn assert_golden(command: &str, out: &[u8], name: &str) {
     );
 }
 
+/// A printed golden: its file, the binary that prints it and its
+/// arguments. Regenerate one with `<binary> <arguments> >
+/// tests/golden/<file>`, or all with the `regenerate` test below.
+type Printed = (&'static str, &'static str, &'static [&'static str]);
+
+/// The printed goldens.
+fn printed() -> [Printed; 6] {
+    let aqua_lab = env!("CARGO_BIN_EXE_aqua_lab");
+    [
+        (
+            "queue_estimator.txt",
+            aqua_lab,
+            &["study", "queue_estimator", "3"],
+        ),
+        (
+            "fig4_selection.txt",
+            env!("CARGO_BIN_EXE_fig4_selection"),
+            &["3"],
+        ),
+        (
+            "fig5_failures.txt",
+            env!("CARGO_BIN_EXE_fig5_failures"),
+            &["3"],
+        ),
+        (
+            "chaos_experiment.txt",
+            env!("CARGO_BIN_EXE_chaos_experiment"),
+            &["--seed", "7"],
+        ),
+        ("overload.txt", aqua_lab, &["study", "overload", "3"]),
+        ("crash.txt", aqua_lab, &["study", "crash", "3"]),
+    ]
+}
+
+/// Asserts that the `index`th printed golden still prints its file.
+fn assert_printed(index: usize) {
+    let (name, bin, args) = printed()[index];
+    let binary = Path::new(bin).file_name().expect("a binary path");
+    let command = format!("{} {}", binary.to_string_lossy(), args.join(" "));
+    assert_golden(&command, &run(bin, args), name);
+}
+
 /// The simulator's `QueueScaled` path end to end: every plan publishes
 /// one view, whose tables at queues of 2–5 sum over powers of `S`
-/// refreshed from the view before. Regenerate with
-/// `aqua_lab study queue_estimator 3 > tests/golden/queue_estimator.txt`.
+/// refreshed from the view before.
 #[test]
 fn queue_estimator_study_matches_its_golden() {
-    let out = run(
-        env!("CARGO_BIN_EXE_aqua_lab"),
-        &["study", "queue_estimator", "3"],
-    );
-    assert_golden(
-        "aqua_lab study queue_estimator 3",
-        &out,
-        "queue_estimator.txt",
-    );
+    assert_printed(0);
 }
 
-/// Fig. 4, the replicas selected per deadline and `Pc`. Regenerate with
-/// `fig4_selection 3 > tests/golden/fig4_selection.txt`.
+/// Fig. 4, the replicas selected per deadline and `Pc`.
 #[test]
 fn fig4_matches_its_golden() {
-    let out = run(env!("CARGO_BIN_EXE_fig4_selection"), &["3"]);
-    assert_golden("fig4_selection 3", &out, "fig4_selection.txt");
+    assert_printed(1);
 }
 
-/// Fig. 5, the timing failures per deadline and `Pc`. Regenerate with
-/// `fig5_failures 3 > tests/golden/fig5_failures.txt`.
+/// Fig. 5, the timing failures per deadline and `Pc`.
 #[test]
 fn fig5_matches_its_golden() {
-    let out = run(env!("CARGO_BIN_EXE_fig5_failures"), &["3"]);
-    assert_golden("fig5_failures 3", &out, "fig5_failures.txt");
+    assert_printed(2);
 }
 
 /// Every scheduled fault kind against the retry-armed client: crash
-/// windows, pauses, delay spikes and drops. Regenerate with
-/// `chaos_experiment --seed 7 > tests/golden/chaos_experiment.txt`.
+/// windows, pauses, delay spikes and drops.
 #[test]
 fn chaos_experiment_matches_its_golden() {
-    let out = run(env!("CARGO_BIN_EXE_chaos_experiment"), &["--seed", "7"]);
-    assert_golden("chaos_experiment --seed 7", &out, "chaos_experiment.txt");
+    assert_printed(3);
 }
 
 /// Twelve clients on three replicas: the deepest replica queues of the
-/// paper's scenarios (over 300 requests). Regenerate with
-/// `aqua_lab study overload 3 > tests/golden/overload.txt`.
+/// paper's scenarios (over 300 requests).
 #[test]
 fn overload_study_matches_its_golden() {
-    let out = run(env!("CARGO_BIN_EXE_aqua_lab"), &["study", "overload", "3"]);
-    assert_golden("aqua_lab study overload 3", &out, "overload.txt");
+    assert_printed(4);
+}
+
+/// A primary crash under Algorithm 1, an unreplicated baseline and the
+/// passive handler, whose armed retry the view change that evicts the
+/// primary brings forward.
+#[test]
+fn crash_study_matches_its_golden() {
+    assert_printed(5);
 }
 
 fn ms(v: u64) -> Duration {
@@ -309,14 +342,20 @@ fn the_paper_grid_counts_match_their_golden() {
     );
 }
 
-/// Rewrites the projection and work-count goldens from the current code.
-/// Run it only for a deliberate move, and say why in the change:
+/// Rewrites every golden from the current code. Run it only for a
+/// deliberate move, and say why in the change:
 /// `cargo test -p aqua-bench --test golden -- --ignored regenerate`.
 #[test]
 #[ignore = "writes tests/golden; run by hand for a deliberate move"]
-fn regenerate_projections() {
+fn regenerate() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let write = |name: &str, bytes: &[u8]| {
+        std::fs::write(dir.join(name), bytes).expect("tests/golden is writable");
+    };
+    for (name, bin, args) in printed() {
+        write(name, &run(bin, args));
+    }
     for (name, make) in projections() {
-        std::fs::write(dir.join(name), make()).expect("tests/golden is writable");
+        write(name, make().as_bytes());
     }
 }

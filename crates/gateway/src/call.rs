@@ -6,6 +6,14 @@
 //! maps replicas to hosts, moves the bytes and wakes the call at
 //! [`Call::next_deadline`]: the simulated [`crate::ClientGateway`] on a
 //! timer, the socket mux on a channel's `recv_timeout`.
+//!
+//! One rule reads the group's views: a view that keeps none of the
+//! replicas the first attempt asked brings an armed retry forward to that
+//! view ([`Call::on_view`]). With `StaticK { k: 1 }` this is the passive
+//! handler of earlier AQuA work (§2): one primary, and a failover to the
+//! senior backup once the view change evicts it.
+
+use std::sync::Arc;
 
 use aqua_core::qos::ReplicaId;
 use aqua_core::repository::MethodId;
@@ -19,6 +27,8 @@ pub struct Call {
     /// The seq of the first attempt, which names the request.
     first: u64,
     method: MethodId,
+    /// The replicas the first attempt asked.
+    asked: Arc<[ReplicaId]>,
     /// When the retry is due; `None` once it ran, or when not armed.
     retry_at: Option<Instant>,
     /// When the request gives up; `None` once the call is over.
@@ -86,6 +96,7 @@ impl Call {
         Call {
             first: first.seq,
             method,
+            asked: Arc::clone(&first.replicas),
             retry_at: None,
             give_up_at: Some(now.saturating_add(give_up_after)),
             redundancy: 0,
@@ -133,6 +144,19 @@ impl Call {
             handler.on_abandon(now, attempt.seq);
             true
         }
+    }
+
+    /// Installs the view of `members` at `now`. A view that keeps none of
+    /// the replicas the first attempt asked leaves nobody to answer it, so
+    /// an armed retry falls due at once: `true` when it did, and the caller
+    /// runs [`Call::on_deadline`] now. Otherwise nothing changes; without a
+    /// retry the request waits for its give-up.
+    pub fn on_view(&mut self, now: Instant, members: &[ReplicaId]) -> bool {
+        if self.retry_at.is_none() || self.asked.iter().any(|r| members.contains(r)) {
+            return false;
+        }
+        self.retry_at = Some(now);
+        true
     }
 
     /// Runs the deadline due at `now`, if any: the retry re-plans over the
@@ -348,6 +372,122 @@ mod tests {
         assert_eq!(retry.replicas.as_ref(), [ReplicaId::new(3)]);
         assert!(call.sent(&h, at, &retry, 1));
         assert_eq!(call.redundancy(), 3);
+    }
+
+    /// Of [`handler`]'s two replicas, the one `call`'s first attempt did
+    /// not ask.
+    fn unasked(call: &Call) -> ReplicaId {
+        let [asked] = call.asked[..] else {
+            panic!("one replica asked: {:?}", call.asked);
+        };
+        ReplicaId::new(1 - asked.index())
+    }
+
+    /// Installs the view of `members` on the handler and on `call` at `now`.
+    fn view(h: &ConcurrentHandler, call: &mut Call, now: Instant, members: &[ReplicaId]) -> bool {
+        h.on_view(now, members.iter().copied());
+        call.on_view(now, members)
+    }
+
+    #[test]
+    fn an_orphaning_view_runs_the_armed_retry_at_once_over_the_survivors() {
+        let h = handler();
+        let mut call = started(&h, Some(ms(40)));
+        let survivor = unasked(&call);
+        let now = Instant::EPOCH + ms(10);
+        assert!(view(&h, &mut call, now, &[survivor]));
+        assert_eq!(call.next_deadline(), Some(now), "the retry is due now");
+        let Step::Send(retry) = call.on_deadline(&h, now) else {
+            panic!("the survivor is left to retry");
+        };
+        assert_eq!(retry.replicas.as_ref(), [survivor]);
+        assert!(call.sent(&h, now, &retry, 1));
+        assert_eq!(call.redundancy(), 2);
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + GIVE_UP));
+        assert_eq!(h.stats().retries, 1);
+    }
+
+    #[test]
+    fn a_view_that_keeps_an_asked_replica_does_nothing() {
+        // A cold start asks all three replicas; the view keeps one of them.
+        let qos = QosSpec::new(ms(50), 0.9).unwrap();
+        let h = ConcurrentHandler::new(qos, 5, Box::new(FastestMean { k: 3 }));
+        for id in 0..3 {
+            h.insert_replica(Instant::EPOCH, ReplicaId::new(id));
+        }
+        let mut call = started(&h, Some(ms(40)));
+        assert_eq!(call.asked.len(), 3);
+        let now = Instant::EPOCH + ms(10);
+        assert!(!view(&h, &mut call, now, &[ReplicaId::new(2)]));
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + ms(40)));
+        assert!(matches!(call.on_deadline(&h, now), Step::Wait));
+        assert_eq!(h.stats().retries, 0);
+    }
+
+    #[test]
+    fn an_orphaning_view_without_an_armed_retry_does_nothing() {
+        let h = handler();
+        let mut call = started(&h, None);
+        let survivor = unasked(&call);
+        let now = Instant::EPOCH + ms(10);
+        assert!(!view(&h, &mut call, now, &[survivor]));
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + GIVE_UP));
+        assert!(matches!(call.on_deadline(&h, now), Step::Wait));
+        assert_eq!(h.stats().retries, 0);
+    }
+
+    #[test]
+    fn an_orphaning_view_after_the_retry_ran_does_nothing() {
+        let h = handler();
+        let mut call = started(&h, Some(ms(40)));
+        let retry_at = Instant::EPOCH + ms(40);
+        let Step::Send(retry) = call.on_deadline(&h, retry_at) else {
+            panic!("one replica is left to retry");
+        };
+        assert!(call.sent(&h, retry_at, &retry, 1));
+        let now = Instant::EPOCH + ms(50);
+        assert!(!view(&h, &mut call, now, &retry.replicas));
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + GIVE_UP));
+        assert!(matches!(call.on_deadline(&h, now), Step::Wait));
+        assert_eq!(h.stats().retries, 1);
+    }
+
+    #[test]
+    fn on_total_loss_the_call_waits_for_its_give_up() {
+        let h = handler();
+        let mut call = started(&h, Some(ms(40)));
+        let now = Instant::EPOCH + ms(10);
+        assert!(view(&h, &mut call, now, &[]));
+        assert!(
+            matches!(call.on_deadline(&h, now), Step::Wait),
+            "nobody is left to retry"
+        );
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + GIVE_UP));
+        let stats = h.stats();
+        assert_eq!((stats.retries, stats.gave_up), (0, 0));
+        assert!(matches!(
+            call.on_deadline(&h, Instant::EPOCH + GIVE_UP),
+            Step::GaveUp
+        ));
+        assert_eq!(h.stats().gave_up, 1);
+        assert_eq!(h.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_probe_is_never_retried() {
+        let h = handler();
+        let probed = ReplicaId::new(1);
+        let (mut call, plan) = Call::probe(&h, Instant::EPOCH, probed, GIVE_UP);
+        assert!(call.sent(&h, Instant::EPOCH, &plan, 1));
+        let now = Instant::EPOCH + ms(10);
+        assert!(!view(&h, &mut call, now, &[ReplicaId::new(0)]));
+        assert_eq!(call.next_deadline(), Some(Instant::EPOCH + GIVE_UP));
+        assert!(matches!(
+            call.on_deadline(&h, Instant::EPOCH + GIVE_UP),
+            Step::Answered
+        ));
+        let stats = h.stats();
+        assert_eq!((stats.probes, stats.retries, stats.gave_up), (1, 0, 0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use aqua_core::qos::QosSpec;
+use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
@@ -86,7 +86,8 @@ pub struct ClientConfig {
     pub renegotiate_to: Option<QosSpec>,
     /// If set, a request still unanswered this long after being issued
     /// multicasts a sibling attempt over the replicas not yet asked (see
-    /// [`Call`]); armed only when shorter than `give_up_after`.
+    /// [`Call`]); armed only when shorter than `give_up_after`. A view
+    /// that evicts every replica the request asked brings it forward.
     pub retry_after: Option<Duration>,
     /// The dependability manager's node, when an elastic supervisor runs:
     /// the client forwards its watchdog's calibration alerts there and
@@ -404,6 +405,30 @@ impl ClientGateway {
         self.wait(ctx, call);
     }
 
+    /// Runs at once the retry of every call the view of `members` left
+    /// without an asked replica ([`Call::on_view`]), in seq order: the
+    /// timer map iterates in no fixed order. A moved call's old timer
+    /// finds nothing when it fires.
+    fn run_orphaned(&mut self, members: &[ReplicaId], ctx: &mut Context<'_, Wire>) {
+        let now = ctx.now();
+        let mut due: Vec<(u64, TimerToken)> = self
+            .timers
+            .iter_mut()
+            .filter_map(|(token, kind)| match kind {
+                TimerKind::Deadline(call) => {
+                    call.on_view(now, members).then(|| (call.seq(), *token))
+                }
+                _ => None,
+            })
+            .collect();
+        due.sort_unstable_by_key(|&(seq, _)| seq);
+        for (_, token) in due {
+            if let Some(TimerKind::Deadline(call)) = self.timers.remove(&token) {
+                self.on_deadline(call, ctx);
+            }
+        }
+    }
+
     /// Handles one arrival tick according to the pacing discipline.
     fn issue_request(&mut self, ctx: &mut Context<'_, Wire>) {
         const RETRY: Duration = Duration::from_millis(50);
@@ -655,8 +680,9 @@ impl Node<Wire> for ClientGateway {
                         .map(|v| v.replica_ids().collect::<Vec<_>>());
                     if let Some(servers) = installed {
                         let now = ctx.now();
-                        self.live().on_view(now, servers);
+                        self.live().on_view(now, servers.iter().copied());
                         self.subscribe_to_new_servers(ctx);
+                        self.run_orphaned(&servers, ctx);
                     }
                 }
                 _ => {}

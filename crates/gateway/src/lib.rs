@@ -12,14 +12,19 @@
 //!   drive it.
 //! * [`Call`] — one request's lifecycle around the handler, sans I/O:
 //!   the first attempt, the retry and give-up deadlines, what an attempt
-//!   that reached nobody means, and the redundancy count. Both clients
-//!   drive it.
+//!   that reached nobody means, the redundancy count, and the view change
+//!   that brings an orphaned request's retry forward. Both clients drive
+//!   it.
 //! * [`ClientGateway`] — a simulated client gateway node wrapping the
 //!   handler plus the paper's closed-loop request generator.
 //! * [`ServerGateway`] — a simulated replica host: FIFO queue, service-time
 //!   model, load process, crash plan, performance publication.
-//! * [`PassiveHandler`] / [`active_strategy`] — the crash-tolerance
-//!   handlers of earlier AQuA work, as baselines.
+//!
+//! The crash-tolerance handlers of earlier AQuA work (§2) are
+//! configurations of the one client: active replication is the
+//! `AllReplicas` strategy, passive replication is `StaticK { k: 1 }` with
+//! an armed retry, which [`Call::on_view`] fires once the primary is
+//! evicted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +32,8 @@
 mod call;
 mod client;
 mod concurrent;
-mod handlers;
 mod manager;
 pub mod obs;
-mod passive_client;
 mod pending;
 mod proto;
 mod server;
@@ -39,13 +42,11 @@ mod supervisor;
 pub use call::{Call, Step};
 pub use client::{ArrivalModel, ClientConfig, ClientGateway, RequestRecord};
 pub use concurrent::{ConcurrentHandler, HandlerStats, ReplyOutcome, RepositoryMut, RequestPlan};
-pub use handlers::{active_strategy, FailoverAction, PassiveHandler, PassivePending};
 pub use manager::{DependabilityManager, ManagerConfig, SupervisionConfig, DRAIN_WINDOW_BASE};
 pub use obs::HandlerObserver;
 // Re-exported so downstream crates can configure the QoS-calibration
 // watchdog without depending on aqua-trace directly.
 pub use aqua_trace::{CalibrationAlert, CalibrationConfig};
-pub use passive_client::{PassiveClientConfig, PassiveClientGateway};
 pub use proto::{AquaMsg, RequestId, Wire};
 pub use server::{ServerConfig, ServerGateway};
 pub use supervisor::{SupervisorAction, SupervisorConfig, SupervisorPolicy};
@@ -277,6 +278,84 @@ mod sim_tests {
             stalled.iter().all(|r| r.redundancy == 1),
             "one replica asked, none retried: {stalled:?}"
         );
+    }
+
+    /// The passive handler of earlier AQuA work (§2) on the one client:
+    /// `StaticK { k: 1 }` asks the first replica by id, the primary, and a
+    /// retry armed far past any live reply resends a request only when the
+    /// view change evicts the primary.
+    fn passive(coordinator: NodeId, qos: QosSpec, requests: u64, think: Duration) -> ClientGateway {
+        let mut ccfg = ClientConfig::paper(coordinator, qos);
+        ccfg.num_requests = Some(requests);
+        ccfg.think_time = think;
+        ccfg.retry_after = Some(Duration::from_secs(1));
+        ClientGateway::new(ccfg, Box::new(aqua_strategies::StaticK { k: 1 }))
+    }
+
+    #[test]
+    fn passive_client_serves_through_the_primary() {
+        let mut sim = Simulation::new(71);
+        let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
+            FailureDetectorConfig::default(),
+        ));
+        let servers: Vec<NodeId> = (0..3u64)
+            .map(|i| {
+                let mut cfg = ServerConfig::paper(ReplicaId::new(i), coordinator);
+                cfg.service = ServiceTimeModel::Deterministic(ms(30));
+                sim.add_node(ServerGateway::new(cfg))
+            })
+            .collect();
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let client = sim.add_node(passive(coordinator, qos, 10, ms(150)));
+        sim.run_until(Instant::from_secs(30));
+
+        let gw = sim.node::<ClientGateway>(client).unwrap();
+        assert!(gw.is_finished(), "{gw:?}");
+        assert_eq!(gw.records().len(), 10);
+        assert!(gw.records().iter().all(|r| r.timely && r.redundancy == 1));
+        assert_eq!(gw.handler().unwrap().stats().retries, 0);
+        let serviced: Vec<u64> = servers
+            .iter()
+            .map(|&n| sim.node::<ServerGateway>(n).unwrap().serviced())
+            .collect();
+        assert_eq!(serviced, [10, 0, 0], "primary-only traffic");
+    }
+
+    #[test]
+    fn primary_crash_resends_to_the_senior_backup() {
+        let mut sim = Simulation::new(72);
+        let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
+            FailureDetectorConfig::default(),
+        ));
+        for i in 0..3u64 {
+            let mut cfg = ServerConfig::paper(ReplicaId::new(i), coordinator);
+            // Slow service so the crash catches a request in flight.
+            cfg.service = ServiceTimeModel::Deterministic(ms(400));
+            if i == 0 {
+                cfg.crash = CrashPlan::AtTime(Instant::from_secs(3));
+            }
+            sim.add_node(ServerGateway::new(cfg));
+        }
+        let qos = QosSpec::new(ms(2_000), 0.9).unwrap();
+        let client = sim.add_node(passive(coordinator, qos, 15, ms(100)));
+        sim.run_until(Instant::from_secs(60));
+
+        let gw = sim.node::<ClientGateway>(client).unwrap();
+        assert!(gw.is_finished(), "{gw:?}");
+        let stats = gw.handler().unwrap().stats();
+        assert_eq!((stats.retries, stats.gave_up), (1, 0), "{stats:?}");
+        // The request in flight went to the backup after the failover…
+        let resent: Vec<&RequestRecord> =
+            gw.records().iter().filter(|r| r.redundancy > 1).collect();
+        assert_eq!(resent.len(), 1, "{resent:?}");
+        // …and its latency includes the detection and failover gap, far
+        // above the nominal 400 ms service, but not the 1 s retry timer.
+        let latency = resent[0].response_time.expect("the backup answered");
+        assert!(
+            latency > ms(500) && latency < ms(1_400),
+            "failover costs detection latency: {latency}"
+        );
+        assert!(gw.records().iter().all(|r| r.first_reply_at.is_some()));
     }
 
     #[test]

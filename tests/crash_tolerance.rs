@@ -134,3 +134,38 @@ fn unreplicated_baseline_suffers_from_the_same_crash() {
         "static-k=1 on the crashing replica must lose at least the request in flight"
     );
 }
+
+#[test]
+fn passive_failover_resends_on_the_view_change() {
+    // The passive handler of earlier AQuA work: static k = 1 asks the
+    // primary (replica 0) alone, and a retry armed far past any live reply
+    // resends only when the view change evicts the crashed primary. With
+    // 100 ms of service and 10 ms of thought a request is nearly always in
+    // flight, so the crash orphans one, whose resend pays the detection
+    // silence: past the deadline, yet well before the retry timer.
+    let deadline = ms(200);
+    let retry_after = Duration::from_secs(1);
+    let mut config = base_config(17);
+    for s in &mut config.servers {
+        s.service = ServiceTimeModel::Deterministic(ms(100));
+    }
+    config.servers[0].crash = CrashPlan::AtTime(Instant::from_secs(4));
+    let client = &mut config.clients[0];
+    client.qos = QosSpec::new(deadline, 0.9).unwrap();
+    client.think_time = ms(10);
+    client.strategy = StrategySpec::StaticK { k: 1 };
+    client.retry_after = Some(retry_after);
+
+    let report = run_experiment(&config);
+    let c = report.client_under_test();
+    assert_eq!(c.records.len(), 40);
+    assert_eq!(c.stats.gave_up, 0, "the backup answered the orphan");
+    assert_eq!(c.stats.retries, 1, "{:?}", c.stats);
+    let resent: Vec<_> = c.records.iter().filter(|r| r.redundancy > 1).collect();
+    assert_eq!(resent.len(), 1, "{resent:?}");
+    let latency = resent[0].response_time.expect("answered");
+    assert!(
+        latency > deadline && latency < retry_after,
+        "the view change, not the timer, resent it: {latency}"
+    );
+}
