@@ -335,20 +335,18 @@ impl Inner {
         Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    /// Every live handle's state, except `skip`'s.
-    fn states(&self, skip: Option<u64>) -> Vec<Arc<HandleState>> {
+    /// Every live handle's state.
+    fn states(&self) -> Vec<Arc<HandleState>> {
         let handles = self.handles.read().unwrap_or_else(|p| p.into_inner());
-        handles
-            .iter()
-            .filter(|(hid, _)| Some(**hid) != skip)
-            .map(|(_, s)| Arc::clone(s))
-            .collect()
+        handles.values().cloned().collect()
     }
 
     /// Fans a perf observation to every handle except `skip` (the handle
-    /// that already folded it in through `on_reply`).
+    /// that already folded it in through `on_reply`), walking the handles
+    /// under the read lock: a reply collects nothing.
     fn fan_perf(&self, skip: Option<u64>, replica: ReplicaId, perf: PerfReport, now: Instant) {
-        for state in self.states(skip) {
+        let handles = self.handles.read().unwrap_or_else(|p| p.into_inner());
+        for (_, state) in handles.iter().filter(|(hid, _)| Some(**hid) != skip) {
             state.handler.on_perf_update(now, replica, perf);
         }
     }
@@ -527,7 +525,7 @@ impl ReactorSink for Inner {
             conns.remove(&id);
             // The view goes out under `conns`, as admissions do, so it
             // cannot overtake the rejoin of a replica it does not list.
-            let states = self.states(None);
+            let states = self.states();
             for state in &states {
                 state.handler.on_view(now, conns.keys().copied());
             }
