@@ -14,8 +14,9 @@
 //! printed table shows one by one.
 //!
 //! Last, a work count: every experiment of the Fig. 4/5 grid with the
-//! events it processed, the messages it sent and when it ended. A change
-//! that only makes the simulator faster must leave it byte-identical.
+//! events it processed, the messages it sent, when it ended, and the
+//! timers and deliveries of each role. A change that only makes the
+//! simulator faster must leave it byte-identical.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -264,21 +265,32 @@ fn chaos_projection() -> String {
 
 /// Every experiment of `fig4_selection 3`'s grid, in the order it runs
 /// them: `Pc`, seed, deadline, then the simulator's work — events
-/// processed, messages sent and the virtual time the run ended at.
+/// processed, messages sent, the virtual time the run ended at, and the
+/// timers fired and messages delivered at the coordinator, the servers
+/// and the clients (the grid runs no manager).
 fn paper_grid_counts() -> String {
-    let mut out = String::from("# pc seed deadline_ms events messages ended_at_ns\n");
+    let mut out = String::from(
+        "# pc seed deadline_ms events messages ended_at_ns \
+         coord_timers coord_delivered server_timers server_delivered \
+         client_timers client_delivered\n",
+    );
     for pc in aqua_bench::paper_eval::PAPER_PROBABILITIES {
         for seed in 1..=3 {
             for deadline in aqua_bench::paper_eval::paper_deadlines() {
                 let qos = QosSpec::new(ms(deadline), pc).expect("the grid's QoS is valid");
                 let report = run_experiment(&ExperimentConfig::paper(qos, seed));
-                let _ = writeln!(
+                let _ = write!(
                     out,
                     "{pc} {seed} {deadline} {} {} {}",
                     report.events,
                     report.messages,
                     report.ended_at.as_nanos()
                 );
+                let work = report.work;
+                for role in [work.coordinator, work.servers, work.clients] {
+                    let _ = write!(out, " {} {}", role.timers_fired, role.delivered);
+                }
+                out.push('\n');
             }
         }
     }

@@ -8,7 +8,7 @@ use aqua_gateway::{
     Wire,
 };
 use aqua_group::{FailureDetectorConfig, GroupCoordinator};
-use lan_sim::{NodeId, Simulation};
+use lan_sim::{NodeCounters, NodeId, Simulation};
 
 use crate::config::ExperimentConfig;
 
@@ -90,6 +90,29 @@ pub struct ExperimentReport {
     pub messages: u64,
     /// Total simulation events processed.
     pub events: u64,
+    /// Timers fired and messages delivered, summed per role.
+    pub work: RoleWork,
+}
+
+/// The simulator's per-node counters summed by the role a node plays:
+/// where a run's events went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoleWork {
+    /// The group coordinator.
+    pub coordinator: NodeCounters,
+    /// Every replica host, standbys included.
+    pub servers: NodeCounters,
+    /// The dependability manager, when one runs.
+    pub manager: NodeCounters,
+    /// Every client gateway.
+    pub clients: NodeCounters,
+}
+
+/// Adds `node`'s counters into `sum`.
+fn add_counters(sum: &mut NodeCounters, node: NodeCounters) {
+    sum.sent += node.sent;
+    sum.delivered += node.delivered;
+    sum.timers_fired += node.timers_fired;
 }
 
 impl ExperimentReport {
@@ -171,9 +194,10 @@ pub fn run_experiment_observed(
             reply_size: 8,
             faults: (!schedule.is_empty()).then(|| schedule.clone()),
         };
+    let mut server_nodes: Vec<NodeId> = Vec::new();
     for (i, server) in config.servers.iter().enumerate() {
         let cfg = server_config(i, server, false);
-        sim.add_node(ServerGateway::new(cfg));
+        server_nodes.push(sim.add_node(ServerGateway::new(cfg)));
     }
     let mut standby_nodes = Vec::new();
     for (i, server) in config.standby_servers.iter().enumerate() {
@@ -186,7 +210,7 @@ pub fn run_experiment_observed(
             coordinator,
             group: FailureDetectorConfig::default(),
             target_replication: manager.target_replication,
-            standbys: standby_nodes,
+            standbys: standby_nodes.clone(),
             check_interval: manager.check_interval,
             startup_grace: Duration::from_secs(1),
             supervision: manager.supervision,
@@ -288,11 +312,26 @@ pub fn run_experiment_observed(
         })
         .collect();
 
+    let mut work = RoleWork {
+        coordinator: sim.node_counters(coordinator),
+        ..RoleWork::default()
+    };
+    for node in server_nodes.iter().chain(&standby_nodes) {
+        add_counters(&mut work.servers, sim.node_counters(*node));
+    }
+    if let Some(node) = manager_node {
+        work.manager = sim.node_counters(node);
+    }
+    for node in &client_nodes {
+        add_counters(&mut work.clients, sim.node_counters(*node));
+    }
+
     ExperimentReport {
         clients,
         ended_at: sim.now(),
         messages: sim.messages_sent(),
         events: sim.events_processed(),
+        work,
     }
 }
 

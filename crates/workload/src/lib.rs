@@ -25,7 +25,9 @@ pub use aqua_faults::{FaultKind, FaultPlan};
 pub use config::{
     ClientSpec, ExperimentConfig, ManagerSpec, NetworkSpec, ServerSpec, StrategySpec,
 };
-pub use experiment::{run_experiment, run_experiment_observed, ClientReport, ExperimentReport};
+pub use experiment::{
+    run_experiment, run_experiment_observed, ClientReport, ExperimentReport, RoleWork,
+};
 pub use report::{Figure, Series};
 pub use scale::{ScaleClient, ScaleMsg, ScaleReplica};
 pub use scenario::{Scenario, ScenarioStats, ScheduleLinkHook};
