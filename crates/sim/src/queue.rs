@@ -33,9 +33,12 @@
 //! binary heap of small keys over a slab, and one whose events are spread
 //! thinner than a bucket each pays one bitmap scan per event.
 //!
-//! The slab grows in chunks of [`CHUNK_SLOTS`] slots that are never
-//! reallocated, and frees nothing until the queue is dropped: its size is
-//! the pending set's high-water mark, rounded up to a chunk.
+//! The slab grows in chunks of [`CHUNK_SLOTS`] slots, and frees nothing
+//! until the queue is dropped: its size is the pending set's high-water
+//! mark, rounded up to a chunk. The first chunk alone starts at
+//! [`FIRST_CHUNK_SLOTS`] and doubles up to a whole chunk, so a queue that
+//! never holds many events never reserves many slots; later chunks are
+//! allocated whole and never reallocated.
 
 use core::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,6 +59,8 @@ const NIL: u32 = u32::MAX;
 const CHUNK_SHIFT: u32 = 10;
 /// Slots in one slab chunk.
 pub const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
+/// Slots the first slab chunk reserves before it first doubles.
+pub const FIRST_CHUNK_SLOTS: usize = 64;
 
 /// The queue's total order: time, then the node that created the event,
 /// then that node's private sequence number.
@@ -164,7 +169,9 @@ impl<T: Keyed> Slab<T> {
             .expect("a heap key names a live slot")
     }
 
-    /// Appends a slot, opening a new chunk when the last one is full.
+    /// Appends a slot, opening a new chunk when the last one is full. The
+    /// first chunk doubles its reservation when it fills below
+    /// [`CHUNK_SLOTS`]: indices stay put, and nothing points into a chunk.
     #[cold]
     #[inline(never)]
     fn append(&mut self, item: T) -> u32 {
@@ -172,15 +179,31 @@ impl<T: Keyed> Slab<T> {
         assert!(len < NIL as usize, "calendar queue slab is full");
         let last_is_full = |c: &Chunk<T>| c.items.len() == CHUNK_SLOTS;
         if self.chunks.last().is_none_or(last_is_full) {
+            let slots = if self.chunks.is_empty() {
+                FIRST_CHUNK_SLOTS
+            } else {
+                CHUNK_SLOTS
+            };
             self.chunks.push(Chunk {
-                items: Vec::with_capacity(CHUNK_SLOTS),
-                links: Vec::with_capacity(CHUNK_SLOTS),
+                items: Vec::with_capacity(slots),
+                links: Vec::with_capacity(slots),
             });
         }
         let last = self.chunks.last_mut().expect("a chunk was just opened");
+        let filled = last.items.len();
+        if filled == last.items.capacity() {
+            last.items.reserve_exact(filled);
+            last.links.reserve_exact(filled);
+        }
         last.items.push(Some(item));
         last.links.push(NIL);
         len as u32
+    }
+
+    /// The slots the chunks have reserved.
+    #[cfg(test)]
+    fn reserved(&self) -> usize {
+        self.chunks.iter().map(|c| c.items.capacity()).sum()
     }
 }
 
@@ -572,6 +595,31 @@ mod tests {
             seq: 3,
         }));
         assert_eq!(queue.len(), 1, "a reused slot counts again");
+    }
+
+    #[test]
+    fn the_first_chunk_reserves_what_the_queue_held() {
+        let mut pair = Pair::default();
+        for round in 0..3 {
+            for i in 0..FIRST_CHUNK_SLOTS as u64 {
+                pair.push(pair.now + i * (BUCKET_NANOS / 3), round);
+            }
+            pair.drain();
+        }
+        assert_eq!(pair.queue.slab.len(), FIRST_CHUNK_SLOTS);
+        assert!(
+            pair.queue.slab.reserved() <= FIRST_CHUNK_SLOTS,
+            "{} slots reserved for a queue that held {FIRST_CHUNK_SLOTS}",
+            pair.queue.slab.reserved()
+        );
+        // Past it, the first chunk doubles up to a whole chunk, then
+        // whole chunks follow.
+        for i in 0..=CHUNK_SLOTS as u64 {
+            pair.push(pair.now + i, 0);
+        }
+        assert_eq!(pair.queue.slab.chunks.len(), 2);
+        assert_eq!(pair.queue.slab.chunks[0].items.len(), CHUNK_SLOTS);
+        pair.drain();
     }
 
     #[test]
