@@ -43,14 +43,25 @@ fn emit_edge(obs: &Obs, spec: &FaultSpec, index: usize, phase: &str, at: Instant
     }
 }
 
-/// Emits `fault` journal events for every window edge at or before `upto`.
+/// Emits the `fault` journal events of every window that opened at or
+/// before `upto`: its activation, and its clear even when that falls
+/// later, so a run's journal holds every window the run saw, whole. A
+/// saturated window (a permanent crash) never clears.
 ///
 /// The simulator calls this once at the end of a run (the schedule is a pure
 /// function of time, so the whole timeline is known); live drivers that need
 /// incremental emission use [`FaultTracker`].
 pub fn emit_fault_events(obs: &Obs, schedule: &FaultSchedule, upto: Instant) {
-    let mut tracker = FaultTracker::new(schedule.specs().len());
-    tracker.advance(obs, schedule, upto);
+    let never = Instant::from_nanos(u64::MAX);
+    for (idx, spec) in schedule.specs().iter().enumerate() {
+        if spec.start > upto {
+            continue;
+        }
+        emit_edge(obs, spec, idx, "active", spec.start);
+        if spec.end() > spec.start && spec.end() < never {
+            emit_edge(obs, spec, idx, "cleared", spec.end());
+        }
+    }
 }
 
 /// Incremental emitter of fault active/cleared events.
@@ -160,6 +171,24 @@ mod tests {
         assert!(w[0].overlaps(&[2], Instant::from_secs(1), Instant::from_secs(2)));
         // Network-wide window touches any selection.
         assert!(w[1].overlaps(&[0], Instant::from_secs(10), Instant::from_secs(11)));
+    }
+
+    #[test]
+    fn a_window_open_at_the_end_is_emitted_whole() {
+        let schedule = FaultPlan::new()
+            .degrade(1, Instant::from_secs(1), Duration::from_secs(4), 2.0)
+            .crash_forever(0, Instant::from_secs(2))
+            .pause(2, Instant::from_secs(4), Duration::from_secs(1))
+            .instantiate(7);
+        let (obs, reader) = Obs::in_memory();
+        emit_fault_events(&obs, &schedule, Instant::from_secs(3));
+        let lines = reader.lines_containing("\"type\":\"fault\"");
+        assert_eq!(lines.len(), 3, "degrade active+cleared, crash active only");
+        assert!(lines[1].contains("\"phase\":\"cleared\"") && lines[1].contains("degrade"));
+        assert!(
+            lines.iter().all(|line| !line.contains("pause")),
+            "opened later"
+        );
     }
 
     #[test]

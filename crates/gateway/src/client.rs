@@ -267,6 +267,14 @@ impl ClientGateway {
         self.finished
     }
 
+    /// Whether a request or a probe still waits on a deadline: a call not
+    /// yet resolved.
+    pub fn has_pending_call(&self) -> bool {
+        self.timers
+            .values()
+            .any(|kind| matches!(kind, TimerKind::Deadline(_)))
+    }
+
     /// Arrivals suppressed by an escalation's load-shed directive.
     pub fn shed_requests(&self) -> u64 {
         self.shed_requests
@@ -405,10 +413,24 @@ impl ClientGateway {
         self.wait(ctx, call);
     }
 
+    /// Takes the deadline timer of request `seq` out of the map and
+    /// cancels it: the call was answered, so its retry and give-up are
+    /// moot.
+    fn cancel_deadline(&mut self, seq: u64, ctx: &mut Context<'_, Wire>) {
+        let token = self.timers.iter().find_map(|(token, kind)| match kind {
+            TimerKind::Deadline(call) if call.seq() == seq => Some(*token),
+            _ => None,
+        });
+        if let Some(token) = token {
+            self.timers.remove(&token);
+            ctx.cancel_timer(token);
+        }
+    }
+
     /// Runs at once the retry of every call the view of `members` left
     /// without an asked replica ([`Call::on_view`]), in seq order: the
-    /// timer map iterates in no fixed order. A moved call's old timer
-    /// finds nothing when it fires.
+    /// timer map iterates in no fixed order. A moved call's old timer is
+    /// cancelled.
     fn run_orphaned(&mut self, members: &[ReplicaId], ctx: &mut Context<'_, Wire>) {
         let now = ctx.now();
         let mut due: Vec<(u64, TimerToken)> = self
@@ -424,6 +446,7 @@ impl ClientGateway {
         due.sort_unstable_by_key(|&(seq, _)| seq);
         for (_, token) in due {
             if let Some(TimerKind::Deadline(call)) = self.timers.remove(&token) {
+                ctx.cancel_timer(token);
                 self.on_deadline(call, ctx);
             }
         }
@@ -533,6 +556,7 @@ impl ClientGateway {
                             self.live().renegotiate(now, new_qos);
                         }
                     }
+                    self.cancel_deadline(request, ctx);
                     self.finish_request(ctx);
                 }
             }

@@ -280,6 +280,42 @@ mod sim_tests {
         );
     }
 
+    /// An answered call cancels its deadline timer: once the last reply
+    /// is in, the client waits on no call and none of its timers fires
+    /// again. Each request costs the client one timer, the one that
+    /// issues it, although a retry and a give-up were armed for each.
+    #[test]
+    fn an_answered_call_leaves_no_timer_behind() {
+        let qos = QosSpec::new(ms(250), 0.9).unwrap();
+        let mut sim = Simulation::with_network(3, UniformLan::aqua_testbed());
+        let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
+            FailureDetectorConfig::default(),
+        ));
+        for i in 0..3u64 {
+            sim.add_node(ServerGateway::new(ServerConfig {
+                service: ServiceTimeModel::Deterministic(ms(20)),
+                ..ServerConfig::paper(ReplicaId::new(i), coordinator)
+            }));
+        }
+        let mut ccfg = ClientConfig::paper(coordinator, qos);
+        ccfg.num_requests = Some(10);
+        ccfg.think_time = ms(200);
+        ccfg.retry_after = Some(ms(150));
+        let strategy = Box::new(ModelBased::default());
+        let client = sim.add_node(ClientGateway::new(ccfg, strategy));
+        sim.run_until(Instant::from_secs(5));
+
+        let gw = sim.node::<ClientGateway>(client).unwrap();
+        assert!(gw.is_finished(), "{gw:?}");
+        assert!(gw.records().iter().all(|r| r.timely));
+        assert!(!gw.has_pending_call());
+        let fired = sim.node_counters(client).timers_fired;
+        assert_eq!(fired, 10, "one issue timer per request");
+        // Past every give-up the answered calls armed.
+        sim.run_until(Instant::from_secs(15));
+        assert_eq!(sim.node_counters(client).timers_fired, fired);
+    }
+
     /// The passive handler of earlier AQuA work (§2) on the one client:
     /// `StaticK { k: 1 }` asks the first replica by id, the primary, and a
     /// retry armed far past any live reply resends a request only when the

@@ -313,6 +313,11 @@ impl ServerGateway {
         self.core.queue_len()
     }
 
+    /// Whether no request is queued or in service.
+    pub fn is_idle(&self) -> bool {
+        self.core.is_idle()
+    }
+
     /// Registered performance-update subscribers.
     pub fn subscribers(&self) -> &[NodeId] {
         &self.subscribers

@@ -22,7 +22,7 @@ mod view;
 pub use coordinator::{FailureDetectorConfig, GroupCoordinator, MembershipAgent};
 pub use view::{Member, Role, View};
 
-use lan_sim::Payload;
+use lan_sim::{Payload, Plane};
 
 /// The wire format of a multicast group: control traffic plus application
 /// payloads of type `A`.
@@ -54,6 +54,13 @@ impl<A: Payload> Payload for GroupMsg<A> {
             GroupMsg::Leave { .. } => 16,
             GroupMsg::Heartbeat => 16,
             GroupMsg::ViewChange(v) => 32 + 24 * v.members.len(),
+        }
+    }
+
+    fn plane(&self) -> Plane {
+        match self {
+            GroupMsg::App(a) => a.plane(),
+            _ => Plane::Group,
         }
     }
 }

@@ -52,6 +52,8 @@ pub(crate) struct Scheduled<M> {
     /// scheduling order, making runs fully deterministic.
     pub seq: u64,
     pub target: NodeId,
+    /// An application-plane message counted in flight until it is popped.
+    pub app: bool,
     pub event: Event<M>,
 }
 
@@ -80,6 +82,7 @@ mod tests {
             at: Instant::from_millis(at_ms),
             seq,
             target: NodeId::new(0),
+            app: false,
             event: Event::Started,
         };
         let mut queue = CalendarQueue::new();

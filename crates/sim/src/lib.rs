@@ -46,4 +46,21 @@ pub trait Payload: Clone + std::fmt::Debug + 'static {
     fn wire_size(&self) -> usize {
         64
     }
+
+    /// The plane the message travels on: the application's by default.
+    fn plane(&self) -> Plane {
+        Plane::App
+    }
+}
+
+/// Which traffic a message belongs to. The classic engine counts the
+/// application plane's messages in flight
+/// ([`Simulation::app_in_flight`]), so that a harness can stop a run once
+/// nothing is left that could change its outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Plane {
+    /// Application traffic: requests, replies and what rides with them.
+    App,
+    /// Group-membership traffic: joins, leaves, heartbeats and views.
+    Group,
 }

@@ -9,8 +9,9 @@ use rand::rngs::SmallRng;
 
 use crate::event::{Event, Scheduled, TimerToken};
 use crate::network::NetworkModel;
+use crate::topology::DROP_DELAY;
 use crate::trace::{TraceEvent, Tracer};
-use crate::Payload;
+use crate::{Payload, Plane};
 
 /// Identifier of a node within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -153,17 +154,27 @@ pub(crate) struct SimCore<M> {
     pub detached: Vec<bool>,
     /// Trace ring + per-node counters.
     pub tracer: Tracer,
+    /// Application-plane messages queued to land less than
+    /// [`DROP_DELAY`] after they were sent: the ones in flight.
+    pub app_in_flight: u64,
 }
 
 impl<M> SimCore<M> {
+    /// Queues a start or a timer.
     #[aqua::hot_path]
     pub(crate) fn push(&mut self, at: Instant, target: NodeId, event: Event<M>) {
+        self.push_entry(at, target, event, false);
+    }
+
+    #[aqua::hot_path]
+    fn push_entry(&mut self, at: Instant, target: NodeId, event: Event<M>, app: bool) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled {
             at,
             seq,
             target,
+            app,
             event,
         });
     }
@@ -181,6 +192,19 @@ impl<M> SimCore<M> {
     #[aqua::hot_path]
     pub(crate) fn is_detached(&self, node: NodeId) -> bool {
         self.detached.get(node.0 as usize).copied().unwrap_or(false)
+    }
+}
+
+impl<M: Payload> SimCore<M> {
+    /// Queues the delivery of `payload` from `from` to `to` at `at`. An
+    /// application-plane message counts as in flight unless it is due
+    /// [`DROP_DELAY`] or more ahead: that is how a dropped one is modelled.
+    #[aqua::hot_path]
+    pub(crate) fn push_message(&mut self, at: Instant, from: NodeId, to: NodeId, payload: M) {
+        let app =
+            payload.plane() == Plane::App && at.saturating_duration_since(self.now) < DROP_DELAY;
+        self.app_in_flight += u64::from(app);
+        self.push_entry(at, to, Event::Message { from, payload }, app);
     }
 }
 
@@ -208,12 +232,12 @@ impl<M: Payload> ContextCore<M> for SimCore<M> {
                 deliver_at: at,
             },
         );
-        self.push(at, to, Event::Message { from, payload });
+        self.push_message(at, from, to, payload);
     }
 
     fn send_self(&mut self, from: NodeId, after: Duration, payload: M) {
         let at = self.now.saturating_add(after);
-        self.push(at, from, Event::Message { from, payload });
+        self.push_message(at, from, from, payload);
     }
 
     fn set_timer(&mut self, node: NodeId, after: Duration) -> TimerToken {

@@ -84,6 +84,7 @@ impl<M: Payload> Simulation<M> {
                 rng: SmallRng::seed_from_u64(seed),
                 detached: Vec::new(),
                 tracer: Default::default(),
+                app_in_flight: 0,
             },
             nodes: Vec::new(),
             started: false,
@@ -222,7 +223,7 @@ impl<M: Payload> Simulation<M> {
     /// Injects a message from `from` to `to` at absolute time `at`,
     /// bypassing the network model. Intended for tests and harnesses.
     pub fn schedule_message(&mut self, at: Instant, from: NodeId, to: NodeId, payload: M) {
-        self.core.push(at, to, Event::Message { from, payload });
+        self.core.push_message(at, from, to, payload);
     }
 
     /// Immutable, downcast access to a node's state.
@@ -286,6 +287,7 @@ impl<M: Payload> Simulation<M> {
                 "time must not move backwards"
             );
             self.core.now = scheduled.at;
+            self.core.app_in_flight -= u64::from(scheduled.app);
 
             // Drop cancelled timers and deliveries to detached nodes.
             if let Event::Timer { token } = &scheduled.event {
@@ -341,6 +343,39 @@ impl<M: Payload> Simulation<M> {
         self.ensure_started();
         while self.step_bounded(Some(deadline)) {}
         self.core.now = self.core.now.max(deadline);
+    }
+
+    /// Runs until `deadline` like [`Simulation::run_until`], or until
+    /// `settled` holds after an event that leaves no application-plane
+    /// message in flight ([`Simulation::app_in_flight`]). Returns whether
+    /// the run settled; if it did, `now()` is the instant of the event it
+    /// settled on, and later events stay queued.
+    ///
+    /// `settled` sees the nodes after each such event, so it can ask
+    /// whether any of them still has application work to do (a call
+    /// waiting, a job in service). A harness that stops here has processed
+    /// every application event of the run.
+    pub fn run_until_settled(
+        &mut self,
+        deadline: Instant,
+        mut settled: impl FnMut(&Self) -> bool,
+    ) -> bool {
+        self.ensure_started();
+        while self.step_bounded(Some(deadline)) {
+            if self.core.app_in_flight == 0 && settled(self) {
+                return true;
+            }
+        }
+        self.core.now = self.core.now.max(deadline);
+        false
+    }
+
+    /// Application-plane messages ([`Payload::plane`]) sent or injected
+    /// and not yet delivered, leaving out those due
+    /// [`crate::topology::DROP_DELAY`] or more after they were sent: a
+    /// network that drops a message delivers it that late instead.
+    pub fn app_in_flight(&self) -> u64 {
+        self.core.app_in_flight
     }
 
     /// Runs for `span` of virtual time from the current instant.
@@ -662,6 +697,86 @@ mod tests {
         assert!(events
             .iter()
             .any(|l| l.contains(r#""event":"node_started""#)));
+    }
+
+    /// `Data` travels on the application plane, `Beat` on the group's.
+    #[derive(Clone, Debug)]
+    enum Planed {
+        Data,
+        Beat,
+    }
+
+    impl Payload for Planed {
+        fn plane(&self) -> crate::Plane {
+            match self {
+                Planed::Data => crate::Plane::App,
+                Planed::Beat => crate::Plane::Group,
+            }
+        }
+    }
+
+    /// Counts the `Data` it receives.
+    #[derive(Default)]
+    struct Sink {
+        data: u32,
+    }
+
+    impl Node<Planed> for Sink {
+        fn on_event(&mut self, event: Event<Planed>, _: &mut Context<'_, Planed>) {
+            if let Event::Message {
+                payload: Planed::Data,
+                ..
+            } = event
+            {
+                self.data += 1;
+            }
+        }
+    }
+
+    /// Two `Data` due at 5 and 9 ms, one dropped (due a day ahead), and
+    /// `Beat`s at 7 and 20 ms, all from `a` to `b`.
+    fn planes() -> (Simulation<Planed>, NodeId) {
+        let mut sim = Simulation::<Planed>::new(1);
+        let a = sim.add_node(Sink::default());
+        let b = sim.add_node(Sink::default());
+        for (at_ms, payload) in [
+            (5, Planed::Data),
+            (7, Planed::Beat),
+            (9, Planed::Data),
+            (20, Planed::Beat),
+        ] {
+            sim.schedule_message(Instant::from_millis(at_ms), a, b, payload);
+        }
+        let dropped = Instant::EPOCH.saturating_add(crate::topology::DROP_DELAY);
+        sim.schedule_message(dropped, a, b, Planed::Data);
+        (sim, b)
+    }
+
+    #[test]
+    fn only_application_messages_that_will_land_are_in_flight() {
+        let (mut sim, _) = planes();
+        assert_eq!(sim.app_in_flight(), 2);
+        sim.run_until(Instant::from_millis(5));
+        assert_eq!(sim.app_in_flight(), 1);
+        sim.run_until(Instant::from_millis(30));
+        assert_eq!(sim.app_in_flight(), 0, "the dropped one never counted");
+    }
+
+    #[test]
+    fn a_run_settles_at_its_last_application_event() {
+        // Asked only once nothing is in flight: after the second `Data`.
+        let (mut sim, b) = planes();
+        assert!(sim.run_until_settled(Instant::from_secs(1), |_| true));
+        assert_eq!(sim.now(), Instant::from_millis(9));
+        assert_eq!(sim.node::<Sink>(b).unwrap().data, 2);
+        // A predicate that never holds runs to the deadline.
+        let (mut sim, _) = planes();
+        assert!(!sim.run_until_settled(Instant::from_millis(30), |_| false));
+        assert_eq!(sim.now(), Instant::from_millis(30));
+        // Nor does a run settle before the deadline it is given.
+        let (mut sim, _) = planes();
+        assert!(!sim.run_until_settled(Instant::from_millis(6), |_| true));
+        assert_eq!(sim.now(), Instant::from_millis(6));
     }
 
     #[test]

@@ -258,7 +258,9 @@ pub struct ExperimentConfig {
     /// Fault plan injected over the run (crashes, pauses, degradation,
     /// network trouble); instantiated with [`ExperimentConfig::seed`].
     pub faults: FaultPlan,
-    /// Virtual-time budget; the run also stops when all clients finish.
+    /// Virtual-time budget: the cap on a run. A run that drains first
+    /// stops at its last application event (see
+    /// [`crate::ExperimentReport::ended_at`]).
     pub max_virtual_time: Duration,
 }
 

@@ -84,7 +84,12 @@ impl ClientReport {
 pub struct ExperimentReport {
     /// Per-client summaries, in config order.
     pub clients: Vec<ClientReport>,
-    /// Virtual time when the run ended.
+    /// Virtual time when the run ended: the instant of its last
+    /// application event, when every client had finished with no call
+    /// waiting, every replica was idle and no application message was in
+    /// flight; or [`ExperimentConfig::max_virtual_time`] if the budget ran
+    /// out first. Only group traffic (heartbeats, sweeps, views) would run
+    /// past it, and that changes no record and no handler counter.
     pub ended_at: Instant,
     /// Total messages sent over the simulated network.
     pub messages: u64,
@@ -123,8 +128,8 @@ impl ExperimentReport {
     }
 }
 
-/// Builds and runs an experiment to completion (all clients finished or the
-/// virtual-time budget exhausted).
+/// Builds and runs an experiment to completion: to its last application
+/// event, or to the end of the virtual-time budget if that comes first.
 ///
 /// # Examples
 ///
@@ -158,180 +163,222 @@ pub fn run_experiment_observed(
     config: &ExperimentConfig,
     obs: Option<&aqua_obs::Obs>,
 ) -> ExperimentReport {
-    let schedule = config.faults.instantiate(config.seed);
-    let mut sim: Simulation<Wire> = {
-        let network = config.network.build();
-        // Simulation::with_network takes the model by value; box-dyn via a
-        // small adapter below. Network-scoped faults (delay spikes, drops,
-        // partitions) wrap the model; replica-scoped faults are applied by
-        // each server gateway from its own copy of the schedule.
-        let faulty = FaultyNetwork {
-            inner: BoxedNetwork(network),
-            schedule: schedule.clone(),
-            replica_nodes: config.servers.len() + config.standby_servers.len(),
-        };
-        Simulation::with_network(config.seed, faulty)
-    };
-    if obs.is_some() {
-        sim.enable_trace(4096);
-    }
-
-    let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
-        FailureDetectorConfig::default(),
-    ));
-
-    let server_config =
-        |i: usize, server: &crate::config::ServerSpec, standby: bool| ServerConfig {
-            replica: ReplicaId::new(i as u64),
-            coordinator,
-            group: FailureDetectorConfig::default(),
-            service: server.service.clone(),
-            method_services: server.method_services.clone(),
-            load: server.load.clone(),
-            crash: server.crash,
-            recover_after: server.recover_after,
-            standby,
-            reply_size: 8,
-            faults: (!schedule.is_empty()).then(|| schedule.clone()),
-        };
-    let mut server_nodes: Vec<NodeId> = Vec::new();
-    for (i, server) in config.servers.iter().enumerate() {
-        let cfg = server_config(i, server, false);
-        server_nodes.push(sim.add_node(ServerGateway::new(cfg)));
-    }
-    let mut standby_nodes = Vec::new();
-    for (i, server) in config.standby_servers.iter().enumerate() {
-        let cfg = server_config(config.servers.len() + i, server, true);
-        standby_nodes.push(sim.add_node(ServerGateway::new(cfg)));
-    }
-    let mut manager_node = None;
-    if let Some(manager) = &config.manager {
-        let mut node = aqua_gateway::DependabilityManager::new(aqua_gateway::ManagerConfig {
-            coordinator,
-            group: FailureDetectorConfig::default(),
-            target_replication: manager.target_replication,
-            standbys: standby_nodes.clone(),
-            check_interval: manager.check_interval,
-            startup_grace: Duration::from_secs(1),
-            supervision: manager.supervision,
-        });
-        if let Some(obs) = obs {
-            node = node.with_obs(obs);
-        }
-        manager_node = Some(sim.add_node(node));
-    }
-
-    let mut client_nodes: Vec<NodeId> = Vec::new();
-    for (i, client) in config.clients.iter().enumerate() {
-        let cfg = ClientConfig {
-            coordinator,
-            group: FailureDetectorConfig::default(),
-            qos: client.qos,
-            window: client.window,
-            arrivals: client.arrivals,
-            think_time: client.think_time,
-            num_requests: Some(client.num_requests),
-            start_after: client.start_after,
-            request_size: 16,
-            give_up_after: Duration::from_secs(5),
-            methods: client.methods.clone(),
-            probe_stale_after: client.probe_stale_after,
-            renegotiate_to: client.renegotiate_to,
-            retry_after: client.retry_after,
-            // Clients report to (and take directives from) the manager
-            // only when it actually supervises.
-            manager: manager_node
-                .filter(|_| config.manager.is_some_and(|m| m.supervision.is_some())),
-            calibration: client.calibration,
-        };
-        let strategy = client.strategy.build(config.seed.wrapping_add(i as u64));
-        let mut gateway = ClientGateway::new(cfg, strategy);
-        if let Some(obs) = obs {
-            gateway = gateway.with_obs(obs, i as u64);
-            if !schedule.is_empty() {
-                // Spans carry the stable ids of overlapping fault windows,
-                // matching the `fault` events journalled at the end of the
-                // run — the forensics analyzer joins on them.
-                gateway = gateway.with_fault_windows(schedule.windows());
-            }
-        }
-        client_nodes.push(sim.add_node(gateway));
-    }
-
-    // Run in slices until every client reports finished (or time is up).
-    let deadline = Instant::EPOCH + config.max_virtual_time;
-    loop {
-        let slice_end = (sim.now() + Duration::from_secs(1)).min(deadline);
-        sim.run_until(slice_end);
-        let all_done = client_nodes.iter().all(|n| {
-            sim.node::<ClientGateway>(*n)
-                .is_some_and(|c| c.is_finished())
-        });
-        if all_done || sim.now() >= deadline {
-            break;
-        }
-    }
-    // Let in-flight replies land so records are complete.
-    sim.run_until(sim.now() + Duration::from_secs(8));
-
+    let mut run = Run::build(config, obs);
+    run.drain(Instant::EPOCH + config.max_virtual_time);
     if let Some(obs) = obs {
-        for node in &client_nodes {
-            if let Some(gw) = sim.node_mut::<ClientGateway>(*node) {
+        run.finish_observability(obs);
+    }
+    run.report()
+}
+
+/// A built experiment: the simulation and the nodes its report reads.
+struct Run {
+    sim: Simulation<Wire>,
+    schedule: FaultSchedule,
+    coordinator: NodeId,
+    /// Servers, then standbys.
+    replicas: Vec<NodeId>,
+    manager: Option<NodeId>,
+    clients: Vec<NodeId>,
+}
+
+impl Run {
+    fn build(config: &ExperimentConfig, obs: Option<&aqua_obs::Obs>) -> Run {
+        let schedule = config.faults.instantiate(config.seed);
+        let mut sim: Simulation<Wire> = {
+            let network = config.network.build();
+            // Simulation::with_network takes the model by value; box-dyn via
+            // a small adapter below. Network-scoped faults (delay spikes,
+            // drops, partitions) wrap the model; replica-scoped faults are
+            // applied by each server gateway from its own copy of the
+            // schedule.
+            let faulty = FaultyNetwork {
+                inner: BoxedNetwork(network),
+                schedule: schedule.clone(),
+                replica_nodes: config.servers.len() + config.standby_servers.len(),
+            };
+            Simulation::with_network(config.seed, faulty)
+        };
+        if obs.is_some() {
+            sim.enable_trace(4096);
+        }
+
+        let coordinator = sim.add_node(GroupCoordinator::<AquaMsg>::new(
+            FailureDetectorConfig::default(),
+        ));
+
+        let server_config =
+            |i: usize, server: &crate::config::ServerSpec, standby: bool| ServerConfig {
+                replica: ReplicaId::new(i as u64),
+                coordinator,
+                group: FailureDetectorConfig::default(),
+                service: server.service.clone(),
+                method_services: server.method_services.clone(),
+                load: server.load.clone(),
+                crash: server.crash,
+                recover_after: server.recover_after,
+                standby,
+                reply_size: 8,
+                faults: (!schedule.is_empty()).then(|| schedule.clone()),
+            };
+        let mut replicas: Vec<NodeId> = Vec::new();
+        for (i, server) in config.servers.iter().enumerate() {
+            let cfg = server_config(i, server, false);
+            replicas.push(sim.add_node(ServerGateway::new(cfg)));
+        }
+        let standby_nodes: Vec<NodeId> = (config.servers.len()..)
+            .zip(&config.standby_servers)
+            .map(|(i, server)| sim.add_node(ServerGateway::new(server_config(i, server, true))))
+            .collect();
+        replicas.extend(&standby_nodes);
+        let mut manager_node = None;
+        if let Some(manager) = &config.manager {
+            let mut node = aqua_gateway::DependabilityManager::new(aqua_gateway::ManagerConfig {
+                coordinator,
+                group: FailureDetectorConfig::default(),
+                target_replication: manager.target_replication,
+                standbys: standby_nodes,
+                check_interval: manager.check_interval,
+                startup_grace: Duration::from_secs(1),
+                supervision: manager.supervision,
+            });
+            if let Some(obs) = obs {
+                node = node.with_obs(obs);
+            }
+            manager_node = Some(sim.add_node(node));
+        }
+
+        let mut client_nodes: Vec<NodeId> = Vec::new();
+        for (i, client) in config.clients.iter().enumerate() {
+            let cfg = ClientConfig {
+                coordinator,
+                group: FailureDetectorConfig::default(),
+                qos: client.qos,
+                window: client.window,
+                arrivals: client.arrivals,
+                think_time: client.think_time,
+                num_requests: Some(client.num_requests),
+                start_after: client.start_after,
+                request_size: 16,
+                give_up_after: Duration::from_secs(5),
+                methods: client.methods.clone(),
+                probe_stale_after: client.probe_stale_after,
+                renegotiate_to: client.renegotiate_to,
+                retry_after: client.retry_after,
+                // Clients report to (and take directives from) the manager
+                // only when it actually supervises.
+                manager: manager_node
+                    .filter(|_| config.manager.is_some_and(|m| m.supervision.is_some())),
+                calibration: client.calibration,
+            };
+            let strategy = client.strategy.build(config.seed.wrapping_add(i as u64));
+            let mut gateway = ClientGateway::new(cfg, strategy);
+            if let Some(obs) = obs {
+                gateway = gateway.with_obs(obs, i as u64);
+                if !schedule.is_empty() {
+                    // Spans carry the stable ids of overlapping fault
+                    // windows, matching the `fault` events journalled at
+                    // the end of the run — the forensics analyzer joins on
+                    // them.
+                    gateway = gateway.with_fault_windows(schedule.windows());
+                }
+            }
+            client_nodes.push(sim.add_node(gateway));
+        }
+        Run {
+            sim,
+            schedule,
+            coordinator,
+            replicas,
+            manager: manager_node,
+            clients: client_nodes,
+        }
+    }
+
+    /// Runs to the last application event, or to `deadline` if that comes
+    /// first; returns whether the run drained. Drained means every client
+    /// finished with no call waiting, every replica idle and no
+    /// application message in flight: late redundant replies and
+    /// performance updates have landed, so records and handler counters
+    /// are complete. Past that instant only group traffic runs, which
+    /// changes neither.
+    fn drain(&mut self, deadline: Instant) -> bool {
+        let (clients, replicas) = (&self.clients, &self.replicas);
+        self.sim.run_until_settled(deadline, |sim| {
+            clients.iter().all(|n| {
+                sim.node::<ClientGateway>(*n)
+                    .is_some_and(|c| c.is_finished() && !c.has_pending_call())
+            }) && replicas.iter().all(|n| {
+                sim.node::<ServerGateway>(*n)
+                    .is_some_and(ServerGateway::is_idle)
+            })
+        })
+    }
+
+    /// Flushes the clients' spans and bridges the simulator's counters,
+    /// trace ring and fault timeline into `obs`.
+    fn finish_observability(&mut self, obs: &aqua_obs::Obs) {
+        for node in &self.clients {
+            if let Some(gw) = self.sim.node_mut::<ClientGateway>(*node) {
                 gw.finish_observability();
             }
         }
-        sim.export_obs(obs);
-        // The schedule is a pure function of time, so the whole fault
-        // timeline up to the end of the run can be journalled in one pass.
-        aqua_faults::emit_fault_events(obs, &schedule, sim.now());
+        self.sim.export_obs(obs);
+        // The schedule is a pure function of time, so every window the run
+        // saw open can be journalled in one pass.
+        aqua_faults::emit_fault_events(obs, &self.schedule, self.sim.now());
     }
 
-    let clients = client_nodes
-        .iter()
-        .enumerate()
-        .map(|(index, node)| {
-            let gw = sim
-                .node::<ClientGateway>(*node)
-                .expect("client node exists");
-            let handler = gw.handler().expect("client started");
-            let records = gw.records().to_vec();
-            let failures = records.iter().filter(|r| !r.timely).count();
-            let failure_probability = if records.is_empty() {
-                0.0
-            } else {
-                failures as f64 / records.len() as f64
-            };
-            ClientReport {
-                index,
-                strategy: handler.strategy_name(),
-                stats: handler.stats(),
-                callbacks: handler.stats().callbacks,
-                failure_probability,
-                records,
-            }
-        })
-        .collect();
+    fn report(&self) -> ExperimentReport {
+        let sim = &self.sim;
+        let clients = self
+            .clients
+            .iter()
+            .enumerate()
+            .map(|(index, node)| {
+                let gw = sim
+                    .node::<ClientGateway>(*node)
+                    .expect("client node exists");
+                let handler = gw.handler().expect("client started");
+                let records = gw.records().to_vec();
+                let failures = records.iter().filter(|r| !r.timely).count();
+                let failure_probability = if records.is_empty() {
+                    0.0
+                } else {
+                    failures as f64 / records.len() as f64
+                };
+                ClientReport {
+                    index,
+                    strategy: handler.strategy_name(),
+                    stats: handler.stats(),
+                    callbacks: handler.stats().callbacks,
+                    failure_probability,
+                    records,
+                }
+            })
+            .collect();
 
-    let mut work = RoleWork {
-        coordinator: sim.node_counters(coordinator),
-        ..RoleWork::default()
-    };
-    for node in server_nodes.iter().chain(&standby_nodes) {
-        add_counters(&mut work.servers, sim.node_counters(*node));
-    }
-    if let Some(node) = manager_node {
-        work.manager = sim.node_counters(node);
-    }
-    for node in &client_nodes {
-        add_counters(&mut work.clients, sim.node_counters(*node));
-    }
+        let mut work = RoleWork {
+            coordinator: sim.node_counters(self.coordinator),
+            ..RoleWork::default()
+        };
+        for node in &self.replicas {
+            add_counters(&mut work.servers, sim.node_counters(*node));
+        }
+        if let Some(node) = self.manager {
+            work.manager = sim.node_counters(node);
+        }
+        for node in &self.clients {
+            add_counters(&mut work.clients, sim.node_counters(*node));
+        }
 
-    ExperimentReport {
-        clients,
-        ended_at: sim.now(),
-        messages: sim.messages_sent(),
-        events: sim.events_processed(),
-        work,
+        ExperimentReport {
+            clients,
+            ended_at: sim.now(),
+            messages: sim.messages_sent(),
+            events: sim.events_processed(),
+            work,
+        }
     }
 }
 
@@ -431,6 +478,59 @@ mod tests {
             faults: aqua_faults::FaultPlan::new(),
             max_virtual_time: Duration::from_secs(120),
         }
+    }
+
+    /// Drains `config`'s run, then continues it for 8 s more of virtual
+    /// time: no record, no handler counter and no view may move.
+    fn assert_drained(config: &ExperimentConfig) {
+        let mut run = Run::build(config, None);
+        assert!(run.drain(Instant::EPOCH + config.max_virtual_time));
+        let views = |run: &Run| {
+            run.sim
+                .node::<GroupCoordinator<AquaMsg>>(run.coordinator)
+                .expect("the coordinator")
+                .views_installed()
+        };
+        let (drained, views_drained) = (run.report(), views(&run));
+        run.sim.run_for(Duration::from_secs(8));
+        let (later, views_later) = (run.report(), views(&run));
+        assert!(later.events > drained.events, "group traffic runs on");
+        for (drained, later) in drained.clients.iter().zip(&later.clients) {
+            assert_eq!(drained.records, later.records, "client {}", drained.index);
+            assert_eq!(drained.stats, later.stats, "client {}", drained.index);
+        }
+        assert_eq!(views_drained, views_later, "no view after the drain");
+        let delivered = |report: &ExperimentReport| report.work.clients.delivered;
+        assert_eq!(
+            delivered(&drained),
+            delivered(&later),
+            "nothing reached a client"
+        );
+    }
+
+    #[test]
+    fn a_paper_run_drains_at_its_last_application_event() {
+        let qos = QosSpec::new(ms(120), 0.9).unwrap();
+        assert_drained(&ExperimentConfig::paper(qos, 2));
+    }
+
+    /// The seed-47 fault mix of `tests/fault_injection.rs`: a crash, a
+    /// degradation and message drops on three of four replicas, with the
+    /// retry armed at 300 ms.
+    #[test]
+    fn a_faulty_run_drains_at_its_last_application_event() {
+        let qos = QosSpec::new(ms(200), 0.9).unwrap();
+        let mut config = quick_config(qos, 4, 20, 47);
+        for (i, server) in config.servers.iter_mut().enumerate() {
+            server.service = ServiceTimeModel::Deterministic(ms(20 + 20 * i as u64));
+        }
+        config.clients[0].think_time = ms(200);
+        config.clients[0].retry_after = Some(ms(300));
+        config.faults = aqua_faults::FaultPlan::new()
+            .crash_recover(1, Instant::from_secs(2), Duration::from_secs(1))
+            .degrade(2, Instant::from_secs(1), Duration::from_secs(4), 3.0)
+            .drop_messages(3, Instant::from_secs(1), Duration::from_secs(5), 0.3);
+        assert_drained(&config);
     }
 
     #[test]
