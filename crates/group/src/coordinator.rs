@@ -142,7 +142,7 @@ where
             (Some(heard), None) => {
                 let now = ctx.now();
                 let due = self.tick_after(heard.saturating_add(self.config.timeout).max(now));
-                self.sweep = Some(ctx.set_timer(due.saturating_duration_since(now)));
+                self.sweep = Some(ctx.set_group_timer(due.saturating_duration_since(now)));
             }
             _ => {}
         }
@@ -245,11 +245,11 @@ where
         let coordinator = &mut self.0;
         match event {
             Event::Started => {
-                ctx.set_timer(coordinator.config.check_interval);
+                ctx.set_group_timer(coordinator.config.check_interval);
             }
             Event::Timer { .. } => {
                 coordinator.sweep_suspects(ctx);
-                ctx.set_timer(coordinator.config.check_interval);
+                ctx.set_group_timer(coordinator.config.check_interval);
             }
             Event::Message { from, payload } => coordinator.on_message(from, payload, ctx),
         }
@@ -303,7 +303,7 @@ impl MembershipAgent {
     {
         ctx.send(self.coordinator, GroupMsg::Join { member: self.me });
         if self.me.role == Role::Server {
-            self.heartbeat_timer = Some(ctx.set_timer(self.heartbeat_interval));
+            self.heartbeat_timer = Some(ctx.set_group_timer(self.heartbeat_interval));
         }
     }
 
@@ -322,7 +322,7 @@ impl MembershipAgent {
         }
         if self.alive {
             ctx.send(self.coordinator, GroupMsg::Heartbeat);
-            self.heartbeat_timer = Some(ctx.set_timer(self.heartbeat_interval));
+            self.heartbeat_timer = Some(ctx.set_group_timer(self.heartbeat_interval));
         }
         true
     }

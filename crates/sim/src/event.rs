@@ -52,9 +52,21 @@ pub(crate) struct Scheduled<M> {
     /// scheduling order, making runs fully deterministic.
     pub seq: u64,
     pub target: NodeId,
-    /// An application-plane message counted in flight until it is popped.
-    pub app: bool,
+    pub class: Class,
     pub event: Event<M>,
+}
+
+/// How [`crate::Simulation::run_until_settled`] treats a queued event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// An application-plane message that will land: in flight until it is
+    /// popped.
+    InFlight,
+    /// Any other application event: a start, a timer, a message a network
+    /// dropped.
+    App,
+    /// A group-plane message or timer, which cannot settle a run.
+    Group,
 }
 
 /// The classic engine has one sequence for the whole simulation, so every
@@ -82,7 +94,7 @@ mod tests {
             at: Instant::from_millis(at_ms),
             seq,
             target: NodeId::new(0),
-            app: false,
+            class: Class::App,
             event: Event::Started,
         };
         let mut queue = CalendarQueue::new();

@@ -7,7 +7,7 @@ use aqua_core::aqua;
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 
-use crate::event::{Event, Scheduled, TimerToken};
+use crate::event::{Class, Event, Scheduled, TimerToken};
 use crate::network::NetworkModel;
 use crate::topology::DROP_DELAY;
 use crate::trace::{TraceEvent, Tracer};
@@ -96,7 +96,7 @@ pub(crate) trait ContextCore<M> {
     /// Self-delivery after `after`, bypassing the network.
     fn send_self(&mut self, from: NodeId, after: Duration, payload: M);
     /// Arms a timer on `node`.
-    fn set_timer(&mut self, node: NodeId, after: Duration) -> TimerToken;
+    fn set_timer(&mut self, node: NodeId, after: Duration, plane: Plane) -> TimerToken;
     /// Cancels a pending timer on `node`.
     fn cancel_timer(&mut self, node: NodeId, token: TimerToken);
     /// Detaches `node` (simulated crash).
@@ -160,21 +160,21 @@ pub(crate) struct SimCore<M> {
 }
 
 impl<M> SimCore<M> {
-    /// Queues a start or a timer.
+    /// Queues a start.
     #[aqua::hot_path]
     pub(crate) fn push(&mut self, at: Instant, target: NodeId, event: Event<M>) {
-        self.push_entry(at, target, event, false);
+        self.push_entry(at, target, event, Class::App);
     }
 
     #[aqua::hot_path]
-    fn push_entry(&mut self, at: Instant, target: NodeId, event: Event<M>, app: bool) {
+    fn push_entry(&mut self, at: Instant, target: NodeId, event: Event<M>, class: Class) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled {
             at,
             seq,
             target,
-            app,
+            class,
             event,
         });
     }
@@ -201,10 +201,13 @@ impl<M: Payload> SimCore<M> {
     /// [`DROP_DELAY`] or more ahead: that is how a dropped one is modelled.
     #[aqua::hot_path]
     pub(crate) fn push_message(&mut self, at: Instant, from: NodeId, to: NodeId, payload: M) {
-        let app =
-            payload.plane() == Plane::App && at.saturating_duration_since(self.now) < DROP_DELAY;
-        self.app_in_flight += u64::from(app);
-        self.push_entry(at, to, Event::Message { from, payload }, app);
+        let class = match payload.plane() {
+            Plane::Group => Class::Group,
+            Plane::App if at.saturating_duration_since(self.now) < DROP_DELAY => Class::InFlight,
+            Plane::App => Class::App,
+        };
+        self.app_in_flight += u64::from(class == Class::InFlight);
+        self.push_entry(at, to, Event::Message { from, payload }, class);
     }
 }
 
@@ -240,11 +243,15 @@ impl<M: Payload> ContextCore<M> for SimCore<M> {
         self.push_message(at, from, from, payload);
     }
 
-    fn set_timer(&mut self, node: NodeId, after: Duration) -> TimerToken {
+    fn set_timer(&mut self, node: NodeId, after: Duration, plane: Plane) -> TimerToken {
         let token = TimerToken(self.next_timer);
         self.next_timer += 1;
         let at = self.now.saturating_add(after);
-        self.push(at, node, Event::Timer { token });
+        let class = match plane {
+            Plane::App => Class::App,
+            Plane::Group => Class::Group,
+        };
+        self.push_entry(at, node, Event::Timer { token }, class);
         token
     }
 
@@ -312,7 +319,14 @@ impl<M: Payload> Context<'_, M> {
 
     /// Sets a timer that fires on this node after `after`.
     pub fn set_timer(&mut self, after: Duration) -> TimerToken {
-        self.ops.set_timer(self.self_id, after)
+        self.ops.set_timer(self.self_id, after, Plane::App)
+    }
+
+    /// [`Context::set_timer`] for a timer of the group plane (a heartbeat,
+    /// a failure detector's sweep): like a group-plane message, its firing
+    /// cannot settle a run ([`crate::Simulation::run_until_settled`]).
+    pub fn set_group_timer(&mut self, after: Duration) -> TimerToken {
+        self.ops.set_timer(self.self_id, after, Plane::Group)
     }
 
     /// Cancels a pending timer; firing events for it are dropped.

@@ -49,7 +49,7 @@ use crate::node::{AnyNode, BitSet, Context, ContextCore, NodeId};
 use crate::queue::{CalendarQueue, EventKey, Keyed};
 use crate::topology::{GeoTopology, LinkFaultHook};
 use crate::trace::{NodeCounters, TraceEvent, TraceRecord, Tracer};
-use crate::Payload;
+use crate::{Payload, Plane};
 
 /// Horizon sentinel meaning "no work left / deadline passed: stop".
 const STOP: u64 = u64::MAX;
@@ -288,7 +288,7 @@ impl<M: Payload> ContextCore<M> for ShardCore<'_, '_, M> {
             .push(ShardScheduled::new(key, from, Body::Message(payload)));
     }
 
-    fn set_timer(&mut self, node: NodeId, after: Duration) -> TimerToken {
+    fn set_timer(&mut self, node: NodeId, after: Duration, _plane: Plane) -> TimerToken {
         let at = self.now.saturating_add(after);
         let local = self.local_mut(node);
         let slot = local.next_timer;

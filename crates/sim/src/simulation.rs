@@ -7,7 +7,7 @@ use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::event::{Event, Scheduled};
+use crate::event::{Class, Event, Scheduled};
 use crate::network::{InstantNetwork, NetworkModel};
 use crate::node::{AnyNode, BitSet, Context, NodeId, SimCore};
 use crate::queue::CalendarQueue;
@@ -62,6 +62,9 @@ pub struct Simulation<M: Payload> {
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
     started: bool,
     events_processed: u64,
+    /// Whether an event that could settle a run (any but a group-plane
+    /// one) was popped since [`Simulation::run_until_settled`] last asked.
+    settling: bool,
 }
 
 impl<M: Payload> Simulation<M> {
@@ -89,6 +92,7 @@ impl<M: Payload> Simulation<M> {
             nodes: Vec::new(),
             started: false,
             events_processed: 0,
+            settling: false,
         }
     }
 
@@ -287,7 +291,8 @@ impl<M: Payload> Simulation<M> {
                 "time must not move backwards"
             );
             self.core.now = scheduled.at;
-            self.core.app_in_flight -= u64::from(scheduled.app);
+            self.core.app_in_flight -= u64::from(scheduled.class == Class::InFlight);
+            self.settling |= scheduled.class != Class::Group;
 
             // Drop cancelled timers and deliveries to detached nodes.
             if let Event::Timer { token } = &scheduled.event {
@@ -353,17 +358,27 @@ impl<M: Payload> Simulation<M> {
     ///
     /// `settled` sees the nodes after each such event, so it can ask
     /// whether any of them still has application work to do (a call
-    /// waiting, a job in service). A harness that stops here has processed
-    /// every application event of the run.
+    /// waiting, a job in service). It is not asked after a group-plane
+    /// message or timer ([`Payload::plane`], [`Context::set_group_timer`]):
+    /// a node must not finish its application work on one. A harness that
+    /// stops here has processed every application event of the run.
     pub fn run_until_settled(
         &mut self,
         deadline: Instant,
         mut settled: impl FnMut(&Self) -> bool,
     ) -> bool {
         self.ensure_started();
-        while self.step_bounded(Some(deadline)) {
-            if self.core.app_in_flight == 0 && settled(self) {
-                return true;
+        self.settling = false;
+        loop {
+            let stepped = self.step_bounded(Some(deadline));
+            if self.settling && self.core.app_in_flight == 0 {
+                self.settling = false;
+                if settled(self) {
+                    return true;
+                }
+            }
+            if !stepped {
+                break;
             }
         }
         self.core.now = self.core.now.max(deadline);
@@ -700,6 +715,7 @@ mod tests {
     }
 
     /// `Data` travels on the application plane, `Beat` on the group's.
+    /// (`Beat`s reach a [`Sink`] only after every `Data`.)
     #[derive(Clone, Debug)]
     enum Planed {
         Data,
@@ -777,6 +793,11 @@ mod tests {
         let (mut sim, _) = planes();
         assert!(!sim.run_until_settled(Instant::from_millis(6), |_| true));
         assert_eq!(sim.now(), Instant::from_millis(6));
+        // Nor on a group-plane event: the `Beat` at 20 ms is not asked.
+        let (mut sim, _) = planes();
+        let late = |sim: &Simulation<Planed>| sim.now() >= Instant::from_millis(10);
+        assert!(!sim.run_until_settled(Instant::from_secs(1), late));
+        assert_eq!(sim.now(), Instant::from_secs(1));
     }
 
     #[test]
