@@ -56,14 +56,9 @@ pub fn run_cell_observed(
 
 /// Runs the full sweep, averaging each cell over `seeds`, and returns the
 /// reproduction of Figure 4 (average replicas selected) and Figure 5
-/// (observed timing-failure probability).
-pub fn run_paper_sweep(seeds: &[u64]) -> (Figure, Figure) {
-    run_paper_sweep_observed(seeds, None)
-}
-
-/// [`run_paper_sweep`] with optional observability: all cells of the sweep
-/// feed one [`aqua_obs::Obs`] handle, so the resulting snapshot aggregates
-/// the whole grid.
+/// (observed timing-failure probability). With `obs`, all cells of the
+/// sweep feed one [`aqua_obs::Obs`] handle, so the resulting snapshot
+/// aggregates the whole grid.
 pub fn run_paper_sweep_observed(seeds: &[u64], obs: Option<&aqua_obs::Obs>) -> (Figure, Figure) {
     let mut fig4 = Figure::new(
         "Figure 4: Comparison of the number of selected replicas",
