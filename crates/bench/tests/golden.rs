@@ -267,7 +267,7 @@ fn chaos_projection() -> String {
 /// them: `Pc`, seed, deadline, then the simulator's work — events
 /// processed, messages sent, the virtual time the run ended at, and the
 /// timers fired and messages delivered at the coordinator, the servers
-/// and the clients (the grid runs no manager).
+/// and the clients.
 fn paper_grid_counts() -> String {
     let mut out = String::from(
         "# pc seed deadline_ms events messages ended_at_ns \

@@ -303,7 +303,7 @@ mod tests {
     }
 
     /// Delivers `node`'s join, as a server, to `coord` at `at_ms`. (The
-    /// default detector the next tests run sweeps every 50 ms and
+    /// default detector the next tests run sweeps on a 50 ms grid and
     /// suspects a server silent for more than 200 ms.)
     fn join(sim: &mut Simulation<GroupMsg<NoApp>>, at_ms: u64, node: NodeId, coord: NodeId) {
         let member = Member::server(node, ReplicaId::new(node.index().into()));

@@ -53,10 +53,10 @@ pub trait Payload: Clone + std::fmt::Debug + 'static {
     }
 }
 
-/// Which traffic a message belongs to. The classic engine counts the
-/// application plane's messages in flight
-/// ([`Simulation::app_in_flight`]), so that a harness can stop a run once
-/// nothing is left that could change its outputs.
+/// Which traffic a message or a timer belongs to. The classic engine
+/// counts the application plane's messages in flight, so that a harness
+/// can stop a run once nothing is left that could change its outputs
+/// ([`Simulation::run_until_settled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Plane {
     /// Application traffic: requests, replies and what rides with them.

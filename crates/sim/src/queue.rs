@@ -35,8 +35,8 @@
 //!
 //! The slab grows in chunks of [`CHUNK_SLOTS`] slots, and frees nothing
 //! until the queue is dropped: its size is the pending set's high-water
-//! mark, rounded up to a chunk. The first chunk alone starts at
-//! [`FIRST_CHUNK_SLOTS`] and doubles up to a whole chunk, so a queue that
+//! mark, rounded up to a chunk. The first chunk alone starts at 64 slots
+//! and doubles up to a whole chunk, so a queue that
 //! never holds many events never reserves many slots; later chunks are
 //! allocated whole and never reallocated.
 
@@ -60,7 +60,7 @@ const CHUNK_SHIFT: u32 = 10;
 /// Slots in one slab chunk.
 pub const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
 /// Slots the first slab chunk reserves before it first doubles.
-pub const FIRST_CHUNK_SLOTS: usize = 64;
+const FIRST_CHUNK_SLOTS: usize = 64;
 
 /// The queue's total order: time, then the node that created the event,
 /// then that node's private sequence number.

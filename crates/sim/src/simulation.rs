@@ -352,7 +352,9 @@ impl<M: Payload> Simulation<M> {
 
     /// Runs until `deadline` like [`Simulation::run_until`], or until
     /// `settled` holds after an event that leaves no application-plane
-    /// message in flight ([`Simulation::app_in_flight`]). Returns whether
+    /// message in flight. A message counts from its send until it is
+    /// popped, unless it is due [`crate::topology::DROP_DELAY`] or more
+    /// after it was sent: that is how a network drops one. Returns whether
     /// the run settled; if it did, `now()` is the instant of the event it
     /// settled on, and later events stay queued.
     ///
@@ -385,11 +387,10 @@ impl<M: Payload> Simulation<M> {
         false
     }
 
-    /// Application-plane messages ([`Payload::plane`]) sent or injected
-    /// and not yet delivered, leaving out those due
-    /// [`crate::topology::DROP_DELAY`] or more after they were sent: a
-    /// network that drops a message delivers it that late instead.
-    pub fn app_in_flight(&self) -> u64 {
+    /// Application-plane messages sent or injected and not yet popped,
+    /// leaving out dropped ones.
+    #[cfg(test)]
+    fn app_in_flight(&self) -> u64 {
         self.core.app_in_flight
     }
 

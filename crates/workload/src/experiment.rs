@@ -99,16 +99,14 @@ pub struct ExperimentReport {
     pub work: RoleWork,
 }
 
-/// The simulator's per-node counters summed by the role a node plays:
-/// where a run's events went.
+/// The simulator's per-node counters summed over the coordinator, the
+/// replicas and the clients: where a run's events went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoleWork {
     /// The group coordinator.
     pub coordinator: NodeCounters,
     /// Every replica host, standbys included.
     pub servers: NodeCounters,
-    /// The dependability manager, when one runs.
-    pub manager: NodeCounters,
     /// Every client gateway.
     pub clients: NodeCounters,
 }
@@ -178,7 +176,6 @@ struct Run {
     coordinator: NodeId,
     /// Servers, then standbys.
     replicas: Vec<NodeId>,
-    manager: Option<NodeId>,
     clients: Vec<NodeId>,
 }
 
@@ -290,7 +287,6 @@ impl Run {
             schedule,
             coordinator,
             replicas,
-            manager: manager_node,
             clients: client_nodes,
         }
     }
@@ -364,9 +360,6 @@ impl Run {
         };
         for node in &self.replicas {
             add_counters(&mut work.servers, sim.node_counters(*node));
-        }
-        if let Some(node) = self.manager {
-            work.manager = sim.node_counters(node);
         }
         for node in &self.clients {
             add_counters(&mut work.clients, sim.node_counters(*node));
