@@ -47,7 +47,10 @@ impl Default for FailureDetectorConfig {
 /// server: it fires at the first tick of the `check_interval` grid at
 /// which the stalest server could have been silent past `timeout`, sweeps
 /// as a sweep on every tick would, and re-arms. The ticks between, where
-/// no server could be evicted, are skipped.
+/// no server could be evicted, are skipped. One order can differ: armed
+/// ahead, the timer runs before another event of its tick that was
+/// scheduled after it, where the sweep on every tick ran after any
+/// scheduled before the tick before it (DESIGN §7).
 #[derive(Debug)]
 pub struct GroupCoordinator<A> {
     config: FailureDetectorConfig,

@@ -36,9 +36,9 @@
 //! The slab grows in chunks of [`CHUNK_SLOTS`] slots, and frees nothing
 //! until the queue is dropped: its size is the pending set's high-water
 //! mark, rounded up to a chunk. The first chunk alone starts at 64 slots
-//! and doubles up to a whole chunk, so a queue that
-//! never holds many events never reserves many slots; later chunks are
-//! allocated whole and never reallocated.
+//! and doubles up to a whole chunk, so a queue that never holds many
+//! events never reserves many slots; later chunks are allocated whole and
+//! never reallocated.
 
 use core::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -716,7 +716,6 @@ mod tests {
     }
 
     /// `Data` travels on the application plane, `Beat` on the group's.
-    /// (`Beat`s reach a [`Sink`] only after every `Data`.)
     #[derive(Clone, Debug)]
     enum Planed {
         Data,

@@ -8,6 +8,7 @@ use aqua_gateway::{
     Wire,
 };
 use aqua_group::{FailureDetectorConfig, GroupCoordinator};
+use lan_sim::topology::DROP_DELAY;
 use lan_sim::{NodeCounters, NodeId, Simulation};
 
 use crate::config::ExperimentConfig;
@@ -392,14 +393,11 @@ impl lan_sim::NetworkModel for BoxedNetwork {
     }
 }
 
-/// A delay that outlives any experiment's virtual-time budget: how the
-/// simulator realizes a dropped or partitioned-away message, since the
-/// network contract is "every message eventually arrives".
-const DROPPED: Duration = Duration::from_secs(86_400);
-
 /// Network model wrapper applying the fault schedule's network-scoped
 /// faults: delay spikes scale and pad the base delay, and drop/one-way
-/// partition faults turn the message into a [`DROPPED`] straggler.
+/// partition faults turn the message into a [`DROP_DELAY`] straggler, the
+/// engine's sign of a dropped message (the network contract is "every
+/// message eventually arrives"), which it does not count in flight.
 struct FaultyNetwork {
     inner: BoxedNetwork,
     schedule: FaultSchedule,
@@ -434,7 +432,7 @@ impl lan_sim::NetworkModel for FaultyNetwork {
         }
         let (from, to) = (self.replica_of(from), self.replica_of(to));
         if self.schedule.should_drop(from, to, now) {
-            return DROPPED;
+            return DROP_DELAY;
         }
         let (factor, pad) = self.schedule.delay_mod(from, to, now);
         base.mul_f64(factor).saturating_add(pad)
