@@ -96,7 +96,7 @@ pub struct ExperimentReport {
     pub messages: u64,
     /// Total simulation events processed.
     pub events: u64,
-    /// Timers fired and messages delivered, summed per role.
+    /// The simulator's per-node counters, summed per role.
     pub work: RoleWork,
 }
 
