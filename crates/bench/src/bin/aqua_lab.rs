@@ -326,7 +326,6 @@ fn build_config(opts: &Options) -> ExperimentConfig {
             .collect(),
         manager: (opts.standbys > 0).then_some(aqua_workload::ManagerSpec {
             target_replication: opts.replicas,
-            check_interval: ms(200),
             supervision: None,
         }),
         clients,

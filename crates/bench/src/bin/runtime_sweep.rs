@@ -82,7 +82,6 @@ fn main() {
                     min: Duration::ZERO,
                 },
                 seed: 500 + i,
-                crash_after: None,
                 faults: None,
                 obs: obs.as_ref().map(|(obs, _)| obs.clone()),
             })

@@ -73,7 +73,6 @@ fn soak_calibration() -> CalibrationConfig {
         window: 24,
         cooldown: 2,
         replica_alerts: true,
-        ..CalibrationConfig::default()
     }
 }
 
@@ -171,7 +170,6 @@ fn overload_backoff(seed: u64) -> Scenario {
             standby_servers: Vec::new(),
             manager: Some(ManagerSpec {
                 target_replication: 4,
-                check_interval: ms(200),
                 supervision: Some(SupervisionConfig {
                     policy: SupervisorConfig {
                         min_replication: 2,
@@ -247,7 +245,6 @@ fn rolling_restart(seed: u64) -> Scenario {
             standby_servers: vec![ServerSpec::paper()],
             manager: Some(ManagerSpec {
                 target_replication: 2,
-                check_interval: ms(200),
                 supervision: Some(SupervisionConfig {
                     policy: SupervisorConfig {
                         min_replication: 2,
@@ -340,7 +337,6 @@ fn correlated_escalation(seed: u64) -> Scenario {
             standby_servers: Vec::new(),
             manager: Some(ManagerSpec {
                 target_replication: 4,
-                check_interval: ms(200),
                 supervision: Some(SupervisionConfig {
                     policy: SupervisorConfig {
                         min_replication: 2,
@@ -358,9 +354,7 @@ fn correlated_escalation(seed: u64) -> Scenario {
                         seed,
                         ..SupervisorConfig::default()
                     },
-                    escalate_pc: 0.8,
                     shed_for: Duration::from_secs(1),
-                    ..SupervisionConfig::default()
                 }),
             }),
             clients: vec![client],

@@ -782,7 +782,6 @@ fn manager() -> Vec<Case> {
                 config.standby_servers = vec![server(70, CrashPlan::Never); 2];
                 config.manager = Some(ManagerSpec {
                     target_replication: 3,
-                    check_interval: ms(200),
                     supervision: None,
                 });
             }

@@ -5,7 +5,8 @@
 //! times are *drawn from* a known distribution, the empirical `F_R(t)` must
 //! converge to the analytic one. This module provides the closed forms
 //! (and an `erf` implementation to power the normal CDF) used by the test
-//! suites and by harness sanity checks.
+//! suites: `tests/calibration.rs` checks the model's `F̂(t)` against them
+//! within the DKW bound.
 
 use crate::time::Duration;
 
@@ -89,43 +90,6 @@ impl AnalyticDistribution for ExponentialDist {
     }
 }
 
-/// A deterministic (degenerate) distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointDist {
-    /// The single value.
-    pub value: Duration,
-}
-
-impl AnalyticDistribution for PointDist {
-    fn cdf(&self, t: Duration) -> f64 {
-        if t >= self.value {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn mean(&self) -> Option<Duration> {
-        Some(self.value)
-    }
-}
-
-/// Closed form of Eq. 1 for `n` i.i.d. replicas: the probability that at
-/// least one of `n` independent replicas with per-replica CDF value `p`
-/// responds in time.
-///
-/// # Examples
-///
-/// ```
-/// use aqua_core::analytic::at_least_one;
-///
-/// assert!((at_least_one(0.5, 2) - 0.75).abs() < 1e-12);
-/// assert_eq!(at_least_one(0.3, 0), 0.0);
-/// ```
-pub fn at_least_one(p: f64, n: usize) -> f64 {
-    1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(n as i32)
-}
-
 /// The minimum number of i.i.d. replicas with per-replica probability `p`
 /// needed so that at least one responds in time with probability ≥ `target`
 /// (∞-safe: returns `None` when `p` ≤ 0 and `target` > 0).
@@ -157,6 +121,13 @@ mod tests {
         Duration::from_millis(v)
     }
 
+    /// Closed form of Eq. 1 for `n` i.i.d. replicas: the probability that
+    /// at least one of `n` independent replicas with per-replica CDF value
+    /// `p` responds in time.
+    fn at_least_one(p: f64, n: usize) -> f64 {
+        1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(n as i32)
+    }
+
     #[test]
     fn erf_reference_values() {
         // Known values to 6 decimals.
@@ -184,13 +155,6 @@ mod tests {
         assert!((dist.cdf(ms(100)) - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
         assert_eq!(dist.cdf(Duration::ZERO), 0.0);
         assert!(dist.cdf(ms(1_000)) > 0.9999);
-    }
-
-    #[test]
-    fn point_cdf_is_a_step() {
-        let dist = PointDist { value: ms(42) };
-        assert_eq!(dist.cdf(ms(41)), 0.0);
-        assert_eq!(dist.cdf(ms(42)), 1.0);
     }
 
     #[test]

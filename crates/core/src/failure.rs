@@ -71,7 +71,6 @@ pub struct TimingFailureDetector {
     total: u64,
     failures: u64,
     notifications: u64,
-    min_samples: u64,
 }
 
 impl TimingFailureDetector {
@@ -82,18 +81,7 @@ impl TimingFailureDetector {
             total: 0,
             failures: 0,
             notifications: 0,
-            min_samples: 1,
         }
-    }
-
-    /// Suppresses callbacks until at least `min_samples` responses have been
-    /// observed, avoiding spurious notifications on the very first requests.
-    /// The paper's handler notifies as soon as the frequency drops, which is
-    /// the default (`min_samples = 1`).
-    #[must_use]
-    pub fn with_min_samples(mut self, min_samples: u64) -> Self {
-        self.min_samples = min_samples.max(1);
-        self
     }
 
     /// The specification currently enforced.
@@ -108,8 +96,7 @@ impl TimingFailureDetector {
             TimingVerdict::Timely
         } else {
             self.failures += 1;
-            let qos_violated =
-                self.total >= self.min_samples && self.timely_rate() < self.qos.min_probability();
+            let qos_violated = self.timely_rate() < self.qos.min_probability();
             if qos_violated {
                 self.notifications += 1;
             }
@@ -222,24 +209,6 @@ mod tests {
         assert!(verdict.should_notify());
         assert_eq!(det.notifications(), 1);
         assert!(det.is_violating());
-    }
-
-    #[test]
-    fn min_samples_defers_notification() {
-        let mut det = TimingFailureDetector::new(spec(100, 0.9)).with_min_samples(10);
-        // The very first response is late: rate 0 < 0.9 but sample count
-        // is below the warm-up threshold.
-        assert_eq!(
-            det.record(Duration::from_millis(500)),
-            TimingVerdict::Failure {
-                qos_violated: false
-            }
-        );
-        for _ in 0..8 {
-            det.record(Duration::from_millis(1));
-        }
-        // 10th sample, late: 8/10 = 0.8 < 0.9 → notify now.
-        assert!(det.record(Duration::from_millis(500)).should_notify());
     }
 
     #[test]

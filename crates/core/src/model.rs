@@ -16,8 +16,8 @@
 //! pipeline ([`ResponseTimeModel::response_cdf`]) never builds `R_i`'s
 //! distribution: it keeps the windows' sample counts and sums, at the
 //! point read, the exact rational `Σ_a s[a] · Wcum[x − T − a] / (|S|·|W|)`.
-//! [`ResponseTimeModel::response_pmf`] still builds the whole pmf for
-//! callers that need one.
+//! [`ResponseTimeModel::response_pmf_with`] still builds the whole pmf
+//! for callers that need one.
 
 use std::borrow::Cow;
 
@@ -89,9 +89,9 @@ pub struct ModelConfig {
     /// Tail mass pruned (then renormalized) from intermediate convolution
     /// products of the whole-distribution pipeline
     /// ([`ResponseTimeModel::response_pmf_with`]), bounding support growth
-    /// in the q-fold `QueueScaled` convolution. `0.0` disables pruning. See
-    /// [`Pmf::prune_tails`] for why values ≤ 1e-12 cannot affect replica
-    /// ranking. The planners' exact tables
+    /// in the q-fold `QueueScaled` convolution. `0.0` disables pruning.
+    /// Values ≤ 1e-12 move the CDF at any deadline by less than the pruned
+    /// mass, so they cannot affect replica ranking. The planners' exact tables
     /// ([`ResponseTimeModel::response_cdf`]) never prune.
     pub prune_epsilon: f64,
 }
@@ -150,21 +150,6 @@ impl ResponseTimeModel {
     /// The active configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.config
-    }
-
-    /// Predicts the full response-time pmf of a replica, or `None` if the
-    /// repository entry does not yet hold enough data (no service-time or
-    /// queuing-delay samples, or no gateway-delay measurement).
-    pub fn response_pmf(&self, stats: &ReplicaStats) -> Option<Pmf> {
-        self.response_pmf_for(stats, None)
-    }
-
-    /// Like [`ResponseTimeModel::response_pmf`] but restricted to one
-    /// method's history when `method` is `Some` and the scope is
-    /// [`MethodScope::PerMethod`].
-    pub fn response_pmf_for(&self, stats: &ReplicaStats, method: Option<MethodId>) -> Option<Pmf> {
-        let mut scratch = ConvScratch::new();
-        self.response_pmf_with(stats, method, &mut scratch)
     }
 
     /// A window's `(bucket, count)` pairs at the model's bucket width: the
@@ -353,19 +338,24 @@ mod tests {
         repo
     }
 
+    /// The whole response pmf, over every method.
+    fn whole(model: &ResponseTimeModel, stats: &ReplicaStats) -> Option<Pmf> {
+        model.response_pmf_with(stats, None, &mut ConvScratch::new())
+    }
+
     #[test]
     fn insufficient_data_yields_none() {
         let model = ResponseTimeModel::default();
         let mut repo = InfoRepository::new(3);
         let r = ReplicaId::new(0);
         repo.insert_replica(r);
-        assert!(model.response_pmf(repo.stats(r).unwrap()).is_none());
+        assert!(whole(&model, repo.stats(r).unwrap()).is_none());
         // Perf but no delay:
         repo.record_perf(r, PerfReport::new(ms(10), ms(0), 0), Instant::EPOCH);
-        assert!(model.response_pmf(repo.stats(r).unwrap()).is_none());
+        assert!(whole(&model, repo.stats(r).unwrap()).is_none());
         // Delay too → warm.
         repo.record_gateway_delay(r, ms(1), Instant::EPOCH);
-        assert!(model.response_pmf(repo.stats(r).unwrap()).is_some());
+        assert!(whole(&model, repo.stats(r).unwrap()).is_some());
     }
 
     #[test]
@@ -373,7 +363,7 @@ mod tests {
         let repo = warm_repo(&[100, 100], &[10, 10], 5);
         let model = ResponseTimeModel::default();
         let stats = repo.stats(ReplicaId::new(0)).unwrap();
-        let pmf = model.response_pmf(stats).unwrap();
+        let pmf = whole(&model, stats).unwrap();
         assert_eq!(pmf.mean(), ms(115));
         assert_eq!(model.probability_by(stats, ms(114)).unwrap(), 0.0);
         assert_eq!(model.probability_by(stats, ms(115)).unwrap(), 1.0);
@@ -397,7 +387,7 @@ mod tests {
         let r = ReplicaId::new(0);
         repo.record_gateway_delay(r, ms(50), Instant::EPOCH);
         let model = ResponseTimeModel::default();
-        let pmf = model.response_pmf(repo.stats(r).unwrap()).unwrap();
+        let pmf = whole(&model, repo.stats(r).unwrap()).unwrap();
         assert_eq!(pmf.mean(), ms(150), "uses latest delay (50), not first (5)");
     }
 
@@ -526,7 +516,7 @@ mod tests {
             ..ModelConfig::default()
         });
         assert_eq!(
-            queue_model.response_pmf(stats).unwrap().mean(),
+            whole(&queue_model, stats).unwrap().mean(),
             ms(70),
             "queue of 0 → no wait term at all"
         );

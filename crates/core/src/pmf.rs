@@ -56,8 +56,8 @@ use crate::time::Duration;
 /// floating-point rounding before it is considered a bug.
 ///
 /// Every pmf is built normalized, but repeated convolutions (up to the
-/// 32-fold queue convolution of the `QueueScaled` estimator), rebucketing
-/// round-trips, and tail pruning each add rounding error on the order of
+/// 32-fold queue convolution of the `QueueScaled` estimator) and tail
+/// pruning each add rounding error on the order of
 /// `len · f64::EPSILON` per pass. Empirically the deepest pipeline the model
 /// runs (window 100, 32-fold convolution, 1 ms buckets) stays within ~1e-13;
 /// `1e-9` leaves three orders of magnitude of headroom while still being far
@@ -196,43 +196,6 @@ impl Pmf {
         })
     }
 
-    /// Builds a pmf from explicit `(duration, weight)` pairs, normalizing
-    /// the weights to sum to one.
-    ///
-    /// Useful for synthetic distributions in tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmfError::EmptySamples`] if no pair has positive weight, or
-    /// [`PmfError::ZeroBucketWidth`] for a zero bucket width.
-    pub fn from_weighted<I>(pairs: I, bucket: Duration) -> Result<Pmf, PmfError>
-    where
-        I: IntoIterator<Item = (Duration, f64)>,
-    {
-        if bucket.is_zero() {
-            return Err(PmfError::ZeroBucketWidth);
-        }
-        let entries: Vec<(u64, f64)> = pairs
-            .into_iter()
-            .filter(|(_, w)| *w > 0.0 && w.is_finite())
-            .map(|(d, w)| (d.as_nanos() / bucket.as_nanos(), w))
-            .collect();
-        if entries.is_empty() {
-            return Err(PmfError::EmptySamples);
-        }
-        let (lo, hi) = index_bounds(entries.iter().map(|(i, _)| *i));
-        let mut probs = vec![0.0; span(lo, hi)];
-        let total: f64 = entries.iter().map(|(_, w)| *w).sum();
-        for (idx, w) in entries {
-            accumulate(&mut probs, (idx - lo) as usize, w / total);
-        }
-        Ok(Pmf {
-            bucket,
-            offset: lo,
-            probs,
-        })
-    }
-
     /// Builds a relative-frequency pmf directly from `(bucket index, count)`
     /// pairs, e.g. the incrementally maintained counts of a
     /// [`crate::window::BucketedWindow`].
@@ -326,11 +289,6 @@ impl Pmf {
             "pmf mass drifted beyond MASS_TOLERANCE: {sum}"
         );
         sum.min(1.0)
-    }
-
-    /// The survival function `P(X > t) = 1 − F(t)`.
-    pub fn prob_gt(&self, t: Duration) -> f64 {
-        (1.0 - self.cdf(t)).max(0.0)
     }
 
     /// Mean of the distribution (using bucket lower edges).
@@ -436,7 +394,7 @@ impl Pmf {
     /// result vector.
     ///
     /// Intermediate products are tail-pruned with `epsilon` (see
-    /// [`Pmf::prune_tails`]; `0.0` disables pruning), bounding the support
+    /// [`prune_in_place`]; `0.0` disables pruning), bounding the support
     /// growth that makes deep convolutions quadratic. `n = 0` yields the
     /// point mass at zero.
     pub fn self_convolve(&self, n: u32, epsilon: f64, scratch: &mut ConvScratch) -> Pmf {
@@ -460,20 +418,6 @@ impl Pmf {
         }
     }
 
-    /// Drops up to `epsilon` of total probability mass from the two tails
-    /// (at most `epsilon / 2` per tail) and renormalizes so the remaining
-    /// mass equals the original.
-    ///
-    /// Bounds the support growth of repeated convolutions: far tails carry
-    /// vanishing mass but widen every subsequent convolution quadratically.
-    /// With `epsilon ≤ 1e-12` the CDF at any deadline moves by less than
-    /// the pruned mass — orders of magnitude below the ≥ 1/l resolution of
-    /// the window estimator — so replica *ranking* is unaffected.
-    /// `epsilon ≤ 0` is a no-op.
-    pub fn prune_tails(&mut self, epsilon: f64) {
-        prune_in_place(&mut self.probs, &mut self.offset, epsilon);
-    }
-
     /// Shifts the distribution right by a constant delay (adding a
     /// deterministic term, e.g. the latest gateway-to-gateway delay).
     ///
@@ -482,44 +426,6 @@ impl Pmf {
     pub fn shift_by(mut self, delay: Duration) -> Pmf {
         self.offset += delay.as_nanos() / self.bucket.as_nanos();
         self
-    }
-
-    /// Re-quantizes the pmf to a different bucket width.
-    ///
-    /// Coarsening (larger buckets) merges mass and makes convolution —
-    /// the dominant cost of the model (Figure 3) — cheaper at the price of
-    /// timing resolution; refining spreads each bucket's mass onto its
-    /// lower edge (no information is invented). Mass is preserved exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmfError::ZeroBucketWidth`] for a zero target width.
-    pub fn rebucket(&self, bucket: Duration) -> Result<Pmf, PmfError> {
-        if bucket.is_zero() {
-            return Err(PmfError::ZeroBucketWidth);
-        }
-        if bucket == self.bucket {
-            return Ok(self.clone());
-        }
-        let old_ns = self.bucket.as_nanos();
-        let new_ns = bucket.as_nanos();
-        let entries = self
-            .probs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p > 0.0)
-            .map(|(i, p)| ((self.offset + i as u64) * old_ns / new_ns, *p));
-        let entries: Vec<(u64, f64)> = entries.collect();
-        let (lo, hi) = index_bounds(entries.iter().map(|(i, _)| *i));
-        let mut probs = vec![0.0; span(lo, hi)];
-        for (idx, p) in entries {
-            accumulate(&mut probs, (idx - lo) as usize, p);
-        }
-        Ok(Pmf {
-            bucket,
-            offset: lo,
-            probs,
-        })
     }
 }
 
@@ -653,6 +559,13 @@ fn accumulate(probs: &mut [f64], idx: usize, w: f64) {
 
 /// Trims ≤ `epsilon / 2` of mass from each tail of `probs` (never below one
 /// bucket) and rescales the survivors so total mass is unchanged.
+///
+/// Bounds the support growth of repeated convolutions: far tails carry
+/// vanishing mass but widen every subsequent convolution quadratically.
+/// With `epsilon ≤ 1e-12` the CDF at any deadline moves by less than the
+/// pruned mass — orders of magnitude below the ≥ 1/l resolution of the
+/// window estimator — so replica *ranking* is unaffected. `epsilon ≤ 0` is
+/// a no-op.
 fn prune_in_place(probs: &mut Vec<f64>, offset: &mut u64, epsilon: f64) {
     if epsilon <= 0.0 || probs.len() <= 1 {
         return;
@@ -1263,7 +1176,7 @@ impl ConvScratch {
     ///
     /// Every product keeps only its buckets up to `bound` (exact there, as
     /// supports are non-negative) and sheds up to `epsilon` of tail mass
-    /// ([`Pmf::prune_tails`]). Exact tables pass `0.0`: they never prune,
+    /// ([`prune_in_place`]). Exact tables pass `0.0`: they never prune,
     /// and their integer weights let them square with [`square_into`].
     fn power(
         &mut self,
@@ -1373,7 +1286,6 @@ mod tests {
         assert_eq!(pmf.cdf(ms(19)), 0.5);
         assert_eq!(pmf.cdf(ms(20)), 1.0);
         assert_eq!(pmf.cdf(ms(1000)), 1.0);
-        assert!((pmf.prob_gt(ms(10)) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1461,55 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn from_weighted_normalizes() {
-        let pmf = Pmf::from_weighted([(ms(1), 1.0), (ms(2), 3.0)], ms(1)).unwrap();
-        assert!((pmf.cdf(ms(1)) - 0.25).abs() < 1e-12);
-        assert!((pmf.mass() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_weighted_ignores_nonpositive_weights() {
-        let pmf = Pmf::from_weighted([(ms(1), -2.0), (ms(2), 0.0), (ms(3), 1.0)], ms(1)).unwrap();
-        assert_eq!(pmf.support_min(), ms(3));
-        assert!(matches!(
-            Pmf::from_weighted([(ms(1), 0.0)], ms(1)).unwrap_err(),
-            PmfError::EmptySamples
-        ));
-    }
-
-    #[test]
-    fn rebucket_coarsens_and_preserves_mass() {
-        let pmf = Pmf::from_samples([ms(10), ms(11), ms(12), ms(19)], ms(1)).unwrap();
-        let coarse = pmf.rebucket(ms(5)).unwrap();
-        assert_eq!(coarse.bucket_width(), ms(5));
-        assert!((coarse.mass() - 1.0).abs() < 1e-12);
-        // 10, 11, 12 land in bucket 2 (= 10 ms); 19 in bucket 3 (= 15 ms).
-        assert!((coarse.cdf(ms(10)) - 0.75).abs() < 1e-12);
-        assert!((coarse.cdf(ms(15)) - 1.0).abs() < 1e-12);
-        // Means agree within one coarse bucket.
-        let diff = pmf.mean().as_millis_f64() - coarse.mean().as_millis_f64();
-        assert!(diff.abs() <= 5.0, "{diff}");
-    }
-
-    #[test]
-    fn rebucket_identity_and_refine() {
-        let pmf = Pmf::from_samples([ms(10), ms(20)], ms(5)).unwrap();
-        assert_eq!(pmf.rebucket(ms(5)).unwrap(), pmf);
-        let fine = pmf.rebucket(ms(1)).unwrap();
-        assert_eq!(fine.cdf(ms(10)), 0.5, "mass stays on lower edges");
-        assert!((fine.mass() - 1.0).abs() < 1e-12);
-        assert!(pmf.rebucket(Duration::ZERO).is_err());
-    }
-
-    #[test]
-    fn rebucket_speeds_up_convolution_support() {
-        let samples: Vec<Duration> = (0..50).map(|i| ms(100 + i * 7)).collect();
-        let fine = Pmf::from_samples(samples, ms(1)).unwrap();
-        let coarse = fine.rebucket(ms(10)).unwrap();
-        assert!(coarse.len() < fine.len() / 5, "support shrank");
-    }
-
-    #[test]
     fn debug_is_informative() {
         let pmf = Pmf::point(ms(2), ms(1)).unwrap();
         let s = format!("{pmf:?}");
@@ -1565,7 +1428,7 @@ mod tests {
 
     #[test]
     fn self_convolve_pruning_preserves_mass_and_cdf() {
-        let pmf = Pmf::from_weighted([(ms(1), 1.0), (ms(2), 1e6), (ms(40), 1.0)], ms(1)).unwrap();
+        let pmf = Pmf::from_bucket_counts([(1, 1), (2, 1_000_000), (40, 1)], ms(1)).unwrap();
         let mut scratch = ConvScratch::new();
         let exact = pmf.self_convolve(8, 0.0, &mut scratch);
         let pruned = pmf.self_convolve(8, 1e-12, &mut scratch);
@@ -1580,32 +1443,30 @@ mod tests {
     }
 
     #[test]
-    fn prune_tails_drops_negligible_tails_only() {
-        let mut pmf = Pmf::from_weighted(
-            [
-                (ms(1), 1e-15),
-                (ms(10), 1.0),
-                (ms(11), 1.0),
-                (ms(90), 1e-15),
-            ],
-            ms(1),
-        )
-        .unwrap();
-        let before = pmf.mass();
-        pmf.prune_tails(1e-12);
-        assert_eq!(pmf.support_min(), ms(10));
-        assert_eq!(pmf.support_max(), ms(11));
-        assert!((pmf.mass() - before).abs() < 1e-15, "mass renormalized");
+    fn pruning_drops_negligible_tails_only() {
+        let mut probs = vec![0.0; 90];
+        probs[0] = 1e-15;
+        probs[9] = 0.5;
+        probs[10] = 0.5;
+        probs[89] = 1e-15;
+        let before: f64 = probs.iter().sum();
+        let mut offset = 1;
+        prune_in_place(&mut probs, &mut offset, 1e-12);
+        assert_eq!((offset, probs.len()), (10, 2), "support is 10..=11 ms");
+        assert!(
+            (probs.iter().sum::<f64>() - before).abs() < 1e-15,
+            "mass renormalized"
+        );
         // A zero epsilon is a no-op.
-        let copy = pmf.clone();
-        pmf.prune_tails(0.0);
-        assert_eq!(pmf, copy);
+        let copy = probs.clone();
+        prune_in_place(&mut probs, &mut offset, 0.0);
+        assert_eq!(probs, copy);
     }
 
     #[test]
-    fn mass_drift_bounded_after_repeated_convolve_rebucket_round_trips() {
+    fn mass_drift_bounded_after_repeated_convolutions() {
         // Regression for the MASS_TOLERANCE contract: a deep pipeline of
-        // convolutions, rebucket round-trips, and pruning must keep the
+        // pruned convolutions must keep the
         // total mass within the documented bound, or the cdf clamp and the
         // quantile slack stop being sound.
         let samples: Vec<Duration> = (0..100).map(|i| ms(50 + (i * 13) % 97)).collect();
@@ -1613,9 +1474,8 @@ mod tests {
         let mut scratch = ConvScratch::new();
         let mut acc = base.self_convolve(32, 1e-12, &mut scratch);
         for _ in 0..8 {
-            acc = acc.rebucket(ms(5)).unwrap().rebucket(ms(1)).unwrap();
             acc = acc.convolve(&base).unwrap();
-            acc.prune_tails(1e-12);
+            prune_in_place(&mut acc.probs, &mut acc.offset, 1e-12);
         }
         let drift = (acc.mass() - 1.0).abs();
         assert!(

@@ -95,8 +95,6 @@ impl std::error::Error for QosError {}
 /// let qos = QosSpec::new(Duration::from_millis(200), 0.9)?;
 /// assert_eq!(qos.deadline(), Duration::from_millis(200));
 /// assert_eq!(qos.min_probability(), 0.9);
-/// // A timing failure rate above 1 − Pc violates the specification.
-/// assert_eq!(qos.max_failure_probability(), 0.09999999999999998);
 /// # Ok(())
 /// # }
 /// ```
@@ -137,31 +135,6 @@ impl QosSpec {
     #[inline]
     pub fn min_probability(self) -> f64 {
         self.min_probability
-    }
-
-    /// The highest tolerable timing-failure probability, `1 − Pc(t)`.
-    #[inline]
-    pub fn max_failure_probability(self) -> f64 {
-        1.0 - self.min_probability
-    }
-
-    /// Returns a copy with a different deadline (runtime renegotiation, §4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QosError::ZeroDeadline`] for a zero deadline.
-    pub fn with_deadline(self, deadline: Duration) -> Result<Self, QosError> {
-        QosSpec::new(deadline, self.min_probability)
-    }
-
-    /// Returns a copy with a different minimum probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QosError::InvalidProbability`] for a probability outside
-    /// `[0, 1]`.
-    pub fn with_min_probability(self, p: f64) -> Result<Self, QosError> {
-        QosSpec::new(self.deadline, p)
     }
 }
 
@@ -217,24 +190,6 @@ mod tests {
             QosSpec::new(Duration::from_millis(1), -0.1).unwrap_err(),
             QosError::InvalidProbability(_)
         ));
-    }
-
-    #[test]
-    fn qos_renegotiation() {
-        let qos = QosSpec::new(Duration::from_millis(100), 0.9).unwrap();
-        let looser = qos.with_deadline(Duration::from_millis(200)).unwrap();
-        assert_eq!(looser.deadline(), Duration::from_millis(200));
-        assert_eq!(looser.min_probability(), 0.9);
-        let weaker = qos.with_min_probability(0.5).unwrap();
-        assert_eq!(weaker.min_probability(), 0.5);
-        assert!(qos.with_deadline(Duration::ZERO).is_err());
-        assert!(qos.with_min_probability(2.0).is_err());
-    }
-
-    #[test]
-    fn failure_budget() {
-        let qos = QosSpec::new(Duration::from_millis(100), 0.75).unwrap();
-        assert!((qos.max_failure_probability() - 0.25).abs() < 1e-12);
     }
 
     #[test]

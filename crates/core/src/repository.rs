@@ -507,19 +507,6 @@ impl InfoRepository {
         self.replicas.retain(|id, _| keep(*id));
     }
 
-    /// Replaces the membership with `view`, dropping state for departed
-    /// replicas and creating blank entries for new ones.
-    pub fn apply_view<I>(&mut self, view: I)
-    where
-        I: IntoIterator<Item = ReplicaId>,
-    {
-        let members: Vec<ReplicaId> = view.into_iter().collect();
-        self.replicas.retain(|id, _| members.contains(id));
-        for id in members {
-            self.insert_replica(id);
-        }
-    }
-
     /// Whether the repository has an entry for `id`.
     pub fn contains(&self, id: ReplicaId) -> bool {
         self.replicas.contains_key(&id)
@@ -684,23 +671,6 @@ mod tests {
         repo.record_perf(ghost, report(1, 1, 1), Instant::EPOCH);
         repo.record_gateway_delay(ghost, ms(1), Instant::EPOCH);
         assert!(!repo.contains(ghost));
-    }
-
-    #[test]
-    fn apply_view_adds_and_removes() {
-        let mut repo = InfoRepository::new(2);
-        let a = ReplicaId::new(1);
-        let b = ReplicaId::new(2);
-        let c = ReplicaId::new(3);
-        repo.insert_replica(a);
-        repo.insert_replica(b);
-        repo.record_perf(a, report(10, 0, 0), Instant::EPOCH);
-        repo.apply_view([a, c]);
-        assert!(repo.contains(a) && repo.contains(c) && !repo.contains(b));
-        assert!(
-            repo.stats(a).unwrap().history(MethodId::DEFAULT).is_some(),
-            "surviving members keep their history"
-        );
     }
 
     #[test]

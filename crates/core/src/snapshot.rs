@@ -216,12 +216,6 @@ impl ReplicaSnapshot {
             .ok()?;
         self.cdfs.get(at).map(|(_, cdf)| cdf)
     }
-
-    /// Number of method slots with a published table.
-    #[inline]
-    pub fn slot_count(&self) -> usize {
-        self.cdfs.len()
-    }
 }
 
 /// An immutable, versioned view of the whole replication group, published
@@ -319,14 +313,6 @@ impl PlanningView {
     #[inline]
     pub fn repository(&self) -> &InfoRepository {
         &self.repository
-    }
-
-    /// Shares the backing repository. A holder keeps it unchanged: the
-    /// publisher that retires this view refills the repository in place
-    /// only while nobody else holds it ([`ViewSpares`]).
-    #[inline]
-    pub fn repository_arc(&self) -> Arc<InfoRepository> {
-        Arc::clone(&self.repository)
     }
 }
 
@@ -693,7 +679,9 @@ mod tests {
         let view = build_view(&repo, &model, 1);
         let cold = view.replica(ReplicaId::new(7)).unwrap();
         assert!(!cold.is_warm());
-        assert_eq!(cold.slot_count(), 0);
+        assert!(cold
+            .table(method_slot(model.config().method_scope, None))
+            .is_none());
         assert!(!view.all_warm());
     }
 

@@ -105,12 +105,6 @@ impl Duration {
         self.0
     }
 
-    /// Returns the duration in whole microseconds, truncating.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration in whole milliseconds, truncating.
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -452,7 +446,7 @@ mod tests {
         let d = Duration::from_secs_f64(0.125);
         assert_eq!(d.as_nanos(), 125_000_000);
         assert!((d.as_secs_f64() - 0.125).abs() < 1e-12);
-        assert_eq!(Duration::from_millis_f64(1.5).as_micros(), 1_500);
+        assert_eq!(Duration::from_millis_f64(1.5).as_nanos(), 1_500_000);
     }
 
     #[test]

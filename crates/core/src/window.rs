@@ -36,8 +36,6 @@ pub struct SlidingWindow<T> {
     capacity: usize,
     /// Index of the oldest sample once the buffer has wrapped.
     head: usize,
-    /// Total number of samples ever pushed (for diagnostics).
-    pushed: u64,
 }
 
 impl<T> SlidingWindow<T> {
@@ -53,7 +51,6 @@ impl<T> SlidingWindow<T> {
             samples: Vec::with_capacity(capacity),
             capacity,
             head: 0,
-            pushed: 0,
         }
     }
 
@@ -75,18 +72,6 @@ impl<T> SlidingWindow<T> {
         self.samples.is_empty()
     }
 
-    /// Returns `true` once the window holds `capacity` samples.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.samples.len() == self.capacity
-    }
-
-    /// Total number of samples ever pushed, including evicted ones.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Records a new sample, evicting the oldest if the window is full.
     pub fn push(&mut self, sample: T) {
         let _ = self.push_evicting(sample);
@@ -98,7 +83,6 @@ impl<T> SlidingWindow<T> {
     /// rescanning the window.
     #[aqua::hot_path]
     pub fn push_evicting(&mut self, sample: T) -> Option<T> {
-        self.pushed += 1;
         if self.samples.len() < self.capacity {
             self.samples.push(sample);
             None
@@ -146,39 +130,6 @@ impl<T> SlidingWindow<T> {
         self.samples.clear();
         self.head = 0;
     }
-
-    /// Grows or shrinks the capacity, keeping the newest samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0, "sliding window capacity must be positive");
-        let kept: Vec<T> = {
-            let mut ordered: Vec<T> = Vec::with_capacity(self.samples.len());
-            // Drain in oldest→newest order.
-            let len = self.samples.len();
-            let head = self.head;
-            let mut tmp: Vec<Option<T>> = self.samples.drain(..).map(Some).collect();
-            for i in 0..len {
-                let idx = if len == self.capacity {
-                    (head + i) % len
-                } else {
-                    i
-                };
-                if let Some(sample) = tmp.get_mut(idx).and_then(Option::take) {
-                    ordered.push(sample);
-                }
-            }
-            debug_assert_eq!(ordered.len(), len, "each slot drained exactly once");
-            let skip = ordered.len().saturating_sub(capacity);
-            ordered.drain(..skip);
-            ordered
-        };
-        self.capacity = capacity;
-        self.samples = kept;
-        self.head = 0;
-    }
 }
 
 impl<T: Clone> Clone for SlidingWindow<T> {
@@ -187,7 +138,6 @@ impl<T: Clone> Clone for SlidingWindow<T> {
             samples: self.samples.clone(),
             capacity: self.capacity,
             head: self.head,
-            pushed: self.pushed,
         }
     }
 
@@ -197,7 +147,6 @@ impl<T: Clone> Clone for SlidingWindow<T> {
         self.samples.clone_from(&source.samples);
         self.capacity = source.capacity;
         self.head = source.head;
-        self.pushed = source.pushed;
     }
 }
 
@@ -340,8 +289,8 @@ impl BucketedWindow {
         &self.counts
     }
 
-    /// The mutation generation: strictly increases on every `push`,
-    /// `clear`, or `set_capacity`.
+    /// The mutation generation: strictly increases on every `push` or
+    /// `clear`.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -365,21 +314,9 @@ impl BucketedWindow {
         self.samples.is_empty()
     }
 
-    /// Returns `true` once the window holds `capacity` samples.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.samples.is_full()
-    }
-
     /// The most recently pushed sample, if any.
     pub fn latest(&self) -> Option<Duration> {
         self.samples.latest().copied()
-    }
-
-    /// Total samples ever pushed, including evicted ones.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.samples.total_pushed()
     }
 
     /// Records a sample: a binary search and at most one shift of the
@@ -408,22 +345,6 @@ impl BucketedWindow {
         self.generation += 1;
         self.samples.clear();
         self.counts.clear();
-    }
-
-    /// Grows or shrinks the capacity, keeping the newest samples and
-    /// rebuilding the counts to match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.generation += 1;
-        self.samples.set_capacity(capacity);
-        self.counts.clear();
-        let bucket_ns = self.bucket.as_nanos();
-        for sample in self.samples.iter() {
-            count_sample(&mut self.counts, sample.as_nanos() / bucket_ns);
-        }
     }
 }
 
@@ -475,17 +396,14 @@ mod tests {
         assert!(w.is_empty());
         w.push(1);
         w.push(2);
-        assert!(!w.is_full());
         assert_eq!(w.oldest(), Some(&1));
         w.push(3);
-        assert!(w.is_full());
         w.push(4);
         w.push(5);
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![3, 4, 5]);
         assert_eq!(w.latest(), Some(&5));
         assert_eq!(w.oldest(), Some(&3));
         assert_eq!(w.len(), 3);
-        assert_eq!(w.total_pushed(), 5);
     }
 
     #[test]
@@ -518,27 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_capacity_keeps_newest() {
-        let mut w = SlidingWindow::new(5);
-        w.extend([1, 2, 3, 4, 5, 6]); // retained: 2..=6
-        w.set_capacity(3);
-        assert_eq!(w.capacity(), 3);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![4, 5, 6]);
-        w.push(7);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![5, 6, 7]);
-    }
-
-    #[test]
-    fn grow_capacity_keeps_order() {
-        let mut w = SlidingWindow::new(2);
-        w.extend([1, 2, 3]); // retained: 2, 3
-        w.set_capacity(4);
-        w.push(4);
-        w.push(5);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
     fn iter_is_exact_size() {
         let mut w = SlidingWindow::new(3);
         w.extend([1, 2, 3, 4]);
@@ -562,7 +459,6 @@ mod tests {
         assert_eq!(w.push_evicting(3), Some(1));
         assert_eq!(w.push_evicting(4), Some(2));
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(w.total_pushed(), 4);
     }
 
     mod bucketed {
@@ -615,22 +511,16 @@ mod tests {
             let g1 = w.generation();
             assert!(g1 > g0);
             w.clear();
-            let g2 = w.generation();
-            assert!(g2 > g1);
-            w.set_capacity(4);
-            assert!(w.generation() > g2);
+            assert!(w.generation() > g1);
         }
 
         #[test]
-        fn clear_and_set_capacity_keep_counts_consistent() {
+        fn clear_keeps_counts_consistent() {
             let mut w = BucketedWindow::new(4, ms(2));
             for d in [ms(1), ms(2), ms(3), ms(8), ms(9)] {
                 w.push(d);
             }
             assert_counts_consistent(&w);
-            w.set_capacity(2);
-            assert_counts_consistent(&w);
-            assert_eq!(w.len(), 2, "newest two survive the shrink");
             w.clear();
             assert!(w.is_empty());
             assert_eq!(w.bucket_counts().count(), 0);
@@ -677,7 +567,6 @@ mod tests {
         enum Op {
             Push(u64),
             Clear,
-            SetCapacity(usize),
         }
 
         use proptest::prelude::*;
@@ -689,12 +578,11 @@ mod tests {
                     prop_oneof![
                         12 => (0u64..40).prop_map(Op::Push),
                         1 => Just(Op::Clear),
-                        1 => (1usize..12).prop_map(Op::SetCapacity),
                     ],
                     1..200,
                 ),
             ) {
-                let mut capacity = 6;
+                let capacity = 6;
                 let mut w = BucketedWindow::new(capacity, ms(2));
                 let mut shadow = Shadow::default();
                 for op in ops {
@@ -707,10 +595,6 @@ mod tests {
                         Op::Clear => {
                             w.clear();
                             shadow = Shadow::default();
-                        }
-                        Op::SetCapacity(c) => {
-                            w.set_capacity(c);
-                            capacity = c;
                         }
                     }
                     shadow.evict_to(capacity);

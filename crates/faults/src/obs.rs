@@ -111,7 +111,7 @@ mod tests {
     fn edges_are_emitted_once_in_order() {
         let schedule = FaultPlan::new()
             .pause(2, Instant::from_secs(2), Duration::from_millis(500))
-            .crash_forever(0, Instant::from_secs(3))
+            .crash_recover(0, Instant::from_secs(3), Duration::MAX)
             .instantiate(7);
         let (obs, reader) = Obs::in_memory();
         let mut tracker = FaultTracker::new(schedule.specs().len());
@@ -177,7 +177,7 @@ mod tests {
     fn a_window_open_at_the_end_is_emitted_whole() {
         let schedule = FaultPlan::new()
             .degrade(1, Instant::from_secs(1), Duration::from_secs(4), 2.0)
-            .crash_forever(0, Instant::from_secs(2))
+            .crash_recover(0, Instant::from_secs(2), Duration::MAX)
             .pause(2, Instant::from_secs(4), Duration::from_secs(1))
             .instantiate(7);
         let (obs, reader) = Obs::in_memory();

@@ -168,16 +168,6 @@ impl FaultPlan {
         })
     }
 
-    /// Replica `r` crashes at `at` and never comes back (the paper's model).
-    pub fn crash_forever(self, r: impl Into<ReplicaId>, at: Instant) -> Self {
-        self.with(FaultSpec {
-            replica: Some(r.into()),
-            kind: FaultKind::Crash,
-            start: at,
-            duration: Duration::MAX,
-        })
-    }
-
     /// Replica `r` stalls (queued work survives) for `duration` from `at`.
     pub fn pause(self, r: impl Into<ReplicaId>, at: Instant, duration: Duration) -> Self {
         self.with(FaultSpec {
@@ -228,24 +218,6 @@ impl FaultPlan {
                 factor,
                 extra: Duration::ZERO,
             },
-            start: at,
-            duration,
-        })
-    }
-
-    /// Delay spike on links touching replica `r`: scaled by `factor` plus a
-    /// flat `extra`.
-    pub fn delay_spike(
-        self,
-        r: impl Into<ReplicaId>,
-        at: Instant,
-        duration: Duration,
-        factor: f64,
-        extra: Duration,
-    ) -> Self {
-        self.with(FaultSpec {
-            replica: Some(r.into()),
-            kind: FaultKind::DelaySpike { factor, extra },
             start: at,
             duration,
         })

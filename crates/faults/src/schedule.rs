@@ -329,7 +329,9 @@ mod tests {
 
     #[test]
     fn crash_forever_saturates() {
-        let s = FaultPlan::new().crash_forever(0, at(10)).instantiate(1);
+        let s = FaultPlan::new()
+            .crash_recover(0, at(10), Duration::MAX)
+            .instantiate(1);
         assert!(s.is_down(rid(0), Instant::from_secs(1_000_000)));
         // A saturated window edge is not a usable transition.
         assert_eq!(s.next_transition_after(at(10)), None);
@@ -374,7 +376,15 @@ mod tests {
     fn delay_spikes_scale_and_pad() {
         let s = FaultPlan::new()
             .delay_spike_all(at(0), ms(100), 4.0)
-            .delay_spike(5, at(0), ms(100), 1.0, ms(20))
+            .with(FaultSpec {
+                replica: Some(rid(5)),
+                kind: FaultKind::DelaySpike {
+                    factor: 1.0,
+                    extra: ms(20),
+                },
+                start: at(0),
+                duration: ms(100),
+            })
             .instantiate(1);
         // Network-wide spec matches any endpoint pair.
         assert_eq!(s.delay_mod(None, None, at(10)), (4.0, Duration::ZERO));

@@ -27,6 +27,16 @@ use crate::proto::{AquaMsg, RequestId, Wire};
 /// A constant keeps the host's clock out of a seeded run.
 const MODELLED_OVERHEAD: Duration = Duration::from_nanos(1_500);
 
+/// Delay before a client's first request: lets the group form.
+const START_AFTER: Duration = Duration::from_millis(500);
+
+/// Request payload size in bytes.
+const REQUEST_SIZE: u32 = 16;
+
+/// A request still unanswered this long after it was sent gives up: every
+/// replica it asked may have crashed before replying.
+pub(crate) const GIVE_UP_AFTER: Duration = Duration::from_secs(5);
+
 /// How a client paces its requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
@@ -56,8 +66,6 @@ pub enum ArrivalModel {
 pub struct ClientConfig {
     /// The group coordinator node.
     pub coordinator: NodeId,
-    /// Group cadence parameters.
-    pub group: FailureDetectorConfig,
     /// The client's QoS specification.
     pub qos: QosSpec,
     /// Sliding-window size `l` for the information repository.
@@ -69,13 +77,6 @@ pub struct ClientConfig {
     pub think_time: Duration,
     /// Stop after this many requests (paper: 50 per run); `None` = endless.
     pub num_requests: Option<u64>,
-    /// Delay before the first request (lets the group form).
-    pub start_after: Duration,
-    /// Request payload size in bytes.
-    pub request_size: u32,
-    /// Give up on a request this long after sending it (handles the case
-    /// where every selected replica crashed before replying).
-    pub give_up_after: Duration,
     /// Method ids cycled across requests (multi-interface extension; a
     /// single-entry vector reproduces the paper's single-method service).
     pub methods: Vec<MethodId>,
@@ -86,7 +87,7 @@ pub struct ClientConfig {
     pub renegotiate_to: Option<QosSpec>,
     /// If set, a request still unanswered this long after being issued
     /// multicasts a sibling attempt over the replicas not yet asked (see
-    /// [`Call`]); armed only when shorter than `give_up_after`. A view
+    /// [`Call`]); armed only when shorter than the give-up. A view
     /// that evicts every replica the request asked brings it forward.
     pub retry_after: Option<Duration>,
     /// The dependability manager's node, when an elastic supervisor runs:
@@ -106,15 +107,11 @@ impl ClientConfig {
     pub fn paper(coordinator: NodeId, qos: QosSpec) -> Self {
         ClientConfig {
             coordinator,
-            group: FailureDetectorConfig::default(),
             qos,
             window: 5,
             arrivals: ArrivalModel::ClosedLoop,
             think_time: Duration::from_secs(1),
             num_requests: Some(50),
-            start_after: Duration::from_millis(500),
-            request_size: 16,
-            give_up_after: Duration::from_secs(5),
             methods: vec![MethodId::DEFAULT],
             probe_stale_after: None,
             renegotiate_to: None,
@@ -339,14 +336,14 @@ impl ClientGateway {
         } else {
             self.config.methods[(self.issued as usize) % self.config.methods.len()]
         };
-        let (give_up_after, retry_after) = (self.config.give_up_after, self.config.retry_after);
+        let retry_after = self.config.retry_after;
         let Some((mut call, plan)) =
-            Call::start(self.live(), now, method, give_up_after, retry_after)
+            Call::start(self.live(), now, method, GIVE_UP_AFTER, retry_after)
         else {
             return IssueResult::NoServers;
         };
         // An empty multicast means selection raced a view change.
-        if !self.send(ctx, &mut call, &plan, self.config.request_size) {
+        if !self.send(ctx, &mut call, &plan, REQUEST_SIZE) {
             return IssueResult::NoServers;
         }
         self.issued += 1;
@@ -402,7 +399,7 @@ impl ClientGateway {
     fn on_deadline(&mut self, mut call: Call, ctx: &mut Context<'_, Wire>) {
         match call.on_deadline(self.live(), ctx.now()) {
             Step::Send(retry) => {
-                self.send(ctx, &mut call, &retry, self.config.request_size);
+                self.send(ctx, &mut call, &retry, REQUEST_SIZE);
                 if let Some(rec) = self.records.iter_mut().find(|r| r.seq == call.seq()) {
                     rec.redundancy = call.redundancy();
                 }
@@ -503,8 +500,7 @@ impl ClientGateway {
             let now = ctx.now();
             let stale = self.live().stale_replicas(now, staleness);
             for replica in stale {
-                let (mut call, plan) =
-                    Call::probe(self.live(), now, replica, self.config.give_up_after);
+                let (mut call, plan) = Call::probe(self.live(), now, replica, GIVE_UP_AFTER);
                 self.send(ctx, &mut call, &plan, 0);
                 self.wait(ctx, call);
             }
@@ -670,12 +666,11 @@ impl Node<Wire> for ClientGateway {
                 self.handler = Some(handler);
                 self.finished = false;
                 let me = Member::client(ctx.self_id());
-                let mut agent =
-                    MembershipAgent::new(self.config.coordinator, me, self.config.group);
+                let group = FailureDetectorConfig::default();
+                let mut agent = MembershipAgent::new(self.config.coordinator, me, group);
                 agent.on_started(ctx);
                 self.agent = Some(agent);
-                let start_after = self.config.start_after;
-                self.schedule(ctx, start_after, TimerKind::IssueRequest);
+                self.schedule(ctx, START_AFTER, TimerKind::IssueRequest);
                 if let Some(interval) = self.config.probe_stale_after {
                     self.schedule(ctx, interval, TimerKind::ProbeCheck);
                 }

@@ -1448,7 +1448,6 @@ mod tests {
     mod reference {
         use super::*;
         use crate::concurrent::repo_ops::{all_configs, apply, op, METHODS, POOL};
-        use aqua_core::scheduler::ColdStartPolicy;
         use proptest::prelude::*;
 
         proptest! {
@@ -1487,49 +1486,44 @@ mod tests {
                     .map(|(id, _)| id)
                     .collect();
                 for config in all_configs() {
-                    for cold_start in [ColdStartPolicy::SelectAll, ColdStartPolicy::Optimistic(0.5)] {
-                        let strategy = || ModelBased::new(config).with_cold_start(cold_start);
-                        let reference = |exclude: &[ReplicaId]| {
-                            strategy().select(&SelectionInput {
-                                repository: &repo,
-                                qos: &qos,
-                                method,
-                                now: Instant::EPOCH,
-                                exclude,
-                            })
-                        };
-                        let mut h = ConcurrentHandler::new(qos, 5, Box::new(strategy()));
-                        *h.repository_mut() = repo.clone();
-                        let PlannerMode::Snapshot { spec, .. } = &h.planner else {
-                            unreachable!("model-based plans from snapshots");
-                        };
-                        // No plan has measured a δ yet.
-                        let view = h.planning_view();
-                        let body = h.plan_from_snapshot(&view, spec, method, &exclude);
-                        prop_assert_eq!(
-                            body.selection.into_replicas(),
-                            reference(&exclude),
-                            "{:?}, {:?}, excluding {:?}",
-                            config,
-                            cold_start,
-                            exclude
-                        );
-                        let plan = h.plan_request_for(Instant::EPOCH, method);
-                        let mut expected = reference(&[]);
-                        expected.extend_from_slice(&shadows);
-                        prop_assert_eq!(
-                            plan.replicas.as_ref(),
-                            expected.as_slice(),
-                            "{:?}, {:?}",
-                            config,
-                            cold_start
-                        );
-                    }
+                    let strategy = || ModelBased::new(config);
+                    let reference = |exclude: &[ReplicaId]| {
+                        strategy().select(&SelectionInput {
+                            repository: &repo,
+                            qos: &qos,
+                            method,
+                            now: Instant::EPOCH,
+                            exclude,
+                        })
+                    };
+                    let mut h = ConcurrentHandler::new(qos, 5, Box::new(strategy()));
+                    *h.repository_mut() = repo.clone();
+                    let PlannerMode::Snapshot { spec, .. } = &h.planner else {
+                        unreachable!("model-based plans from snapshots");
+                    };
+                    // No plan has measured a δ yet.
+                    let view = h.planning_view();
+                    let body = h.plan_from_snapshot(&view, spec, method, &exclude);
+                    prop_assert_eq!(
+                        body.selection.into_replicas(),
+                        reference(&exclude),
+                        "{:?}, excluding {:?}",
+                        config,
+                        exclude
+                    );
+                    let plan = h.plan_request_for(Instant::EPOCH, method);
+                    let mut expected = reference(&[]);
+                    expected.extend_from_slice(&shadows);
+                    prop_assert_eq!(
+                        plan.replicas.as_ref(),
+                        expected.as_slice(),
+                        "{:?}",
+                        config
+                    );
                 }
             }
         }
     }
-
     /// Two replicas certain to answer in time, one of them only up to float
     /// rounding: ten distinct service times of weight 0.1 each sum, in a
     /// whole-distribution prefix sum, to 0.9999999999999999 where the exact
@@ -1558,7 +1552,10 @@ mod tests {
         let model = ResponseTimeModel::default();
         let whole = |r| {
             let stats = view.repository().stats(r).unwrap();
-            model.response_pmf(stats).unwrap().cdf(ms(199))
+            model
+                .response_pmf_with(stats, None, &mut ConvScratch::new())
+                .unwrap()
+                .cdf(ms(199))
         };
         assert_eq!((whole(spread), whole(steady)), (0.9999999999999999, 1.0));
         for r in [spread, steady] {
@@ -1954,7 +1951,11 @@ mod tests {
         let view = h.planning_view();
         assert!(view.all_warm(), "flags and generations still publish");
         for snap in view.replicas() {
-            assert_eq!(snap.slot_count(), 0, "the strategy reads the repository");
+            let slot = method_slot(ModelConfig::default().method_scope, None);
+            assert!(
+                snap.table(slot).is_none(),
+                "the strategy reads the repository"
+            );
             let stats = view.repository().stats(snap.id()).unwrap();
             assert!(snap.is_current(stats));
         }
@@ -2017,12 +2018,11 @@ mod tests {
                 })
                 .collect();
             out.push(format!(
-                "{:?} warm={} selectable={} epoch={} slots={} {values:?}",
+                "{:?} warm={} selectable={} epoch={} {values:?}",
                 snap.id(),
                 snap.is_warm(),
                 snap.is_selectable(),
                 snap.epoch(),
-                snap.slot_count(),
             ));
         }
         for (id, stats) in view.repository().iter() {
@@ -2193,7 +2193,8 @@ mod tests {
                 .iter()
                 .map(|(id, stats)| Arc::new(ReplicaSnapshot::build(id, stats, model, &mut scratch)))
                 .collect();
-            PlanningView::assemble(view.version(), snaps, view.repository_arc(), view.qos())
+            let repository = Arc::new(view.repository().clone());
+            PlanningView::assemble(view.version(), snaps, repository, view.qos())
         }
 
         #[derive(Debug, Clone)]

@@ -231,9 +231,10 @@ mod sim_tests {
     }
 
     /// `mux::tests::a_retry_due_at_the_give_up_is_never_sent` on the
-    /// simulator: both replicas pause from 2 s to 4 s and the retry
-    /// deadline is the give-up, so a stalled request gives up without
-    /// multicasting a retry it would give up in the same instant.
+    /// simulator: both replicas pause from 2 s to 10 s, past the 5 s
+    /// give-up, and the retry deadline is the give-up, so a stalled request
+    /// gives up without multicasting a retry it would give up in the same
+    /// instant.
     #[test]
     fn a_retry_due_at_the_give_up_is_never_sent() {
         let qos = QosSpec::new(ms(50), 0.9).unwrap();
@@ -242,8 +243,8 @@ mod sim_tests {
             FailureDetectorConfig::default(),
         ));
         let pause = aqua_faults::FaultPlan::new()
-            .pause(0, Instant::from_secs(2), ms(2_000))
-            .pause(1, Instant::from_secs(2), ms(2_000));
+            .pause(0, Instant::from_secs(2), ms(8_000))
+            .pause(1, Instant::from_secs(2), ms(8_000));
         for i in 0..2u64 {
             sim.add_node(ServerGateway::new(ServerConfig {
                 service: ServiceTimeModel::Deterministic(ms(5 + 15 * i)),
@@ -254,8 +255,7 @@ mod sim_tests {
         let mut ccfg = ClientConfig::paper(coordinator, qos);
         ccfg.num_requests = Some(10);
         ccfg.think_time = ms(200);
-        ccfg.give_up_after = ms(100);
-        ccfg.retry_after = Some(ms(100));
+        ccfg.retry_after = Some(crate::client::GIVE_UP_AFTER);
         // FastestMean k=1 asks one replica once warm, leaving one to retry.
         let strategy = Box::new(aqua_strategies::FastestMean { k: 1 });
         let client = sim.add_node(ClientGateway::new(ccfg, strategy));

@@ -18,7 +18,7 @@
 //!   up from it.
 //! * **Rolling restarts** — a replica whose per-replica calibration stays
 //!   degraded is drained (graceful group leave; queued work completes),
-//!   rested for [`SupervisionConfig::restart_delay`], and returned to the
+//!   rested for `RESTART_DELAY` (500 ms), and returned to the
 //!   pool; clients readmit a rejoining replica through probation.
 //! * **Escalation** — when enough replicas degrade inside one correlation
 //!   window the manager stops restarting members and acts on the fleet:
@@ -51,19 +51,31 @@ use crate::supervisor::{mix, SupervisorAction, SupervisorConfig, SupervisorPolic
 /// above any fault plan's indices, so the two id spaces never collide.
 pub const DRAIN_WINDOW_BASE: u64 = 1_000_000;
 
+/// How often the manager re-checks the replication level (besides reacting
+/// to every view change).
+const CHECK_INTERVAL: Duration = Duration::from_millis(200);
+
+/// The manager does not enforce during this long after start: views
+/// installed while the group is still forming under-count the servers
+/// (their joins are in flight), and acting on them would activate standbys
+/// spuriously.
+const STARTUP_GRACE: Duration = Duration::from_secs(1);
+
+/// Rest period between a drained replica leaving the view and its node
+/// returning to the standby pool. Long enough for the drained process to
+/// finish stragglers and go dormant, so a subsequent `Activate` cannot race
+/// the tail of the drain.
+const RESTART_DELAY: Duration = Duration::from_millis(500);
+
+/// The `Pc` clients renegotiate down to when correlated degradation
+/// escalates to a fleet-level action.
+const ESCALATE_PC: f64 = 0.8;
+
 /// Elastic-supervision tunables layered on top of [`ManagerConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisionConfig {
     /// The decision engine's tunables (bounds, thresholds, seed).
     pub policy: SupervisorConfig,
-    /// Rest period between a drained replica leaving the view and its
-    /// node returning to the standby pool. Long enough for the drained
-    /// process to finish stragglers and go dormant, so a subsequent
-    /// `Activate` cannot race the tail of the drain.
-    pub restart_delay: Duration,
-    /// The `Pc` clients renegotiate down to when correlated degradation
-    /// escalates to a fleet-level action.
-    pub escalate_pc: f64,
     /// How long clients shed load after an escalation.
     pub shed_for: Duration,
 }
@@ -72,8 +84,6 @@ impl Default for SupervisionConfig {
     fn default() -> Self {
         SupervisionConfig {
             policy: SupervisorConfig::default(),
-            restart_delay: Duration::from_millis(500),
-            escalate_pc: 0.8,
             shed_for: Duration::from_secs(2),
         }
     }
@@ -84,21 +94,12 @@ impl Default for SupervisionConfig {
 pub struct ManagerConfig {
     /// The group coordinator node.
     pub coordinator: NodeId,
-    /// Group cadence parameters.
-    pub group: FailureDetectorConfig,
     /// Desired number of live server replicas (the initial effective
     /// target when supervision is on).
     pub target_replication: usize,
     /// Standby server nodes (spawned with `standby: true`) that can be
     /// activated, in activation order.
     pub standbys: Vec<NodeId>,
-    /// How often to re-check the replication level (besides reacting to
-    /// every view change).
-    pub check_interval: Duration,
-    /// Do not enforce during this long after start: views installed while
-    /// the group is still forming under-count the servers (their joins are
-    /// in flight), and acting on them would activate standbys spuriously.
-    pub startup_grace: Duration,
     /// Elastic supervision; `None` keeps the fixed-target baseline.
     pub supervision: Option<SupervisionConfig>,
 }
@@ -199,11 +200,6 @@ impl DependabilityManager {
         self.escalations
     }
 
-    /// Standbys currently available for activation.
-    pub fn standbys_remaining(&self) -> usize {
-        self.pool.len()
-    }
-
     /// The effective replication target (moved by the supervisor when
     /// supervision is on, the configured constant otherwise).
     pub fn target(&self) -> usize {
@@ -258,7 +254,7 @@ impl DependabilityManager {
         // outstanding after two check intervals, in case the first
         // command was lost. Activation is idempotent on the server side.
         let now = ctx.now();
-        let repoke_after = self.config.check_interval.saturating_mul(2);
+        let repoke_after = CHECK_INTERVAL.saturating_mul(2);
         let mut repoke = Vec::new();
         for (node, poked) in &mut self.pending_joins {
             if !view.contains(*node) && now.saturating_duration_since(*poked) >= repoke_after {
@@ -379,13 +375,13 @@ impl DependabilityManager {
         // safe to treat as a standby. Drains whose graceful leave has not
         // been observed yet get the command re-sent — the Drain travels
         // over the faulty network too, and begin_drain is idempotent.
-        let repoke_after = self.config.check_interval.saturating_mul(2);
+        let repoke_after = CHECK_INTERVAL.saturating_mul(2);
         let mut i = 0;
         while i < self.draining.len() {
             let rec = self.draining[i];
             let due = rec
                 .left
-                .is_some_and(|left| now.saturating_duration_since(left) >= sup.restart_delay);
+                .is_some_and(|left| now.saturating_duration_since(left) >= RESTART_DELAY);
             if due {
                 self.draining.remove(i);
                 self.pool.push(rec.node);
@@ -458,12 +454,12 @@ impl DependabilityManager {
                                     degraded.iter().map(|r| JsonValue::from(*r)).collect(),
                                 ),
                             )
-                            .field("pc", sup.escalate_pc)
+                            .field("pc", ESCALATE_PC)
                             .field("shed_ms", sup.shed_for.as_nanos() / 1_000_000)
                             .field("at_ns", now.as_nanos()),
                     );
                     let directive = GroupMsg::App(AquaMsg::Directive {
-                        renegotiate_pc: Some(sup.escalate_pc),
+                        renegotiate_pc: Some(ESCALATE_PC),
                         shed_for: Some(sup.shed_for),
                     });
                     let me = ctx.self_id();
@@ -537,12 +533,12 @@ impl Node<Wire> for DependabilityManager {
         match event {
             Event::Started => {
                 let me = Member::client(ctx.self_id());
-                let mut agent =
-                    MembershipAgent::new(self.config.coordinator, me, self.config.group);
+                let group = FailureDetectorConfig::default();
+                let mut agent = MembershipAgent::new(self.config.coordinator, me, group);
                 agent.on_started(ctx);
                 self.agent = Some(agent);
-                self.enforce_after = Some(ctx.now().saturating_add(self.config.startup_grace));
-                ctx.set_timer(self.config.check_interval);
+                self.enforce_after = Some(ctx.now().saturating_add(STARTUP_GRACE));
+                ctx.set_timer(CHECK_INTERVAL);
             }
             Event::Timer { token } => {
                 if let Some(agent) = self.agent.as_mut() {
@@ -552,7 +548,7 @@ impl Node<Wire> for DependabilityManager {
                 }
                 self.supervise(ctx);
                 self.enforce_replication(ctx);
-                ctx.set_timer(self.config.check_interval);
+                ctx.set_timer(CHECK_INTERVAL);
             }
             Event::Message { payload, .. } => match payload {
                 GroupMsg::ViewChange(view) => {
@@ -622,11 +618,8 @@ mod tests {
         }
         let manager = sim.add_node(DependabilityManager::new(ManagerConfig {
             coordinator,
-            group: FailureDetectorConfig::default(),
             target_replication: 3,
             standbys: standbys.clone(),
-            check_interval: ms(200),
-            startup_grace: ms(800),
             supervision: None,
         }));
         let mut ccfg = ClientConfig::paper(coordinator, QosSpec::new(ms(300), 0.9).unwrap());
@@ -653,7 +646,7 @@ mod tests {
         );
         let mgr = sim.node::<DependabilityManager>(manager).unwrap();
         assert_eq!(mgr.activations(), 1, "exactly one standby activated");
-        assert_eq!(mgr.standbys_remaining(), 1);
+        assert_eq!(mgr.pool.len(), 1);
         // The standby replica (r3) is now in the client's repository and
         // has serviced work.
         let standby_node = sim.node::<ServerGateway>(standbys[0]).unwrap();
@@ -686,11 +679,8 @@ mod tests {
         }
         let manager = sim.add_node(DependabilityManager::new(ManagerConfig {
             coordinator,
-            group: FailureDetectorConfig::default(),
             target_replication: 4,
             standbys,
-            check_interval: ms(100),
-            startup_grace: ms(800),
             supervision: None,
         }));
         sim.run_until(Instant::from_secs(10));
@@ -732,11 +722,8 @@ mod tests {
         let manager = sim.add_node(
             DependabilityManager::new(ManagerConfig {
                 coordinator,
-                group: FailureDetectorConfig::default(),
                 target_replication: 4,
                 standbys: Vec::new(),
-                check_interval: ms(200),
-                startup_grace: ms(800),
                 supervision: Some(supervision),
             })
             .with_obs(&obs),
@@ -757,7 +744,7 @@ mod tests {
         let coord = sim.node::<GroupCoordinator<AquaMsg>>(coordinator).unwrap();
         assert_eq!(coord.view().servers().count(), 2);
         // Drained replicas rested and returned to the standby pool.
-        assert_eq!(mgr.standbys_remaining(), 2);
+        assert_eq!(mgr.pool.len(), 2);
         // The journal shows the decisions and the drain fault windows.
         assert!(!reader
             .lines_containing("\"action\":\"set_target\"")
@@ -792,11 +779,8 @@ mod tests {
         sim.add_node(
             DependabilityManager::new(ManagerConfig {
                 coordinator,
-                group: FailureDetectorConfig::default(),
                 target_replication: 2,
                 standbys: Vec::new(),
-                check_interval: ms(200),
-                startup_grace: ms(800),
                 supervision: None,
             })
             .with_obs(&obs),

@@ -23,6 +23,10 @@ use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 
 use crate::proto::{AquaMsg, RequestId, Wire};
 
+/// Reply payload size in bytes: the replicas "responded with an integer
+/// data" (§6).
+const REPLY_SIZE: u32 = 8;
+
 /// Static configuration of one server replica host.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -30,8 +34,6 @@ pub struct ServerConfig {
     pub replica: ReplicaId,
     /// The group coordinator node.
     pub coordinator: NodeId,
-    /// Group/failure-detector cadence.
-    pub group: FailureDetectorConfig,
     /// Per-request service-time distribution.
     pub service: ServiceTimeModel,
     /// Method-specific overrides of `service` (multi-interface extension,
@@ -49,8 +51,6 @@ pub struct ServerConfig {
     /// service group until the dependability manager activates it
     /// (Proteus, §2).
     pub standby: bool,
-    /// Reply payload size in bytes.
-    pub reply_size: u32,
     /// Scheduled fault injection on the simulation clock: crash windows
     /// (down, then rejoin at the window's end), pauses (the service stage
     /// stalls, queued work survives), and service-time degradations or
@@ -66,14 +66,12 @@ impl ServerConfig {
         ServerConfig {
             replica,
             coordinator,
-            group: FailureDetectorConfig::default(),
             service: ServiceTimeModel::paper_load(),
             method_services: Vec::new(),
             load: LoadModel::nominal(),
             crash: CrashPlan::Never,
             recover_after: None,
             standby: false,
-            reply_size: 8, // "responded with an integer data" (§6)
             faults: None,
         }
     }
@@ -157,16 +155,6 @@ impl ServerGateway {
         self.restarts
     }
 
-    /// Whether this replica is a standby that has not been activated.
-    pub fn is_dormant(&self) -> bool {
-        self.dormant
-    }
-
-    /// Whether a graceful drain is in progress.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
     /// Begins a graceful drain: leave the group (the view change stops
     /// clients from selecting us), keep servicing queued work and
     /// stragglers, then go dormant once the queue empties. `until` is the
@@ -232,7 +220,11 @@ impl ServerGateway {
         self.crash = Some(crash);
 
         let me = Member::server(ctx.self_id(), self.config.replica);
-        let mut agent = MembershipAgent::new(self.config.coordinator, me, self.config.group);
+        let mut agent = MembershipAgent::new(
+            self.config.coordinator,
+            me,
+            FailureDetectorConfig::default(),
+        );
         agent.on_started(ctx);
         self.agent = Some(agent);
         self.schedule_fault_edge(ctx);
@@ -357,7 +349,11 @@ impl ServerGateway {
         self.crash = Some(crash);
         // Rejoin the group under a fresh membership agent.
         let me = Member::server(ctx.self_id(), self.config.replica);
-        let mut agent = MembershipAgent::new(self.config.coordinator, me, self.config.group);
+        let mut agent = MembershipAgent::new(
+            self.config.coordinator,
+            me,
+            FailureDetectorConfig::default(),
+        );
         agent.on_started(ctx);
         self.agent = Some(agent);
         self.schedule_fault_edge(ctx);
@@ -396,7 +392,7 @@ impl ServerGateway {
                 id,
                 replica: self.config.replica,
                 perf,
-                payload_size: self.config.reply_size,
+                payload_size: REPLY_SIZE,
             }),
         );
         // …and publish the update to all subscribers (§5.4.1). The

@@ -31,6 +31,13 @@ use std::collections::BTreeMap;
 
 use aqua_core::time::{Duration, Instant};
 
+/// EWMA smoothing factor for per-replica queue depths in `(0, 1]`; higher
+/// weighs fresh samples more.
+const QUEUE_SMOOTHING: f64 = 0.2;
+
+/// Minimum time between fleet-level escalations.
+const ESCALATION_COOLDOWN: Duration = Duration::from_secs(60);
+
 /// Tunables for [`SupervisorPolicy`].
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
@@ -44,9 +51,6 @@ pub struct SupervisorConfig {
     /// Fleet-mean smoothed queue depth at or below which the fleet is
     /// underloaded (replication expands).
     pub underload_queue: f64,
-    /// EWMA smoothing factor for per-replica queue depths in `(0, 1]`;
-    /// higher weighs fresh samples more.
-    pub queue_smoothing: f64,
     /// Replica-scoped calibration alerts inside `sick_window` before a
     /// replica is quarantined.
     pub sick_alerts: u32,
@@ -60,8 +64,6 @@ pub struct SupervisorConfig {
     /// Minimum time between consecutive target changes, and between
     /// consecutive quarantines (rolling restarts are rolling).
     pub decision_interval: Duration,
-    /// Minimum time between fleet-level escalations.
-    pub escalation_cooldown: Duration,
     /// The experiment seed; every tie-break is a pure function of it.
     pub seed: u64,
 }
@@ -73,13 +75,11 @@ impl Default for SupervisorConfig {
             max_replication: 4,
             overload_queue: 4.0,
             underload_queue: 1.0,
-            queue_smoothing: 0.2,
             sick_alerts: 2,
             sick_window: Duration::from_secs(30),
             correlated_count: 3,
             correlated_window: Duration::from_secs(10),
             decision_interval: Duration::from_secs(5),
-            escalation_cooldown: Duration::from_secs(60),
             seed: 0,
         }
     }
@@ -187,7 +187,7 @@ impl SupervisorPolicy {
     /// Feeds one queue-depth observation from a replica's piggybacked
     /// perf update.
     pub fn on_queue_sample(&mut self, replica: u64, queue_len: u32) {
-        let alpha = self.config.queue_smoothing.clamp(1e-3, 1.0);
+        let alpha = QUEUE_SMOOTHING;
         let signals = self.replicas.entry(replica).or_default();
         let q = f64::from(queue_len);
         signals.queue_ewma = Some(match signals.queue_ewma {
@@ -243,7 +243,7 @@ impl SupervisorPolicy {
             .collect();
         let escalation_due = self
             .last_escalation
-            .is_none_or(|t| now.saturating_duration_since(t) >= self.config.escalation_cooldown);
+            .is_none_or(|t| now.saturating_duration_since(t) >= ESCALATION_COOLDOWN);
         if degraded.len() >= self.config.correlated_count.max(1) && escalation_due {
             self.last_escalation = Some(now);
             // The alerts are consumed by the escalation: the same burst

@@ -157,7 +157,7 @@ mod tests {
             cfg,
         );
         wire(&mut sim, b, coord, Member::client(b), cfg);
-        sim.run_for(Duration::from_millis(500));
+        sim.run_until(sim.now() + Duration::from_millis(500));
         let view = sim
             .node::<GroupCoordinator<NoApp>>(coord)
             .unwrap()
@@ -229,10 +229,10 @@ mod tests {
             Member::server(a, ReplicaId::new(1)),
             cfg,
         );
-        sim.run_for(Duration::from_millis(100));
+        sim.run_until(sim.now() + Duration::from_millis(100));
         // Inject a Leave directly.
         sim.schedule_message(sim.now(), a, coord, GroupMsg::Leave { member: a });
-        sim.run_for(Duration::from_millis(100));
+        sim.run_until(sim.now() + Duration::from_millis(100));
         assert_eq!(
             sim.node::<GroupCoordinator<NoApp>>(coord)
                 .unwrap()
@@ -251,13 +251,13 @@ mod tests {
         let a = sim.add_node(TestMember::new(None));
         let member = Member::server(a, ReplicaId::new(1));
         wire(&mut sim, a, coord, member, cfg);
-        sim.run_for(Duration::from_millis(50));
+        sim.run_until(sim.now() + Duration::from_millis(50));
         let views_before = sim
             .node::<GroupCoordinator<NoApp>>(coord)
             .unwrap()
             .views_installed();
         sim.schedule_message(sim.now(), a, coord, GroupMsg::Join { member });
-        sim.run_for(Duration::from_millis(50));
+        sim.run_until(sim.now() + Duration::from_millis(50));
         let coord_state = sim.node::<GroupCoordinator<NoApp>>(coord).unwrap();
         assert_eq!(coord_state.views_installed(), views_before);
         assert_eq!(coord_state.view().members.len(), 1);

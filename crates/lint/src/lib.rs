@@ -1,7 +1,7 @@
 //! # aqua-lint — project-specific static analysis for the aqua workspace
 //!
-//! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds eight
-//! token-level rules ([`rules`]), and a bounded model checker
+//! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds ten
+//! rules ([`rules`]), and a bounded model checker
 //! ([`interleave`]) exhaustively explores the interleavings of eight shadow
 //! models ported from real synchronization hot spots, and of thirteen
 //! buggy variants it must catch.
@@ -20,7 +20,7 @@ pub mod interleave;
 pub mod lexer;
 pub mod rules;
 
-use rules::{audit_manifest, detect_cycles, Finding, LockEdge, ALL_RULES};
+use rules::{audit_manifest, check_pub_has_caller, detect_cycles, Finding, LockEdge, ALL_RULES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -187,31 +187,37 @@ fn json_escape(s: &str) -> String {
 /// Lint every `.rs` file and manifest under `root` (a workspace checkout).
 ///
 /// Scans `crates/` and `src/`; skips `target/`, hidden directories, and
-/// the lint fixtures (which contain violations on purpose). Audits the
-/// root, `crates/*`, and `vendor/*` manifests.
+/// the lint fixtures (which contain violations on purpose). `examples/`,
+/// `tests/` and `benchmark/src` are read only as callers for
+/// `pub-has-caller`. Audits the root, `crates/*`, and `vendor/*` manifests.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut edges: Vec<LockEdge> = Vec::new();
 
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
+    for top in ["crates", "src", "examples", "tests", "benchmark/src"] {
         collect_rs_files(&root.join(top), &mut files)?;
     }
     files.sort();
 
+    let mut sources = Vec::new();
     for file in &files {
         let rel = relative(root, file);
         if rel.contains("tests/fixtures") {
             continue;
         }
         let source = std::fs::read_to_string(file)?;
-        let analysis = rules::analyze_file(&rel, &source);
-        report.findings.extend(analysis.findings);
-        edges.extend(analysis.lock_edges);
-        report.files_scanned += 1;
+        if rel.starts_with("crates/") || rel.starts_with("src/") {
+            let analysis = rules::analyze_file(&rel, &source);
+            report.findings.extend(analysis.findings);
+            edges.extend(analysis.lock_edges);
+            report.files_scanned += 1;
+        }
+        sources.push((rel, source));
     }
 
     report.findings.extend(detect_cycles(&edges));
+    report.findings.extend(check_pub_has_caller(&sources));
 
     let mut manifests = vec![root.join("Cargo.toml")];
     for dir in ["crates", "vendor"] {

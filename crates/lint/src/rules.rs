@@ -1,4 +1,4 @@
-//! The nine aqua-lint rules, plus the allow-annotation machinery.
+//! The ten aqua-lint rules, plus the allow-annotation machinery.
 //!
 //! Rules operate on the token stream from [`crate::lexer`]; none of them
 //! parse Rust properly. Each heuristic is documented next to its
@@ -38,9 +38,11 @@ pub const UNSAFE_AUDIT: &str = "unsafe-audit";
 pub const SPAWN_JOIN: &str = "spawn-join";
 /// Rule: no host-clock reads in the crates a seeded simulation runs.
 pub const NO_WALLCLOCK: &str = "no-wallclock-in-sim";
+/// Rule: every `pub` item of a library crate has a caller somewhere else.
+pub const PUB_HAS_CALLER: &str = "pub-has-caller";
 
 /// All rule identifiers, in reporting order.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 10] = [
     NO_PANIC,
     NO_ALLOC,
     LOCK_ORDER,
@@ -50,6 +52,7 @@ pub const ALL_RULES: [&str; 9] = [
     UNSAFE_AUDIT,
     SPAWN_JOIN,
     NO_WALLCLOCK,
+    PUB_HAS_CALLER,
 ];
 
 /// One reported violation.
@@ -1498,4 +1501,255 @@ fn vendor_finding(path: &str, line: usize, dep: &str) -> Finding {
             "dependency `{dep}` does not resolve to `vendor/` or the workspace; external crates are forbidden"
         ),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 10: pub-has-caller
+// ---------------------------------------------------------------------------
+
+/// Where [`check_pub_has_caller`] looks for `pub` items: the sources of a
+/// library crate, not its binaries.
+fn in_library_scope(path: &str) -> bool {
+    let lib = path.starts_with("src/")
+        || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"));
+    lib && !path.contains("/bin/") && !path.ends_with("/main.rs")
+}
+
+/// A `pub` item: its name, the line of its `pub`, and the token extent of
+/// the whole item.
+struct PubItem {
+    name: String,
+    line: usize,
+    extent: (usize, usize),
+}
+
+/// `pub` fns, methods, structs, enums, unions, traits, type aliases,
+/// consts and statics outside `#[cfg(test)]` code. `pub(crate)` and
+/// narrower, `pub use`, `pub mod` and `pub` fields are not items here.
+fn pub_items(tokens: &[Token], excluded: &[bool]) -> Vec<PubItem> {
+    let mut items = Vec::new();
+    for i in 0..tokens.len() {
+        if excluded[i] || !tokens[i].is_ident("pub") {
+            continue;
+        }
+        let mut j = i + 1;
+        let qualifier = |t: &Token, next: Option<&Token>| {
+            t.is_ident("unsafe")
+                || t.is_ident("async")
+                || t.is_ident("extern")
+                || (t.is_ident("const")
+                    && next.is_some_and(|n| n.is_ident("fn") || n.is_ident("unsafe")))
+        };
+        while j < tokens.len() && qualifier(&tokens[j], tokens.get(j + 1)) {
+            j += 1;
+            if tokens.get(j).is_some_and(|t| t.kind == TokenKind::Str) {
+                j += 1; // `extern "C"`
+            }
+        }
+        let Some(keyword) = tokens.get(j) else {
+            continue;
+        };
+        let braced = ["fn", "struct", "enum", "union", "trait"]
+            .iter()
+            .any(|k| keyword.is_ident(k));
+        if !braced
+            && !["type", "const", "static"]
+                .iter()
+                .any(|k| keyword.is_ident(k))
+        {
+            continue;
+        }
+        let mut n = j + 1;
+        if tokens.get(n).is_some_and(|t| t.is_ident("mut")) {
+            n += 1; // `pub static mut`
+        }
+        let Some(name) = tokens.get(n).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        items.push(PubItem {
+            name: name.text.clone(),
+            line: tokens[i].line,
+            extent: (i, item_end(tokens, n, braced)),
+        });
+    }
+    items
+}
+
+/// End of the item whose name sits at `from`: the `;` at nesting depth 0,
+/// or for a braced item the `}` that closes its body.
+fn item_end(tokens: &[Token], from: usize, braced: bool) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().skip(from) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth = depth.saturating_sub(1);
+            if braced && depth == 0 && t.is_punct('}') {
+                return k;
+            }
+        } else if depth == 0 && t.is_punct(';') {
+            return k;
+        }
+    }
+    tokens.len().saturating_sub(1)
+}
+
+/// `impl` blocks as (self type's name, token extent). The self type is the
+/// last path segment outside generics after `for`, or after the impl's own
+/// generics when there is no `for`.
+fn impl_blocks(tokens: &[Token]) -> Vec<(String, (usize, usize))> {
+    let mut blocks = Vec::new();
+    for i in 0..tokens.len() {
+        let item_position = i == 0
+            || [';', '{', '}', ']']
+                .iter()
+                .any(|c| tokens[i - 1].is_punct(*c))
+            || tokens[i - 1].is_ident("unsafe");
+        if !tokens[i].is_ident("impl") || !item_position {
+            continue;
+        }
+        let mut angle = 0isize;
+        let mut paren = 0isize;
+        let mut self_type = None;
+        let mut k = i + 1;
+        while k < tokens.len() {
+            let t = &tokens[k];
+            if t.is_punct('<') {
+                angle += 1;
+            } else if t.is_punct('>') && !tokens[k - 1].is_punct('-') {
+                angle -= 1;
+            } else if t.is_punct('(') {
+                paren += 1;
+            } else if t.is_punct(')') {
+                paren -= 1;
+            } else if angle == 0 && paren == 0 {
+                if t.is_punct('{') || t.is_ident("where") {
+                    break;
+                }
+                if t.is_ident("for") && !tokens.get(k + 1).is_some_and(|n| n.is_punct('<')) {
+                    self_type = None;
+                } else if t.kind == TokenKind::Ident && !t.is_ident("dyn") && !t.is_ident("mut") {
+                    self_type = Some(t.text.clone());
+                }
+            }
+            k += 1;
+        }
+        while k < tokens.len() && !tokens[k].is_punct('{') {
+            k += 1;
+        }
+        if let Some(name) = self_type {
+            blocks.push((name.clone(), (i, item_end(tokens, k, true))));
+        }
+    }
+    blocks
+}
+
+/// Per-token mask of `pub use` (and `pub(…) use`) re-exports.
+fn reexport_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0usize;
+    while i < tokens.len() {
+        if tokens[i].is_ident("pub") {
+            let mut j = i + 1;
+            if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
+                while j < tokens.len() && !tokens[j].is_punct(')') {
+                    j += 1;
+                }
+                j += 1;
+            }
+            if tokens.get(j).is_some_and(|t| t.is_ident("use")) {
+                let end = item_end(tokens, j, false);
+                for m in mask.iter_mut().take(end + 1).skip(i) {
+                    *m = true;
+                }
+                i = end;
+            }
+        }
+        i += 1;
+    }
+    mask
+}
+
+/// Flag a `pub` item of a library crate (`crates/*/src`, `src/`, not
+/// `bin/` or `main.rs`) whose name is used nowhere else among `files`,
+/// given as `(workspace-relative path, source)`. Every file is a caller;
+/// the workspace passes `crates/`, `src/`, `examples/`, `tests/` and
+/// `benchmark/src`.
+///
+/// A use is an identifier token equal to the item's name, except:
+/// - inside `#[cfg(test)]` code of a `src/` file (an integration test's
+///   `#[test]` fns do count);
+/// - in a comment, so doc links and doctests do not count;
+/// - inside a `pub use` re-export;
+/// - the name of any item's declaration (`fn name`, `struct Name`, …);
+/// - inside the item itself, or inside an `impl` block whose self type
+///   carries the item's name.
+///
+/// Matching is by name alone: an item sharing its name with a used one
+/// (`Pmf::quantile` and some other `quantile`) is never flagged.
+pub fn check_pub_has_caller(files: &[(String, String)]) -> Vec<Finding> {
+    const DECLARES: [&str; 9] = [
+        "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+    ];
+    let mut uses: HashMap<String, usize> = HashMap::new();
+    let mut candidates = Vec::new();
+    for (path, source) in files {
+        let lexed = lex(source);
+        let tokens = &lexed.tokens;
+        let excluded = if path.starts_with("src/") || path.contains("/src/") {
+            cfg_test_mask(tokens)
+        } else {
+            vec![false; tokens.len()]
+        };
+        let reexported = reexport_mask(tokens);
+        let items = if in_library_scope(path) {
+            pub_items(tokens, &excluded)
+        } else {
+            Vec::new()
+        };
+        let mut owned: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+        for item in &items {
+            owned.entry(&item.name).or_default().push(item.extent);
+        }
+        let blocks = impl_blocks(tokens);
+        for (name, extent) in &blocks {
+            owned.entry(name).or_default().push(*extent);
+        }
+        for (k, t) in tokens.iter().enumerate() {
+            let declared = k > 0
+                && (DECLARES.iter().any(|d| tokens[k - 1].is_ident(d))
+                    || (tokens[k - 1].is_ident("mut")
+                        && k > 1
+                        && tokens[k - 2].is_ident("static")));
+            if t.kind != TokenKind::Ident || excluded[k] || reexported[k] || declared {
+                continue;
+            }
+            let own = owned
+                .get(t.text.as_str())
+                .is_some_and(|ranges| ranges.iter().any(|&(a, b)| a <= k && k <= b));
+            if !own {
+                *uses.entry(t.text.clone()).or_insert(0) += 1;
+            }
+        }
+        let allows = collect_allows(&lexed.comments);
+        candidates.extend(
+            items
+                .into_iter()
+                .filter(|item| !allowed(&allows, PUB_HAS_CALLER, item.line))
+                .map(|item| (path.clone(), item)),
+        );
+    }
+    candidates
+        .into_iter()
+        .filter(|(_, item)| !uses.contains_key(&item.name))
+        .map(|(path, item)| Finding {
+            rule: PUB_HAS_CALLER,
+            file: path,
+            line: item.line,
+            message: format!(
+                "`pub` item `{}` has no caller outside its own body, impls, `#[cfg(test)]` code and re-exports; delete it, narrow it, or justify it with an allow",
+                item.name
+            ),
+        })
+        .collect()
 }

@@ -4,8 +4,9 @@
 //! itself lints clean.
 
 use aqua_lint::rules::{
-    analyze_file, audit_manifest, detect_cycles, Finding, ATOMICS_ORDER, LOCK_ORDER, NO_ALLOC,
-    NO_PANIC, NO_WALLCLOCK, SPAWN_JOIN, UNIT_HYGIENE, UNSAFE_AUDIT, VENDOR_AUDIT,
+    analyze_file, audit_manifest, check_pub_has_caller, detect_cycles, Finding, ATOMICS_ORDER,
+    LOCK_ORDER, NO_ALLOC, NO_PANIC, NO_WALLCLOCK, PUB_HAS_CALLER, SPAWN_JOIN, UNIT_HYGIENE,
+    UNSAFE_AUDIT, VENDOR_AUDIT,
 };
 use std::path::Path;
 
@@ -396,6 +397,83 @@ fn no_wallclock_scope_is_the_simulated_crates() {
     ] {
         let findings = lint_as(path, "no_wallclock_positive.rs");
         assert!(findings.iter().all(|f| f.rule != NO_WALLCLOCK), "{path}");
+    }
+}
+
+/// `pub-has-caller` over `(virtual path, source)` files; returns the
+/// flagged item names, sorted.
+fn uncalled(files: &[(&str, &str)]) -> Vec<String> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(path, source)| (path.to_string(), source.to_string()))
+        .collect();
+    let findings = check_pub_has_caller(&files);
+    assert!(findings.iter().all(|f| f.rule == PUB_HAS_CALLER));
+    let mut names: Vec<String> = findings
+        .iter()
+        .map(|f| f.message.split('`').nth(3).unwrap_or_default().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+/// What calls the negative fixture: an integration test and the benchmark.
+const INTEGRATION_TEST: &str =
+    "#[test]\nfn it() { assert!(fixture::used_by_test().area() > 0.0); }\n";
+const BENCHMARK: &str =
+    "pub fn run() { fixture::used_by_benchmark(); let _: &dyn fixture::Shape = &fixture::Square(1.0); }\n";
+
+#[test]
+fn pub_has_caller_positive_fires_per_kind() {
+    let positive = fixture("pub_has_caller_positive.rs");
+    // The only caller of `test_only` is `#[cfg(test)]` code; the only
+    // mention of `DocOnly` is a doc link and a doctest; the only mention
+    // of `reexport_only` is its `pub use`.
+    assert_eq!(
+        uncalled(&[("crates/core/src/fixture.rs", &positive)]),
+        [
+            "DocOnly",
+            "LONELY_CONST",
+            "LONELY_STATIC",
+            "LonelyAlias",
+            "LonelyEnum",
+            "LonelyStruct",
+            "LonelyTrait",
+            "lonely_fn",
+            "lonely_method",
+            "reexport_only",
+            "test_only",
+            "unjustified",
+        ]
+    );
+}
+
+#[test]
+fn pub_has_caller_negative_is_silent() {
+    let negative = fixture("pub_has_caller_negative.rs");
+    let lib = ("crates/core/src/fixture.rs", negative.as_str());
+    assert!(uncalled(&[
+        lib,
+        ("crates/core/tests/it.rs", INTEGRATION_TEST),
+        ("benchmark/src/workload.rs", BENCHMARK),
+    ])
+    .is_empty());
+    // Without them, exactly what they call has no caller.
+    assert_eq!(uncalled(&[lib]), ["used_by_benchmark", "used_by_test"]);
+}
+
+#[test]
+fn pub_has_caller_scope_is_library_sources() {
+    // Binaries, tests, examples and the benchmark declare no API.
+    let positive = fixture("pub_has_caller_positive.rs");
+    for path in [
+        "crates/bench/src/bin/fixture.rs",
+        "crates/lint/src/main.rs",
+        "crates/core/tests/fixture.rs",
+        "examples/fixture.rs",
+        "benchmark/src/fixture.rs",
+    ] {
+        assert!(uncalled(&[(path, &positive)]).is_empty(), "{path}");
     }
 }
 

@@ -354,40 +354,6 @@ fn lock(lines: &Mutex<Vec<String>>) -> std::sync::MutexGuard<'_, Vec<String>> {
     lines.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Buffered sink writing JSONL to any `io::Write` (a file in practice).
-pub struct WriterSink<W: Write + Send> {
-    writer: std::io::BufWriter<W>,
-}
-
-impl<W: Write + Send> WriterSink<W> {
-    /// Wraps `writer` in a buffered journal sink.
-    pub fn new(writer: W) -> Self {
-        WriterSink {
-            writer: std::io::BufWriter::new(writer),
-        }
-    }
-}
-
-impl<W: Write + Send> Sink for WriterSink<W> {
-    fn emit(&mut self, line: &str) {
-        // Journal output is best-effort; losing lines on a full disk must
-        // not take down the experiment.
-        let _ = writeln!(self.writer, "{line}");
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-impl<W: Write + Send> Drop for WriterSink<W> {
-    fn drop(&mut self) {
-        // A run that never calls `Journal::flush` (panic unwind, early
-        // return) must still leave a readable journal behind.
-        let _ = self.writer.flush();
-    }
-}
-
 /// File sink with size-based rotation: when the active `journal.jsonl`
 /// grows past `max_bytes` it is renamed to `journal.jsonl.N` (N counting
 /// up from 1, oldest first) and a fresh file is started, so unbounded
@@ -618,48 +584,6 @@ mod tests {
         assert!(lines[0].contains(r#""type":"request""#));
         assert!(lines[1].starts_with(r#"{"type":"sim_event""#));
         assert_eq!(reader.lines_containing("sim_event").len(), 1);
-    }
-
-    /// `Write` target observable from outside the sink, so tests can see
-    /// what reached the destination without consuming the sink.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl SharedBuf {
-        fn contents(&self) -> String {
-            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-        }
-    }
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_sink_writes_lines() {
-        let buffer = SharedBuf::default();
-        let mut sink = WriterSink::new(buffer.clone());
-        sink.emit(r#"{"a":1}"#);
-        sink.emit(r#"{"b":2}"#);
-        sink.flush();
-        assert_eq!(buffer.contents(), "{\"a\":1}\n{\"b\":2}\n");
-    }
-
-    #[test]
-    fn writer_sink_flushes_on_drop() {
-        let buffer = SharedBuf::default();
-        {
-            let mut sink = WriterSink::new(buffer.clone());
-            sink.emit(r#"{"a":1}"#);
-            // No explicit flush: the line is still in the BufWriter here.
-        }
-        assert_eq!(buffer.contents(), "{\"a\":1}\n");
     }
 
     #[test]

@@ -56,15 +56,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a signed integer, if it fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Int(i) => Some(*i),
-            JsonValue::UInt(u) => i64::try_from(*u).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a float; integers widen losslessly where possible.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -97,11 +88,6 @@ impl JsonValue {
             JsonValue::Array(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
     }
 
     /// Renders as a single line (JSONL-friendly).

@@ -33,7 +33,7 @@ pub mod json;
 pub mod metrics;
 pub mod parse;
 
-use journal::{Journal, MemoryReader, RotatingSink, WriterSink};
+use journal::{Journal, MemoryReader, RotatingSink};
 use metrics::Registry;
 use std::io;
 use std::path::Path;
@@ -71,18 +71,6 @@ impl Obs {
         }
     }
 
-    /// Observability writing the journal to `dir/journal.jsonl` (buffered).
-    /// Creates `dir` if needed.
-    pub fn to_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let file = std::fs::File::create(dir.join("journal.jsonl"))?;
-        Ok(Obs {
-            registry: Arc::new(Registry::new()),
-            journal: Journal::new(WriterSink::new(file)),
-        })
-    }
-
     /// Observability writing the journal to `dir/journal.jsonl` with
     /// size-based rotation: once the active file passes `max_bytes` it is
     /// renamed `journal.jsonl.N` and a fresh file starts, so long chaos
@@ -116,7 +104,7 @@ impl Obs {
     }
 
     /// Flushes the journal and writes `metrics.prom` + `metrics.json`
-    /// into `dir`. Pairs with [`Obs::to_dir`] at the end of a run.
+    /// into `dir`. Pairs with [`Obs::to_dir_rotating`] at the end of a run.
     pub fn dump(&self, dir: impl AsRef<Path>) -> io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -169,7 +157,7 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let obs = Obs::to_dir(&dir).unwrap();
+        let obs = Obs::to_dir_rotating(&dir, 0).unwrap();
         obs.registry().histogram("lat_ns", &[]).record(42);
         obs.journal()
             .emit_event("probe", json::JsonValue::object().field("n", 1u64));

@@ -339,8 +339,8 @@ mod tests {
         assert_eq!(arr.as_array().unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(arr.as_array().unwrap()[2].as_str(), Some("x"));
         assert_eq!(arr.as_array().unwrap()[3].as_bool(), Some(true));
-        assert!(arr.as_array().unwrap()[4].is_null());
-        assert_eq!(doc.get("n").unwrap().as_i64(), Some(-7));
+        assert!(matches!(arr.as_array().unwrap()[4], JsonValue::Null));
+        assert!(matches!(doc.get("n"), Some(JsonValue::Int(-7))));
         assert_eq!(doc.get("n").unwrap().as_u64(), None);
         assert!(doc.get("zzz").is_none());
     }

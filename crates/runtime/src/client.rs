@@ -79,16 +79,6 @@ impl AquaClient {
         self.with_handler(|h| h.with_observer(|observer| observer.configure_watchdog(config)));
     }
 
-    /// Registers a hook invoked on every QoS-calibration alert (the
-    /// dependability-manager integration point). No-op without
-    /// observability configured.
-    pub fn on_calibration_alert(
-        &self,
-        hook: impl FnMut(&aqua_gateway::CalibrationAlert) + Send + 'static,
-    ) {
-        self.with_handler(|h| h.with_observer(|observer| observer.watchdog_mut().add_hook(hook)));
-    }
-
     /// Renegotiates the QoS spec at runtime (§5.4.2): the failure
     /// detector restarts under the new deadline and the planning snapshot
     /// is republished, so subsequent calls plan against the new spec.

@@ -49,7 +49,6 @@ mod client;
 pub mod mux;
 mod reactor;
 mod server;
-mod supervisor;
 mod sys;
 #[cfg(test)]
 mod test_support;
@@ -58,4 +57,3 @@ pub mod wire;
 pub use client::{AquaClient, AquaClientConfig};
 pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig, ReconnectPolicy};
 pub use server::{ReplicaServer, ReplicaServerConfig};
-pub use supervisor::SupervisorDriver;

@@ -74,9 +74,6 @@ pub struct ReplicaServerConfig {
     pub service: ServiceTimeModel,
     /// RNG seed for the service-time draws.
     pub seed: u64,
-    /// Crash (silently drop every connection and stop) after this many
-    /// serviced requests.
-    pub crash_after: Option<u64>,
     /// Optional observability sink: serviced counts, measured service and
     /// queuing times, and the instantaneous queue depth.
     pub obs: Option<aqua_obs::Obs>,
@@ -97,7 +94,6 @@ impl ReplicaServerConfig {
                 service_ms,
             )),
             seed: replica.index(),
-            crash_after: None,
             obs: None,
             faults: None,
         }
@@ -267,7 +263,6 @@ struct ServerLoop {
     replica: ReplicaId,
     core: ReplicaCore<Job>,
     rng: SmallRng,
-    crash_after: Option<u64>,
     metrics: Option<ServerMetrics>,
     faults: FaultSchedule,
     /// The fault journal, when there is a sink and a schedule.
@@ -331,7 +326,6 @@ impl ServerLoop {
                 faults.clone(),
             ),
             rng: SmallRng::seed_from_u64(config.seed),
-            crash_after: config.crash_after,
             metrics: config
                 .obs
                 .as_ref()
@@ -490,11 +484,7 @@ impl ServerLoop {
                 }
             };
             self.reply(served);
-            let done = self.shared.serviced.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.crash_after.is_some_and(|n| done >= n) {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                return;
-            }
+            self.shared.serviced.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -880,27 +870,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crash_after_n_requests() {
-        let mut cfg = ReplicaServerConfig::quick(ReplicaId::new(4), 1);
-        cfg.crash_after = Some(2);
-        let server = ReplicaServer::spawn(cfg).unwrap();
-        let mut conn = connect(server.addr());
-        for seq in 0..2 {
-            Frame::Request {
-                seq,
-                method: 0,
-                payload: Bytes::new(),
-            }
-            .write_to(&mut conn)
-            .unwrap();
-            let _ = Frame::read_from(&mut conn).unwrap();
-        }
-        // Allow the crash to propagate.
-        std::thread::sleep(StdDuration::from_millis(100));
-        assert!(server.is_crashed());
-        assert_eq!(server.serviced(), 2);
-    }
     fn request(seq: u64) -> Frame {
         Frame::Request {
             seq,

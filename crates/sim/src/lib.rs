@@ -30,7 +30,7 @@ pub mod topology;
 mod trace;
 
 pub use event::{Event, TimerToken};
-pub use network::{CongestedLan, InstantNetwork, NetworkModel, PerLinkLan, UniformLan};
+pub use network::{CongestedLan, InstantNetwork, NetworkModel, UniformLan};
 pub use node::{AnyNode, Context, Node, NodeId};
 pub use sharded::ShardedSimulation;
 pub use simulation::Simulation;

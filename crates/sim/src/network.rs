@@ -167,58 +167,6 @@ impl NetworkModel for CongestedLan {
     }
 }
 
-/// Per-destination-pair latency matrix over a [`UniformLan`]: adds a fixed
-/// extra term per (from, to) pair. Used to model replicas at different
-/// "distances" (e.g. the static-distance baseline of \[9\]).
-#[derive(Debug, Clone)]
-pub struct PerLinkLan {
-    /// The shared base behaviour.
-    pub lan: UniformLan,
-    extra: std::collections::HashMap<(NodeId, NodeId), Duration>,
-}
-
-impl PerLinkLan {
-    /// Creates a per-link LAN with no extra latencies.
-    pub fn new(lan: UniformLan) -> Self {
-        PerLinkLan {
-            lan,
-            extra: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Sets the extra one-way latency between a pair of nodes (applied in
-    /// both directions).
-    pub fn set_extra(&mut self, a: NodeId, b: NodeId, extra: Duration) -> &mut Self {
-        self.extra.insert((a, b), extra);
-        self.extra.insert((b, a), extra);
-        self
-    }
-
-    /// The extra latency configured between two nodes.
-    pub fn extra(&self, from: NodeId, to: NodeId) -> Duration {
-        self.extra
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(Duration::ZERO)
-    }
-}
-
-impl NetworkModel for PerLinkLan {
-    fn delay(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        size: usize,
-        fanout: usize,
-        now: Instant,
-        rng: &mut SmallRng,
-    ) -> Duration {
-        self.lan
-            .delay(from, to, size, fanout, now, rng)
-            .saturating_add(self.extra(from, to))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,30 +256,5 @@ mod tests {
             let d = net.delay(n(0), n(1), 0, 1, Instant::from_millis(i), &mut r);
             assert_eq!(d, Duration::from_micros(100));
         }
-    }
-
-    #[test]
-    fn per_link_extra_is_symmetric() {
-        let lan = UniformLan {
-            base: Duration::from_micros(100),
-            per_byte: Duration::ZERO,
-            per_fanout: Duration::ZERO,
-            jitter: 0.0,
-        };
-        let mut net = PerLinkLan::new(lan);
-        net.set_extra(n(0), n(1), Duration::from_millis(5));
-        let mut r = rng();
-        assert_eq!(
-            net.delay(n(0), n(1), 0, 1, Instant::EPOCH, &mut r),
-            Duration::from_micros(5_100)
-        );
-        assert_eq!(
-            net.delay(n(1), n(0), 0, 1, Instant::EPOCH, &mut r),
-            Duration::from_micros(5_100)
-        );
-        assert_eq!(
-            net.delay(n(0), n(2), 0, 1, Instant::EPOCH, &mut r),
-            Duration::from_micros(100)
-        );
     }
 }

@@ -93,8 +93,6 @@ pub(crate) trait ContextCore<M> {
     /// Sends `payload` over the simulated network as part of a `fanout`-way
     /// multicast.
     fn transmit(&mut self, from: NodeId, to: NodeId, payload: M, fanout: usize);
-    /// Self-delivery after `after`, bypassing the network.
-    fn send_self(&mut self, from: NodeId, after: Duration, payload: M);
     /// Arms a timer on `node`.
     fn set_timer(&mut self, node: NodeId, after: Duration, plane: Plane) -> TimerToken;
     /// Cancels a pending timer on `node`.
@@ -238,11 +236,6 @@ impl<M: Payload> ContextCore<M> for SimCore<M> {
         self.push_message(at, from, to, payload);
     }
 
-    fn send_self(&mut self, from: NodeId, after: Duration, payload: M) {
-        let at = self.now.saturating_add(after);
-        self.push_message(at, from, from, payload);
-    }
-
     fn set_timer(&mut self, node: NodeId, after: Duration, plane: Plane) -> TimerToken {
         let token = TimerToken(self.next_timer);
         self.next_timer += 1;
@@ -309,12 +302,6 @@ impl<M: Payload> Context<'_, M> {
             self.ops
                 .transmit(self.self_id, *dest, payload.clone(), to.len());
         }
-    }
-
-    /// Delivers `payload` to this node itself after `after`, bypassing the
-    /// network (used to model local asynchronous processing).
-    pub fn send_self(&mut self, after: Duration, payload: M) {
-        self.ops.send_self(self.self_id, after, payload);
     }
 
     /// Sets a timer that fires on this node after `after`.

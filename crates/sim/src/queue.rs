@@ -4,7 +4,7 @@
 //! A discrete-event simulation pops events in non-decreasing time order
 //! and pushes almost all of them a short, bounded way into the future —
 //! the shape a calendar queue (Brown, CACM 1988) is made for. Time is cut
-//! into buckets of [`BUCKET_NANOS`]; a ring of [`RING_BUCKETS`] of them
+//! into buckets of 2²⁰ ns; a ring of [`RING_BUCKETS`] of them
 //! covers the next ≈ 4.3 s. Entries live in a slab and a bucket is a
 //! singly-linked chain of `u32` slot indices through it, so a push into a
 //! future bucket is a slot write and two link writes — no comparison, no
@@ -45,11 +45,9 @@ use std::collections::BinaryHeap;
 
 use aqua_core::aqua;
 
-/// log₂ of the bucket width in nanoseconds.
+/// log₂ of the bucket width in nanoseconds: 2²⁰ ns ≈ 1.05 ms.
 const BUCKET_SHIFT: u32 = 20;
-/// Width of one bucket: 2²⁰ ns ≈ 1.05 ms.
-pub const BUCKET_NANOS: u64 = 1 << BUCKET_SHIFT;
-/// Buckets in the ring; with [`BUCKET_NANOS`] it spans ≈ 4.3 s.
+/// Buckets in the ring; with 2²⁰ ns buckets it spans ≈ 4.3 s.
 pub const RING_BUCKETS: usize = 4096;
 const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
 const BITMAP_WORDS: usize = RING_BUCKETS / 64;
@@ -387,6 +385,7 @@ mod tests {
     use crate::topology::DROP_DELAY;
     use proptest::prelude::*;
 
+    const BUCKET_NANOS: u64 = 1 << BUCKET_SHIFT;
     const SPAN_NANOS: u64 = BUCKET_NANOS * RING_BUCKETS as u64;
 
     /// An entry that is nothing but its key. Every key is unique (`seq`

@@ -277,17 +277,6 @@ impl<M: Payload> ContextCore<M> for ShardCore<'_, '_, M> {
         self.route(ShardScheduled::new(key, to, Body::Message(payload)));
     }
 
-    fn send_self(&mut self, from: NodeId, after: Duration, payload: M) {
-        let at = self.now.saturating_add(after);
-        let local = self.local_mut(from);
-        local.digest = fold(local.digest, 0xA2);
-        local.digest = fold(local.digest, at.as_nanos());
-        let key = local.next_key(from, at);
-        self.shard
-            .queue
-            .push(ShardScheduled::new(key, from, Body::Message(payload)));
-    }
-
     fn set_timer(&mut self, node: NodeId, after: Duration, _plane: Plane) -> TimerToken {
         let at = self.now.saturating_add(after);
         let local = self.local_mut(node);
@@ -594,11 +583,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
         self.trace_cap = capacity.max(1);
     }
 
-    /// Trace records dropped because a shard's log hit capacity.
-    pub fn trace_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.tagged_dropped).sum()
-    }
-
     /// The merged trace: shard-local streams sorted by
     /// `(cause time, cause origin, cause seq, intra-handler index)` — the
     /// exact order a single-shard run emits them in.
@@ -628,19 +612,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
     pub fn node_counters(&self, id: NodeId) -> NodeCounters {
         let sh = self.node_shard[id.index() as usize] as usize;
         self.shards[sh].tracer.counters(id)
-    }
-
-    /// Detaches a node: every future delivery to it is dropped.
-    pub fn detach_node(&mut self, id: NodeId) {
-        let sh = self.node_shard[id.index() as usize] as usize;
-        let li = self.node_local[id.index() as usize] as usize;
-        let now = self.now;
-        let shard = &mut self.shards[sh];
-        shard.locals[li].detached = true;
-        shard.locals[li].digest = fold(shard.locals[li].digest, 0xA4);
-        shard
-            .tracer
-            .record(now, TraceEvent::NodeDetached { node: id });
     }
 
     /// Whether a node is detached.
@@ -688,12 +659,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
     pub fn run_until(&mut self, deadline: Instant) {
         self.run_rounds(Some(deadline));
         self.now = self.now.max(deadline);
-    }
-
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: Duration) {
-        let deadline = self.now.saturating_add(span);
-        self.run_until(deadline);
     }
 
     /// The barrier-synchronized round loop (threaded when more than one
@@ -1092,18 +1057,23 @@ mod tests {
                 log: Vec::new(),
             },
         );
-        let b = sim.add_node_in_region(
-            1,
-            Peer {
-                peer: None,
-                log: Vec::new(),
-            },
-        );
-        sim.run_until(Instant::from_millis(1));
-        sim.detach_node(b);
+        let b = sim.add_node_in_region(1, Crashed::default());
         sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
         sim.run_until_idle();
         assert!(sim.is_detached(b));
-        assert_eq!(sim.node::<Peer>(b).unwrap().log.len(), 1, "only start");
+        assert_eq!(sim.node::<Crashed>(b).unwrap().events, 1, "only start");
+    }
+
+    /// Detaches itself on start: a host crash.
+    #[derive(Default)]
+    struct Crashed {
+        events: u32,
+    }
+
+    impl crate::node::Node<Msg> for Crashed {
+        fn on_event(&mut self, _: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            self.events += 1;
+            ctx.detach_self();
+        }
     }
 }

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use aqua_core::aqua;
-use aqua_core::time::{Duration, Instant};
+use aqua_core::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -129,15 +129,6 @@ impl<M: Payload> Simulation<M> {
         self.nodes.len()
     }
 
-    /// Detaches a node: every future delivery to it is dropped. Models a
-    /// crash injected by the harness rather than by the node itself.
-    pub fn detach_node(&mut self, id: NodeId) {
-        self.core.mark_detached(id);
-        self.core
-            .tracer
-            .record(self.core.now, TraceEvent::NodeDetached { node: id });
-    }
-
     /// Starts recording a bounded ring of [`TraceRecord`]s (per-node
     /// counters are always collected, ring or not).
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -148,11 +139,6 @@ impl<M: Payload> Simulation<M> {
     /// [`Simulation::enable_trace`] was called).
     pub fn trace(&self) -> impl Iterator<Item = &TraceRecord> {
         self.core.tracer.records()
-    }
-
-    /// How many trace records were evicted from the ring.
-    pub fn trace_dropped(&self) -> u64 {
-        self.core.tracer.dropped()
     }
 
     /// Communication counters for one node.
@@ -393,12 +379,6 @@ impl<M: Payload> Simulation<M> {
     fn app_in_flight(&self) -> u64 {
         self.core.app_in_flight
     }
-
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: Duration) {
-        let deadline = self.core.now.saturating_add(span);
-        self.run_until(deadline);
-    }
 }
 
 impl<M: Payload> fmt::Debug for Simulation<M> {
@@ -417,6 +397,7 @@ mod tests {
     use super::*;
     use crate::event::TimerToken;
     use crate::node::Node;
+    use aqua_core::time::Duration;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -492,14 +473,28 @@ mod tests {
     fn detached_nodes_receive_nothing() {
         let mut sim = Simulation::<Msg>::new(1);
         let a = sim.add_node(Echo::default());
-        let b = sim.add_node(Echo::default());
-        sim.run_until(Instant::from_millis(1));
-        sim.detach_node(b);
+        let b = sim.add_node(Crashed::default());
         sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
         sim.run_until_idle();
         assert!(sim.is_detached(b));
-        let log = &sim.node::<Echo>(b).unwrap().log;
-        assert_eq!(log.len(), 1, "only the start event: {log:?}");
+        assert_eq!(
+            sim.node::<Crashed>(b).unwrap().events,
+            1,
+            "only the start event"
+        );
+    }
+
+    /// Detaches itself on start: a host crash.
+    #[derive(Default)]
+    struct Crashed {
+        events: u32,
+    }
+
+    impl Node<Msg> for Crashed {
+        fn on_event(&mut self, _: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            self.events += 1;
+            ctx.detach_self();
+        }
     }
 
     /// A node that sets a timer on start and records whether it fired.
@@ -557,9 +552,9 @@ mod tests {
         assert_eq!(sim.node::<Echo>(b).unwrap().log, vec![(3_000_000, "start")]);
     }
 
-    /// On each Ping received, immediately re-sends itself a Ping at the
-    /// same instant, up to `cascade` times — a zero-delay cascade used to
-    /// pin the deadline-boundary contract.
+    /// On each Ping received, immediately arms a zero-delay timer that does
+    /// the same, up to `cascade` times — a same-instant cascade used to pin
+    /// the deadline-boundary contract.
     struct Cascader {
         cascade: u32,
         handled: Vec<u64>,
@@ -567,10 +562,10 @@ mod tests {
 
     impl Node<Msg> for Cascader {
         fn on_event(&mut self, event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-            if let Event::Message { .. } = event {
+            if let Event::Message { .. } | Event::Timer { .. } = event {
                 self.handled.push(ctx.now().as_nanos());
                 if (self.handled.len() as u32) < self.cascade {
-                    ctx.send_self(Duration::ZERO, Msg::Ping);
+                    ctx.set_timer(Duration::ZERO);
                 }
             }
         }
@@ -798,29 +793,5 @@ mod tests {
         let late = |sim: &Simulation<Planed>| sim.now() >= Instant::from_millis(10);
         assert!(!sim.run_until_settled(Instant::from_secs(1), late));
         assert_eq!(sim.now(), Instant::from_secs(1));
-    }
-
-    #[test]
-    fn send_self_bypasses_network() {
-        struct SelfSender {
-            got: bool,
-        }
-        impl Node<Msg> for SelfSender {
-            fn on_event(&mut self, event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-                match event {
-                    Event::Started => ctx.send_self(Duration::from_millis(2), Msg::Ping),
-                    Event::Message { from, .. } => {
-                        assert_eq!(from, ctx.self_id());
-                        self.got = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut sim = Simulation::<Msg>::new(1);
-        let a = sim.add_node(SelfSender { got: false });
-        sim.run_until_idle();
-        assert!(sim.node::<SelfSender>(a).unwrap().got);
-        assert_eq!(sim.messages_sent(), 0);
     }
 }

@@ -229,11 +229,6 @@ impl GeoTopology {
         &self.regions
     }
 
-    /// Index of the region named `name`.
-    pub fn region_index(&self, name: &str) -> Option<usize> {
-        self.regions.iter().position(|r| r.name == name)
-    }
-
     /// Base one-way latency between two regions (intra-region `local_delay`
     /// on the diagonal).
     pub fn one_way(&self, from: usize, to: usize) -> Duration {
@@ -407,8 +402,8 @@ mod tests {
     #[test]
     fn one_way_is_half_rtt() {
         let topo = GeoTopology::aws_5region();
-        let v = topo.region_index("virginia").unwrap();
-        let i = topo.region_index("ireland").unwrap();
+        let index = |name| topo.regions().iter().position(|r| r.name == name).unwrap();
+        let (v, i) = (index("virginia"), index("ireland"));
         assert_eq!(topo.one_way(v, i), Duration::from_millis(40));
         assert_eq!(topo.one_way(i, v), Duration::from_millis(40));
         assert_eq!(topo.one_way(v, v), Duration::from_micros(150));

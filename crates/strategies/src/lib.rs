@@ -28,7 +28,7 @@
 use aqua_core::model::{ModelConfig, ResponseTimeModel};
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, ReplicaStats};
-use aqua_core::scheduler::{plan, ColdStartPolicy};
+use aqua_core::scheduler::plan;
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -126,13 +126,6 @@ impl ModelBased {
             },
             model: ResponseTimeModel::new(model),
         }
-    }
-
-    /// Overrides the cold-start policy.
-    #[must_use]
-    pub fn with_cold_start(mut self, policy: ColdStartPolicy) -> Self {
-        self.config.cold_start = policy;
-        self
     }
 
     /// Overrides the number of simultaneous crashes the selection must
@@ -383,6 +376,7 @@ impl SelectionStrategy for AllReplicas {
 mod tests {
     use super::*;
     use aqua_core::repository::PerfReport;
+    use aqua_core::scheduler::ColdStartPolicy;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)

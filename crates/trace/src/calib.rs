@@ -19,7 +19,7 @@
 //! * **Brier score** — lifetime mean of `(predicted − met)²`, exported as
 //!   `aqua_qos_brier` (basis points);
 //! * **violations** — whenever the rolling observed rate drops more than
-//!   `margin` below the rolling promised `Pc`, the watchdog bumps
+//!   `MARGIN` (0.05) below the rolling promised `Pc`, the watchdog bumps
 //!   `aqua_qos_violations_total`, emits a `calibration_alert` journal
 //!   event, and invokes every registered hook (the seam a
 //!   DependabilityManager can use to renegotiate QoS or rebuild the
@@ -41,20 +41,22 @@ use aqua_obs::Obs;
 /// (basis points).
 pub const GAUGE_SCALE: f64 = 10_000.0;
 
+/// How far the observed success rate may fall below the promised `Pc`
+/// before a violation is raised (probability).
+const MARGIN: f64 = 0.05;
+
+/// Width of the `Pc` quantization bands: a promise of 0.93 lands in the
+/// "0.90" band.
+const BAND_WIDTH: f64 = 0.05;
+
 /// Tunables for [`QosWatchdog`].
 #[derive(Clone, Copy, Debug)]
 pub struct CalibrationConfig {
-    /// How far the observed success rate may fall below the promised
-    /// `Pc` before a violation is raised (probability, default 0.05).
-    pub margin: f64,
     /// Rolling samples required in a band before it may alert
     /// (default 32).
     pub min_samples: usize,
     /// Rolling-window length per band and per replica (default 256).
     pub window: usize,
-    /// Width of the `Pc` quantization bands (default 0.05, i.e. a
-    /// promise of 0.93 lands in the "0.90" band).
-    pub band_width: f64,
     /// Minimum samples between consecutive alerts from one band
     /// (default 64).
     pub cooldown: usize,
@@ -68,10 +70,8 @@ pub struct CalibrationConfig {
 impl Default for CalibrationConfig {
     fn default() -> Self {
         CalibrationConfig {
-            margin: 0.05,
             min_samples: 32,
             window: 256,
-            band_width: 0.05,
             cooldown: 64,
             replica_alerts: false,
         }
@@ -205,12 +205,12 @@ impl QosWatchdog {
     }
 
     fn band_of(&self, promised: f64) -> u32 {
-        let w = self.config.band_width.max(1e-6);
+        let w = BAND_WIDTH;
         ((promised / w).floor() as u32).min((1.0 / w) as u32)
     }
 
     fn band_label(&self, band: u32) -> String {
-        format!("{:.2}", f64::from(band) * self.config.band_width)
+        format!("{:.2}", f64::from(band) * BAND_WIDTH)
     }
 
     /// Records a planned attempt. `predicted` pairs each selected
@@ -293,13 +293,13 @@ impl QosWatchdog {
         stats
             .calibration
             .set(((pred - obs_rate).abs() * GAUGE_SCALE).round() as i64);
-        // A replica whose delivered rate stays `margin` below what the
+        // A replica whose delivered rate stays `MARGIN` below what the
         // model predicts for it is sick in exactly the sense the elastic
         // supervisor quarantines on: the prediction keeps vouching for it
         // and reality keeps disagreeing.
         let violated = self.config.replica_alerts
             && stats.ring.len() >= self.config.min_samples
-            && pred - obs_rate > self.config.margin;
+            && pred - obs_rate > MARGIN;
         if !violated || stats.since_alert < self.config.cooldown {
             return;
         }
@@ -412,7 +412,7 @@ impl QosWatchdog {
             stats.brier.set((b * GAUGE_SCALE).round() as i64);
         }
 
-        let violated = n >= self.config.min_samples && promised - observed > self.config.margin;
+        let violated = n >= self.config.min_samples && promised - observed > MARGIN;
         if !violated || stats.since_alert < self.config.cooldown {
             return;
         }

@@ -185,8 +185,6 @@ pub struct ClientSpec {
     pub think_time: Duration,
     /// Requests to issue.
     pub num_requests: u64,
-    /// Delay before the first request.
-    pub start_after: Duration,
     /// Sliding-window size `l`.
     pub window: usize,
     /// Renegotiate to this spec when the QoS callback fires.
@@ -214,7 +212,6 @@ impl ClientSpec {
             arrivals: aqua_gateway::ArrivalModel::ClosedLoop,
             think_time: Duration::from_secs(1),
             num_requests: 50,
-            start_after: Duration::from_millis(500),
             window: 5,
             renegotiate_to: None,
             methods: vec![aqua_core::repository::MethodId::DEFAULT],
@@ -234,8 +231,6 @@ pub struct ManagerSpec {
     /// Desired number of live server replicas (the initial effective
     /// target under supervision).
     pub target_replication: usize,
-    /// Re-check cadence.
-    pub check_interval: Duration,
     /// Elastic supervision tunables; `None` keeps the fixed target.
     pub supervision: Option<aqua_gateway::SupervisionConfig>,
 }

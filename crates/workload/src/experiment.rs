@@ -40,15 +40,6 @@ impl ClientReport {
         self.records.iter().map(|r| r.redundancy).sum::<usize>() as f64 / self.records.len() as f64
     }
 
-    /// Mean redundancy excluding the cold-start (first) request.
-    pub fn mean_redundancy_warm(&self) -> f64 {
-        if self.records.len() < 2 {
-            return self.mean_redundancy();
-        }
-        let warm = &self.records[1..];
-        warm.iter().map(|r| r.redundancy).sum::<usize>() as f64 / warm.len() as f64
-    }
-
     /// The `q`-quantile of observed response times (answered requests
     /// only); `None` when nothing was answered.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
@@ -209,14 +200,12 @@ impl Run {
             |i: usize, server: &crate::config::ServerSpec, standby: bool| ServerConfig {
                 replica: ReplicaId::new(i as u64),
                 coordinator,
-                group: FailureDetectorConfig::default(),
                 service: server.service.clone(),
                 method_services: server.method_services.clone(),
                 load: server.load.clone(),
                 crash: server.crash,
                 recover_after: server.recover_after,
                 standby,
-                reply_size: 8,
                 faults: (!schedule.is_empty()).then(|| schedule.clone()),
             };
         let mut replicas: Vec<NodeId> = Vec::new();
@@ -233,11 +222,8 @@ impl Run {
         if let Some(manager) = &config.manager {
             let mut node = aqua_gateway::DependabilityManager::new(aqua_gateway::ManagerConfig {
                 coordinator,
-                group: FailureDetectorConfig::default(),
                 target_replication: manager.target_replication,
                 standbys: standby_nodes,
-                check_interval: manager.check_interval,
-                startup_grace: Duration::from_secs(1),
                 supervision: manager.supervision,
             });
             if let Some(obs) = obs {
@@ -250,15 +236,11 @@ impl Run {
         for (i, client) in config.clients.iter().enumerate() {
             let cfg = ClientConfig {
                 coordinator,
-                group: FailureDetectorConfig::default(),
                 qos: client.qos,
                 window: client.window,
                 arrivals: client.arrivals,
                 think_time: client.think_time,
                 num_requests: Some(client.num_requests),
-                start_after: client.start_after,
-                request_size: 16,
-                give_up_after: Duration::from_secs(5),
                 methods: client.methods.clone(),
                 probe_stale_after: client.probe_stale_after,
                 renegotiate_to: client.renegotiate_to,
@@ -483,7 +465,8 @@ mod tests {
                 .views_installed()
         };
         let (drained, views_drained) = (run.report(), views(&run));
-        run.sim.run_for(Duration::from_secs(8));
+        let deadline = run.sim.now() + Duration::from_secs(8);
+        run.sim.run_until(deadline);
         let (later, views_later) = (run.report(), views(&run));
         assert!(later.events > drained.events, "group traffic runs on");
         for (drained, later) in drained.clients.iter().zip(&later.clients) {
@@ -542,7 +525,7 @@ mod tests {
         let client = report.client_under_test();
         // Cold start (4) then 2 each: mean in (2, 4].
         assert!(client.mean_redundancy() > 2.0);
-        assert!((client.mean_redundancy_warm() - 2.0).abs() < 1e-9);
+        assert!(client.records[1..].iter().all(|r| r.redundancy == 2));
         let p50 = client.latency_quantile(0.5).unwrap();
         assert!(p50 >= ms(40) && p50 < ms(80), "p50 = {p50}");
         assert!(client.mean_latency().unwrap() >= ms(40));

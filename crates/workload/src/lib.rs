@@ -19,7 +19,6 @@ mod experiment;
 mod report;
 pub mod scale;
 pub mod scenario;
-mod summary;
 
 pub use aqua_faults::{FaultKind, FaultPlan};
 pub use config::{
@@ -31,7 +30,6 @@ pub use experiment::{
 pub use report::{Figure, Series};
 pub use scale::{ScaleClient, ScaleMsg, ScaleReplica};
 pub use scenario::{Scenario, ScenarioStats, ScheduleLinkHook};
-pub use summary::LatencySummary;
 
 /// Averages the y-values of several same-grid series into one.
 ///

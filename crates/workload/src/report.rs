@@ -36,14 +36,6 @@ impl Series {
             .map(|(_, y)| *y)
             .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.max(y))))
     }
-
-    /// Minimum y value; `None` when empty.
-    pub fn min_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|(_, y)| *y)
-            .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.min(y))))
-    }
 }
 
 /// A figure: a title, axis names, and one or more series over a shared x
@@ -265,7 +257,6 @@ mod tests {
         s.push(0.0, 3.0);
         s.push(1.0, -1.0);
         assert_eq!(s.max_y(), Some(3.0));
-        assert_eq!(s.min_y(), Some(-1.0));
     }
 
     #[test]

@@ -43,7 +43,6 @@ fn scenario(managed: bool) -> ExperimentConfig {
         },
         manager: managed.then_some(ManagerSpec {
             target_replication: 3,
-            check_interval: ms(200),
             supervision: None,
         }),
         clients: vec![client],

@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             replica: ReplicaId::new(i),
             service,
             seed: 100 + i,
-            crash_after: None,
             faults: None,
             obs: None,
         })?);

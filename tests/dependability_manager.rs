@@ -49,7 +49,6 @@ fn managed_config(
         standby_servers: (0..standbys).map(|_| server(CrashPlan::Never)).collect(),
         manager: Some(ManagerSpec {
             target_replication: target,
-            check_interval: ms(200),
             supervision: None,
         }),
         clients: vec![client],
