@@ -219,9 +219,19 @@ impl WireMetrics {
     }
 }
 
-/// What a waiter channel carries: the first reply, whose redundancy the
-/// caller fills in, or [`CallError::NoReplicas`] from the disconnect sweep.
+/// A call's resolution: the first reply, whose redundancy the caller
+/// fills in, or [`CallError::NoReplicas`] from the disconnect sweep.
 type Resolved = Result<CallOutcome, CallError>;
+
+/// What a waiter channel carries. Only the reactor thread sends, at most
+/// one [`Wake::View`] waits beside at most one [`Wake::Resolved`], and the
+/// channel holds two: a nudge never blocks or displaces a reply.
+enum Wake {
+    /// The call is over.
+    Resolved(Resolved),
+    /// A disconnect changed the view: the caller runs [`Call::on_view`].
+    View,
+}
 
 fn resolve(msg: Resolved, redundancy: usize) -> Resolved {
     msg.map(|outcome| CallOutcome {
@@ -245,7 +255,7 @@ struct HandleState {
     /// The seq of a request's first attempt → the channel its caller
     /// waits on, for every call in flight. The handler owns the request's
     /// attempts, the caller's [`Call`] its deadlines and redundancy.
-    waiters: Mutex<HashMap<u64, Sender<Resolved>>>,
+    waiters: Mutex<HashMap<u64, Sender<Wake>>>,
     /// Where this handle's wire-local sequence numbers start: one past
     /// the last the id's previous owners used (0 for a fresh id). The
     /// handler counts from 0; the wire carries `seq_base` + that.
@@ -280,26 +290,36 @@ impl HandleState {
         let Some(tx) = self.waiters.lock().remove(&request) else {
             return;
         };
-        let _ = tx.send(Ok(CallOutcome {
+        let _ = tx.send(Wake::Resolved(Ok(CallOutcome {
             response_time,
             timely: verdict.is_timely(),
             callback: verdict.should_notify(),
             redundancy: 0,
             replica,
             payload,
-        }));
+        })));
+    }
+
+    /// Wakes every caller waiting on a reply to read the new view, unless
+    /// its channel already holds a nudge or its resolution.
+    fn nudge_all(&self) {
+        for tx in self.waiters.lock().values() {
+            if tx.is_empty() {
+                let _ = tx.send(Wake::View);
+            }
+        }
     }
 
     /// Nobody left who could ever answer: fails every in-flight call at
     /// once instead of letting each caller ride out its give-up timer.
     fn fail_all(&self, now: Instant) {
-        let drained: Vec<(u64, Sender<Resolved>)> = {
+        let drained: Vec<(u64, Sender<Wake>)> = {
             let mut waiters = self.waiters.lock();
             waiters.drain().collect()
         };
         for (request, tx) in drained {
             self.handler.on_give_up(now, request);
-            let _ = tx.send(Err(CallError::NoReplicas));
+            let _ = tx.send(Wake::Resolved(Err(CallError::NoReplicas)));
         }
     }
 }
@@ -339,6 +359,12 @@ impl Inner {
     fn states(&self) -> Vec<Arc<HandleState>> {
         let handles = self.handles.read().unwrap_or_else(|p| p.into_inner());
         handles.values().cloned().collect()
+    }
+
+    /// The replicas every handle's view holds: those with a connection.
+    fn members(&self) -> Vec<ReplicaId> {
+        let conns = self.conns.read().unwrap_or_else(|p| p.into_inner());
+        conns.keys().copied().collect()
     }
 
     /// Fans a perf observation to every handle except `skip` (the handle
@@ -532,9 +558,12 @@ impl ReactorSink for Inner {
             (states, conns.is_empty())
         };
         // The pool's own rule: with no replica left, no call can finish.
-        if none_left {
-            for state in &states {
+        // Otherwise a call whose asked replicas all went retries at once.
+        for state in &states {
+            if none_left {
                 state.fail_all(now);
+            } else {
+                state.nudge_all();
             }
         }
         self.spawn_reconnect(id);
@@ -786,15 +815,21 @@ impl MuxHandle {
         // The waiter goes in *before* the multicast so even a
         // lightning-fast reply finds it.
         let first = call.seq();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = bounded(2);
         self.state.waiters.lock().insert(first, tx);
         let reached = self.transmit(first, method, payload, &plan.replicas);
         let mut raced = None;
         if call.sent(handler, inner.now(), &plan, reached) {
             while let Some(deadline) = call.next_deadline() {
                 let wait = deadline.saturating_duration_since(inner.now());
-                if let Ok(msg) = rx.recv_timeout(std::time::Duration::from(wait)) {
-                    return resolve(msg, call.redundancy());
+                match rx.recv_timeout(std::time::Duration::from(wait)) {
+                    Ok(Wake::Resolved(msg)) => return resolve(msg, call.redundancy()),
+                    // A view that kept none of the asked replicas brings
+                    // the armed retry forward to now.
+                    Ok(Wake::View) => {
+                        call.on_view(inner.now(), &inner.members());
+                    }
+                    Err(_) => {}
                 }
                 match call.on_deadline(handler, inner.now()) {
                     Step::Send(retry) => {
@@ -805,7 +840,13 @@ impl MuxHandle {
                     // against the give-up: its message is on the channel,
                     // or arrives momentarily.
                     Step::Answered => {
-                        raced = rx.recv_timeout(std::time::Duration::from_secs(1)).ok();
+                        raced = loop {
+                            match rx.recv_timeout(std::time::Duration::from_secs(1)) {
+                                Ok(Wake::Resolved(msg)) => break Some(msg),
+                                Ok(Wake::View) => {}
+                                Err(_) => break None,
+                            }
+                        };
                     }
                     Step::Wait | Step::GaveUp => {}
                 }

@@ -295,3 +295,56 @@ fn crash_during_inflight_request_is_masked_by_redundancy() {
         assert_eq!(h.stats().delivered, 1);
     });
 }
+
+/// A disconnect that evicts every replica a call asked brings its armed
+/// retry forward, as the simulated client's view change does: with
+/// `StaticK { k: 1 }` the call asks the primary alone, and when the primary
+/// dies mid-service the backup answers at once instead of at the 1 s
+/// `retry_after`.
+#[test]
+fn an_orphaned_call_retries_on_the_disconnect() {
+    // The primary (replica 0) takes 600 ms; the backups answer in 20 ms.
+    let servers: Vec<ReplicaServer> = [600u64, 20, 20]
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(i as u64), *s))
+                .expect("spawn")
+        })
+        .collect();
+    let mut config = AquaClientConfig::new(QosSpec::new(Duration::from_secs(2), 0.9).unwrap());
+    config.retry_after = Some(Duration::from_secs(1));
+    config.give_up_after = Duration::from_secs(5);
+    config.reconnect = None;
+    let client = std::sync::Arc::new(
+        AquaClient::connect(
+            &replicas_of(&servers),
+            config,
+            Box::new(aqua_strategies::StaticK { k: 1 }),
+        )
+        .expect("connect"),
+    );
+
+    let caller = {
+        let client = std::sync::Arc::clone(&client);
+        std::thread::spawn(move || {
+            let issued = StdInstant::now();
+            let out = client.call(MethodId::DEFAULT, b"failover");
+            (out, issued, StdInstant::now())
+        })
+    };
+    std::thread::sleep(StdDuration::from_millis(150));
+    servers[0].crash();
+    let killed = StdInstant::now();
+
+    let (out, issued, answered) = caller.join().expect("caller thread");
+    let out = out.expect("a backup answered");
+    assert_ne!(out.replica, ReplicaId::new(0), "the dead primary cannot win");
+    assert_eq!(out.redundancy, 2, "the primary, then one backup");
+    assert!(answered > killed, "answered after the kill");
+    assert!(
+        answered - issued < StdDuration::from_millis(800),
+        "answered well before the 1 s retry: {:?}",
+        answered - issued
+    );
+}
