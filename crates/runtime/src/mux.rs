@@ -303,7 +303,8 @@ impl HandleState {
     /// Wakes every caller waiting on a reply to read the new view, unless
     /// its channel already holds a nudge or its resolution.
     fn nudge_all(&self) {
-        for tx in self.waiters.lock().values() {
+        let waiting: Vec<Sender<Wake>> = self.waiters.lock().values().cloned().collect();
+        for tx in waiting {
             if tx.is_empty() {
                 let _ = tx.send(Wake::View);
             }
