@@ -64,21 +64,6 @@ impl AquaClient {
         self.with_handler(|h| h.flush_observability());
     }
 
-    /// Installs a fault timeline (e.g. from a chaos test's
-    /// [`aqua_faults::FaultSchedule`]): every journalled span is tagged
-    /// with the stable ids of overlapping fault windows so offline
-    /// forensics can join misses to faults exactly. No-op without
-    /// observability configured.
-    pub fn set_fault_windows(&self, windows: Vec<aqua_faults::FaultWindow>) {
-        self.with_handler(|h| h.set_fault_windows(windows));
-    }
-
-    /// Replaces the QoS-calibration watchdog configuration (margin,
-    /// window, alert cooldown). No-op without observability configured.
-    pub fn configure_watchdog(&self, config: aqua_gateway::CalibrationConfig) {
-        self.with_handler(|h| h.with_observer(|observer| observer.configure_watchdog(config)));
-    }
-
     /// Renegotiates the QoS spec at runtime (§5.4.2): the failure
     /// detector restarts under the new deadline and the planning snapshot
     /// is republished, so subsequent calls plan against the new spec.
