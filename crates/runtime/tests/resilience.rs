@@ -339,7 +339,11 @@ fn an_orphaned_call_retries_on_the_disconnect() {
 
     let (out, issued, answered) = caller.join().expect("caller thread");
     let out = out.expect("a backup answered");
-    assert_ne!(out.replica, ReplicaId::new(0), "the dead primary cannot win");
+    assert_ne!(
+        out.replica,
+        ReplicaId::new(0),
+        "the dead primary cannot win"
+    );
     assert_eq!(out.redundancy, 2, "the primary, then one backup");
     assert!(answered > killed, "answered after the kill");
     assert!(
