@@ -268,7 +268,8 @@ fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
 }
 
 /// Extent of the item starting at `start` (skipping further attributes):
-/// index of its closing `}` or terminating `;`.
+/// index of its closing `}` or terminating `;`. A `;` inside parentheses
+/// or brackets (`[u8; 4]`) does not end it.
 fn item_extent(tokens: &[Token], start: usize) -> usize {
     let mut i = start;
     // Skip stacked attributes on the same item.
@@ -277,16 +278,21 @@ fn item_extent(tokens: &[Token], start: usize) -> usize {
         i = end + 1;
     }
     let mut brace = 0usize;
+    let mut nest = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
-        if t.is_punct('{') {
+        if t.is_punct('(') || t.is_punct('[') {
+            nest += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            nest = nest.saturating_sub(1);
+        } else if t.is_punct('{') {
             brace += 1;
         } else if t.is_punct('}') {
             brace -= 1;
             if brace == 0 {
                 return i;
             }
-        } else if t.is_punct(';') && brace == 0 {
+        } else if t.is_punct(';') && brace == 0 && nest == 0 {
             return i;
         }
         i += 1;
@@ -1549,14 +1555,10 @@ fn pub_items(tokens: &[Token], excluded: &[bool]) -> Vec<PubItem> {
         let Some(keyword) = tokens.get(j) else {
             continue;
         };
-        let braced = ["fn", "struct", "enum", "union", "trait"]
-            .iter()
-            .any(|k| keyword.is_ident(k));
-        if !braced
-            && !["type", "const", "static"]
-                .iter()
-                .any(|k| keyword.is_ident(k))
-        {
+        const ITEMS: [&str; 8] = [
+            "fn", "struct", "enum", "union", "trait", "type", "const", "static",
+        ];
+        if !ITEMS.iter().any(|k| keyword.is_ident(k)) {
             continue;
         }
         let mut n = j + 1;
@@ -1569,29 +1571,10 @@ fn pub_items(tokens: &[Token], excluded: &[bool]) -> Vec<PubItem> {
         items.push(PubItem {
             name: name.text.clone(),
             line: tokens[i].line,
-            extent: (i, item_end(tokens, n, braced)),
+            extent: (i, item_extent(tokens, n)),
         });
     }
     items
-}
-
-/// End of the item whose name sits at `from`: the `;` at nesting depth 0,
-/// or for a braced item the `}` that closes its body.
-fn item_end(tokens: &[Token], from: usize, braced: bool) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in tokens.iter().enumerate().skip(from) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-            if braced && depth == 0 && t.is_punct('}') {
-                return k;
-            }
-        } else if depth == 0 && t.is_punct(';') {
-            return k;
-        }
-    }
-    tokens.len().saturating_sub(1)
 }
 
 /// `impl` blocks as (self type's name, token extent). The self type is the
@@ -1638,7 +1621,7 @@ fn impl_blocks(tokens: &[Token]) -> Vec<(String, (usize, usize))> {
             k += 1;
         }
         if let Some(name) = self_type {
-            blocks.push((name.clone(), (i, item_end(tokens, k, true))));
+            blocks.push((name, (i, item_extent(tokens, k))));
         }
     }
     blocks
@@ -1658,7 +1641,7 @@ fn reexport_mask(tokens: &[Token]) -> Vec<bool> {
                 j += 1;
             }
             if tokens.get(j).is_some_and(|t| t.is_ident("use")) {
-                let end = item_end(tokens, j, false);
+                let end = item_extent(tokens, j);
                 for m in mask.iter_mut().take(end + 1).skip(i) {
                     *m = true;
                 }
