@@ -394,7 +394,7 @@ impl Pmf {
     /// result vector.
     ///
     /// Intermediate products are tail-pruned with `epsilon` (see
-    /// [`prune_in_place`]; `0.0` disables pruning), bounding the support
+    /// `prune_in_place`; `0.0` disables pruning), bounding the support
     /// growth that makes deep convolutions quadratic. `n = 0` yields the
     /// point mass at zero.
     pub fn self_convolve(&self, n: u32, epsilon: f64, scratch: &mut ConvScratch) -> Pmf {
