@@ -1,10 +1,10 @@
-//! # aqua-bench — benchmarks and figure regeneration
+//! # aqua-bench — figure regeneration
 //!
-//! Shared harness code for the criterion benches (`benches/`), the
-//! experiment binaries (`src/bin/`) that regenerate every figure of the
-//! paper's evaluation (§6), and the ablation [`studies`] that `aqua_lab
-//! study` runs. See DESIGN.md's experiment index for the mapping from
-//! paper figure or ablation to its regenerator.
+//! Shared harness code for the experiment binaries (`src/bin/`) that
+//! regenerate every figure of the paper's evaluation (§6), and the
+//! ablation [`studies`] that `aqua_lab study` runs. See DESIGN.md's
+//! experiment index for the mapping from paper figure or ablation to its
+//! regenerator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

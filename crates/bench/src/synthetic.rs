@@ -51,7 +51,7 @@ pub fn synthetic_repository(n: usize, l: usize, seed: u64) -> InfoRepository {
 /// 2. the selection: [`plan`] reading those tables at `t − δ`, the body of
 ///    the handler's snapshot planner, with δ the previous plan's total.
 #[derive(Debug)]
-pub struct SyntheticPlanner {
+struct SyntheticPlanner {
     repository: Arc<InfoRepository>,
     config: SelectorConfig,
     model: ResponseTimeModel,
@@ -64,18 +64,18 @@ pub struct SyntheticPlanner {
 
 /// One plan of a [`SyntheticPlanner`] and what its two steps took.
 #[derive(Debug, Clone)]
-pub struct TimedPlan {
+struct TimedPlan {
     /// What Algorithm 1 selected, and the ranking it read.
-    pub plan: Plan,
+    plan: Plan,
     /// Time building every member's table.
-    pub model_time: Duration,
+    model_time: Duration,
     /// Time in [`plan`]: each table's point read, then Algorithm 1.
-    pub select_time: Duration,
+    select_time: Duration,
 }
 
 impl TimedPlan {
     /// The plan's whole overhead δ.
-    pub fn overhead(&self) -> Duration {
+    fn overhead(&self) -> Duration {
         self.model_time.saturating_add(self.select_time)
     }
 }
@@ -83,7 +83,7 @@ impl TimedPlan {
 impl SyntheticPlanner {
     /// A planner for `qos` over [`synthetic_repository`]`(n, l, seed)`,
     /// with the paper's model and cold-start rule.
-    pub fn new(n: usize, l: usize, seed: u64, qos: QosSpec) -> Self {
+    fn new(n: usize, l: usize, seed: u64, qos: QosSpec) -> Self {
         let config = SelectorConfig::default();
         SyntheticPlanner {
             repository: Arc::new(synthetic_repository(n, l, seed)),
@@ -98,7 +98,7 @@ impl SyntheticPlanner {
     }
 
     /// Builds every member's table, then plans over them.
-    pub fn plan(&mut self) -> TimedPlan {
+    fn plan(&mut self) -> TimedPlan {
         let started = std::time::Instant::now();
         self.spares.reclaim();
         let mut snapshots = self.spares.list();
@@ -140,7 +140,8 @@ impl SyntheticPlanner {
 }
 
 /// Measures the mean per-plan overhead δ (and its model/selection split)
-/// over `iters` plans of a [`SyntheticPlanner`].
+/// over `iters` plans over [`synthetic_repository`]`(n, l, 42)`, each
+/// rebuilding every member's table.
 pub fn measure_overhead(n: usize, l: usize, qos: &QosSpec, iters: u32) -> OverheadMeasurement {
     let mut planner = SyntheticPlanner::new(n, l, 42, *qos);
     // Warm up the buffers and δ.
@@ -152,6 +153,9 @@ pub fn measure_overhead(n: usize, l: usize, qos: &QosSpec, iters: u32) -> Overhe
     let mut select = Duration::ZERO;
     for _ in 0..iters {
         let timed = planner.plan();
+        // The plan is otherwise unread; keep its selection from being
+        // optimised out of the timed work.
+        std::hint::black_box(&timed.plan);
         total = total.saturating_add(timed.overhead());
         model = model.saturating_add(timed.model_time);
         select = select.saturating_add(timed.select_time);

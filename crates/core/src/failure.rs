@@ -15,7 +15,6 @@ use crate::time::Duration;
 /// Verdict for a single response, returned by
 /// [`TimingFailureDetector::record`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimingVerdict {
     /// The response arrived within the deadline.
     Timely,
@@ -65,7 +64,6 @@ impl TimingVerdict {
 /// # }
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingFailureDetector {
     qos: QosSpec,
     total: u64,

@@ -28,7 +28,6 @@ use crate::window::BucketedWindow;
 
 /// How the gateway-to-gateway delay term `T_i` is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum DelayEstimator {
     /// Use the most recently measured value (the paper's choice, justified
@@ -42,7 +41,6 @@ pub enum DelayEstimator {
 
 /// How the queuing-delay term `W_i` is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum QueueEstimator {
     /// Relative frequency over the recorded queuing-delay window — the
@@ -60,7 +58,6 @@ pub enum QueueEstimator {
 /// How histories of different methods are combined (multi-interface
 /// extension, §8 ext. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum MethodScope {
     /// Use only the history recorded for the method being invoked.
@@ -75,7 +72,6 @@ pub enum MethodScope {
 
 /// Configuration of the response-time model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelConfig {
     /// Quantization step for all pmfs. The experiments use 1 ms, which is
     /// ≤1% of the deadlines studied.

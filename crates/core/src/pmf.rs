@@ -128,7 +128,6 @@ impl std::error::Error for PmfError {}
 /// # }
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pmf {
     /// Bucket width; all probabilities refer to multiples of this.
     bucket: Duration,

@@ -21,7 +21,6 @@ use crate::time::Duration;
 /// assert_eq!(r.index(), 3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicaId(u64);
 
 impl ReplicaId {
@@ -99,7 +98,6 @@ impl std::error::Error for QosError {}
 /// # }
 /// ```
 #[derive(Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosSpec {
     deadline: Duration,
     min_probability: f64,

@@ -32,7 +32,6 @@ pub const DEFAULT_BUCKET: Duration = Duration::from_millis(1);
 /// [`MethodId::DEFAULT`] everywhere, which reproduces the paper's
 /// single-method behaviour exactly.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MethodId(u32);
 
 impl MethodId {
@@ -73,7 +72,6 @@ impl fmt::Display for MethodId {
 /// The performance data a replica publishes after servicing a request:
 /// piggybacked on the reply and pushed to all subscribers (§5.4.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfReport {
     /// Service duration `ts` measured around the application upcall.
     pub service_time: Duration,
@@ -108,7 +106,6 @@ impl PerfReport {
 /// vectors of §5.2, kept with incrementally maintained bucket counts so the
 /// model can rebuild its pmfs in O(distinct buckets) instead of O(l).
 #[derive(Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MethodHistory {
     service_times: BucketedWindow,
     queuing_delays: BucketedWindow,
@@ -189,7 +186,6 @@ impl Clone for MethodHistory {
 
 /// Everything the repository knows about one replica.
 #[derive(Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicaStats {
     histories: BTreeMap<MethodId, MethodHistory>,
     gateway_delays: BucketedWindow,
@@ -387,7 +383,6 @@ impl ReplicaStats {
 /// assert!(repo.stats(r0).unwrap().is_warm());
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InfoRepository {
     replicas: BTreeMap<ReplicaId, ReplicaStats>,
     window: usize,

@@ -27,7 +27,6 @@ use crate::select::{select_replicas_tolerating, Candidate, Selection};
 
 /// Policy for replicas that do not yet have enough history for the model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ColdStartPolicy {
     /// Multicast to **all** replicas whenever any replica lacks data — the
     /// paper's behaviour, which bootstraps the repository in one round.
@@ -41,7 +40,6 @@ pub enum ColdStartPolicy {
 /// What [`plan`] takes besides the members: the model, the cold-start
 /// policy and the crashes to tolerate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SelectorConfig {
     /// Model parameters (bucket width, delay estimator, method scope).
     pub model: ModelConfig,

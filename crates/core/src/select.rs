@@ -24,7 +24,6 @@ use crate::qos::ReplicaId;
 /// A replica together with its predicted probability `F_Ri(t)` of answering
 /// within the client's (overhead-adjusted) deadline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Candidate {
     /// The replica this estimate is for.
     pub id: ReplicaId,
@@ -41,7 +40,6 @@ impl Candidate {
 
 /// The outcome of running Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Selection {
     /// The replicas the request should be multicast to, best first.
     replicas: Vec<ReplicaId>,

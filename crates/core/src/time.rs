@@ -29,7 +29,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///            Duration::from_millis(5));
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Duration(u64);
 
 impl Duration {
@@ -312,7 +311,6 @@ impl From<Duration> for std::time::Duration {
 /// assert_eq!(t4.duration_since(t0), Duration::from_millis(3));
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Instant(u64);
 
 impl Instant {

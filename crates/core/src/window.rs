@@ -30,7 +30,6 @@ use crate::time::Duration;
 /// assert_eq!(w.latest(), Some(&4));
 /// ```
 #[derive(PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlidingWindow<T> {
     samples: Vec<T>,
     capacity: usize,
@@ -233,7 +232,6 @@ impl<T> ExactSizeIterator for Iter<'_, T> {}
 /// assert!(w.generation() > g0);
 /// ```
 #[derive(Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BucketedWindow {
     samples: SlidingWindow<Duration>,
     bucket: Duration,

@@ -15,10 +15,11 @@
 //! At `l = 5` the bound is above 1 and only the exact check bites; at
 //! `l = 100` it is 0.27.
 
-use aqua_core::analytic::{AnalyticDistribution, ExponentialDist, NormalDist};
+use aqua_core::analytic::{replicas_needed, AnalyticDistribution, ExponentialDist, NormalDist};
 use aqua_core::model::{ModelConfig, ResponseTimeModel};
 use aqua_core::qos::ReplicaId;
 use aqua_core::repository::{InfoRepository, PerfReport};
+use aqua_core::scheduler::{plan, SelectorConfig};
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,22 +46,31 @@ fn exponential_draw(dist: &ExponentialDist, rng: &mut SmallRng) -> Duration {
     Duration::from_secs_f64(-dist.mean.as_secs_f64() * (1.0 - u).ln())
 }
 
+/// `replicas` replicas, each fed `draws` into a window of `draws.len()`
+/// with `W = T = 0`.
+fn repository(draws: &[Duration], replicas: u64) -> InfoRepository {
+    let mut repo = InfoRepository::new(draws.len());
+    for id in 0..replicas {
+        let r = ReplicaId::new(id);
+        repo.insert_replica(r);
+        for &service in draws {
+            repo.record_perf(
+                r,
+                PerfReport::new(service, Duration::ZERO, 0),
+                Instant::EPOCH,
+            );
+        }
+        repo.record_gateway_delay(r, Duration::ZERO, Instant::EPOCH);
+    }
+    repo
+}
+
 /// Feeds `draws` into a window of `draws.len()` with `W = T = 0` and checks
 /// `F̂` at every `t` of `grid` against the draws and against `dist`.
 fn check(dist: &dyn AnalyticDistribution, draws: &[Duration], grid: &[Duration], label: &str) {
     let l = draws.len();
-    let mut repo = InfoRepository::new(l);
-    let r = ReplicaId::new(0);
-    repo.insert_replica(r);
-    for &service in draws {
-        repo.record_perf(
-            r,
-            PerfReport::new(service, Duration::ZERO, 0),
-            Instant::EPOCH,
-        );
-    }
-    repo.record_gateway_delay(r, Duration::ZERO, Instant::EPOCH);
-    let stats = repo.stats(r).unwrap();
+    let repo = repository(draws, 1);
+    let stats = repo.stats(ReplicaId::new(0)).unwrap();
     let config = ModelConfig::default();
     let model = ResponseTimeModel::new(config);
     let bucket = config.bucket.as_nanos();
@@ -117,6 +127,73 @@ fn the_model_is_calibrated_on_exponential_service() {
                 &draws,
                 &grid,
                 &format!("exponential l={l} seed={seed}"),
+            );
+        }
+    }
+}
+
+/// `|K|` for `n` i.i.d. replicas that each meet the deadline with
+/// probability `p`: the closed-form `k` with `1 − (1 − p)^k ≥ Pc` plus the
+/// reserved `m0`, or `None` (the fallback to all `n`) when `k` does not
+/// fit beside it.
+fn closed_form_size(p: f64, pc: f64, n: usize) -> Option<usize> {
+    let k = replicas_needed(p, pc)?.max(1) as usize;
+    (k < n).then_some(k + 1)
+}
+
+/// The `|K|` half of the calibration: seven replicas share one window of
+/// `l` = 100 quantile-spaced exponential draws `F⁻¹((i + ½)/l)`, whose
+/// empirical CDF is within `1/(2l)` of `F` everywhere. Planning at every
+/// `(t, Pc)` of a grid must select
+///
+/// - (a) exactly the closed-form size at the model's `F̂(t)`, and
+/// - (b) a size between the closed forms at `F(t) ± (1/(2l) + one
+///   bucket's mass)`, the band `F̂(t)` lies in.
+#[test]
+fn selection_size_matches_the_closed_form_on_exponential_service() {
+    const L: usize = 100;
+    const REPLICAS: usize = 7;
+    let dist = ExponentialDist {
+        mean: Duration::from_millis(100),
+    };
+    let draws: Vec<Duration> = (0..L)
+        .map(|i| {
+            let u = (i as f64 + 0.5) / L as f64;
+            Duration::from_secs_f64(-dist.mean.as_secs_f64() * (1.0 - u).ln())
+        })
+        .collect();
+    let repo = repository(&draws, REPLICAS as u64);
+    let stats = repo.stats(ReplicaId::new(0)).unwrap();
+    let config = SelectorConfig::default();
+    let model = ResponseTimeModel::new(config.model);
+    let bucket = config.model.bucket.as_nanos();
+    let grid = [1, 5, 10, 25, 50, 75, 100, 150, 200, 300, 450, 600];
+    for t in grid.into_iter().map(Duration::from_millis) {
+        for pc in [0.0, 0.5, 0.9, 0.99] {
+            let plan = plan(&config, pc, repo.iter(), |_, stats| {
+                model.probability_by(stats, t)
+            });
+            let size = plan.selection.redundancy();
+            let estimate = model.probability_by(stats, t).unwrap();
+            let expected = match closed_form_size(estimate, pc, REPLICAS) {
+                Some(size) => (false, size),
+                None => (true, REPLICAS),
+            };
+            assert_eq!(
+                (plan.selection.is_fallback_all(), size),
+                expected,
+                "t={t} Pc={pc}: F̂ = {estimate}; (fallback, |K|)"
+            );
+
+            let f = dist.cdf(t);
+            let upper = Duration::from_nanos((t.as_nanos() / bucket + 1) * bucket);
+            let allowance = 1.0 / (2 * L) as f64 + (dist.cdf(upper) - f);
+            let size_at = |p: f64| closed_form_size(p, pc, REPLICAS).unwrap_or(REPLICAS);
+            let fewest = size_at(f + allowance);
+            let most = size_at(f - allowance);
+            assert!(
+                (fewest..=most).contains(&size),
+                "t={t} Pc={pc}: {size} replicas outside the closed forms' {fewest}..={most} at F = {f:.4} ± {allowance:.4}"
             );
         }
     }

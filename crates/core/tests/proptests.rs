@@ -304,9 +304,11 @@ proptest! {
 
     #[test]
     fn selection_size_matches_closed_form_for_iid_replicas(
-        p in 0.02f64..0.98,
+        // Log-uniform over [0.001, 0.98): a small p needs thousands of
+        // replicas, so |K| grows large and pools up to 4 096 fall back.
+        p in (0.001f64.ln()..0.98f64.ln()).prop_map(f64::exp),
         pc in 0.0f64..0.995,
-        n in 2usize..12,
+        n in 2usize..=4096,
     ) {
         // For n i.i.d. replicas with per-replica probability p, Algorithm 1
         // must select exactly k+1 replicas where k is the closed-form

@@ -1031,7 +1031,7 @@ pub fn audit_manifest(path: &str, source: &str) -> Vec<Finding> {
         };
         let key = key.trim();
         let value = value.trim();
-        // `serde.workspace = true` / `foo.path = "vendor/foo"` dotted keys.
+        // `rand.workspace = true` / `foo.path = "vendor/foo"` dotted keys.
         if let Some((dep, attr)) = key.split_once('.') {
             let ok = match attr {
                 "workspace" => true,

@@ -1,7 +1,7 @@
 //! Property tests for the wire protocol: roundtrips, and robustness of the
-//! decoder against arbitrary bytes (it must reject, never panic).
+//! decoders against arbitrary bytes (they must reject, never panic).
 
-use aqua_runtime::wire::{Frame, FrameAssembler};
+use aqua_runtime::wire::{Frame, FrameAssembler, MAX_FRAME};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -57,6 +57,32 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// Frame bodies (no length prefix): arbitrary bytes, and valid bodies cut
+/// short or with one byte overwritten, which reach every tag's checks.
+fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..256),
+        (arb_frame(), any::<usize>()).prop_map(|(frame, cut)| {
+            let body = &frame.encode()[4..];
+            body[..cut % (body.len() + 1)].to_vec()
+        }),
+        (arb_frame(), any::<usize>(), any::<u8>()).prop_map(|(frame, at, byte)| {
+            let mut body = frame.encode()[4..].to_vec();
+            let at = at % body.len();
+            body[at] = byte;
+            body
+        }),
+    ]
+}
+
+/// A stream segment for the assembler, and whether it is one whole frame.
+fn arb_segment() -> impl Strategy<Value = (bool, Vec<u8>)> {
+    prop_oneof![
+        arb_frame().prop_map(|frame| (true, frame.encode().to_vec())),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(|bytes| (false, bytes)),
+    ]
+}
+
 proptest! {
     #[test]
     fn every_frame_roundtrips(frame in arb_frame()) {
@@ -84,9 +110,57 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_bodies_never_panic(body in prop::collection::vec(any::<u8>(), 0..256)) {
-        // decode must either produce a frame or a clean error.
-        let _ = Frame::decode(Bytes::from(body));
+    fn arbitrary_bodies_never_panic(body in arb_body()) {
+        // Both decoders must produce a frame or a clean error, and the
+        // same one: `decode_body` is what the reactor and the server run
+        // on hostile input, `decode` the reference it is checked against.
+        match (Frame::decode(Bytes::copy_from_slice(&body)), Frame::decode_body(&body)) {
+            (Ok(reference), Ok(frame)) => prop_assert_eq!(frame, reference),
+            (Err(reference), Err(error)) => prop_assert_eq!(error.kind(), reference.kind()),
+            (reference, borrowed) => prop_assert!(
+                false,
+                "decode gave {reference:?} but decode_body {borrowed:?} on {body:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn the_assembler_survives_arbitrary_streams(
+        segments in prop::collection::vec(arb_segment(), 0..8),
+        oversized in MAX_FRAME + 1..=u32::MAX,
+        at in any::<usize>(),
+        cuts in prop::collection::vec(1usize..64, 0..64),
+    ) {
+        // Hostile bytes in arbitrary chunks, with a length prefix above the
+        // cap somewhere: the assembler yields frames until it needs more
+        // bytes or fails with `InvalidData`, and never panics. When only
+        // whole frames precede the oversized prefix, it must fail there.
+        let mut segments = segments;
+        let at = at % (segments.len() + 1);
+        let framed_up_to_it = segments[..at].iter().all(|(whole, _)| *whole);
+        segments.insert(at, (false, oversized.to_be_bytes().to_vec()));
+        let stream: Vec<u8> = segments.into_iter().flat_map(|(_, bytes)| bytes).collect();
+        let mut assembler = FrameAssembler::new();
+        let mut failed = false;
+        let mut offset = 0usize;
+        let mut cuts = cuts.into_iter();
+        while offset < stream.len() && !failed {
+            let chunk = cuts.next().unwrap_or(usize::MAX).min(stream.len() - offset);
+            assembler.extend(&stream[offset..offset + chunk]);
+            offset += chunk;
+            loop {
+                match assembler.next_frame() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(error) => {
+                        prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+                        failed = true;
+                        break;
+                    }
+                }
+            }
+        }
+        prop_assert!(failed || !framed_up_to_it, "the oversized prefix was accepted");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 mod event;
 pub mod network;
 mod node;
-pub mod queue;
+mod queue;
 mod sharded;
 mod simulation;
 pub mod topology;

@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 /// A labelled series of `(x, y)` points — one curve of a figure.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (e.g. "Pc = 0.9").
     pub label: String,
@@ -40,7 +40,7 @@ impl Series {
 
 /// A figure: a title, axis names, and one or more series over a shared x
 /// grid.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Figure title (e.g. "Figure 4: …").
     pub title: String,
