@@ -258,7 +258,6 @@ fn rolling_restart(seed: u64) -> Scenario {
                         correlated_count: 99,
                         decision_interval: ms(500),
                         seed,
-                        ..SupervisorConfig::default()
                     },
                     ..SupervisionConfig::default()
                 }),
@@ -349,7 +348,6 @@ fn correlated_escalation(seed: u64) -> Scenario {
                         // the one under test.
                         sick_alerts: u32::MAX,
                         correlated_count: 3,
-                        correlated_window: Duration::from_secs(10),
                         decision_interval: ms(1_000),
                         seed,
                         ..SupervisorConfig::default()

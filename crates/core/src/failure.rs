@@ -112,11 +112,6 @@ impl TimingFailureDetector {
         self.failures
     }
 
-    /// Number of QoS-violation callbacks issued.
-    pub fn notifications(&self) -> u64 {
-        self.notifications
-    }
-
     /// Observed fraction of timely responses (1 when nothing observed yet).
     pub fn timely_rate(&self) -> f64 {
         if self.total == 0 {
@@ -205,7 +200,6 @@ mod tests {
         // 3 timely + 2 late = 0.6 < 0.75: notify.
         let verdict = det.record(Duration::from_millis(200));
         assert!(verdict.should_notify());
-        assert_eq!(det.notifications(), 1);
         assert!(det.is_violating());
     }
 
@@ -216,7 +210,6 @@ mod tests {
         assert!(det.is_violating());
         det.renegotiate(spec(600, 0.5));
         assert_eq!(det.total(), 0);
-        assert_eq!(det.notifications(), 0);
         assert!(!det.is_violating());
         assert!(det.record(Duration::from_millis(500)).is_timely());
     }

@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::pmf::Pmf;
     pub use crate::qos::{QosSpec, ReplicaId};
     pub use crate::repository::{InfoRepository, MethodId, PerfReport, ReplicaStats};
-    pub use crate::scheduler::{ColdStartPolicy, SelectorConfig};
+    pub use crate::scheduler::SelectorConfig;
     pub use crate::select::{
         combined_probability, select_replicas, select_replicas_tolerating, Candidate, Selection,
     };

@@ -89,6 +89,7 @@ pub struct ModelConfig {
     /// Values ≤ 1e-12 move the CDF at any deadline by less than the pruned
     /// mass, so they cannot affect replica ranking. The planners' exact tables
     /// ([`ResponseTimeModel::response_cdf`]) never prune.
+    // aqua-lint: allow(knob-census) a pin benchmark/ reads (benchmark/src/replay.rs times `self_convolve` at this epsilon)
     pub prune_epsilon: f64,
 }
 

@@ -13,8 +13,8 @@
 //! gateway-to-gateway delay (a point mass).
 //!
 //! [`Pmf`] implements exactly this: bucketed relative-frequency estimation
-//! ([`Pmf::from_samples`]), point masses ([`Pmf::point`]), convolution
-//! ([`Pmf::convolve`]), constant shifts ([`Pmf::shift_by`]), and the
+//! ([`Pmf::from_samples`]), convolution ([`Pmf::convolve`]), constant
+//! shifts ([`Pmf::shift_by`]) for point masses such as `T_i`, and the
 //! distribution function `F(t) = P(X ≤ t)` ([`Pmf::cdf`]).
 //!
 //! A planner never needs the whole distribution, only `F` at `t − δ`.
@@ -175,26 +175,6 @@ impl Pmf {
         })
     }
 
-    /// A point mass concentrated on the bucket containing `value`.
-    ///
-    /// Used for the gateway-to-gateway delay `T_i`, for which the paper keeps
-    /// only "its most recently measured value rather than recording its
-    /// history" (§5.3.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmfError::ZeroBucketWidth`] for a zero bucket width.
-    pub fn point(value: Duration, bucket: Duration) -> Result<Pmf, PmfError> {
-        if bucket.is_zero() {
-            return Err(PmfError::ZeroBucketWidth);
-        }
-        Ok(Pmf {
-            bucket,
-            offset: value.as_nanos() / bucket.as_nanos(),
-            probs: vec![1.0],
-        })
-    }
-
     /// Builds a relative-frequency pmf directly from `(bucket index, count)`
     /// pairs, e.g. the incrementally maintained counts of a
     /// [`crate::window::BucketedWindow`].
@@ -302,26 +282,6 @@ impl Pmf {
         Duration::from_nanos((mean_idx * bucket_ns).round() as u64)
     }
 
-    /// Standard deviation of the distribution.
-    pub fn std_dev(&self) -> Duration {
-        let mean_idx: f64 = self
-            .probs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (self.offset as f64 + i as f64) * p)
-            .sum();
-        let var_idx: f64 = self
-            .probs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let d = self.offset as f64 + i as f64 - mean_idx;
-                d * d * p
-            })
-            .sum();
-        Duration::from_nanos((var_idx.sqrt() * self.bucket.as_nanos() as f64).round() as u64)
-    }
-
     /// The `p`-quantile: the smallest bucket value `v` with `F(v) ≥ p`.
     ///
     /// `p` is clamped to `[0, 1]`. `quantile(1.0)` is the support maximum.
@@ -335,22 +295,6 @@ impl Pmf {
             }
         }
         self.support_max()
-    }
-
-    /// Iterates over `(bucket lower edge, probability)` pairs, skipping
-    /// zero-probability buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (Duration, f64)> + '_ {
-        let bucket_ns = self.bucket.as_nanos();
-        self.probs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p > 0.0)
-            .map(move |(i, p)| {
-                (
-                    Duration::from_nanos((self.offset + i as u64) * bucket_ns),
-                    *p,
-                )
-            })
     }
 
     /// Discrete convolution: the distribution of the **sum** of two
@@ -420,7 +364,7 @@ impl Pmf {
     /// Shifts the distribution right by a constant delay (adding a
     /// deterministic term, e.g. the latest gateway-to-gateway delay).
     ///
-    /// Equivalent to convolving with [`Pmf::point`] but O(1).
+    /// Equivalent to convolving with a point mass but O(1).
     #[must_use]
     pub fn shift_by(mut self, delay: Duration) -> Pmf {
         self.offset += delay.as_nanos() / self.bucket.as_nanos();
@@ -1246,11 +1190,8 @@ mod tests {
     #[test]
     fn from_samples_relative_frequency() {
         let pmf = Pmf::from_samples([ms(10), ms(10), ms(20), ms(30)], ms(1)).unwrap();
-        let buckets: Vec<_> = pmf.buckets().collect();
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0], (ms(10), 0.5));
-        assert_eq!(buckets[1], (ms(20), 0.25));
-        assert_eq!(buckets[2], (ms(30), 0.25));
+        assert_eq!(pmf.cdf(ms(10)), 0.5);
+        assert_eq!(pmf.cdf(ms(20)), 0.75);
         assert!((pmf.mass() - 1.0).abs() < 1e-12);
     }
 
@@ -1289,7 +1230,7 @@ mod tests {
 
     #[test]
     fn point_mass_cdf() {
-        let pmf = Pmf::point(ms(5), ms(1)).unwrap();
+        let pmf = Pmf::from_samples([ms(5)], ms(1)).unwrap();
         assert_eq!(pmf.cdf(ms(4)), 0.0);
         assert_eq!(pmf.cdf(ms(5)), 1.0);
         assert_eq!(pmf.mean(), ms(5));
@@ -1299,8 +1240,8 @@ mod tests {
 
     #[test]
     fn convolution_of_points_adds() {
-        let a = Pmf::point(ms(3), ms(1)).unwrap();
-        let b = Pmf::point(ms(4), ms(1)).unwrap();
+        let a = Pmf::from_samples([ms(3)], ms(1)).unwrap();
+        let b = Pmf::from_samples([ms(4)], ms(1)).unwrap();
         let c = a.convolve(&b).unwrap();
         assert_eq!(c.mean(), ms(7));
         assert_eq!(c.cdf(ms(6)), 0.0);
@@ -1332,8 +1273,8 @@ mod tests {
 
     #[test]
     fn convolution_bucket_mismatch_rejected() {
-        let a = Pmf::point(ms(1), ms(1)).unwrap();
-        let b = Pmf::point(ms(1), ms(2)).unwrap();
+        let a = Pmf::from_samples([ms(1)], ms(1)).unwrap();
+        let b = Pmf::from_samples([ms(1)], ms(2)).unwrap();
         assert!(matches!(
             a.convolve(&b).unwrap_err(),
             PmfError::BucketMismatch { .. }
@@ -1344,7 +1285,9 @@ mod tests {
     fn shift_matches_point_convolution() {
         let a = Pmf::from_samples([ms(2), ms(6), ms(6)], ms(1)).unwrap();
         let shifted = a.clone().shift_by(ms(10));
-        let convolved = a.convolve(&Pmf::point(ms(10), ms(1)).unwrap()).unwrap();
+        let convolved = a
+            .convolve(&Pmf::from_samples([ms(10)], ms(1)).unwrap())
+            .unwrap();
         for t in 0..30 {
             assert!((shifted.cdf(ms(t)) - convolved.cdf(ms(t))).abs() < 1e-12);
         }
@@ -1361,19 +1304,8 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_of_point_is_zero() {
-        assert_eq!(Pmf::point(ms(9), ms(1)).unwrap().std_dev(), Duration::ZERO);
-    }
-
-    #[test]
-    fn std_dev_of_symmetric_two_point() {
-        let pmf = Pmf::from_samples([ms(10), ms(20)], ms(1)).unwrap();
-        assert_eq!(pmf.std_dev(), ms(5));
-    }
-
-    #[test]
     fn debug_is_informative() {
-        let pmf = Pmf::point(ms(2), ms(1)).unwrap();
+        let pmf = Pmf::from_samples([ms(2)], ms(1)).unwrap();
         let s = format!("{pmf:?}");
         assert!(s.contains("Pmf"), "{s}");
         assert!(s.contains("mean"), "{s}");
@@ -1410,7 +1342,7 @@ mod tests {
         let mut scratch = ConvScratch::new();
         for n in 0..=9u32 {
             let fast = pmf.self_convolve(n, 0.0, &mut scratch);
-            let mut slow = Pmf::point(Duration::ZERO, ms(1)).unwrap();
+            let mut slow = Pmf::from_samples([Duration::ZERO], ms(1)).unwrap();
             for _ in 0..n {
                 slow = slow.convolve(&pmf).unwrap();
             }

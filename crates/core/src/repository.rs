@@ -429,11 +429,6 @@ impl InfoRepository {
         self.window
     }
 
-    /// The count-bucket width of the replica windows.
-    pub fn bucket(&self) -> Duration {
-        self.bucket
-    }
-
     /// Registers a replica (on service discovery or a join view change).
     ///
     /// Returns `true` if the replica was not already present. Existing

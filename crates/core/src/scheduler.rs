@@ -25,26 +25,13 @@ use crate::model::ModelConfig;
 use crate::qos::ReplicaId;
 use crate::select::{select_replicas_tolerating, Candidate, Selection};
 
-/// Policy for replicas that do not yet have enough history for the model.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ColdStartPolicy {
-    /// Multicast to **all** replicas whenever any replica lacks data — the
-    /// paper's behaviour, which bootstraps the repository in one round.
-    #[default]
-    SelectAll,
-    /// Give unknown replicas a fixed optimistic probability so they keep
-    /// being explored without forcing a full multicast.
-    Optimistic(f64),
-}
-
-/// What [`plan`] takes besides the members: the model, the cold-start
-/// policy and the crashes to tolerate.
+/// What [`plan`] takes besides the members: the model and the crashes to
+/// tolerate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorConfig {
     /// Model parameters (bucket width, delay estimator, method scope).
+    // aqua-lint: allow(knob-census) a pin benchmark/ reads (`SnapshotPlanSpec::model`, benchmark/src/replay.rs and workloads/gateway.rs)
     pub model: ModelConfig,
-    /// How cold replicas are treated.
-    pub cold_start: ColdStartPolicy,
     /// How many simultaneous replica crashes the selection must tolerate
     /// (the paper's Algorithm 1 is `1`; §5.3.2 sketches the general case).
     pub crashes: usize,
@@ -54,7 +41,6 @@ impl Default for SelectorConfig {
     fn default() -> Self {
         SelectorConfig {
             model: ModelConfig::default(),
-            cold_start: ColdStartPolicy::default(),
             crashes: 1,
         }
     }
@@ -89,10 +75,9 @@ impl Plan {
 /// `members` are the replicas a plan may trust (selectable, not
 /// excluded), in ascending id order, each with whatever `probability`
 /// needs to read its `F_Ri(t − δ)`. A member with no distribution yet
-/// either forces the cold-start multicast to every member (§5.4.1: the
-/// members after it are not read) or is ranked at the optimistic
-/// probability, per `config.cold_start`; otherwise Algorithm 1 picks the
-/// set tolerating `config.crashes` crashes at `min_probability` (`Pc`).
+/// forces the cold-start multicast to every member (§5.4.1: the members
+/// after it are not read); otherwise Algorithm 1 picks the set tolerating
+/// `config.crashes` crashes at `min_probability` (`Pc`).
 #[aqua::hot_path]
 pub fn plan<M>(
     config: &SelectorConfig,
@@ -105,26 +90,20 @@ pub fn plan<M>(
     // aqua-lint: allow(no-alloc-in-select) the ranking is part of the returned plan; one reservation sized by the member count, no per-replica reallocation
     let mut candidates = Vec::with_capacity(most.unwrap_or(0));
     while let Some((id, member)) = members.next() {
-        let p = match probability(id, member) {
-            Some(p) => p,
-            None => match config.cold_start {
-                ColdStartPolicy::Optimistic(p) => p.clamp(0.0, 1.0),
-                ColdStartPolicy::SelectAll => {
-                    // Every member read so far had a distribution, so the
-                    // multicast is those, this one and the rest, in order.
-                    let everyone = candidates
-                        .iter()
-                        .map(|c: &Candidate| c.id)
-                        .chain(std::iter::once(id))
-                        .chain(members.map(|(id, _)| id))
-                        .collect();
-                    candidates.clear();
-                    return Plan {
-                        selection: Selection::everyone(everyone),
-                        candidates,
-                    };
-                }
-            },
+        let Some(p) = probability(id, member) else {
+            // Every member read so far had a distribution, so the
+            // multicast is those, this one and the rest, in order.
+            let everyone = candidates
+                .iter()
+                .map(|c: &Candidate| c.id)
+                .chain(std::iter::once(id))
+                .chain(members.map(|(id, _)| id))
+                .collect();
+            candidates.clear();
+            return Plan {
+                selection: Selection::everyone(everyone),
+                candidates,
+            };
         };
         candidates.push(Candidate::new(id, p));
     }
@@ -220,22 +199,6 @@ mod tests {
         let cold = plan_over(&repo, &config, &qos);
         assert!(cold.candidates.is_empty());
         assert_eq!(cold.selection.replicas(), [1, 2, 3, 9].map(ReplicaId::new));
-    }
-
-    #[test]
-    fn optimistic_policy_avoids_full_multicast() {
-        let mut repo = InfoRepository::new(5);
-        warm(&mut repo, 0, 50);
-        warm(&mut repo, 1, 60);
-        repo.insert_replica(ReplicaId::new(2)); // cold
-        let config = SelectorConfig {
-            cold_start: ColdStartPolicy::Optimistic(0.5),
-            ..SelectorConfig::default()
-        };
-        let qos = QosSpec::new(ms(100), 0.0).unwrap();
-        let p = plan_over(&repo, &config, &qos);
-        assert_eq!(p.candidates.len(), 3, "cold replica got a probability");
-        assert_eq!(p.selection.redundancy(), 2, "Pc=0 still needs only 2");
     }
 
     #[test]

@@ -296,6 +296,7 @@ impl PlanningView {
 
     /// Whether every selectable member was warm at publication time — the
     /// cold-start criterion driving the full multicast of §5.4.1.
+    // aqua-lint: allow(pub-has-caller) gateway/tests/publish_allocations.rs calls it on a view whose type that file never names
     pub fn all_warm(&self) -> bool {
         let mut any = false;
         for r in &self.replicas {

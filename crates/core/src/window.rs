@@ -123,12 +123,6 @@ impl<T> SlidingWindow<T> {
             pos: 0,
         }
     }
-
-    /// Removes all samples but keeps the capacity.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.head = 0;
-    }
 }
 
 impl<T: Clone> Clone for SlidingWindow<T> {
@@ -240,7 +234,7 @@ pub struct BucketedWindow {
     /// are ≥ 1 and sum to `samples.len()`. A flat vector, so cloning or
     /// dropping a window touches one allocation, not a tree of nodes.
     counts: Vec<(u64, u32)>,
-    /// Bumped on every mutation; never reset (not even by `clear`).
+    /// Bumped on every mutation; never reset.
     generation: u64,
 }
 
@@ -287,8 +281,7 @@ impl BucketedWindow {
         &self.counts
     }
 
-    /// The mutation generation: strictly increases on every `push` or
-    /// `clear`.
+    /// The mutation generation: strictly increases on every `push`.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -336,13 +329,6 @@ impl BucketedWindow {
             }
         }
         count_sample(&mut self.counts, idx);
-    }
-
-    /// Removes all samples, keeping capacity and bucket width.
-    pub fn clear(&mut self) {
-        self.generation += 1;
-        self.samples.clear();
-        self.counts.clear();
     }
 }
 
@@ -413,17 +399,6 @@ mod tests {
         w.push(20);
         assert_eq!(w.latest(), Some(&20));
         assert_eq!(w.oldest(), Some(&10));
-    }
-
-    #[test]
-    fn clear_resets_contents_not_capacity() {
-        let mut w = SlidingWindow::new(2);
-        w.extend([1, 2, 3]);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.capacity(), 2);
-        w.push(9);
-        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]
@@ -508,22 +483,8 @@ mod tests {
             w.push(ms(1));
             let g1 = w.generation();
             assert!(g1 > g0);
-            w.clear();
+            w.push(ms(1));
             assert!(w.generation() > g1);
-        }
-
-        #[test]
-        fn clear_keeps_counts_consistent() {
-            let mut w = BucketedWindow::new(4, ms(2));
-            for d in [ms(1), ms(2), ms(3), ms(8), ms(9)] {
-                w.push(d);
-            }
-            assert_counts_consistent(&w);
-            w.clear();
-            assert!(w.is_empty());
-            assert_eq!(w.bucket_counts().count(), 0);
-            w.push(ms(5));
-            assert_counts_consistent(&w);
         }
 
         #[test]
@@ -561,40 +522,20 @@ mod tests {
             }
         }
 
-        #[derive(Debug, Clone)]
-        enum Op {
-            Push(u64),
-            Clear,
-        }
-
         use proptest::prelude::*;
 
         proptest! {
             #[test]
             fn flat_counts_match_a_btreemap_shadow(
-                ops in prop::collection::vec(
-                    prop_oneof![
-                        12 => (0u64..40).prop_map(Op::Push),
-                        1 => Just(Op::Clear),
-                    ],
-                    1..200,
-                ),
+                pushes in prop::collection::vec(0u64..40, 1..200),
             ) {
                 let capacity = 6;
                 let mut w = BucketedWindow::new(capacity, ms(2));
                 let mut shadow = Shadow::default();
-                for op in ops {
-                    match op {
-                        Op::Push(v) => {
-                            w.push(ms(v));
-                            shadow.samples.push_back(v / 2);
-                            *shadow.counts.entry(v / 2).or_insert(0) += 1;
-                        }
-                        Op::Clear => {
-                            w.clear();
-                            shadow = Shadow::default();
-                        }
-                    }
+                for v in pushes {
+                    w.push(ms(v));
+                    shadow.samples.push_back(v / 2);
+                    *shadow.counts.entry(v / 2).or_insert(0) += 1;
                     shadow.evict_to(capacity);
                     // Same entries in the same (ascending) order.
                     prop_assert_eq!(

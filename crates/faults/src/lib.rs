@@ -11,8 +11,8 @@
 //!   `aqua-replica`),
 //! * **pause** — a GC-like stall: no request is dequeued during the window
 //!   but queued work survives and drains afterwards,
-//! * **degrade** / **overload** — the service time `S_i` is multiplied by a
-//!   factor for the window (a slow disk, a noisy neighbour, a load burst),
+//! * **degrade** — the service time `S_i` is multiplied by a factor for
+//!   the window (a slow disk, a noisy neighbour, a load burst),
 //! * **delay spike** — network latency is scaled and/or padded,
 //! * **message drop** — messages are dropped with a fixed probability,
 //! * **one-way partition** — everything *sent by* the target replica is lost

@@ -21,12 +21,10 @@ use crate::schedule::FaultSchedule;
 
 fn emit_edge(obs: &Obs, spec: &FaultSpec, index: usize, phase: &str, at: Instant) {
     // `window` is the stable id linking this window's `active`/`cleared`
-    // pair to the spans that carry it in `fault_windows`; `fault` is the
-    // same value under the original field name, kept for older readers.
+    // pair to the spans that carry it in `fault_windows`.
     let mut fields = JsonValue::object()
         .field("phase", phase)
         .field("kind", spec.kind.label())
-        .field("fault", index)
         .field("window", index)
         .field("at_ns", at.as_nanos())
         .field("start_ns", spec.start.as_nanos())

@@ -25,13 +25,6 @@ pub enum FaultKind {
         /// Multiplier applied to each sampled `S_i` (> 1 slows down).
         factor: f64,
     },
-    /// An overload burst — semantically a [`FaultKind::Degrade`], but tagged
-    /// separately so experiments can tell background load apart from
-    /// component faults.
-    Overload {
-        /// Multiplier applied to each sampled `S_i` while the burst lasts.
-        factor: f64,
-    },
     /// Network delay spike: message latency is scaled by `factor` and padded
     /// by `extra`. The simulator applies both to every affected link; the
     /// socket runtime (where LAN latency is ~0) applies `extra` to the reply
@@ -72,7 +65,6 @@ impl FaultKind {
             FaultKind::Crash => "crash",
             FaultKind::Pause => "pause",
             FaultKind::Degrade { .. } => "degrade",
-            FaultKind::Overload { .. } => "overload",
             FaultKind::DelaySpike { .. } => "delay_spike",
             FaultKind::Drop { .. } => "drop",
             FaultKind::PartitionOneWay => "partition",
@@ -147,11 +139,6 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// The raw specs in the plan.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// Adds an arbitrary spec.
     pub fn with(mut self, spec: FaultSpec) -> Self {
         self.specs.push(spec);
@@ -189,22 +176,6 @@ impl FaultPlan {
         self.with(FaultSpec {
             replica: Some(r.into()),
             kind: FaultKind::Degrade { factor },
-            start: at,
-            duration,
-        })
-    }
-
-    /// An overload burst on replica `r` scaling service times by `factor`.
-    pub fn overload(
-        self,
-        r: impl Into<ReplicaId>,
-        at: Instant,
-        duration: Duration,
-        factor: f64,
-    ) -> Self {
-        self.with(FaultSpec {
-            replica: Some(r.into()),
-            kind: FaultKind::Overload { factor },
             start: at,
             duration,
         })

@@ -57,11 +57,6 @@ impl FaultSchedule {
         &self.specs
     }
 
-    /// The seed drop decisions are derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Crash/pause status of `replica` at `now`. Crash wins over pause when
     /// windows overlap.
     pub fn health(&self, replica: ReplicaId, now: Instant) -> ReplicaHealth {
@@ -111,16 +106,15 @@ impl FaultSchedule {
     }
 
     /// Combined service-time multiplier for `replica` at `now` (product of
-    /// all active degrade/overload windows; `1.0` when healthy).
+    /// all active degrade windows; `1.0` when healthy).
     pub fn service_factor(&self, replica: ReplicaId, now: Instant) -> f64 {
         let mut factor = 1.0;
         for spec in &self.specs {
             if !(spec.targets(replica) && spec.active_at(now)) {
                 continue;
             }
-            match spec.kind {
-                FaultKind::Degrade { factor: f } | FaultKind::Overload { factor: f } => factor *= f,
-                _ => {}
+            if let FaultKind::Degrade { factor: f } = spec.kind {
+                factor *= f;
             }
         }
         factor
@@ -201,14 +195,6 @@ impl FaultSchedule {
             .flat_map(|s| [s.start, s.end()])
             .filter(|t| *t > now && *t < Instant::from_nanos(u64::MAX))
             .min()
-    }
-
-    /// Specs active at `now`, with their plan indices.
-    pub fn active(&self, now: Instant) -> impl Iterator<Item = (usize, &FaultSpec)> {
-        self.specs
-            .iter()
-            .enumerate()
-            .filter(move |(_, s)| s.active_at(now))
     }
 
     /// The schedule's windows as joinable values: each carries the stable
@@ -360,10 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn degrade_and_overload_factors_compose() {
+    fn degrade_factors_compose() {
         let s = FaultPlan::new()
             .degrade(2, at(0), ms(100), 3.0)
-            .overload(2, at(50), ms(100), 2.0)
+            .degrade(2, at(50), ms(100), 2.0)
             .instantiate(1);
         assert_eq!(s.service_factor(rid(2), at(10)), 3.0);
         assert_eq!(s.service_factor(rid(2), at(60)), 6.0);
@@ -477,17 +463,5 @@ mod tests {
         assert_eq!(s.next_transition_after(at(120)), Some(at(150)));
         assert_eq!(s.next_transition_after(at(150)), Some(at(220)));
         assert_eq!(s.next_transition_after(at(220)), None);
-    }
-
-    #[test]
-    fn active_lists_windows_with_indices() {
-        let s = FaultPlan::new()
-            .pause(0, at(0), ms(100))
-            .crash_recover(1, at(50), ms(100))
-            .instantiate(1);
-        let active: Vec<usize> = s.active(at(75)).map(|(i, _)| i).collect();
-        assert_eq!(active, vec![0, 1]);
-        let active: Vec<usize> = s.active(at(120)).map(|(i, _)| i).collect();
-        assert_eq!(active, vec![1]);
     }
 }

@@ -102,9 +102,10 @@ pub struct ClientConfig {
     pub calibration: Option<aqua_trace::CalibrationConfig>,
 }
 
+#[cfg(test)]
 impl ClientConfig {
     /// The paper's client loop: think 1 s, 50 requests, minimal payload.
-    pub fn paper(coordinator: NodeId, qos: QosSpec) -> Self {
+    pub(crate) fn paper(coordinator: NodeId, qos: QosSpec) -> Self {
         ClientConfig {
             coordinator,
             qos,
@@ -270,11 +271,6 @@ impl ClientGateway {
         self.timers
             .values()
             .any(|kind| matches!(kind, TimerKind::Deadline(_)))
-    }
-
-    /// Arrivals suppressed by an escalation's load-shed directive.
-    pub fn shed_requests(&self) -> u64 {
-        self.shed_requests
     }
 
     fn live(&self) -> &ConcurrentHandler {

@@ -352,7 +352,7 @@ mod sim_tests {
         assert_eq!(gw.handler().unwrap().stats().retries, 0);
         let serviced: Vec<u64> = servers
             .iter()
-            .map(|&n| sim.node::<ServerGateway>(n).unwrap().serviced())
+            .map(|&n| sim.node::<ServerGateway>(n).unwrap().serviced)
             .collect();
         assert_eq!(serviced, [10, 0, 0], "primary-only traffic");
     }
@@ -429,7 +429,7 @@ mod sim_tests {
         );
         // The probes serviced real requests at the slow replica…
         let slow_node = sim.node::<ServerGateway>(slow).unwrap();
-        assert!(slow_node.serviced() > 3, "{slow_node:?}");
+        assert!(slow_node.serviced > 3, "{slow_node:?}");
         // …and kept its entry fresh for the whole workload: without
         // probes the only update would be the cold-start multicast at
         // ~0.5 s (probing stops once the client finishes, around 8.5 s).
@@ -482,9 +482,9 @@ mod sim_tests {
         let coord = sim.node::<GroupCoordinator<AquaMsg>>(coordinator).unwrap();
         assert_eq!(coord.view().servers().count(), 2, "fast replica rejoined");
         let server = sim.node::<ServerGateway>(fast).unwrap();
-        assert_eq!(server.restarts(), 1);
+        assert_eq!(server.restarts, 1);
         assert!(!server.is_crashed());
-        let before_recovery = server.serviced();
+        let before_recovery = server.serviced;
         assert!(before_recovery > 0, "served again after restart");
 
         let gw = sim.node::<ClientGateway>(client).unwrap();
@@ -530,7 +530,7 @@ mod sim_tests {
         assert!(gw.is_finished(), "{gw:?}");
         assert_eq!(gw.records().len(), 30);
         let server_node = sim.node::<ServerGateway>(server).unwrap();
-        assert_eq!(server_node.serviced(), 30);
+        assert_eq!(server_node.serviced, 30);
         // Queuing delays were measured and are substantial.
         let repo = gw.handler().unwrap().repository();
         let stats = repo.stats(ReplicaId::new(0)).unwrap();

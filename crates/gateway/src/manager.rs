@@ -185,21 +185,6 @@ impl DependabilityManager {
         self
     }
 
-    /// Standby activations performed so far.
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Supervisor-initiated drains (rolling restarts + target shrinks).
-    pub fn drains(&self) -> u64 {
-        self.drains
-    }
-
-    /// Fleet-level escalations raised so far.
-    pub fn escalations(&self) -> u64 {
-        self.escalations
-    }
-
     /// The effective replication target (moved by the supervisor when
     /// supervision is on, the configured constant otherwise).
     pub fn target(&self) -> usize {
@@ -229,7 +214,6 @@ impl DependabilityManager {
             JsonValue::object()
                 .field("phase", phase)
                 .field("kind", "drain")
-                .field("fault", rec.window)
                 .field("window", rec.window)
                 .field("at_ns", at.as_nanos())
                 .field("start_ns", rec.started.as_nanos())
@@ -633,7 +617,7 @@ mod tests {
             let coord = sim.node::<GroupCoordinator<AquaMsg>>(coordinator).unwrap();
             assert_eq!(coord.view().servers().count(), 3);
             let mgr = sim.node::<DependabilityManager>(manager).unwrap();
-            assert_eq!(mgr.activations(), 0);
+            assert_eq!(mgr.activations, 0);
         }
 
         // After the crash + detection: the manager restores the level.
@@ -645,12 +629,12 @@ mod tests {
             "replication level restored"
         );
         let mgr = sim.node::<DependabilityManager>(manager).unwrap();
-        assert_eq!(mgr.activations(), 1, "exactly one standby activated");
+        assert_eq!(mgr.activations, 1, "exactly one standby activated");
         assert_eq!(mgr.pool.len(), 1);
         // The standby replica (r3) is now in the client's repository and
         // has serviced work.
         let standby_node = sim.node::<ServerGateway>(standbys[0]).unwrap();
-        assert!(standby_node.serviced() > 0, "{standby_node:?}");
+        assert!(standby_node.serviced > 0, "{standby_node:?}");
         let gw = sim.node::<ClientGateway>(client).unwrap();
         assert!(gw
             .handler()
@@ -687,7 +671,7 @@ mod tests {
         // Target 4 with 2 active: exactly 2 activations even though the
         // check timer fired many times while joins were in flight.
         let mgr = sim.node::<DependabilityManager>(manager).unwrap();
-        assert_eq!(mgr.activations(), 2);
+        assert_eq!(mgr.activations, 2);
         let coord = sim.node::<GroupCoordinator<AquaMsg>>(coordinator).unwrap();
         assert_eq!(coord.view().servers().count(), 4);
     }
@@ -740,7 +724,7 @@ mod tests {
         sim.run_until(Instant::from_secs(20));
         let mgr = sim.node::<DependabilityManager>(manager).unwrap();
         assert_eq!(mgr.target(), 2, "overload shrank the target to the floor");
-        assert!(mgr.drains() >= 2, "surplus replicas were drained");
+        assert!(mgr.drains >= 2, "surplus replicas were drained");
         let coord = sim.node::<GroupCoordinator<AquaMsg>>(coordinator).unwrap();
         assert_eq!(coord.view().servers().count(), 2);
         // Drained replicas rested and returned to the standby pool.

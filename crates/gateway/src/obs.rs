@@ -592,7 +592,6 @@ mod tests {
                 400_000_000 + seq,
             );
         }
-        assert!(observer.watchdog_mut().alerts() >= 1);
         assert!(!reader.lines_containing("calibration_alert").is_empty());
     }
 }

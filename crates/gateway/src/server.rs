@@ -53,16 +53,17 @@ pub struct ServerConfig {
     pub standby: bool,
     /// Scheduled fault injection on the simulation clock: crash windows
     /// (down, then rejoin at the window's end), pauses (the service stage
-    /// stalls, queued work survives), and service-time degradations or
-    /// overloads. Network-scoped faults (delay spikes, drops, partitions)
+    /// stalls, queued work survives), and service-time degradations.
+    /// Network-scoped faults (delay spikes, drops, partitions)
     /// live in the workload's network wrapper instead.
     pub faults: Option<FaultSchedule>,
 }
 
+#[cfg(test)]
 impl ServerConfig {
     /// A paper-style server: Normal(100 ms, σ50 ms) service, steady host,
     /// no crash.
-    pub fn paper(replica: ReplicaId, coordinator: NodeId) -> Self {
+    pub(crate) fn paper(replica: ReplicaId, coordinator: NodeId) -> Self {
         ServerConfig {
             replica,
             coordinator,
@@ -104,8 +105,8 @@ pub struct ServerGateway {
     subscribers: Vec<NodeId>,
     /// The subscribers a `PerfUpdate` goes to, reused across replies.
     targets: Vec<NodeId>,
-    serviced: u64,
-    restarts: u64,
+    pub(crate) serviced: u64,
+    pub(crate) restarts: u64,
 }
 
 impl std::fmt::Debug for ServerGateway {
@@ -148,11 +149,6 @@ impl ServerGateway {
             serviced: 0,
             restarts: 0,
         }
-    }
-
-    /// Number of times this replica has restarted after a crash.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
     }
 
     /// Begins a graceful drain: leave the group (the view change stops
@@ -289,11 +285,6 @@ impl ServerGateway {
         }
     }
 
-    /// Requests serviced so far.
-    pub fn serviced(&self) -> u64 {
-        self.serviced
-    }
-
     /// Whether this replica is currently crashed (permanently, or down
     /// awaiting recovery).
     pub fn is_crashed(&self) -> bool {
@@ -308,11 +299,6 @@ impl ServerGateway {
     /// Whether no request is queued or in service.
     pub fn is_idle(&self) -> bool {
         self.core.is_idle()
-    }
-
-    /// Registered performance-update subscribers.
-    pub fn subscribers(&self) -> &[NodeId] {
-        &self.subscribers
     }
 
     fn crash_now(&mut self, ctx: &mut Context<'_, Wire>) {

@@ -38,6 +38,10 @@ const QUEUE_SMOOTHING: f64 = 0.2;
 /// Minimum time between fleet-level escalations.
 const ESCALATION_COOLDOWN: Duration = Duration::from_secs(60);
 
+/// The correlation window for escalation, and how far back set-scoped
+/// alerts hold a raise of the target.
+const CORRELATED_WINDOW: Duration = Duration::from_secs(10);
+
 /// Tunables for [`SupervisorPolicy`].
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
@@ -56,11 +60,9 @@ pub struct SupervisorConfig {
     pub sick_alerts: u32,
     /// How far back replica alerts count toward quarantine.
     pub sick_window: Duration,
-    /// Distinct degrading replicas inside `correlated_window` that turn
-    /// per-replica restarts into a fleet-level escalation.
+    /// Distinct degrading replicas inside `CORRELATED_WINDOW` (10 s) that
+    /// turn per-replica restarts into a fleet-level escalation.
     pub correlated_count: usize,
-    /// The correlation window for escalation.
-    pub correlated_window: Duration,
     /// Minimum time between consecutive target changes, and between
     /// consecutive quarantines (rolling restarts are rolling).
     pub decision_interval: Duration,
@@ -78,7 +80,6 @@ impl Default for SupervisorConfig {
             sick_alerts: 2,
             sick_window: Duration::from_secs(30),
             correlated_count: 3,
-            correlated_window: Duration::from_secs(10),
             decision_interval: Duration::from_secs(5),
             seed: 0,
         }
@@ -221,7 +222,7 @@ impl SupervisorPolicy {
         for signals in self.replicas.values_mut() {
             signals.alerts.retain(|t| *t >= sick_cutoff);
         }
-        let set_cutoff = cutoff(now, self.config.correlated_window);
+        let set_cutoff = cutoff(now, CORRELATED_WINDOW);
         self.set_alerts.retain(|t| *t >= set_cutoff);
     }
 
@@ -231,7 +232,7 @@ impl SupervisorPolicy {
     pub fn tick(&mut self, now: Instant, live: &[u64]) -> Vec<SupervisorAction> {
         self.expire(now);
         let mut actions = Vec::new();
-        let correlated_cutoff = cutoff(now, self.config.correlated_window);
+        let correlated_cutoff = cutoff(now, CORRELATED_WINDOW);
 
         // 1. Correlated degradation first: if the fault is fleet-wide,
         //    restarting members one by one just thins the fleet.

@@ -255,11 +255,12 @@ mod tests {
         let views_before = sim
             .node::<GroupCoordinator<NoApp>>(coord)
             .unwrap()
-            .views_installed();
+            .view()
+            .id;
         sim.schedule_message(sim.now(), a, coord, GroupMsg::Join { member });
         sim.run_until(sim.now() + Duration::from_millis(50));
         let coord_state = sim.node::<GroupCoordinator<NoApp>>(coord).unwrap();
-        assert_eq!(coord_state.views_installed(), views_before);
+        assert_eq!(coord_state.view().id, views_before);
         assert_eq!(coord_state.view().members.len(), 1);
     }
 
@@ -299,7 +300,7 @@ mod tests {
     fn servers(sim: &Simulation<GroupMsg<NoApp>>, coord: NodeId) -> (Vec<NodeId>, u64) {
         let coord = sim.node::<GroupCoordinator<NoApp>>(coord).unwrap();
         let nodes = coord.view().servers().map(|m| m.node).collect();
-        (nodes, coord.views_installed())
+        (nodes, coord.view().id)
     }
 
     /// Delivers `node`'s join, as a server, to `coord` at `at_ms`. (The

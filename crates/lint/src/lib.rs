@@ -1,17 +1,21 @@
 //! # aqua-lint — project-specific static analysis for the aqua workspace
 //!
-//! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds ten
-//! rules ([`rules`]), and a bounded model checker
+//! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds
+//! twelve rules ([`rules`]), and a bounded model checker
 //! ([`interleave`]) exhaustively explores the interleavings of eight shadow
 //! models ported from real synchronization hot spots, and of thirteen
-//! buggy variants it must catch.
+//! buggy variants it must catch. Three of the rules (`pub-has-caller`,
+//! `variant-has-constructor` and `knob-census`) share one index of the
+//! whole workspace's definitions and uses: every `pub` item needs a
+//! caller, every enum variant a constructor and every config field a
+//! second value outside tests.
 //!
 //! The tool takes no dependencies beyond the vendored `shadow` shim — it
 //! must keep working in the air-gapped build environment, and it lints the
 //! workspace that enforces that same property (`vendor-audit`).
 //!
-//! Run it as `cargo run -p aqua-lint -- --check` (CI mode) or with
-//! `--json` for machine-readable findings.
+//! Run it as `cargo run -p aqua-lint -- --check` (CI mode, held at 0
+//! findings) or with `--json` for machine-readable findings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +24,7 @@ pub mod interleave;
 pub mod lexer;
 pub mod rules;
 
-use rules::{audit_manifest, check_pub_has_caller, detect_cycles, Finding, LockEdge, ALL_RULES};
+use rules::{audit_manifest, check_callers, detect_cycles, Finding, LockEdge, ALL_RULES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -103,72 +107,6 @@ impl Report {
     }
 }
 
-/// Suppression keys parsed from a baseline report: `(rule, file, message)`.
-///
-/// Line numbers drift as files are edited, so they are deliberately not
-/// part of a finding's identity. (A message that itself embeds a line
-/// reference — the atomics-ordering cross-reference — re-fires when that
-/// referenced site moves; refresh the baseline after such edits.)
-pub type Baseline = std::collections::BTreeSet<(String, String, String)>;
-
-/// Parse a previous `--json` report into a [`Baseline`].
-///
-/// The parser is matched to [`Report::to_json`]'s own output — one finding
-/// object per line with `rule`/`file`/`message` string fields — rather
-/// than being a general JSON parser.
-pub fn parse_baseline(text: &str) -> Baseline {
-    let mut set = Baseline::new();
-    for line in text.lines() {
-        let fields = (
-            json_field(line, "rule"),
-            json_field(line, "file"),
-            json_field(line, "message"),
-        );
-        if let (Some(r), Some(f), Some(m)) = fields {
-            set.insert((r, f, m));
-        }
-    }
-    set
-}
-
-/// Extract and unescape the string value of `"key": "…"` on one line.
-fn json_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    if let Some(v) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                        out.push(v);
-                    }
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-impl Report {
-    /// Drop findings present in `baseline`; returns how many were
-    /// suppressed. CI uses this to fail only on *new* findings.
-    pub fn apply_baseline(&mut self, baseline: &Baseline) -> usize {
-        let before = self.findings.len();
-        self.findings.retain(|f| {
-            !baseline.contains(&(f.rule.to_string(), f.file.clone(), f.message.clone()))
-        });
-        before - self.findings.len()
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -217,7 +155,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     report.findings.extend(detect_cycles(&edges));
-    report.findings.extend(check_pub_has_caller(&sources));
+    report.findings.extend(check_callers(&sources));
 
     let mut manifests = vec![root.join("Cargo.toml")];
     for dir in ["crates", "vendor"] {

@@ -5,10 +5,9 @@
 //! cargo run -p aqua-lint -- --json             # machine-readable findings
 //! cargo run -p aqua-lint -- --interleave       # run the model checker
 //! cargo run -p aqua-lint -- --root /some/tree  # lint another checkout
-//! cargo run -p aqua-lint -- --check --baseline lint-baseline.json
 //! ```
 
-use aqua_lint::{find_workspace_root, interleave, parse_baseline, run_workspace};
+use aqua_lint::{find_workspace_root, interleave, run_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,7 +16,6 @@ struct Options {
     json: bool,
     run_interleave: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -26,7 +24,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         run_interleave: false,
         root: None,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -38,20 +35,14 @@ fn parse_args() -> Result<Options, String> {
                 let value = args.next().ok_or("--root requires a path")?;
                 opts.root = Some(PathBuf::from(value));
             }
-            "--baseline" => {
-                let value = args.next().ok_or("--baseline requires a file")?;
-                opts.baseline = Some(PathBuf::from(value));
-            }
             "--help" | "-h" => {
                 println!(
                     "aqua-lint: project-specific static analysis\n\n\
-                     USAGE: aqua-lint [--check] [--json] [--interleave] [--root PATH] [--baseline FILE]\n\n\
+                     USAGE: aqua-lint [--check] [--json] [--interleave] [--root PATH]\n\n\
                      --check          exit non-zero when findings exist (CI mode)\n\
                      --json           emit findings as JSON\n\
                      --interleave     run the bounded interleaving checker instead of lints\n\
-                     --root PATH      workspace root (default: discovered from this binary's manifest)\n\
-                     --baseline FILE  suppress findings recorded in a previous --json report;\n\
-                                      only new findings count (and fail --check)"
+                     --root PATH      workspace root (default: discovered from this binary's manifest)"
                 );
                 std::process::exit(0);
             }
@@ -91,25 +82,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let mut report = match run_workspace(&root) {
+    let report = match run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("aqua-lint: {e}");
             return ExitCode::from(2);
         }
     };
-
-    let mut suppressed = 0usize;
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("aqua-lint: reading baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        suppressed = report.apply_baseline(&parse_baseline(&text));
-    }
 
     if opts.json {
         println!("{}", report.to_json());
@@ -119,13 +98,8 @@ fn main() -> ExitCode {
         }
         let counts = report.counts();
         let summary: Vec<String> = counts.iter().map(|(r, n)| format!("{r}={n}")).collect();
-        let baselined = if suppressed > 0 {
-            format!(", {suppressed} baselined")
-        } else {
-            String::new()
-        };
         println!(
-            "aqua-lint: {} finding(s) in {} file(s), {} manifest(s){baselined} [{}]",
+            "aqua-lint: {} finding(s) in {} file(s), {} manifest(s) [{}]",
             report.findings.len(),
             report.files_scanned,
             report.manifests_audited,

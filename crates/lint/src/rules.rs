@@ -1,4 +1,4 @@
-//! The ten aqua-lint rules, plus the allow-annotation machinery.
+//! The twelve aqua-lint rules, plus the allow-annotation machinery.
 //!
 //! Rules operate on the token stream from [`crate::lexer`]; none of them
 //! parse Rust properly. Each heuristic is documented next to its
@@ -17,7 +17,7 @@
 //! annotation without one does not suppress anything.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Rule: no `unwrap`/`expect`/`panic!`/indexing in hot-path crates.
@@ -40,9 +40,13 @@ pub const SPAWN_JOIN: &str = "spawn-join";
 pub const NO_WALLCLOCK: &str = "no-wallclock-in-sim";
 /// Rule: every `pub` item of a library crate has a caller somewhere else.
 pub const PUB_HAS_CALLER: &str = "pub-has-caller";
+/// Rule: every variant of a library crate's `pub enum` is built somewhere.
+pub const VARIANT_HAS_CONSTRUCTOR: &str = "variant-has-constructor";
+/// Rule: every config field takes two values outside tests and examples.
+pub const KNOB_CENSUS: &str = "knob-census";
 
 /// All rule identifiers, in reporting order.
-pub const ALL_RULES: [&str; 10] = [
+pub const ALL_RULES: [&str; 12] = [
     NO_PANIC,
     NO_ALLOC,
     LOCK_ORDER,
@@ -53,6 +57,8 @@ pub const ALL_RULES: [&str; 10] = [
     SPAWN_JOIN,
     NO_WALLCLOCK,
     PUB_HAS_CALLER,
+    VARIANT_HAS_CONSTRUCTOR,
+    KNOB_CENSUS,
 ];
 
 /// One reported violation.
@@ -110,7 +116,7 @@ pub struct FileAnalysis {
 pub fn analyze_file(path: &str, source: &str) -> FileAnalysis {
     let lexed = lex(source);
     let allows = collect_allows(&lexed.comments);
-    let excluded = cfg_test_mask(&lexed.tokens);
+    let excluded = attribute_mask(&lexed.tokens, true);
     let functions = find_functions(&lexed.tokens);
 
     let mut raw = Vec::new();
@@ -204,34 +210,29 @@ fn collect_allows(comments: &[crate::lexer::Comment]) -> HashMap<usize, Vec<Stri
 // Structure recovery: `#[cfg(test)]` regions and function extents.
 // ---------------------------------------------------------------------------
 
-/// Per-token mask: `true` when the token sits inside a `#[cfg(test)]` item
-/// (including the attribute itself). Handles nested test modules and both
-/// braced items and `;`-terminated ones.
-fn cfg_test_mask(tokens: &[Token]) -> Vec<bool> {
+/// Per-token mask of attributes (`#[…]`/`#![…]`, introducer included).
+/// With `test_items`, only the attributes that gate on `test` are marked,
+/// each with the item it gates: the `#[cfg(test)]` code. Handles nested
+/// test modules and both braced items and `;`-terminated ones.
+fn attribute_mask(tokens: &[Token], test_items: bool) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if tokens[i].is_punct('#') {
-            let attr_start = i;
-            let mut j = i + 1;
-            if j < tokens.len() && tokens[j].is_punct('!') {
-                j += 1; // inner attribute `#![…]` — never cfg(test) items here
-            }
-            if j < tokens.len() && tokens[j].is_punct('[') {
-                let (attr_end, is_test) = scan_attribute(tokens, j);
-                if is_test {
-                    let item_end = item_extent(tokens, attr_end + 1);
-                    for m in mask.iter_mut().take(item_end + 1).skip(attr_start) {
-                        *m = true;
-                    }
-                    i = item_end + 1;
-                    continue;
-                }
-                i = attr_end + 1;
-                continue;
+        let j = i + 1 + usize::from(tokens.get(i + 1).is_some_and(|t| t.is_punct('!')));
+        if !tokens[i].is_punct('#') || !tokens.get(j).is_some_and(|t| t.is_punct('[')) {
+            i += 1;
+            continue;
+        }
+        let (mut end, is_test) = scan_attribute(tokens, j);
+        if test_items && is_test {
+            end = item_extent(tokens, end + 1);
+        }
+        if is_test || !test_items {
+            for m in mask.iter_mut().take(end + 1).skip(i) {
+                *m = true;
             }
         }
-        i += 1;
+        i = end + 1;
     }
     mask
 }
@@ -317,6 +318,7 @@ fn find_functions(tokens: &[Token]) -> Vec<FnInfo> {
     const ITEM_KEYWORDS: [&str; 10] = [
         "struct", "enum", "trait", "impl", "mod", "const", "static", "type", "union", "use",
     ];
+    let partner = bracket_partners(tokens);
     let mut fns = Vec::new();
     let mut pending: Vec<String> = Vec::new();
     let mut i = 0usize;
@@ -341,7 +343,7 @@ fn find_functions(tokens: &[Token]) -> Vec<FnInfo> {
                 .filter(|n| n.kind == TokenKind::Ident)
                 .map(|n| n.text.clone())
                 .unwrap_or_default();
-            let body = fn_body_extent(tokens, i + 1);
+            let body = fn_body_extent(tokens, &partner, i + 1);
             fns.push(FnInfo {
                 name,
                 attrs: std::mem::take(&mut pending),
@@ -356,45 +358,13 @@ fn find_functions(tokens: &[Token]) -> Vec<FnInfo> {
 }
 
 /// From just past `fn`, find the body `{ … }`: the first `{` at zero
-/// paren/bracket depth, then its matching `}`. A `;` first means no body.
-fn fn_body_extent(tokens: &[Token], from: usize) -> Option<(usize, usize)> {
-    let mut paren = 0isize;
-    let mut bracket = 0isize;
-    let mut i = from;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.is_punct('(') {
-            paren += 1;
-        } else if t.is_punct(')') {
-            paren -= 1;
-        } else if t.is_punct('[') {
-            bracket += 1;
-        } else if t.is_punct(']') {
-            bracket -= 1;
-        } else if paren == 0 && bracket == 0 {
-            if t.is_punct(';') {
-                return None;
-            }
-            if t.is_punct('{') {
-                let mut depth = 0usize;
-                let mut k = i;
-                while k < tokens.len() {
-                    if tokens[k].is_punct('{') {
-                        depth += 1;
-                    } else if tokens[k].is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some((i, k));
-                        }
-                    }
-                    k += 1;
-                }
-                return Some((i, tokens.len() - 1));
-            }
-        }
-        i += 1;
-    }
-    None
+/// bracket depth, then its partner. A `;` first means no body.
+fn fn_body_extent(tokens: &[Token], partner: &[usize], from: usize) -> Option<(usize, usize)> {
+    let k = scan_to(tokens, partner, from, tokens.len(), |j| {
+        tokens[j].is_punct('{') || tokens[j].is_punct(';')
+    });
+    let last = tokens.len().checked_sub(1)?;
+    (tokens.get(k)?.is_punct('{')).then(|| (k, partner[k].min(last)))
 }
 
 // ---------------------------------------------------------------------------
@@ -657,42 +627,23 @@ fn check_lock_order(
             // (`.take()`, `.len()`, …) projects *out* of the guard, which
             // then dies at the end of the statement.
             let bound = is_let && !projects_out_of_guard(tokens, i + 3);
-            let extent = if bound {
-                // End of enclosing block, or explicit drop(binding).
-                let d = depth[i];
-                let mut ext = end + 1;
-                for (k, tk) in tokens.iter().enumerate().take(end + 1).skip(i + 3) {
-                    if tk.is_punct('}') && depth[k] < d {
-                        ext = k;
-                        break;
-                    }
-                    if let Some(b) = &binding {
-                        if tk.is_ident("drop")
-                            && tokens.get(k + 1).is_some_and(|p| p.is_punct('('))
-                            && tokens.get(k + 2).is_some_and(|n| n.is_ident(b))
-                        {
-                            ext = k;
-                            break;
-                        }
-                    }
-                }
-                ext
-            } else {
-                // Temporary guard: dropped at the end of the statement.
-                let d = depth[i];
-                let mut ext = end + 1;
-                for (k, tk) in tokens.iter().enumerate().take(end + 1).skip(i + 3) {
-                    if tk.is_punct(';') && depth[k] == d {
-                        ext = k;
-                        break;
-                    }
-                    if tk.is_punct('}') && depth[k] < d {
-                        ext = k;
-                        break;
-                    }
-                }
-                ext
+            // A bound guard lives to the end of its block or an explicit
+            // `drop(binding)`; a temporary one to the end of the statement.
+            let d = depth[i];
+            let dropped = |k: usize| {
+                binding.as_ref().is_some_and(|b| {
+                    tokens[k].is_ident("drop")
+                        && tokens.get(k + 1).is_some_and(|p| p.is_punct('('))
+                        && tokens.get(k + 2).is_some_and(|n| n.is_ident(b))
+                })
             };
+            let extent = (i + 3..=end.min(tokens.len() - 1))
+                .find(|&k| {
+                    let statement_end = tokens[k].is_punct(';') && depth[k] == d;
+                    (tokens[k].is_punct('}') && depth[k] < d)
+                        || if bound { dropped(k) } else { statement_end }
+                })
+                .unwrap_or(end + 1);
             acqs.push(Acquisition {
                 name,
                 idx: i,
@@ -775,37 +726,29 @@ fn brace_depths(tokens: &[Token]) -> Vec<usize> {
 fn projects_out_of_guard(tokens: &[Token], from: usize) -> bool {
     const ADAPTERS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
     let mut k = from;
-    loop {
-        let chained = tokens.get(k).is_some_and(|t| t.is_punct('.'))
-            && tokens
-                .get(k + 1)
-                .is_some_and(|t| t.kind == TokenKind::Ident);
-        if !chained {
-            return false;
-        }
-        if !ADAPTERS.iter().any(|a| tokens[k + 1].text == *a) {
-            return true;
-        }
-        // Skip the adapter's balanced argument list and keep scanning.
-        let Some(open) = tokens.get(k + 2).filter(|t| t.is_punct('(')) else {
+    while tokens.get(k).is_some_and(|t| t.is_punct('.')) {
+        let Some(method) = tokens.get(k + 1).filter(|t| t.kind == TokenKind::Ident) else {
             return false;
         };
-        let _ = open;
+        if !ADAPTERS.contains(&method.text.as_str()) {
+            return true;
+        }
+        if !tokens.get(k + 2).is_some_and(|t| t.is_punct('(')) {
+            return false;
+        }
+        // Skip the adapter's balanced argument list and keep scanning.
         let mut depth = 0usize;
         k += 2;
         while k < tokens.len() {
-            if tokens[k].is_punct('(') {
-                depth += 1;
-            } else if tokens[k].is_punct(')') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
+            depth =
+                depth + usize::from(tokens[k].is_punct('(')) - usize::from(tokens[k].is_punct(')'));
             k += 1;
+            if depth == 0 {
+                break;
+            }
         }
-        k += 1;
     }
+    false
 }
 
 /// Walk back over the receiver chain before the `.` at `dot` and name the
@@ -1221,32 +1164,6 @@ const SYS_PATH: &str = "crates/runtime/src/sys.rs";
 /// surface means growing this list — a reviewed, deliberate act.
 const FFI_ALLOWLIST: [&str; 4] = ["epoll_create1", "epoll_ctl", "epoll_wait", "close"];
 
-/// Per-token mask of attribute contents (`#[…]`/`#![…]`, introducer
-/// included), so attribute-only lines don't break SAFETY-comment adjacency.
-fn attribute_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_punct('#') {
-            let start = i;
-            let mut j = i + 1;
-            if j < tokens.len() && tokens[j].is_punct('!') {
-                j += 1;
-            }
-            if j < tokens.len() && tokens[j].is_punct('[') {
-                let (end, _) = scan_attribute(tokens, j);
-                for m in mask.iter_mut().take(end + 1).skip(start) {
-                    *m = true;
-                }
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    mask
-}
-
 /// Audit `unsafe` usage:
 ///
 /// 1. every `unsafe` keyword needs a `// SAFETY:` comment on the same line
@@ -1264,7 +1181,7 @@ fn check_unsafe_audit(
     out: &mut Vec<Finding>,
 ) {
     use std::collections::BTreeSet;
-    let attrs = attribute_mask(tokens);
+    let attrs = attribute_mask(tokens, false);
     let mut code_lines: BTreeSet<usize> = BTreeSet::new();
     for (i, t) in tokens.iter().enumerate() {
         if !attrs[i] {
@@ -1510,29 +1427,37 @@ fn vendor_finding(path: &str, line: usize, dep: &str) -> Finding {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 10: pub-has-caller
+// Rules 10–12: the caller index (pub-has-caller, variant-has-constructor,
+// knob-census)
 // ---------------------------------------------------------------------------
 
-/// Where [`check_pub_has_caller`] looks for `pub` items: the sources of a
-/// library crate, not its binaries.
+/// Where the caller index looks for `pub` items: the sources of a library
+/// crate, not its binaries.
 fn in_library_scope(path: &str) -> bool {
     let lib = path.starts_with("src/")
         || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"));
     lib && !path.contains("/bin/") && !path.ends_with("/main.rs")
 }
 
-/// A `pub` item: its name, the line of its `pub`, and the token extent of
-/// the whole item.
+/// A token extent: the indices of an item's first and last tokens.
+type Extent = (usize, usize);
+
+/// A `pub` item: its keyword, its name, the self type of the `impl` block
+/// holding it (a method's type), the line of its `pub`, the index of its
+/// name token and its extent.
 struct PubItem {
+    keyword: String,
     name: String,
+    owner: Option<String>,
     line: usize,
-    extent: (usize, usize),
+    at: usize,
+    extent: Extent,
 }
 
 /// `pub` fns, methods, structs, enums, unions, traits, type aliases,
 /// consts and statics outside `#[cfg(test)]` code. `pub(crate)` and
 /// narrower, `pub use`, `pub mod` and `pub` fields are not items here.
-fn pub_items(tokens: &[Token], excluded: &[bool]) -> Vec<PubItem> {
+fn pub_items(tokens: &[Token], excluded: &[bool], blocks: &[ImplBlock]) -> Vec<PubItem> {
     let mut items = Vec::new();
     for i in 0..tokens.len() {
         if excluded[i] || !tokens[i].is_ident("pub") {
@@ -1569,18 +1494,24 @@ fn pub_items(tokens: &[Token], excluded: &[bool]) -> Vec<PubItem> {
             continue;
         };
         items.push(PubItem {
+            keyword: keyword.text.clone(),
             name: name.text.clone(),
+            owner: innermost_impl(blocks, i).map(str::to_string),
             line: tokens[i].line,
+            at: n,
             extent: (i, item_extent(tokens, n)),
         });
     }
     items
 }
 
+/// An `impl` block: its self type's name and its extent.
+type ImplBlock = (String, Extent);
+
 /// `impl` blocks as (self type's name, token extent). The self type is the
 /// last path segment outside generics after `for`, or after the impl's own
 /// generics when there is no `for`.
-fn impl_blocks(tokens: &[Token]) -> Vec<(String, (usize, usize))> {
+fn impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
     let mut blocks = Vec::new();
     for i in 0..tokens.len() {
         let item_position = i == 0
@@ -1627,112 +1558,648 @@ fn impl_blocks(tokens: &[Token]) -> Vec<(String, (usize, usize))> {
     blocks
 }
 
+/// The self type of the innermost `impl` block holding token `k`.
+fn innermost_impl(blocks: &[ImplBlock], k: usize) -> Option<&str> {
+    blocks
+        .iter()
+        .filter(|(_, (a, b))| *a <= k && k <= *b)
+        .max_by_key(|(_, (a, _))| *a)
+        .map(|(name, _)| name.as_str())
+}
+
 /// Per-token mask of `pub use` (and `pub(…) use`) re-exports.
 fn reexport_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_ident("pub") {
-            let mut j = i + 1;
-            if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-                while j < tokens.len() && !tokens[j].is_punct(')') {
-                    j += 1;
-                }
-                j += 1;
-            }
-            if tokens.get(j).is_some_and(|t| t.is_ident("use")) {
-                let end = item_extent(tokens, j);
-                for m in mask.iter_mut().take(end + 1).skip(i) {
-                    *m = true;
-                }
-                i = end;
-            }
+    for i in (0..tokens.len()).filter(|&i| tokens[i].is_ident("pub")) {
+        let mut j = i + 1;
+        if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
+            j = (j..tokens.len())
+                .find(|&k| tokens[k].is_punct(')'))
+                .unwrap_or(j)
+                + 1;
         }
-        i += 1;
+        if tokens.get(j).is_some_and(|t| t.is_ident("use")) {
+            mask[i..=item_extent(tokens, j)].fill(true);
+        }
     }
     mask
 }
 
-/// Flag a `pub` item of a library crate (`crates/*/src`, `src/`, not
-/// `bin/` or `main.rs`) whose name is used nowhere else among `files`,
-/// given as `(workspace-relative path, source)`. Every file is a caller;
-/// the workspace passes `crates/`, `src/`, `examples/`, `tests/` and
-/// `benchmark/src`.
+fn is_opener(t: &Token) -> bool {
+    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
+}
+
+fn is_closer(t: &Token) -> bool {
+    t.is_punct(')') || t.is_punct(']') || t.is_punct('}')
+}
+
+/// For each bracket token, the index of its partner (`usize::MAX` for
+/// other tokens and unbalanced brackets).
+fn bracket_partners(tokens: &[Token]) -> Vec<usize> {
+    let mut partner = vec![usize::MAX; tokens.len()];
+    let mut open = Vec::new();
+    for (k, t) in tokens.iter().enumerate() {
+        if is_opener(t) {
+            open.push(k);
+        } else if let Some(o) = open.pop_if(|_| is_closer(t)) {
+            (partner[o], partner[k]) = (k, o);
+        }
+    }
+    partner
+}
+
+/// The first token from `k` on, below `end`, that `stop` accepts at `k`'s
+/// bracket depth (skipping bracketed groups), or `end`.
+fn scan_to(
+    tokens: &[Token],
+    partner: &[usize],
+    mut k: usize,
+    end: usize,
+    stop: impl Fn(usize) -> bool,
+) -> usize {
+    while k < end && !stop(k) {
+        k = if is_opener(&tokens[k]) {
+            partner[k].saturating_add(1)
+        } else {
+            k + 1
+        };
+    }
+    k.min(end)
+}
+
+/// A `:` that is not half of a `::`.
+fn lone_colon(tokens: &[Token], k: usize) -> bool {
+    tokens[k].is_punct(':')
+        && !tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
+        && !(k > 0 && tokens[k - 1].is_punct(':'))
+}
+
+/// Per-token mask of patterns, which build nothing:
+/// - a match arm's pattern, from the `=>` back to the end of the previous
+///   arm (its `,`, or the `}` of a block body) or the match's `{`; a
+///   `{ … }` group stays in the pattern when an upper-case name opens it
+///   (`Kind::Struct { .. } =>`), and a guard (`if …`) is not pattern;
+/// - a `let`, `if let` or `while let` pattern, up to its `=`, `:` or `;`;
+/// - the pattern of `matches!(value, pattern)`.
 ///
-/// A use is an identifier token equal to the item's name, except:
-/// - inside `#[cfg(test)]` code of a `src/` file (an integration test's
-///   `#[test]` fns do count);
-/// - in a comment, so doc links and doctests do not count;
-/// - inside a `pub use` re-export;
-/// - the name of any item's declaration (`fn name`, `struct Name`, …);
-/// - inside the item itself, or inside an `impl` block whose self type
-///   carries the item's name.
-///
-/// Matching is by name alone: an item sharing its name with a used one
-/// (`Pmf::quantile` and some other `quantile`) is never flagged.
-pub fn check_pub_has_caller(files: &[(String, String)]) -> Vec<Finding> {
-    const DECLARES: [&str; 9] = [
-        "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
-    ];
-    let mut uses: HashMap<String, usize> = HashMap::new();
-    let mut candidates = Vec::new();
-    for (path, source) in files {
+/// Alternatives (`A | B`) lie inside these regions.
+fn pattern_mask(tokens: &[Token], partner: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut mark = |from: usize, to: usize| {
+        let mut depth = 0isize;
+        for (k, t) in tokens.iter().enumerate().take(to).skip(from) {
+            depth += isize::from(is_opener(t)) - isize::from(is_closer(t));
+            if depth == 0 && t.is_ident("if") {
+                break;
+            }
+            mask[k] = true;
+        }
+    };
+    let punct = |k: usize, c: char| tokens.get(k).is_some_and(|t| t.is_punct(c));
+    for (k, t) in tokens.iter().enumerate() {
+        if t.is_punct('=') && punct(k + 1, '>') {
+            let mut j = k;
+            while j > 0 {
+                let (p, open) = (&tokens[j - 1], partner[j - 1]);
+                if is_closer(p) && open != usize::MAX {
+                    let named = open > 0 && tokens[open - 1].text.starts_with(char::is_uppercase);
+                    if p.is_punct('}') && !named {
+                        break;
+                    }
+                    j = open;
+                } else if is_opener(p)
+                    || punct(j - 1, ',')
+                    || punct(j - 1, ';')
+                    || (punct(j - 1, '>') && j >= 2 && punct(j - 2, '='))
+                {
+                    break;
+                } else {
+                    j -= 1;
+                }
+            }
+            mark(j, k);
+        } else if t.is_ident("let") {
+            let end = scan_to(tokens, partner, k + 1, tokens.len(), |j| {
+                let assign = punct(j, '=') && !punct(j + 1, '=');
+                is_closer(&tokens[j]) || punct(j, ';') || assign || lone_colon(tokens, j)
+            });
+            mark(k + 1, end);
+        } else if t.is_ident("matches") && punct(k + 1, '!') && punct(k + 2, '(') {
+            let close = partner[k + 2].min(tokens.len());
+            let comma = scan_to(tokens, partner, k + 3, close, |j| punct(j, ','));
+            mark((comma + 1).min(close), close);
+        }
+    }
+    mask
+}
+
+/// One file of the caller index.
+struct Indexed {
+    path: String,
+    tokens: Vec<Token>,
+    partner: Vec<usize>,
+    allows: HashMap<usize, Vec<String>>,
+    /// `#[cfg(test)]` code of a `src/` file: it neither defines nor uses.
+    excluded: Vec<bool>,
+    /// Tokens inside a pattern ([`pattern_mask`]).
+    patterns: Vec<bool>,
+    blocks: Vec<ImplBlock>,
+    functions: Vec<FnInfo>,
+    items: Vec<PubItem>,
+    /// Every identifier outside `#[cfg(test)]` code.
+    names: HashSet<String>,
+}
+
+impl Indexed {
+    fn new(path: &str, source: &str) -> Self {
         let lexed = lex(source);
-        let tokens = &lexed.tokens;
+        let tokens = lexed.tokens;
         let excluded = if path.starts_with("src/") || path.contains("/src/") {
-            cfg_test_mask(tokens)
+            attribute_mask(&tokens, true)
         } else {
             vec![false; tokens.len()]
         };
-        let reexported = reexport_mask(tokens);
+        let blocks = impl_blocks(&tokens);
         let items = if in_library_scope(path) {
-            pub_items(tokens, &excluded)
+            pub_items(&tokens, &excluded, &blocks)
         } else {
             Vec::new()
         };
-        let mut owned: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-        for item in &items {
-            owned.entry(&item.name).or_default().push(item.extent);
+        let names = tokens
+            .iter()
+            .zip(&excluded)
+            .filter(|(t, &x)| t.kind == TokenKind::Ident && !x)
+            .map(|(t, _)| t.text.clone())
+            .collect();
+        let partner = bracket_partners(&tokens);
+        Indexed {
+            path: path.to_string(),
+            allows: collect_allows(&lexed.comments),
+            patterns: pattern_mask(&tokens, &partner),
+            functions: find_functions(&tokens),
+            partner,
+            excluded,
+            blocks,
+            items,
+            names,
+            tokens,
         }
-        let blocks = impl_blocks(tokens);
-        for (name, extent) in &blocks {
-            owned.entry(name).or_default().push(*extent);
+    }
+
+    /// Whether this file shares `other`'s crate, or names one of the `pub`
+    /// items `other` defines outside `impl` blocks.
+    fn imports(&self, other: &Indexed) -> bool {
+        fn krate(p: &str) -> Vec<&str> {
+            let depth = if p.starts_with("crates/") { 2 } else { 1 };
+            p.split('/').take(depth).collect()
         }
-        for (k, t) in tokens.iter().enumerate() {
-            let declared = k > 0
-                && (DECLARES.iter().any(|d| tokens[k - 1].is_ident(d))
-                    || (tokens[k - 1].is_ident("mut")
-                        && k > 1
-                        && tokens[k - 2].is_ident("static")));
-            if t.kind != TokenKind::Ident || excluded[k] || reexported[k] || declared {
+        krate(&self.path) == krate(&other.path)
+            || (other.items.iter()).any(|i| i.owner.is_none() && self.names.contains(&i.name))
+    }
+
+    /// The type a path ending at token `k` starts from: `Type` in
+    /// `Type::name`, the `impl` block's type for `Self::name`.
+    fn qualifier(&self, k: usize) -> Option<&str> {
+        let t = &self.tokens;
+        if k < 3 || !t[k - 1].is_punct(':') || !t[k - 2].is_punct(':') {
+            return None;
+        }
+        let head = t.get(k - 3).filter(|h| h.kind == TokenKind::Ident)?;
+        if head.is_ident("Self") {
+            innermost_impl(&self.blocks, k)
+        } else {
+            Some(&head.text)
+        }
+    }
+
+    /// The name of the innermost function whose body holds token `k`.
+    fn enclosing_fn(&self, k: usize) -> Option<&str> {
+        self.functions
+            .iter()
+            .filter(|f| f.body.is_some_and(|(a, b)| a <= k && k <= b))
+            .max_by_key(|f| f.body.map(|(a, _)| a))
+            .map(|f| f.name.as_str())
+    }
+}
+
+/// The types, each with its file, that define a name.
+type Definers = Vec<(String, usize)>;
+
+/// Every file of the caller index, and the uses it counts.
+struct Index {
+    files: Vec<Indexed>,
+    /// Method names that methods of more than one type define.
+    colliding: HashMap<String, Definers>,
+    /// Names with a use, and names with a call or path use.
+    named: HashSet<String>,
+    called: HashSet<String>,
+    /// `(method, type)` pairs with a use, for colliding names.
+    typed: HashSet<(String, String)>,
+}
+
+impl Index {
+    fn new(files: &[(String, String)]) -> Self {
+        let files: Vec<Indexed> = files.iter().map(|(p, s)| Indexed::new(p, s)).collect();
+        let mut colliding: HashMap<String, Definers> = HashMap::new();
+        for (fi, f) in files.iter().enumerate() {
+            for item in &f.items {
+                let Some(owner) = &item.owner else { continue };
+                let definers = colliding.entry(item.name.clone()).or_default();
+                if !definers.iter().any(|(t, _)| t == owner) {
+                    definers.push((owner.clone(), fi));
+                }
+            }
+        }
+        colliding.retain(|_, definers| definers.len() > 1);
+        let mut index = Index {
+            files,
+            colliding,
+            named: HashSet::new(),
+            called: HashSet::new(),
+            typed: HashSet::new(),
+        };
+        index.count_uses();
+        index
+    }
+
+    /// Which of `definers` a use of their name in file `fi` counts for.
+    /// One definer takes every use. Among several, a use counts for a type
+    /// when it is the path `Type::name` (and then for that type alone),
+    /// when the using file names the type, or when the type is the only
+    /// definer the file imports. A use that none of these ties to any
+    /// definer counts for all of them: the index cannot tell.
+    fn resolve<'a>(
+        &self,
+        fi: usize,
+        qualifier: Option<&str>,
+        definers: &'a Definers,
+    ) -> Vec<&'a str> {
+        let file = &self.files[fi];
+        let types: Vec<&str> = definers.iter().map(|(t, _)| t.as_str()).collect();
+        let imported: Vec<&str> = (definers.iter())
+            .filter(|(_, d)| file.imports(&self.files[*d]))
+            .map(|(t, _)| t.as_str())
+            .collect();
+        let resolved: Vec<&str> = if qualifier.is_some_and(|q| types.contains(&q)) {
+            types
+                .iter()
+                .copied()
+                .filter(|t| Some(*t) == qualifier)
+                .collect()
+        } else {
+            (types.iter().copied())
+                .filter(|t| types.len() == 1 || file.names.contains(*t) || imported == [*t])
+                .collect()
+        };
+        if resolved.is_empty() {
+            types
+        } else {
+            resolved
+        }
+    }
+
+    /// Fills `named`, `called` and `typed` (see `check_callers`).
+    fn count_uses(&mut self) {
+        const DECLARES: [&str; 9] = [
+            "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+        ];
+        let (mut named, mut called, mut typed) = (HashSet::new(), HashSet::new(), HashSet::new());
+        for (fi, f) in self.files.iter().enumerate() {
+            let tokens = &f.tokens;
+            let reexported = reexport_mask(tokens);
+            // Name → (the type of a method of that name, or none; extent).
+            let mut owned: HashMap<&str, Vec<(Option<&str>, Extent)>> = HashMap::new();
+            for item in &f.items {
+                let entry = owned.entry(&item.name).or_default();
+                entry.push((item.owner.as_deref(), item.extent));
+            }
+            for (name, extent) in &f.blocks {
+                owned.entry(name).or_default().push((None, *extent));
+            }
+            for (k, t) in tokens.iter().enumerate() {
+                let declared = k > 0
+                    && (DECLARES.iter().any(|d| tokens[k - 1].is_ident(d))
+                        || (tokens[k - 1].is_ident("mut")
+                            && k > 1
+                            && tokens[k - 2].is_ident("static")));
+                if t.kind != TokenKind::Ident || f.excluded[k] || reexported[k] || declared {
+                    continue;
+                }
+                let ranges = owned.get(t.text.as_str());
+                let inside = |of: Option<&str>| {
+                    ranges.is_some_and(|r| {
+                        r.iter()
+                            .any(|&(o, (a, b))| (of.is_none() || o == of) && a <= k && k <= b)
+                    })
+                };
+                // A method's use is a call or a path; a field or a variable
+                // of its name is none.
+                let path = |a: usize, b: usize| {
+                    tokens.get(a).is_some_and(|t| t.is_punct(':'))
+                        && tokens.get(b).is_some_and(|t| t.is_punct(':'))
+                };
+                let call = tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
+                    || path(k + 1, k + 2)
+                    || (k > 1 && path(k - 1, k - 2));
+                if !inside(None) {
+                    named.insert(t.text.clone());
+                    if call {
+                        called.insert(t.text.clone());
+                    }
+                }
+                let Some(definers) = self.colliding.get(&t.text).filter(|_| call) else {
+                    continue;
+                };
+                for owner in self.resolve(fi, f.qualifier(k), definers) {
+                    if !inside(Some(owner)) {
+                        typed.insert((t.text.clone(), owner.to_string()));
+                    }
+                }
+            }
+        }
+        (self.named, self.called, self.typed) = (named, called, typed);
+    }
+
+    /// Whether the item `name` (a method of `owner`, if any) has a use.
+    fn has_caller(&self, name: &str, owner: Option<&str>) -> bool {
+        match owner {
+            Some(t) if self.colliding.contains_key(name) => {
+                self.typed.contains(&(name.to_string(), t.to_string()))
+            }
+            Some(_) => self.called.contains(name),
+            None => self.named.contains(name),
+        }
+    }
+}
+
+/// Run the caller index's three rules over `files`, given as
+/// `(workspace-relative path, source)`. Every file is a caller; the
+/// workspace passes `crates/`, `src/`, `examples/`, `tests/` and
+/// `benchmark/src`.
+///
+/// - `pub-has-caller`: a `pub` item of a library crate (`crates/*/src`,
+///   `src/`, not `bin/` or `main.rs`) whose name has no use. A use is an
+///   identifier token equal to the name, except: inside `#[cfg(test)]`
+///   code of a `src/` file (an integration test's `#[test]` fns do
+///   count); in a comment, so doc links and doctests do not count; inside
+///   a `pub use` re-export; the name of any item's declaration; inside a
+///   `pub` item of the same name, or inside an `impl` block whose self
+///   type carries the name. A method's use must be a call or a path, and
+///   a method whose name other types' methods share needs a use that
+///   `Index::resolve` ties to its own type; a forwarder's call inside
+///   another type's method of the name counts.
+/// - `variant-has-constructor`: a variant of a library crate's `pub enum`
+///   that nothing builds. A build is `Enum::Variant` (or `Self::Variant`)
+///   outside `#[cfg(test)]` code and outside a pattern (`pattern_mask`);
+///   one inside the enum's own `impl` counts only when the function
+///   around it has a use (or is `default`), and `#[default]` counts as
+///   one.
+/// - `knob-census`: a `pub` field of a config struct (a library crate's
+///   `pub struct` whose name ends in `Config`, `Spec` or `Policy`) that
+///   code outside tests and examples gives at most one distinct value.
+///   Values come from struct literals, `x.field = …` and
+///   `.with_field(…)`; a derived `Default` gives one; a value that reads a
+///   variable counts as many.
+pub fn check_callers(files: &[(String, String)]) -> Vec<Finding> {
+    let index = Index::new(files);
+    let mut out = Vec::new();
+    for f in &index.files {
+        for item in &f.items {
+            if !allowed(&f.allows, PUB_HAS_CALLER, item.line)
+                && !index.has_caller(&item.name, item.owner.as_deref())
+            {
+                out.push(Finding {
+                    rule: PUB_HAS_CALLER,
+                    file: f.path.clone(),
+                    line: item.line,
+                    message: format!(
+                        "`pub` item `{}` has no caller outside its own body, impls, `#[cfg(test)]` code and re-exports; delete it, narrow it, or justify it with an allow",
+                        item.name
+                    ),
+                });
+            }
+        }
+    }
+    unbuilt_variants(&index, &mut out);
+    single_valued_knobs(&index, &mut out);
+    out
+}
+
+/// The variants of the enum `item`: each name's token index, and whether
+/// it carries `#[default]`.
+fn enum_variants(f: &Indexed, item: &PubItem) -> Vec<(usize, bool)> {
+    let t = &f.tokens;
+    let Some(open) = (item.at..item.extent.1).find(|&k| t[k].is_punct('{')) else {
+        return Vec::new();
+    };
+    let close = f.partner[open].min(t.len());
+    let (mut variants, mut default, mut k) = (Vec::new(), false, open + 1);
+    while k < close {
+        if t[k].is_punct('#') {
+            let end = f.partner[k + 1].min(close);
+            default |= t[k + 1..end].iter().any(|a| a.is_ident("default"));
+            k = end + 1;
+        } else {
+            variants.push((k, default));
+            default = false;
+            k = scan_to(t, &f.partner, k, close, |j| t[j].is_punct(',')) + 1;
+        }
+    }
+    variants
+}
+
+fn unbuilt_variants(index: &Index, out: &mut Vec<Finding>) {
+    // (file, enum, variant name, built)
+    let mut variants: Vec<(usize, &str, &Token, bool)> = Vec::new();
+    for (fi, f) in index.files.iter().enumerate() {
+        for item in f.items.iter().filter(|i| i.keyword == "enum") {
+            let found = enum_variants(f, item).into_iter();
+            variants
+                .extend(found.map(|(k, default)| (fi, item.name.as_str(), &f.tokens[k], default)));
+        }
+    }
+    for f in &index.files {
+        for (k, t) in f.tokens.iter().enumerate() {
+            let Some(head) = f.qualifier(k).filter(|_| !f.excluded[k] && !f.patterns[k]) else {
+                continue;
+            };
+            let builds = innermost_impl(&f.blocks, k) != Some(head)
+                || f.enclosing_fn(k)
+                    .is_none_or(|name| name == "default" || index.has_caller(name, Some(head)));
+            for v in variants
+                .iter_mut()
+                .filter(|v| v.1 == head && v.2.text == t.text)
+            {
+                v.3 |= builds;
+            }
+        }
+    }
+    for (fi, enum_name, variant, built) in variants {
+        let f = &index.files[fi];
+        if !built && !allowed(&f.allows, VARIANT_HAS_CONSTRUCTOR, variant.line) {
+            out.push(Finding {
+                rule: VARIANT_HAS_CONSTRUCTOR,
+                file: f.path.clone(),
+                line: variant.line,
+                message: format!(
+                    "variant `{enum_name}::{}` is built nowhere outside `#[cfg(test)]` code and patterns; delete it, or justify it with an allow",
+                    variant.text
+                ),
+            });
+        }
+    }
+}
+
+/// The value an expression gives a field: its text, or `None` when it
+/// reads a variable (a lower-case name that is not a keyword, a primitive
+/// type, a path segment, a field name or a called function).
+fn field_value(tokens: &[Token]) -> Option<String> {
+    const CONSTANT: [&str; 24] = [
+        "true", "false", "as", "if", "else", "match", "move", "return", "unsafe", "u8", "u16",
+        "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32", "f64",
+        "bool",
+    ];
+    let variable = tokens.iter().enumerate().any(|(k, t)| {
+        let next = tokens.get(k + 1);
+        t.is_ident("self")
+            || (t.kind == TokenKind::Ident
+                && !t.text.starts_with(char::is_uppercase)
+                && !CONSTANT.contains(&t.text.as_str())
+                && !next.is_some_and(|n| n.is_punct('(') || n.is_punct('!') || n.is_punct(':'))
+                && !(k > 0 && (tokens[k - 1].is_punct(':') || tokens[k - 1].is_punct('.'))))
+    });
+    let text: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+    (!variable).then(|| text.join(" "))
+}
+
+fn single_valued_knobs(index: &Index, out: &mut Vec<Finding>) {
+    // (file, struct, field, values: `None` for one that reads a variable)
+    let mut knobs: Vec<(usize, &str, &Token, HashSet<Option<String>>)> = Vec::new();
+    let mut definers: HashMap<&str, Definers> = HashMap::new();
+    for (fi, f) in index.files.iter().enumerate() {
+        let t = &f.tokens;
+        for item in &f.items {
+            let config = ["Config", "Spec", "Policy"]
+                .iter()
+                .any(|s| item.name.ends_with(s));
+            let open =
+                (item.at..=item.extent.1).find(|&k| t[k].is_punct('{') || t[k].is_punct(';'));
+            let Some(open) =
+                open.filter(|&k| config && item.keyword == "struct" && t[k].is_punct('{'))
+            else {
+                continue;
+            };
+            // Whether the attributes before the `pub` derive `Default`.
+            let attrs = t[..item.extent.0].iter().rev();
+            let attrs: Vec<&Token> = attrs
+                .take_while(|a| !(a.is_punct(';') || a.is_punct('}')))
+                .collect();
+            let derived = ["derive", "Default"]
+                .iter()
+                .all(|w| attrs.iter().any(|a| a.is_ident(w)));
+            let values: HashSet<_> = derived
+                .then(|| Some("Default::default()".to_string()))
+                .into_iter()
+                .collect();
+            // Private fields are state the struct's own code sets.
+            for k in (open + 1..f.partner[open])
+                .filter(|&k| t[k - 1].is_ident("pub") && lone_colon(t, k + 1))
+            {
+                knobs.push((fi, &item.name, &t[k], values.clone()));
+                definers
+                    .entry(&t[k].text)
+                    .or_default()
+                    .push((item.name.clone(), fi));
+            }
+        }
+    }
+    let configs: HashSet<&str> = knobs.iter().map(|knob| knob.1).collect();
+    let mut record = |strukt: &str, field: &str, value: Option<String>| {
+        for knob in knobs
+            .iter_mut()
+            .filter(|kn| kn.1 == strukt && kn.2.text == field)
+        {
+            knob.3.insert(value.clone());
+        }
+    };
+    for (fi, f) in index.files.iter().enumerate() {
+        if f.path.starts_with("examples/") || f.path.split('/').any(|d| d == "tests") {
+            continue;
+        }
+        let t = &f.tokens;
+        for (k, tok) in t.iter().enumerate().skip(1) {
+            if tok.kind != TokenKind::Ident || f.excluded[k] || f.patterns[k] || k + 2 >= t.len() {
                 continue;
             }
-            let own = owned
-                .get(t.text.as_str())
-                .is_some_and(|ranges| ranges.iter().any(|&(a, b)| a <= k && k <= b));
-            if !own {
-                *uses.entry(t.text.clone()).or_insert(0) += 1;
+            let name = match innermost_impl(&f.blocks, k) {
+                Some(owner) if tok.is_ident("Self") => owner,
+                _ => tok.text.as_str(),
+            };
+            // A struct literal, not the `{` after a type (`impl Config {`,
+            // `-> Config {`).
+            let prev = &t[k - 1];
+            let typed = prev.is_ident("impl") || prev.is_ident("for") || prev.is_punct('>');
+            if t[k + 1].is_punct('{') && !typed && configs.contains(name) {
+                let (mut e, close) = (k + 2, f.partner[k + 1].min(t.len()));
+                while e < close {
+                    let end = scan_to(t, &f.partner, e, close, |j| t[j].is_punct(','));
+                    match &t[e..end] {
+                        [field] if field.kind == TokenKind::Ident => {
+                            record(name, &field.text, None)
+                        }
+                        [field, _, value @ ..] if lone_colon(t, e + 1) => {
+                            record(name, &field.text, field_value(value));
+                        }
+                        _ => {}
+                    }
+                    e = end + 1;
+                }
+                continue;
+            }
+            // `x.field = value` and `.with_field(value)`; a `with_field`
+            // builder's own assignment passes its caller's value through.
+            let builder = f.enclosing_fn(k).and_then(|n| n.strip_prefix("with_"));
+            let (field, value) = if !prev.is_punct('.') || builder == Some(&tok.text) {
+                continue;
+            } else if t[k + 1].is_punct('=') && !t[k + 2].is_punct('=') {
+                let end = scan_to(t, &f.partner, k + 2, t.len(), |j| {
+                    t[j].is_punct(';') || t[j].is_punct(',') || is_closer(&t[j])
+                });
+                (tok.text.as_str(), field_value(&t[k + 2..end]))
+            } else if let Some(field) = tok
+                .text
+                .strip_prefix("with_")
+                .filter(|_| t[k + 1].is_punct('('))
+            {
+                (field, field_value(&t[k + 2..f.partner[k + 1].min(t.len())]))
+            } else {
+                continue;
+            };
+            for strukt in definers
+                .get(field)
+                .map(|d| index.resolve(fi, None, d))
+                .unwrap_or_default()
+            {
+                record(strukt, field, value.clone());
             }
         }
-        let allows = collect_allows(&lexed.comments);
-        candidates.extend(
-            items
-                .into_iter()
-                .filter(|item| !allowed(&allows, PUB_HAS_CALLER, item.line))
-                .map(|item| (path.clone(), item)),
-        );
     }
-    candidates
-        .into_iter()
-        .filter(|(_, item)| !uses.contains_key(&item.name))
-        .map(|(path, item)| Finding {
-            rule: PUB_HAS_CALLER,
-            file: path,
-            line: item.line,
+    for (fi, strukt, field, values) in knobs {
+        let f = &index.files[fi];
+        if values.len() > 1 || values.contains(&None) || allowed(&f.allows, KNOB_CENSUS, field.line)
+        {
+            continue;
+        }
+        let given = values.iter().flatten().next();
+        let given = given.map_or("no value".to_string(), |v| format!("one value (`{v}`)"));
+        out.push(Finding {
+            rule: KNOB_CENSUS,
+            file: f.path.clone(),
+            line: field.line,
             message: format!(
-                "`pub` item `{}` has no caller outside its own body, impls, `#[cfg(test)]` code and re-exports; delete it, narrow it, or justify it with an allow",
-                item.name
+                "config field `{strukt}::{}` takes {given} outside tests and examples; make it a constant next to its reader, or justify it with an allow",
+                field.text
             ),
-        })
-        .collect()
+        });
+    }
 }

@@ -4,9 +4,9 @@
 //! itself lints clean.
 
 use aqua_lint::rules::{
-    analyze_file, audit_manifest, check_pub_has_caller, detect_cycles, Finding, ATOMICS_ORDER,
-    LOCK_ORDER, NO_ALLOC, NO_PANIC, NO_WALLCLOCK, PUB_HAS_CALLER, SPAWN_JOIN, UNIT_HYGIENE,
-    UNSAFE_AUDIT, VENDOR_AUDIT,
+    analyze_file, audit_manifest, check_callers, detect_cycles, Finding, ATOMICS_ORDER,
+    KNOB_CENSUS, LOCK_ORDER, NO_ALLOC, NO_PANIC, NO_WALLCLOCK, PUB_HAS_CALLER, SPAWN_JOIN,
+    UNIT_HYGIENE, UNSAFE_AUDIT, VARIANT_HAS_CONSTRUCTOR, VENDOR_AUDIT,
 };
 use std::path::Path;
 
@@ -400,21 +400,47 @@ fn no_wallclock_scope_is_the_simulated_crates() {
     }
 }
 
-/// `pub-has-caller` over `(virtual path, source)` files; returns the
-/// flagged item names, sorted.
-fn uncalled(files: &[(&str, &str)]) -> Vec<String> {
+/// The caller index's `rule` over `(virtual path, source)` files; returns
+/// what it flags (an item's name, `Enum::Variant` or `Struct::field`),
+/// sorted.
+fn flagged(rule: &str, files: &[(&str, &str)]) -> Vec<String> {
     let files: Vec<(String, String)> = files
         .iter()
         .map(|(path, source)| (path.to_string(), source.to_string()))
         .collect();
-    let findings = check_pub_has_caller(&files);
-    assert!(findings.iter().all(|f| f.rule == PUB_HAS_CALLER));
-    let mut names: Vec<String> = findings
+    // A `pub-has-caller` message opens with "`pub` item `name`".
+    let quoted = if rule == PUB_HAS_CALLER { 3 } else { 1 };
+    let mut names: Vec<String> = check_callers(&files)
         .iter()
-        .map(|f| f.message.split('`').nth(3).unwrap_or_default().to_string())
+        .filter(|f| f.rule == rule)
+        .map(|f| {
+            f.message
+                .split('`')
+                .nth(quoted)
+                .unwrap_or_default()
+                .to_string()
+        })
         .collect();
     names.sort();
     names
+}
+
+fn uncalled(files: &[(&str, &str)]) -> Vec<String> {
+    flagged(PUB_HAS_CALLER, files)
+}
+
+/// Splits a fixture of several files on its `// file: <path>` lines.
+fn split_files(source: &str) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = Vec::new();
+    for line in source.lines() {
+        if let Some(path) = line.strip_prefix("// file: ") {
+            files.push((path.to_string(), String::new()));
+        } else if let Some((_, body)) = files.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    files
 }
 
 /// What calls the negative fixture: an integration test and the benchmark.
@@ -478,38 +504,98 @@ fn pub_has_caller_scope_is_library_sources() {
 }
 
 #[test]
-fn baseline_round_trip_suppresses_only_known_findings() {
-    let old_finding = |file: &str, line: usize, message: &str| Finding {
-        rule: ATOMICS_ORDER,
-        file: file.to_string(),
-        line,
-        message: message.to_string(),
-    };
-    let old = aqua_lint::Report {
-        findings: vec![
-            old_finding("crates/a/src/x.rs", 10, "relaxed store \"quoted\""),
-            old_finding("crates/b/src/y.rs", 20, "relaxed load"),
-        ],
-        ..Default::default()
-    };
-    let baseline = aqua_lint::parse_baseline(&old.to_json());
-    assert_eq!(baseline.len(), 2);
+fn pub_has_caller_counts_a_shared_method_name_per_type() {
+    let files = split_files(&fixture("pub_has_caller_collision.rs"));
+    assert_eq!(files.len(), 5);
+    // The handler's and the observer's methods have callers: by path, in
+    // a file that names the type, and in a file that imports only the
+    // observer's file. Nothing calls the client's forwarders.
+    let findings = check_callers(&files);
+    let flagged: Vec<(&str, &str)> = findings
+        .iter()
+        .map(|f| {
+            (
+                f.file.as_str(),
+                f.message.split('`').nth(3).unwrap_or_default(),
+            )
+        })
+        .collect();
+    let client = "crates/runtime/src/client.rs";
+    assert_eq!(
+        flagged,
+        [
+            (client, "set_fault_windows"),
+            (client, "configure_watchdog")
+        ]
+    );
+}
 
-    let mut fresh = aqua_lint::Report {
-        findings: vec![
-            // Same finding, drifted line: still suppressed (lines are not
-            // part of a finding's identity).
-            old_finding("crates/a/src/x.rs", 14, "relaxed store \"quoted\""),
-            old_finding("crates/b/src/y.rs", 20, "relaxed load"),
-            // A genuinely new finding survives.
-            old_finding("crates/c/src/z.rs", 5, "new regression"),
-        ],
-        ..Default::default()
-    };
-    let suppressed = fresh.apply_baseline(&baseline);
-    assert_eq!(suppressed, 2);
-    assert_eq!(fresh.findings.len(), 1, "{:?}", fresh.findings);
-    assert_eq!(fresh.findings[0].file, "crates/c/src/z.rs");
+/// What builds the negative fixture's `Kind::ByTest`.
+const VARIANT_TEST: &str = "#[test]\nfn it() { let _ = fixture::Kind::ByTest; }\n";
+
+#[test]
+fn variant_has_constructor_positive_fires_per_shape() {
+    let positive = fixture("variant_has_constructor_positive.rs");
+    assert_eq!(
+        flagged(
+            VARIANT_HAS_CONSTRUCTOR,
+            &[("crates/core/src/fixture.rs", &positive)]
+        ),
+        [
+            "Mode::Slow",
+            "Shape::Struct",
+            "Shape::Tuple",
+            "Shape::Unit",
+            "Unjustified::Never",
+        ]
+    );
+}
+
+#[test]
+fn variant_has_constructor_negative_is_silent() {
+    let negative = fixture("variant_has_constructor_negative.rs");
+    let lib = ("crates/core/src/fixture.rs", negative.as_str());
+    let test = ("crates/core/tests/it.rs", VARIANT_TEST);
+    assert!(flagged(VARIANT_HAS_CONSTRUCTOR, &[lib, test]).is_empty());
+    // Without the integration test, its variant has no constructor.
+    assert_eq!(flagged(VARIANT_HAS_CONSTRUCTOR, &[lib]), ["Kind::ByTest"]);
+}
+
+#[test]
+fn knob_census_positive_fires_per_site() {
+    let positive = fixture("knob_census_positive.rs");
+    let lib = ("crates/core/src/fixture.rs", positive.as_str());
+    let expected = [
+        "LinkConfig::burst",
+        "LinkConfig::jitter",
+        "LinkConfig::label",
+        "LinkConfig::retries",
+        "LinkConfig::timeout_ms",
+        "LinkConfig::unjustified",
+        "LinkConfig::window",
+        "PathSpec::depth",
+        "ReadPolicy::strict",
+    ];
+    assert_eq!(flagged(KNOB_CENSUS, &[lib]), expected);
+    // Values that only tests and examples give do not count.
+    let others = "pub fn other() { let mut c = fixture::LinkConfig::default(); c.jitter = 0.25; c.retries = 1; }\n";
+    for path in ["examples/demo.rs", "tests/it.rs", "crates/core/tests/it.rs"] {
+        assert_eq!(
+            flagged(KNOB_CENSUS, &[lib, (path, others)]),
+            expected,
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn knob_census_negative_is_silent() {
+    let negative = fixture("knob_census_negative.rs");
+    let lib = ("crates/core/src/fixture.rs", negative.as_str());
+    let benchmark = "pub fn run() { let mut c = fixture::PoolConfig::default(); c.batch = 2; }\n";
+    assert!(flagged(KNOB_CENSUS, &[lib, ("benchmark/src/run.rs", benchmark)]).is_empty());
+    // Without the benchmark, its field has one value.
+    assert_eq!(flagged(KNOB_CENSUS, &[lib]), ["PoolConfig::batch"]);
 }
 
 #[test]

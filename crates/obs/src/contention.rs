@@ -84,16 +84,6 @@ impl LockContention {
         self.record(started.elapsed());
         guard
     }
-
-    /// Cumulative nanoseconds callers spent blocked (0 when detached).
-    pub fn wait_ns(&self) -> u64 {
-        self.counters.as_ref().map_or(0, |c| c.wait_ns.get())
-    }
-
-    /// Number of acquisitions recorded (0 when detached).
-    pub fn acquisitions(&self) -> u64 {
-        self.counters.as_ref().map_or(0, |c| c.acquisitions.get())
-    }
 }
 
 #[cfg(test)]
@@ -107,8 +97,7 @@ mod tests {
         c.record(Duration::from_nanos(30));
         let m = std::sync::Mutex::new(7u32);
         assert_eq!(*c.acquire(|| m.lock().unwrap()), 7);
-        assert_eq!(c.wait_ns(), 0);
-        assert_eq!(c.acquisitions(), 0);
+        assert!(c.counters.is_none());
     }
 
     #[test]
@@ -118,7 +107,6 @@ mod tests {
         let b = LockContention::new(&registry, "pending-shard");
         a.record(Duration::from_nanos(40));
         b.record(Duration::from_nanos(2));
-        assert_eq!(a.wait_ns(), 42);
         assert_eq!(
             registry
                 .counter(LOCK_WAIT_NS_TOTAL, &[("lock", "pending-shard")])
@@ -140,7 +128,6 @@ mod tests {
         let m = std::sync::Mutex::new(7u32);
         let guard = c.acquire(|| m.lock().unwrap());
         assert_eq!(*guard, 7);
-        assert_eq!(c.acquisitions(), 1);
         assert_eq!(
             registry
                 .counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", "publish")])

@@ -195,11 +195,6 @@ impl RequestSpan {
         self.selected.len()
     }
 
-    /// Number of redundant (non-first) replies observed.
-    pub fn redundant_replies(&self) -> usize {
-        self.replies.iter().filter(|r| !r.first).count()
-    }
-
     /// Combined predicted probability that at least one selected replica
     /// meets the deadline: `1 - Π(1 - pᵢ)` over the per-replica
     /// predictions. `None` when no predictions were recorded.
@@ -645,10 +640,5 @@ mod tests {
         assert!((p - (1.0 - 0.25 * 0.1)).abs() < 1e-12);
         span.predicted.clear();
         assert!(span.predicted_set_probability().is_none());
-    }
-
-    #[test]
-    fn redundant_reply_count() {
-        assert_eq!(sample_span().redundant_replies(), 1);
     }
 }

@@ -101,11 +101,6 @@ impl CrashState {
         }
         false
     }
-
-    /// Requests serviced so far.
-    pub fn serviced(&self) -> u64 {
-        self.serviced
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
         assert!(!s.observe_serviced());
         assert!(s.observe_serviced());
         assert!(s.is_crashed());
-        assert_eq!(s.serviced(), 3);
+        assert_eq!(s.serviced, 3);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl LoadProcess {
         }
     }
 
-    /// Number of state transitions so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     /// The underlying model.
     pub fn model(&self) -> &LoadModel {
         &self.model
@@ -135,7 +130,7 @@ mod tests {
         for t in 0..100 {
             assert_eq!(p.factor(Instant::from_millis(t * 100), &mut rng), 2.5);
         }
-        assert_eq!(p.transitions(), 0);
+        assert_eq!(p.transitions, 0);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         }
         assert!(seen.contains(&10), "nominal state visited");
         assert!(seen.contains(&80), "busy state visited");
-        assert!(p.transitions() > 0);
+        assert!(p.transitions > 0);
     }
 
     #[test]

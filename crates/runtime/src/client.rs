@@ -98,7 +98,7 @@ impl AquaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mux::ReconnectPolicy;
+    use crate::mux::MAX_ATTEMPTS;
     use crate::server::{ReplicaServer, ReplicaServerConfig};
     use crate::test_support::{eventually, RefusingListener};
     use crate::wire::Frame;
@@ -377,19 +377,17 @@ mod tests {
         let listener = RefusingListener::spawn();
         let mut config = AquaClientConfig::new(QosSpec::new(ms(200), 0.0).unwrap());
         config.give_up_after = ms(400);
-        config.reconnect = Some(ReconnectPolicy {
-            initial_backoff: ms(1),
-            max_backoff: ms(1),
-            max_attempts: u32::MAX,
-        });
+        config.reconnect = Some(ms(1));
         let client = AquaClient::connect(
             &[(ReplicaId::new(0), listener.addr)],
             config,
             Box::new(ModelBased::default()),
         )
         .expect("the listener accepts");
+        // The first connection and every reconnect attempt.
+        let all = u64::from(MAX_ATTEMPTS) + 1;
         assert!(
-            eventually(|| listener.accepted() >= 40),
+            eventually(|| listener.accepted() >= all),
             "reconnects stopped after {} connections: a loss went unhandled",
             listener.accepted()
         );

@@ -55,5 +55,5 @@ mod test_support;
 pub mod wire;
 
 pub use client::{AquaClient, AquaClientConfig};
-pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig, ReconnectPolicy};
+pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig};
 pub use server::{ReplicaServer, ReplicaServerConfig};

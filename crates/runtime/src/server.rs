@@ -80,8 +80,9 @@ pub struct ReplicaServerConfig {
     /// Scheduled fault injection on the server's own clock (zero at
     /// spawn): crash-and-recover windows refuse connections and drop
     /// queued work, pauses stall the FIFO (queued work survives),
-    /// degradations and overloads stretch the service time, delay spikes
+    /// degradations stretch the service time, delay spikes
     /// postpone replies, and message drops swallow them.
+    // aqua-lint: allow(knob-census) the socket resilience tests (resilience.rs, concurrency.rs, mux.rs) inject their faults here; at `None` nothing fails
     pub faults: Option<FaultSchedule>,
 }
 
@@ -211,11 +212,6 @@ impl ReplicaServer {
             wake.read(&mut [0u8; 1]),
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted
         ) {}
-    }
-
-    /// Whether the replica has crashed (or been shut down).
-    pub fn is_crashed(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -856,7 +852,6 @@ mod tests {
             ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(3), 1)).unwrap();
         let mut conn = connect(server.addr());
         server.crash();
-        assert!(server.is_crashed());
         conn.set_read_timeout(Some(StdDuration::from_secs(2))).ok();
         let err = Frame::read_from(&mut conn).unwrap_err();
         assert!(

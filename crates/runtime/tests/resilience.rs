@@ -14,9 +14,7 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::FaultPlan;
-use aqua_runtime::{
-    AquaClient, AquaClientConfig, CallError, ReconnectPolicy, ReplicaServer, ReplicaServerConfig,
-};
+use aqua_runtime::{AquaClient, AquaClientConfig, CallError, ReplicaServer, ReplicaServerConfig};
 use aqua_strategies::{FastestMean, ModelBased};
 
 fn ms(v: u64) -> Duration {
@@ -51,11 +49,7 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
     config.window = 3; // probation clears after 3 fresh samples
     config.give_up_after = ms(2_000);
     config.obs = Some(obs.clone());
-    config.reconnect = Some(ReconnectPolicy {
-        initial_backoff: ms(50),
-        max_backoff: ms(200),
-        max_attempts: 100,
-    });
+    config.reconnect = Some(ms(200));
     let client = AquaClient::connect(
         &replicas_of(&servers),
         config,

@@ -48,7 +48,7 @@ use crate::event::{Event, TimerToken};
 use crate::node::{AnyNode, BitSet, Context, ContextCore, NodeId};
 use crate::queue::{CalendarQueue, EventKey, Keyed};
 use crate::topology::{GeoTopology, LinkFaultHook};
-use crate::trace::{NodeCounters, TraceEvent, TraceRecord, Tracer};
+use crate::trace::{TraceEvent, TraceRecord, Tracer};
 use crate::{Payload, Plane};
 
 /// Horizon sentinel meaning "no work left / deadline passed: stop".
@@ -401,7 +401,6 @@ fn process_window<M: Payload>(
 pub struct ShardedSimulation<M: Payload + Send> {
     topology: GeoTopology,
     hooks: Vec<Box<dyn LinkFaultHook>>,
-    workers: usize,
     effective: usize,
     lookahead: Duration,
     shards: Vec<Shard<M>>,
@@ -437,7 +436,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
         ShardedSimulation {
             topology,
             hooks: Vec::new(),
-            workers: workers.max(1),
             effective,
             lookahead,
             shards: (0..effective)
@@ -536,11 +534,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
         }
     }
 
-    /// The requested worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The number of shards actually running (≤ workers, ≥ 1).
     pub fn effective_workers(&self) -> usize {
         self.effective
@@ -606,19 +599,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
             h = fold(h, self.shards[sh].locals[li].digest);
         }
         h
-    }
-
-    /// Communication counters for one node.
-    pub fn node_counters(&self, id: NodeId) -> NodeCounters {
-        let sh = self.node_shard[id.index() as usize] as usize;
-        self.shards[sh].tracer.counters(id)
-    }
-
-    /// Whether a node is detached.
-    pub fn is_detached(&self, id: NodeId) -> bool {
-        let sh = self.node_shard[id.index() as usize] as usize;
-        let li = self.node_local[id.index() as usize] as usize;
-        self.shards[sh].locals[li].detached
     }
 
     /// Immutable, downcast access to a node's state.
@@ -1060,7 +1040,6 @@ mod tests {
         let b = sim.add_node_in_region(1, Crashed::default());
         sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
         sim.run_until_idle();
-        assert!(sim.is_detached(b));
         assert_eq!(sim.node::<Crashed>(b).unwrap().events, 1, "only start");
     }
 

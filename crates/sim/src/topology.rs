@@ -65,22 +65,22 @@ pub trait LinkFaultHook: Send + Sync {
     ) -> LinkOutcome;
 }
 
-/// A named region with an intra-region (LAN-ish) one-way base latency.
+/// One-way latency between two nodes inside one region (same-datacenter
+/// switched network).
+const LOCAL_DELAY: Duration = Duration::from_micros(150);
+
+/// A named region; two nodes inside it are `LOCAL_DELAY` (150 µs) apart.
 #[derive(Debug, Clone)]
 pub struct RegionSpec {
     /// Human-readable region name (e.g. `"virginia"`).
     pub name: String,
-    /// One-way latency between two nodes inside this region.
-    pub local_delay: Duration,
 }
 
 impl RegionSpec {
-    /// A region with the default 150 µs intra-region one-way latency
-    /// (same-datacenter switched network).
+    /// A region called `name`.
     pub fn named(name: &str) -> Self {
         RegionSpec {
             name: name.to_string(),
-            local_delay: Duration::from_micros(150),
         }
     }
 }
@@ -88,9 +88,9 @@ impl RegionSpec {
 /// A WAN topology: regions plus a full inter-region RTT matrix.
 ///
 /// One-way latency between distinct regions is `rtt / 2`; within a region
-/// it is the region's `local_delay`. On top of the base latency the
-/// topology adds a per-byte bandwidth term and a per-extra-destination
-/// fan-out term, multiplies by `1 + U(0, jitter)`, and drops messages with
+/// it is `LOCAL_DELAY` (150 µs). On top of the base latency the topology
+/// adds a per-byte bandwidth term and a per-extra-destination fan-out
+/// term, multiplies by `1 + U(0, jitter)`, and drops messages with
 /// probability `loss` (delivering them at [`DROP_DELAY`] instead).
 #[derive(Debug, Clone)]
 pub struct GeoTopology {
@@ -136,7 +136,7 @@ impl GeoTopology {
                     .enumerate()
                     .map(|(j, rtt)| {
                         if i == j {
-                            regions[i].local_delay
+                            LOCAL_DELAY
                         } else {
                             Duration::from_nanos((rtt.max(0.0) * 500_000.0) as u64)
                         }
@@ -229,7 +229,7 @@ impl GeoTopology {
         &self.regions
     }
 
-    /// Base one-way latency between two regions (intra-region `local_delay`
+    /// Base one-way latency between two regions (intra-region `LOCAL_DELAY`
     /// on the diagonal).
     pub fn one_way(&self, from: usize, to: usize) -> Duration {
         self.one_way[from][to]
@@ -302,14 +302,12 @@ impl GeoTopology {
 }
 
 /// Adapter running a [`GeoTopology`] as a sequential [`NetworkModel`]: a
-/// node-to-region assignment plus the topology and its fault hooks. The
-/// sharded engine consumes the topology directly; this adapter lets the
-/// classic [`crate::Simulation`] run the same scenarios.
+/// node-to-region assignment plus the topology. The sharded engine
+/// consumes the topology directly; this adapter lets the classic
+/// [`crate::Simulation`] run the same scenarios.
 pub struct GeoNetwork {
     topology: GeoTopology,
     region_of: Vec<u32>,
-    round_robin: bool,
-    hooks: Vec<Box<dyn LinkFaultHook>>,
 }
 
 impl GeoNetwork {
@@ -319,21 +317,6 @@ impl GeoNetwork {
         GeoNetwork {
             topology,
             region_of: Vec::new(),
-            round_robin: false,
-            hooks: Vec::new(),
-        }
-    }
-
-    /// Wraps a topology with a round-robin default: a node with no
-    /// explicit assignment lives in region `node_index mod regions`. Used
-    /// by harnesses that spread an existing fleet across regions without
-    /// per-node wiring.
-    pub fn round_robin(topology: GeoTopology) -> Self {
-        GeoNetwork {
-            topology,
-            region_of: Vec::new(),
-            round_robin: true,
-            hooks: Vec::new(),
         }
     }
 
@@ -351,20 +334,11 @@ impl GeoNetwork {
         self
     }
 
-    /// Adds a link-fault hook (applied in insertion order).
-    pub fn add_hook(&mut self, hook: Box<dyn LinkFaultHook>) -> &mut Self {
-        self.hooks.push(hook);
-        self
-    }
-
-    /// The region a node was assigned to (round-robin or region 0 if
-    /// never assigned, per the constructor used).
+    /// The region a node was assigned to (region 0 if never assigned).
     pub fn region_of(&self, node: NodeId) -> usize {
-        match self.region_of.get(node.index() as usize) {
-            Some(r) => *r as usize,
-            None if self.round_robin => node.index() as usize % self.topology.region_count(),
-            None => 0,
-        }
+        self.region_of
+            .get(node.index() as usize)
+            .map_or(0, |r| *r as usize)
     }
 
     /// The wrapped topology.
@@ -386,7 +360,7 @@ impl NetworkModel for GeoNetwork {
         let fr = self.region_of(from);
         let tr = self.region_of(to);
         self.topology
-            .link_delay(fr, tr, size, fanout, now, &self.hooks, rng)
+            .link_delay(fr, tr, size, fanout, now, &[], rng)
     }
 }
 

@@ -376,7 +376,6 @@ impl SelectionStrategy for AllReplicas {
 mod tests {
     use super::*;
     use aqua_core::repository::PerfReport;
-    use aqua_core::scheduler::ColdStartPolicy;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -434,7 +433,6 @@ mod tests {
         let strat = ModelBased::default().with_crash_tolerance(2);
         let spec = strat.snapshot_spec().expect("model-based is plannable");
         assert_eq!(spec.crashes, 2);
-        assert_eq!(spec.cold_start, ColdStartPolicy::SelectAll);
         assert!(FastestMean { k: 1 }.snapshot_spec().is_none());
         assert!(RoundRobin::new(2).snapshot_spec().is_none());
     }

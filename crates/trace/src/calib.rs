@@ -194,11 +194,6 @@ impl QosWatchdog {
         self.hooks.push(Box::new(hook));
     }
 
-    /// Total alerts raised so far.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
-    }
-
     /// The active tunables.
     pub fn config(&self) -> &CalibrationConfig {
         &self.config
@@ -487,7 +482,7 @@ mod tests {
         for seq in 0..200 {
             feed(&mut w, seq, 0.95, seq % 20 != 0);
         }
-        assert_eq!(w.alerts(), 0);
+        assert_eq!(w.alerts, 0);
         assert!(reader.lines_containing("calibration_alert").is_empty());
         let prom = obs.prometheus();
         assert!(prom.contains("aqua_qos_calibration_error"), "{prom}");
@@ -519,17 +514,17 @@ mod tests {
             feed(&mut w, seq, 0.95, seq % 2 == 0);
             seen.push(seq);
         }
-        assert!(w.alerts() >= 2, "sustained drift keeps alerting");
+        assert!(w.alerts >= 2, "sustained drift keeps alerting");
         assert!(
-            w.alerts() <= 4,
+            w.alerts <= 4,
             "cooldown bounds the alert rate, got {}",
-            w.alerts()
+            w.alerts
         );
         let lines = reader.lines_containing("\"type\":\"calibration_alert\"");
-        assert_eq!(lines.len() as u64, w.alerts());
+        assert_eq!(lines.len() as u64, w.alerts);
         assert!(lines[0].contains("\"pc_band\":\"0.90\""), "{}", lines[0]);
         assert!(lines[0].contains("\"promised\":0.9"), "{}", lines[0]);
-        assert_eq!(log.lock().unwrap().len() as u64, w.alerts());
+        assert_eq!(log.lock().unwrap().len() as u64, w.alerts);
         let prom = obs.prometheus();
         assert!(prom.contains("aqua_qos_violations_total"), "{prom}");
         assert!(
@@ -656,7 +651,7 @@ mod tests {
             w.on_plan(seq, 0, 0.9, &[(1, 0.99)]);
             w.on_abandon(seq); // superseded — outcome carried by the retry
         }
-        assert_eq!(w.alerts(), 0);
+        assert_eq!(w.alerts, 0);
         assert!(reader.lines_containing("calibration_alert").is_empty());
     }
 
@@ -674,7 +669,7 @@ mod tests {
             w.on_plan(seq, 0, 0.9, &[]); // round-robin etc.: no model
             w.on_outcome(seq, false, seq);
         }
-        assert!(w.alerts() >= 1, "promise audit works without a model");
+        assert!(w.alerts >= 1, "promise audit works without a model");
         let line = &reader.lines_containing("calibration_alert")[0];
         assert!(!line.contains("calibration_error"), "{line}");
     }

@@ -5,7 +5,7 @@ use aqua_core::qos::QosSpec;
 use aqua_core::time::Duration;
 use aqua_faults::FaultPlan;
 use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
-use lan_sim::{CongestedLan, GeoNetwork, GeoTopology, NetworkModel, UniformLan};
+use lan_sim::{CongestedLan, NetworkModel, UniformLan};
 
 /// Which network model an experiment runs over.
 #[derive(Debug, Clone)]
@@ -24,10 +24,6 @@ pub enum NetworkSpec {
         /// Epoch length.
         spike_duration: Duration,
     },
-    /// A WAN/geo topology: hosts are spread round-robin across the
-    /// topology's regions and pay inter-region latency (half the dataset
-    /// RTT one-way) on cross-region links.
-    Geo(GeoTopology),
 }
 
 impl NetworkSpec {
@@ -50,7 +46,6 @@ impl NetworkSpec {
                 *spike_scale,
                 *spike_duration,
             )),
-            NetworkSpec::Geo(topology) => Box::new(GeoNetwork::round_robin(topology.clone())),
         }
     }
 }

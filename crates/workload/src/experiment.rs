@@ -462,7 +462,8 @@ mod tests {
             run.sim
                 .node::<GroupCoordinator<AquaMsg>>(run.coordinator)
                 .expect("the coordinator")
-                .views_installed()
+                .view()
+                .clone()
         };
         let (drained, views_drained) = (run.report(), views(&run));
         let deadline = run.sim.now() + Duration::from_secs(8);

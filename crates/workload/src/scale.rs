@@ -97,19 +97,6 @@ impl ScaleClient {
         }
     }
 
-    /// Mean first-reply latency over the run, if any reply arrived.
-    pub fn mean_latency(&self) -> Option<Duration> {
-        self.total_latency_ns
-            .checked_div(self.received)
-            .map(Duration::from_nanos)
-    }
-
-    /// Requests still waiting for their first reply (lost ones wait for
-    /// the rest of the run).
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
     fn arm_next(&self, ctx: &mut Context<'_, ScaleMsg>) {
         // Exponential-ish inter-arrival: -ln(U) × mean, clamped away from
         // zero so pathological draws cannot collapse into one instant.
@@ -250,7 +237,7 @@ mod tests {
         let c = sim.node::<ScaleClient>(client).unwrap();
         assert!(c.sent > 10, "open loop kept issuing: {}", c.sent);
         assert_eq!(c.received, c.sent, "every request got a reply");
-        let mean = c.mean_latency().unwrap();
+        let mean = Duration::from_nanos(c.total_latency_ns / c.received);
         assert!(
             mean >= Duration::from_millis(10),
             "latency at least one RTT: {mean:?}"
@@ -340,9 +327,9 @@ mod tests {
                 "replies overtook: {}",
                 books.overtaken
             );
-            assert!(client.in_flight() > 10, "requests or replies were lost");
-            assert_eq!(client.received + client.in_flight() as u64, client.sent);
-            assert_eq!(client.in_flight(), books.inflight.len());
+            assert!(client.inflight.len() > 10, "requests or replies were lost");
+            assert_eq!(client.received + client.inflight.len() as u64, client.sent);
+            assert_eq!(client.inflight.len(), books.inflight.len());
             assert_eq!(
                 (
                     client.received,
