@@ -27,6 +27,8 @@
 //!   model and Algorithm 1 together.
 //! * [`snapshot`] — immutable, epoch-published planning views for
 //!   lock-free concurrent planning.
+//! * [`sync`] — the locks and atomics of the planning path, which an
+//!   interleaving check can swap for cooperative ones.
 //!
 //! ## Quick start
 //!
@@ -105,6 +107,7 @@ pub mod repository;
 pub mod scheduler;
 pub mod select;
 pub mod snapshot;
+pub mod sync;
 pub mod time;
 pub mod window;
 

@@ -16,13 +16,14 @@
 //! (§5.2), so a plan computed from a snapshot is exactly a plan the
 //! serialized handler could have computed at publication time.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::aqua;
 use crate::model::{MethodScope, ResponseTimeModel};
 use crate::pmf::{CdfTable, ConvScratch};
 use crate::qos::{QosSpec, ReplicaId};
 use crate::repository::{InfoRepository, MethodId, ReplicaStats};
+use crate::sync::{self, RwLock};
 use crate::time::Duration;
 
 /// The method slot a cached table is filed under: the method index for
@@ -460,25 +461,18 @@ impl SnapshotCell {
         Arc::clone(&guard)
     }
 
-    /// Publishes `view` if it is strictly newer than the current one.
-    ///
-    /// Returns `false` (leaving the cell untouched) when `view.version()`
-    /// is not greater than the published version — the guard that makes a
-    /// delayed publisher harmless instead of an ABA hazard.
-    pub fn publish(&self, view: Arc<PlanningView>) -> bool {
-        self.replace(view).is_ok()
-    }
-
-    /// [`SnapshotCell::publish`], handing back the view it swapped out
-    /// (`Ok`), or `view` itself when the version guard refused it
-    /// (`Err`). Either is dropped, or kept for its buffers
-    /// ([`ViewSpares::retire`]), outside the write lock.
+    /// Publishes `view` if it is strictly newer than the current one,
+    /// handing back the view it swapped out (`Ok`), or `view` itself when
+    /// the version guard refused it (`Err`): the guard makes a delayed
+    /// publisher harmless instead of an ABA hazard. Either is dropped, or
+    /// kept for its buffers ([`ViewSpares::retire`]), outside the write
+    /// lock.
     pub fn replace(&self, view: Arc<PlanningView>) -> Result<Arc<PlanningView>, Arc<PlanningView>> {
         let mut guard = self
             .current
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if view.version() <= guard.version() {
+        if view.version() <= guard.version() && !sync::mutant("unserialized-publish") {
             return Err(view);
         }
         Ok(std::mem::replace(&mut *guard, view))
@@ -702,10 +696,10 @@ mod tests {
             Arc::new(InfoRepository::new(5)),
             spec(),
         ));
-        assert!(cell.publish(Arc::clone(&v2)));
+        assert!(cell.replace(Arc::clone(&v2)).is_ok());
         assert_eq!(cell.version(), 2);
-        assert!(!cell.publish(v1), "older version must be refused");
-        assert!(!cell.publish(v2), "same version must be refused");
+        assert!(cell.replace(v1).is_err(), "older version must be refused");
+        assert!(cell.replace(v2).is_err(), "same version must be refused");
         assert_eq!(cell.version(), 2);
     }
 
@@ -715,7 +709,7 @@ mod tests {
         let before = cell.load();
         let repo = warmed_repo(1, 5);
         let model = ResponseTimeModel::new(ModelConfig::default());
-        cell.publish(Arc::new(build_view(&repo, &model, 1)));
+        assert!(cell.replace(Arc::new(build_view(&repo, &model, 1))).is_ok());
         assert_eq!(before.version(), 0);
         assert!(before.replicas().is_empty());
         assert_eq!(cell.load().version(), 1);

@@ -43,12 +43,14 @@
 //! clock only for δ (§5.3.3): lock waits, ingest times and the plan's
 //! per-replica predictions are measured for an observer alone.
 //!
-//! The publish-vs-plan and reply-vs-retry protocols are model-checked by
-//! `aqua-lint`'s bounded interleaving checker (`interleave.rs`).
+//! Every lock and atomic here comes from [`aqua_core::sync`], so the
+//! publish-vs-plan and reply-vs-retry protocols are checked on this code
+//! itself: `crates/gateway/tests/interleave.rs`, built with
+//! `RUSTFLAGS="--cfg aqua_check"`, explores its interleavings, and each
+//! `sync::mutant` point runs a known bug that the check must catch.
 
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aqua_core::aqua;
@@ -59,11 +61,11 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
 use aqua_core::scheduler::{plan, Plan};
 use aqua_core::snapshot::{method_slot, PlanningView, SnapshotCell, ViewSpares};
+use aqua_core::sync::{self, AtomicBool, AtomicU64, Mutex, Ordering};
 use aqua_core::time::{Duration, Instant};
 use aqua_obs::contention::LockContention;
 use aqua_obs::metrics::{Counter, Histogram};
 use aqua_strategies::{SelectionInput, SelectionStrategy, SnapshotPlanSpec};
-use parking_lot::Mutex;
 
 use crate::obs::{HandlerObserver, PlanObservation};
 use crate::pending::{Answered, PendingTable};
@@ -640,6 +642,10 @@ impl ConcurrentHandler {
     /// Publishes now, waiting for a concurrent publisher: a membership
     /// change or a renegotiation must reach the very next plan.
     fn publish(&self, now: Instant) {
+        // The variant rebuilds without the lock (and the cell's guard).
+        if sync::mutant("unserialized-publish") {
+            return self.rebuild(now, &mut Publisher::default());
+        }
         let mut publisher = self.publish_contention.acquire(|| self.publish.lock());
         self.rebuild(now, &mut publisher);
     }
@@ -653,6 +659,11 @@ impl ConcurrentHandler {
         if !self.dirty.load(Ordering::Acquire) {
             return;
         }
+        // The variant claims the flag when it looks, not under the lock.
+        let claimed = sync::mutant("plan-claims-dirty");
+        if claimed {
+            self.dirty.store(false, Ordering::Release);
+        }
         let last = self.last_publish_ns.load(Ordering::Relaxed);
         if now.as_nanos().saturating_sub(last) < self.min_republish.as_nanos() {
             return;
@@ -661,7 +672,7 @@ impl ConcurrentHandler {
             return;
         };
         self.publish_contention.record(std::time::Duration::ZERO);
-        if self.dirty.load(Ordering::Acquire) {
+        if claimed || self.dirty.load(Ordering::Acquire) {
             // Else a publish that held the lock meanwhile covered it.
             self.rebuild(now, &mut publisher);
         }
@@ -866,7 +877,7 @@ impl ConcurrentHandler {
                 probe: false,
             },
         );
-        if group.answered.load(Ordering::Acquire) {
+        if !sync::mutant("retry-missing-recheck") && group.answered.load(Ordering::Acquire) {
             // The sibling resolved while we were registering. The winner's
             // retire pass may have run before our insert; retire ourselves
             // (idempotent — at most one of the two removals succeeds).
@@ -1025,12 +1036,20 @@ impl ConcurrentHandler {
         let td = in_flight
             .saturating_sub(perf.queuing_delay)
             .saturating_sub(perf.service_time);
-        // Exactly one reply (or the give-up timer) wins the group flag.
-        let first = entry
-            .group
-            .answered
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
+        // Exactly one reply (or the give-up timer) wins the group flag;
+        // the variant checks, then marks, so two replies can both win.
+        let answered = &entry.group.answered;
+        let first = if sync::mutant("reply-toctou-claim") {
+            let open = !answered.load(Ordering::Acquire);
+            if open {
+                answered.store(true, Ordering::Release);
+            }
+            open
+        } else {
+            answered
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        };
         // Ingest-shard handling cost, recorded on an observer's span as
         // `ingest_ns` so forensics can separate wire delay from ingest
         // stalls; nobody else reads it, so nobody else pays for it. It
@@ -1181,8 +1200,12 @@ impl ConcurrentHandler {
             return false;
         }
         // Under the group lock, like the delivery's retire pass; the
-        // superseded attempts are journalled before the give-up.
-        let carrier = {
+        // superseded attempts are journalled before the give-up. The
+        // variant removes only the entry it was called through.
+        let carrier = if sync::mutant("give-up-strands-retry") {
+            self.remove_pending(seq);
+            seq
+        } else {
             let retries = group.retries.lock();
             let attempts = || std::iter::once(group.origin).chain(retries.iter().copied());
             let carrier = attempts()

@@ -193,7 +193,8 @@ mod sim_tests {
             },
         );
         bed.sim.run_until(Instant::from_secs(120));
-        assert!(bed.sim.is_detached(bed.servers[0]), "r0 crashed");
+        let r0 = bed.sim.node::<ServerGateway>(bed.servers[0]).unwrap();
+        assert!(r0.is_crashed(), "r0 crashed");
         let client = bed.sim.node::<ClientGateway>(bed.client).unwrap();
         assert!(client.is_finished(), "{client:?}");
         let records = client.records();

@@ -1,12 +1,14 @@
-//! Bounded exhaustive interleaving checker (loom-style, but tiny).
+//! Step models of the workspace's synchronization hot spots, explored
+//! exhaustively by the `shadow` crate's replay explorer.
 //!
 //! A [`Model`] is a fixed set of threads, each a straight-line sequence of
-//! [`Step`]s over a `Clone`-able shadow state (built from the
-//! [`shadow`] crate's [`ShadowLock`]/[`ShadowAtomicU64`] primitives). The
-//! explorer enumerates **every** interleaving by depth-first search,
-//! cloning the state at each branch point, and checks the model invariant
-//! after every step. All-threads-blocked with work remaining is reported
-//! as a deadlock.
+//! [`Step`]s over a `Clone`-able shadow state (built from the [`shadow`]
+//! crate's [`ShadowLock`]/[`ShadowAtomicU64`] primitives), and an
+//! invariant. [`explore`] runs it under [`shadow::explore`] with no
+//! preemption bound: every run starts from the initial state, asks the
+//! schedule which enabled thread steps next, and checks the invariant
+//! after every step it has not seen before. All threads blocked with work
+//! remaining is reported as a deadlock.
 //!
 //! Steps and invariants are closures, so a buggy variant is its shipped
 //! model's builder called with a flag the closures capture; the flag
@@ -15,81 +17,37 @@
 //! variant, the violation it must produce. The unit test, [`run_all`]
 //! and `aqua-lint --interleave` all check against it.
 //!
-//! Eight models port real synchronization hot spots from the workspace;
-//! each has one to three buggy variants that prove the checker catches the
-//! bug the shipped design prevents:
+//! The gateway's timing fault handler is not modelled here: its
+//! publish-vs-plan and reply-vs-retry protocols are checked on the real
+//! `ConcurrentHandler` (`crates/gateway/tests/interleave.rs`, built with
+//! `--cfg aqua_check`). Six models port the other hot spots (DESIGN.md
+//! §11 describes each); each has one or two buggy variants that prove
+//! the checker catches the bug the shipped design prevents:
 //!
-//! * `obs-registry-register-vs-scrape` — `aqua-obs` metric registration
-//!   racing a scrape: registration writes two parallel vectors under the
-//!   registry mutex, and histogram recording bumps `count` before the
-//!   bucket. A scrape must never observe torn vectors, and must read
-//!   buckets before the count so the documented `count >= sum(buckets)`
-//!   quantile fallback holds (`obs-registry-buggy-read-order` reads the
-//!   count first).
-//! * `repository-record-vs-remove-epoch` — `aqua-core` repository
-//!   `record_perf` racing a remove/re-insert: a held snapshot's key carries
-//!   the replica `epoch`, so a generation counter that restarts after
-//!   re-insert can never alias a stale snapshot (the ABA hazard
-//!   `repository-no-epoch-aba` exhibits).
-//! * `gateway-snapshot-publish-vs-plan` — the gateway handler's snapshot
-//!   pipeline: sharded ingestion marks a dirty flag; a plan that finds it
-//!   set publishes if it can *try*-lock the publish mutex, and a
-//!   membership change publishes waiting for the mutex. Both rebuild into
-//!   the buffers of the view the last publish retired (only if no planner
-//!   still holds it) and install through a version-guarded cell; planners
-//!   read lock-free, and a plan that found no publish in flight plans from
-//!   a view holding every ingest complete when it started.
-//!   `gateway-snapshot-unserialized-publish` drops both the mutex and the
-//!   guard and loses an update; `gateway-snapshot-recycle-while-held`
-//!   reuses the retired view without asking whether a planner holds it,
-//!   and the planner reads tables rebuilt under its feet;
-//!   `gateway-snapshot-plan-claims-dirty` clears the dirty flag when the
-//!   plan looks at it rather than under the mutex, and a second plan finds
-//!   a clean flag and a free mutex while an ingest is still unpublished.
-//! * `gateway-reply-vs-retry` — the sharded pending-request table: a
-//!   first reply or the give-up timer CASes the shared `answered` flag
-//!   and retires the request's other attempts while the retry path
-//!   inserts its entry; the retry's post-insert re-check closes the
-//!   lost-entry window. Exactly one of delivery and give-up happens, and
-//!   the table ends empty. `gateway-retry-missing-recheck` leaks the
-//!   pending entry, `gateway-reply-toctou-claim` delivers twice, and
-//!   `gateway-give-up-strands-retry` gives up through the first attempt
-//!   without walking the group and leaks the retry's entry.
-//! * `reactor-wake-coalescing` — the socket runtime's self-pipe wake
-//!   path: submitters coalesce pokes through the `wake_pending` flag (only
-//!   the 0→1 `swap` writes the wake byte), and the reactor loop drains the
-//!   pipe, clears the flag, and *then* harvests outboxes. Clearing before
-//!   harvesting is load-bearing: `reactor-lost-wakeup` flips the two and
-//!   exhibits the lost wakeup (dirty outbox, empty pipe, reactor parked
-//!   forever). So is draining before clearing: `reactor-clear-before-drain`
-//!   flips those, and the drain eats a racing sender's byte, latching the
-//!   flag — the order the reactor first shipped with.
-//! * `mux-reply-routing` — the multiplexed client's reply routing: wire
-//!   sequence numbers carry the logical handle in the top 24 bits and a
-//!   handle-local seq in the low 40 (`mux.rs`), so the router can
-//!   demultiplex replies back to the right parked caller while give-up
-//!   races delivery. `mux-seq-collision` composes wire seqs from the local
-//!   counter alone, so two handles' seqs collide and a reply resolves the
-//!   wrong caller's waiter.
-//! * `sim-shard-window-barrier` — `lan-sim`'s sharded DES round protocol:
-//!   worker shards publish next-event times, the leader computes the
-//!   inclusive window horizon `min(next) + L − 1` from the topology
-//!   lookahead `L`, and cross-shard sends distribute at the barrier,
-//!   arriving at send-time + `L` — strictly *after* every window that
-//!   could have produced them. `sim-shard-lookahead-off-by-one` widens the
-//!   window to `min(next) + L`, so an arrival at exactly `T + L` lands
-//!   inside a window the receiver already closed.
-//! * `reactor-send-rule` — the socket runtime's send rule over one
-//!   outbound ring: a sender that is the only call in flight flushes the
-//!   ring itself, a sender with company marks the connection dirty and
-//!   wakes the loop, the loop flushes on dirty entries and on `EPOLLOUT`.
-//!   Frames must leave in ring order, and a quiet system must never hold a
-//!   frame nobody will write. `reactor-send-write-past-ring` lets the lone
-//!   sender write straight to a writable socket past frames still queued
-//!   behind `EPOLLOUT` — the reorder the shared ring and the single
-//!   `flush_ring` rule out.
+//! * `obs-registry-register-vs-scrape` — registration writes two vectors
+//!   under the registry mutex while a scrape reads them, and a scrape
+//!   reads histogram buckets before the count
+//!   (`obs-registry-buggy-read-order` reads the count first).
+//! * `repository-record-vs-remove-epoch` — a held snapshot's key carries
+//!   the replica `epoch`, so a generation that restarts on re-insert never
+//!   aliases a stale snapshot (`repository-no-epoch-aba` drops it).
+//! * `reactor-wake-coalescing` — the reactor drains the self-pipe, clears
+//!   `wake_pending`, then harvests; `reactor-lost-wakeup` harvests before
+//!   the clear, `reactor-clear-before-drain` (the order the reactor first
+//!   shipped with) clears before the drain and latches the flag.
+//! * `mux-reply-routing` — wire seqs carry the handle in the top 24 bits,
+//!   so replies route to the right parked caller while give-up races
+//!   delivery; `mux-seq-collision` drops the handle bits.
+//! * `sim-shard-window-barrier` — the sharded DES's inclusive window end
+//!   `min(next) + L − 1` keeps a cross-shard arrival out of every window
+//!   that could have sent it; `sim-shard-lookahead-off-by-one` uses
+//!   `min(next) + L`.
+//! * `reactor-send-rule` — a lone sender flushes the outbound ring, one
+//!   with company hands it to the loop, and frames leave in ring order;
+//!   `reactor-send-write-past-ring` lets a lone sender write past frames
+//!   queued behind `EPOLLOUT`.
 
-use shadow::{ShadowAtomicU64, ShadowLock};
+use shadow::{Exploration, Leaf, ShadowAtomicU64, ShadowLock};
 
 /// One atomic action a thread can take. The model builders below alias
 /// their `Step<State>` as `St`, so `St::new(name, |s, tid| ..)` infers the
@@ -140,78 +98,38 @@ pub struct Model<S> {
     pub invariant: Invariant<S>,
 }
 
-/// Outcome of exhaustively exploring a model.
-#[derive(Debug, Default)]
-pub struct Exploration {
-    /// Complete interleavings explored (leaves of the schedule tree).
-    pub schedules: u64,
-    /// Schedules that wedged with runnable work remaining.
-    pub deadlocks: u64,
-    /// Invariant violations: (trace of step names, message).
-    pub violations: Vec<(Vec<String>, String)>,
-}
-
-impl Exploration {
-    /// True when every schedule completed and the invariant always held.
-    pub fn passed(&self) -> bool {
-        self.deadlocks == 0 && self.violations.is_empty()
-    }
-}
-
-/// Upper bound on recorded violations; exploration keeps counting past it.
-const MAX_VIOLATIONS: usize = 16;
-
-/// Exhaustively explore every interleaving of `model`'s threads.
+/// Explores every interleaving of `model`'s threads.
 pub fn explore<S: Clone>(model: &Model<S>) -> Exploration {
-    let mut out = Exploration::default();
-    let pcs = vec![0usize; model.threads.len()];
-    let mut trace = Vec::new();
-    dfs(model, model.init.clone(), pcs, &mut trace, &mut out);
-    out
-}
-
-fn dfs<S: Clone>(
-    model: &Model<S>,
-    state: S,
-    pcs: Vec<usize>,
-    trace: &mut Vec<String>,
-    out: &mut Exploration,
-) {
-    let mut ran_any = false;
-    let mut all_done = true;
-    for tid in 0..model.threads.len() {
-        let pc = pcs[tid];
-        if pc >= model.threads[tid].len() {
-            continue;
-        }
-        all_done = false;
-        let step = &model.threads[tid][pc];
-        if !(step.enabled)(&state, tid) {
-            continue;
-        }
-        ran_any = true;
-        let mut next = state.clone();
-        (step.run)(&mut next, tid);
-        trace.push(format!("t{tid}:{}", step.name));
-        if let Err(msg) = (model.invariant)(&next) {
-            if out.violations.len() < MAX_VIOLATIONS {
-                out.violations.push((trace.clone(), msg));
+    shadow::explore(None, |schedule| {
+        let mut state = model.init.clone();
+        let mut pcs = vec![0usize; model.threads.len()];
+        let mut trace = Vec::new();
+        let mut leaf = Leaf::default();
+        let mut current = None;
+        loop {
+            let step = |tid: usize| model.threads[tid].get(pcs[tid]);
+            let enabled: Vec<usize> = (0..pcs.len())
+                .filter(|&tid| step(tid).is_some_and(|st| (st.enabled)(&state, tid)))
+                .collect();
+            if enabled.is_empty() {
+                leaf.deadlock = (0..pcs.len()).any(|tid| step(tid).is_some());
+                if leaf.deadlock {
+                    let why = "deadlock: all threads blocked".to_string();
+                    leaf.violations.push((trace, why));
+                }
+                return leaf;
+            }
+            let tid = schedule.pick(&enabled, current);
+            let st = &model.threads[tid][pcs[tid]];
+            (st.run)(&mut state, tid);
+            trace.push(format!("t{tid}:{}", st.name));
+            pcs[tid] += 1;
+            current = Some(tid);
+            if let (Err(why), false) = ((model.invariant)(&state), schedule.replaying()) {
+                leaf.violations.push((trace.clone(), why));
             }
         }
-        let mut next_pcs = pcs.clone();
-        next_pcs[tid] += 1;
-        dfs(model, next, next_pcs, trace, out);
-        trace.pop();
-    }
-    if all_done {
-        out.schedules += 1;
-    } else if !ran_any {
-        out.deadlocks += 1;
-        if out.violations.len() < MAX_VIOLATIONS {
-            out.violations
-                .push((trace.clone(), "deadlock: all threads blocked".to_string()));
-        }
-    }
+    })
 }
 
 /// One catalogue entry: a model and what exploring it must give.
@@ -227,11 +145,6 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// Explores the entry's model.
-    pub fn explore(&self) -> Exploration {
-        (self.explore)()
-    }
-
     /// Checks an exploration of this entry against its pins.
     pub fn check(&self, e: &Exploration) -> Result<(), String> {
         if e.schedules != self.schedules {
@@ -250,9 +163,9 @@ impl Entry {
     }
 }
 
-/// Every model: the eight shipped ones (which must pass), then the
-/// thirteen buggy variants (which must be caught).
-pub fn catalogue() -> [Entry; 21] {
+/// Every model: the six shipped ones (which must pass), then the seven
+/// buggy variants (which must be caught).
+pub fn catalogue() -> [Entry; 13] {
     let shipped = |name, schedules, explore| Entry {
         name,
         schedules,
@@ -274,15 +187,6 @@ pub fn catalogue() -> [Entry; 21] {
         shipped("repository-record-vs-remove-epoch", 1_716, || {
             explore(&repository(true))
         }),
-        // 5 + 4 + 3 steps, the publish mutex serializing the two rebuilds
-        // (the plan only tries it, so it never blocks).
-        shipped("gateway-snapshot-publish-vs-plan", 15_840, || {
-            explore(&snapshot(true, true, true, false))
-        }),
-        // 3 + 3 + 3 + 2 always-enabled steps: 11!/(3!·3!·3!·2!).
-        shipped("gateway-reply-vs-retry", 92_400, || {
-            explore(&pending(true, true, true))
-        }),
         // 2 + 2 + 9 always-enabled steps: 13!/(2!·2!·9!).
         shipped("reactor-wake-coalescing", 4_290, || {
             explore(&wake(|round| round))
@@ -302,44 +206,6 @@ pub fn catalogue() -> [Entry; 21] {
         variant("repository-no-epoch-aba", 1_716, "stale cache hit", || {
             explore(&repository(false))
         }),
-        // 5 + 4 + 3 always-enabled steps: 12!/(5!·4!·3!).
-        variant(
-            "gateway-snapshot-unserialized-publish",
-            27_720,
-            "ABA",
-            || explore(&snapshot(false, false, true, false)),
-        ),
-        variant(
-            "gateway-snapshot-recycle-while-held",
-            15_840,
-            "planner read mutated tables",
-            || explore(&snapshot(true, true, false, false)),
-        ),
-        variant(
-            "gateway-snapshot-plan-claims-dirty",
-            15_840,
-            "plan missed an ingest",
-            || explore(&snapshot(true, true, true, true)),
-        ),
-        variant(
-            "gateway-retry-missing-recheck",
-            92_400,
-            "lost pending entry",
-            || explore(&pending(false, true, true)),
-        ),
-        // 4 + 3 + 4 + 2 always-enabled steps: 13!/(4!·3!·4!·2!).
-        variant(
-            "gateway-reply-toctou-claim",
-            900_900,
-            "duplicate first-reply delivery",
-            || explore(&pending(true, false, true)),
-        ),
-        variant(
-            "gateway-give-up-strands-retry",
-            92_400,
-            "lost pending entry",
-            || explore(&pending(true, true, false)),
-        ),
         variant("reactor-lost-wakeup", 4_290, "lost wakeup", || {
             explore(&wake(|[poll, drain, clear, harvest]| {
                 [poll, drain, harvest, clear]
@@ -370,7 +236,7 @@ pub fn run_all() -> Vec<(Entry, Exploration)> {
     catalogue()
         .into_iter()
         .map(|entry| {
-            let e = entry.explore();
+            let e = (entry.explore)();
             (entry, e)
         })
         .collect()
@@ -470,7 +336,7 @@ fn registry(count_first: bool) -> Model<RegistryState> {
 
     Model {
         init: RegistryState {
-            lock: ShadowLock::new(),
+            lock: ShadowLock::default(),
             names: ShadowAtomicU64::new(0),
             values: ShadowAtomicU64::new(0),
             hist_count: ShadowAtomicU64::new(0),
@@ -586,449 +452,7 @@ fn repository(key_includes_epoch: bool) -> Model<RepoState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: concurrent gateway — snapshot publish vs lock-free plan.
-// ---------------------------------------------------------------------------
-
-/// Shadow of the `ConcurrentHandler` snapshot pipeline: sharded ingestion
-/// marks a dirty flag, and publishers merge the shards under a publish
-/// mutex and install the view through a version-guarded cell; planners
-/// read the published pointer without any lock. A plan publishes a dirty
-/// view itself, but only *tries* the mutex; a membership change takes it,
-/// waiting. A publisher builds into the buffers of the view the previous
-/// publish swapped out (`ViewSpares`) when no planner still holds that
-/// view, and into new buffers otherwise.
-#[derive(Clone)]
-struct SnapshotState {
-    /// Samples written: `[ingested replies, membership changes]`.
-    shard: [ShadowAtomicU64; 2],
-    /// The "snapshot is stale" flag (`ConcurrentHandler::dirty`).
-    dirty: ShadowAtomicU64,
-    /// Serializes rebuild+install (`ConcurrentHandler::publish`).
-    publish_lock: ShadowLock,
-    /// View buffers, `(version, content)` each, the content being the
-    /// shard counts merged into it: the initial view and at most one new
-    /// buffer per publish.
-    views: [(u64, [u64; 2]); 3],
-    /// Buffers in use so far.
-    allocated: usize,
-    /// Planner references to each view (`Arc` clones from a load).
-    holders: [u32; 3],
-    /// The view the cell publishes.
-    current: usize,
-    /// The view the last install swapped out, kept for its buffers.
-    retired: Option<usize>,
-    /// Per-publisher (plan, membership) harvest: the `(version, content)`
-    /// to publish; `None` when the dirty check said someone else already
-    /// published.
-    built: [Option<(u64, [u64; 2])>; 2],
-    /// Per-publisher buffer the harvest was built into.
-    buffer: [Option<usize>; 2],
-    /// Per-thread "finished" flags.
-    done: [bool; 3],
-    /// Per thread: whether its plan found the view dirty.
-    wants: [bool; 3],
-    /// Per thread: the ingests its plan must see — those complete when it
-    /// looked — or `None` when it found a publish in flight, which a plan
-    /// does not wait for.
-    owed: [Option<u64>; 3],
-    /// The holding planner: the view it holds and what it read there at
-    /// load time.
-    held: Option<(usize, (u64, [u64; 2]))>,
-    /// The last `(version, content)` any planner loaded.
-    planned: Option<(u64, [u64; 2])>,
-    /// First violation observed by a planner or final-state check.
-    violation: Option<String>,
-}
-
-/// Snapshot publish-vs-plan model. Thread 0 ingests a reply and then
-/// plans, publishing what it finds dirty if the mutex is free; thread 1
-/// changes the membership and publishes, waiting for the mutex; thread 2
-/// plans from a view it holds across their publishes.
-///
-/// `use_mutex` serializes rebuild+install under the publish mutex,
-/// `version_guard` makes install refuse `version <= current`
-/// (`SnapshotCell::publish`). Without both, a rebuild computed before a
-/// peer's sample can overwrite the newer snapshot (lost update +
-/// same-version ABA). `unique_check` lets the recycle step reuse the
-/// retired view only if no planner holds it (`Arc::try_unwrap`); without
-/// it a planner reads tables rebuilt under its feet. `claim_at_check`
-/// has the plan clear the dirty flag when it looks at it, before it takes
-/// the mutex and harvests; a plan that looks in between finds the view
-/// clean and the mutex free, and plans without an ingest that completed
-/// before it started.
-fn snapshot(
-    use_mutex: bool,
-    version_guard: bool,
-    unique_check: bool,
-    claim_at_check: bool,
-) -> Model<SnapshotState> {
-    type St = Step<SnapshotState>;
-    // Publisher slots in `built` and `buffer`.
-    const PLAN: usize = 0;
-    const MEMBER: usize = 1;
-    // A planner's first look: is the view dirty, and is a publish in
-    // flight? A plan that finds the view clean with the mutex free, or
-    // that goes on to win the mutex, is owed every ingest complete now.
-    fn look(s: &mut SnapshotState, tid: usize, claim: bool) {
-        s.wants[tid] = s.dirty.load() == 1;
-        if claim {
-            s.dirty.store(0);
-        }
-        let owed = s.wants[tid] || s.publish_lock.is_free();
-        s.owed[tid] = owed.then(|| s.shard[0].load());
-    }
-    // The publish steps both publishers share, `at` naming the thread's
-    // slot: harvest (re-check dirty unless `forced`, clear it, merge every
-    // shard at version current+1), then one step that recycles (builds
-    // into the retired view's buffers, or new ones), installs and unlocks.
-    let harvest = move |s: &mut SnapshotState, at: usize, forced: bool| {
-        if !forced && !claim_at_check && s.dirty.load() == 0 {
-            s.built[at] = None; // someone newer already published
-            return;
-        }
-        s.dirty.store(0);
-        let content = [s.shard[0].load(), s.shard[1].load()];
-        s.built[at] = Some((s.views[s.current].0 + 1, content));
-    };
-    let recycle = move |s: &mut SnapshotState, at: usize| {
-        let Some(built) = s.built[at] else {
-            return;
-        };
-        let reclaimed = s
-            .retired
-            .take()
-            .filter(|&view| !unique_check || s.holders[view] == 0);
-        let buffer = reclaimed.unwrap_or_else(|| {
-            s.allocated += 1;
-            s.allocated - 1
-        });
-        s.views[buffer] = built;
-        s.buffer[at] = Some(buffer);
-    };
-    let install = move |s: &mut SnapshotState, at: usize, tid: usize| {
-        recycle(s, at);
-        if let Some(buffer) = s.buffer[at] {
-            if !version_guard || s.views[buffer].0 > s.views[s.current].0 {
-                s.retired = Some(s.current);
-                s.current = buffer;
-            } else {
-                s.retired = Some(buffer);
-            }
-        }
-        if use_mutex && s.publish_lock.holder() == Some(tid) {
-            s.publish_lock.release(tid);
-        }
-    };
-    // Loads the published pointer: versions must never regress, one
-    // version must never expose two different contents (stale-snapshot
-    // ABA), and a plan owed an ingest must find it in the view.
-    fn observe(s: &mut SnapshotState, tid: usize) -> usize {
-        let view = s.current;
-        let seen = s.views[view];
-        if let Some((pv, pc)) = s.planned {
-            if seen.0 < pv {
-                s.violation = Some(format!(
-                    "snapshot version regressed: planner saw v{pv} then v{}",
-                    seen.0
-                ));
-            } else if seen.0 == pv && seen.1 != pc {
-                s.violation = Some(format!(
-                    "stale-snapshot ABA: v{pv} observed with content {pc:?} and then {:?}",
-                    seen.1
-                ));
-            }
-        }
-        if let Some(owed) = s.owed[tid] {
-            if seen.1[0] < owed {
-                s.violation = Some(format!(
-                    "plan missed an ingest: {owed} complete when it looked, v{} holds {}",
-                    seen.0, seen.1[0]
-                ));
-            }
-        }
-        s.planned = Some(seen);
-        view
-    }
-
-    let plan = vec![
-        St::new("ingest+plan.check", move |s, tid| {
-            s.shard[0].fetch_add(1);
-            s.dirty.store(1);
-            look(s, tid, claim_at_check);
-        }),
-        St::new("plan.try_lock", move |s, tid| {
-            if !s.wants[tid] || !use_mutex {
-                return;
-            }
-            if s.publish_lock.can_acquire(tid) {
-                s.publish_lock.acquire(tid);
-            } else {
-                // A publish is in flight: plan from the current view.
-                s.wants[tid] = false;
-                s.owed[tid] = None;
-            }
-        }),
-        St::new("publish.harvest", move |s, tid| {
-            if s.wants[tid] {
-                harvest(s, PLAN, false);
-            }
-        }),
-        St::new("publish.recycle+install", move |s, tid| {
-            install(s, PLAN, tid)
-        }),
-        St::new("plan.load", |s, tid| {
-            observe(s, tid);
-            s.done[tid] = true;
-        }),
-    ];
-    let member = vec![
-        St::new("member.write", |s, _| {
-            s.shard[1].fetch_add(1);
-        }),
-        St::gated(
-            "publish.lock",
-            move |s, tid| !use_mutex || s.publish_lock.can_acquire(tid),
-            move |s, tid| {
-                if use_mutex {
-                    s.publish_lock.acquire(tid);
-                }
-            },
-        ),
-        St::new("publish.harvest", move |s, _| harvest(s, MEMBER, true)),
-        St::new("publish.recycle+install", move |s, tid| {
-            install(s, MEMBER, tid);
-            s.done[tid] = true;
-        }),
-    ];
-    // The holding planner looks, loads the published pointer and holds
-    // the view, reads its tables and lets go, lock-free like `plan_with`
-    // past its publish (a dirty view is left to the publishing plan).
-    let holder = vec![
-        St::new("plan.check", move |s, tid| {
-            look(s, tid, false);
-            if s.wants[tid] {
-                // Left to the publishing plan: no ingest is owed.
-                s.owed[tid] = None;
-            }
-        }),
-        St::new("plan.load", |s, tid| {
-            let view = observe(s, tid);
-            s.holders[view] += 1;
-            s.held = Some((view, s.views[view]));
-        }),
-        St::new("plan.read+release", |s, tid| {
-            if let Some((view, loaded)) = s.held.take() {
-                if s.views[view] != loaded {
-                    s.violation = Some(format!(
-                        "planner read mutated tables: held v{} with content {:?}, read v{} with {:?}",
-                        loaded.0, loaded.1, s.views[view].0, s.views[view].1
-                    ));
-                }
-                s.holders[view] -= 1;
-            }
-            s.done[tid] = true;
-        }),
-    ];
-
-    Model {
-        init: SnapshotState {
-            shard: [ShadowAtomicU64::new(0), ShadowAtomicU64::new(0)],
-            dirty: ShadowAtomicU64::new(0),
-            publish_lock: ShadowLock::new(),
-            views: [(0, [0, 0]); 3],
-            allocated: 1,
-            holders: [0; 3],
-            current: 0,
-            retired: None,
-            built: [None, None],
-            buffer: [None, None],
-            done: [false; 3],
-            wants: [false; 3],
-            owed: [None; 3],
-            held: None,
-            planned: None,
-            violation: None,
-        },
-        threads: vec![plan, member, holder],
-        invariant: Box::new(|s| {
-            recorded(&s.violation)?;
-            if s.done.iter().all(|&d| d) && s.dirty.load() == 0 {
-                let total = [s.shard[0].load(), s.shard[1].load()];
-                let content = s.views[s.current].1;
-                if content != total {
-                    return Err(format!(
-                        "published snapshot lost samples: contains {content:?}, shards hold {total:?}"
-                    ));
-                }
-            }
-            Ok(())
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Model 4: concurrent gateway — first reply vs retry re-plan vs give-up.
-// ---------------------------------------------------------------------------
-
-/// Shadow of the sharded pending-request table: an original attempt and a
-/// retry attempt share an `answered` flag and a sibling group; replies
-/// and the give-up timer race the retry's insertion.
-#[derive(Clone)]
-struct PendingState {
-    /// The shared `answered` CAS flag (0 = open, 1 = resolved).
-    answered: ShadowAtomicU64,
-    /// Pending-table entries: `[original, retry]`, 1 = present.
-    pending: [ShadowAtomicU64; 2],
-    /// Sibling group length: 1 until the retry registers itself.
-    group_len: ShadowAtomicU64,
-    /// First-reply deliveries to the caller.
-    deliveries: ShadowAtomicU64,
-    /// Timing failures the give-up recorded.
-    gave_up: ShadowAtomicU64,
-    /// Per-attempt scratch: whether the reply to it won the claim.
-    won: [bool; 2],
-    /// Give-up scratch: whether it won the claim.
-    gave_up_won: bool,
-    /// Completion flags: `[reply0, retry, reply1, give_up]`.
-    done: [bool; 4],
-}
-
-/// Reply-vs-retry model. `retry_rechecks`: the retry re-checks `answered`
-/// after inserting its entry, so a first reply that retired siblings
-/// before the insert cannot leak it. `atomic_cas`: a reply claims the
-/// request with one indivisible compare-and-swap (the shipped
-/// `AtomicBool` CAS); without it the check and the mark are two steps —
-/// the classic TOCTOU bug, where both replies think they are first.
-/// `give_up_walks_group`: a give-up that wins the claim retires every
-/// attempt in the group, as a delivery does; without it, it removes only
-/// the entry it was called through and strands the retry's.
-fn pending(
-    retry_rechecks: bool,
-    atomic_cas: bool,
-    give_up_walks_group: bool,
-) -> Model<PendingState> {
-    type St = Step<PendingState>;
-    // A reply to `attempt`, raced by everything else. Unknown seqs (entry
-    // absent) only mine perf data. The retry joins the sibling group
-    // before it inserts its entry, so a reply that won `attempt` 1 always
-    // sees a group of two.
-    let reply = |attempt: usize| {
-        let mut steps = if atomic_cas {
-            vec![St::new("reply.cas", move |s, _| {
-                if s.pending[attempt].load() == 1 && s.answered.load() == 0 {
-                    s.answered.store(1);
-                    s.won[attempt] = true;
-                }
-            })]
-        } else {
-            // TOCTOU split: observe `answered`, then mark it, with a
-            // window in between for the sibling reply to do the same.
-            vec![
-                St::new("reply.check", move |s, _| {
-                    s.won[attempt] = s.pending[attempt].load() == 1 && s.answered.load() == 0;
-                }),
-                St::new("reply.mark", move |s, _| {
-                    if s.won[attempt] {
-                        s.answered.store(1);
-                    }
-                }),
-            ]
-        };
-        steps.push(St::new("reply.deliver", move |s, _| {
-            if s.won[attempt] {
-                s.pending[attempt].store(0);
-                s.deliveries.fetch_add(1);
-            }
-        }));
-        steps.push(St::new("reply.retire_siblings", move |s, tid| {
-            if s.won[attempt] && s.group_len.load() == 2 {
-                s.pending[1 - attempt].store(0);
-            }
-            s.done[tid] = true;
-        }));
-        steps
-    };
-
-    // The client's timeout path: register the retry in the sibling group
-    // *before* inserting its pending entry, then re-check `answered` so an
-    // in-between first reply (whose retire-siblings pass ran too early to
-    // see the new entry) cannot leak it.
-    let retry = vec![
-        St::new("retry.join_group", |s, _| s.group_len.store(2)),
-        St::new("retry.insert", |s, _| s.pending[1].store(1)),
-        St::new("retry.recheck", move |s, tid| {
-            if retry_rechecks && s.answered.load() == 1 {
-                s.pending[1].store(0); // self-retire: lost the race
-            }
-            s.done[tid] = true;
-        }),
-    ];
-
-    // The give-up timer, called through the original attempt's seq. Its
-    // lookup and CAS are one step: only a claim winner removes entries,
-    // so an entry gone between the two means the CAS fails anyway. The
-    // walk holds the group lock, as `retry.join_group` does, so it sees
-    // the retry either registered or not yet; one not yet inserted finds
-    // the flag set on its re-check.
-    let give_up = vec![
-        St::new("give_up.claim", |s, _| {
-            if s.pending[0].load() == 1 && s.answered.load() == 0 {
-                s.answered.store(1);
-                s.gave_up_won = true;
-            }
-        }),
-        St::new("give_up.walk", move |s, tid| {
-            if s.gave_up_won {
-                s.pending[0].store(0);
-                if give_up_walks_group && s.group_len.load() == 2 {
-                    s.pending[1].store(0);
-                }
-                s.gave_up.fetch_add(1);
-            }
-            s.done[tid] = true;
-        }),
-    ];
-
-    Model {
-        init: PendingState {
-            answered: ShadowAtomicU64::new(0),
-            // The original attempt is already in flight; the retry entry
-            // does not exist until the retry thread inserts it.
-            pending: [ShadowAtomicU64::new(1), ShadowAtomicU64::new(0)],
-            group_len: ShadowAtomicU64::new(1),
-            deliveries: ShadowAtomicU64::new(0),
-            gave_up: ShadowAtomicU64::new(0),
-            won: [false, false],
-            gave_up_won: false,
-            done: [false; 4],
-        },
-        threads: vec![reply(0), retry, reply(1), give_up],
-        invariant: Box::new(|s| {
-            if s.deliveries.load() > 1 {
-                return Err("duplicate first-reply delivery".to_string());
-            }
-            if s.deliveries.load() + s.gave_up.load() > 1 {
-                return Err("request both delivered and given up".to_string());
-            }
-            if s.done.iter().all(|&d| d) {
-                if s.pending[0].load() != 0 || s.pending[1].load() != 0 {
-                    return Err(format!(
-                        "lost pending entry: request resolved but table holds [{}, {}]",
-                        s.pending[0].load(),
-                        s.pending[1].load()
-                    ));
-                }
-                if s.deliveries.load() + s.gave_up.load() != 1 {
-                    return Err("request neither delivered nor given up".to_string());
-                }
-            }
-            Ok(())
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Model 5: socket runtime reactor — self-pipe wake coalescing.
+// Model 3: socket runtime reactor — self-pipe wake coalescing.
 // ---------------------------------------------------------------------------
 
 /// Shadow of the reactor's wake path (`reactor.rs`): submitters enqueue
@@ -1151,7 +575,7 @@ fn wake(order: fn([WakeStep; 4]) -> [WakeStep; 4]) -> Model<WakeState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 6: socket runtime mux — reply routing across the handle/seq split.
+// Model 4: socket runtime mux — reply routing across the handle/seq split.
 // ---------------------------------------------------------------------------
 
 /// Mirrors `mux.rs`: wire seqs are 24 bits of handle id over 40 bits of
@@ -1281,7 +705,7 @@ fn mux(split_compose: bool) -> Model<MuxState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 7: sharded DES — conservative time-window barrier lookahead.
+// Model 5: sharded DES — conservative time-window barrier lookahead.
 // ---------------------------------------------------------------------------
 
 /// Shard A's pending event time in the barrier model.
@@ -1439,7 +863,7 @@ fn shard_barrier(off_by_one: bool) -> Model<ShardBarrierState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 8: socket runtime reactor — who flushes the outbound ring.
+// Model 6: socket runtime reactor — who flushes the outbound ring.
 // ---------------------------------------------------------------------------
 
 /// Shadow of the reactor's send rule (`reactor.rs`) over one connection.
@@ -1629,7 +1053,7 @@ mod tests {
         let results = run_all();
         assert_eq!(
             results.iter().filter(|(e, _)| e.catches.is_none()).count(),
-            8
+            6
         );
         for (i, (entry, e)) in results.iter().enumerate() {
             assert!(

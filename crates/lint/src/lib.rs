@@ -2,15 +2,17 @@
 //!
 //! A self-contained lint tool: a hand-rolled lexer ([`lexer`]) feeds
 //! twelve rules ([`rules`]), and a bounded model checker
-//! ([`interleave`]) exhaustively explores the interleavings of eight shadow
-//! models ported from real synchronization hot spots, and of thirteen
-//! buggy variants it must catch. Three of the rules (`pub-has-caller`,
-//! `variant-has-constructor` and `knob-census`) share one index of the
-//! whole workspace's definitions and uses: every `pub` item needs a
-//! caller, every enum variant a constructor and every config field a
-//! second value outside tests.
+//! ([`interleave`]) exhaustively explores, on the `shadow` crate's replay
+//! explorer, the interleavings of six step models ported from real
+//! synchronization hot spots, and of seven buggy variants it must catch.
+//! (The gateway's timing fault handler is checked on its own code by
+//! `crates/gateway/tests/interleave.rs` under `--cfg aqua_check`.)
+//! Three of the rules (`pub-has-caller`, `variant-has-constructor` and
+//! `knob-census`) share one index of the whole workspace's definitions
+//! and uses: every `pub` item needs a caller, every enum variant a
+//! constructor and every config field a second value outside tests.
 //!
-//! The tool takes no dependencies beyond the vendored `shadow` shim — it
+//! The tool takes no dependencies beyond the vendored `shadow` crate — it
 //! must keep working in the air-gapped build environment, and it lints the
 //! workspace that enforces that same property (`vendor-audit`).
 //!

@@ -67,14 +67,16 @@ const HANDLE_SHIFT: u32 = 64 - HANDLE_BITS;
 /// Mask selecting the handle-local sequence number.
 const SEQ_MASK: u64 = (1 << HANDLE_SHIFT) - 1;
 
+/// Sliding-window size `l` of each handle's repository, the paper's: a
+/// rejoined replica's probation clears after this many fresh samples.
+const WINDOW: usize = 5;
+
 /// Configuration of a [`MuxPool`] and of every handle made from it
 /// ([`crate::AquaClientConfig`] is the same type).
 #[derive(Debug, Clone)]
 pub struct MuxPoolConfig {
     /// QoS specification every handle starts from.
     pub qos: QosSpec,
-    /// Sliding-window size `l` for each handle's repository.
-    pub window: usize,
     /// Handles give up on a call after this long (must exceed the
     /// deadline).
     pub give_up_after: Duration,
@@ -106,12 +108,11 @@ pub struct MuxPoolConfig {
 }
 
 impl MuxPoolConfig {
-    /// Paper defaults: window 5, give up after 5 s, no retry, reconnects
-    /// backing off up to 1 s.
+    /// Defaults: give up after 5 s, no retry, reconnects backing off up
+    /// to 1 s.
     pub fn new(qos: QosSpec) -> Self {
         MuxPoolConfig {
             qos,
-            window: 5,
             give_up_after: Duration::from_secs(5),
             id: 0,
             obs: None,
@@ -681,7 +682,7 @@ impl MuxPool {
                 (fresh, 0)
             })
         };
-        let mut handler = ConcurrentHandler::new(config.qos, config.window, strategy);
+        let mut handler = ConcurrentHandler::new(config.qos, WINDOW, strategy);
         if let Some(obs) = config.obs.as_ref().filter(|_| observed) {
             handler.attach_obs(obs, Some(config.id));
         }
@@ -1166,7 +1167,6 @@ mod tests {
             .collect();
         servers[0].faults = Some(plan.instantiate(7));
         let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
-        config.window = 3; // probation clears after 3 fresh samples
         config.give_up_after = ms(1_000);
         config.reconnect = Some(ms(100));
         let (_servers, pool) = pool_with(servers, config);

@@ -46,7 +46,6 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
     }
 
     let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
-    config.window = 3; // probation clears after 3 fresh samples
     config.give_up_after = ms(2_000);
     config.obs = Some(obs.clone());
     config.reconnect = Some(ms(200));

@@ -146,11 +146,6 @@ impl<M: Payload> Simulation<M> {
         self.core.tracer.counters(id)
     }
 
-    /// Whether a node is detached (crashed).
-    pub fn is_detached(&self, id: NodeId) -> bool {
-        self.core.is_detached(id)
-    }
-
     /// Bridges the simulator's observability into `obs`: per-node
     /// communication counters become `sim_*` registry metrics and any
     /// recorded trace ring is replayed into the journal as `sim_event`
@@ -476,7 +471,7 @@ mod tests {
         let b = sim.add_node(Crashed::default());
         sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
         sim.run_until_idle();
-        assert!(sim.is_detached(b));
+        assert!(sim.core.is_detached(b));
         assert_eq!(
             sim.node::<Crashed>(b).unwrap().events,
             1,
