@@ -15,7 +15,7 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::Duration;
 use aqua_replica::ServiceTimeModel;
-use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua_runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua_strategies::ModelBased;
 
 fn ms(v: u64) -> Duration {
@@ -31,12 +31,12 @@ fn run_cell(
     cell: u64,
 ) -> (f64, f64) {
     let replicas: Vec<_> = servers.iter().map(|s| (s.replica(), s.addr())).collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(deadline_ms), pc).expect("valid"));
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(deadline_ms), pc).expect("valid"));
     config.give_up_after = ms(2_000);
     config.obs = obs.cloned();
     config.id = cell;
-    let client = AquaClient::connect(&replicas, config, Box::new(ModelBased::default()))
-        .expect("connect to local replicas");
+    let pool = MuxPool::connect(&replicas, config).expect("connect to local replicas");
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
     let mut failures = 0u32;
     let mut redundancy_sum = 0usize;
     for _ in 0..requests {
@@ -56,7 +56,7 @@ fn run_cell(
         // the redundant copies drain so queues do not snowball.
         std::thread::sleep(std::time::Duration::from_millis(120));
     }
-    client.finish_observability();
+    client.with_handler(|h| h.flush_observability());
     (
         redundancy_sum as f64 / requests as f64,
         failures as f64 / requests as f64,

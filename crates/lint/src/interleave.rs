@@ -42,8 +42,8 @@
 //!   `min(next) + L − 1` keeps a cross-shard arrival out of every window
 //!   that could have sent it; `sim-shard-lookahead-off-by-one` uses
 //!   `min(next) + L`.
-//! * `reactor-send-rule` — a lone sender flushes the outbound ring, one
-//!   with company hands it to the loop, and frames leave in ring order;
+//! * `reactor-send-rule` — a lone sender flushes the connection's output,
+//!   one with company hands it to the loop, and frames leave in queue order;
 //!   `reactor-send-write-past-ring` lets a lone sender write past frames
 //!   queued behind `EPOLLOUT`.
 
@@ -863,16 +863,16 @@ fn shard_barrier(off_by_one: bool) -> Model<ShardBarrierState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 6: socket runtime reactor — who flushes the outbound ring.
+// Model 6: socket runtime reactor — who flushes a connection's output.
 // ---------------------------------------------------------------------------
 
 /// Shadow of the reactor's send rule (`reactor.rs`) over one connection.
-/// A sender counts itself in flight, reads the count, pushes its frame on
-/// the ring and — if it read "alone" — runs `flush_ring` under the same
-/// hold of the connection's I/O lock; otherwise it marks the connection
+/// A sender counts itself in flight, reads the count, queues its frame on
+/// the output (the "ring") and — if it read "alone" — runs `Conn::flush`
+/// under the same hold of the connection's lock; otherwise it marks the connection
 /// dirty and wakes the loop. The loop blocks in `epoll_wait` until the
 /// wake pipe or an armed `EPOLLOUT` reports, harvests the dirty list and
-/// runs the same `flush_ring`. The peer starts with a full socket buffer
+/// runs the same `Conn::flush`. The peer starts with a full socket buffer
 /// and drains it once, at any point.
 #[derive(Clone)]
 struct SendRuleState {
@@ -884,13 +884,13 @@ struct SendRuleState {
     hand_over: [bool; 2],
     /// Frames pushed on the ring so far; a frame's id is its push order.
     pushed: u8,
-    /// The outbound ring, oldest first (`ConnIo::out`).
+    /// The connection's output, oldest first (`Conn::out`).
     ring: Vec<u8>,
     /// Frames written to the socket, in write order.
     wire: Vec<u8>,
     /// Frames the socket buffer still takes before `WouldBlock`.
     room: u8,
-    /// `EPOLLOUT` armed (`ConnIo::want_write`).
+    /// `EPOLLOUT` armed (in `Conn::interest`).
     armed: bool,
     /// Entries on the dirty list.
     dirty: ShadowAtomicU64,
@@ -904,7 +904,7 @@ struct SendRuleState {
     done: [bool; 4],
 }
 
-/// `flush_ring`: write from the head of the ring while the socket takes
+/// `Conn::flush`: write from the head of the ring while the socket takes
 /// frames; arm `EPOLLOUT` on `WouldBlock`, disarm it on an empty ring.
 fn send_rule_flush(s: &mut SendRuleState) {
     while let Some(&head) = s.ring.first() {

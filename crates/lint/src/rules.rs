@@ -1505,6 +1505,58 @@ fn pub_items(tokens: &[Token], excluded: &[bool], blocks: &[ImplBlock]) -> Vec<P
     items
 }
 
+/// Where an item can be used from: its own file (private; a trait
+/// impl's method is counted so too), its crate (`pub(…)`), or anywhere.
+#[derive(Clone, Copy, PartialEq)]
+enum Reach {
+    File,
+    Crate,
+    Everywhere,
+}
+
+/// Every method outside `#[cfg(test)]` code, whatever its visibility: the
+/// name of each `fn` in an `impl` block and not in another `fn`'s body,
+/// with the block's self type and the method's reach.
+fn methods(
+    tokens: &[Token],
+    partner: &[usize],
+    excluded: &[bool],
+    blocks: &[ImplBlock],
+    functions: &[FnInfo],
+) -> Vec<(String, String, Reach)> {
+    // A `fn` pointer type has no name, and no body either.
+    let nested = |k: usize| {
+        (functions.iter())
+            .filter(|f| !f.name.is_empty())
+            .any(|f| f.body.is_some_and(|(a, b)| a <= k && k <= b))
+    };
+    let reach = |k: usize| {
+        const QUALIFIERS: [&str; 5] = ["const", "async", "unsafe", "extern", "default"];
+        let before = (0..k - 1).rev().find(|&j| {
+            !(QUALIFIERS.iter().any(|q| tokens[j].is_ident(q)) || tokens[j].kind == TokenKind::Str)
+        });
+        match before {
+            Some(j) if tokens[j].is_ident("pub") => Reach::Everywhere,
+            Some(j) if tokens[j].is_punct(')') && partner[j] > 0 => {
+                if tokens[partner[j] - 1].is_ident("pub") {
+                    Reach::Crate
+                } else {
+                    Reach::File
+                }
+            }
+            _ => Reach::File,
+        }
+    };
+    (1..tokens.len())
+        .filter(|&k| tokens[k - 1].is_ident("fn") && tokens[k].kind == TokenKind::Ident)
+        .filter(|&k| !excluded[k] && !nested(k))
+        .filter_map(|k| {
+            let owner = innermost_impl(blocks, k)?.to_string();
+            Some((tokens[k].text.clone(), owner, reach(k)))
+        })
+        .collect()
+}
+
 /// An `impl` block: its self type's name and its extent.
 type ImplBlock = (String, Extent);
 
@@ -1706,6 +1758,8 @@ struct Indexed {
     blocks: Vec<ImplBlock>,
     functions: Vec<FnInfo>,
     items: Vec<PubItem>,
+    /// Every method of any visibility ([`methods`]).
+    methods: Vec<(String, String, Reach)>,
     /// Every identifier outside `#[cfg(test)]` code.
     names: HashSet<String>,
 }
@@ -1732,11 +1786,13 @@ impl Indexed {
             .map(|(t, _)| t.text.clone())
             .collect();
         let partner = bracket_partners(&tokens);
+        let functions = find_functions(&tokens);
         Indexed {
             path: path.to_string(),
             allows: collect_allows(&lexed.comments),
             patterns: pattern_mask(&tokens, &partner),
-            functions: find_functions(&tokens),
+            methods: methods(&tokens, &partner, &excluded, &blocks, &functions),
+            functions,
             partner,
             excluded,
             blocks,
@@ -1749,18 +1805,25 @@ impl Indexed {
     /// Whether this file shares `other`'s crate, or names one of the `pub`
     /// items `other` defines outside `impl` blocks.
     fn imports(&self, other: &Indexed) -> bool {
+        self.shares_crate(other)
+            || (other.items.iter()).any(|i| i.owner.is_none() && self.names.contains(&i.name))
+    }
+
+    fn shares_crate(&self, other: &Indexed) -> bool {
         fn krate(p: &str) -> Vec<&str> {
             let depth = if p.starts_with("crates/") { 2 } else { 1 };
             p.split('/').take(depth).collect()
         }
         krate(&self.path) == krate(&other.path)
-            || (other.items.iter()).any(|i| i.owner.is_none() && self.names.contains(&i.name))
     }
 
-    /// The type a path ending at token `k` starts from: `Type` in
-    /// `Type::name`, the `impl` block's type for `Self::name`.
+    /// The type a use at token `k` starts from: `Type` in `Type::name`,
+    /// the `impl` block's type for `Self::name` and `self.name`.
     fn qualifier(&self, k: usize) -> Option<&str> {
         let t = &self.tokens;
+        if k >= 2 && t[k - 1].is_punct('.') && t[k - 2].is_ident("self") {
+            return innermost_impl(&self.blocks, k);
+        }
         if k < 3 || !t[k - 1].is_punct(':') || !t[k - 2].is_punct(':') {
             return None;
         }
@@ -1782,13 +1845,14 @@ impl Indexed {
     }
 }
 
-/// The types, each with its file, that define a name.
-type Definers = Vec<(String, usize)>;
+/// The types, each with its file and its reach, that define a name.
+type Definers = Vec<(String, usize, Reach)>;
 
 /// Every file of the caller index, and the uses it counts.
 struct Index {
     files: Vec<Indexed>,
-    /// Method names that methods of more than one type define.
+    /// Method names that methods of more than one type define, whatever
+    /// their visibility.
     colliding: HashMap<String, Definers>,
     /// Names with a use, and names with a call or path use.
     named: HashSet<String>,
@@ -1802,11 +1866,10 @@ impl Index {
         let files: Vec<Indexed> = files.iter().map(|(p, s)| Indexed::new(p, s)).collect();
         let mut colliding: HashMap<String, Definers> = HashMap::new();
         for (fi, f) in files.iter().enumerate() {
-            for item in &f.items {
-                let Some(owner) = &item.owner else { continue };
-                let definers = colliding.entry(item.name.clone()).or_default();
-                if !definers.iter().any(|(t, _)| t == owner) {
-                    definers.push((owner.clone(), fi));
+            for (name, owner, reach) in &f.methods {
+                let definers = colliding.entry(name.clone()).or_default();
+                if !definers.iter().any(|(t, ..)| t == owner) {
+                    definers.push((owner.clone(), fi, *reach));
                 }
             }
         }
@@ -1823,11 +1886,14 @@ impl Index {
     }
 
     /// Which of `definers` a use of their name in file `fi` counts for.
-    /// One definer takes every use. Among several, a use counts for a type
-    /// when it is the path `Type::name` (and then for that type alone),
-    /// when the using file names the type, or when the type is the only
-    /// definer the file imports. A use that none of these ties to any
-    /// definer counts for all of them: the index cannot tell.
+    /// Only definers that reach file `fi` compete: a private method only
+    /// in its own file, a `pub(…)` one only in its crate. One definer
+    /// takes every use. Among several, a use counts for a type when it is
+    /// the path `Type::name` or a `self.name` call in the type's `impl`
+    /// (and then for that type alone), when the using file names the
+    /// type, or when the type is the only definer the file imports. A use
+    /// that none of these ties to any definer counts for all of them: the
+    /// index cannot tell.
     fn resolve<'a>(
         &self,
         fi: usize,
@@ -1835,10 +1901,15 @@ impl Index {
         definers: &'a Definers,
     ) -> Vec<&'a str> {
         let file = &self.files[fi];
-        let types: Vec<&str> = definers.iter().map(|(t, _)| t.as_str()).collect();
-        let imported: Vec<&str> = (definers.iter())
-            .filter(|(_, d)| file.imports(&self.files[*d]))
-            .map(|(t, _)| t.as_str())
+        let reaching = definers.iter().filter(|(_, d, reach)| match reach {
+            Reach::File => *d == fi,
+            Reach::Crate => file.shares_crate(&self.files[*d]),
+            Reach::Everywhere => true,
+        });
+        let types: Vec<&str> = reaching.clone().map(|(t, ..)| t.as_str()).collect();
+        let imported: Vec<&str> = reaching
+            .filter(|(_, d, _)| file.imports(&self.files[*d]))
+            .map(|(t, ..)| t.as_str())
             .collect();
         let resolved: Vec<&str> = if qualifier.is_some_and(|q| types.contains(&q)) {
             types
@@ -2106,10 +2177,11 @@ fn single_valued_knobs(index: &Index, out: &mut Vec<Finding>) {
                 .filter(|&k| t[k - 1].is_ident("pub") && lone_colon(t, k + 1))
             {
                 knobs.push((fi, &item.name, &t[k], values.clone()));
-                definers
-                    .entry(&t[k].text)
-                    .or_default()
-                    .push((item.name.clone(), fi));
+                definers.entry(&t[k].text).or_default().push((
+                    item.name.clone(),
+                    fi,
+                    Reach::Everywhere,
+                ));
             }
         }
     }

@@ -530,6 +530,25 @@ fn pub_has_caller_counts_a_shared_method_name_per_type() {
     );
 }
 
+#[test]
+fn pub_has_caller_ties_a_self_call_to_its_own_private_method() {
+    // The handler's file names the cell, but its `self.publish()` is the
+    // handler's private method: the cell's `pub` one has no caller.
+    let files = split_files(&fixture("pub_has_caller_private_collision.rs"));
+    assert_eq!(files.len(), 3);
+    let findings = check_callers(&files);
+    let flagged: Vec<(&str, &str)> = findings
+        .iter()
+        .map(|f| {
+            (
+                f.file.as_str(),
+                f.message.split('`').nth(3).unwrap_or_default(),
+            )
+        })
+        .collect();
+    assert_eq!(flagged, [("crates/core/src/snapshot.rs", "publish")]);
+}
+
 /// What builds the negative fixture's `Kind::ByTest`.
 const VARIANT_TEST: &str = "#[test]\nfn it() { let _ = fixture::Kind::ByTest; }\n";
 

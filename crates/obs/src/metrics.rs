@@ -66,12 +66,6 @@ impl Gauge {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Subtracts `delta`.
-    #[inline]
-    pub fn sub(&self, delta: i64) {
-        self.value.fetch_sub(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)

@@ -7,15 +7,16 @@
 //! real queuing, real scheduling jitter, real connection teardown as the
 //! crash detector.
 //!
-//! There is one socket client. A [`MuxPool`] owns one socket per replica
-//! on a single epoll-driven event-loop thread ([`mod@wire`] frames,
-//! vectored batched writes), reconnects lost replicas and keeps every
-//! handle's membership current; a [`MuxHandle`] is one logical client
-//! over those sockets — selection, retry, waiters. [`AquaClient`] is a
-//! pool with its one handle.
+//! There is one socket client and one transport. A [`MuxPool`] owns one
+//! socket per replica on a single epoll-driven event-loop thread,
+//! reconnects lost replicas and keeps every handle's membership current;
+//! a [`MuxHandle`] is one logical client over those sockets — selection,
+//! retry, waiters. A single client is a pool and one handle made with
+//! [`MuxPool::observed_handle`]. Client and [`ReplicaServer`] exchange
+//! [`mod@wire`] frames over the same bounded, nonblocking connection type.
 //!
 //! ```no_run
-//! use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+//! use aqua_runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 //! use aqua_core::qos::{QosSpec, ReplicaId};
 //! use aqua_core::repository::MethodId;
 //! use aqua_core::time::Duration;
@@ -29,11 +30,8 @@
 //! let replicas: Vec<_> = servers.iter().map(|s| (s.replica(), s.addr())).collect();
 //!
 //! let qos = QosSpec::new(Duration::from_millis(100), 0.9)?;
-//! let client = AquaClient::connect(
-//!     &replicas,
-//!     AquaClientConfig::new(qos),
-//!     Box::new(ModelBased::default()),
-//! )?;
+//! let pool = MuxPool::connect(&replicas, MuxPoolConfig::new(qos))?;
+//! let client = pool.observed_handle(Box::new(ModelBased::default()));
 //! let outcome = client.call(MethodId::DEFAULT, b"query")?;
 //! assert!(outcome.timely);
 //! # Ok(())
@@ -45,7 +43,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
+mod conn;
 pub mod mux;
 mod reactor;
 mod server;
@@ -54,6 +52,5 @@ mod sys;
 mod test_support;
 pub mod wire;
 
-pub use client::{AquaClient, AquaClientConfig};
 pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig};
 pub use server::{ReplicaServer, ReplicaServerConfig};

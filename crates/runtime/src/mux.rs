@@ -31,21 +31,20 @@
 //!
 //! Sending follows the reactor's rule (DESIGN.md §15): a call that is the
 //! only one in flight on the pool flushes its own frames, concurrent
-//! calls leave their frames for the loop to batch into one `writev` per
+//! calls leave their frames for the loop to batch into one write per
 //! socket.
 //!
 //! Lock order: `conns` before `handles`. Membership changes reach the
 //! handles while `conns` is held, and a new handle copies the replica set
 //! and joins `handles` under the same hold, so no handle can miss a change
-//! or apply one out of order. [`crate::AquaClient`] is this pool with one
-//! handle.
+//! or apply one out of order.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant as StdInstant;
 
 use aqua_core::qos::{QosSpec, ReplicaId};
@@ -54,7 +53,6 @@ use aqua_core::time::{Duration, Instant};
 use aqua_gateway::{Call, ConcurrentHandler, ReplyOutcome, Step};
 use aqua_strategies::SelectionStrategy;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::reactor::{NetMetrics, Reactor, ReactorSink};
@@ -71,8 +69,7 @@ const SEQ_MASK: u64 = (1 << HANDLE_SHIFT) - 1;
 /// rejoined replica's probation clears after this many fresh samples.
 const WINDOW: usize = 5;
 
-/// Configuration of a [`MuxPool`] and of every handle made from it
-/// ([`crate::AquaClientConfig`] is the same type).
+/// Configuration of a [`MuxPool`] and of every handle made from it.
 #[derive(Debug, Clone)]
 pub struct MuxPoolConfig {
     /// QoS specification every handle starts from.
@@ -103,7 +100,7 @@ pub struct MuxPoolConfig {
     /// arrives from the recovered replica — a refusing server that accepts
     /// and immediately drops connections therefore keeps escalating the
     /// delay instead of ping-ponging at the initial backoff.
-    // aqua-lint: allow(knob-census) resilience.rs's final-eviction tests set `None`, and client.rs's refusing-listener test a 1 ms ceiling (at 1 s its attempts take 15 s)
+    // aqua-lint: allow(knob-census) resilience.rs's final-eviction tests set `None`, and this file's refusing-listener test a 1 ms ceiling (at 1 s its attempts take 15 s)
     pub reconnect: Option<Duration>,
 }
 
@@ -212,16 +209,6 @@ impl WireMetrics {
 /// fills in, or [`CallError::NoReplicas`] from the disconnect sweep.
 type Resolved = Result<CallOutcome, CallError>;
 
-/// What a waiter channel carries. Only the reactor thread sends, at most
-/// one [`Wake::View`] waits beside at most one [`Wake::Resolved`], and the
-/// channel holds two: a nudge never blocks or displaces a reply.
-enum Wake {
-    /// The call is over.
-    Resolved(Resolved),
-    /// A disconnect changed the view: the caller runs [`Call::on_view`].
-    View,
-}
-
 fn resolve(msg: Resolved, redundancy: usize) -> Resolved {
     msg.map(|outcome| CallOutcome {
         redundancy,
@@ -238,13 +225,21 @@ fn perf_report(service_ns: u64, queue_ns: u64, queue_len: u32, method: u32) -> P
     }
 }
 
+/// A caller waiting on a reply. The reactor thread unparks it to take
+/// its resolution, which waits here and never for the caller, and to
+/// read a new view.
+struct Waiter {
+    caller: Thread,
+    resolved: Option<Resolved>,
+}
+
 /// Per-handle state shared between its callers and the reactor.
 struct HandleState {
     handler: ConcurrentHandler,
-    /// The seq of a request's first attempt → the channel its caller
-    /// waits on, for every call in flight. The handler owns the request's
-    /// attempts, the caller's [`Call`] its deadlines and redundancy.
-    waiters: Mutex<HashMap<u64, Sender<Wake>>>,
+    /// The seq of a request's first attempt → the caller waiting on it,
+    /// for every call in flight. The handler owns the request's attempts,
+    /// the caller's [`Call`] its deadlines and redundancy.
+    waiters: Mutex<HashMap<u64, Waiter>>,
     /// Where this handle's wire-local sequence numbers start: one past
     /// the last the id's previous owners used (0 for a fresh id). The
     /// handler counts from 0; the wire carries `seq_base` + that.
@@ -275,42 +270,57 @@ impl HandleState {
         else {
             return;
         };
+        let mut waiters = self.waiters.lock();
         // `None`: resolved concurrently (give-up or disconnect sweep).
-        let Some(tx) = self.waiters.lock().remove(&request) else {
+        let Some(waiter) = waiters.get_mut(&request).filter(|w| w.resolved.is_none()) else {
             return;
         };
-        let _ = tx.send(Wake::Resolved(Ok(CallOutcome {
+        waiter.resolved = Some(Ok(CallOutcome {
             response_time,
             timely: verdict.is_timely(),
             callback: verdict.should_notify(),
             redundancy: 0,
             replica,
             payload,
-        })));
+        }));
+        waiter.caller.unpark();
     }
 
-    /// Wakes every caller waiting on a reply to read the new view, unless
-    /// its channel already holds a nudge or its resolution.
+    /// Wakes every caller waiting on a reply to read the new view.
     fn nudge_all(&self) {
-        let waiting: Vec<Sender<Wake>> = self.waiters.lock().values().cloned().collect();
-        for tx in waiting {
-            if tx.is_empty() {
-                let _ = tx.send(Wake::View);
-            }
+        for waiter in self.waiters.lock().values() {
+            waiter.caller.unpark();
         }
     }
 
     /// Nobody left who could ever answer: fails every in-flight call at
     /// once instead of letting each caller ride out its give-up timer.
+    /// The handler's locks nest inside the waiter table's here, and
+    /// nowhere the other way round.
     fn fail_all(&self, now: Instant) {
-        let drained: Vec<(u64, Sender<Wake>)> = {
-            let mut waiters = self.waiters.lock();
-            waiters.drain().collect()
-        };
-        for (request, tx) in drained {
-            self.handler.on_give_up(now, request);
-            let _ = tx.send(Wake::Resolved(Err(CallError::NoReplicas)));
+        for (&request, waiter) in self.waiters.lock().iter_mut() {
+            if waiter.resolved.is_none() {
+                self.handler.on_give_up(now, request);
+                waiter.resolved = Some(Err(CallError::NoReplicas));
+                waiter.caller.unpark();
+            }
         }
+    }
+
+    /// The resolution of the call whose first attempt is `first`. Without
+    /// one yet, its caller parks once for it: until `until`, an unpark or
+    /// a spurious wake-up. Taking the resolution retires the waiter.
+    fn wait(&self, first: u64, until: StdInstant) -> Option<Resolved> {
+        let take = || {
+            let mut waiters = self.waiters.lock();
+            let resolved = waiters.get_mut(&first)?.resolved.take()?;
+            waiters.remove(&first);
+            Some(resolved)
+        };
+        take().or_else(|| {
+            std::thread::park_timeout(until.saturating_duration_since(StdInstant::now()));
+            take()
+        })
     }
 }
 
@@ -330,11 +340,9 @@ struct Inner {
     ids: Mutex<HandleIds>,
     /// Self-reference handed to background reconnect threads.
     weak: Weak<Inner>,
-    /// Dropped on teardown, which disconnects `stopped`.
-    stop: Mutex<Option<Sender<()>>>,
-    /// Never carries a message: reconnect threads wait out their backoff
-    /// on it, and its disconnection wakes them all at once.
-    stopped: Receiver<()>,
+    /// Set on teardown, which then unparks every reconnect thread: their
+    /// backoff waits end at once.
+    stopped: Arc<AtomicBool>,
     /// Live reconnect threads, joined when the pool drops (finished
     /// handles are reaped opportunistically).
     reconnect_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -384,15 +392,14 @@ impl Inner {
         admit: impl Fn(&ConcurrentHandler, Instant),
     ) -> io::Result<()> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
         {
             let mut peers = self.peers.lock();
             peers.entry(id).or_insert((addr, 0)).0 = addr;
         }
         let mut conns = self.conns.write().unwrap_or_else(|p| p.into_inner());
         let conn = self.reactor.register(stream, id.index())?;
-        // The subscription handshake goes into the outbound ring before
-        // the connection id is published, so it precedes any request.
+        // The subscription handshake is queued before the connection id is
+        // published, so it precedes any request.
         let hello = Frame::Hello {
             client: self.config.id,
         };
@@ -421,11 +428,8 @@ impl Inner {
             return;
         };
         let weak = self.weak.clone();
-        let stopped = self.stopped.clone();
+        let stopped = Arc::clone(&self.stopped);
         let handle = std::thread::spawn(move || loop {
-            if let Err(TryRecvError::Disconnected) = stopped.try_recv() {
-                return;
-            }
             let Some(inner) = weak.upgrade() else { return };
             {
                 let conns = inner.conns.read().unwrap_or_else(|p| p.into_inner());
@@ -448,7 +452,11 @@ impl Inner {
                 .saturating_mul(1u32 << attempt.min(16))
                 .min(std::time::Duration::from(max_backoff));
             drop(inner); // don't pin the pool's state alive while waiting
-            if let Err(RecvTimeoutError::Disconnected) = stopped.recv_timeout(delay) {
+            let until = StdInstant::now() + delay;
+            while !stopped.load(Ordering::SeqCst) && StdInstant::now() < until {
+                std::thread::park_timeout(until.saturating_duration_since(StdInstant::now()));
+            }
+            if stopped.load(Ordering::SeqCst) {
                 return;
             }
             let Some(inner) = weak.upgrade() else { return };
@@ -573,11 +581,14 @@ impl Drop for MuxPool {
     fn drop(&mut self) {
         // Interrupt backoff waits, join every reconnect thread, then stop
         // and join the reactor.
-        self.inner.stop.lock().take();
+        self.inner.stopped.store(true, Ordering::SeqCst);
         let threads: Vec<JoinHandle<()>> = {
             let mut threads = self.inner.reconnect_threads.lock();
             threads.drain(..).collect()
         };
+        for t in &threads {
+            t.thread().unpark();
+        }
         for t in threads {
             let _ = t.join();
         }
@@ -615,7 +626,6 @@ impl MuxPool {
             .obs
             .as_ref()
             .map(|obs| WireMetrics::new(obs, config.id));
-        let (stop, stopped) = bounded(1);
         let inner = Arc::new_cyclic(|weak| Inner {
             config,
             handles: RwLock::new(HashMap::new()),
@@ -626,8 +636,7 @@ impl MuxPool {
             epoch: StdInstant::now(),
             ids: Mutex::new(HandleIds::default()),
             weak: weak.clone(),
-            stop: Mutex::new(Some(stop)),
-            stopped,
+            stopped: Arc::default(),
             reconnect_threads: Mutex::new(Vec::new()),
         });
         let sink: Weak<dyn ReactorSink> = inner.weak.clone();
@@ -765,12 +774,6 @@ impl MuxHandle {
         f(&self.state.handler)
     }
 
-    /// Calls awaiting a reply.
-    #[cfg(test)]
-    pub(crate) fn waiter_count(&self) -> usize {
-        self.state.waiters.lock().len()
-    }
-
     /// Renegotiates this handle's QoS spec at runtime (§5.4.2): the
     /// failure detector restarts under the new deadline and the planning
     /// snapshot is republished, so subsequent calls plan against the new
@@ -805,36 +808,38 @@ impl MuxHandle {
         // The waiter goes in *before* the multicast so even a
         // lightning-fast reply finds it.
         let first = call.seq();
-        let (tx, rx) = bounded(2);
-        self.state.waiters.lock().insert(first, tx);
+        let waiter = Waiter {
+            caller: std::thread::current(),
+            resolved: None,
+        };
+        self.state.waiters.lock().insert(first, waiter);
         let reached = self.transmit(first, method, payload, &plan.replicas);
         let mut raced = None;
         if call.sent(handler, inner.now(), &plan, reached) {
             while let Some(deadline) = call.next_deadline() {
                 let wait = deadline.saturating_duration_since(inner.now());
-                match rx.recv_timeout(std::time::Duration::from(wait)) {
-                    Ok(Wake::Resolved(msg)) => return resolve(msg, call.redundancy()),
-                    // A view that kept none of the asked replicas brings
-                    // the armed retry forward to now.
-                    Ok(Wake::View) => {
-                        call.on_view(inner.now(), &inner.members());
-                    }
-                    Err(_) => {}
+                let until = StdInstant::now() + std::time::Duration::from(wait);
+                if let Some(msg) = self.state.wait(first, until) {
+                    return resolve(msg, call.redundancy());
                 }
+                // Woken by a view change, the deadline or at random: a
+                // view that kept none of the asked replicas brings the
+                // armed retry forward to now.
+                call.on_view(inner.now(), &inner.members());
                 match call.on_deadline(handler, inner.now()) {
                     Step::Send(retry) => {
                         let reached = self.transmit(retry.seq, method, payload, &retry.replicas);
                         call.sent(handler, inner.now(), &retry, reached);
                     }
                     // A first reply (or the disconnect sweep) won the race
-                    // against the give-up: its message is on the channel,
-                    // or arrives momentarily.
+                    // against the give-up: its resolution is in the
+                    // waiter, or arrives momentarily.
                     Step::Answered => {
+                        let until = StdInstant::now() + std::time::Duration::from_secs(1);
                         raced = loop {
-                            match rx.recv_timeout(std::time::Duration::from_secs(1)) {
-                                Ok(Wake::Resolved(msg)) => break Some(msg),
-                                Ok(Wake::View) => {}
-                                Err(_) => break None,
+                            let msg = self.state.wait(first, until);
+                            if msg.is_some() || StdInstant::now() >= until {
+                                break msg;
                             }
                         };
                     }
@@ -849,11 +854,11 @@ impl MuxHandle {
         })
     }
 
-    /// Multicasts attempt `seq` to `replicas`: the reactor encodes the
-    /// frame once and queues its bytes on every listed replica's outbound
-    /// ring. Returns how many connections accepted it; the wire counters
-    /// account at enqueue time, per accepted connection — byte-for-byte
-    /// what the per-connection flush will put on the wire.
+    /// Multicasts attempt `seq` to `replicas`: the reactor queues the
+    /// frame on every listed replica's connection. Returns how many
+    /// connections accepted it; the wire counters account at enqueue
+    /// time, per accepted connection — byte-for-byte what the
+    /// per-connection flush will put on the wire.
     fn transmit(
         &self,
         seq: u64,
@@ -901,6 +906,13 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
+    }
+
+    impl MuxHandle {
+        /// Calls awaiting a reply.
+        fn waiter_count(&self) -> usize {
+            self.state.waiters.lock().len()
+        }
     }
 
     fn pool_against(n: u64, service_ms: u64) -> (Vec<ReplicaServer>, MuxPool) {
@@ -998,8 +1010,8 @@ mod tests {
 
     #[test]
     fn a_socket_lost_while_the_pool_connects_is_not_dropped_as_stale() {
-        // Same race as `AquaClient`'s: the peer closes on accept, so the
-        // loss can be reported before the connection id is in the map.
+        // The peer closes on accept, so the loss can be reported before
+        // the connection id is in the map.
         for _ in 0..20 {
             let listener = RefusingListener::spawn();
             let qos = QosSpec::new(Duration::from_millis(500), 0.9).unwrap();
@@ -1336,11 +1348,12 @@ mod tests {
             config.obs = Some(obs.clone());
             let strategy = Box::new(ModelBased::default());
             if as_client {
-                let client = crate::AquaClient::connect(&replicas, config, strategy).unwrap();
+                let pool = MuxPool::connect(&replicas, config).unwrap();
+                let client = pool.observed_handle(strategy);
                 for _ in 0..4 {
                     client.call(MethodId::DEFAULT, b"obs").expect("call");
                 }
-                client.finish_observability();
+                client.with_handler(|h| h.flush_observability());
             } else {
                 let pool = MuxPool::connect(&replicas, config).unwrap();
                 let observed = pool.observed_handle(strategy);
@@ -1362,5 +1375,281 @@ mod tests {
             observed_names(&obs, &reader)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    fn spawn_servers(service_ms: &[u64]) -> Vec<ReplicaServer> {
+        service_ms
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(i as u64), *s))
+                    .expect("spawn")
+            })
+            .collect()
+    }
+
+    fn addrs(servers: &[ReplicaServer]) -> Vec<(ReplicaId, SocketAddr)> {
+        servers.iter().map(|s| (s.replica(), s.addr())).collect()
+    }
+
+    /// A single client: a pool and the one observed handle made from it.
+    fn client(replicas: &[(ReplicaId, SocketAddr)], config: MuxPoolConfig) -> (MuxPool, MuxHandle) {
+        let pool = MuxPool::connect(replicas, config).expect("connect");
+        let handle = pool.observed_handle(Box::new(ModelBased::default()));
+        (pool, handle)
+    }
+
+    fn client_for(servers: &[ReplicaServer], qos: QosSpec) -> (MuxPool, MuxHandle) {
+        client(&addrs(servers), MuxPoolConfig::new(qos))
+    }
+
+    #[test]
+    fn end_to_end_calls_over_sockets() {
+        let servers = spawn_servers(&[5, 10, 15]);
+        let qos = QosSpec::new(ms(500), 0.9).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        let mut redundancies = Vec::new();
+        for _ in 0..6 {
+            let out = client
+                .call(MethodId::DEFAULT, b"hello")
+                .expect("call succeeds");
+            assert!(out.timely, "500 ms deadline vs ≤15 ms service");
+            assert_eq!(out.payload, Bytes::from_static(b"hello"), "echoed");
+            redundancies.push(out.redundancy);
+        }
+        assert_eq!(redundancies[0], 3, "cold start selects all");
+        assert_eq!(
+            *redundancies.last().unwrap(),
+            2,
+            "warm Pc=0.9 needs only 2: {redundancies:?}"
+        );
+    }
+
+    #[test]
+    fn crash_is_detected_and_masked() {
+        let servers = spawn_servers(&[5, 5, 5]);
+        let qos = QosSpec::new(ms(500), 0.9).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        for _ in 0..3 {
+            client.call(MethodId::DEFAULT, b"x").expect("warm up");
+        }
+        servers[0].crash();
+        // The very next calls still succeed via the other replicas.
+        let mut successes = 0;
+        for _ in 0..5 {
+            if client.call(MethodId::DEFAULT, b"x").is_ok() {
+                successes += 1;
+            }
+        }
+        assert!(successes >= 4, "only the in-flight call may be lost");
+        client.with_handler(|h| {
+            assert!(
+                !h.repository().contains(ReplicaId::new(0)),
+                "disconnect evicted the crashed replica"
+            );
+        });
+    }
+
+    #[test]
+    fn all_crashed_yields_no_replicas() {
+        let servers = spawn_servers(&[5]);
+        let qos = QosSpec::new(ms(200), 0.0).unwrap();
+        let mut config = MuxPoolConfig::new(qos);
+        config.give_up_after = ms(400);
+        let (_pool, client) = client(&addrs(&servers), config);
+        client.call(MethodId::DEFAULT, b"x").expect("first ok");
+        servers[0].crash();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let err = client.call(MethodId::DEFAULT, b"x").unwrap_err();
+        assert!(
+            matches!(err, CallError::NoReplicas | CallError::GaveUp { .. }),
+            "{err}"
+        );
+        // Once the disconnect is processed, further calls fail fast.
+        let err = client.call(MethodId::DEFAULT, b"x").unwrap_err();
+        assert!(matches!(err, CallError::NoReplicas), "{err}");
+    }
+
+    #[test]
+    fn measurements_fill_the_repository() {
+        let servers = spawn_servers(&[20, 20]);
+        let qos = QosSpec::new(ms(500), 0.5).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        for _ in 0..4 {
+            client.call(MethodId::DEFAULT, b"y").expect("ok");
+        }
+        client.with_handler(|h| {
+            let repo = h.repository();
+            assert!(repo.all_warm(), "both replicas have measurements");
+            for (_, stats) in repo.iter() {
+                let hist = stats.history(MethodId::DEFAULT).unwrap();
+                let latest = *hist.service_times().latest().unwrap();
+                assert!(
+                    latest >= ms(20) && latest < ms(200),
+                    "measured ts ≈ slept 20 ms, got {latest}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn timing_failures_are_detected_on_the_wall_clock() {
+        let servers = spawn_servers(&[80]);
+        // 30 ms deadline vs 80 ms service: every reply is late.
+        let qos = QosSpec::new(ms(30), 0.0).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        let out = client.call(MethodId::DEFAULT, b"z").expect("reply arrives");
+        assert!(!out.timely);
+        assert!(out.response_time >= ms(80));
+        client.with_handler(|h| {
+            assert_eq!(h.detector().failures(), 1);
+        });
+    }
+
+    #[test]
+    fn observed_calls_emit_metrics_and_spans() {
+        let (obs, reader) = aqua_obs::Obs::in_memory();
+        let mut servers = Vec::new();
+        for i in 0..2u64 {
+            let mut cfg = ReplicaServerConfig::quick(ReplicaId::new(i), 5);
+            cfg.obs = Some(obs.clone());
+            servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
+        }
+        let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+        config.id = 42;
+        config.obs = Some(obs.clone());
+        let (_pool, client) = client(&addrs(&servers), config);
+        for _ in 0..4 {
+            client.call(MethodId::DEFAULT, b"obs").expect("call ok");
+        }
+        client.with_handler(|h| h.flush_observability());
+
+        let spans: Vec<String> = reader.lines_containing(r#""type":"request""#);
+        assert_eq!(spans.len(), 4, "{spans:?}");
+        assert!(
+            spans[0].contains(r#""outcome":"delivered""#),
+            "{}",
+            spans[0]
+        );
+
+        let prom = obs.prometheus();
+        assert!(
+            prom.contains("aqua_requests_total{client=\"42\"} 4"),
+            "{prom}"
+        );
+        assert!(prom.contains("aqua_wire_frames_sent_total{client=\"42\"}"));
+        assert!(prom.contains("aqua_wire_bytes_received_total{client=\"42\"}"));
+        assert!(prom.contains("aqua_server_serviced_total{replica=\"0\"}"));
+        assert!(prom.contains("aqua_server_service_ns"));
+        let delivered = client.with_handler(|h| h.stats().delivered);
+        assert_eq!(delivered, 4);
+    }
+
+    #[test]
+    fn wire_byte_counters_match_framing() {
+        // The batching writer must account exactly the framing bytes the
+        // old per-frame path would have: counters equal the sum of
+        // `encoded_len` over everything sent.
+        let (obs, _reader) = aqua_obs::Obs::in_memory();
+        let servers = spawn_servers(&[5]);
+        let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+        config.obs = Some(obs.clone());
+        let (_pool, client) = client(&addrs(&servers), config);
+        for _ in 0..3 {
+            client.call(MethodId::DEFAULT, b"frame-check").expect("ok");
+        }
+        // Everything this client sends has a fixed shape: one Hello plus
+        // one Request per call (single replica, no retries).
+        let hello = Frame::Hello { client: 0 }.encoded_len() as u64;
+        let request = Frame::Request {
+            seq: 0,
+            method: 0,
+            payload: Bytes::from_static(b"frame-check"),
+        }
+        .encoded_len() as u64;
+        let frames = obs
+            .registry()
+            .counter("aqua_wire_frames_sent_total", &[("client", "0")])
+            .get();
+        let bytes = obs
+            .registry()
+            .counter("aqua_wire_bytes_sent_total", &[("client", "0")])
+            .get();
+        assert_eq!(frames, 4, "one hello + three requests");
+        assert_eq!(bytes, hello + 3 * request, "framing unchanged");
+    }
+
+    #[test]
+    fn concurrent_calls_share_the_client() {
+        let servers = spawn_servers(&[10, 10, 10]);
+        let qos = QosSpec::new(ms(800), 0.9).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        let client = Arc::new(client);
+        let mut handles = Vec::new();
+        for i in 0..8 {
+            let c = Arc::clone(&client);
+            handles.push(std::thread::spawn(move || {
+                c.call(MethodId::DEFAULT, format!("c{i}").as_bytes())
+                    .map(|o| o.timely)
+            }));
+        }
+        for h in handles {
+            assert!(h.join().unwrap().expect("call ok"), "all timely");
+        }
+        client.with_handler(|h| {
+            assert_eq!(h.stats().delivered, 8);
+            assert_eq!(h.pending_count(), 0);
+        });
+    }
+
+    #[test]
+    fn sixteen_callers_leave_the_pending_and_waiter_tables_empty() {
+        // One client is one handle: every caller goes through the same
+        // waiter table.
+        let servers = spawn_servers(&[0, 0, 0]);
+        let qos = QosSpec::new(ms(800), 0.9).unwrap();
+        let (_pool, client) = client_for(&servers, qos);
+        std::thread::scope(|scope| {
+            for t in 0..16 {
+                let client = &client;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        let tag = format!("t{t}c{i}");
+                        let out = client
+                            .call(MethodId::DEFAULT, tag.as_bytes())
+                            .expect("call");
+                        assert_eq!(out.payload.as_slice(), tag.as_bytes());
+                    }
+                });
+            }
+        });
+        client.with_handler(|h| {
+            assert_eq!(h.stats().delivered, 16 * 50);
+            assert_eq!(h.pending_count(), 0);
+        });
+        assert_eq!(client.waiter_count(), 0);
+    }
+
+    #[test]
+    fn a_connection_lost_while_it_opens_is_not_dropped_as_stale() {
+        // The peer closes every connection the moment it accepts it, so
+        // the reactor can report the loss before `open_connection` has
+        // published the connection id. Each loss must still be handled —
+        // replica evicted, reconnect scheduled — or the dead id stays in
+        // the map for good and the attempts stop.
+        let listener = RefusingListener::spawn();
+        let mut config = MuxPoolConfig::new(QosSpec::new(ms(200), 0.0).unwrap());
+        config.give_up_after = ms(400);
+        config.reconnect = Some(ms(1));
+        let (pool, client) = client(&[(ReplicaId::new(0), listener.addr)], config);
+        // The first connection and every reconnect attempt.
+        let all = u64::from(MAX_ATTEMPTS) + 1;
+        assert!(
+            eventually(|| listener.accepted() >= all),
+            "reconnects stopped after {} connections: a loss went unhandled",
+            listener.accepted()
+        );
+        drop(client);
+        drop(pool);
     }
 }

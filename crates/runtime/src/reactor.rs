@@ -1,50 +1,38 @@
 //! The readiness reactor: one event-loop thread owning every client
-//! socket in nonblocking mode (DESIGN.md §15).
+//! socket (DESIGN.md §15), each a [`Conn`] — the replica server's framed,
+//! bounded connection — behind its own mutex.
 //!
-//! Replaces the thread-per-connection writer/reader pairs of the previous
-//! client. Outbound frames are queued on per-connection ring buffers and
-//! flushed with **vectored writes**. Who flushes depends on the traffic
-//! (frame-level Nagle): a sender that is the only call in flight on this
-//! reactor ([`Reactor::enter_call`]) has nobody to batch with and flushes
-//! its own connections on the spot — no wake-pipe write, no hand-off to
-//! the loop; with two or more calls in flight senders mark the connection
-//! dirty and poke the loop, which coalesces one Algorithm-1 multicast to
-//! `q` replicas plus anything else queued behind it into a single
-//! `writev`-style syscall per connection. Both go through the same ring
-//! and the same [`flush_ring`] under the connection's mutex, so bytes
-//! leave in ring order whoever writes them. Inbound bytes go through a
-//! per-connection [`FrameAssembler`]: readiness-driven reads into a
-//! growable reassembly buffer (one `read` per burst — a short read ends
-//! the round, level-triggered epoll re-reports anything later), frames
-//! decoded in place and handed to the registered [`ReactorSink`] (the
-//! client's handler ingest shards) with no intermediate copy.
+//! Who flushes depends on the traffic (frame-level Nagle): a sender that is
+//! the only call in flight ([`Reactor::enter_call`]) has nobody to batch
+//! with and flushes on the spot, with no wake-pipe write; with two or more
+//! calls in flight senders mark the connection dirty and poke the loop,
+//! which coalesces one Algorithm-1 multicast to `q` replicas and anything
+//! queued behind it into one write per connection. Either way bytes leave
+//! in queue order. The loop reads a readable connection until a short read
+//! and hands every decoded frame to the [`ReactorSink`].
 //!
-//! Locking discipline: each connection's I/O state sits behind its own
-//! mutex, acquired either by the reactor thread or by a sender queueing
-//! (and, when alone, flushing) frames — never nested with the connection
-//! map or the dirty list, and never held across a sink callback.
+//! Locking discipline: a connection's mutex is taken by the loop or by a
+//! sender — never nested with the connection map or the dirty list, and
+//! never held across a sink callback.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read as _, Write as _};
+use std::collections::HashMap;
+use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, Weak};
 use std::thread::JoinHandle;
 
 use aqua_core::aqua;
-use bytes::Bytes;
 use parking_lot::Mutex;
 
+use crate::conn::{Conn, ConnMetrics};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::wire::{Frame, FrameAssembler, READ_CHUNK};
+use crate::wire::{Frame, READ_CHUNK};
 
 /// Reserved epoll cookie for the wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Upper bound on segments handed to one vectored write.
-const MAX_IOVECS: usize = 64;
 
 /// Events pulled per `epoll_wait`.
 const MAX_EVENTS: usize = 64;
@@ -55,23 +43,20 @@ const MAX_EVENTS: usize = 64;
 pub(crate) trait ReactorSink: Send + Sync {
     /// One decoded inbound frame from the connection registered with `tag`.
     fn on_frame(&self, tag: u64, conn: u64, frame: Frame);
-    /// The connection registered with `tag` is gone (EOF, reset, or a
-    /// protocol error); it has already been deregistered.
+    /// The connection registered with `tag` is gone (EOF, reset, a
+    /// protocol error, or too much output unsent); it has already been
+    /// deregistered.
     fn on_disconnect(&self, tag: u64, conn: u64);
 }
 
-/// Cached handles for the reactor's syscall instruments
-/// (`aqua_net_syscalls_total{op}` — `read`, `writev`, `epoll_wait` and the
-/// wake-pipe writes as `wake` — `aqua_net_writev_batch_frames`, and the
-/// per-connection `aqua_net_outbound_queue_depth` gauges). Socket writes
-/// count the same whether a sender or the loop made them.
+/// The reactor's own syscall instruments: `aqua_net_syscalls_total{op}`
+/// for `epoll_wait` and the wake-pipe writes (`wake`). Each connection
+/// counts its reads and writes ([`ConnMetrics`]), the same whether a
+/// sender or the loop made them.
 pub(crate) struct NetMetrics {
     obs: aqua_obs::Obs,
-    reads: Arc<aqua_obs::metrics::Counter>,
-    writevs: Arc<aqua_obs::metrics::Counter>,
     waits: Arc<aqua_obs::metrics::Counter>,
     wakes: Arc<aqua_obs::metrics::Counter>,
-    batch_frames: Arc<aqua_obs::metrics::Histogram>,
 }
 
 impl NetMetrics {
@@ -79,43 +64,18 @@ impl NetMetrics {
         let registry = obs.registry();
         NetMetrics {
             obs: obs.clone(),
-            reads: registry.counter("aqua_net_syscalls_total", &[("op", "read")]),
-            writevs: registry.counter("aqua_net_syscalls_total", &[("op", "writev")]),
             waits: registry.counter("aqua_net_syscalls_total", &[("op", "epoll_wait")]),
             wakes: registry.counter("aqua_net_syscalls_total", &[("op", "wake")]),
-            batch_frames: registry.histogram("aqua_net_writev_batch_frames", &[]),
         }
     }
-
-    fn queue_gauge(&self, conn: u64) -> Arc<aqua_obs::metrics::Gauge> {
-        let conn = conn.to_string();
-        self.obs
-            .registry()
-            .gauge("aqua_net_outbound_queue_depth", &[("conn", conn.as_str())])
-    }
 }
 
-/// Per-connection I/O state, guarded by the connection's own mutex.
-struct ConnIo {
-    stream: TcpStream,
-    /// Inbound reassembly.
-    assembler: FrameAssembler,
-    /// Outbound ring: one encoded frame per segment, flushed oldest-first.
-    out: VecDeque<Bytes>,
-    /// Bytes of `out[0]` already written (partial-flush cursor).
-    out_head: usize,
-    /// Whether `EPOLLOUT` is currently armed.
-    want_write: bool,
-    closed: bool,
-}
-
-struct Conn {
+/// One registered connection: `None` once closed.
+struct Slot {
     id: u64,
     /// Caller-chosen routing tag (the client keys these by replica).
     tag: u64,
-    fd: RawFd,
-    io: Mutex<ConnIo>,
-    depth: Option<Arc<aqua_obs::metrics::Gauge>>,
+    conn: Mutex<Option<Conn>>,
 }
 
 struct Shared {
@@ -125,7 +85,7 @@ struct Shared {
     wake_tx: UnixStream,
     /// Coalesces wake pokes: at most one pipe byte in flight.
     wake_pending: AtomicBool,
-    conns: RwLock<HashMap<u64, Arc<Conn>>>,
+    conns: RwLock<HashMap<u64, Arc<Slot>>>,
     /// Connection ids with freshly queued output awaiting a flush.
     dirty: Mutex<Vec<u64>>,
     sink: RwLock<Option<Weak<dyn ReactorSink>>>,
@@ -138,7 +98,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn conn(&self, id: u64) -> Option<Arc<Conn>> {
+    fn slot(&self, id: u64) -> Option<Arc<Slot>> {
         let conns = self.conns.read().unwrap_or_else(|p| p.into_inner());
         conns.get(&id).cloned()
     }
@@ -216,10 +176,10 @@ impl Reactor {
         *slot = Some(sink);
     }
 
-    /// Takes ownership of `stream` (switched to nonblocking), registers it
-    /// for readiness, and returns its connection id. Frames already queued
-    /// via [`Reactor::send`] before the id is shared cannot be reordered
-    /// with later sends — the ring is strictly FIFO.
+    /// Takes ownership of `stream`, registers it for readiness, and
+    /// returns its connection id. Output is strictly FIFO: frames queued
+    /// via [`Reactor::multicast`] before the id is shared cannot be
+    /// reordered with later ones.
     pub(crate) fn register(&self, stream: TcpStream, tag: u64) -> io::Result<u64> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(io::Error::new(
@@ -227,38 +187,19 @@ impl Reactor {
                 "reactor is shut down",
             ));
         }
-        stream.set_nonblocking(true)?;
         let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        let fd = stream.as_raw_fd();
-        let depth = self.shared.metrics.as_ref().map(|m| m.queue_gauge(id));
-        let conn = Arc::new(Conn {
-            id,
-            tag,
-            fd,
-            io: Mutex::new(ConnIo {
-                stream,
-                assembler: FrameAssembler::new(),
-                out: VecDeque::new(),
-                out_head: 0,
-                want_write: false,
-                closed: false,
-            }),
-            depth,
-        });
-        {
-            let mut conns = self.shared.conns.write().unwrap_or_else(|p| p.into_inner());
-            conns.insert(id, Arc::clone(&conn));
-        }
-        if let Err(e) = self.shared.epoll.add(fd, EPOLLIN | EPOLLRDHUP, id) {
-            let mut conns = self.shared.conns.write().unwrap_or_else(|p| p.into_inner());
-            conns.remove(&id);
-            return Err(e);
-        }
+        let metrics = (self.shared.metrics.as_ref()).map(|m| ConnMetrics::new(&m.obs, id));
+        // Registered under the map's write lock: the loop looks the id up
+        // and finds it once epoll can report it.
+        let mut conns = self.shared.conns.write().unwrap_or_else(|p| p.into_inner());
+        let conn = Conn::open(stream, &self.shared.epoll, id, true, metrics)?;
+        let conn = Mutex::new(Some(conn));
+        conns.insert(id, Arc::new(Slot { id, tag, conn }));
         Ok(id)
     }
 
     /// Counts the caller's call as in flight until the guard drops. Held
-    /// for the whole of `MuxHandle::call` / `AquaClient::call` — waiting
+    /// for the whole of `MuxHandle::call` — waiting
     /// for the reply included — so the count says how many callers could
     /// have a frame to batch with the next one sent.
     pub(crate) fn enter_call(&self) -> CallGuard<'_> {
@@ -267,47 +208,29 @@ impl Reactor {
         CallGuard { in_flight }
     }
 
-    /// Queues one frame on a single connection. Returns whether the
-    /// connection accepted it.
-    #[cfg(test)]
-    pub(crate) fn send(&self, conn: u64, frame: &Frame) -> bool {
-        self.multicast(std::slice::from_ref(&conn), frame) == 1
-    }
-
-    /// Encodes `frame` **once** and queues the shared bytes on every
-    /// listed connection's outbound ring. With at most the sender's own
-    /// call in flight (a `Hello` is sent outside any call) nothing else
-    /// can join the batch, so the sender flushes each ring itself; a
-    /// write error there is left for the loop, which retries the flush
-    /// and closes the connection. Otherwise the connections are marked
-    /// dirty and the loop is woken with a single poke; its per-connection
-    /// flush coalesces this segment with whatever else has queued into
-    /// one vectored write. Returns how many connections accepted the
+    /// Queues `frame` on every listed connection's output. With at most
+    /// the sender's own call in flight (a `Hello` is sent outside any
+    /// call) nothing else can join the batch, so the sender flushes each
+    /// connection itself; a failed peer there is left for the loop, which
+    /// flushes again and closes the connection. Otherwise the connections
+    /// are marked dirty and the loop is woken with a single poke; its
+    /// per-connection flush coalesces this frame with whatever else has
+    /// queued into one write. Returns how many connections accepted the
     /// frame.
     pub(crate) fn multicast(&self, targets: &[u64], frame: &Frame) -> usize {
-        if targets.is_empty() {
-            return 0;
-        }
-        let mut buf = Vec::with_capacity(frame.encoded_len());
-        frame.encode_into(&mut buf);
-        let encoded = Bytes::from(buf);
         let alone = self.shared.calls_in_flight.load(Ordering::Relaxed) <= 1;
         let mut queued = 0usize;
         let mut handed_over = false;
         for &id in targets {
-            let Some(conn) = self.shared.conn(id) else {
+            let Some(slot) = self.shared.slot(id) else {
                 continue;
             };
             let flushed = {
-                let mut io = conn.io.lock();
-                if io.closed {
+                let mut guard = slot.conn.lock();
+                let Some(conn) = guard.as_mut() else {
                     continue;
-                }
-                io.out.push_back(encoded.clone());
-                if let Some(g) = &conn.depth {
-                    g.add(1);
-                }
-                alone && flush_ring(&self.shared, &conn, &mut io).is_ok()
+                };
+                conn.queue(frame).is_ok() && alone && conn.flush(&self.shared.epoll).is_ok()
             };
             queued += 1;
             if !flushed {
@@ -320,13 +243,6 @@ impl Reactor {
             self.shared.wake();
         }
         queued
-    }
-
-    /// How many connections are currently registered.
-    #[cfg(test)]
-    pub(crate) fn conn_count(&self) -> usize {
-        let conns = self.shared.conns.read().unwrap_or_else(|p| p.into_inner());
-        conns.len()
     }
 
     /// Stops the event loop and joins its thread. Idempotent; also runs on
@@ -398,11 +314,11 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
                 shared.wake_pending.store(false, Ordering::Release);
                 continue;
             }
-            let Some(conn) = shared.conn(token) else {
+            let Some(slot) = shared.slot(token) else {
                 continue;
             };
             if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                read_ready(&shared, &conn, &mut inbox, &mut gone);
+                read_ready(&slot, &mut inbox, &mut gone);
             }
             if bits & EPOLLOUT != 0 {
                 flush.push(token);
@@ -414,189 +330,55 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
         }
         flush.sort_unstable();
         flush.dedup();
-        for &id in flush.iter() {
-            if let Some(conn) = shared.conn(id) {
-                flush_conn(&shared, &conn, &mut gone);
+        for slot in flush.iter().filter_map(|&id| shared.slot(id)) {
+            let mut conn = slot.conn.lock();
+            if conn
+                .as_mut()
+                .is_some_and(|c| c.flush(&shared.epoll).is_err())
+            {
+                close(&slot, &mut conn, &mut gone);
             }
         }
         dispatch(&shared, &mut inbox, &mut gone);
     }
 }
 
-/// Drains a readable connection: reads until a short read (or
-/// `WouldBlock`), decoding every complete frame out of the reassembly
-/// buffer into the inbox. A read that returns less than it asked for has
-/// emptied the socket; epoll is level-triggered, so bytes — or the EOF —
-/// that land afterwards report the connection readable again. EOF and
-/// errors close the connection.
-#[aqua::hot_path]
-fn read_ready(
-    shared: &Shared,
-    conn: &Conn,
-    inbox: &mut Vec<(u64, u64, Frame)>,
-    gone: &mut Vec<(u64, u64)>,
-) {
-    let mut io = conn.io.lock();
-    if io.closed {
-        return;
-    }
-    let mut dead = false;
+/// Drains a readable connection into the inbox; EOF, errors and
+/// malformed frames close it.
+fn read_ready(slot: &Slot, inbox: &mut Vec<(u64, u64, Frame)>, gone: &mut Vec<(u64, u64)>) {
+    let mut conn = slot.conn.lock();
+    if conn
+        .as_mut()
+        .is_some_and(|c| read_frames(slot, c, inbox).is_err())
     {
-        let ConnIo {
-            stream, assembler, ..
-        } = &mut *io;
-        'reads: loop {
-            if let Some(m) = &shared.metrics {
-                m.reads.inc();
-            }
-            match assembler.read_from(stream) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    loop {
-                        match assembler.next_frame() {
-                            Ok(Some(frame)) => inbox.push((conn.tag, conn.id, frame)),
-                            Ok(None) => break,
-                            Err(_) => {
-                                dead = true;
-                                break 'reads;
-                            }
-                        }
-                    }
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-    }
-    if dead {
-        close_conn(shared, conn, &mut io, gone);
+        close(slot, &mut conn, gone);
     }
 }
 
-/// The loop's flush of one connection; a write error closes it.
-fn flush_conn(shared: &Shared, conn: &Conn, gone: &mut Vec<(u64, u64)>) {
-    let mut io = conn.io.lock();
-    if io.closed {
-        return;
-    }
-    if flush_ring(shared, conn, &mut io).is_err() {
-        close_conn(shared, conn, &mut io, gone);
-    }
-}
-
-/// Flushes a connection's outbound ring with vectored writes: up to
-/// [`MAX_IOVECS`] queued frame segments per syscall. On a partial write
-/// the cursor advances; on `WouldBlock`, `EPOLLOUT` is armed and the
-/// remainder waits for writability. Runs under the connection's I/O lock
-/// on the loop and on a sender that is alone, so whoever holds the lock
-/// writes from the head of the ring.
-///
-/// # Errors
-///
-/// The write error that killed the connection; the ring is left as is.
+/// Reads until a short read, decoding every complete frame. A read that
+/// returns less than it asked for has emptied the socket; epoll is
+/// level-triggered, so bytes — or the EOF — that land afterwards report
+/// the connection readable again.
 #[aqua::hot_path]
-fn flush_ring(shared: &Shared, conn: &Conn, io: &mut ConnIo) -> io::Result<()> {
-    let mut result = Ok(());
-    let mut popped = 0u64;
-    let ConnIo {
-        stream,
-        out,
-        out_head,
-        want_write,
-        ..
-    } = io;
+fn read_frames(slot: &Slot, conn: &mut Conn, inbox: &mut Vec<(u64, u64, Frame)>) -> io::Result<()> {
     loop {
-        if out.is_empty() {
-            if *want_write {
-                *want_write = false;
-                let _ = shared.epoll.modify(conn.fd, EPOLLIN | EPOLLRDHUP, conn.id);
-            }
-            break;
+        let n = conn.read()?;
+        while let Some(frame) = conn.next_frame()? {
+            inbox.push((slot.tag, slot.id, frame));
         }
-        let written = {
-            let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
-            let mut count = 0usize;
-            for (i, seg) in out.iter().enumerate() {
-                if count == MAX_IOVECS {
-                    break;
-                }
-                let bytes = seg.as_slice();
-                slices[count] = IoSlice::new(if i == 0 { &bytes[*out_head..] } else { bytes });
-                count += 1;
-            }
-            match stream.write_vectored(&slices[..count]) {
-                Ok(n) => {
-                    if let Some(m) = &shared.metrics {
-                        m.writevs.inc();
-                        m.batch_frames.record(count as u64);
-                    }
-                    n
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if !*want_write {
-                        *want_write = true;
-                        let _ =
-                            shared
-                                .epoll
-                                .modify(conn.fd, EPOLLIN | EPOLLRDHUP | EPOLLOUT, conn.id);
-                    }
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        };
-        let mut left = written;
-        while left > 0 {
-            let seg_left = out[0].len() - *out_head;
-            if left >= seg_left {
-                left -= seg_left;
-                out.pop_front();
-                *out_head = 0;
-                popped += 1;
-            } else {
-                *out_head += left;
-                left = 0;
-            }
+        if n < READ_CHUNK {
+            return Ok(());
         }
     }
-    if popped > 0 {
-        if let Some(g) = &conn.depth {
-            g.sub(popped as i64);
-        }
-    }
-    result
 }
 
-/// Tears one connection down under its I/O lock: deregisters the fd,
-/// shuts the socket, discards queued output, and records the loss for
-/// dispatch. Idempotent.
-fn close_conn(shared: &Shared, conn: &Conn, io: &mut ConnIo, gone: &mut Vec<(u64, u64)>) {
-    if io.closed {
-        return;
+/// Closes a connection under its lock, discarding queued output, and
+/// records the loss for dispatch. Idempotent.
+fn close(slot: &Slot, conn: &mut Option<Conn>, gone: &mut Vec<(u64, u64)>) {
+    if let Some(conn) = conn.take() {
+        conn.close();
+        gone.push((slot.tag, slot.id));
     }
-    io.closed = true;
-    shared.epoll.delete(conn.fd);
-    let _ = io.stream.shutdown(std::net::Shutdown::Both);
-    io.out.clear();
-    io.out_head = 0;
-    if let Some(g) = &conn.depth {
-        g.set(0);
-    }
-    gone.push((conn.tag, conn.id));
 }
 
 /// Hands buffered frames and disconnects to the sink with no reactor
@@ -631,9 +413,25 @@ fn dispatch(shared: &Shared, inbox: &mut Vec<(u64, u64, Frame)>, gone: &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use crate::conn::MAX_UNSENT;
+    use bytes::Bytes;
     use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::time::Duration;
+
+    impl Reactor {
+        /// Queues one frame on a single connection. Returns whether the
+        /// connection accepted it.
+        fn send(&self, conn: u64, frame: &Frame) -> bool {
+            self.multicast(std::slice::from_ref(&conn), frame) == 1
+        }
+
+        /// How many connections are currently registered.
+        fn conn_count(&self) -> usize {
+            let conns = self.shared.conns.read().unwrap_or_else(|p| p.into_inner());
+            conns.len()
+        }
+    }
 
     /// `(tag, conn, frame)`; no frame means the connection was lost.
     type SinkEvent = (u64, u64, Option<Frame>);
@@ -663,7 +461,7 @@ mod tests {
     /// Installs a [`ChanSink`] on `reactor`; the sink must outlive the
     /// test (the reactor holds it weakly).
     fn chan_sink(reactor: &Reactor) -> (Arc<ChanSink>, Receiver<SinkEvent>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let sink = Arc::new(ChanSink { tx });
         let weak = Arc::downgrade(&sink);
         let weak: Weak<dyn ReactorSink> = weak;
@@ -708,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn multicast_encodes_once_and_reaches_every_target() {
+    fn multicast_reaches_every_target() {
         let reactor = Reactor::spawn(None).unwrap();
         let (a_ours, mut a_theirs) = pair();
         let (b_ours, mut b_theirs) = pair();
@@ -740,7 +538,7 @@ mod tests {
 
     #[test]
     fn queued_batch_survives_backpressure() {
-        // Stuff far more than one socket buffer into the ring while the
+        // Stuff far more than one socket buffer into the output while the
         // peer reads nothing, then drain: every frame must arrive intact
         // and in order (partial writes + EPOLLOUT rearming).
         let reactor = Reactor::spawn(None).unwrap();
@@ -767,10 +565,10 @@ mod tests {
         }
     }
     /// Two threads send big frames on one connection while the peer reads
-    /// nothing, so the ring backs up behind `EPOLLOUT`; then the peer
+    /// nothing, so the output backs up behind `EPOLLOUT`; then the peer
     /// drains. With `guarded`, each send sits inside its own call guard:
     /// the in-flight count flips between 1 and 2, so sends that flush
-    /// inline and sends left to the loop interleave on the one ring.
+    /// inline and sends left to the loop interleave on the one output.
     fn two_senders_through_backpressure(guarded: bool) {
         const PER_SENDER: u64 = 32;
         let reactor = Arc::new(Reactor::spawn(None).unwrap());
@@ -828,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_inline_flushes_keep_ring_order() {
+    fn concurrent_inline_flushes_keep_queue_order() {
         // No call guards: both senders count as alone and flush inline.
         two_senders_through_backpressure(false);
     }
@@ -884,6 +682,31 @@ mod tests {
         assert_eq!(got, Some(frame));
         let lost = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(lost, (4, conn, None));
+        assert_eq!(reactor.conn_count(), 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_closed_past_the_output_bound() {
+        // The peer accepts and reads nothing. 32 MiB of frames overrun the
+        // socket buffers and then `MAX_UNSENT`: the connection is closed
+        // like any other failed peer, and the sink hears of it.
+        let reactor = Reactor::spawn(None).unwrap();
+        let (_sink, rx) = chan_sink(&reactor);
+        let (ours, _deaf) = pair();
+        let conn = reactor.register(ours, 5).unwrap();
+        let payload = Bytes::from(vec![0x5Au8; MAX_UNSENT / 4]);
+        for seq in 0..64 {
+            let frame = Frame::Request {
+                seq,
+                method: 0,
+                payload: payload.clone(),
+            };
+            if !reactor.send(conn, &frame) {
+                break;
+            }
+        }
+        let lost = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(lost, (5, conn, None));
         assert_eq!(reactor.conn_count(), 0);
     }
 }

@@ -22,14 +22,14 @@
 //!
 //! Every queue is bounded. The loop queues at most `FIFO_CAP` jobs; at that
 //! depth it reads no connection, so backpressure reaches the client through
-//! TCP. Replies and updates are written nonblocking from
-//! per-connection buffers, with `EPOLLOUT` armed only under backpressure,
-//! and a peer that lets more than `MAX_UNSENT` bytes pile up is closed like
-//! any other failed peer — no peer can wedge the replica.
+//! TCP. Replies and updates are written nonblocking from each
+//! connection's [`Conn`] output, with `EPOLLOUT` armed only under
+//! backpressure, and a peer that lets more than `MAX_UNSENT` bytes pile up
+//! is closed like any other failed peer — no peer can wedge the replica.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,15 +46,12 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::conn::Conn;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::wire::{Frame, FrameAssembler, MAX_FRAME};
+use crate::wire::Frame;
 
 /// Jobs the loop queues at most. At this depth it reads nothing.
 const FIFO_CAP: usize = 256;
-
-/// Unsent bytes past which a connection's peer counts as failed: two of
-/// the largest frames, so no single reply trips it on its own.
-const MAX_UNSENT: usize = 2 * MAX_FRAME as usize;
 
 /// Epoll cookie of the listener; connections count up from zero.
 const LISTENER: u64 = u64::MAX;
@@ -225,17 +222,10 @@ impl Drop for ReplicaServer {
 }
 
 /// One accepted connection, owned by the loop.
-struct Conn {
-    stream: TcpStream,
-    assembler: FrameAssembler,
-    /// Encoded replies and updates the kernel has not taken yet.
-    out: Vec<u8>,
-    /// The interest set registered with epoll.
-    interest: u32,
+struct Peer {
+    conn: Conn,
     /// Sent a `Hello`: gets a `PerfUpdate` for every other peer's request.
     subscribed: bool,
-    /// On the loop's flush list.
-    dirty: bool,
 }
 
 /// Where a request's reply goes.
@@ -271,7 +261,7 @@ struct ServerLoop {
     down: bool,
     epoll: Epoll,
     listener: TcpListener,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Peer>,
     next_conn: u64,
     /// When the job in service ends; once it has, when a delay spike lets
     /// its reply go.
@@ -282,11 +272,10 @@ struct ServerLoop {
     reading: bool,
     /// Connections whose assembler may hold frames a full queue turned away.
     stalled: VecDeque<u64>,
-    /// Connections with output for the end-of-wake flush.
+    /// Connections with new output, or room for it again, for the
+    /// end-of-wake flush.
     dirty: Vec<u64>,
-    /// One `PerfUpdate` encoding, shared by every subscriber.
-    update: Vec<u8>,
-    /// Subscribers whose peer failed while an update was queued.
+    /// Peers that failed while a reply or an update was queued.
     failed: Vec<u64>,
     /// The loop's end of the wake socket.
     wake: UnixStream,
@@ -342,7 +331,6 @@ impl ServerLoop {
             reading: true,
             stalled: VecDeque::new(),
             dirty: Vec::new(),
-            update: Vec::new(),
             failed: Vec::new(),
             wake,
         })
@@ -492,8 +480,8 @@ impl ServerLoop {
         let (service_ns, queue_ns) = (perf.service_time.as_nanos(), perf.queuing_delay.as_nanos());
         let (queue_len, method) = (perf.queue_len, perf.method.index());
         if !dropped {
-            if let Some(conn) = self.conns.get_mut(&job.conn) {
-                Frame::Reply {
+            if let Some(peer) = self.conns.get_mut(&job.conn) {
+                let reply = Frame::Reply {
                     seq: job.seq,
                     replica,
                     service_ns,
@@ -501,31 +489,26 @@ impl ServerLoop {
                     queue_len,
                     method,
                     payload: job.payload,
-                }
-                .encode_into(&mut conn.out);
-                if !note_output(job.conn, conn, &mut self.dirty) {
-                    self.close(job.conn);
+                };
+                self.dirty.push(job.conn);
+                if peer.conn.queue(&reply).is_err() {
+                    self.failed.push(job.conn);
                 }
             }
         }
-        self.update.clear();
-        for (&token, conn) in &mut self.conns {
-            if !conn.subscribed || token == job.conn {
-                continue;
-            }
-            if self.update.is_empty() {
-                Frame::PerfUpdate {
-                    replica,
-                    service_ns,
-                    queue_ns,
-                    queue_len,
-                    method,
+        let update = Frame::PerfUpdate {
+            replica,
+            service_ns,
+            queue_ns,
+            queue_len,
+            method,
+        };
+        for (&token, peer) in &mut self.conns {
+            if peer.subscribed && token != job.conn {
+                self.dirty.push(token);
+                if peer.conn.queue(&update).is_err() {
+                    self.failed.push(token);
                 }
-                .encode_into(&mut self.update);
-            }
-            conn.out.extend_from_slice(&self.update);
-            if !note_output(token, conn, &mut self.dirty) {
-                self.failed.push(token);
             }
         }
         while let Some(token) = self.failed.pop() {
@@ -556,14 +539,14 @@ impl ServerLoop {
     ///
     /// A malformed frame: framing is lost and the connection must go.
     fn take_frames(&mut self, token: u64, now: StdInstant) -> io::Result<()> {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(peer) = self.conns.get_mut(&token) else {
             return Ok(());
         };
         let at = fault_time(self.epoch, now);
         while self.core.queue_len() < FIFO_CAP {
-            match conn.assembler.next_frame()? {
-                Some(Frame::Hello { .. }) if !conn.subscribed => {
-                    conn.subscribed = true;
+            match peer.conn.next_frame()? {
+                Some(Frame::Hello { .. }) if !peer.subscribed => {
+                    peer.subscribed = true;
                     self.shared.subscribers.fetch_add(1, Ordering::SeqCst);
                 }
                 Some(Frame::Request {
@@ -582,7 +565,7 @@ impl ServerLoop {
                 None => return Ok(()),
             }
         }
-        if conn.assembler.pending() > 0 {
+        if peer.conn.pending() > 0 {
             self.stalled.push_back(token);
         }
         self.set_reading(false);
@@ -593,8 +576,8 @@ impl ServerLoop {
     fn set_reading(&mut self, reading: bool) {
         if self.reading != reading {
             self.reading = reading;
-            for (&token, conn) in &mut self.conns {
-                rearm(&self.epoll, reading, token, conn);
+            for peer in self.conns.values_mut() {
+                peer.conn.rearm(&self.epoll, reading);
             }
         }
     }
@@ -618,30 +601,21 @@ impl ServerLoop {
 
     /// Registers an accepted socket; returns its token.
     fn insert(&mut self, stream: TcpStream) -> io::Result<u64> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
         let token = self.next_conn;
-        let interest = interest(self.reading, false);
-        self.epoll.add(stream.as_raw_fd(), interest, token)?;
+        let conn = Conn::open(stream, &self.epoll, token, self.reading, None)?;
         self.next_conn += 1;
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                assembler: FrameAssembler::new(),
-                out: Vec::new(),
-                interest,
-                subscribed: false,
-                dirty: false,
-            },
-        );
+        let peer = Peer {
+            conn,
+            subscribed: false,
+        };
+        self.conns.insert(token, peer);
         self.shared.connections.fetch_add(1, Ordering::SeqCst);
         Ok(token)
     }
 
     fn on_conn_event(&mut self, token: u64, bits: u32, now: StdInstant) {
         if bits & EPOLLOUT != 0 {
-            self.flush(token);
+            self.dirty.push(token);
         }
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
             if self.reading {
@@ -656,61 +630,43 @@ impl ServerLoop {
     /// level-triggered: bytes — or the end-of-file — still waiting report
     /// the connection again. End-of-file and errors close it.
     fn read(&mut self, token: u64, now: StdInstant) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(peer) = self.conns.get_mut(&token) else {
             return;
         };
-        match conn.assembler.read_from(&mut conn.stream) {
-            Ok(0) => self.close(token),
-            Ok(_) => {
-                if self.take_frames(token, now).is_err() {
-                    self.close(token);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => self.close(token),
+        match peer.conn.read() {
+            Ok(0) => {}
+            Ok(_) if self.take_frames(token, now).is_ok() => {}
+            _ => self.close(token),
         }
     }
 
+    /// Flushes every connection on the list once; a failed peer is closed.
     fn flush_dirty(&mut self) {
         let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
         for token in dirty.drain(..) {
-            self.flush(token);
+            let peer = self.conns.get_mut(&token);
+            if peer.is_some_and(|peer| peer.conn.flush(&self.epoll).is_err()) {
+                self.close(token);
+            }
         }
         self.dirty = dirty;
     }
 
-    /// Writes what the connection's peer will take now and arms `EPOLLOUT`
-    /// for the rest; a write error closes the connection.
-    fn flush(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.dirty = false;
-        if write_out(conn).is_err() {
-            return self.close(token);
-        }
-        rearm(&self.epoll, self.reading, token, conn);
-    }
-
-    /// Drops one connection. Closing its only descriptor takes it out of
-    /// the epoll set.
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        if let Some(peer) = self.conns.remove(&token) {
+            peer.conn.close();
             self.shared.connections.fetch_sub(1, Ordering::SeqCst);
-            if conn.subscribed {
+            if peer.subscribed {
                 self.shared.subscribers.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }
 
     fn close_all(&mut self) {
-        for (_, conn) in self.conns.drain() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        for (_, peer) in self.conns.drain() {
+            peer.conn.close();
         }
         self.dirty.clear();
         self.shared.connections.store(0, Ordering::SeqCst);
@@ -721,58 +677,6 @@ impl ServerLoop {
 /// The fault schedule's clock at `at`: time since `epoch`.
 fn fault_time(epoch: StdInstant, at: StdInstant) -> Instant {
     Instant::from_nanos(at.duration_since(epoch).as_nanos() as u64)
-}
-
-/// Notes new output on a connection: it joins the end-of-wake flush, or,
-/// once more than `MAX_UNSENT` bytes are waiting, is flushed on the spot.
-/// Returns `false` when the peer has failed — a write error, or still too
-/// much unsent.
-fn note_output(token: u64, conn: &mut Conn, dirty: &mut Vec<u64>) -> bool {
-    if conn.out.len() > MAX_UNSENT && (write_out(conn).is_err() || conn.out.len() > MAX_UNSENT) {
-        return false;
-    }
-    if !conn.dirty {
-        conn.dirty = true;
-        dirty.push(token);
-    }
-    true
-}
-
-/// Writes from the front of `conn.out` until it is empty or the socket
-/// would block.
-///
-/// # Errors
-///
-/// The write error that killed the connection.
-fn write_out(conn: &mut Conn) -> io::Result<()> {
-    while !conn.out.is_empty() {
-        match conn.stream.write(&conn.out) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                conn.out.drain(..n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// The interest a connection needs: reads while the queue has room,
-/// writability while output is waiting.
-fn interest(reading: bool, unsent: bool) -> u32 {
-    let read = if reading { EPOLLIN | EPOLLRDHUP } else { 0 };
-    read | if unsent { EPOLLOUT } else { 0 }
-}
-
-/// Registers the interest a connection needs now, if it changed.
-fn rearm(epoll: &Epoll, reading: bool, token: u64, conn: &mut Conn) {
-    let want = interest(reading, !conn.out.is_empty());
-    if want != conn.interest {
-        conn.interest = want;
-        let _ = epoll.modify(conn.stream.as_raw_fd(), want, token);
-    }
 }
 
 #[cfg(test)]
@@ -891,12 +795,7 @@ mod tests {
         }
         let whole = bytes.len() - request(8).encoded_len() / 2;
         let arrive = |server: &mut ServerLoop, bytes: &[u8]| {
-            server
-                .conns
-                .get_mut(&token)
-                .unwrap()
-                .assembler
-                .extend(bytes);
+            server.conns.get_mut(&token).unwrap().conn.extend(bytes);
             server.take_frames(token, StdInstant::now()).unwrap();
         };
         arrive(&mut server, &bytes[..whole]);

@@ -24,7 +24,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 
 /// Mirror of the kernel's `struct epoll_event`.
@@ -107,12 +106,6 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, events, data)
     }
 
-    /// Deregisters `fd`. Failure is ignored by design: the fd may already
-    /// be closed, which deregisters implicitly.
-    pub fn delete(&self, fd: RawFd) {
-        let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
-    }
-
     /// Blocks until at least one registered fd is ready (or `timeout_ms`
     /// elapses; `-1` waits forever) and fills `events`. Returns how many
     /// entries were written. `EINTR` surfaces as `Ok(0)` so callers just
@@ -169,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn interest_can_be_modified_and_deleted() {
+    fn interest_can_be_modified() {
         let epoll = Epoll::new().expect("epoll_create1");
         let (_a, b) = UnixStream::pair().expect("socketpair");
         epoll.add(b.as_raw_fd(), EPOLLIN, 1).expect("add");
@@ -179,8 +172,5 @@ mod tests {
         let mut events = [EpollEvent::EMPTY; 4];
         let n = epoll.wait(&mut events, 100).expect("wait");
         assert_eq!(n, 1, "stream sockets are writable at rest");
-        epoll.delete(b.as_raw_fd());
-        let n = epoll.wait(&mut events, 0).expect("wait");
-        assert_eq!(n, 0, "deregistered fd no longer reports");
     }
 }

@@ -14,7 +14,7 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::FaultPlan;
-use aqua_runtime::{AquaClient, AquaClientConfig, CallError, ReplicaServer, ReplicaServerConfig};
+use aqua_runtime::{CallError, MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua_strategies::{FastestMean, ModelBased};
 
 fn ms(v: u64) -> Duration {
@@ -45,16 +45,12 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
         servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
     }
 
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
     config.give_up_after = ms(2_000);
     config.obs = Some(obs.clone());
     config.reconnect = Some(ms(200));
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        config,
-        Box::new(ModelBased::default()),
-    )
-    .expect("connect");
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
 
     // Call steadily across the whole fault window (~3 s of wall clock):
     // warm-up, the down window (masked by the survivors), reconnect, and
@@ -66,7 +62,7 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
         }
         std::thread::sleep(StdDuration::from_millis(50));
     }
-    client.finish_observability();
+    client.with_handler(|h| h.flush_observability());
     assert!(
         failures <= 2,
         "the crash window must be masked by the other replicas, {failures} calls failed"
@@ -135,17 +131,13 @@ fn stalled_replica_is_masked_by_deadline_retry() {
         servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
     }
 
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
     config.give_up_after = ms(2_500);
     config.retry_after = Some(ms(300));
     config.obs = Some(obs.clone());
     // FastestMean k=1 pins the selection to replica 0 once it is warm.
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        config,
-        Box::new(FastestMean { k: 1 }),
-    )
-    .expect("connect");
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = pool.observed_handle(Box::new(FastestMean { k: 1 }));
 
     // Warm both replicas up (cold start multicasts to everyone).
     for _ in 0..3 {
@@ -162,7 +154,7 @@ fn stalled_replica_is_masked_by_deadline_retry() {
         .call(MethodId::DEFAULT, b"stalled")
         .expect("retry masks the stall");
     let elapsed = issued.elapsed();
-    client.finish_observability();
+    client.with_handler(|h| h.flush_observability());
 
     assert_eq!(
         out.replica,
@@ -196,17 +188,11 @@ fn in_flight_call_fails_fast_when_all_replicas_evicted() {
     let servers = vec![
         ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(0), 800)).expect("spawn"),
     ];
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.0).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.0).unwrap());
     config.give_up_after = Duration::from_secs(10);
     config.reconnect = None; // eviction is final
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(ModelBased::default()),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = std::sync::Arc::new(pool.observed_handle(Box::new(ModelBased::default())));
 
     let caller = {
         let client = std::sync::Arc::clone(&client);
@@ -249,17 +235,11 @@ fn crash_during_inflight_request_is_masked_by_redundancy() {
                 .expect("spawn")
         })
         .collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(Duration::from_secs(1), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(Duration::from_secs(1), 0.9).unwrap());
     config.give_up_after = Duration::from_secs(5);
     config.reconnect = None;
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(ModelBased::default()),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = std::sync::Arc::new(pool.observed_handle(Box::new(ModelBased::default())));
 
     // The cold-start call multicasts to all three replicas.
     let caller = {
@@ -305,18 +285,13 @@ fn an_orphaned_call_retries_on_the_disconnect() {
                 .expect("spawn")
         })
         .collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(Duration::from_secs(2), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(Duration::from_secs(2), 0.9).unwrap());
     config.retry_after = Some(Duration::from_secs(1));
     config.give_up_after = Duration::from_secs(5);
     config.reconnect = None;
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(aqua_strategies::StaticK { k: 1 }),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client =
+        std::sync::Arc::new(pool.observed_handle(Box::new(aqua_strategies::StaticK { k: 1 })));
 
     let caller = {
         let client = std::sync::Arc::clone(&client);

@@ -555,11 +555,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
         self.now
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.node_region.len()
-    }
-
     /// Total events processed across all shards.
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()

@@ -124,11 +124,6 @@ impl<M: Payload> Simulation<M> {
         self.core.tracer.total_sent()
     }
 
-    /// Number of registered nodes (including detached ones).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Starts recording a bounded ring of [`TraceRecord`]s (per-node
     /// counters are always collected, ring or not).
     pub fn enable_trace(&mut self, capacity: usize) {

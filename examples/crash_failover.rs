@@ -11,7 +11,7 @@
 use aqua::core::qos::{QosSpec, ReplicaId};
 use aqua::core::repository::MethodId;
 use aqua::core::time::Duration;
-use aqua::runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua::runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua::strategies::ModelBased;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,9 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let replicas: Vec<_> = servers.iter().map(|s| (s.replica(), s.addr())).collect();
 
     let qos = QosSpec::new(ms(150), 0.9)?;
-    let mut config = AquaClientConfig::new(qos);
+    let mut config = MuxPoolConfig::new(qos);
     config.give_up_after = ms(600);
-    let client = AquaClient::connect(&replicas, config, Box::new(ModelBased::default()))?;
+    let pool = MuxPool::connect(&replicas, config)?;
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
 
     println!("phase 1: warm up (5 calls)…");
     for _ in 0..5 {

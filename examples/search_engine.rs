@@ -7,7 +7,7 @@
 use aqua::core::qos::{QosSpec, ReplicaId};
 use aqua::core::repository::MethodId;
 use aqua::core::time::Duration;
-use aqua::runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua::runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua::strategies::ModelBased;
 use aqua_replica::ServiceTimeModel;
 
@@ -43,11 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // "answer within 60 ms, 90% of the time".
     let qos = QosSpec::new(ms(60), 0.9)?;
-    let client = AquaClient::connect(
-        &replicas,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )?;
+    let pool = MuxPool::connect(&replicas, MuxPoolConfig::new(qos))?;
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
 
     println!("issuing 30 queries with a 60 ms / 90% QoS spec…\n");
     let mut timely = 0u32;

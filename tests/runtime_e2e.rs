@@ -7,7 +7,7 @@ use std::net::SocketAddr;
 use aqua::core::qos::{QosSpec, ReplicaId};
 use aqua::core::repository::MethodId;
 use aqua::core::time::Duration;
-use aqua::runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua::runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua::strategies::{ModelBased, RoundRobin};
 
 fn ms(v: u64) -> Duration {
@@ -31,18 +31,10 @@ fn spawn(service_ms: &[u64]) -> (Vec<ReplicaServer>, Vec<(ReplicaId, SocketAddr)
 fn two_clients_share_replicas_and_updates() {
     let (_servers, addrs) = spawn(&[5, 8, 12]);
     let qos = QosSpec::new(ms(300), 0.9).unwrap();
-    let a = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
-    let b = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let pool_a = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let a = pool_a.observed_handle(Box::new(ModelBased::default()));
+    let pool_b = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let b = pool_b.observed_handle(Box::new(ModelBased::default()));
 
     // Only client A issues requests…
     for _ in 0..5 {
@@ -77,12 +69,8 @@ fn two_clients_share_replicas_and_updates() {
 fn alternate_strategies_run_over_sockets() {
     let (_servers, addrs) = spawn(&[5, 5, 5]);
     let qos = QosSpec::new(ms(300), 0.0).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(RoundRobin::new(1)),
-    )
-    .unwrap();
+    let pool = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let client = pool.observed_handle(Box::new(RoundRobin::new(1)));
     let mut seen = std::collections::BTreeSet::new();
     for _ in 0..6 {
         let out = client.call(MethodId::DEFAULT, b"x").expect("ok");
@@ -97,12 +85,8 @@ fn renegotiation_resets_the_detector_live() {
     let (_servers, addrs) = spawn(&[50]);
     // Impossible 5 ms deadline → every reply late.
     let qos = QosSpec::new(ms(5), 0.9).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let pool = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
     let out = client.call(MethodId::DEFAULT, b"x").expect("reply arrives");
     assert!(!out.timely);
     assert!(out.callback, "first late reply already violates Pc = 0.9");
@@ -120,12 +104,8 @@ fn renegotiation_resets_the_detector_live() {
 fn per_method_histories_over_sockets() {
     let (_servers, addrs) = spawn(&[10, 10]);
     let qos = QosSpec::new(ms(300), 0.5).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let pool = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
     let fast = MethodId::new(1);
     let slow = MethodId::new(2);
     for _ in 0..3 {
@@ -144,20 +124,15 @@ fn per_method_histories_over_sockets() {
 fn replicas_can_join_at_runtime() {
     let (mut servers, addrs) = spawn(&[30]);
     let qos = QosSpec::new(ms(300), 0.9).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let pool = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let client = pool.observed_handle(Box::new(ModelBased::default()));
     for _ in 0..3 {
         let out = client.call(MethodId::DEFAULT, b"x").expect("ok");
         assert_eq!(out.redundancy, 1, "only one replica exists");
     }
     // A faster replica joins the service group.
     let newcomer = ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(9), 5)).unwrap();
-    client
-        .add_replica(newcomer.replica(), newcomer.addr())
+    pool.add_replica(newcomer.replica(), newcomer.addr())
         .expect("connects");
     servers.push(newcomer);
 
@@ -181,14 +156,8 @@ fn queue_buildup_is_reported() {
     // lengths, which flow into the repository's outstanding counts.
     let (servers, addrs) = spawn(&[40]);
     let qos = QosSpec::new(ms(2_000), 0.0).unwrap();
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &addrs,
-            AquaClientConfig::new(qos),
-            Box::new(ModelBased::default()),
-        )
-        .unwrap(),
-    );
+    let pool = MuxPool::connect(&addrs, MuxPoolConfig::new(qos)).unwrap();
+    let client = std::sync::Arc::new(pool.observed_handle(Box::new(ModelBased::default())));
     // Fire 4 calls from parallel threads so they pile up in the FIFO.
     let mut handles = Vec::new();
     for _ in 0..4 {
