@@ -43,7 +43,7 @@ use aqua_core::model::ModelConfig;
 use aqua_core::qos::QosSpec;
 use aqua_core::time::{Duration, Instant};
 use aqua_gateway::ArrivalModel;
-use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
+use aqua_replica::{LoadModel, ServiceTimeModel};
 use aqua_workload::{
     run_experiment_observed, ClientSpec, ExperimentConfig, NetworkSpec, ServerSpec, StrategySpec,
 };
@@ -251,13 +251,6 @@ fn build_config(opts: &Options) -> ExperimentConfig {
             } else {
                 LoadModel::nominal()
             },
-            crash: opts
-                .crash_at
-                .iter()
-                .find(|(idx, _)| *idx == i)
-                .map(|(_, secs)| CrashPlan::AtTime(Instant::from_secs(*secs)))
-                .unwrap_or(CrashPlan::Never),
-            recover_after: None,
         })
         .collect();
 
@@ -329,7 +322,13 @@ fn build_config(opts: &Options) -> ExperimentConfig {
             supervision: None,
         }),
         clients,
-        faults: aqua_workload::FaultPlan::new(),
+        // Each --crash is a crash-forever window: the paper's crash.
+        faults: opts
+            .crash_at
+            .iter()
+            .fold(aqua_workload::FaultPlan::new(), |plan, &(i, secs)| {
+                plan.crash_recover(i as u64, Instant::from_secs(secs), Duration::MAX)
+            }),
         max_virtual_time: Duration::from_secs(600),
     }
 }

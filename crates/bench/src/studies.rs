@@ -15,7 +15,7 @@ use aqua_core::qos::QosSpec;
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_gateway::ArrivalModel;
-use aqua_replica::{CrashPlan, LoadModel, LoadState, ServiceTimeModel};
+use aqua_replica::{LoadModel, LoadState, ServiceTimeModel};
 use aqua_workload::{
     run_experiment, ClientReport, ClientSpec, ExperimentConfig, FaultPlan, ManagerSpec,
     NetworkSpec, ServerSpec, StrategySpec,
@@ -478,6 +478,14 @@ fn normal(mean_ms: u64, std_ms: u64) -> ServerSpec {
     }
 }
 
+/// Each `(replica, secs)` pair: that replica crashes at `secs` seconds,
+/// for good (the paper's crash).
+fn crash_forever(crashes: &[(u64, u64)]) -> FaultPlan {
+    crashes.iter().fold(FaultPlan::new(), |plan, &(r, secs)| {
+        plan.crash_recover(r, Instant::from_secs(secs), Duration::MAX)
+    })
+}
+
 /// The paper's LAN, no standbys, manager or faults, and 120 s of virtual
 /// time; the runner sets the seed.
 fn config(servers: Vec<ServerSpec>, clients: Vec<ClientSpec>) -> ExperimentConfig {
@@ -503,11 +511,6 @@ fn strategies() -> Vec<Case> {
             } else {
                 LoadModel::nominal()
             },
-            crash: if i == 1 {
-                CrashPlan::AtTime(Instant::from_secs(8))
-            } else {
-                CrashPlan::Never
-            },
             ..normal(60 + 15 * i, 20)
         })
         .collect();
@@ -527,7 +530,9 @@ fn strategies() -> Vec<Case> {
         let name = strategy.name();
         let mut c = client(150, 100, 250);
         c.strategy = strategy;
-        case(&[&name, &variant], config(servers.clone(), vec![c]))
+        let mut config = config(servers.clone(), vec![c]);
+        config.faults = crash_forever(&[(1, 8)]);
+        case(&[&name, &variant], config)
     })
     .collect()
 }
@@ -583,19 +588,16 @@ fn crash() -> Vec<Case> {
     .into_iter()
     .map(|(label, strategy, retry_after, crash)| {
         let servers = (0..5)
-            .map(|i| ServerSpec {
-                crash: if i == 0 && crash {
-                    CrashPlan::AtTime(Instant::from_secs(10))
-                } else {
-                    CrashPlan::Never
-                },
-                ..normal(if i == 0 { 40 } else { 90 }, 15)
-            })
+            .map(|i| normal(if i == 0 { 40 } else { 90 }, 15))
             .collect();
         let mut c = client(200, 80, 250);
         c.strategy = strategy;
         c.retry_after = retry_after;
-        case(&[&label], config(servers, vec![c]))
+        let mut config = config(servers, vec![c]);
+        if crash {
+            config.faults = crash_forever(&[(0, 10)]);
+        }
+        case(&[&label], config)
     })
     .collect()
 }
@@ -693,22 +695,19 @@ fn multi_crash() -> Vec<Case> {
     for crashes in [1usize, 2] {
         for double_crash in [false, true] {
             let servers = (0..6)
-                .map(|i| ServerSpec {
-                    crash: if i < 2 && double_crash {
-                        CrashPlan::AtTime(Instant::from_secs(10))
-                    } else {
-                        CrashPlan::Never
-                    },
-                    ..normal(if i < 2 { 40 } else { 90 }, 15)
-                })
+                .map(|i| normal(if i < 2 { 40 } else { 90 }, 15))
                 .collect();
             let mut c = client(200, 80, 250);
             c.strategy = StrategySpec::ModelBasedTolerating {
                 model: ModelConfig::default(),
                 crashes,
             };
+            let mut config = config(servers, vec![c]);
+            if double_crash {
+                config.faults = crash_forever(&[(0, 10), (1, 10)]);
+            }
             let crash = if double_crash { "double" } else { "none" };
-            cases.push(case(&[&crashes, &crash], config(servers, vec![c])));
+            cases.push(case(&[&crashes, &crash], config));
         }
     }
     cases
@@ -719,13 +718,16 @@ fn churn() -> Vec<Case> {
     [120u64, 60, 30, 15]
         .into_iter()
         .map(|mtbf| {
-            let server = ServerSpec {
-                crash: CrashPlan::Mtbf(Duration::from_secs(mtbf)),
-                recover_after: Some(Duration::from_secs(5)),
-                ..normal(70, 20)
-            };
-            let mut config = config(vec![server; 6], vec![client(250, 120, 250)]);
+            let mut config = config(vec![normal(70, 20); 6], vec![client(250, 120, 250)]);
             config.max_virtual_time = Duration::from_secs(180);
+            config.faults = (0..6).fold(FaultPlan::new(), |plan, r| {
+                plan.mtbf_crashes(
+                    r,
+                    Duration::from_secs(mtbf),
+                    Duration::from_secs(5),
+                    Instant::EPOCH + config.max_virtual_time,
+                )
+            });
             case(&[&mtbf], config)
         })
         .collect()
@@ -765,21 +767,15 @@ fn queue_estimator() -> Vec<Case> {
 /// deadline only ~65% of the time; a manager may restore the pool from two
 /// standbys.
 fn manager() -> Vec<Case> {
-    let server = |mean_ms: u64, crash| ServerSpec {
-        crash,
-        ..normal(mean_ms, mean_ms / 4)
-    };
+    let server = |mean_ms: u64| normal(mean_ms, mean_ms / 4);
     [false, true]
         .into_iter()
         .map(|managed| {
-            let servers = vec![
-                server(70, CrashPlan::AtTime(Instant::from_secs(5))),
-                server(70, CrashPlan::AtTime(Instant::from_secs(12))),
-                server(230, CrashPlan::Never),
-            ];
+            let servers = vec![server(70), server(70), server(230)];
             let mut config = config(servers, vec![client(250, 100, 250)]);
+            config.faults = crash_forever(&[(0, 5), (1, 12)]);
             if managed {
-                config.standby_servers = vec![server(70, CrashPlan::Never); 2];
+                config.standby_servers = vec![server(70); 2];
                 config.manager = Some(ManagerSpec {
                     target_replication: 3,
                     supervision: None,

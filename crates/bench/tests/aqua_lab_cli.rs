@@ -54,3 +54,33 @@ fn study_without_a_name_lists_every_study_with_its_id() {
         );
     }
 }
+
+/// `--crash` is a crash-forever fault window, so an observed run journals
+/// it as exactly one `crash` fault event, and the journal passes the
+/// checks `aqua_forensics --check` makes.
+#[test]
+fn a_crash_is_journalled_once_and_passes_the_forensics_check() {
+    let dir = std::env::temp_dir().join(format!("aqua-lab-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let obs = dir.to_str().expect("a UTF-8 path");
+    let out = aqua_lab(&["--crash", "0@10", "--obs", obs]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
+    let faults: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains(r#""type":"fault""#))
+        .collect();
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert!(faults[0].contains(r#""kind":"crash""#), "{}", faults[0]);
+
+    let forensics = aqua_trace::analyze(&aqua_trace::read_journal(&dir).expect("readable"));
+    assert_eq!(forensics.bad_lines, 0, "every journal line parses");
+    assert!(
+        forensics.invariant_violations.is_empty(),
+        "span-tree invariants hold: {:?}",
+        forensics.invariant_violations
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,8 +7,10 @@
 //! stress the selection algorithm hardest:
 //!
 //! * **crash-and-recover** — the replica dies silently and rejoins after a
-//!   downtime window (generalizing the one-shot [`CrashPlan`] in
-//!   `aqua-replica`),
+//!   downtime window. This is the only way a replica crashes: a
+//!   `Duration::MAX` downtime is the paper's permanent crash, and
+//!   [`FaultPlan::mtbf_crashes`] draws memoryless crash windows from the
+//!   seed,
 //! * **pause** — a GC-like stall: no request is dequeued during the window
 //!   but queued work survives and drains afterwards,
 //! * **degrade** — the service time `S_i` is multiplied by a factor for
@@ -23,8 +25,6 @@
 //! discrete-event simulator (`crates/sim` via `aqua-workload`) and the socket
 //! runtime (`crates/runtime`) query, so the *same* plan produces the same
 //! fault timeline in either world.
-//!
-//! [`CrashPlan`]: https://docs.rs/aqua-replica
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use aqua_core::qos::ReplicaId;
 use aqua_core::time::{Duration, Instant};
 
-use crate::schedule::FaultSchedule;
+use crate::schedule::{unit_hash, FaultSchedule};
 
 /// The shape of one injectable fault (§3's fault model, stretched to the
 /// transient regimes of Tars and Poloczek & Ciucu).
@@ -13,8 +13,8 @@ pub enum FaultKind {
     ///
     /// In the simulator the node stops heartbeating (the coordinator evicts
     /// it via a view change); in the socket runtime its connections are torn
-    /// down and new ones refused. Queued work is lost. Use a very long
-    /// window for a paper-style permanent crash.
+    /// down and new ones refused. Queued work is lost. A `Duration::MAX`
+    /// window is the paper's permanent crash.
     Crash,
     /// GC-like stall: nothing is dequeued during the window, but queued work
     /// survives and drains once the pause lifts. Connections stay up.
@@ -126,6 +126,44 @@ impl FaultSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
+    mtbf: Vec<MtbfCrashes>,
+}
+
+/// Memoryless crashes of one replica, drawn when the plan meets its seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MtbfCrashes {
+    replica: ReplicaId,
+    mtbf: Duration,
+    downtime: Duration,
+    horizon: Instant,
+}
+
+/// Salt that keeps the crash-time stream apart from the drop hash.
+const MTBF_STREAM: u64 = 0x6D74_6266_5F63_7273;
+
+impl MtbfCrashes {
+    /// Appends one crash window per exponential draw: each up-time, of
+    /// mean `mtbf`, starts at the run's start or at the end of the last
+    /// window, and no window starts at or past `horizon`. Draw `k` is
+    /// unit `k` of the stream keyed on (seed, replica).
+    fn expand(&self, seed: u64, specs: &mut Vec<FaultSpec>) {
+        let mean = self.mtbf.as_secs_f64();
+        let mut up = Instant::EPOCH;
+        for draw in 0.. {
+            let u = unit_hash(seed ^ MTBF_STREAM, self.replica.index(), draw, 0);
+            let start = up.saturating_add(Duration::from_secs_f64(-mean * (1.0 - u).ln()));
+            if start >= self.horizon {
+                return;
+            }
+            specs.push(FaultSpec {
+                replica: Some(self.replica),
+                kind: FaultKind::Crash,
+                start,
+                duration: self.downtime,
+            });
+            up = start.saturating_add(self.downtime);
+        }
+    }
 }
 
 impl FaultPlan {
@@ -136,7 +174,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.specs.is_empty() && self.mtbf.is_empty()
     }
 
     /// Adds an arbitrary spec.
@@ -153,6 +191,33 @@ impl FaultPlan {
             start: at,
             duration: downtime,
         })
+    }
+
+    /// Replica `r` crashes after exponentially distributed up-times of
+    /// mean `mtbf` (a memoryless MTBF), each time for `downtime`, until
+    /// `horizon`. [`FaultPlan::instantiate`] draws the crash times from a
+    /// stream keyed on (seed, replica) and adds one [`FaultKind::Crash`]
+    /// window per crash, after the plan's other specs. A `Duration::MAX`
+    /// downtime crashes the replica at most once, for good.
+    ///
+    /// # Panics
+    ///
+    /// If `mtbf` is zero.
+    pub fn mtbf_crashes(
+        mut self,
+        r: impl Into<ReplicaId>,
+        mtbf: Duration,
+        downtime: Duration,
+        horizon: Instant,
+    ) -> Self {
+        assert!(mtbf > Duration::ZERO, "an MTBF must be positive");
+        self.mtbf.push(MtbfCrashes {
+            replica: r.into(),
+            mtbf,
+            downtime,
+            horizon,
+        });
+        self
     }
 
     /// Replica `r` stalls (queued work survives) for `duration` from `at`.
@@ -241,6 +306,10 @@ impl FaultPlan {
     /// Resolves the plan against an experiment seed, producing the
     /// deterministic time-indexed [`FaultSchedule`] both runtimes query.
     pub fn instantiate(&self, seed: u64) -> FaultSchedule {
-        FaultSchedule::new(self.specs.clone(), seed)
+        let mut specs = self.specs.clone();
+        for crashes in &self.mtbf {
+            crashes.expand(seed, &mut specs);
+        }
+        FaultSchedule::new(specs, seed)
     }
 }

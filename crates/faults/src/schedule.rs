@@ -264,7 +264,7 @@ fn endpoint_bits(r: Option<ReplicaId>) -> u64 {
 }
 
 /// SplitMix64-style avalanche of the inputs, mapped to `[0, 1)`.
-fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+pub(crate) fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let mut x = seed
         .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
         .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB))
@@ -321,6 +321,51 @@ mod tests {
         assert!(s.is_down(rid(0), Instant::from_secs(1_000_000)));
         // A saturated window edge is not a usable transition.
         assert_eq!(s.next_transition_after(at(10)), None);
+    }
+
+    #[test]
+    fn mtbf_crashes_expand_into_crash_windows_per_seed_and_replica() {
+        let horizon = Instant::from_secs(10_000);
+        let plan = FaultPlan::new()
+            .pause(9, at(0), ms(10))
+            .mtbf_crashes(0, Duration::from_secs(10), Duration::from_secs(5), horizon)
+            .mtbf_crashes(1, Duration::from_secs(10), Duration::from_secs(5), horizon);
+        let s = plan.instantiate(3);
+        assert_eq!(s, plan.instantiate(3), "a pure function of the seed");
+        assert_ne!(s, plan.instantiate(4));
+        assert_eq!(s.specs()[0].kind, FaultKind::Pause, "concrete specs first");
+        let windows = |r: u64| -> Vec<FaultSpec> {
+            let specs = s.specs().iter().filter(|w| w.replica == Some(rid(r)));
+            specs.copied().collect()
+        };
+        let (w0, w1) = (windows(0), windows(1));
+        assert_ne!(w0[0].start, w1[0].start, "each replica has its own stream");
+        let mut up = Instant::EPOCH;
+        let mut up_secs = 0.0;
+        for w in &w0 {
+            assert_eq!(
+                (w.kind, w.duration),
+                (FaultKind::Crash, Duration::from_secs(5))
+            );
+            assert!(w.start >= up && w.start < horizon);
+            up_secs += w.start.saturating_duration_since(up).as_secs_f64();
+            up = w.end();
+        }
+        let mean = up_secs / w0.len() as f64;
+        assert!((8.0..12.0).contains(&mean), "mean up-time {mean} s");
+    }
+
+    #[test]
+    fn a_permanent_mtbf_crash_fires_at_most_once() {
+        let s = FaultPlan::new()
+            .mtbf_crashes(2, Duration::from_secs(1), Duration::MAX, at(60_000))
+            .instantiate(5);
+        assert_eq!(s.specs().len(), 1);
+        assert!(s.is_down(rid(2), Instant::from_secs(1_000_000)));
+        let never = FaultPlan::new()
+            .mtbf_crashes(2, Duration::from_secs(1_000_000), Duration::MAX, at(1))
+            .instantiate(5);
+        assert!(never.is_empty(), "no crash falls before the horizon");
     }
 
     #[test]

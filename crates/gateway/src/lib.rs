@@ -18,7 +18,7 @@
 //! * [`ClientGateway`] — a simulated client gateway node wrapping the
 //!   handler plus the paper's closed-loop request generator.
 //! * [`ServerGateway`] — a simulated replica host: FIFO queue, service-time
-//!   model, load process, crash plan, performance publication.
+//!   model, load process, fault windows, performance publication.
 //!
 //! The crash-tolerance handlers of earlier AQuA work (§2) are
 //! configurations of the one client: active replication is the
@@ -64,8 +64,9 @@ mod sim_tests {
     use super::*;
     use aqua_core::qos::{QosSpec, ReplicaId};
     use aqua_core::time::{Duration, Instant};
+    use aqua_faults::FaultPlan;
     use aqua_group::{FailureDetectorConfig, GroupCoordinator};
-    use aqua_replica::{CrashPlan, ServiceTimeModel};
+    use aqua_replica::ServiceTimeModel;
     use aqua_strategies::ModelBased;
     use lan_sim::{NodeId, Simulation, UniformLan};
 
@@ -79,13 +80,14 @@ mod sim_tests {
         servers: Vec<NodeId>,
     }
 
-    /// Builds coordinator + `n` servers + one model-based client.
+    /// Builds coordinator + `n` servers under `faults` + one model-based
+    /// client.
     fn build(
         n: usize,
         qos: QosSpec,
         requests: u64,
         seed: u64,
-        crash: impl Fn(usize) -> CrashPlan,
+        faults: FaultPlan,
         service: impl Fn(usize) -> ServiceTimeModel,
     ) -> TestBed {
         let mut sim = Simulation::with_network(seed, UniformLan::aqua_testbed());
@@ -95,7 +97,7 @@ mod sim_tests {
         let mut servers = Vec::new();
         for i in 0..n {
             let mut cfg = ServerConfig::paper(ReplicaId::new(i as u64), coordinator);
-            cfg.crash = crash(i);
+            cfg.faults = (!faults.is_empty()).then(|| faults.instantiate(seed));
             cfg.service = service(i);
             servers.push(sim.add_node(ServerGateway::new(cfg)));
         }
@@ -113,14 +115,9 @@ mod sim_tests {
     #[test]
     fn full_stack_services_all_requests() {
         let qos = QosSpec::new(ms(250), 0.9).unwrap();
-        let mut bed = build(
-            3,
-            qos,
-            20,
-            42,
-            |_| CrashPlan::Never,
-            |_| ServiceTimeModel::Deterministic(ms(50)),
-        );
+        let mut bed = build(3, qos, 20, 42, FaultPlan::new(), |_| {
+            ServiceTimeModel::Deterministic(ms(50))
+        });
         bed.sim.run_until(Instant::from_secs(60));
         let client = bed.sim.node::<ClientGateway>(bed.client).unwrap();
         assert!(client.is_finished(), "{client:?}");
@@ -138,14 +135,9 @@ mod sim_tests {
     #[test]
     fn perf_updates_reach_non_requesting_clients() {
         let qos = QosSpec::new(ms(250), 0.0).unwrap();
-        let mut bed = build(
-            2,
-            qos,
-            5,
-            7,
-            |_| CrashPlan::Never,
-            |_| ServiceTimeModel::Deterministic(ms(30)),
-        );
+        let mut bed = build(2, qos, 5, 7, FaultPlan::new(), |_| {
+            ServiceTimeModel::Deterministic(ms(30))
+        });
         // Add a second, idle client that never sends requests but
         // subscribes to updates.
         let coordinator = NodeId::new(0);
@@ -171,19 +163,13 @@ mod sim_tests {
     #[test]
     fn crash_mid_run_is_masked_by_redundancy() {
         let qos = QosSpec::new(ms(300), 0.9).unwrap();
-        // r0 is the fastest replica and crashes after 5 services.
+        // r0 is the fastest replica and crashes for good mid-run.
         let mut bed = build(
             4,
             qos,
             25,
             11,
-            |i| {
-                if i == 0 {
-                    CrashPlan::AfterRequests(5)
-                } else {
-                    CrashPlan::Never
-                }
-            },
+            FaultPlan::new().crash_recover(0, Instant::from_secs(3), Duration::MAX),
             |i| {
                 if i == 0 {
                     ServiceTimeModel::Deterministic(ms(20))
@@ -219,7 +205,9 @@ mod sim_tests {
             qos,
             10,
             13,
-            |_| CrashPlan::AtTime(Instant::from_millis(1_200)),
+            (0..2).fold(FaultPlan::new(), |plan, r| {
+                plan.crash_recover(r, Instant::from_millis(1_200), Duration::MAX)
+            }),
             |_| ServiceTimeModel::Deterministic(ms(50)),
         );
         bed.sim.run_until(Instant::from_secs(120));
@@ -369,7 +357,8 @@ mod sim_tests {
             // Slow service so the crash catches a request in flight.
             cfg.service = ServiceTimeModel::Deterministic(ms(400));
             if i == 0 {
-                cfg.crash = CrashPlan::AtTime(Instant::from_secs(3));
+                let crash = FaultPlan::new().crash_recover(0, Instant::from_secs(3), Duration::MAX);
+                cfg.faults = Some(crash.instantiate(72));
             }
             sim.add_node(ServerGateway::new(cfg));
         }
@@ -456,8 +445,11 @@ mod sim_tests {
         // The only fast replica crashes at 2 s and restarts 3 s later.
         let fast = sim.add_node(ServerGateway::new(ServerConfig {
             service: ServiceTimeModel::Deterministic(ms(10)),
-            crash: CrashPlan::AtTime(Instant::from_secs(2)),
-            recover_after: Some(Duration::from_secs(3)),
+            faults: Some(
+                FaultPlan::new()
+                    .crash_recover(0, Instant::from_secs(2), Duration::from_secs(3))
+                    .instantiate(31),
+            ),
             ..ServerConfig::paper(ReplicaId::new(0), coordinator)
         }));
         let _slow = sim.add_node(ServerGateway::new(ServerConfig {
@@ -565,14 +557,9 @@ mod sim_tests {
     fn deterministic_replay_under_fixed_seed() {
         fn run(seed: u64) -> Vec<(u64, bool, usize)> {
             let qos = QosSpec::new(ms(200), 0.5).unwrap();
-            let mut bed = build(
-                3,
-                qos,
-                10,
-                seed,
-                |_| CrashPlan::Never,
-                |_| ServiceTimeModel::paper_load(),
-            );
+            let mut bed = build(3, qos, 10, seed, FaultPlan::new(), |_| {
+                ServiceTimeModel::paper_load()
+            });
             bed.sim.run_until(Instant::from_secs(60));
             bed.sim
                 .node::<ClientGateway>(bed.client)

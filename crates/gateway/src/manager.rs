@@ -568,8 +568,9 @@ mod tests {
     use crate::{ClientConfig, ClientGateway, ServerConfig, ServerGateway};
     use aqua_core::qos::{QosSpec, ReplicaId};
     use aqua_core::time::Instant;
+    use aqua_faults::FaultPlan;
     use aqua_group::GroupCoordinator;
-    use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
+    use aqua_replica::{LoadModel, ServiceTimeModel};
     use aqua_strategies::ModelBased;
     use lan_sim::{Simulation, UniformLan};
 
@@ -588,7 +589,8 @@ mod tests {
             let mut cfg = ServerConfig::paper(ReplicaId::new(i), coordinator);
             cfg.service = ServiceTimeModel::Deterministic(ms(40));
             if i == 0 {
-                cfg.crash = CrashPlan::AtTime(Instant::from_secs(2));
+                let crash = FaultPlan::new().crash_recover(0, Instant::from_secs(2), Duration::MAX);
+                cfg.faults = Some(crash.instantiate(51));
             }
             sim.add_node(ServerGateway::new(cfg));
         }
@@ -755,7 +757,8 @@ mod tests {
         for i in 0..2u64 {
             let mut cfg = ServerConfig::paper(ReplicaId::new(i), coordinator);
             if i == 0 {
-                cfg.crash = CrashPlan::AtTime(Instant::from_secs(2));
+                let crash = FaultPlan::new().crash_recover(0, Instant::from_secs(2), Duration::MAX);
+                cfg.faults = Some(crash.instantiate(54));
             }
             sim.add_node(ServerGateway::new(cfg));
         }

@@ -8,17 +8,19 @@
 //! node waits that out on a timer, replies with the piggybacked
 //! performance data, and pushes a [`AquaMsg::PerfUpdate`] to every
 //! subscriber — "each time it processes a request" (§5.4.1). The node
-//! itself keeps membership, crash plans, drains and recovery.
+//! itself keeps membership, fault windows, drains and recovery.
 //!
-//! Crashes are silent: the node stops heartbeating and detaches, so the
-//! group coordinator eventually evicts it via a view change.
+//! Crashes come only from the fault schedule's crash windows, and they are
+//! silent: the node stops heartbeating and ignores every event until the
+//! window ends (never, for a crash-forever window), so the group
+//! coordinator evicts it via a view change.
 
 use aqua_core::qos::ReplicaId;
 use aqua_core::repository::MethodId;
-use aqua_core::time::{Duration, Instant};
+use aqua_core::time::Instant;
 use aqua_faults::{FaultSchedule, ReplicaHealth};
 use aqua_group::{FailureDetectorConfig, GroupMsg, Member, MembershipAgent};
-use aqua_replica::{CrashPlan, CrashState, LoadModel, ReplicaCore, ServiceTimeModel};
+use aqua_replica::{LoadModel, ReplicaCore, ServiceTimeModel};
 use lan_sim::{Context, Event, Node, NodeId, TimerToken};
 
 use crate::proto::{AquaMsg, RequestId, Wire};
@@ -41,21 +43,16 @@ pub struct ServerConfig {
     pub method_services: Vec<(MethodId, ServiceTimeModel)>,
     /// Host load fluctuation.
     pub load: LoadModel,
-    /// Crash injection plan.
-    pub crash: CrashPlan,
-    /// If set, the replica restarts this long after crashing: it rejoins
-    /// the group with an empty queue and fresh state (a process restart on
-    /// the same host). `None` = crashes are permanent (the paper's model).
-    pub recover_after: Option<Duration>,
     /// Start dormant: the replica process runs but does not join the
     /// service group until the dependability manager activates it
     /// (Proteus, §2).
     pub standby: bool,
     /// Scheduled fault injection on the simulation clock: crash windows
-    /// (down, then rejoin at the window's end), pauses (the service stage
-    /// stalls, queued work survives), and service-time degradations.
-    /// Network-scoped faults (delay spikes, drops, partitions)
-    /// live in the workload's network wrapper instead.
+    /// (down, then rejoin at the window's end with an empty queue and
+    /// fresh state, or never for a `Duration::MAX` window), pauses (the
+    /// service stage stalls, queued work survives), and service-time
+    /// degradations. Network-scoped faults (delay spikes, drops,
+    /// partitions) live in the workload's network wrapper instead.
     pub faults: Option<FaultSchedule>,
 }
 
@@ -70,8 +67,6 @@ impl ServerConfig {
             service: ServiceTimeModel::paper_load(),
             method_services: Vec::new(),
             load: LoadModel::nominal(),
-            crash: CrashPlan::Never,
-            recover_after: None,
             standby: false,
             faults: None,
         }
@@ -85,8 +80,6 @@ pub struct ServerGateway {
     core: ReplicaCore<RequestId>,
     /// Fires when the request in service is done.
     service_timer: Option<TimerToken>,
-    crash: Option<CrashState>,
-    crash_timer: Option<TimerToken>,
     /// Standby replica that has not been activated yet (Proteus, §2).
     dormant: bool,
     /// Graceful drain in progress: we have left the group (no new
@@ -97,7 +90,8 @@ pub struct ServerGateway {
     /// reactivates on its own; manager-driven drains wait for `Activate`.
     drain_until: Option<Instant>,
     reactivate_timer: Option<TimerToken>,
-    /// Dead-but-recoverable: events are dropped until the recovery timer.
+    /// Crashed: events are dropped until the recovery timer, which a
+    /// crash-forever window never sets.
     dead: bool,
     recovery_timer: Option<TimerToken>,
     /// Next edge of the scheduled fault plan.
@@ -135,8 +129,6 @@ impl ServerGateway {
             agent: None,
             core,
             service_timer: None,
-            crash: None,
-            crash_timer: None,
             dormant: false,
             draining: false,
             drain_until: None,
@@ -157,7 +149,7 @@ impl ServerGateway {
     /// self-reactivation instant for scheduled drains; `None` means the
     /// dependability manager owns reactivation (rolling restart).
     fn begin_drain(&mut self, ctx: &mut Context<'_, Wire>, until: Option<Instant>) {
-        if self.dormant || self.dead || self.is_crashed() {
+        if self.dormant || self.dead {
             return;
         }
         if self.draining {
@@ -187,8 +179,6 @@ impl ServerGateway {
         self.dormant = true;
         self.agent = None;
         self.subscribers.clear();
-        self.crash = None;
-        self.crash_timer = None;
         self.fault_timer = None;
         if let Some(at) = self.drain_until.take() {
             let now = ctx.now();
@@ -203,18 +193,9 @@ impl ServerGateway {
         }
     }
 
-    /// Joins the group and arms the crash schedule (initial start or
-    /// standby activation).
+    /// Joins the group under a fresh membership agent and arms the next
+    /// fault edge (initial start, standby activation or restart).
     fn go_live(&mut self, ctx: &mut Context<'_, Wire>) {
-        // Instantiate the crash schedule with the simulation RNG so it is
-        // deterministic per seed.
-        let crash = CrashState::new(self.config.crash, ctx.now(), ctx.rng());
-        if let Some(at) = crash.crash_at() {
-            // A timer guarantees the crash happens even while idle.
-            self.crash_timer = Some(ctx.set_timer(at.saturating_duration_since(ctx.now())));
-        }
-        self.crash = Some(crash);
-
         let me = Member::server(ctx.self_id(), self.config.replica);
         let mut agent = MembershipAgent::new(
             self.config.coordinator,
@@ -242,7 +223,7 @@ impl ServerGateway {
     fn on_fault_edge(&mut self, ctx: &mut Context<'_, Wire>) {
         self.apply_scheduled_faults(ctx);
         self.schedule_fault_edge(ctx);
-        if self.dead || self.is_crashed() {
+        if self.dead {
             return;
         }
         // A scheduled drain window opened: leave gracefully, reactivate
@@ -259,14 +240,14 @@ impl ServerGateway {
         self.maybe_go_dormant(ctx);
     }
 
-    /// Enters a scheduled down window: identical to a crash (queued work
-    /// is lost, the group evicts us), except the recovery timer is set to
-    /// the window's end — or never, for a saturated crash-forever window.
+    /// Enters a scheduled down window: the replica crashes (queued work
+    /// is lost, the group evicts us) and the recovery timer is set to the
+    /// window's end — or never, for a saturated crash-forever window.
     fn apply_scheduled_faults(&mut self, ctx: &mut Context<'_, Wire>) {
         let Some(schedule) = &self.config.faults else {
             return;
         };
-        if self.dead || self.is_crashed() {
+        if self.dead {
             return;
         }
         let now = ctx.now();
@@ -288,7 +269,7 @@ impl ServerGateway {
     /// Whether this replica is currently crashed (permanently, or down
     /// awaiting recovery).
     pub fn is_crashed(&self) -> bool {
-        self.dead || self.crash.as_ref().is_some_and(CrashState::is_crashed)
+        self.dead
     }
 
     /// Current queue depth.
@@ -301,59 +282,13 @@ impl ServerGateway {
         self.core.is_idle()
     }
 
-    fn crash_now(&mut self, ctx: &mut Context<'_, Wire>) {
-        if let Some(agent) = self.agent.as_mut() {
-            agent.stop();
-        }
-        self.core.crash();
-        self.service_timer = None;
-        match self.config.recover_after {
-            // Permanent crash: leave the simulation entirely.
-            None => ctx.detach_self(),
-            // Process restart: go silent, come back after the downtime.
-            Some(downtime) => {
-                self.dead = true;
-                self.recovery_timer = Some(ctx.set_timer(downtime));
-            }
-        }
-    }
-
+    /// The crash window ended: restart with an empty queue and fresh
+    /// state (a process restart on the same host) and rejoin the group.
     fn recover(&mut self, ctx: &mut Context<'_, Wire>) {
         self.dead = false;
         self.restarts += 1;
         self.subscribers.clear();
-        // A restarted process gets a fresh crash schedule: one-shot
-        // time-based plans do not refire, counters and MTBF draws restart.
-        let plan = match self.config.crash {
-            CrashPlan::AtTime(_) => CrashPlan::Never,
-            other => other,
-        };
-        let crash = CrashState::new(plan, ctx.now(), ctx.rng());
-        if let Some(at) = crash.crash_at() {
-            self.crash_timer = Some(ctx.set_timer(at.saturating_duration_since(ctx.now())));
-        }
-        self.crash = Some(crash);
-        // Rejoin the group under a fresh membership agent.
-        let me = Member::server(ctx.self_id(), self.config.replica);
-        let mut agent = MembershipAgent::new(
-            self.config.coordinator,
-            me,
-            FailureDetectorConfig::default(),
-        );
-        agent.on_started(ctx);
-        self.agent = Some(agent);
-        self.schedule_fault_edge(ctx);
-    }
-
-    fn check_time_crash(&mut self, ctx: &mut Context<'_, Wire>) -> bool {
-        let crashed_now = self
-            .crash
-            .as_mut()
-            .is_some_and(|c| c.observe_time(ctx.now()));
-        if crashed_now {
-            self.crash_now(ctx);
-        }
-        self.is_crashed()
+        self.go_live(ctx);
     }
 
     /// Starts the next queued request unless one is in service or a pause
@@ -393,14 +328,6 @@ impl ServerGateway {
         if !self.targets.is_empty() {
             ctx.multicast(&self.targets, update);
         }
-
-        // Crash-after-N triggers after the reply is sent (the request that
-        // hits the threshold is the last one serviced).
-        let crashed = self.crash.as_mut().is_some_and(|c| c.observe_serviced());
-        if crashed {
-            self.crash_now(ctx);
-            return;
-        }
         self.start_next_service(ctx);
         self.maybe_go_dormant(ctx);
     }
@@ -432,14 +359,6 @@ impl Node<Wire> for ServerGateway {
                     }
                     return;
                 }
-                if self.check_time_crash(ctx) {
-                    return;
-                }
-                if Some(token) == self.crash_timer {
-                    // Crash time passed; check_time_crash above handled it
-                    // unless the plan moved — nothing more to do.
-                    return;
-                }
                 if Some(token) == self.fault_timer {
                     self.on_fault_edge(ctx);
                     return;
@@ -463,9 +382,6 @@ impl Node<Wire> for ServerGateway {
                     return;
                 }
                 if self.dead {
-                    return;
-                }
-                if self.check_time_crash(ctx) {
                     return;
                 }
                 match payload {

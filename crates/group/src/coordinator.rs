@@ -394,10 +394,15 @@ mod tests {
         script: Vec<(Duration, Act)>,
         acts: Vec<(TimerToken, Act)>,
         agent: Option<MembershipAgent>,
+        /// Crashed: every later event is ignored.
+        crashed: bool,
     }
 
     impl Node<Msg> for Scripted {
         fn on_event(&mut self, event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            if self.crashed {
+                return;
+            }
             match event {
                 Event::Started => {
                     for &(at, act) in &self.script {
@@ -427,7 +432,7 @@ mod tests {
                             if let Some(agent) = self.agent.as_mut() {
                                 agent.stop();
                             }
-                            ctx.detach_self();
+                            self.crashed = true;
                         }
                         None => {}
                     }
@@ -516,6 +521,7 @@ mod tests {
             script,
             acts: Vec::new(),
             agent: None,
+            crashed: false,
         };
         for (index, (join, steps)) in servers.iter().enumerate() {
             let node = NodeId::new(index as u32 + 1);

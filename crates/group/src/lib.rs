@@ -83,6 +83,8 @@ mod tests {
         pending: Option<(NodeId, Member, FailureDetectorConfig)>,
         views_seen: Vec<u64>,
         crash_at: Option<Instant>,
+        /// Crashed: every later event is ignored.
+        crashed: bool,
     }
 
     impl TestMember {
@@ -92,6 +94,7 @@ mod tests {
                 pending: None,
                 views_seen: Vec::new(),
                 crash_at,
+                crashed: false,
             }
         }
     }
@@ -102,6 +105,9 @@ mod tests {
             event: Event<GroupMsg<NoApp>>,
             ctx: &mut Context<'_, GroupMsg<NoApp>>,
         ) {
+            if self.crashed {
+                return;
+            }
             match event {
                 Event::Started => {
                     let (coord, me, cfg) = self.pending.take().expect("wired before start");
@@ -114,7 +120,7 @@ mod tests {
                         if ctx.now() >= crash_at {
                             // Crash silently: stop heartbeating, drop events.
                             self.agent.as_mut().unwrap().stop();
-                            ctx.detach_self();
+                            self.crashed = true;
                             return;
                         }
                     }

@@ -4,7 +4,7 @@ use aqua_core::qos::ReplicaId;
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::FaultSchedule;
-use aqua_replica::{CrashPlan, CrashState, LoadModel, LoadProcess, ReplicaCore, ServiceTimeModel};
+use aqua_replica::{LoadModel, LoadProcess, ReplicaCore, ServiceTimeModel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -111,31 +111,6 @@ proptest! {
             t = due;
         }
         prop_assert!(core.is_idle());
-    }
-
-    // ---------------- Crash plans ----------------
-
-    #[test]
-    fn at_time_crash_fires_exactly_at_threshold(at in 1u64..100_000, seed in 0u64..50) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut s = CrashState::new(
-            CrashPlan::AtTime(Instant::from_millis(at)),
-            Instant::EPOCH,
-            &mut rng,
-        );
-        prop_assert!(!s.observe_time(Instant::from_millis(at - 1)));
-        prop_assert!(s.observe_time(Instant::from_millis(at)));
-        prop_assert!(s.is_crashed());
-    }
-
-    #[test]
-    fn after_requests_crash_counts_exactly(n in 1u64..200, seed in 0u64..50) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut s = CrashState::new(CrashPlan::AfterRequests(n), Instant::EPOCH, &mut rng);
-        for _ in 0..n - 1 {
-            prop_assert!(!s.observe_serviced());
-        }
-        prop_assert!(s.observe_serviced());
     }
 
     // ---------------- Load process ----------------

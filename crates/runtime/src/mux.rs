@@ -1221,6 +1221,102 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_forever_window_ends_the_reconnects_and_is_masked() {
+        // Replica 0 crashes for good 400 ms into its life: the simulator's
+        // one crash form, on sockets.
+        let crash_at = std::time::Duration::from_millis(400);
+        let plan = FaultPlan::new().crash_recover(0, Instant::from_millis(400), Duration::MAX);
+        let mut servers: Vec<ReplicaServerConfig> = (0..3)
+            .map(|i| ReplicaServerConfig::quick(ReplicaId::new(i), 1))
+            .collect();
+        servers[0].faults = Some(plan.instantiate(7));
+        let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+        let give_up = std::time::Duration::from_millis(1_000);
+        config.give_up_after = Duration::from(give_up);
+        // Back off 1 ms at most, so the attempts run out within the test.
+        config.reconnect = Some(ms(1));
+        // Replica 0's clock starts after this instant, so it is down from
+        // `crash_at` after it at the latest.
+        let spawned = StdInstant::now();
+        let (servers, pool) = pool_with(servers, config);
+        assert_eq!(pool.connection_count(), 3);
+
+        // Every observation is taken before the callers stop and asserted
+        // after they are joined, so a failed one cannot leave them running.
+        let given_up = || {
+            let attempts = pool.inner.peers.lock()[&ReplicaId::new(0)].1;
+            let threads = pool.inner.reconnect_threads.lock();
+            attempts > MAX_ATTEMPTS && threads.iter().all(JoinHandle::is_finished)
+        };
+        let stop = AtomicBool::new(false);
+        let (calls, dropped, gave_up_at, after) = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..3)
+                .map(|_| {
+                    let handle = pool.handle(Box::new(ModelBased::default()));
+                    let stop = &stop;
+                    scope.spawn(move || {
+                        let mut calls = Vec::new();
+                        while !stop.load(Ordering::SeqCst) {
+                            let issued = spawned.elapsed();
+                            let out = handle.call(MethodId::DEFAULT, b"steady");
+                            calls.push((issued, spawned.elapsed() - issued, out));
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                        }
+                        calls
+                    })
+                })
+                .collect();
+            let dropped = eventually(|| pool.connection_count() < 3).then(|| spawned.elapsed());
+            let serviced = servers[0].serviced();
+            let gave_up_at = eventually(given_up).then(|| spawned.elapsed());
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            let after = (
+                pool.inner.peers.lock()[&ReplicaId::new(0)].1,
+                pool.connection_count(),
+                servers[0].serviced() - serviced,
+            );
+            stop.store(true, Ordering::SeqCst);
+            let calls: Vec<_> = callers
+                .into_iter()
+                .flat_map(|caller| caller.join().expect("no caller panics"))
+                .collect();
+            (calls, dropped, gave_up_at, after)
+        });
+        // (a) Replica 0's connections drop at the window's start.
+        let dropped = dropped.expect("replica 0's connections never dropped");
+        assert!(
+            dropped >= crash_at,
+            "dropped at {dropped:?}, before the window"
+        );
+        // (b) Every reconnect is dropped at once, so the pool stops trying
+        // after `MAX_ATTEMPTS`, and a dead replica serves nothing.
+        let gave_up_at = gave_up_at.expect("the reconnect attempts never ran out");
+        assert_eq!(
+            after,
+            (MAX_ATTEMPTS + 1, 2, 0),
+            "(attempts, connections, serviced)"
+        );
+        // (c) Calls keep being served by the other replicas, and (d) no
+        // caller hangs.
+        let margin = std::time::Duration::from_millis(100);
+        for (issued, took, out) in &calls {
+            assert!(
+                *took < give_up + margin,
+                "a call issued at {issued:?} took {took:?}"
+            );
+            if *issued >= crash_at + margin {
+                let out = out.as_ref().expect("the survivors answer");
+                assert_ne!(out.replica, ReplicaId::new(0), "issued at {issued:?}");
+            }
+        }
+        let served_after = |at| calls.iter().filter(|c| c.0 >= at && c.2.is_ok()).count();
+        assert!(
+            served_after(gave_up_at) > 0,
+            "calls go on once the pool gives up"
+        );
+    }
+
+    #[test]
     fn each_handle_retries_past_a_stalled_replica() {
         // `stalled_replica_is_masked_by_deadline_retry` (tests/resilience.rs)
         // with two handles on the pool: replica 0 is the fastest and

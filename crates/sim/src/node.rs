@@ -97,8 +97,6 @@ pub(crate) trait ContextCore<M> {
     fn set_timer(&mut self, node: NodeId, after: Duration, plane: Plane) -> TimerToken;
     /// Cancels a pending timer on `node`.
     fn cancel_timer(&mut self, node: NodeId, token: TimerToken);
-    /// Detaches `node` (simulated crash).
-    fn detach(&mut self, node: NodeId);
 }
 
 /// Grow-on-demand bit set over `u64` indices.
@@ -147,9 +145,6 @@ pub(crate) struct SimCore<M> {
     pub cancelled: BitSet,
     pub network: Box<dyn NetworkModel>,
     pub rng: SmallRng,
-    /// Detached (crashed at the simulator level) flags, indexed by node;
-    /// deliveries to them are silently dropped at pop time.
-    pub detached: Vec<bool>,
     /// Trace ring + per-node counters.
     pub tracer: Tracer,
     /// Application-plane messages queued to land less than
@@ -175,21 +170,6 @@ impl<M> SimCore<M> {
             class,
             event,
         });
-    }
-
-    /// Marks a node detached.
-    pub(crate) fn mark_detached(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if idx >= self.detached.len() {
-            self.detached.resize(idx + 1, false);
-        }
-        self.detached[idx] = true;
-    }
-
-    /// Whether a node is detached (hot-path probe: one bounds check).
-    #[aqua::hot_path]
-    pub(crate) fn is_detached(&self, node: NodeId) -> bool {
-        self.detached.get(node.0 as usize).copied().unwrap_or(false)
     }
 }
 
@@ -250,12 +230,6 @@ impl<M: Payload> ContextCore<M> for SimCore<M> {
 
     fn cancel_timer(&mut self, _node: NodeId, token: TimerToken) {
         self.cancelled.set(token.0);
-    }
-
-    fn detach(&mut self, node: NodeId) {
-        self.mark_detached(node);
-        self.tracer
-            .record(self.now, TraceEvent::NodeDetached { node });
     }
 }
 
@@ -319,12 +293,6 @@ impl<M: Payload> Context<'_, M> {
     /// Cancels a pending timer; firing events for it are dropped.
     pub fn cancel_timer(&mut self, token: TimerToken) {
         self.ops.cancel_timer(self.self_id, token);
-    }
-
-    /// Detaches this node from the simulation: all subsequent deliveries to
-    /// it (messages and timers) are dropped. Models a host crash.
-    pub fn detach_self(&mut self) {
-        self.ops.detach(self.self_id);
     }
 }
 

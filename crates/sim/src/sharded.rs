@@ -147,7 +147,6 @@ struct LocalNode<M> {
     next_seq: u64,
     next_timer: u32,
     cancelled: BitSet,
-    detached: bool,
     digest: u64,
 }
 
@@ -298,13 +297,6 @@ impl<M: Payload> ContextCore<M> for ShardCore<'_, '_, M> {
         let slot = token.value() & 0xFFFF_FFFF;
         self.local_mut(owner).cancelled.set(slot);
     }
-
-    fn detach(&mut self, node: NodeId) {
-        let local = self.local_mut(node);
-        local.detached = true;
-        local.digest = fold(local.digest, 0xA4);
-        self.note(TraceEvent::NodeDetached { node });
-    }
 }
 
 /// Processes every event in `shard`'s queue with `at ≤ horizon`
@@ -332,9 +324,6 @@ fn process_window<M: Payload>(
             if shard.locals[li].cancelled.take(u64::from(slot)) {
                 continue;
             }
-        }
-        if shard.locals[li].detached {
-            continue;
         }
 
         {
@@ -489,7 +478,6 @@ impl<M: Payload + Send> ShardedSimulation<M> {
             next_seq: 0,
             next_timer: 0,
             cancelled: BitSet::default(),
-            detached: false,
             digest: DIGEST_SEED,
         });
         if self.started {
@@ -1020,34 +1008,5 @@ mod tests {
             .filter(|(_, _, k)| *k == "ping")
             .count();
         assert_eq!(pings, 2, "the deadline+1ns event was deferred, not dropped");
-    }
-
-    #[test]
-    fn detached_nodes_receive_nothing_sharded() {
-        let mut sim = ShardedSimulation::<Msg>::new(1, 2, two_region_topology());
-        let a = sim.add_node_in_region(
-            0,
-            Peer {
-                peer: None,
-                log: Vec::new(),
-            },
-        );
-        let b = sim.add_node_in_region(1, Crashed::default());
-        sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
-        sim.run_until_idle();
-        assert_eq!(sim.node::<Crashed>(b).unwrap().events, 1, "only start");
-    }
-
-    /// Detaches itself on start: a host crash.
-    #[derive(Default)]
-    struct Crashed {
-        events: u32,
-    }
-
-    impl crate::node::Node<Msg> for Crashed {
-        fn on_event(&mut self, _: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-            self.events += 1;
-            ctx.detach_self();
-        }
     }
 }

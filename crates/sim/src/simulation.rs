@@ -85,7 +85,6 @@ impl<M: Payload> Simulation<M> {
                 cancelled: BitSet::default(),
                 network: Box::new(network),
                 rng: SmallRng::seed_from_u64(seed),
-                detached: Vec::new(),
                 tracer: Default::default(),
                 app_in_flight: 0,
             },
@@ -191,9 +190,6 @@ impl<M: Payload> Simulation<M> {
                 TraceEvent::TimerFired { node } => fields
                     .field("event", "timer_fired")
                     .field("node", u64::from(node.index())),
-                TraceEvent::NodeDetached { node } => fields
-                    .field("event", "node_detached")
-                    .field("node", u64::from(node.index())),
             };
             journal.emit_event("sim_event", fields);
         }
@@ -209,7 +205,7 @@ impl<M: Payload> Simulation<M> {
     /// Immutable, downcast access to a node's state.
     ///
     /// Returns `None` if the id is unknown or the concrete type does not
-    /// match. Detached (crashed) nodes remain inspectable.
+    /// match.
     pub fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
         self.nodes
             .get(id.0 as usize)?
@@ -251,9 +247,8 @@ impl<M: Payload> Simulation<M> {
     ///
     /// This is the hottest remaining loop of the workspace when the
     /// simulator drives fleet-scale scenarios, so the dispatch path is kept
-    /// allocation-free: cancelled timers are one bit probe, detached nodes
-    /// one bounds-checked flag load, and the per-node trace counters are a
-    /// dense vector rather than a hash map.
+    /// allocation-free: cancelled timers are one bit probe and the
+    /// per-node trace counters are a dense vector rather than a hash map.
     #[aqua::hot_path]
     fn step_bounded(&mut self, deadline: Option<Instant>) -> bool {
         loop {
@@ -270,14 +265,11 @@ impl<M: Payload> Simulation<M> {
             self.core.app_in_flight -= u64::from(scheduled.class == Class::InFlight);
             self.settling |= scheduled.class != Class::Group;
 
-            // Drop cancelled timers and deliveries to detached nodes.
+            // Drop cancelled timers.
             if let Event::Timer { token } = &scheduled.event {
                 if self.core.cancelled.take(token.value()) {
                     continue;
                 }
-            }
-            if self.core.is_detached(scheduled.target) {
-                continue;
             }
 
             let Scheduled { target, event, .. } = scheduled;
@@ -459,34 +451,6 @@ mod tests {
             .contains(&(10_000_000, "ping")));
     }
 
-    #[test]
-    fn detached_nodes_receive_nothing() {
-        let mut sim = Simulation::<Msg>::new(1);
-        let a = sim.add_node(Echo::default());
-        let b = sim.add_node(Crashed::default());
-        sim.schedule_message(Instant::from_millis(2), a, b, Msg::Ping);
-        sim.run_until_idle();
-        assert!(sim.core.is_detached(b));
-        assert_eq!(
-            sim.node::<Crashed>(b).unwrap().events,
-            1,
-            "only the start event"
-        );
-    }
-
-    /// Detaches itself on start: a host crash.
-    #[derive(Default)]
-    struct Crashed {
-        events: u32,
-    }
-
-    impl Node<Msg> for Crashed {
-        fn on_event(&mut self, _: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-            self.events += 1;
-            ctx.detach_self();
-        }
-    }
-
     /// A node that sets a timer on start and records whether it fired.
     struct TimerNode {
         cancel: bool,
@@ -658,7 +622,6 @@ mod tests {
                 TraceEvent::MessageSent { .. } => "sent",
                 TraceEvent::MessageDelivered { .. } => "delivered",
                 TraceEvent::TimerFired { .. } => "timer",
-                TraceEvent::NodeDetached { .. } => "detached",
             })
             .collect();
         assert_eq!(

@@ -44,11 +44,6 @@ pub enum TraceEvent {
         /// The node.
         node: NodeId,
     },
-    /// A node was detached (crashed at the simulator level).
-    NodeDetached {
-        /// The node.
-        node: NodeId,
-    },
 }
 
 /// A timestamped trace entry.
@@ -117,7 +112,7 @@ impl Tracer {
             TraceEvent::MessageSent { from, .. } => self.slot(*from).sent += 1,
             TraceEvent::MessageDelivered { to, .. } => self.slot(*to).delivered += 1,
             TraceEvent::TimerFired { node } => self.slot(*node).timers_fired += 1,
-            TraceEvent::NodeStarted { .. } | TraceEvent::NodeDetached { .. } => {}
+            TraceEvent::NodeStarted { .. } => {}
         }
         if let Some(ring) = &mut self.ring {
             if ring.records.len() == ring.capacity {

@@ -4,7 +4,7 @@ use aqua_core::model::ModelConfig;
 use aqua_core::qos::QosSpec;
 use aqua_core::time::Duration;
 use aqua_faults::FaultPlan;
-use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
+use aqua_replica::{LoadModel, ServiceTimeModel};
 use lan_sim::{CongestedLan, NetworkModel, UniformLan};
 
 /// Which network model an experiment runs over.
@@ -147,22 +147,15 @@ pub struct ServerSpec {
     pub method_services: Vec<(aqua_core::repository::MethodId, ServiceTimeModel)>,
     /// Host load fluctuation.
     pub load: LoadModel,
-    /// Crash injection.
-    pub crash: CrashPlan,
-    /// Restart this long after a crash (`None` = permanent crash).
-    pub recover_after: Option<Duration>,
 }
 
 impl ServerSpec {
-    /// The paper's synthetic server: Normal(100 ms, σ50 ms), steady, no
-    /// crash.
+    /// The paper's synthetic server: Normal(100 ms, σ50 ms), steady.
     pub fn paper() -> Self {
         ServerSpec {
             service: ServiceTimeModel::paper_load(),
             method_services: Vec::new(),
             load: LoadModel::nominal(),
-            crash: CrashPlan::Never,
-            recover_after: None,
         }
     }
 }
@@ -247,6 +240,7 @@ pub struct ExperimentConfig {
     pub clients: Vec<ClientSpec>,
     /// Fault plan injected over the run (crashes, pauses, degradation,
     /// network trouble); instantiated with [`ExperimentConfig::seed`].
+    /// Its crash windows are the only way a replica crashes.
     pub faults: FaultPlan,
     /// Virtual-time budget: the cap on a run. A run that drains first
     /// stops at its last application event (see

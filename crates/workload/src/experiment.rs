@@ -203,8 +203,6 @@ impl Run {
                 service: server.service.clone(),
                 method_services: server.method_services.clone(),
                 load: server.load.clone(),
-                crash: server.crash,
-                recover_after: server.recover_after,
                 standby,
                 faults: (!schedule.is_empty()).then(|| schedule.clone()),
             };

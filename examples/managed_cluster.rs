@@ -7,20 +7,19 @@
 use aqua::core::qos::QosSpec;
 use aqua::core::time::{Duration, Instant};
 use aqua::prelude::*;
-use aqua::workload::{ClientSpec, ManagerSpec, NetworkSpec, ServerSpec};
+use aqua::workload::{ClientSpec, FaultPlan, ManagerSpec, NetworkSpec, ServerSpec};
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
 }
 
 fn scenario(managed: bool) -> ExperimentConfig {
-    let server = |mean: u64, crash: CrashPlan| ServerSpec {
+    let server = |mean: u64| ServerSpec {
         service: ServiceTimeModel::Normal {
             mean: ms(mean),
             std_dev: ms(mean / 4),
             min: Duration::ZERO,
         },
-        crash,
         ..ServerSpec::paper()
     };
     let mut client = ClientSpec::paper(QosSpec::new(ms(250), 0.9).expect("valid"));
@@ -30,14 +29,9 @@ fn scenario(managed: bool) -> ExperimentConfig {
     ExperimentConfig {
         seed: 2026,
         network: NetworkSpec::paper(),
-        // Two fast replicas die in sequence, stranding the slow one.
-        servers: vec![
-            server(70, CrashPlan::AtTime(Instant::from_secs(5))),
-            server(70, CrashPlan::AtTime(Instant::from_secs(12))),
-            server(230, CrashPlan::Never),
-        ],
+        servers: vec![server(70), server(70), server(230)],
         standby_servers: if managed {
-            vec![server(70, CrashPlan::Never), server(70, CrashPlan::Never)]
+            vec![server(70), server(70)]
         } else {
             Vec::new()
         },
@@ -46,7 +40,11 @@ fn scenario(managed: bool) -> ExperimentConfig {
             supervision: None,
         }),
         clients: vec![client],
-        faults: aqua::workload::FaultPlan::new(),
+        // Two fast replicas die for good in sequence, stranding the slow
+        // one.
+        faults: FaultPlan::new()
+            .crash_recover(0, Instant::from_secs(5), Duration::MAX)
+            .crash_recover(1, Instant::from_secs(12), Duration::MAX),
         max_virtual_time: Duration::from_secs(120),
     }
 }

@@ -42,8 +42,6 @@ fn scenario(strategy: StrategySpec, seed: u64) -> ExperimentConfig {
             } else {
                 LoadModel::nominal()
             },
-            crash: CrashPlan::Never,
-            recover_after: None,
         })
         .collect();
 

@@ -14,11 +14,11 @@
 //! | [`core`] | `aqua-core` | pmfs, repository, model, Algorithm 1, QoS, failure detection |
 //! | [`sim`] | `lan-sim` | deterministic discrete-event LAN simulator |
 //! | [`group`] | `aqua-group` | views, multicast, heartbeat failure detector |
-//! | [`replica`] | `aqua-replica` | the sans-IO Stage-3 core, service-time models, load processes, crash plans |
+//! | [`replica`] | `aqua-replica` | the sans-IO Stage-3 core, service-time models, load processes |
 //! | [`gateway`] | `aqua-gateway` | the timing fault handler + client/server gateway nodes |
 //! | [`strategies`] | `aqua-strategies` | the paper's strategy and classic baselines |
 //! | [`workload`] | `aqua-workload` | experiment configs, runner, figure formatting |
-//! | [`faults`] | `aqua-faults` | composable seeded fault plans shared by both runtimes |
+//! | [`faults`] | `aqua-faults` | composable seeded fault plans shared by both runtimes; the only way a replica crashes |
 //! | [`runtime`] | `aqua-runtime` | the handler over real TCP sockets |
 //!
 //! ## Where to start
@@ -55,7 +55,7 @@ pub mod prelude {
         ClientConfig, ClientGateway, ConcurrentHandler, ServerConfig, ServerGateway,
     };
     pub use aqua_group::{FailureDetectorConfig, GroupCoordinator, Member, Role, View};
-    pub use aqua_replica::{CrashPlan, LoadModel, ServiceTimeModel};
+    pub use aqua_replica::{LoadModel, ServiceTimeModel};
     pub use aqua_strategies::{ModelBased, SelectionStrategy};
     pub use aqua_workload::{run_experiment, ExperimentConfig};
     pub use lan_sim::Simulation;

@@ -3,13 +3,21 @@
 
 use aqua::core::qos::QosSpec;
 use aqua::core::time::{Duration, Instant};
-use aqua::replica::{CrashPlan, ServiceTimeModel};
+use aqua::replica::ServiceTimeModel;
 use aqua::workload::{
-    run_experiment, ClientSpec, ExperimentConfig, NetworkSpec, ServerSpec, StrategySpec,
+    run_experiment, ClientSpec, ExperimentConfig, FaultPlan, NetworkSpec, ServerSpec, StrategySpec,
 };
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
+}
+
+/// Each `(replica, secs)` pair: that replica crashes at `secs` seconds,
+/// for good.
+fn crash_forever(crashes: &[(u64, u64)]) -> FaultPlan {
+    crashes.iter().fold(FaultPlan::new(), |plan, &(r, secs)| {
+        plan.crash_recover(r, Instant::from_secs(secs), Duration::MAX)
+    })
 }
 
 fn base_config(seed: u64) -> ExperimentConfig {
@@ -33,7 +41,7 @@ fn base_config(seed: u64) -> ExperimentConfig {
         standby_servers: Vec::new(),
         manager: None,
         clients: vec![client],
-        faults: aqua::faults::FaultPlan::new(),
+        faults: FaultPlan::new(),
         max_virtual_time: Duration::from_secs(120),
     }
 }
@@ -41,7 +49,7 @@ fn base_config(seed: u64) -> ExperimentConfig {
 #[test]
 fn single_crash_is_masked() {
     let mut config = base_config(11);
-    config.servers[0].crash = CrashPlan::AtTime(Instant::from_secs(4));
+    config.faults = crash_forever(&[(0, 4)]);
     let report = run_experiment(&config);
     let c = report.client_under_test();
     assert_eq!(c.records.len(), 40);
@@ -58,8 +66,7 @@ fn two_staggered_crashes_are_survived() {
     // The formal guarantee covers one crash per request, but staggered
     // crashes (view change in between) must also be absorbed.
     let mut config = base_config(12);
-    config.servers[1].crash = CrashPlan::AtTime(Instant::from_secs(3));
-    config.servers[3].crash = CrashPlan::AtTime(Instant::from_secs(6));
+    config.faults = crash_forever(&[(1, 3), (3, 6)]);
     let report = run_experiment(&config);
     let c = report.client_under_test();
     assert!(
@@ -71,8 +78,9 @@ fn two_staggered_crashes_are_survived() {
 
 #[test]
 fn crash_after_requests_trigger_views() {
+    // Replica 2 crashes for good in the middle of the run.
     let mut config = base_config(13);
-    config.servers[2].crash = CrashPlan::AfterRequests(5);
+    config.faults = crash_forever(&[(2, 5)]);
     let report = run_experiment(&config);
     let c = report.client_under_test();
     assert!(c.failure_probability <= 0.1, "{}", c.failure_probability);
@@ -82,9 +90,10 @@ fn crash_after_requests_trigger_views() {
 fn mtbf_crashes_are_deterministic_per_seed() {
     let mk = |seed| {
         let mut config = base_config(seed);
-        for s in &mut config.servers {
-            s.crash = CrashPlan::Mtbf(Duration::from_secs(60));
-        }
+        let horizon = Instant::EPOCH + config.max_virtual_time;
+        config.faults = (0..5).fold(FaultPlan::new(), |plan, r| {
+            plan.mtbf_crashes(r, Duration::from_secs(60), Duration::MAX, horizon)
+        });
         let report = run_experiment(&config);
         let c = report.client_under_test();
         (
@@ -101,9 +110,7 @@ fn mtbf_crashes_are_deterministic_per_seed() {
 #[test]
 fn losing_every_replica_fails_cleanly() {
     let mut config = base_config(15);
-    for s in &mut config.servers {
-        s.crash = CrashPlan::AtTime(Instant::from_secs(3));
-    }
+    config.faults = crash_forever(&[(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)]);
     let report = run_experiment(&config);
     let c = report.client_under_test();
     let late = c.records.iter().filter(|r| !r.timely).count();
@@ -120,7 +127,7 @@ fn unreplicated_baseline_suffers_from_the_same_crash() {
     // Control for single_crash_is_masked: with k = 1 and no reserve, the
     // crash costs at least the requests in flight.
     let mut masked = base_config(16);
-    masked.servers[0].crash = CrashPlan::AtTime(Instant::from_secs(4));
+    masked.faults = crash_forever(&[(0, 4)]);
     let mut exposed = masked.clone();
     exposed.clients[0].strategy = StrategySpec::StaticK { k: 1 };
 
@@ -149,7 +156,7 @@ fn passive_failover_resends_on_the_view_change() {
     for s in &mut config.servers {
         s.service = ServiceTimeModel::Deterministic(ms(100));
     }
-    config.servers[0].crash = CrashPlan::AtTime(Instant::from_secs(4));
+    config.faults = crash_forever(&[(0, 4)]);
     let client = &mut config.clients[0];
     client.qos = QosSpec::new(deadline, 0.9).unwrap();
     client.think_time = ms(10);

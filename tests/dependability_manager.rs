@@ -4,9 +4,9 @@
 
 use aqua::core::qos::QosSpec;
 use aqua::core::time::{Duration, Instant};
-use aqua::replica::{CrashPlan, ServiceTimeModel};
+use aqua::replica::ServiceTimeModel;
 use aqua::workload::{
-    run_experiment, ClientSpec, ExperimentConfig, ManagerSpec, NetworkSpec, ServerSpec,
+    run_experiment, ClientSpec, ExperimentConfig, FaultPlan, ManagerSpec, NetworkSpec, ServerSpec,
 };
 
 fn ms(v: u64) -> Duration {
@@ -23,36 +23,27 @@ fn managed_config(
     let mut client = ClientSpec::paper(qos);
     client.num_requests = 60;
     client.think_time = ms(250);
-    let server = |crash: CrashPlan| ServerSpec {
+    let server = ServerSpec {
         service: ServiceTimeModel::Normal {
             mean: ms(70),
             std_dev: ms(15),
             min: Duration::ZERO,
         },
-        crash,
         ..ServerSpec::paper()
     };
     ExperimentConfig {
         seed,
         network: NetworkSpec::paper(),
-        servers: (0..target)
-            .map(|i| {
-                server(
-                    crashes
-                        .iter()
-                        .find(|(idx, _)| *idx == i)
-                        .map(|(_, at)| CrashPlan::AtTime(Instant::from_secs(*at)))
-                        .unwrap_or(CrashPlan::Never),
-                )
-            })
-            .collect(),
-        standby_servers: (0..standbys).map(|_| server(CrashPlan::Never)).collect(),
+        servers: vec![server.clone(); target],
+        standby_servers: vec![server; standbys],
         manager: Some(ManagerSpec {
             target_replication: target,
             supervision: None,
         }),
         clients: vec![client],
-        faults: aqua::workload::FaultPlan::new(),
+        faults: crashes.iter().fold(FaultPlan::new(), |plan, &(i, at)| {
+            plan.crash_recover(i as u64, Instant::from_secs(at), Duration::MAX)
+        }),
         max_virtual_time: Duration::from_secs(120),
     }
 }

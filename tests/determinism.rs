@@ -1,11 +1,13 @@
 //! Reproducibility guarantees: identical seeds replay identical histories
 //! through every layer of the simulated stack, including congested
-//! networks, load processes, and crash schedules.
+//! networks, load processes, and crash windows drawn from the seed.
 
 use aqua::core::qos::QosSpec;
-use aqua::core::time::Duration;
-use aqua::replica::{CrashPlan, LoadModel, ServiceTimeModel};
-use aqua::workload::{run_experiment, ClientSpec, ExperimentConfig, NetworkSpec, ServerSpec};
+use aqua::core::time::{Duration, Instant};
+use aqua::replica::{LoadModel, ServiceTimeModel};
+use aqua::workload::{
+    run_experiment, ClientSpec, ExperimentConfig, FaultPlan, NetworkSpec, ServerSpec,
+};
 use lan_sim::UniformLan;
 
 fn ms(v: u64) -> Duration {
@@ -23,8 +25,6 @@ fn chaotic_config(seed: u64) -> ExperimentConfig {
             },
             method_services: Vec::new(),
             load: LoadModel::bursty(Duration::from_secs(3), Duration::from_secs(1), 4.0),
-            crash: CrashPlan::Mtbf(Duration::from_secs(90)),
-            recover_after: None,
         })
         .collect();
     let mut c1 = ClientSpec::paper(QosSpec::new(ms(200), 0.9).unwrap());
@@ -45,7 +45,15 @@ fn chaotic_config(seed: u64) -> ExperimentConfig {
         standby_servers: Vec::new(),
         manager: None,
         clients: vec![c1, c2],
-        faults: aqua::workload::FaultPlan::new(),
+        // MTBF crashes, each for good.
+        faults: (0..5).fold(FaultPlan::new(), |plan, r| {
+            plan.mtbf_crashes(
+                r,
+                Duration::from_secs(90),
+                Duration::MAX,
+                Instant::from_secs(60),
+            )
+        }),
         max_virtual_time: Duration::from_secs(60),
     }
 }

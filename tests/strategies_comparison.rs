@@ -35,8 +35,6 @@ fn bursty_scenario(strategy: StrategySpec, seed: u64, deadline_ms: u64) -> Exper
             } else {
                 LoadModel::nominal()
             },
-            crash: aqua::replica::CrashPlan::Never,
-            recover_after: None,
         })
         .collect();
     ExperimentConfig {
